@@ -8,6 +8,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .equivariant import (
     w_spread,
 )
 from .field import cyclo_zeta
-from .persistence import barcode_of_complex, is_inf
+from .persistence import Barcode, barcode_of_complex, is_inf
 
 
 class InputError(ValueError):
@@ -273,13 +274,8 @@ def cmd_bounds(args) -> int:
         raise InputError(str(e)) from e
     _emit(_dump(ser.bounds_report_to_obj(report, provenance)), args.out)
     if args.svg:
-        family = mdl.eigenspace_family(model_input)
-        merged = None
-        for bc in family.values():
-            merged = bc if merged is None else merged.union(bc)
-        from .persistence import Barcode
-
-        Path(args.svg).write_text(ser.barcode_svg(merged or Barcode.empty()))
+        merged = functools.reduce(Barcode.union, mdl.eigenspace_family(model_input).values())
+        Path(args.svg).write_text(ser.barcode_svg(merged))
     return 0
 
 

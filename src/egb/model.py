@@ -15,12 +15,11 @@ from fractions import Fraction
 from .equivariant import (
     GradedBarcodeFamily,
     ZpPersistenceModule,
-    eigenspace_module,
     kunneth_stabilize,
     mu_p_of_family,
 )
-from .field import CyclotomicNumber, cyclo_zeta, is_prime
-from .persistence import Barcode, INF, Interval, barcode_of_module, is_inf, multiplicity
+from .field import is_prime
+from .persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
 
 
 @dataclass(frozen=True)
@@ -49,18 +48,15 @@ class ModelInput:
         return min(b - a for a, b in zip(acts, acts[1:]))
 
 
-def build_model(model_input: ModelInput, zeta: CyclotomicNumber | None = None) -> ZpPersistenceModule:
-    """Direct sum of one cyclic tuple module per tuple, deaths at +inf,
-    assembled in one pass (p new generators appear at each action value).
-
-    The zeta argument only selects which eigenspace downstream consumers look
-    at; the module itself does not depend on it."""
+def build_model(model_input: ModelInput) -> ZpPersistenceModule:
+    """Dense test oracle: the direct sum of one cyclic tuple module per
+    tuple, deaths at +inf, assembled in one pass (p new generators appear at
+    each action value).  ``eigenspace_family`` computes its eigenspace
+    barcodes in closed form."""
     from egb.equivariant import cyclic_permutation_matrix
     from egb.field import CyclotomicField, Matrix
     from egb.persistence import FinitePersistenceModule
 
-    if zeta is not None and zeta.p != model_input.p:
-        raise ValueError("root of unity over the wrong field")
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
     p = model_input.p
@@ -90,17 +86,20 @@ def build_model(model_input: ModelInput, zeta: CyclotomicNumber | None = None) -
     return ZpPersistenceModule(p, base, tuple(action))
 
 
-def eigenspace_family(
-    model_input: ModelInput, zeta_index: int = 1
-) -> GradedBarcodeFamily:
-    """Per-degree barcodes of the zeta-eigenspace of the model."""
-    zeta = cyclo_zeta(model_input.p, zeta_index % model_input.p)
+def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
+    """Per-degree barcodes of every eigenspace of the model, in closed form.
+
+    Every p-th root of unity is a simple eigenvalue of the cyclic
+    permutation, so each tuple (action, degree) adds exactly one bar
+    (action, +inf] to ``family[degree]``, whichever root is chosen.
+    ``build_model`` is the dense oracle the tests compare this against."""
+    if not model_input.tuples:
+        raise ValueError("model needs at least one tuple")
     family: GradedBarcodeFamily = {}
-    degrees = sorted({d for _, d in model_input.tuples})
-    for r in degrees:
-        tuples_r = tuple(t for t in model_input.tuples if t[1] == r)
-        module = build_model(ModelInput(model_input.p, tuples_r))
-        family[r] = barcode_of_module(eigenspace_module(module, zeta))
+    for r in sorted({d for _, d in model_input.tuples}):
+        family[r] = Barcode.of(
+            (Bar(a, INF), 1, None) for a, d in model_input.tuples if d == r
+        )
     return family
 
 

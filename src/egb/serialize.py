@@ -42,7 +42,10 @@ def parse_frac(s: str, allow_inf: bool = False):
         if not allow_inf:
             raise ValueError("inf not allowed here")
         return INF
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as e:
+        raise ValueError(f"zero denominator in {s!r}") from e
 
 
 # -- barcodes -------------------------------------------------------------------

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import egb
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
 from egb.persistence import Bar, Barcode, FilteredComplex
@@ -240,6 +245,19 @@ class TestBoundsCommand:
         f.write_text(json.dumps({"tuples": []}))
         code, _, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
         assert code == 1
+
+    def test_zero_denominator_exits_one_without_traceback(self, tmp_path):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "1/0"}]}))
+        src = str(Path(egb.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "egb.cli", "bounds", "--p", "2", "--file", str(f)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
         from egb.serialize import barcode_from_json

@@ -11,7 +11,7 @@ from egb.eggbeater import (
     lambda_lattice,
 )
 from egb.equivariant import eigenspace_module, mu_p_of_family
-from egb.field import cyclo_zeta
+from egb.field import cyclo_zeta, primitive_roots
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -50,6 +50,24 @@ class TestBuildModel:
         model = build_model(model_input)
         eigen = eigenspace_module(model, cyclo_zeta(2))
         assert eigen.dims[-1] == 16  # contrapositive of divisibility: count = #tuples
+
+    def test_closed_form_family_matches_dense_oracle(self, rng):
+        for p in (2, 3, 5):
+            roots = [cyclo_zeta(p, 0)] + primitive_roots(p)
+            for n in range(1, 6):
+                actions = rng.sample(range(-40, 40), n)
+                tuples = tuple((F(a, 3), rng.randint(0, 2)) for a in actions)
+                model_input = ModelInput(p, tuples)
+                family = eigenspace_family(model_input)
+                assert list(family) == sorted({d for _, d in tuples})
+                for r, barcode in family.items():
+                    model = build_model(ModelInput(p, tuple(t for t in tuples if t[1] == r)))
+                    for zeta in roots:
+                        assert barcode_of_module(eigenspace_module(model, zeta)) == barcode
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="at least one tuple"):
+            eigenspace_family(ModelInput(2, ()))
 
     def test_duplicate_actions_rejected(self):
         with pytest.raises(ValueError):
