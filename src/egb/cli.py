@@ -21,14 +21,13 @@ from . import serialize as ser
 from .bottleneck import bottleneck
 from .equivariant import (
     EquivariantComplex,
-    full_power_check,
-    mu_p,
-    mu_p_zeta,
+    eigenspace_barcodes,
+    full_power_verdict,
+    mu_from_barcode,
     spread_lower_bound_from_gaps,
     w_hat,
     w_spread,
 )
-from .field import cyclo_zeta
 from .persistence import Barcode, barcode_of_complex, is_inf
 
 
@@ -179,18 +178,15 @@ def cmd_barcode(args) -> int:
         zi = args.zeta_index
         if not 1 <= zi <= module.p - 1:
             raise InputError(f"zeta index must lie in 1..{module.p - 1}")
-        zeta = cyclo_zeta(module.p, zi)
-        from .equivariant import eigenspace_module
-        from .persistence import barcode_of_module
-
-        barcode = barcode_of_module(eigenspace_module(module, zeta))
+        barcodes = eigenspace_barcodes(module)  # barcodes[k - 1] is at zeta^k
+        mus = [mu_from_barcode(bc, module.p) for bc in barcodes]
         report = {
             "zeta_index": zi,
-            "barcode": ser.barcode_to_obj(barcode),
-            "mu_p_zeta": ser.frac_str(mu_p_zeta(module, zeta)),
-            "mu_p": ser.frac_str(mu_p(module)),
+            "barcode": ser.barcode_to_obj(barcodes[zi - 1]),
+            "mu_p_zeta": ser.frac_str(mus[zi - 1]),
+            "mu_p": ser.frac_str(max(mus)),
             "w_hat": ser.frac_str(w_hat(module)),
-            "verdict": full_power_check(module, zeta),
+            "verdict": full_power_verdict(barcodes[zi - 1], module.p),
         }
         _emit(_dump(report), args.out)
         return 0

@@ -17,6 +17,7 @@ from .field import (
     CyclotomicField,
     CyclotomicNumber,
     Matrix,
+    _is_zero,
     cyclo_one,
     is_prime,
     primitive_roots,
@@ -27,14 +28,16 @@ from .persistence import (
     FinitePersistenceModule,
     INF,
     Interval,
+    _WindowData,
+    _block_diag,
+    _extend_basis,
+    _reindex,
     direct_sum,
-    homology_basis,
     induced_homology_rank,
     is_inf,
     longest_finite_bar,
     multiplicity,
     barcode_of_module,
-    window_complex,
 )
 
 GradedBarcodeFamily = dict  # degree -> Barcode
@@ -97,8 +100,6 @@ class EquivariantComplex:
         d = self.complex.boundary
         if not (t @ d - d @ t).is_zero():
             raise ValueError("chain map does not commute with the boundary")
-        from .field import _is_zero
-
         gens = self.complex.generators
         for j in range(n):
             for i in range(n):
@@ -148,28 +149,6 @@ def eigenspace_module(
     return FinitePersistenceModule(field, module.base.spectrum, dims, tuple(transitions))
 
 
-def _complement(field, basis_vectors: list[tuple], dim: int):
-    """Standard-basis vectors extending ``basis_vectors`` to a basis."""
-    chosen = []
-    current = [list(v) for v in basis_vectors]
-    rank_now = (
-        Matrix.from_columns(field, current, dim).rank() if current else 0
-    )
-    z, o = field.zero(), field.one()
-    for k in range(dim):
-        e = [z] * dim
-        e[k] = o
-        trial = current + [e]
-        r = Matrix.from_columns(field, trial, dim).rank()
-        if r > rank_now:
-            chosen.append(tuple(e))
-            current = trial
-            rank_now = r
-        if rank_now == dim:
-            break
-    return chosen
-
-
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """The quotient L = V / Fix(A) with the induced persistence maps."""
     field = module.field
@@ -177,9 +156,11 @@ def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     complements = []
     for i, a in enumerate(module.action):
         n = module.base.dims[i]
-        w = (a - Matrix.identity(field, n)).kernel_basis()
+        identity = Matrix.identity(field, n)
+        w = (a - identity).kernel_basis()
         fixed.append(w)
-        complements.append(_complement(field, w, n))
+        # standard-basis vectors extending Fix(A) to a basis (identity is symmetric)
+        complements.append(_extend_basis(field, w, list(identity.entries), n))
     dims = tuple(len(c) for c in complements)
     transitions = []
     for i, t in enumerate(module.base.transitions):
@@ -218,41 +199,49 @@ def mu_from_barcode(barcode: Barcode, p: int) -> Fraction | float:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if barcode.is_empty():
-        return Fraction(0)
-    births = barcode.births()
-    rights = barcode.finite_deaths() + [INF]
     best: Fraction | float = Fraction(0)
-    bars = barcode.items
-    for x in births:
-        for y in rights:
-            if not x < y:
+    for interval, inside in _candidate_intervals(barcode):
+        if inside % p == 0:
+            continue
+        x, y = interval.left, interval.right
+        # smallest c at which some excluded bar swallows the 2c-shrink
+        horizon: Fraction | float = INF
+        for bar, m, _ in barcode.items:
+            if bar.contains(interval):
                 continue
-            interval = Interval(x, y)
-            inside = sum(m for bar, m, _ in bars if bar.contains(interval))
-            if inside % p == 0:
-                continue
-            # smallest c at which some excluded bar swallows the 2c-shrink
-            horizon: Fraction | float = INF
-            for bar, m, _ in bars:
-                if bar.contains(interval):
-                    continue
-                need_left = (bar.birth - x) / 2 if bar.birth > x else Fraction(0)
-                if is_inf(y):
-                    if bar.finite:
-                        continue  # finite bar can never contain (x+2c, inf)
-                    threshold = need_left
-                else:
-                    need_right = (
-                        (y - bar.death) / 2 if bar.finite and bar.death < y else Fraction(0)
-                    )
-                    threshold = max(need_left, need_right)
-                horizon = min(horizon, threshold)
-            budget = INF if is_inf(y) else (y - x) / 4
-            value = min(budget, horizon)
-            if value > best:
-                best = value
+            need_left = (bar.birth - x) / 2 if bar.birth > x else Fraction(0)
+            if is_inf(y):
+                if bar.finite:
+                    continue  # finite bar can never contain (x+2c, inf)
+                threshold = need_left
+            else:
+                need_right = (
+                    (y - bar.death) / 2 if bar.finite and bar.death < y else Fraction(0)
+                )
+                threshold = max(need_left, need_right)
+            horizon = min(horizon, threshold)
+        budget = INF if is_inf(y) else (y - x) / 4
+        value = min(budget, horizon)
+        if value > best:
+            best = value
     return best
+
+
+def _candidate_intervals(barcode: Barcode):
+    """(interval, multiplicity) over the candidate grid births x (finite
+    deaths + inf), the intervals on which mu and the full-power verdict are
+    decided."""
+    rights = barcode.finite_deaths() + [INF]
+    for x in barcode.births():
+        for y in rights:
+            if x < y:
+                interval = Interval(x, y)
+                yield interval, multiplicity(barcode, interval)
+
+
+def eigenspace_barcodes(module: ZpPersistenceModule) -> list[Barcode]:
+    """Barcode of the zeta^k-eigenspace for k = 1..p-1, each computed once."""
+    return [barcode_of_module(eigenspace_module(module, z)) for z in primitive_roots(module.p)]
 
 
 def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction | float:
@@ -264,18 +253,13 @@ def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction |
 
 def mu_p(module: ZpPersistenceModule) -> Fraction | float:
     """Maximum of mu_{p,zeta} over the p-1 primitive roots of unity."""
-    return max(mu_p_zeta(module, z) for z in primitive_roots(module.p))
+    return max(mu_from_barcode(bc, module.p) for bc in eigenspace_barcodes(module))
 
 
 def mu_p_of_family(family: GradedBarcodeFamily, p: int) -> Fraction | float:
     """Graded spread: maximum of mu over the degrees of a barcode family."""
     values = [mu_from_barcode(bc, p) for bc in family.values()]
     return max(values) if values else Fraction(0)
-
-
-def kappa_lower_bound(module: ZpPersistenceModule) -> Fraction | float:
-    """Certified lower bound for the equivariant distance to full p-th powers."""
-    return mu_p(module)
 
 
 # -- the modified spread ------------------------------------------------------
@@ -351,19 +335,16 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     shift kills the class (e.g. zero-boundary complexes with a nontrivial
     action, where finiteness needs analytic input the algebra cannot see).
     """
-    if pow_of_chain_map_not_identity(equivariant, k):
-        raise ValueError(f"chain map does not satisfy T^{k} = id")
     cx = equivariant.complex
-    field = cx.field
     t_mat = equivariant.chain_map
-    n = len(cx.generators)
-    s_mat = t_mat - Matrix.identity(field, n)
+    identity = Matrix.identity(cx.field, len(cx.generators))
+    if not (t_mat.matpow(k) - identity).is_zero():
+        raise ValueError(f"chain map does not satisfy T^{k} = id")
+    s_mat = t_mat - identity
     if s_mat.is_zero():
         return Fraction(0)
-    spectrum = cx.spectrum()
-    gaps = _gaps(spectrum)
+    gaps = _gaps(cx.spectrum())
     g = len(gaps)
-    degrees = sorted({d for _, d in cx.generators})
 
     windows: dict[tuple[int, int], "_SpreadWindow"] = {}
 
@@ -376,10 +357,10 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     for i1 in range(g):
         for j1 in range(i1 + 1, g):
             src = window(i1, j1)
-            if not src.glob_all:
+            if not src.keep:
                 continue
             s_images = src.apply_chain_map(s_mat)
-            if all(all_zero(field, v) for v in s_images.values()):
+            if all(_is_zero(x) for images in s_images.values() for v in images for x in v):
                 continue
             for i2 in range(i1, g):
                 for j2 in range(j1, g):
@@ -396,7 +377,7 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
                     if not is_inf(hi) and hi <= best:
                         continue
                     dst = window(i2, j2)
-                    if src.induced_nonzero(s_images, dst, degrees):
+                    if src.induced_nonzero(s_images, dst):
                         if is_inf(hi):
                             return INF
                         best = max(best, hi)
@@ -416,33 +397,16 @@ def _sub(x, y):
     return x - y
 
 
-def all_zero(field, vec) -> bool:
-    from .field import _is_zero
-
-    return all(_is_zero(v) for v in vec)
-
-
-class _SpreadWindow:
+class _SpreadWindow(_WindowData):
     """Window homology data for the spread scan."""
 
     def __init__(self, cx: FilteredComplex, a, b):
+        super().__init__(cx, a, b)
         self.cx = cx
-        self.keep, self.wc = window_complex(cx, a, b)
-        self.glob_all = self.keep
-        self._by_degree: dict[int, tuple[list[int], list[tuple], Matrix]] = {}
-
-    def at(self, r: int):
-        if r not in self._by_degree:
-            idx_r, cycles, d_rp1 = homology_basis(self.wc, r)
-            glob = [self.keep[i] for i in idx_r]
-            self._by_degree[r] = (glob, cycles, d_rp1)
-        return self._by_degree[r]
 
     def apply_chain_map(self, s_mat: Matrix) -> dict[int, list[tuple]]:
         """Images of the cycle bases under the (action-preserving) chain map,
         in window coordinates, keyed by degree."""
-        from .field import _is_zero
-
         field = self.cx.field
         out: dict[int, list[tuple]] = {}
         degrees = sorted({self.cx.generators[g][1] for g in self.keep})
@@ -463,9 +427,7 @@ class _SpreadWindow:
             out[r] = images
         return out
 
-    def induced_nonzero(
-        self, s_images: dict[int, list[tuple]], dst: "_SpreadWindow", degrees
-    ) -> bool:
+    def induced_nonzero(self, s_images: dict[int, list[tuple]], dst: "_SpreadWindow") -> bool:
         """Is (comparison to dst) . S nonzero on homology in some degree?"""
         field = self.cx.field
         for r, images in s_images.items():
@@ -475,23 +437,10 @@ class _SpreadWindow:
             glob_dst, _, bnd_dst = dst.at(r)
             if not glob_dst:
                 continue
-            look = {g: i for i, g in enumerate(glob_dst)}
-            moved = []
-            for img in images:
-                out = [field.zero()] * len(glob_dst)
-                for i, g in enumerate(glob_src):
-                    if g in look:
-                        out[look[g]] = img[i]
-                moved.append(tuple(out))
+            moved = _reindex(field, images, glob_src, glob_dst)
             if induced_homology_rank(field, cycles_src, moved, bnd_dst, len(glob_dst)) > 0:
                 return True
         return False
-
-
-def pow_of_chain_map_not_identity(equivariant: EquivariantComplex, k: int) -> bool:
-    t = equivariant.chain_map
-    n = t.rows
-    return not (t.matpow(k) - Matrix.identity(t.field, n)).is_zero()
 
 
 def spread_lower_bound_from_gaps(generators) -> Fraction | float:
@@ -515,18 +464,13 @@ def full_power_check(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> str
     """PASS iff every candidate-interval multiplicity of B(L_zeta) is divisible
     by p; a FAIL certifies the module is not a full p-th power."""
     _validate_root(module.p, zeta, primitive=True)
-    barcode = barcode_of_module(eigenspace_module(module, zeta))
-    if barcode.is_empty():
-        return "PASS"
-    births = barcode.births()
-    rights = barcode.finite_deaths() + [INF]
-    for x in births:
-        for y in rights:
-            if not x < y:
-                continue
-            if multiplicity(barcode, Interval(x, y)) % module.p != 0:
-                return "FAIL"
-    return "PASS"
+    return full_power_verdict(barcode_of_module(eigenspace_module(module, zeta)), module.p)
+
+
+def full_power_verdict(barcode: Barcode, p: int) -> str:
+    """FAIL iff some candidate-interval multiplicity of the eigenspace
+    barcode is not divisible by p."""
+    return "FAIL" if any(m % p for _, m in _candidate_intervals(barcode)) else "PASS"
 
 
 def construct_full_power(
@@ -597,41 +541,14 @@ def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersisten
     """Direct sum of Z_p modules on the common spectrum refinement."""
     if a.p != b.p:
         raise ValueError("direct sum of modules with different p")
-    from .persistence import refine_module
-
-    common = sorted(set(a.base.spectrum) | set(b.base.spectrum))
-    ra, rb = refine_module(a.base, common), refine_module(b.base, common)
     base = direct_sum(a.base, b.base)
-    field = base.field
 
-    def action_on_refined(mod: ZpPersistenceModule, refined: FinitePersistenceModule):
-        out = []
-        bounds = list(refined.spectrum)
-        for i in range(refined.num_intervals):
-            if i < len(bounds):
-                t = bounds[i]
-            elif bounds:
-                t = bounds[-1] + 1
-            else:
-                t = Fraction(0)
-            out.append(mod.action[mod.base.interval_index(t)])
-        return out
+    def refined_action(mod: ZpPersistenceModule) -> list[Matrix]:
+        # the value at a spectrum point is the left limit; the top interval is last
+        return [mod.action[mod.base.interval_index(s)] for s in base.spectrum] + [mod.action[-1]]
 
-    act_a = action_on_refined(a, ra)
-    act_b = action_on_refined(b, rb)
-    action = []
-    for m1, m2 in zip(act_a, act_b):
-        z = field.zero()
-        ent = []
-        for i in range(m1.rows):
-            ent.append(list(m1.entries[i]) + [z] * m2.cols)
-        for i in range(m2.rows):
-            ent.append([z] * m1.cols + list(m2.entries[i]))
-        if not ent:
-            action.append(Matrix.zeros(field, 0, 0))
-        else:
-            action.append(Matrix.from_rows(field, ent))
-    return ZpPersistenceModule(a.p, base, tuple(action), degree=a.degree)
+    action = tuple(_block_diag(x, y) for x, y in zip(refined_action(a), refined_action(b)))
+    return ZpPersistenceModule(a.p, base, action, degree=a.degree)
 
 
 # -- stabilization and interleaving -------------------------------------------

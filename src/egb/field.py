@@ -620,22 +620,3 @@ class Matrix:
             raise ValueError("matrix is singular")
         return inv
 
-
-def kernel_basis(m: Matrix) -> list[tuple]:
-    return m.kernel_basis()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def solve_linear(m: Matrix, rhs: tuple) -> tuple | None:
-    return m.solve(rhs)
-
-
-def cyclo_mul(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
-    return x * y
-
-
-def cyclo_inverse(x: CyclotomicNumber) -> CyclotomicNumber:
-    return x.inverse()

@@ -15,11 +15,20 @@ from fractions import Fraction
 from .equivariant import (
     GradedBarcodeFamily,
     ZpPersistenceModule,
+    cyclic_permutation_matrix,
     kunneth_stabilize,
     mu_p_of_family,
 )
-from .field import is_prime
-from .persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
+from .field import CyclotomicField, Matrix, is_prime
+from .persistence import (
+    Bar,
+    Barcode,
+    FinitePersistenceModule,
+    INF,
+    Interval,
+    is_inf,
+    multiplicity,
+)
 
 
 @dataclass(frozen=True)
@@ -53,10 +62,6 @@ def build_model(model_input: ModelInput) -> ZpPersistenceModule:
     tuple, deaths at +inf, assembled in one pass (p new generators appear at
     each action value).  ``eigenspace_family`` computes its eigenspace
     barcodes in closed form."""
-    from egb.equivariant import cyclic_permutation_matrix
-    from egb.field import CyclotomicField, Matrix
-    from egb.persistence import FinitePersistenceModule
-
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
     p = model_input.p

@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Field, Matrix
+from .field import Field, Matrix, _is_zero
 
 INF = float("inf")
 
@@ -244,9 +244,6 @@ class FinitePersistenceModule:
         """Index of the constancy interval containing t (left-limit convention)."""
         return bisect.bisect_left(self.spectrum, Fraction(t))
 
-    def dim_at(self, t) -> int:
-        return self.dims[self.interval_index(t)]
-
     def composite(self, u: int, v: int) -> Matrix:
         """Composite transition from constancy interval u to interval v >= u."""
         if not 0 <= u <= v <= len(self.spectrum):
@@ -364,19 +361,17 @@ def direct_sum(
     common = sorted(set(a.spectrum) | set(b.spectrum))
     ra, rb = refine_module(a, common), refine_module(b, common)
     dims = tuple(da + db for da, db in zip(ra.dims, rb.dims))
-    transitions = []
-    for ta, tb in zip(ra.transitions, rb.transitions):
-        z = a.field.zero()
-        ent = []
-        for i in range(ta.rows):
-            ent.append(list(ta.entries[i]) + [z] * tb.cols)
-        for i in range(tb.rows):
-            ent.append([z] * ta.cols + list(tb.entries[i]))
-        if not ent:
-            transitions.append(Matrix.zeros(a.field, 0, ta.cols + tb.cols))
-        else:
-            transitions.append(Matrix.from_rows(a.field, ent))
-    return FinitePersistenceModule(a.field, tuple(common), dims, tuple(transitions))
+    transitions = tuple(_block_diag(ta, tb) for ta, tb in zip(ra.transitions, rb.transitions))
+    return FinitePersistenceModule(a.field, tuple(common), dims, transitions)
+
+
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix diag(a, b) over the field of a."""
+    z = a.field.zero()
+    rows = tuple(row + (z,) * b.cols for row in a.entries) + tuple(
+        (z,) * a.cols + row for row in b.entries
+    )
+    return Matrix(a.field, a.rows + b.rows, a.cols + b.cols, rows)
 
 
 # -- filtered chain complexes --------------------------------------------------
@@ -399,8 +394,6 @@ class FilteredComplex:
             raise ValueError("boundary must be square on the generators")
         if self.boundary.field != self.field:
             raise ValueError("boundary over wrong field")
-        from .field import _is_zero
-
         for j in range(n):
             for i in range(n):
                 if _is_zero(self.boundary.entries[i][j]):
@@ -430,8 +423,6 @@ def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
     order = sorted(range(n), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
     field = complex_.field
-    from .field import _is_zero
-
     cols: list[dict[int, object]] = []
     for j_sorted in range(n):
         j = order[j_sorted]
@@ -544,16 +535,6 @@ def homology_basis(complex_: FilteredComplex, r: int):
     return idx_r, cycles, d_rp1
 
 
-def _quotient_dim(cycles: list[tuple], boundary_mat: Matrix) -> int:
-    if not cycles:
-        return 0
-    field = boundary_mat.field
-    z_mat = Matrix.from_columns(field, cycles, len(cycles[0]))
-    rank_b = boundary_mat.rank()
-    rank_zb = z_mat.hstack(boundary_mat).rank()
-    return rank_zb - rank_b
-
-
 def window_homology(complex_: FilteredComplex, a, b, r: int):
     """Dimension and a homology basis of the (a, b) quotient complex in degree r.
 
@@ -562,25 +543,23 @@ def window_homology(complex_: FilteredComplex, a, b, r: int):
     """
     keep, wc = window_complex(complex_, a, b)
     idx_r, cycles, d_rp1 = homology_basis(wc, r)
-    field = complex_.field
     if not idx_r:
         return 0, [], []
-    # extend a basis of the boundary space to the cycle space; the added
-    # cycles represent a homology basis
-    b_cols = [d_rp1.column(j) for j in range(d_rp1.cols)]
-    chosen = []
-    current = [list(c) for c in b_cols]
-    base_rank = Matrix.from_columns(field, current, len(idx_r)).rank() if current else 0
-    rank_now = base_rank
-    for z in cycles:
-        trial = current + [list(z)]
-        r_trial = Matrix.from_columns(field, trial, len(idx_r)).rank()
-        if r_trial > rank_now:
-            chosen.append(z)
-            current = trial
-            rank_now = r_trial
-    global_idx = [keep[i] for i in idx_r]
-    return len(chosen), chosen, global_idx
+    # cycles extending a basis of the boundary space represent a homology basis
+    boundaries = [d_rp1.column(j) for j in range(d_rp1.cols)]
+    chosen = _extend_basis(complex_.field, boundaries, cycles, len(idx_r))
+    return len(chosen), chosen, [keep[i] for i in idx_r]
+
+
+def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
+                  dim: int) -> list[tuple]:
+    """The candidates independent of ``basis`` and of the candidates before
+    them: the pivot columns past the basis in one echelon form of
+    [basis | candidates], since a column is a pivot exactly when it is
+    independent of the columns before it."""
+    _, _, pivots = Matrix.from_columns(field, basis + candidates, dim)._echelon()
+    k = len(basis)
+    return [candidates[c - k] for c in pivots if c >= k]
 
 
 def induced_homology_rank(
@@ -620,25 +599,28 @@ class _WindowData:
         return self._cache[r]
 
     def dim(self, r: int) -> int:
-        _, cycles, d_rp1 = self.at(r)
-        return _quotient_dim(cycles, d_rp1)
+        glob, cycles, d_rp1 = self.at(r)
+        return induced_homology_rank(self.wc.field, cycles, cycles, d_rp1, len(glob))
 
 
-def _reindex(field: Field, vec: tuple, src_glob: list[int], dst_glob: list[int]) -> tuple:
-    """Move a chain between windows: keep shared generators, drop the rest."""
+def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
+             dst_glob: list[int]) -> list[tuple]:
+    """Move chains between windows: keep shared generators, drop the rest."""
     look = {g: i for i, g in enumerate(dst_glob)}
-    out = [field.zero()] * len(dst_glob)
-    for i, g in enumerate(src_glob):
-        if g in look:
-            out[look[g]] = vec[i]
-    return tuple(out)
+    moves = [(i, look[g]) for i, g in enumerate(src_glob) if g in look]
+    z = field.zero()
+    out = []
+    for vec in vecs:
+        moved = [z] * len(dst_glob)
+        for i, j in moves:
+            moved[j] = vec[i]
+        out.append(tuple(moved))
+    return out
 
 
 def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
                 dst_glob: list[int]) -> tuple:
     """Connecting map: lift, apply the full boundary, restrict to the target."""
-    from .field import _is_zero
-
     field = complex_.field
     look = {g: i for i, g in enumerate(dst_glob)}
     out = [field.zero()] * len(dst_glob)
@@ -686,12 +668,12 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
 
         # j1: inclusion (a,b) -> (a,c); j2: projection (a,c) -> (b,c);
         # delta: (b,c) -> (a,b) in degree r-1
-        img_j1 = [_reindex(field, z, g_ab, g_ac) for z in z_ab]
-        img_j2 = [_reindex(field, z, g_ac, g_bc) for z in z_ac]
+        img_j1 = _reindex(field, z_ab, g_ab, g_ac)
+        img_j2 = _reindex(field, z_ac, g_ac, g_bc)
         img_delta = [_connecting(complex_, z, g_bc, g_ab1) for z in z_bc]
-        img_j2j1 = [_reindex(field, v, g_ac, g_bc) for v in img_j1]
+        img_j2j1 = _reindex(field, img_j1, g_ac, g_bc)
         img_dj2 = [_connecting(complex_, v, g_bc, g_ab1) for v in img_j2]
-        img_j1d = [_reindex(field, v, g_ab1, g_ac1) for v in img_delta]
+        img_j1d = _reindex(field, img_delta, g_ab1, g_ac1)
 
         r_j1 = induced_homology_rank(field, z_ab, img_j1, b_ac, len(g_ac))
         r_j2 = induced_homology_rank(field, z_ac, img_j2, b_bc, len(g_bc))
@@ -708,7 +690,7 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
         if r_j2 + r_delta != w_bc.dim(r):
             ok = False  # exactness at H_r(b,c)
         # exactness at H_{r-1}(a,b) uses delta from degree r and j1 at r-1
-        img_j1_down = [_reindex(field, z, g_ab1, g_ac1) for z in z_ab1]
+        img_j1_down = _reindex(field, z_ab1, g_ab1, g_ac1)
         r_j1_down = induced_homology_rank(field, z_ab1, img_j1_down, b_ac1, len(g_ac1))
         if r_delta + r_j1_down != w_ab.dim(r - 1):
             ok = False

@@ -37,6 +37,8 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str, allow_inf: bool = False):
+    if not isinstance(s, str):
+        raise ValueError(f"rational {s!r} must be an exact string such as \"3/2\"")
     s = s.strip()
     if s in ("inf", "+inf", "Infinity"):
         if not allow_inf:

@@ -5,18 +5,80 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import egb
 from egb.cli import main
-from egb.field import Matrix, QQ_FIELD
-from egb.persistence import Bar, Barcode, FilteredComplex
-from egb.serialize import barcode_to_json, complex_to_obj, zp_module_to_obj
-from egb.equivariant import cyclic_tuple_module
+from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
+from egb.persistence import (
+    Bar,
+    Barcode,
+    FilteredComplex,
+    FinitePersistenceModule,
+    barcode_of_module,
+)
+from egb.serialize import barcode_to_json, barcode_to_obj, complex_to_obj, frac_str, zp_module_to_obj
+from egb.equivariant import (
+    ZpPersistenceModule,
+    cyclic_tuple_module,
+    eigenspace_module,
+    full_power_check,
+    mu_p,
+    mu_p_zeta,
+    w_hat,
+    zp_direct_sum,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_subprocess(*argv):
+    """Run egb in a fresh interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(egb.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "egb.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def assert_clean_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def mixed_p3_module() -> ZpPersistenceModule:
+    """A cyclic block plus two zeta^2-scalar blocks, all on (0, 10], in a
+    basis that mixes the summands: the zeta-eigenspace barcode is one bar
+    (verdict FAIL, mu 5/2), the zeta^2 one three (verdict PASS, mu 0)."""
+    field = CyclotomicField(3)
+    scalar = ZpPersistenceModule(
+        3,
+        FinitePersistenceModule(
+            field, (F(0), F(10)), (0, 2, 0),
+            (Matrix.zeros(field, 2, 0), Matrix.zeros(field, 0, 2)),
+        ),
+        (Matrix.zeros(field, 0, 0), Matrix.identity(field, 2).scale(cyclo_zeta(3, 2)),
+         Matrix.zeros(field, 0, 0)),
+    )
+    plain = zp_direct_sum(cyclic_tuple_module(F(0), 3, death=F(10)), scalar)
+    # unipotent upper-triangular change of basis on every constancy interval
+    change = [
+        Matrix.from_rows(field, [[1 if c >= r else 0 for c in range(n)] for r in range(n)])
+        for n in plain.base.dims
+    ]
+    back = [c.inverse() for c in change]
+    transitions = tuple(
+        change[i + 1] @ t @ back[i] for i, t in enumerate(plain.base.transitions)
+    )
+    action = tuple(change[i] @ a @ back[i] for i, a in enumerate(plain.action))
+    base = FinitePersistenceModule(field, plain.base.spectrum, plain.base.dims, transitions)
+    return ZpPersistenceModule(3, base, action)
 
 
 class TestFreegroupCommands:
@@ -96,6 +158,48 @@ class TestBarcodeCommands:
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "barcode", "decompose", "/nonexistent.json")
         assert code == 1
+
+    def test_numeric_birth_exits_one_without_traceback(self, tmp_path):
+        f = tmp_path / "b.json"
+        f.write_text(json.dumps([{"birth": 1, "death": "2"}]))
+        assert_clean_error(run_subprocess("barcode", "bottleneck", str(f), str(f)))
+
+    def test_mu_at_second_root_of_p3(self, tmp_path, capsys):
+        m = mixed_p3_module()
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(zp_module_to_obj(m)))
+        code, out, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", "2")
+        assert code == 0
+        report = json.loads(out)
+        zeta2 = cyclo_zeta(3, 2)
+        barcode = barcode_of_module(eigenspace_module(m, zeta2))
+        # the two roots must differ, or a wrong root index would go unseen
+        assert barcode != barcode_of_module(eigenspace_module(m, cyclo_zeta(3, 1)))
+        assert mu_p_zeta(m, zeta2) != mu_p_zeta(m, cyclo_zeta(3, 1)) == mu_p(m)
+        assert full_power_check(m, zeta2) != full_power_check(m, cyclo_zeta(3, 1))
+        assert report == {
+            "zeta_index": 2,
+            "barcode": barcode_to_obj(barcode),
+            "mu_p_zeta": frac_str(mu_p_zeta(m, zeta2)),
+            "mu_p": frac_str(mu_p(m)),
+            "w_hat": frac_str(w_hat(m)),
+            "verdict": full_power_check(m, zeta2),
+        }
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_mu_builds_one_eigenspace_per_root(self, tmp_path, capsys, monkeypatch, p):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(zp_module_to_obj(cyclic_tuple_module(F(0), p, death=F(10)))))
+        calls = []
+
+        def counting(module, zeta):
+            calls.append(zeta)
+            return eigenspace_module(module, zeta)
+
+        monkeypatch.setattr("egb.equivariant.eigenspace_module", counting)
+        code, _, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", str(p - 1))
+        assert code == 0
+        assert len(calls) == p - 1
 
 
 class TestSpreadCommand:
@@ -249,15 +353,12 @@ class TestBoundsCommand:
     def test_zero_denominator_exits_one_without_traceback(self, tmp_path):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": "1/0"}]}))
-        src = str(Path(egb.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "egb.cli", "bounds", "--p", "2", "--file", str(f)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
+        assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
+
+    def test_numeric_action_exits_one_without_traceback(self, tmp_path):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": 5}]}))
+        assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
 
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
         from egb.serialize import barcode_from_json

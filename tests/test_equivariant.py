@@ -10,7 +10,6 @@ from egb.equivariant import (
     cyclic_tuple_module,
     eigenspace_module,
     full_power_check,
-    kappa_lower_bound,
     kunneth_stabilize,
     mu_from_barcode,
     mu_p,
@@ -129,7 +128,7 @@ class TestMuP:
     def test_single_tuple_module(self):
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         assert mu_p(m) == F(5, 2)
-        assert kappa_lower_bound(m) == F(5, 2)
+        assert mu_p_zeta(m, cyclo_zeta(2)) == F(5, 2)
 
     def test_mu_p_zeta_requires_primitive(self):
         m = cyclic_tuple_module(F(0), 3, death=F(10))
@@ -179,7 +178,7 @@ class TestMuP:
     def test_scaling_doubles_bound(self):
         m1 = cyclic_tuple_module(F(0), 2, death=F(10))
         m2 = cyclic_tuple_module(F(0), 2, death=F(20))
-        assert kappa_lower_bound(m2) == 2 * kappa_lower_bound(m1)
+        assert mu_p(m2) == 2 * mu_p(m1)
 
     def test_graded_family_max(self):
         fam = {0: Barcode.of([(Bar(0, 10), 1)]), 1: Barcode.of([(Bar(0, 4), 1)])}
