@@ -3,10 +3,13 @@
 Two tent-profile shear annuli crossing at two squares are composed; lifted
 to the universal cover, a fixed point of the p-th power with a prescribed
 sign pattern of its intermediate coordinates solves an affine 2x2 system
-with sign-indexed coefficient matrices.  Everything is rational: lambda on
-the integrality lattice, coordinates, actions, determinants.  Validation
-never trusts the affine shortcut: every candidate is pushed through the
-checked piecewise map and must come back exactly.
+with sign-indexed coefficient matrices.  Block j's affine map reads only
+two of the signs, so the enumeration builds the four variants of each block
+once and composes every prefix of blocks once, shared by all 4^p sign
+vectors that extend it.  Everything is rational: lambda on the integrality
+lattice, coordinates, actions, determinants.  Validation never trusts the
+affine shortcut: every candidate is pushed through the checked piecewise map
+and must come back exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ def h0(s) -> Fraction:
     s = Fraction(s)
     if not -1 <= s <= 1:
         raise ValueError(f"h0 argument {s} outside [-1, 1]")
-    eps = 1 if s > 0 else (-1 if s < 0 else 0)
-    return s - eps * s * s / 2
+    return s - s * abs(s) / 2  # sign(s) s^2 = s |s|
 
 
 def _in_open_square(x: Fraction, y: Fraction) -> bool:
@@ -53,7 +55,11 @@ def phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
     reduction windows are checked, and a miss signals that the input does
     not follow the prescribed winding class.
     """
-    x, y, mu, nu, lam = (Fraction(v) for v in (x, y, mu, nu, lam))
+    return _phi_block(*(Fraction(v) for v in (x, y, mu, nu, lam)))
+
+
+def _phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
+    """`phi_block` on arguments that are already Fractions."""
     if not _in_open_square(x, y):
         raise ReductionWindowError(f"input ({x}, {y}) outside the open square")
     y2 = y + lam * u0(x) - mu * lam
@@ -211,12 +217,16 @@ def leading_sum(signs: tuple[int, ...], mu, nu) -> Fraction:
     winding complements."""
     mu = tuple(Fraction(v) for v in mu)
     nu = tuple(Fraction(v) for v in nu)
-    p = len(mu)
     total = Fraction(0)
-    for j in range(p):
-        total += _eps(signs, 2 * j + 1) * (1 - mu[j]) ** 2
-        total -= _eps(signs, 2 * j + 4) * (1 - nu[j]) ** 2
+    for j in range(len(mu)):
+        total += _leading_term(j, signs, mu[j], nu[j])
     return total
+
+
+def _leading_term(j: int, signs: tuple[int, ...], mu_j: Fraction, nu_j: Fraction) -> Fraction:
+    """Block j's term of `leading_sum`; like A_j and b_j it reads only the
+    signs eps_{2j+1} and eps_{2j+4}."""
+    return _eps(signs, 2 * j + 1) * (1 - mu_j) ** 2 - _eps(signs, 2 * j + 4) * (1 - nu_j) ** 2
 
 
 def action_leading(signs: tuple[int, ...], params: EggBeaterParams) -> Fraction:
@@ -232,17 +242,14 @@ def action_exact(record: FixedPointRecord, params: EggBeaterParams) -> Fraction:
     is its first (the flipped height)."""
     if not record.valid:
         raise ValueError("action of an invalid record")
-    return _action_from_points(params.p, params.lam, params.mu, params.nu, record)
+    return _action_from_points(
+        params.p, params.lam, params.mu, params.nu, record.even_points, record.odd_points
+    )
 
 
 def _kink_distance(coords) -> Fraction:
-    """Distance of the shear arguments to the kink set {-1, 0, 1}."""
-    best = None
-    for c in coords:
-        d = min(abs(c + 1), abs(c), abs(c - 1))
-        if best is None or d < best:
-            best = d
-    return best if best is not None else Fraction(0)
+    """Distance of shear arguments in [-1, 1] to the kink set {-1, 0, 1}."""
+    return min((min(abs(c), 1 - abs(c)) for c in coords), default=Fraction(0))
 
 
 def solve_signed(signs: tuple[int, ...], params: EggBeaterParams) -> FixedPointRecord:
@@ -259,17 +266,40 @@ def _solve_core(
     nu = tuple(Fraction(v) for v in nu)
     if len(signs) != 2 * p or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a vector over {+1, -1} of length 2p")
-    lead = lam / 2 * leading_sum(signs, mu, nu)
+    composed = _block(0, signs, lam, mu[0], nu[0])
+    for j in range(1, p):
+        composed = _compose(_block(j, signs, lam, mu[j], nu[j]), composed)
+    return _validate(p, lam, mu, nu, signs, composed)
 
-    a_blocks = [block_matrix(j, signs, lam) for j in range(p)]
-    b_blocks = [block_vector(j, signs, lam, mu[j], nu[j]) for j in range(p)]
-    a_bar = Matrix.identity(QQ_FIELD, 2)
-    for a in a_blocks:
-        a_bar = a @ a_bar
-    m = a_bar - Matrix.identity(QQ_FIELD, 2)
-    det = m.det()
-    trace = a_bar.entries[0][0] + a_bar.entries[1][1]
-    if det != 2 - trace:
+
+def _block(j: int, signs: tuple[int, ...], lam: Fraction, mu_j: Fraction, nu_j: Fraction) -> tuple:
+    """Block j as bare Fractions: the entries of A_j, then b_j, then the
+    block's term of the leading sum."""
+    (a, b), (c, d) = block_matrix(j, signs, lam).entries
+    v1, v2 = block_vector(j, signs, lam, mu_j, nu_j)
+    return (a, b, c, d, v1, v2, _leading_term(j, signs, mu_j, nu_j))
+
+
+def _compose(block: tuple, acc: tuple) -> tuple:
+    """The block applied after the accumulated affine map: (A_j A, A_j v + b_j),
+    with the leading-sum terms added."""
+    a, b, c, d, v1, v2, t = block
+    a0, b0, c0, d0, w1, w2, s = acc
+    return (
+        a * a0 + b * c0, a * b0 + b * d0, c * a0 + d * c0, c * b0 + d * d0,
+        a * w1 + b * w2 + v1, c * w1 + d * w2 + v2, s + t,
+    )
+
+
+def _validate(
+    p: int, lam: Fraction, mu: tuple, nu: tuple, signs: tuple[int, ...], composed: tuple
+) -> FixedPointRecord:
+    """Solve (A_bar - id) z = -v0 for the composed affine map (A_bar, v0) and
+    validate z through the checked piecewise map."""
+    a, b, c, d, v1, v2, lead_sum = composed
+    lead = lam / 2 * lead_sum
+    det = (a - 1) * (d - 1) - b * c
+    if det != 2 - (a + d):
         raise AssertionError("det(A-id) != 2 - trace(A) for a det-1 matrix")
 
     def reject(reason: str) -> FixedPointRecord:
@@ -280,25 +310,15 @@ def _solve_core(
     if det == 0:
         return reject("singular system: det(A_bar - id) = 0")
 
-    v0 = [Fraction(0), Fraction(0)]
-    for j in range(p - 1):
-        acc = b_blocks[j]
-        for k in range(j + 1, p):
-            acc = a_blocks[k].apply(acc)
-        v0[0] += acc[0]
-        v0[1] += acc[1]
-    v0[0] += b_blocks[p - 1][0]
-    v0[1] += b_blocks[p - 1][1]
-
-    z = m.solve((-v0[0], -v0[1]))
-    assert z is not None  # det != 0
-    x0, y0 = z
+    # Cramer's rule
+    x0 = (b * v2 - (d - 1) * v1) / det
+    y0 = (c * v1 - (a - 1) * v2) / det
 
     even = [(x0, y0)]
     try:
         cur = (x0, y0)
         for j in range(p):
-            cur = phi_block(cur[0], cur[1], mu[j], nu[j], lam)
+            cur = _phi_block(cur[0], cur[1], mu[j], nu[j], lam)
             even.append(cur)
     except (ReductionWindowError, ValueError) as e:
         return reject(f"forward map: {e}")
@@ -326,23 +346,19 @@ def _solve_core(
         odd.append(pt)
 
     kink = _kink_distance([c for pt in even for c in pt])
-    record = FixedPointRecord(
-        signs, True, None, (x0, y0), tuple(even), tuple(odd), None, lead, det, kink
-    )
-    action = _action_from_points(p, lam, mu, nu, record)
+    action = _action_from_points(p, lam, mu, nu, even, odd)
     return FixedPointRecord(
         signs, True, None, (x0, y0), tuple(even), tuple(odd), action, lead, det, kink
     )
 
 
-def _action_from_points(p, lam, mu, nu, record) -> Fraction:
+def _action_from_points(p, lam, mu, nu, even_points, odd_points) -> Fraction:
     total = Fraction(0)
     for j in range(p):
-        xv = record.even_points[j][0]
-        total += lam * h0(xv) - lam * mu[j] * xv
-        xh = record.odd_points[j][0]
-        total += lam * h0(xh) - lam * nu[j] * xh
-    return total
+        xv = even_points[j][0]
+        xh = odd_points[j][0]
+        total += h0(xv) - mu[j] * xv + h0(xh) - nu[j] * xh
+    return lam * total
 
 
 def sign_vectors(p: int):
@@ -351,7 +367,43 @@ def sign_vectors(p: int):
 
 
 def enumerate_records(params: EggBeaterParams) -> list[FixedPointRecord]:
-    return [solve_signed(tuple(s), params) for s in sign_vectors(params.p)]
+    return _enumerate_core(params.p, params.lam, params.mu, params.nu)
+
+
+def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPointRecord]:
+    """`_solve_core` for every sign vector, in `sign_vectors` order.
+
+    Block j reads only e1 = signs[2j] and e4 = signs[(2j + 3) % 2p], and each
+    sign index belongs to exactly one block, so the 4^p vectors are the
+    products of four variants per block.  The affine maps of all prefixes
+    are composed level by level, each once, and shared by the vectors that
+    extend them; every vector is then validated on its own."""
+    lam = Fraction(lam)
+    mu = tuple(Fraction(v) for v in mu)
+    nu = tuple(Fraction(v) for v in nu)
+    n = 2 * p
+
+    def variants(j: int) -> list[tuple]:
+        """Block j for (e1, e4) = (+,+), (+,-), (-,+), (-,-): variant
+        2 (e1 < 0) + (e4 < 0)."""
+        out = []
+        for e1, e4 in itertools.product((1, -1), repeat=2):
+            signs = [1] * n
+            signs[2 * j], signs[(2 * j + 3) % n] = e1, e4
+            out.append(_block(j, tuple(signs), lam, mu[j], nu[j]))
+        return out
+
+    table = variants(0)
+    for j in range(1, p):
+        row = variants(j)
+        table = [_compose(block, acc) for acc in table for block in row]
+    records = []
+    for signs in sign_vectors(p):
+        index = 0
+        for j in range(p):
+            index = 4 * index + 2 * (signs[2 * j] < 0) + (signs[(2 * j + 3) % n] < 0)
+        records.append(_validate(p, lam, mu, nu, signs, table[index]))
+    return records
 
 
 def min_action_gap(records) -> Fraction | float:

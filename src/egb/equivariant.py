@@ -338,7 +338,8 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     cx = equivariant.complex
     t_mat = equivariant.chain_map
     identity = Matrix.identity(cx.field, len(cx.generators))
-    if not (t_mat.matpow(k) - identity).is_zero():
+    # T^p = id was checked when the complex was built
+    if k != equivariant.p and not (t_mat.matpow(k) - identity).is_zero():
         raise ValueError(f"chain map does not satisfy T^{k} = id")
     s_mat = t_mat - identity
     if s_mat.is_zero():

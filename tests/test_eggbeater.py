@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,10 @@ from egb.eggbeater import (
     FIXTURE_L,
     FIXTURE_P2_MU,
     FIXTURE_P2_NU,
+    FixedPointRecord,
     ReductionWindowError,
+    _enumerate_core,
+    _solve_core,
     action_exact,
     action_leading,
     asymptotic_limit,
@@ -20,6 +24,7 @@ from egb.eggbeater import (
     fixture_params,
     h0,
     lambda_lattice,
+    leading_sum,
     min_action_gap,
     min_leading_gap,
     nondegeneracy,
@@ -32,12 +37,74 @@ from egb.eggbeater import (
     u0,
     validation_threshold,
 )
+from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
 from egb.persistence import is_inf
 
 
 def rand_signs(rng, p):
     return tuple(rng.choice([1, -1]) for _ in range(2 * p))
+
+
+def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
+    """The solver on `Matrix`: products of the block matrices, the O(p^2)
+    sum of transported block vectors, `Matrix.solve` and `phi_block`.  The
+    oracle the shared-prefix solver is pinned to."""
+    lam = F(lam)
+    mu = tuple(F(v) for v in mu)
+    nu = tuple(F(v) for v in nu)
+    lead = lam / 2 * leading_sum(signs, mu, nu)
+    a_blocks = [block_matrix(j, signs, lam) for j in range(p)]
+    b_blocks = [block_vector(j, signs, lam, mu[j], nu[j]) for j in range(p)]
+    a_bar = Matrix.identity(QQ_FIELD, 2)
+    for a in a_blocks:
+        a_bar = a @ a_bar
+    m = a_bar - Matrix.identity(QQ_FIELD, 2)
+    det = m.det()
+    assert det == 2 - (a_bar[0, 0] + a_bar[1, 1])
+
+    def reject(reason):
+        return FixedPointRecord(signs, False, reason, None, (), (), None, lead, det, None)
+
+    if det == 0:
+        return reject("singular system: det(A_bar - id) = 0")
+    v0 = b_blocks[p - 1]
+    for j in range(p - 1):
+        acc = b_blocks[j]
+        for k in range(j + 1, p):
+            acc = a_blocks[k].apply(acc)
+        v0 = (v0[0] + acc[0], v0[1] + acc[1])
+    x0, y0 = m.solve((-v0[0], -v0[1]))
+    even = [(x0, y0)]
+    try:
+        for j in range(p):
+            even.append(phi_block(even[-1][0], even[-1][1], mu[j], nu[j], lam))
+    except ValueError as e:
+        return reject(f"forward map: {e}")
+    if even[-1] != (x0, y0):
+        return reject("forward map does not close up on the affine solution")
+    even = even[:p]
+    for j, (x, y) in enumerate(even):
+        if x == 0 or y == 0:
+            return reject(f"even point {j} has a zero coordinate (sign undefined)")
+        if not (-1 < x < 1 and -1 < y < 1):
+            return reject(f"even point {j} outside the open square")
+        if (1 if x > 0 else -1) != signs[2 * j]:
+            return reject(f"realized sign of x_{2 * j} differs from requested")
+        if (1 if y > 0 else -1) != signs[2 * j + 1]:
+            return reject(f"realized sign of y_{2 * j} differs from requested")
+    odd = [(-even[(j + 1) % p][1], even[j][0]) for j in range(p)]
+    for j, (x, y) in enumerate(odd):
+        if not (-1 < x < 1 and -1 < y < 1):
+            return reject(f"odd point {j} outside the open square")
+    kink = min(min(abs(c + 1), abs(c), abs(c - 1)) for pt in even for c in pt)
+    action = sum(
+        lam * h0(xv) - lam * mu[j] * xv + lam * h0(xh) - lam * nu[j] * xh
+        for j, ((xv, _), (xh, _)) in enumerate(zip(even, odd))
+    )
+    return FixedPointRecord(
+        signs, True, None, (x0, y0), tuple(even), tuple(odd), action, lead, det, kink
+    )
 
 
 class TestProfiles:
@@ -185,8 +252,6 @@ class TestSolver:
     def test_singular_system_rejection(self):
         # det(A_bar - id) vanishes at lambda = 2 for alternating signs; the
         # core solver (no lattice check) must reject with the singular reason
-        from egb.eggbeater import _solve_core
-
         rec = _solve_core(2, F(2), (F(1, 2), F(1, 5)), (F(1, 3), F(1, 7)), (1, -1, 1, -1))
         assert not rec.valid
         assert "singular" in rec.reason
@@ -194,8 +259,6 @@ class TestSolver:
 
     def test_window_miss_rejection(self):
         # at a tiny lambda the affine solution misses its reduction windows
-        from egb.eggbeater import _solve_core
-
         rejected = 0
         for signs in sign_vectors(2):
             rec = _solve_core(2, F(2), (F(1, 2), F(1, 5)), (F(1, 3), F(1, 7)), tuple(signs))
@@ -265,6 +328,103 @@ class TestSolver:
             assert eps_bar(signs) == eps_bar(flipped)
 
 
+class TestReferenceSolver:
+    """The shared-prefix solver against `reference_solve`, record for record."""
+
+    @pytest.mark.parametrize("p, mu, nu, count", [
+        (2, FIXTURE_P2_MU, FIXTURE_P2_NU, 3),
+        (2, (F(1, 2), F(1, 4)), (F(3, 4), F(1, 4)), 3),
+        (3, (F(1, 2), F(1, 3), F(1, 5)), (F(1, 7), F(1, 11), F(1, 13)), 2),
+        (3, (F(2, 3), F(3, 5), F(1, 7)), (F(5, 11), F(1, 2), F(8, 13)), 1),
+    ])
+    def test_enumerate_records_on_the_lattice(self, p, mu, nu, count):
+        threshold, _ = validation_threshold(p, FIXTURE_L, mu, nu)
+        lams = lambda_lattice(FIXTURE_L, mu, nu, count)
+        assert threshold in lams  # every lattice point up to the threshold is compared
+        for lam in lams:
+            params = EggBeaterParams(p, FIXTURE_L, lam, mu, nu)
+            expected = [reference_solve(p, lam, mu, nu, tuple(s)) for s in sign_vectors(p)]
+            assert enumerate_records(params) == expected
+
+    @pytest.mark.parametrize("p, mu, nu, lams", [
+        (1, (F(1, 2),), (F(1, 3),), (F(1, 2), F(1), F(2), F(3))),
+        (2, (F(1, 2), F(1, 5)), (F(1, 3), F(1, 7)), (F(3, 2), F(2), F(6))),
+        (2, (F(9, 10), F(1, 5)), (F(2, 5), F(4, 5)), (F(1),)),
+        (2, (F(1, 10), F(1, 2)), (F(1, 2), F(9, 10)), (F(14),)),
+        (3, (F(1, 2), F(1, 5), F(2, 3)), (F(1, 3), F(1, 7), F(3, 4)), (F(1), F(3, 2))),
+    ])
+    def test_enumeration_off_the_lattice(self, p, mu, nu, lams):
+        # every lattice point tried validates all vectors, so rejections are
+        # compared at small off-lattice lambda (p = 1 never rejects)
+        for lam in lams:
+            got = _enumerate_core(p, lam, mu, nu)
+            assert got == [reference_solve(p, lam, mu, nu, tuple(s)) for s in sign_vectors(p)]
+
+    def test_off_lattice_cases_reach_every_reject(self):
+        reasons = set()
+        for mu, nu, lam in [
+            ((F(1, 2), F(1, 5)), (F(1, 3), F(1, 7)), F(2)),
+            ((F(9, 10), F(1, 5)), (F(2, 5), F(4, 5)), F(1)),
+            ((F(1, 10), F(1, 2)), (F(1, 2), F(9, 10)), F(14)),
+        ]:
+            reasons |= {r.reason.split(":")[0] for r in _enumerate_core(2, lam, mu, nu) if r.reason}
+        assert reasons == {
+            "singular system",
+            "forward map",
+            "forward map does not close up on the affine solution",
+            "even point 0 has a zero coordinate (sign undefined)",
+            "realized sign of x_0 differs from requested",
+        }
+
+    def test_single_vectors_off_the_lattice(self, rng):
+        rejected = 0
+        for _ in range(150):
+            p = rng.choice([1, 2, 3])
+            mu = tuple(F(rng.randint(1, 9), 10) for _ in range(p))
+            nu = tuple(F(rng.randint(1, 9), 10) for _ in range(p))
+            lam = F(rng.randint(1, 300), rng.randint(1, 6))
+            signs = rand_signs(rng, p)
+            rec = _solve_core(p, lam, mu, nu, signs)
+            assert rec == reference_solve(p, lam, mu, nu, signs)
+            rejected += not rec.valid
+        assert rejected > 0
+
+    def test_bad_signs_rejected(self):
+        with pytest.raises(ValueError):
+            _solve_core(2, F(840), FIXTURE_P2_MU, FIXTURE_P2_NU, (1, -1, 1))
+        with pytest.raises(ValueError):
+            _solve_core(2, F(840), FIXTURE_P2_MU, FIXTURE_P2_NU, (1, 0, 1, 1))
+
+
+class TestGoldenOutput:
+    """sha256 of the CSV and JSON files `egb eggbeater --out` writes, pinned
+    to the output of the solver on `Matrix`."""
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["--fixture", "--lambda", "840"], {
+            "eggbeater_lam_840_1.csv": "e803db3020f664db77ddebb0452d94d533ae04963f6fd0564a6481de5d53b911",
+            "eggbeater_lam_840_1.json": "df1f806daa482436f8bface1a6769ca8c3f7ad4a4141958fcfdf838edeee9d4a",
+        }),
+        (["--p", "3", "--mu", "1/2,1/3,1/5", "--nu", "1/7,1/11,1/13", "--lambda", "auto",
+          "--count", "2"], {
+            "eggbeater_lam_120120_1.csv": "15b1d7b6d2e035f5541a8d202072df02a48a13cedb69f2c58a752904e3fba168",
+            "eggbeater_lam_120120_1.json": "5b3855aff44c43f2a38737687d940ae95162d494086a7e9b68306007e8f9eea9",
+            "eggbeater_lam_240240_1.csv": "9740e950febeb6ef0e14833de11440bedbd68e4fe6b01ed87daf89d9be593628",
+            "eggbeater_lam_240240_1.json": "5973f2c10fc37596943931e44a40a143767b1f40bd5e96e2058e8d27718fb18d",
+        }),
+        (["--p", "5", "--mu", "1/3,1/7,1/13,1/19,1/29", "--nu", "1/2,1/5,1/11,1/17,1/23",
+          "--lambda", "auto", "--count", "1"], {
+            "eggbeater_lam_25878772920_1.csv": "7ae23573861cc03da532e9503bfe17e3af9ee853ffcac09715264bb2a324f121",
+            "eggbeater_lam_25878772920_1.json": "d0c45ffb732e55a63540d5d1c307cc2f800c11854d790e7f1aedf5e5349c614b",
+        }),
+    ], ids=["p2-fixture", "p3-count2", "p5"])
+    def test_output_bytes(self, tmp_path, capsys, argv, digests):
+        assert main(["eggbeater", *argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ""
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert written == digests
+
+
 class TestGaps:
     def test_min_gap_scales_linearly(self):
         lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
@@ -289,8 +449,6 @@ class TestLeadingCoefficients:
     def test_enumeration_matches_plus_minus_sums(self):
         """The 2^{2p} leading sums are exactly the +-c1 +-c2 -+c3 -+c4 grid."""
         import itertools
-
-        from egb.eggbeater import leading_sum
 
         mu, nu = FIXTURE_P2_MU, FIXTURE_P2_NU
         got = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(2))

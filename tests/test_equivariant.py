@@ -247,6 +247,23 @@ class TestWSpread:
         with pytest.raises(ValueError):
             w_spread(EquivariantComplex(2, cx, t), 3)
 
+    def test_order_checked_once(self, monkeypatch):
+        # T^p = id is checked when the complex is built; w_spread powers T
+        # again only for k != p, and still rejects a k with T^k != id
+        cx = FilteredComplex(
+            QQ_FIELD, ((F(0), 0), (F(0), 0)), Matrix.zeros(QQ_FIELD, 2, 2)
+        )
+        eq = EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, [[0, 1], [1, 0]]))
+        powers = []
+        matpow = Matrix.matpow
+        monkeypatch.setattr(Matrix, "matpow", lambda m, k: powers.append(k) or matpow(m, k))
+        assert is_inf(w_spread(eq, 2))
+        assert powers == []
+        assert is_inf(w_spread(eq, 4))
+        assert powers == [4]
+        with pytest.raises(ValueError):
+            w_spread(eq, 3)
+
     def test_action_preserving_validation(self):
         cx = FilteredComplex(
             QQ_FIELD, ((F(0), 0), (F(1), 0)), Matrix.zeros(QQ_FIELD, 2, 2)

@@ -82,6 +82,31 @@ class TestConjugacy:
                     if conjugate_eq(u, v) and conjugate_eq(v, w):
                         assert conjugate_eq(u, w)
 
+    def test_matches_rotation_definition(self, rng):
+        """Against the definition: w2 is conjugate to w1 iff the cyclic
+        reduction of w2 is a rotation of that of w1.  Each base word is
+        paired with conjugates and with equal-length words that differ in
+        one letter, over all six letters a, b, c and their inverses."""
+        outcomes = set()
+        for _ in range(60):
+            u = cyclic_reduce(rand_word(rng, 10)).letters
+            others = [rand_word(rng, 4) * Word(u[r:] + u[:r]) * rand_word(rng, 4).inverse()
+                      for r in range(len(u))]
+            for _ in range(3):
+                v = list(u)
+                if v:
+                    v[rng.randrange(len(v))] = rng.choice([1, -1, 2, -2, 3, -3])
+                r = rng.randrange(len(v) + 1)
+                others.append(Word(tuple(v[r:] + v[:r])))
+            for w in others:
+                cu, cw = cyclic_reduce(Word(u)), cyclic_reduce(w)
+                expected = len(cu) == len(cw) and cw in rotations(cu)
+                assert conjugate_eq(Word(u), w) == expected
+                assert conjugate_eq(w, Word(u)) == expected
+                if len(cu) == len(cw):
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
     def test_conjugation_by_random_element(self, rng):
         for _ in range(20):
             w = rand_word(rng, 5)
