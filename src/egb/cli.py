@@ -46,6 +46,15 @@ def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
     return tuple(_parse_frac_arg(part) for part in s.split(",") if part)
 
 
+def _k_or_p(k: int | None, p: int) -> int:
+    """The --k option: p when it is left out; a k below 1 is malformed."""
+    if k is None:
+        return p
+    if k < 1:
+        raise InputError("k must be >= 1")
+    return k
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
@@ -201,11 +210,12 @@ def cmd_spread(args) -> int:
     obj = _load_json(args.file)
     try:
         cx = ser.complex_from_obj(obj["complex"])
-        p = int(obj["p"])
+        p = ser.parse_int(obj["p"], "p")
+        k = _k_or_p(args.k, p)
         n = len(cx.generators)
         chain_map = ser.matrix_from_obj(cx.field, obj["chain_map"], n, n)
         eq = EquivariantComplex(p, cx, chain_map)
-        value = w_spread(eq, args.k if args.k else p)
+        value = w_spread(eq, k)
     except (KeyError, ValueError) as e:
         raise InputError(str(e)) from e
     out = {"w_spread": ser.frac_str(value)}
@@ -224,7 +234,7 @@ def cmd_spread(args) -> int:
 def cmd_bounds(args) -> int:
     p = args.p
     eps = _parse_frac_arg(args.epsilon_frac)
-    k = args.k if args.k else p
+    k = _k_or_p(args.k, p)
     stabilize = None
     if args.stabilize:
         try:
@@ -235,7 +245,7 @@ def cmd_bounds(args) -> int:
         obj = _load_json(args.file)
         try:
             tuples = tuple(
-                (ser.parse_frac(t["action"]), int(t.get("degree", 0)))
+                (ser.parse_frac(t["action"]), ser.parse_int(t.get("degree", 0), "degree"))
                 for t in obj["tuples"]
             )
             model_input = mdl.ModelInput(p, tuples)
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sp = sub.add_parser("spread", help="two-window spread of an equivariant complex")
     p_sp.add_argument("file")
-    p_sp.add_argument("--k", type=int, default=0)
+    p_sp.add_argument("--k", type=int, default=None, help="order checked; default p")
     p_sp.add_argument("--out", default="")
     p_sp.set_defaults(func=cmd_spread)
 
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--p", type=int, default=2)
     p_bd.add_argument("--file", default="", help="tuples JSON instead of the fixture")
     p_bd.add_argument("--lambda", dest="lam", default="auto")
-    p_bd.add_argument("--k", type=int, default=0)
+    p_bd.add_argument("--k", type=int, default=None, help="order checked; default p")
     p_bd.add_argument("--epsilon-frac", dest="epsilon_frac", default="1/100")
     p_bd.add_argument("--stabilize", default="", help="betti vector b0,b1,...")
     p_bd.add_argument("--svg", default="", help="write the model barcode as SVG")

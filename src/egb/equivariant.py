@@ -31,6 +31,7 @@ from .persistence import (
     _WindowData,
     _block_diag,
     _extend_basis,
+    _reduce,
     _reindex,
     direct_sum,
     induced_homology_rank,
@@ -310,96 +311,90 @@ def w_hat_from_quotient(module: ZpPersistenceModule) -> Fraction | float:
 # -- the two-window spread ----------------------------------------------------
 
 
-def _gaps(spectrum: list[Fraction]):
-    """Open gaps between spectrum values, with representatives and endpoints
-    (inf endpoints for the unbounded gaps)."""
-    gaps = []
-    if not spectrum:
-        return [((-INF), INF, Fraction(0))]
-    lo = spectrum[0]
-    gaps.append((-INF, lo, lo - 1))
-    for a, b in zip(spectrum, spectrum[1:]):
-        gaps.append((a, b, (a + b) / 2))
-    gaps.append((spectrum[-1], INF, spectrum[-1] + 1))
-    return gaps
-
-
 def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     """sup of d with (comparison to the d-shifted window) . (T - id) != 0 on
-    window homology, over all windows (a, b).
+    window homology, over all windows (a, b), read off one normal form.
 
-    Windows are scanned up to the gaps their endpoints lie in; for a fixed
-    gap assignment (a in G_i1, b in G_j1, a+d in G_i2, b+d in G_j2) the map
-    is constant and the feasible d form an interval whose supremum is
-    min(sup G_i2 - inf G_i1, sup G_j2 - inf G_j1).  Returns +inf when no
+    The reduction R = DV gives a filtration-adapted basis in which the
+    boundary is a partial matching (the Barannikov normal form): b_i = R_j
+    and b_j = V_j for each pair (i = low R_j, j), and b_g = V_g for every
+    other generator g.  Each b_g has g as its leading term, so the basis is
+    upper triangular in the filtration order, and the b_g with action below
+    t span the sublevel complex C^{<t}.  Let lp(x) be the action of low R_x
+    (-inf when R_x = 0) and kill(y) the action of the j with y = low R_j
+    (+inf when there is none).
+
+    * The homology of the window C^{<b}/C^{<a} has as its basis the classes
+      of the b_x with a < act(x) < b, lp(x) < a and kill(x) > b: the other
+      basis vectors in the window pair up under the boundary.
+    * The comparison to the window (a + d, b + d) sends b_x to itself, so the
+      class of a cycle sum_y c_y b_y there is its part on that window's basis.
+      Hence (comparison) . S, with S = T - id, is nonzero iff S has a nonzero
+      entry S(y, x) with x in the source basis and y in the target basis.
+    * T preserves action, so S(y, x) != 0 forces act(y) <= act(x).  Solving
+      the window inequalities for a and b, the pair (x, y) works for exactly
+      the shifts 0 <= d < min(act(y) - lp(x), kill(y) - act(x)).
+
+    So w_spread = max(0, max over nonzero S(y, x) of
+    min(act(y) - lp(x), kill(y) - act(x))).  S is written in the basis by
+    back substitution, exactly and without an inverse.  Returns +inf when no
     shift kills the class (e.g. zero-boundary complexes with a nontrivial
     action, where finiteness needs analytic input the algebra cannot see).
     """
     cx = equivariant.complex
     t_mat = equivariant.chain_map
-    identity = Matrix.identity(cx.field, len(cx.generators))
+    n = len(cx.generators)
+    identity = Matrix.identity(cx.field, n)
     # T^p = id was checked when the complex was built
     if k != equivariant.p and not (t_mat.matpow(k) - identity).is_zero():
         raise ValueError(f"chain map does not satisfy T^{k} = id")
     s_mat = t_mat - identity
     if s_mat.is_zero():
         return Fraction(0)
-    gaps = _gaps(cx.spectrum())
-    g = len(gaps)
-
-    windows: dict[tuple[int, int], "_SpreadWindow"] = {}
-
-    def window(i: int, j: int) -> "_SpreadWindow":
-        if (i, j) not in windows:
-            windows[(i, j)] = _SpreadWindow(cx, gaps[i][2], gaps[j][2])
-        return windows[(i, j)]
-
+    order, R, V, pairs = _reduce(cx)
+    pos = {g: i for i, g in enumerate(order)}
+    act = [cx.generators[g][0] for g in order]
+    basis = list(V)
+    kill: list[Fraction | None] = [None] * n  # None: never killed
+    for i, j in pairs:
+        basis[i] = R[j]
+        kill[i] = act[j]
+    s_cols = [
+        {pos[h]: s_mat.entries[h][g] for h in range(n) if not _is_zero(s_mat.entries[h][g])}
+        for g in order
+    ]
     best: Fraction | float = Fraction(0)
-    for i1 in range(g):
-        for j1 in range(i1 + 1, g):
-            src = window(i1, j1)
-            if not src.keep:
-                continue
-            s_images = src.apply_chain_map(s_mat)
-            if all(_is_zero(x) for images in s_images.values() for v in images for x in v):
-                continue
-            for i2 in range(i1, g):
-                for j2 in range(j1, g):
-                    if i2 >= j2:
-                        continue
-                    lo = max(
-                        _sub(gaps[i2][0], gaps[i1][1]),
-                        _sub(gaps[j2][0], gaps[j1][1]),
-                        Fraction(0),
-                    )
-                    hi = min(_sub(gaps[i2][1], gaps[i1][0]), _sub(gaps[j2][1], gaps[j1][0]))
-                    if not lo < hi:
-                        continue  # no common shift d lands both endpoints
-                    if not is_inf(hi) and hi <= best:
-                        continue
-                    dst = window(i2, j2)
-                    if src.induced_nonzero(s_images, dst):
-                        if is_inf(hi):
-                            return INF
-                        best = max(best, hi)
+    for x in range(n):
+        image: dict = {}
+        for r, c in basis[x].items():
+            for h, e in s_cols[r].items():
+                v = image[h] + c * e if h in image else c * e
+                if _is_zero(v):
+                    image.pop(h, None)
+                else:
+                    image[h] = v
+        lp = act[max(R[x])] if R[x] else None
+        # back substitution: peel off the leading basis vector until nothing is left
+        while image:
+            y = max(image)
+            factor = image[y] / basis[y][y]
+            for r, e in basis[y].items():
+                v = image[r] - factor * e if r in image else -(factor * e)
+                if _is_zero(v):
+                    image.pop(r, None)
+                else:
+                    image[r] = v
+            value = min(INF if lp is None else act[y] - lp,
+                        INF if kill[y] is None else kill[y] - act[x])
+            if is_inf(value):
+                return INF
+            best = max(best, value)
     return best
 
 
-def _sub(x, y):
-    """x - y with the infinite endpoints used by the gap scan."""
-    if is_inf(x) and is_inf(y):
-        raise ValueError("inf - inf in gap arithmetic")
-    if is_inf(x):
-        return INF
-    if isinstance(y, float) and y == -INF:
-        return INF
-    if is_inf(y):
-        return -INF
-    return x - y
-
-
 class _SpreadWindow(_WindowData):
-    """Window homology data for the spread scan."""
+    """Window homology data for one window of an equivariant complex; the
+    window-scan oracle of the w_spread tests is built from it."""
 
     def __init__(self, cx: FilteredComplex, a, b):
         super().__init__(cx, a, b)

@@ -66,11 +66,13 @@ def reduce(word: Word) -> Word:
 
 
 def cyclic_reduce(word: Word) -> Word:
-    """Strip inverse pairs from the two ends until the word is cyclically reduced."""
-    letters = list(word.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters))
+    """Strip inverse pairs from the two ends until the word is cyclically
+    reduced: count the cancelling pairs first, then slice once."""
+    w = word.letters
+    depth = 0
+    while 2 * depth + 2 <= len(w) and w[depth] == -w[-1 - depth]:
+        depth += 1
+    return Word(w[depth:len(w) - depth])
 
 
 def rotations(word: Word) -> list[Word]:

@@ -417,56 +417,55 @@ class FilteredComplex:
         return sorted({a for a, _ in self.generators})
 
 
-def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
-    """Graded barcode of sublevel homology, by standard column reduction."""
+def _reduce(complex_: FilteredComplex):
+    """The standard column reduction R = DV in the filtration order.
+
+    Returns ``(order, R, V, pairs)``: ``order`` lists the generators by
+    (action, index); ``R[j]`` and ``V[j]`` are sparse columns (position ->
+    entry, positions in ``order``) with R = DV, V upper unitriangular and
+    the lowest nonzero rows of the nonzero R columns distinct; ``pairs``
+    holds each (low R_j, j).  Since the boundary strictly lowers action,
+    ``low R_j`` always has a smaller action than ``j``.
+    """
     n = len(complex_.generators)
     order = sorted(range(n), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
-    field = complex_.field
-    cols: list[dict[int, object]] = []
-    for j_sorted in range(n):
-        j = order[j_sorted]
-        col = {}
-        for i in range(n):
-            e = complex_.boundary.entries[i][j]
-            if not _is_zero(e):
-                col[pos[i]] = e
-        cols.append(col)
-
-    def low(col: dict) -> int | None:
-        return max(col) if col else None
-
+    entries = complex_.boundary.entries
+    R: list[dict] = []
+    V: list[dict] = []
     low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []  # (row sorted idx, col sorted idx)
-    for j in range(n):
-        col = cols[j]
+    pairs: list[tuple[int, int]] = []
+    for j, g in enumerate(order):
+        col = {pos[i]: entries[i][g] for i in range(n) if not _is_zero(entries[i][g])}
+        vcol = {j: complex_.field.one()}
         while col:
-            l = low(col)
-            if l not in low_owner:
+            low = max(col)
+            k = low_owner.get(low)
+            if k is None:
+                low_owner[low] = j
+                pairs.append((low, j))
                 break
-            k = low_owner[l]
-            factor = col[l] / cols[k][l]
-            for r, v in cols[k].items():
-                nv = col.get(r, field.zero()) - factor * v
-                if _is_zero(nv):
-                    col.pop(r, None)
-                else:
-                    col[r] = nv
-        if col:
-            l = low(col)
-            low_owner[l] = j
-            pairs.append((l, j))
+            factor = col[low] / R[k][low]
+            for target, source in ((col, R[k]), (vcol, V[k])):
+                for r, v in source.items():
+                    nv = target[r] - factor * v if r in target else -(factor * v)
+                    if _is_zero(nv):
+                        target.pop(r, None)
+                    else:
+                        target[r] = nv
+        R.append(col)
+        V.append(vcol)
+    return order, R, V, pairs
 
-    killed = {r for r, _ in pairs}
-    creators = {j for j in range(n) if not cols[j]}
-    entries = []
-    for r, j in pairs:
-        gr, gj = complex_.generators[order[r]], complex_.generators[order[j]]
-        if gr[0] < gj[0]:  # equal actions would give an empty bar
-            entries.append((Bar(gr[0], gj[0]), 1, gr[1]))
-    for j in creators - killed:
-        g = complex_.generators[order[j]]
-        entries.append((Bar(g[0], INF), 1, g[1]))
+
+def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
+    """Graded barcode of sublevel homology, by standard column reduction."""
+    order, R, _, pairs = _reduce(complex_)
+    gens = [complex_.generators[g] for g in order]
+    killed = {i for i, _ in pairs}
+    entries = [(Bar(gens[i][0], gens[j][0]), 1, gens[i][1]) for i, j in pairs]
+    entries += [(Bar(g[0], INF), 1, g[1])
+                for i, g in enumerate(gens) if not R[i] and i not in killed]
     return Barcode.of(entries)
 
 

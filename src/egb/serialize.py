@@ -50,6 +50,20 @@ def parse_frac(s: str, allow_inf: bool = False):
         raise ValueError(f"zero denominator in {s!r}") from e
 
 
+def parse_int(x, what: str) -> int:
+    """An integer field of a JSON input: a JSON integer (an integral number
+    such as 2.0 included) or a decimal integer string.  Booleans and
+    non-integral numbers are rejected rather than truncated."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 # -- barcodes -------------------------------------------------------------------
 
 
@@ -72,10 +86,10 @@ def barcode_from_obj(obj) -> Barcode:
     for item in obj:
         birth = parse_frac(item["birth"])
         death = parse_frac(item["death"], allow_inf=True)
-        mult = int(item.get("mult", 1))
+        mult = parse_int(item.get("mult", 1), "mult")
         degree = item.get("degree")
         if degree is not None:
-            degree = int(degree)
+            degree = parse_int(degree, "degree")
         entries.append((Bar(birth, death), mult, degree))
     return Barcode.of(entries)
 
@@ -101,7 +115,7 @@ def field_from_obj(obj) -> Field:
     if obj == "Q" or obj is None:
         return QQ_FIELD
     if isinstance(obj, dict) and "cyclotomic" in obj:
-        return CyclotomicField(int(obj["cyclotomic"]))
+        return CyclotomicField(parse_int(obj["cyclotomic"], "cyclotomic"))
     raise ValueError(f"unknown field spec {obj!r}")
 
 
@@ -150,7 +164,7 @@ def complex_to_obj(cx: FilteredComplex) -> dict:
 def complex_from_obj(obj) -> FilteredComplex:
     field = field_from_obj(obj.get("field"))
     gens = tuple(
-        (parse_frac(g["action"]), int(g["degree"])) for g in obj["generators"]
+        (parse_frac(g["action"]), parse_int(g["degree"], "degree")) for g in obj["generators"]
     )
     n = len(gens)
     boundary = matrix_from_obj(field, obj["boundary"], n, n)
@@ -172,7 +186,7 @@ def module_to_obj(module: FinitePersistenceModule) -> dict:
 def module_from_obj(obj) -> FinitePersistenceModule:
     field = field_from_obj(obj.get("field"))
     spectrum = tuple(parse_frac(s) for s in obj["spectrum"])
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = tuple(parse_int(d, "dims") for d in obj["dims"])
     transitions = tuple(
         matrix_from_obj(field, t, dims[i + 1], dims[i])
         for i, t in enumerate(obj["transitions"])
@@ -189,7 +203,7 @@ def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
 
 
 def zp_module_from_obj(obj) -> ZpPersistenceModule:
-    p = int(obj["p"])
+    p = parse_int(obj["p"], "p")
     base_obj = dict(obj)
     base_obj.setdefault("field", {"cyclotomic": p})
     base = module_from_obj(base_obj)
@@ -197,7 +211,7 @@ def zp_module_from_obj(obj) -> ZpPersistenceModule:
         matrix_from_obj(base.field, a, base.dims[i], base.dims[i])
         for i, a in enumerate(obj["action"])
     )
-    return ZpPersistenceModule(p, base, action, degree=int(obj.get("degree", 0)))
+    return ZpPersistenceModule(p, base, action, degree=parse_int(obj.get("degree", 0), "degree"))
 
 
 # -- fixed point records -----------------------------------------------------------

@@ -9,9 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from egb.equivariant import ZpPersistenceModule, zp_direct_sum, cyclic_tuple_module
-from egb.field import CyclotomicField, Matrix, cyclo_zeta
-from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF
+from egb.equivariant import (
+    EquivariantComplex,
+    ZpPersistenceModule,
+    _SpreadWindow,
+    cyclic_permutation_matrix,
+    cyclic_tuple_module,
+    zp_direct_sum,
+)
+from egb.field import CyclotomicField, Matrix, _is_zero, cyclo_zeta
+from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF, is_inf
 from egb.field import QQ_FIELD
 
 
@@ -157,3 +164,174 @@ def random_filtered_complex(rng, field=QQ_FIELD, max_pieces: int = 4,
     s = Matrix.from_rows(field, s_ent)
     new_boundary = s @ cx.boundary @ s.inverse()
     return FilteredComplex(field, tuple(gens), new_boundary)
+
+
+def random_equivariant_complex(rng, p: int, field=QQ_FIELD, max_blocks: int = 3) -> EquivariantComplex:
+    """Random direct sum of equivariant blocks, in a random basis.
+
+    Blocks: cyclic p-blocks (T permutes p generators), either unkilled,
+    killed by a cyclic p-block one degree up through a polynomial in the
+    permutation, or (at p = 2) killed by one antisymmetric generator;
+    zeta^e-scalar generators (over Q(zeta_p) only) with an optional zeta^e
+    killer; fixed lone generators and fixed killing pairs.  The change of
+    basis is block diagonal on the (action, degree) classes, so T still
+    preserves action and degree.
+    """
+    gens: list[tuple[Fraction, int]] = []
+    bnd: dict[tuple[int, int], object] = {}
+    chain: dict[tuple[int, int], object] = {}
+    perm = cyclic_permutation_matrix(field, p).entries
+
+    def add(act, deg, count):
+        start = len(gens)
+        gens.extend([(act, deg)] * count)
+        return start
+
+    kinds = ["cyclic", "lone", "pair"] + (["scalar"] if isinstance(field, CyclotomicField) else [])
+    for _ in range(rng.randint(1, max_blocks)):
+        act = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        deg = rng.randint(0, 1)
+        gap = Fraction(rng.randint(1, 6), rng.choice((1, 2)))
+        kind = rng.choice(kinds)
+        if kind == "cyclic":
+            e = add(act, deg, p)
+            for i in range(p):
+                for j in range(p):
+                    if not _is_zero(perm[i][j]):
+                        chain[(e + i, e + j)] = perm[i][j]
+            killer = rng.choice(["none", "block"] + (["antisymmetric"] if p == 2 else []))
+            if killer == "block":
+                f = add(act + gap, deg + 1, p)
+                for i in range(p):
+                    for j in range(p):
+                        if not _is_zero(perm[i][j]):
+                            chain[(f + i, f + j)] = perm[i][j]
+                # boundary sum_m c_m P^m commutes with the permutation P
+                coeffs = [rng.randint(-1, 2) for _ in range(p)]
+                if not any(coeffs):
+                    coeffs[0] = 1
+                for j in range(p):
+                    for m, c in enumerate(coeffs):
+                        if c:
+                            i = (j + m) % p
+                            bnd[(e + i, f + j)] = bnd.get((e + i, f + j), 0) + c
+            elif killer == "antisymmetric":
+                f = add(act + gap, deg + 1, 1)
+                chain[(f, f)] = -1
+                bnd[(e, f)], bnd[(e + 1, f)] = 1, -1
+        elif kind == "scalar":
+            zeta = cyclo_zeta(p, rng.randrange(1, p))
+            e = add(act, deg, 1)
+            chain[(e, e)] = zeta
+            if rng.random() < 0.5:
+                f = add(act + gap, deg + 1, 1)
+                chain[(f, f)] = zeta
+                bnd[(e, f)] = rng.choice((1, -1, 2))
+        elif kind == "lone":
+            e = add(act, deg, 1)
+            chain[(e, e)] = 1
+        else:
+            e = add(act, deg, 1)
+            f = add(act + gap, deg + 1, 1)
+            chain[(e, e)] = chain[(f, f)] = 1
+            bnd[(e, f)] = rng.choice((1, -1, 2))
+    n = len(gens)
+
+    def matrix(entries):
+        z = field.zero()
+        return Matrix.from_rows(field, [[field.coerce(entries[(i, j)]) if (i, j) in entries else z
+                                         for j in range(n)] for i in range(n)])
+
+    # change of basis, block diagonal on the (action, degree) classes
+    classes: dict[tuple[Fraction, int], list[int]] = {}
+    for i, g in enumerate(gens):
+        classes.setdefault(g, []).append(i)
+    change: dict[tuple[int, int], object] = {}
+    for members in classes.values():
+        block = _unitriangular(rng, field, len(members))
+        for r, i in enumerate(members):
+            for c, j in enumerate(members):
+                change[(i, j)] = block.entries[r][c]
+    m = matrix(change)
+    m_inv = m.inverse()
+    cx = FilteredComplex(field, tuple(gens), m @ matrix(bnd) @ m_inv)
+    return EquivariantComplex(p, cx, m @ matrix(chain) @ m_inv)
+
+
+def _gaps(spectrum: list[Fraction]):
+    """Open gaps between spectrum values, with representatives and endpoints
+    (inf endpoints for the unbounded gaps)."""
+    gaps = []
+    if not spectrum:
+        return [((-INF), INF, Fraction(0))]
+    lo = spectrum[0]
+    gaps.append((-INF, lo, lo - 1))
+    for a, b in zip(spectrum, spectrum[1:]):
+        gaps.append((a, b, (a + b) / 2))
+    gaps.append((spectrum[-1], INF, spectrum[-1] + 1))
+    return gaps
+
+
+def _sub(x, y):
+    """x - y with the infinite endpoints used by the gap scan."""
+    if is_inf(x) and is_inf(y):
+        raise ValueError("inf - inf in gap arithmetic")
+    if is_inf(x):
+        return INF
+    if isinstance(y, float) and y == -INF:
+        return INF
+    if is_inf(y):
+        return -INF
+    return x - y
+
+
+def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
+    """Window-scan oracle for `w_spread`: rank tests over pairs of windows.
+
+    Windows are scanned up to the gaps their endpoints lie in; for a fixed
+    gap assignment (a in G_i1, b in G_j1, a+d in G_i2, b+d in G_j2) the map
+    is constant and the feasible d form an interval whose supremum is
+    min(sup G_i2 - inf G_i1, sup G_j2 - inf G_j1).  O(g^4) window pairs,
+    each tested by a fresh rank computation.
+    """
+    cx = equivariant.complex
+    s_mat = equivariant.chain_map - Matrix.identity(cx.field, len(cx.generators))
+    if s_mat.is_zero():
+        return Fraction(0)
+    gaps = _gaps(cx.spectrum())
+    g = len(gaps)
+    windows: dict[tuple[int, int], _SpreadWindow] = {}
+
+    def window(i: int, j: int) -> _SpreadWindow:
+        if (i, j) not in windows:
+            windows[(i, j)] = _SpreadWindow(cx, gaps[i][2], gaps[j][2])
+        return windows[(i, j)]
+
+    best: Fraction | float = Fraction(0)
+    for i1 in range(g):
+        for j1 in range(i1 + 1, g):
+            src = window(i1, j1)
+            if not src.keep:
+                continue
+            s_images = src.apply_chain_map(s_mat)
+            if all(_is_zero(x) for images in s_images.values() for v in images for x in v):
+                continue
+            for i2 in range(i1, g):
+                for j2 in range(j1, g):
+                    if i2 >= j2:
+                        continue
+                    lo = max(
+                        _sub(gaps[i2][0], gaps[i1][1]),
+                        _sub(gaps[j2][0], gaps[j1][1]),
+                        Fraction(0),
+                    )
+                    hi = min(_sub(gaps[i2][1], gaps[i1][0]), _sub(gaps[j2][1], gaps[j1][0]))
+                    if not lo < hi:
+                        continue  # no common shift d lands both endpoints
+                    if not is_inf(hi) and hi <= best:
+                        continue
+                    if src.induced_nonzero(s_images, window(i2, j2)):
+                        if is_inf(hi):
+                            return INF
+                        best = max(best, hi)
+    return best

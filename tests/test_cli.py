@@ -202,6 +202,21 @@ class TestBarcodeCommands:
         assert len(calls) == p - 1
 
 
+def killed_swap_obj() -> dict:
+    """`egb spread` input: a swapped pair at action 0 killed at action 7 by
+    an antisymmetric generator, so w_spread is 7."""
+    cx = FilteredComplex(
+        QQ_FIELD,
+        ((F(0), 0), (F(0), 0), (F(7), 1)),
+        Matrix.from_rows(QQ_FIELD, [[0, 0, 1], [0, 0, -1], [0, 0, 0]]),
+    )
+    return {
+        "p": 2,
+        "complex": complex_to_obj(cx),
+        "chain_map": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]],
+    }
+
+
 class TestSpreadCommand:
     def test_degenerate_labelled(self, tmp_path, capsys):
         cx = FilteredComplex(
@@ -221,21 +236,30 @@ class TestSpreadCommand:
         assert "model-degenerate" in report["note"]
 
     def test_finite_spread(self, tmp_path, capsys):
-        cx = FilteredComplex(
-            QQ_FIELD,
-            ((F(0), 0), (F(0), 0), (F(7), 1)),
-            Matrix.from_rows(QQ_FIELD, [[0, 0, 1], [0, 0, -1], [0, 0, 0]]),
-        )
-        obj = {
-            "p": 2,
-            "complex": complex_to_obj(cx),
-            "chain_map": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]],
-        }
         f = tmp_path / "eq.json"
-        f.write_text(json.dumps(obj))
+        f.write_text(json.dumps(killed_swap_obj()))
         code, out, _ = run(capsys, "spread", str(f))
         assert code == 0
         assert json.loads(out)["w_spread"] == "7"
+
+    def test_k_left_out_means_p(self, tmp_path, capsys):
+        f = tmp_path / "eq.json"
+        f.write_text(json.dumps(killed_swap_obj()))
+        for k in ([], ["--k", "2"], ["--k", "4"]):
+            code, out, _ = run(capsys, "spread", str(f), *k)
+            assert code == 0
+            assert json.loads(out)["w_spread"] == "7"
+        code, _, err = run(capsys, "spread", str(f), "--k", "3")
+        assert code == 1
+        assert "T^3" in err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_one(self, tmp_path, k):
+        f = tmp_path / "eq.json"
+        f.write_text(json.dumps(killed_swap_obj()))
+        proc = run_subprocess("spread", str(f), "--k", k)
+        assert_clean_error(proc)
+        assert proc.stderr == "error: k must be >= 1\n"
 
 
 class TestEggbeater2d:
@@ -360,6 +384,20 @@ class TestBoundsCommand:
         f.write_text(json.dumps({"tuples": [{"action": 5}]}))
         assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
 
+    def test_k_left_out_means_p(self, tmp_path, capsys):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))
+        for k, expected in ([], 3), (["--k", "2"], 2):
+            code, out, _ = run(capsys, "bounds", "--p", "3", "--file", str(f), *k)
+            assert code == 0
+            assert json.loads(out)["k"] == expected
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_one(self, k):
+        proc = run_subprocess("bounds", "--p", "2", "--k", k)
+        assert_clean_error(proc)
+        assert proc.stderr == "error: k must be >= 1\n"
+
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
         from egb.serialize import barcode_from_json
 
@@ -371,3 +409,61 @@ class TestBoundsCommand:
         assert barcode_from_json(json.dumps(barcode_obj)) == Barcode.of(
             [(Bar(0, 10), 1)]
         )
+
+
+class TestIntegerFields:
+    """Integer fields of the JSON inputs are parsed by `serialize.parse_int`:
+    a non-integral number or a boolean exits 1, never truncates."""
+
+    @staticmethod
+    def spread_with(edit):
+        obj = killed_swap_obj()
+        edit(obj)
+        return obj
+
+    CASES = {
+        "spread p 2.5": ("spread", lambda: TestIntegerFields.spread_with(
+            lambda o: o.update(p=2.5))),
+        "spread p true": ("spread", lambda: TestIntegerFields.spread_with(
+            lambda o: o.update(p=True))),
+        "spread generator degree 1.5": ("spread", lambda: TestIntegerFields.spread_with(
+            lambda o: o["complex"]["generators"][2].update(degree=1.5))),
+        "spread cyclotomic 2.5": ("spread", lambda: TestIntegerFields.spread_with(
+            lambda o: o["complex"].update(field={"cyclotomic": 2.5}))),
+        "bounds tuple degree 1.5": ("bounds", lambda: {"tuples": [{"action": "0", "degree": 1.5}]}),
+        "bottleneck mult 1.5": ("bottleneck", lambda: [{"birth": "0", "death": "1", "mult": 1.5}]),
+        "bottleneck degree true": ("bottleneck", lambda: [{"birth": "0", "death": "1", "degree": True}]),
+        "mu dims 1.5": ("mu", lambda: {**zp_module_to_obj(cyclic_tuple_module(F(0), 2)), "dims": [0, 1.5]}),
+        "mu p true": ("mu", lambda: {**zp_module_to_obj(cyclic_tuple_module(F(0), 2)), "p": True}),
+    }
+
+    @staticmethod
+    def argv(command, path):
+        return {
+            "spread": ["spread", path],
+            "bounds": ["bounds", "--p", "2", "--file", path],
+            "bottleneck": ["barcode", "bottleneck", path, path],
+            "mu": ["barcode", "mu", path],
+        }[command]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_integer_exits_one(self, tmp_path, case):
+        command, build = self.CASES[case]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(build()))
+        assert_clean_error(run_subprocess(*self.argv(command, str(f))))
+
+    def test_integer_strings_and_integral_numbers_accepted(self, tmp_path, capsys):
+        obj = self.spread_with(lambda o: o.update(p="2"))
+        obj["complex"]["generators"][2]["degree"] = "1"
+        obj["complex"]["generators"][0]["degree"] = 0.0
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "spread", str(f))
+        assert code == 0
+        assert json.loads(out)["w_spread"] == "7"
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps([{"birth": "0", "death": "1", "mult": "2", "degree": 1}]))
+        code, out, _ = run(capsys, "barcode", "bottleneck", str(b), str(b))
+        assert code == 0
+        assert json.loads(out) == {"bottleneck": "0"}

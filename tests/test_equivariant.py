@@ -1,7 +1,11 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from egb.cli import main
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
@@ -34,8 +38,15 @@ from egb.persistence import (
     barcode_of_module,
     is_inf,
 )
+from egb.serialize import complex_to_obj, matrix_to_obj
 
-from conftest import rand_frac, random_zp_module, scalar_interval_module
+from conftest import (
+    rand_frac,
+    random_equivariant_complex,
+    random_zp_module,
+    scalar_interval_module,
+    scan_w_spread,
+)
 
 
 def trivial_action_module(p, birth, death):
@@ -263,6 +274,72 @@ class TestWSpread:
         assert powers == [4]
         with pytest.raises(ValueError):
             w_spread(eq, 3)
+
+    def test_matches_window_scan(self, rng):
+        """The normal-form closed form equals the O(g^4) window scan on
+        random conjugated complexes over Q and Q(zeta_p)."""
+        kinds = set()
+        for p, field in [(2, QQ_FIELD), (3, QQ_FIELD), (2, CyclotomicField(2)),
+                         (3, CyclotomicField(3)), (5, CyclotomicField(5))]:
+            for _ in range(24):
+                eq = random_equivariant_complex(rng, p, field)
+                expected = scan_w_spread(eq)
+                assert w_spread(eq, p) == expected
+                kinds.add("inf" if is_inf(expected) else "zero" if expected == 0 else "positive")
+        assert kinds == {"inf", "zero", "positive"}
+
+    def test_entries_across_actions(self):
+        """S has entries S(y, x) with act(y) < act(x) when the reduction mixes
+        actions; the closed form must read act(y) and kill(y) - act(x) there."""
+        # w (anti-fixed) killed at 1 by K, e = x1 - x2 (fixed) killed at 4 by
+        # L; the reduction gives b_L = L + K, so S(K, L) != 0 with lp(L) = 0
+        cx = FilteredComplex(
+            QQ_FIELD, ((F(0), 0), (F(0), 0), (F(1), 1), (F(4), 1)),
+            Matrix.from_rows(QQ_FIELD, [[0, 0, 0, 1], [0, 0, 1, -1], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        )
+        t = Matrix.from_rows(QQ_FIELD, [[1, 0, 0, 0], [-2, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        eq = EquivariantComplex(2, cx, t)
+        assert w_spread(eq, 2) == scan_w_spread(eq) == 1
+        # a (fixed) killed at 3 by F1, u (anti-fixed) at 1 killed at 3 by the
+        # anti-fixed F2 - F1; with d F2 = u + a the reduction gives
+        # b_u = u + a, so S(a, u) != 0: kill(a) - act(u) = 2, kill(a) - act(a) = 3
+        cx = FilteredComplex(
+            QQ_FIELD, ((F(0), 0), (F(1), 0), (F(3), 1), (F(3), 1)),
+            Matrix.from_rows(QQ_FIELD, [[0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        )
+        t = Matrix.from_rows(QQ_FIELD, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 2], [0, 0, 0, -1]])
+        eq = EquivariantComplex(2, cx, t)
+        assert w_spread(eq, 2) == scan_w_spread(eq) == 2
+
+    # (p, cyclotomic field or None for Q, random.Random seed) -> sha256 of the
+    # input JSON and of the `egb spread` stdout, the latter taken from the
+    # window scan that preceded the closed form
+    GOLDEN = [
+        (2, None, 1, "0b4f68caa02c47797194dd761efc115bb2141de445204fdc72e285beb63f55b9",
+         "eed460bf04113a8e981768735522b6ef6b894cc4aeadefeab40d70d8c6feaf60"),
+        (3, None, 1, "40cbfc4cd9845c6277147caae6bb5712b4397727574043c776a59c6a427d00f5",
+         "eed460bf04113a8e981768735522b6ef6b894cc4aeadefeab40d70d8c6feaf60"),
+        (3, 3, 9, "934347768cc6b8eee15be175c6f35ad08a47a366f1bc38c0de323bef90c59d99",
+         "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
+        (5, 5, 13, "ea4db0823d9bb1b45f29c4d642ac3f86d550a8bbea246738b6d03f679df544f6",
+         "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
+        (2, 2, 0, "271d02590fbf4c337dadee64892920894f3320e938422863b7b7736f1b6c0b6d",
+         "70a8683a166f5a059dbe802ec948b48d37bf7cf454c5949ea455d4bf41dcd6d6"),
+        (3, None, 0, "c6428cb078f6de375d36304f74f4cd4113822595bf4dff63e4bca0573c81222e",
+         "5bd3df132af7711718544c242a3660677141b166b97ea231a5d6c3f62c1f5578"),
+    ]
+
+    @pytest.mark.parametrize("p,cyclotomic,seed,input_sha,stdout_sha", GOLDEN)
+    def test_golden_cli_output(self, tmp_path, capsys, p, cyclotomic, seed, input_sha, stdout_sha):
+        field = CyclotomicField(cyclotomic) if cyclotomic else QQ_FIELD
+        eq = random_equivariant_complex(random.Random(seed), p, field, max_blocks=4)
+        text = json.dumps({"p": p, "complex": complex_to_obj(eq.complex),
+                           "chain_map": matrix_to_obj(eq.chain_map)}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == input_sha, "generator changed"
+        f = tmp_path / "eq.json"
+        f.write_text(text)
+        assert main(["spread", str(f)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
 
     def test_action_preserving_validation(self):
         cx = FilteredComplex(

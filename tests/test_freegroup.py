@@ -41,6 +41,21 @@ class TestReduction:
         w = Word((1, 2, -2, -1, 3))
         assert w.letters == (3,)
 
+    def test_cyclic_reduce_matches_pairwise_loop(self, rng):
+        def pairwise(word):  # strip one inverse pair from the ends at a time
+            letters = list(word.letters)
+            while len(letters) >= 2 and letters[0] == -letters[-1]:
+                letters = letters[1:-1]
+            return Word(tuple(letters))
+
+        for _ in range(200):
+            u, core = rand_word(rng, 6), rand_word(rng, 6)
+            for w in (u * core * u.inverse(), rand_word(rng, 12)):
+                assert cyclic_reduce(w) == pairwise(w)
+        n = 8000
+        deep = parse_word(f"b^{n} a c b^-{n}")
+        assert cyclic_reduce(deep) == pairwise(deep) == parse_word("a c")
+
     def test_parse_format_roundtrip(self, rng):
         for _ in range(40):
             w = rand_word(rng)
