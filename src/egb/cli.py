@@ -84,7 +84,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
     leads = sorted(r.action_leading for r in records)
-    # equals eb.min_leading_gap(p, mu, nu) / 2, without recomputing the 4^p sums
+    # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min(b - a for a, b in zip(leads, leads[1:])) / lam
     diag = {
         "p": p,

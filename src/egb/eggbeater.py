@@ -166,15 +166,6 @@ def block_matrix(j: int, signs: tuple[int, ...], lam) -> Matrix:
     )
 
 
-def block_parabolic_factors(j: int, signs: tuple[int, ...], lam) -> tuple[Matrix, Matrix]:
-    lam = Fraction(lam)
-    e1 = _eps(signs, 2 * j + 1)
-    e4 = _eps(signs, 2 * j + 4)
-    upper = Matrix.from_rows(QQ_FIELD, [[1, -e4 * lam], [0, 1]])
-    lower = Matrix.from_rows(QQ_FIELD, [[1, 0], [-e1 * lam, 1]])
-    return upper, lower
-
-
 def block_vector(j: int, signs: tuple[int, ...], lam, mu_j, nu_j) -> tuple[Fraction, Fraction]:
     lam, mu_j, nu_j = Fraction(lam), Fraction(mu_j), Fraction(nu_j)
     e4 = _eps(signs, 2 * j + 4)
@@ -182,13 +173,6 @@ def block_vector(j: int, signs: tuple[int, ...], lam, mu_j, nu_j) -> tuple[Fract
         -e4 * (1 - mu_j) * lam * lam + (1 - nu_j) * lam,
         (1 - mu_j) * lam,
     )
-
-
-def eps_bar(signs: tuple[int, ...]) -> int:
-    prod = 1
-    for s in signs:
-        prod *= s
-    return prod
 
 
 def nondegeneracy(signs: tuple[int, ...], lam) -> Fraction:
@@ -203,13 +187,6 @@ def nondegeneracy(signs: tuple[int, ...], lam) -> Fraction:
     if det != 2 - trace:
         raise AssertionError("det(A-id) != 2 - trace(A) for a det-1 matrix")
     return det
-
-
-def asymptotic_limit(signs: tuple[int, ...], mu, nu) -> tuple[Fraction, Fraction]:
-    """Large-lambda limit (eps_1 (1 - mu_1), eps_2 (1 - nu_p)) of the base point."""
-    mu = tuple(Fraction(v) for v in mu)
-    nu = tuple(Fraction(v) for v in nu)
-    return (_eps(signs, 1) * (1 - mu[0]), _eps(signs, 2) * (1 - nu[-1]))
 
 
 def leading_sum(signs: tuple[int, ...], mu, nu) -> Fraction:
@@ -415,13 +392,6 @@ def min_action_gap(records) -> Fraction | float:
     return min(b - a for a, b in zip(actions, actions[1:]))
 
 
-def min_leading_gap(p: int, mu, nu) -> Fraction:
-    """Minimum pairwise distance of the leading coefficient sums (per lam/2)."""
-    sums = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(p))
-    gaps = [b - a for a, b in zip(sums, sums[1:])]
-    return min(gaps) if gaps else Fraction(0)
-
-
 def coefficient_sums_distinct(p: int, mu, nu) -> bool:
     sums = {leading_sum(tuple(s), mu, nu) for s in sign_vectors(p)}
     return len(sums) == 4 ** p
@@ -442,18 +412,17 @@ def _farey_rationals(max_denominator: int) -> list[Fraction]:
 
 def param_search(p: int, L, max_denominator: int = 10) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """First (mu, nu) in the deterministic grid whose 2^{2p} coefficient sums
-    are pairwise distinct (and whose pairs are distinct)."""
+    are pairwise distinct.
+
+    Equal squares (1 - v)^2 force sum collisions, and v -> (1 - v)^2 is
+    injective on (0, 1), so only tuples of 2p distinct values can qualify
+    (their (mu_i, nu_i) pairs are then distinct too); `permutations` yields
+    exactly those, in the lexicographic order of the full product."""
     L = Fraction(L)
     if L < 4:
         raise ValueError("L must be >= 4")
-    rats = _farey_rationals(max_denominator)
-    for combo in itertools.product(rats, repeat=2 * p):
+    for combo in itertools.permutations(_farey_rationals(max_denominator), 2 * p):
         mu, nu = combo[:p], combo[p:]
-        if len(set(zip(mu, nu))) != p:
-            continue
-        squares = {(1 - v) ** 2 for v in combo}
-        if len(squares) != 2 * p:
-            continue  # equal squares force sum collisions
         if coefficient_sums_distinct(p, mu, nu):
             return mu, nu
     raise ValueError(
@@ -553,30 +522,3 @@ def solve_2d(mu, nu, lam, L=Fraction(4)) -> list[FixedPointRecord]:
         raise AssertionError("2d actions are not pairwise distinct")
     return records
 
-
-# -- smooth-profile demo (floats, illustration only) ----------------------------
-
-
-def smooth_u(s: float, delta: float = 0.05) -> float:
-    """C^1 smoothing of the tent profile: parabolic caps of half-width delta
-    at the kinks -1, 0, 1; coincides with 1 - |s| elsewhere."""
-    a = abs(s)
-    if a >= 1.0:
-        return 0.0
-    if a < delta:  # cap at the top kink
-        return 1.0 - a * a / (2 * delta) - delta / 2
-    if a > 1.0 - delta:  # caps at the feet
-        t = 1.0 - a
-        return t * t / (2 * delta)
-    return 1.0 - a
-
-
-def demo_shear_orbit(x: float, y: float, lam: float, L: float = 4.0,
-                     steps: int = 100, delta: float = 0.05):
-    """Iterate the smoothed single-annulus shear (x, y + lam u(x) mod L);
-    double precision, illustration only."""
-    out = [(x, y)]
-    for _ in range(steps):
-        y = (y + lam * smooth_u(x, delta)) % L
-        out.append((x, y))
-    return out

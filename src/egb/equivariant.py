@@ -130,24 +130,7 @@ def eigenspace_module(
         n = module.base.dims[i]
         shifted = a - Matrix.identity(field, n).scale(zeta)
         kernels.append(shifted.kernel_basis())
-    dims = tuple(len(k) for k in kernels)
-    transitions = []
-    for i, t in enumerate(module.base.transitions):
-        src, dst = kernels[i], kernels[i + 1]
-        if not dst:
-            transitions.append(Matrix.zeros(field, 0, len(src)))
-            continue
-        dst_mat = Matrix.from_columns(field, dst, module.base.dims[i + 1])
-        cols = []
-        for v in src:
-            image = t.apply(v)
-            coords = dst_mat.solve(image)
-            if coords is None:
-                raise ValueError("transition does not preserve the eigenspace")
-            cols.append(coords)
-        transitions.append(Matrix.from_columns(field, cols, len(dst)) if cols
-                           else Matrix.zeros(field, len(dst), 0))
-    return FinitePersistenceModule(field, module.base.spectrum, dims, tuple(transitions))
+    return _induced_module(module, [[] for _ in kernels], kernels)
 
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
@@ -162,24 +145,32 @@ def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
         fixed.append(w)
         # standard-basis vectors extending Fix(A) to a basis (identity is symmetric)
         complements.append(_extend_basis(field, w, list(identity.entries), n))
-    dims = tuple(len(c) for c in complements)
+    return _induced_module(module, fixed, complements)
+
+
+def _induced_module(
+    module: ZpPersistenceModule, prefixes: list[list], bases: list[list]
+) -> FinitePersistenceModule:
+    """The module span(bases[i]) modulo span(prefixes[i]) with the induced
+    transitions: each image is solved in the frame prefixes[i+1] + bases[i+1]
+    of the next interval, and its coordinates past the prefix are kept."""
+    field = module.field
     transitions = []
     for i, t in enumerate(module.base.transitions):
-        w_next, c_next = fixed[i + 1], complements[i + 1]
-        n_next = module.base.dims[i + 1]
-        if not c_next:
-            transitions.append(Matrix.zeros(field, 0, len(complements[i])))
+        prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
+        if not dst:
+            transitions.append(Matrix.zeros(field, 0, len(src)))
             continue
-        basis_next = Matrix.from_columns(field, w_next + c_next, n_next)
+        frame = Matrix.from_columns(field, prefix + dst, module.base.dims[i + 1])
         cols = []
-        for v in complements[i]:
-            image = t.apply(v)
-            coords = basis_next.solve(image)
+        for v in src:
+            coords = frame.solve(t.apply(v))
             if coords is None:
-                raise ValueError("transition image outside the span")  # impossible
-            cols.append(coords[len(w_next):])
-        transitions.append(Matrix.from_columns(field, cols, len(c_next)) if cols
-                           else Matrix.zeros(field, len(c_next), 0))
+                raise ValueError("transition does not preserve the induced subspace")
+            cols.append(coords[len(prefix):])
+        transitions.append(Matrix.from_columns(field, cols, len(dst)) if cols
+                           else Matrix.zeros(field, len(dst), 0))
+    dims = tuple(len(b) for b in bases)
     return FinitePersistenceModule(field, module.base.spectrum, dims, tuple(transitions))
 
 

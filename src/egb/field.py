@@ -13,21 +13,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-QQ = Fraction
-
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _ZERO_COORDS = {p: (Fraction(0),) * (p - 1) for p in _SUPPORTED_PRIMES}
 _TAIL_ZEROS = {p: (Fraction(0),) * (p - 2) for p in _SUPPORTED_PRIMES}
 
 
+# The first 13 primes as Miller-Rabin bases decide every n below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; exact below _MR_BOUND (about
+    3.317e24), above which it raises ValueError instead of guessing."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify primality of {n}: it must be below {_MR_BOUND}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -43,9 +43,6 @@ class Word:
             return self.inverse() ** (-n)
         return Word(self.letters * n)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __str__(self):
         return format_word(self)
 
@@ -73,11 +70,6 @@ def cyclic_reduce(word: Word) -> Word:
     while 2 * depth + 2 <= len(w) and w[depth] == -w[-1 - depth]:
         depth += 1
     return Word(w[depth:len(w) - depth])
-
-
-def rotations(word: Word) -> list[Word]:
-    w = word.letters
-    return [Word(w[i:] + w[:i]) for i in range(max(len(w), 1))]
 
 
 def conjugate_eq(w1: Word, w2: Word) -> bool:
@@ -270,15 +262,6 @@ def canonical_itinerary(windings_v, windings_h) -> Itinerary:
         segments.append(Segment("V", "A", "A", m))
         segments.append(Segment("H", "A", "A", n))
     return Itinerary(tuple(segments))
-
-
-def alpha_word(windings_v, windings_h) -> Word:
-    """a^{m_1} b^{n_1} ... a^{m_p} b^{n_p} directly (oracle for the itinerary route)."""
-    letters: list[int] = []
-    for m, n in zip(windings_v, windings_h):
-        letters.extend([A_] * m)
-        letters.extend([B_] * n)
-    return Word(tuple(letters))
 
 
 def self_intersection(m: int, n: int) -> int:

@@ -12,23 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivariant import (
-    GradedBarcodeFamily,
-    ZpPersistenceModule,
-    cyclic_permutation_matrix,
-    kunneth_stabilize,
-    mu_p_of_family,
-)
-from .field import CyclotomicField, Matrix, is_prime
-from .persistence import (
-    Bar,
-    Barcode,
-    FinitePersistenceModule,
-    INF,
-    Interval,
-    is_inf,
-    multiplicity,
-)
+from .equivariant import GradedBarcodeFamily, kunneth_stabilize, mu_p_of_family
+from .field import is_prime
+from .persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
 
 
 @dataclass(frozen=True)
@@ -57,47 +43,12 @@ class ModelInput:
         return min(b - a for a, b in zip(acts, acts[1:]))
 
 
-def build_model(model_input: ModelInput) -> ZpPersistenceModule:
-    """Dense test oracle: the direct sum of one cyclic tuple module per
-    tuple, deaths at +inf, assembled in one pass (p new generators appear at
-    each action value).  ``eigenspace_family`` computes its eigenspace
-    barcodes in closed form."""
-    if not model_input.tuples:
-        raise ValueError("model needs at least one tuple")
-    p = model_input.p
-    field = CyclotomicField(p)
-    spectrum = tuple(model_input.actions())
-    m = len(spectrum)
-    dims = tuple(p * i for i in range(m + 1))
-    z, o = field.zero(), field.one()
-    transitions = []
-    for i in range(m):
-        # inclusion of the alive generators; the p newborn rows are zero
-        ent = [[o if r == c else z for c in range(dims[i])] for r in range(dims[i])]
-        ent.extend([[z] * dims[i] for _ in range(p)])
-        transitions.append(Matrix.from_rows(field, ent))
-    cyc = cyclic_permutation_matrix(field, p)
-    action = []
-    for i in range(m + 1):
-        blocks = i  # tuples alive on constancy interval i
-        n = p * blocks
-        ent = [[z] * n for _ in range(n)]
-        for b in range(blocks):
-            for r in range(p):
-                for c in range(p):
-                    ent[b * p + r][b * p + c] = cyc.entries[r][c]
-        action.append(Matrix.from_rows(field, ent) if ent else Matrix.zeros(field, 0, 0))
-    base = FinitePersistenceModule(field, spectrum, dims, tuple(transitions))
-    return ZpPersistenceModule(p, base, tuple(action))
-
-
 def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
     """Per-degree barcodes of every eigenspace of the model, in closed form.
 
     Every p-th root of unity is a simple eigenvalue of the cyclic
     permutation, so each tuple (action, degree) adds exactly one bar
-    (action, +inf] to ``family[degree]``, whichever root is chosen.
-    ``build_model`` is the dense oracle the tests compare this against."""
+    (action, +inf] to ``family[degree]``, whichever root is chosen."""
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
     family: GradedBarcodeFamily = {}

@@ -91,10 +91,6 @@ class Interval:
         return Interval(self.left + c, self.right - c)
 
 
-def shrink(interval: Interval, c) -> Interval:
-    return interval.shrink(c)
-
-
 def _degree_key(d):
     return (0, d) if d is not None else (1, 0)
 
@@ -159,14 +155,8 @@ class Barcode:
     def infinite_count(self) -> int:
         return sum(m for bar, m, _ in self.items if not bar.finite)
 
-    def restrict_degree(self, degree: int | None) -> "Barcode":
-        return Barcode(tuple(e for e in self.items if e[2] == degree))
-
     def degrees(self) -> list[int | None]:
         return sorted({e[2] for e in self.items}, key=_degree_key)
-
-    def forget_degrees(self) -> "Barcode":
-        return Barcode(tuple((bar, m, None) for bar, m, _ in self.items))
 
     def union(self, other: "Barcode") -> "Barcode":
         return Barcode(self.items + other.items)

@@ -1,4 +1,4 @@
-"""Shared randomized fixtures.
+"""Shared randomized fixtures and the test oracles of the library.
 
 The seed comes from EGB_SEED (default 0) so failures reproduce exactly.
 """
@@ -17,7 +17,10 @@ from egb.equivariant import (
     cyclic_tuple_module,
     zp_direct_sum,
 )
+from egb.eggbeater import _eps, leading_sum, sign_vectors
 from egb.field import CyclotomicField, Matrix, _is_zero, cyclo_zeta
+from egb.freegroup import A_, B_, Word
+from egb.model import ModelInput
 from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF, is_inf
 from egb.field import QQ_FIELD
 
@@ -335,3 +338,89 @@ def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
                             return INF
                         best = max(best, hi)
     return best
+
+
+# -- egg-beater oracles ------------------------------------------------------
+
+
+def block_parabolic_factors(j: int, signs: tuple[int, ...], lam) -> tuple[Matrix, Matrix]:
+    lam = Fraction(lam)
+    e1 = _eps(signs, 2 * j + 1)
+    e4 = _eps(signs, 2 * j + 4)
+    upper = Matrix.from_rows(QQ_FIELD, [[1, -e4 * lam], [0, 1]])
+    lower = Matrix.from_rows(QQ_FIELD, [[1, 0], [-e1 * lam, 1]])
+    return upper, lower
+
+
+def eps_bar(signs: tuple[int, ...]) -> int:
+    prod = 1
+    for s in signs:
+        prod *= s
+    return prod
+
+
+def asymptotic_limit(signs: tuple[int, ...], mu, nu) -> tuple[Fraction, Fraction]:
+    """Large-lambda limit (eps_1 (1 - mu_1), eps_2 (1 - nu_p)) of the base point."""
+    mu = tuple(Fraction(v) for v in mu)
+    nu = tuple(Fraction(v) for v in nu)
+    return (_eps(signs, 1) * (1 - mu[0]), _eps(signs, 2) * (1 - nu[-1]))
+
+
+def min_leading_gap(p: int, mu, nu) -> Fraction:
+    """Minimum pairwise distance of the leading coefficient sums (per lam/2)."""
+    sums = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(p))
+    gaps = [b - a for a, b in zip(sums, sums[1:])]
+    return min(gaps) if gaps else Fraction(0)
+
+
+# -- free-group oracles --------------------------------------------------------
+
+
+def rotations(word: Word) -> list[Word]:
+    w = word.letters
+    return [Word(w[i:] + w[:i]) for i in range(max(len(w), 1))]
+
+
+def alpha_word(windings_v, windings_h) -> Word:
+    """a^{m_1} b^{n_1} ... a^{m_p} b^{n_p} directly (oracle for the itinerary route)."""
+    letters: list[int] = []
+    for m, n in zip(windings_v, windings_h):
+        letters.extend([A_] * m)
+        letters.extend([B_] * n)
+    return Word(tuple(letters))
+
+
+# -- model oracle ----------------------------------------------------------------
+
+
+def build_model(model_input: ModelInput) -> ZpPersistenceModule:
+    """Dense oracle of `eigenspace_family`: the direct sum of one cyclic tuple
+    module per tuple, deaths at +inf, assembled in one pass (p new generators
+    appear at each action value)."""
+    if not model_input.tuples:
+        raise ValueError("model needs at least one tuple")
+    p = model_input.p
+    field = CyclotomicField(p)
+    spectrum = tuple(model_input.actions())
+    m = len(spectrum)
+    dims = tuple(p * i for i in range(m + 1))
+    z, o = field.zero(), field.one()
+    transitions = []
+    for i in range(m):
+        # inclusion of the alive generators; the p newborn rows are zero
+        ent = [[o if r == c else z for c in range(dims[i])] for r in range(dims[i])]
+        ent.extend([[z] * dims[i] for _ in range(p)])
+        transitions.append(Matrix.from_rows(field, ent))
+    cyc = cyclic_permutation_matrix(field, p)
+    action = []
+    for i in range(m + 1):
+        blocks = i  # tuples alive on constancy interval i
+        n = p * blocks
+        ent = [[z] * n for _ in range(n)]
+        for b in range(blocks):
+            for r in range(p):
+                for c in range(p):
+                    ent[b * p + r][b * p + c] = cyc.entries[r][c]
+        action.append(Matrix.from_rows(field, ent) if ent else Matrix.zeros(field, 0, 0))
+    base = FinitePersistenceModule(field, spectrum, dims, tuple(transitions))
+    return ZpPersistenceModule(p, base, tuple(action))

@@ -13,11 +13,9 @@ from egb.eggbeater import (
     FIXTURE_P2_MU,
     FIXTURE_P2_NU,
     enumerate_records,
-    eps_bar,
     fixture_params,
     lambda_lattice,
     min_action_gap,
-    min_leading_gap,
     phi_block,
     solve_2d,
     solve_signed,
@@ -35,11 +33,20 @@ from egb.equivariant import (
     zp_direct_sum,
 )
 from egb.field import CyclotomicField, Matrix, cyclo_zeta, primitive_roots
-from egb.freegroup import alpha_word, canonical_itinerary, conjugate_eq, itinerary_to_word, self_intersection
+from egb.freegroup import canonical_itinerary, conjugate_eq, itinerary_to_word, self_intersection
 from egb.model import bounds_report, model_input_from_records
 from egb.persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
 
-from conftest import SEED, rand_barcode, random_zp_module, conjugate_module
+from conftest import (
+    SEED,
+    alpha_word,
+    asymptotic_limit,
+    conjugate_module,
+    eps_bar,
+    min_leading_gap,
+    rand_barcode,
+    random_zp_module,
+)
 from test_bottleneck import brute_force_bottleneck
 
 
@@ -90,7 +97,7 @@ def test_criterion_02_nondegeneracy_and_asymptotics():
         target = F(-eps_bar(r.signs))
         ratio = r.det / largest ** 4
         assert abs(ratio - target) <= F(1, 20) * abs(target)
-    from egb.eggbeater import asymptotic_limit, sign_vectors
+    from egb.eggbeater import sign_vectors
 
     for signs in sign_vectors(2):
         limit = asymptotic_limit(signs, mu, nu)

@@ -36,12 +36,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, timeout=None):
     """Run egb in a fresh interpreter, so an escaping exception shows as a traceback."""
     src = str(Path(egb.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "egb.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -409,6 +409,40 @@ class TestBoundsCommand:
         assert barcode_from_json(json.dumps(barcode_obj)) == Barcode.of(
             [(Bar(0, 10), 1)]
         )
+
+
+class TestLargePrime:
+    """A huge p is decided by Miller-Rabin at once, or refused above the
+    range where the test is certified; it never hangs the CLI."""
+
+    BIG_PRIME = 10 ** 18 + 3
+    UNCERTIFIED = 2 ** 89 - 1
+
+    def bounds(self, tmp_path, p):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))
+        return run_subprocess("bounds", "--p", str(p), "--file", str(f), timeout=10)
+
+    def spread(self, tmp_path, p):
+        f = tmp_path / "eq.json"
+        f.write_text(json.dumps({**killed_swap_obj(), "p": p}))
+        return run_subprocess("spread", str(f), timeout=10)
+
+    def test_bounds_with_large_prime(self, tmp_path):
+        proc = self.bounds(tmp_path, self.BIG_PRIME)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["p"] == self.BIG_PRIME
+
+    def test_spread_with_large_prime(self, tmp_path):
+        proc = self.spread(tmp_path, self.BIG_PRIME)
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["bounds", "spread"])
+    def test_uncertified_p_exits_one(self, tmp_path, command):
+        proc = getattr(self, command)(tmp_path, self.UNCERTIFIED)
+        assert_clean_error(proc)
+        assert "cannot certify" in proc.stderr
 
 
 class TestIntegerFields:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,27 +12,23 @@ from egb.eggbeater import (
     FixedPointRecord,
     ReductionWindowError,
     _enumerate_core,
+    _farey_rationals,
     _solve_core,
     action_exact,
     action_leading,
-    asymptotic_limit,
     block_matrix,
-    block_parabolic_factors,
     block_vector,
     coefficient_sums_distinct,
     enumerate_records,
-    eps_bar,
     fixture_params,
     h0,
     lambda_lattice,
     leading_sum,
     min_action_gap,
-    min_leading_gap,
     nondegeneracy,
     param_search,
     phi_block,
     sign_vectors,
-    smooth_u,
     solve_2d,
     solve_signed,
     u0,
@@ -40,6 +37,8 @@ from egb.eggbeater import (
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
 from egb.persistence import is_inf
+
+from conftest import asymptotic_limit, block_parabolic_factors, eps_bar, min_leading_gap
 
 
 def rand_signs(rng, p):
@@ -477,6 +476,31 @@ class TestParamSearch:
     def test_search_is_deterministic(self):
         assert param_search(2, 4, 10) == param_search(2, 4, 10)
 
+    @staticmethod
+    def product_scan(p, max_denominator):
+        """The search as a full Farey product with both repeated-value filters."""
+        rats = _farey_rationals(max_denominator)
+        for combo in itertools.product(rats, repeat=2 * p):
+            mu, nu = combo[:p], combo[p:]
+            if len(set(zip(mu, nu))) != p:
+                continue
+            if len({(1 - v) ** 2 for v in combo}) != 2 * p:
+                continue
+            if coefficient_sums_distinct(p, mu, nu):
+                return mu, nu
+        raise ValueError("exhausted")
+
+    @pytest.mark.parametrize("p, max_denominator", [(2, 4), (2, 10), (3, 5)])
+    def test_matches_product_scan(self, p, max_denominator):
+        assert param_search(p, 4, max_denominator) == self.product_scan(p, max_denominator)
+
+    def test_exhausted_grid_raises(self):
+        # five Farey rationals with denominator <= 4 cannot fill six distinct slots
+        with pytest.raises(ValueError):
+            self.product_scan(3, 4)
+        with pytest.raises(ValueError, match="no admissible coefficients"):
+            param_search(3, 4, max_denominator=4)
+
 
 class TestLattice:
     def test_fixture_lattice(self):
@@ -553,15 +577,3 @@ class TestTwoD:
         for r in solve_2d(F(1, 2), F(1, 4), 16):
             assert r.det != 0
 
-
-class TestSmoothDemo:
-    def test_profile_matches_tent_away_from_kinks(self):
-        assert smooth_u(0.5) == 0.5
-        assert abs(smooth_u(0.0) - 1.0) < 0.05
-        assert smooth_u(1.0) == 0.0
-
-    def test_orbit_runs(self):
-        from egb.eggbeater import demo_shear_orbit
-
-        orbit = demo_shear_orbit(0.3, 0.1, 10.0, steps=16)
-        assert len(orbit) == 17

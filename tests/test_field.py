@@ -12,10 +12,30 @@ from egb.field import (
     cyclo_one,
     cyclo_zero,
     cyclo_zeta,
+    is_prime,
     primitive_roots,
 )
 
 from conftest import rand_frac
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert all(is_prime(n) == trial_division(n) for n in range(-2, 10 ** 5))
+
+    def test_large_primes_and_pseudoprimes(self):
+        assert is_prime(10 ** 18 + 3)
+        assert is_prime(2 ** 61 - 1)
+        assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+        # strong pseudoprime to the twelve prime bases 2..37, caught by 41
+        assert not is_prime(318665857834031151167461)
+
+    def test_above_certified_bound_raises(self):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime(2 ** 89 - 1)
 
 
 def rand_cyclo(rng, p, lo=-4, hi=4):

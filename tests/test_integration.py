@@ -8,14 +8,15 @@ from egb.eggbeater import (
     enumerate_records,
     lambda_lattice,
     min_action_gap,
-    min_leading_gap,
     solve_signed,
 )
 from egb.equivariant import EquivariantComplex, w_spread
 from egb.field import Matrix, QQ_FIELD
-from egb.freegroup import alpha_word, canonical_itinerary, itinerary_to_word
+from egb.freegroup import canonical_itinerary, itinerary_to_word
 from egb.model import bounds_report, model_input_from_records
 from egb.persistence import FilteredComplex, INF, is_inf
+
+from conftest import alpha_word, min_leading_gap
 
 # six winding fractions whose squared complements have disjoint prime
 # denominators, so all 4^3 coefficient sums are automatically distinct

@@ -15,12 +15,13 @@ from egb.field import cyclo_zeta, primitive_roots
 from egb.model import (
     ModelInput,
     bounds_report,
-    build_model,
     eigenspace_family,
     model_input_from_records,
     paper_mu_lower_bound,
 )
 from egb.persistence import Bar, Barcode, INF, barcode_of_module, is_inf
+
+from conftest import build_model
 
 
 def fixture_model(lam=None):

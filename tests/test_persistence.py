@@ -17,11 +17,14 @@ from egb.persistence import (
     longest_finite_bar,
     module_from_barcode,
     multiplicity,
-    shrink,
     window_homology,
 )
 
 from conftest import rand_barcode, random_filtered_complex
+
+
+def forget_degrees(barcode: Barcode) -> Barcode:
+    return Barcode(tuple((bar, m, None) for bar, m, _ in barcode.items))
 
 
 def pair_complex():
@@ -47,13 +50,13 @@ class TestIntervalOps:
         assert multiplicity(b, Interval(1, 10 ** 6)) == 1
 
     def test_shrink(self):
-        assert shrink(Interval(0, 10), 2) == Interval(2, 8)
-        assert shrink(Interval(0, 10), 0) == Interval(0, 10)
-        assert shrink(Interval(0, INF), 3) == Interval(3, INF)
+        assert Interval(0, 10).shrink(2) == Interval(2, 8)
+        assert Interval(0, 10).shrink(0) == Interval(0, 10)
+        assert Interval(0, INF).shrink(3) == Interval(3, INF)
 
     def test_overshrink_rejected(self):
         with pytest.raises(ValueError):
-            shrink(Interval(0, 10), 5)
+            Interval(0, 10).shrink(5)
 
     def test_empty_bar_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +119,7 @@ class TestModuleDecomposition:
         for _ in range(40):
             bc = rand_barcode(rng)
             m = module_from_barcode(QQ_FIELD, bc)
-            assert barcode_of_module(m) == bc.forget_degrees()
+            assert barcode_of_module(m) == forget_degrees(bc)
 
     def test_rank_reconstruction_random(self, rng):
         """rank of the composite transition counts the bars containing the
@@ -147,7 +150,7 @@ class TestModuleDecomposition:
             m = direct_sum(
                 module_from_barcode(QQ_FIELD, b1), module_from_barcode(QQ_FIELD, b2)
             )
-            assert barcode_of_module(m) == b1.union(b2).forget_degrees()
+            assert barcode_of_module(m) == forget_degrees(b1.union(b2))
 
     def test_invalid_module_rejected(self):
         with pytest.raises(ValueError):
@@ -279,10 +282,6 @@ class TestBarcodeContainers:
     def test_union_merges_multiplicity(self):
         b = Barcode.of([(Bar(0, 1), 1)]).union(Barcode.of([(Bar(0, 1), 2)]))
         assert b == Barcode.of([(Bar(0, 1), 3)])
-
-    def test_restrict_degree(self):
-        b = Barcode.of([(Bar(0, 1), 1, 0), (Bar(0, 2), 1, 1)])
-        assert b.restrict_degree(0) == Barcode.of([(Bar(0, 1), 1, 0)])
 
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
