@@ -9,7 +9,9 @@ once and composes every prefix of blocks once, shared by all 4^p sign
 vectors that extend it.  Everything is rational: lambda on the integrality
 lattice, coordinates, actions, determinants.  Validation never trusts the
 affine shortcut: every candidate is pushed through the checked piecewise map
-and must come back exactly.
+and must come back exactly.  The solver composes the blocks and runs that
+same piecewise map on integer numerators over one shared positive
+denominator, and builds Fractions only for what a record stores.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ def h0(s) -> Fraction:
     return s - s * abs(s) / 2  # sign(s) s^2 = s |s|
 
 
-def _in_open_square(x: Fraction, y: Fraction) -> bool:
-    return -1 < x < 1 and -1 < y < 1
-
-
 def phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
     """One vertical-then-horizontal block of the lifted map on the square.
 
@@ -55,12 +53,8 @@ def phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
     reduction windows are checked, and a miss signals that the input does
     not follow the prescribed winding class.
     """
-    return _phi_block(*(Fraction(v) for v in (x, y, mu, nu, lam)))
-
-
-def _phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
-    """`phi_block` on arguments that are already Fractions."""
-    if not _in_open_square(x, y):
+    x, y, mu, nu, lam = (Fraction(v) for v in (x, y, mu, nu, lam))
+    if not (-1 < x < 1 and -1 < y < 1):
         raise ReductionWindowError(f"input ({x}, {y}) outside the open square")
     y2 = y + lam * u0(x) - mu * lam
     if not -1 < y2 < 1:
@@ -196,14 +190,9 @@ def leading_sum(signs: tuple[int, ...], mu, nu) -> Fraction:
     nu = tuple(Fraction(v) for v in nu)
     total = Fraction(0)
     for j in range(len(mu)):
-        total += _leading_term(j, signs, mu[j], nu[j])
+        e1, e4 = _eps(signs, 2 * j + 1), _eps(signs, 2 * j + 4)
+        total += e1 * (1 - mu[j]) ** 2 - e4 * (1 - nu[j]) ** 2
     return total
-
-
-def _leading_term(j: int, signs: tuple[int, ...], mu_j: Fraction, nu_j: Fraction) -> Fraction:
-    """Block j's term of `leading_sum`; like A_j and b_j it reads only the
-    signs eps_{2j+1} and eps_{2j+4}."""
-    return _eps(signs, 2 * j + 1) * (1 - mu_j) ** 2 - _eps(signs, 2 * j + 4) * (1 - nu_j) ** 2
 
 
 def action_leading(signs: tuple[int, ...], params: EggBeaterParams) -> Fraction:
@@ -219,14 +208,12 @@ def action_exact(record: FixedPointRecord, params: EggBeaterParams) -> Fraction:
     is its first (the flipped height)."""
     if not record.valid:
         raise ValueError("action of an invalid record")
-    return _action_from_points(
-        params.p, params.lam, params.mu, params.nu, record.even_points, record.odd_points
-    )
-
-
-def _kink_distance(coords) -> Fraction:
-    """Distance of shear arguments in [-1, 1] to the kink set {-1, 0, 1}."""
-    return min((min(abs(c), 1 - abs(c)) for c in coords), default=Fraction(0))
+    total = Fraction(0)
+    for j in range(params.p):
+        xv = record.even_points[j][0]
+        xh = record.odd_points[j][0]
+        total += h0(xv) - params.mu[j] * xv + h0(xh) - params.nu[j] * xh
+    return params.lam * total
 
 
 def solve_signed(signs: tuple[int, ...], params: EggBeaterParams) -> FixedPointRecord:
@@ -243,18 +230,37 @@ def _solve_core(
     nu = tuple(Fraction(v) for v in nu)
     if len(signs) != 2 * p or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a vector over {+1, -1} of length 2p")
-    composed = _block(0, signs, lam, mu[0], nu[0])
+    scale = _integer_scale(lam, mu, nu)
+    composed = _block(0, signs, scale)
     for j in range(1, p):
-        composed = _compose(_block(j, signs, lam, mu[j], nu[j]), composed)
-    return _validate(p, lam, mu, nu, signs, composed)
+        composed = _compose(_block(j, signs, scale), composed)
+    return _validate(p, scale, signs, composed)
 
 
-def _block(j: int, signs: tuple[int, ...], lam: Fraction, mu_j: Fraction, nu_j: Fraction) -> tuple:
-    """Block j as bare Fractions: the entries of A_j, then b_j, then the
-    block's term of the leading sum."""
-    (a, b), (c, d) = block_matrix(j, signs, lam).entries
-    v1, v2 = block_vector(j, signs, lam, mu_j, nu_j)
-    return (a, b, c, d, v1, v2, _leading_term(j, signs, mu_j, nu_j))
+def _integer_scale(lam: Fraction, mu: tuple, nu: tuple) -> tuple:
+    """(K, K lam, (K mu_j lam)_j, (K nu_j lam)_j) for the least K > 0 that
+    makes all of them integers; K = 1 when lam, mu_j lam, nu_j lam already are."""
+    shifts = [v * lam for v in mu + nu]
+    k = math.lcm(lam.denominator, *(v.denominator for v in shifts))
+    ints = [v.numerator * (k // v.denominator) for v in shifts]
+    return k, lam.numerator * (k // lam.denominator), ints[:len(mu)], ints[len(mu):]
+
+
+def _block(j: int, signs: tuple[int, ...], scale: tuple) -> tuple:
+    """Block j on the integers of `scale` = (K, K lam, (K mu_i lam)_i,
+    (K nu_i lam)_i): K^2 A_j, then K^{2j+2} b_j, then K^2 lam^2 times the
+    block's term of `leading_sum`.  Composing blocks 0, ..., j in order then
+    gives K^{2j+2} (A, v) for the composed affine map (A, v)."""
+    k, big_lam, big_mu, big_nu = scale
+    e1 = _eps(signs, 2 * j + 1)
+    e4 = _eps(signs, 2 * j + 4)
+    rm = big_lam - big_mu[j]  # K (1 - mu_j) lam
+    rn = big_lam - big_nu[j]
+    lift = k ** (2 * j)
+    return (
+        k * k + e4 * e1 * big_lam * big_lam, -e4 * k * big_lam, -e1 * k * big_lam, k * k,
+        lift * (k * rn - e4 * big_lam * rm), lift * k * rm, e1 * rm * rm - e4 * rn * rn,
+    )
 
 
 def _compose(block: tuple, acc: tuple) -> tuple:
@@ -268,74 +274,95 @@ def _compose(block: tuple, acc: tuple) -> tuple:
     )
 
 
-def _validate(
-    p: int, lam: Fraction, mu: tuple, nu: tuple, signs: tuple[int, ...], composed: tuple
-) -> FixedPointRecord:
-    """Solve (A_bar - id) z = -v0 for the composed affine map (A_bar, v0) and
-    validate z through the checked piecewise map."""
-    a, b, c, d, v1, v2, lead_sum = composed
-    lead = lam / 2 * lead_sum
-    det = (a - 1) * (d - 1) - b * c
-    if det != 2 - (a + d):
+def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> FixedPointRecord:
+    """Solve (A_bar - id) z = -v0 for the composed affine map (A_bar, v0),
+    given as `composed` = K^{2p} (A_bar, v0) by `_block` and `_compose`, and
+    validate z through the checked piecewise map.
+
+    The orbit is carried as integer numerators over one denominator
+    D = lcm(den x0, den y0) K^{2p}, with (K, K lam, K mu_j lam, K nu_j lam) =
+    `scale`: the half-step y' = y + lam (1 - |x|) - mu_j lam reads
+    Y' = Y + (K lam (D - |X|) - K mu_j lam D) / K.  Both numerators start
+    divisible by K^{2p}, and the i-th half-step leaves them divisible by
+    K^{2p-i}, so every division is exact."""
+    k, big_lam, big_mu, big_nu = scale
+    unit = k ** (2 * p)
+    a, b, c, d, v1, v2, lead_num = composed  # lead_num = K^2 lam^2 leading_sum
+    lead = Fraction(lead_num, 2 * k * big_lam)
+    det_num = (a - unit) * (d - unit) - b * c  # K^{4p} det(A_bar - id)
+    if det_num != (2 * unit - (a + d)) * unit:
         raise AssertionError("det(A-id) != 2 - trace(A) for a det-1 matrix")
+    det = Fraction(det_num, unit * unit)
 
     def reject(reason: str) -> FixedPointRecord:
         return FixedPointRecord(
             signs, False, reason, None, (), (), None, lead, det, None
         )
 
-    if det == 0:
+    if det_num == 0:
         return reject("singular system: det(A_bar - id) = 0")
 
     # Cramer's rule
-    x0 = (b * v2 - (d - 1) * v1) / det
-    y0 = (c * v1 - (a - 1) * v2) / det
+    x0 = Fraction(b * v2 - (d - unit) * v1, det_num)
+    y0 = Fraction(c * v1 - (a - unit) * v2, det_num)
 
-    even = [(x0, y0)]
-    try:
-        cur = (x0, y0)
-        for j in range(p):
-            cur = _phi_block(cur[0], cur[1], mu[j], nu[j], lam)
-            even.append(cur)
-    except (ReductionWindowError, ValueError) as e:
-        return reject(f"forward map: {e}")
-    if even[-1] != (x0, y0):
+    den = math.lcm(x0.denominator, y0.denominator) * unit
+    start = (x0.numerator * (den // x0.denominator), y0.numerator * (den // y0.denominator))
+    x, y = start
+    even = [start]
+    for j in range(p):
+        if not (-den < x < den and -den < y < den):
+            return reject(
+                f"forward map: input ({Fraction(x, den)}, {Fraction(y, den)}) "
+                "outside the open square"
+            )
+        y += (big_lam * (den - abs(x)) - big_mu[j] * den) // k
+        if not -den < y < den:
+            return reject(
+                "forward map: vertical reduction window missed: "
+                f"intermediate height {Fraction(y, den)}"
+            )
+        x += (big_lam * (den - abs(y)) - big_nu[j] * den) // k
+        if not -den < x < den:
+            return reject(
+                "forward map: horizontal reduction window missed: "
+                f"intermediate height {Fraction(x, den)}"
+            )
+        even.append((x, y))
+    if even[-1] != start:
         return reject("forward map does not close up on the affine solution")
     even = even[:p]
 
     for j, (x, y) in enumerate(even):
         if x == 0 or y == 0:
             return reject(f"even point {j} has a zero coordinate (sign undefined)")
-        if not _in_open_square(x, y):
+        if not (-den < x < den and -den < y < den):
             return reject(f"even point {j} outside the open square")
         if (1 if x > 0 else -1) != _eps(signs, 2 * j + 1):
             return reject(f"realized sign of x_{2 * j} differs from requested")
         if (1 if y > 0 else -1) != _eps(signs, 2 * j + 2):
             return reject(f"realized sign of y_{2 * j} differs from requested")
 
-    odd = []
-    for j in range(p):
-        y_next = even[(j + 1) % p][1]
-        x_prev = even[j][0]
-        pt = (-y_next, x_prev)
-        if not _in_open_square(*pt):
+    odd = [(-even[(j + 1) % p][1], even[j][0]) for j in range(p)]
+    for j, (x, y) in enumerate(odd):
+        if not (-den < x < den and -den < y < den):
             return reject(f"odd point {j} outside the open square")
-        odd.append(pt)
 
-    kink = _kink_distance([c for pt in even for c in pt])
-    action = _action_from_points(p, lam, mu, nu, even, odd)
-    return FixedPointRecord(
-        signs, True, None, (x0, y0), tuple(even), tuple(odd), action, lead, det, kink
-    )
-
-
-def _action_from_points(p, lam, mu, nu, even_points, odd_points) -> Fraction:
-    total = Fraction(0)
+    kink = min(min(abs(c), den - abs(c)) for pt in even for c in pt)
+    # lam (h0(s) - w s) with s = S/D is (K lam (2DS - S|S|) - 2D (K w lam) S) / (2 K D^2)
+    total = 0
     for j in range(p):
-        xv = even_points[j][0]
-        xh = odd_points[j][0]
-        total += h0(xv) - mu[j] * xv + h0(xh) - nu[j] * xh
-    return lam * total
+        xv, xh = even[j][0], odd[j][0]
+        total += (
+            big_lam * (2 * den * (xv + xh) - xv * abs(xv) - xh * abs(xh))
+            - 2 * den * (big_mu[j] * xv + big_nu[j] * xh)
+        )
+    even_points = [(x0, y0)] + [(Fraction(x, den), Fraction(y, den)) for x, y in even[1:]]
+    odd_points = tuple((-even_points[(j + 1) % p][1], even_points[j][0]) for j in range(p))
+    return FixedPointRecord(
+        signs, True, None, (x0, y0), tuple(even_points), odd_points,
+        Fraction(total, 2 * k * den * den), lead, det, Fraction(kink, den),
+    )
 
 
 def sign_vectors(p: int):
@@ -367,9 +394,10 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
         for e1, e4 in itertools.product((1, -1), repeat=2):
             signs = [1] * n
             signs[2 * j], signs[(2 * j + 3) % n] = e1, e4
-            out.append(_block(j, tuple(signs), lam, mu[j], nu[j]))
+            out.append(_block(j, tuple(signs), scale))
         return out
 
+    scale = _integer_scale(lam, mu, nu)
     table = variants(0)
     for j in range(1, p):
         row = variants(j)
@@ -379,7 +407,7 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
         index = 0
         for j in range(p):
             index = 4 * index + 2 * (signs[2 * j] < 0) + (signs[(2 * j + 3) % n] < 0)
-        records.append(_validate(p, lam, mu, nu, signs, table[index]))
+        records.append(_validate(p, scale, signs, table[index]))
     return records
 
 
@@ -414,20 +442,39 @@ def param_search(p: int, L, max_denominator: int = 10) -> tuple[tuple[Fraction, 
     """First (mu, nu) in the deterministic grid whose 2^{2p} coefficient sums
     are pairwise distinct.
 
-    Equal squares (1 - v)^2 force sum collisions, and v -> (1 - v)^2 is
-    injective on (0, 1), so only tuples of 2p distinct values can qualify
-    (their (mu_i, nu_i) pairs are then distinct too); `permutations` yields
-    exactly those, in the lexicographic order of the full product."""
+    The sums are the signed sums of the 2p squares (1 - v)^2, one sign per
+    square, so they are pairwise distinct exactly when the 2^{2p} subset sums
+    of the squares are.  A depth-first search picks the coordinates in the
+    lexicographic order of `itertools.permutations` over the Farey grid,
+    keeps the subset sums of the chosen prefix and cuts the prefix at its
+    first collision, which every extension keeps.  A repeated value collides
+    at once, and v -> (1 - v)^2 is injective on (0, 1), so the (mu_i, nu_i)
+    pairs of the result are distinct too."""
     L = Fraction(L)
     if L < 4:
         raise ValueError("L must be >= 4")
-    for combo in itertools.permutations(_farey_rationals(max_denominator), 2 * p):
-        mu, nu = combo[:p], combo[p:]
-        if coefficient_sums_distinct(p, mu, nu):
-            return mu, nu
-    raise ValueError(
-        f"no admissible coefficients with denominators <= {max_denominator}; raise the bound"
-    )
+    rats = _farey_rationals(max_denominator)
+    squares = [(1 - v) ** 2 for v in rats]
+    chosen: list[int] = []
+
+    def extend(sums: set) -> bool:
+        if len(chosen) == 2 * p:
+            return True
+        for i, c in enumerate(squares):
+            if any(s + c in sums for s in sums):
+                continue
+            chosen.append(i)
+            if extend(sums | {s + c for s in sums}):
+                return True
+            chosen.pop()
+        return False
+
+    if not extend({Fraction(0)}):
+        raise ValueError(
+            f"no admissible coefficients with denominators <= {max_denominator}; raise the bound"
+        )
+    combo = tuple(rats[i] for i in chosen)
+    return combo[:p], combo[p:]
 
 
 def _lcm_fractions(values) -> Fraction:

@@ -31,6 +31,8 @@ from .persistence import (
 
 
 def frac_str(x) -> str:
+    if type(x) is Fraction:
+        return str(x)
     if is_inf(x):
         return "inf"
     return str(Fraction(x))
@@ -141,6 +143,8 @@ def matrix_to_obj(m: Matrix) -> list[list]:
 
 
 def matrix_from_obj(field: Field, obj, rows: int, cols: int) -> Matrix:
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise ValueError("matrix JSON must be an array of row arrays")
     if len(obj) != rows or any(len(r) != cols for r in obj):
         raise ValueError(f"matrix JSON is not {rows}x{cols}")
     if rows == 0:
@@ -161,8 +165,21 @@ def complex_to_obj(cx: FilteredComplex) -> dict:
     }
 
 
+def _require_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    return obj
+
+
+def _matrix_list(obj, count: int, what: str) -> list:
+    """The JSON array of `count` matrices under the key `what`."""
+    if not isinstance(obj, list) or len(obj) != count:
+        raise ValueError(f"{what} must be an array of {count} matrices")
+    return obj
+
+
 def complex_from_obj(obj) -> FilteredComplex:
-    field = field_from_obj(obj.get("field"))
+    field = field_from_obj(_require_object(obj, "complex").get("field"))
     gens = tuple(
         (parse_frac(g["action"]), parse_int(g["degree"], "degree")) for g in obj["generators"]
     )
@@ -184,12 +201,12 @@ def module_to_obj(module: FinitePersistenceModule) -> dict:
 
 
 def module_from_obj(obj) -> FinitePersistenceModule:
-    field = field_from_obj(obj.get("field"))
+    field = field_from_obj(_require_object(obj, "module").get("field"))
     spectrum = tuple(parse_frac(s) for s in obj["spectrum"])
     dims = tuple(parse_int(d, "dims") for d in obj["dims"])
+    matrices = _matrix_list(obj["transitions"], max(len(dims) - 1, 0), "transitions")
     transitions = tuple(
-        matrix_from_obj(field, t, dims[i + 1], dims[i])
-        for i, t in enumerate(obj["transitions"])
+        matrix_from_obj(field, t, dims[i + 1], dims[i]) for i, t in enumerate(matrices)
     )
     return FinitePersistenceModule(field, spectrum, dims, transitions)
 
@@ -203,13 +220,13 @@ def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
 
 
 def zp_module_from_obj(obj) -> ZpPersistenceModule:
-    p = parse_int(obj["p"], "p")
+    p = parse_int(_require_object(obj, "module")["p"], "p")
     base_obj = dict(obj)
     base_obj.setdefault("field", {"cyclotomic": p})
     base = module_from_obj(base_obj)
     action = tuple(
         matrix_from_obj(base.field, a, base.dims[i], base.dims[i])
-        for i, a in enumerate(obj["action"])
+        for i, a in enumerate(_matrix_list(obj["action"], len(base.dims), "action"))
     )
     return ZpPersistenceModule(p, base, action, degree=parse_int(obj.get("degree", 0), "degree"))
 

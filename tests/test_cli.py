@@ -501,3 +501,40 @@ class TestIntegerFields:
         code, out, _ = run(capsys, "barcode", "bottleneck", str(b), str(b))
         assert code == 0
         assert json.loads(out) == {"bottleneck": "0"}
+
+
+class TestMalformedMatrices:
+    """A matrix must be an array of row arrays, and a module must carry one
+    transition per spectrum point and one action matrix per interval; any
+    other shape exits 1 with an `error:` line."""
+
+    COMPLEX = {
+        "field": "Q",
+        "generators": [{"action": "1", "degree": 0}, {"action": "3", "degree": 1}],
+        "boundary": [["0", "0"], ["0", "0"]],
+    }
+    MODULE = {"p": 2, "spectrum": ["0"], "dims": [0, 1], "transitions": [[[]]],
+              "action": [[], [["1"]]]}
+
+    CASES = {
+        "boundary rows are strings": ("decompose", {**COMPLEX, "boundary": ["01", "00"]}),
+        "boundary row is a number": ("decompose", {**COMPLEX, "boundary": [["0", "0"], 5]}),
+        "boundary is a number": ("decompose", {**COMPLEX, "boundary": 5}),
+        "complex is an array": ("decompose", [COMPLEX]),
+        "action row is a string": ("mu", {**MODULE, "action": [[], ["1"]]}),
+        "extra transition": ("mu", {**MODULE, "transitions": [[[]], []]}),
+        "extra action matrix": ("mu", {**MODULE, "action": [[], [["1"]], []]}),
+    }
+
+    def test_well_formed_inputs_run(self, tmp_path, capsys):
+        for command, obj in (("decompose", self.COMPLEX), ("mu", self.MODULE)):
+            f = tmp_path / f"{command}.json"
+            f.write_text(json.dumps(obj))
+            assert run(capsys, "barcode", command, str(f))[0] == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_one(self, tmp_path, case):
+        command, obj = self.CASES[case]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        assert_clean_error(run_subprocess("barcode", command, str(f)))

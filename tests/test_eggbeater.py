@@ -335,6 +335,10 @@ class TestReferenceSolver:
         (2, (F(1, 2), F(1, 4)), (F(3, 4), F(1, 4)), 3),
         (3, (F(1, 2), F(1, 3), F(1, 5)), (F(1, 7), F(1, 11), F(1, 13)), 2),
         (3, (F(2, 3), F(3, 5), F(1, 7)), (F(5, 11), F(1, 2), F(8, 13)), 1),
+        # numerators 8 and 16: lattice steps 6435/2 and 156009/4, so lambda is
+        # not an integer and the numerators run over K = 2 and K = 4
+        (2, (F(8, 9), F(8, 11)), (F(8, 13), F(8, 15)), 3),
+        (2, (F(16, 17), F(16, 19)), (F(16, 21), F(16, 23)), 4),
     ])
     def test_enumerate_records_on_the_lattice(self, p, mu, nu, count):
         threshold, _ = validation_threshold(p, FIXTURE_L, mu, nu)
@@ -493,6 +497,17 @@ class TestParamSearch:
     @pytest.mark.parametrize("p, max_denominator", [(2, 4), (2, 10), (3, 5)])
     def test_matches_product_scan(self, p, max_denominator):
         assert param_search(p, 4, max_denominator) == self.product_scan(p, max_denominator)
+
+    @pytest.mark.parametrize("p, expected", [
+        (5, ((F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)),
+             (F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(5, 6)))),
+        (7, ((F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 5), F(2, 5)),
+             (F(3, 5), F(4, 5), F(5, 6), F(1, 7), F(2, 7), F(3, 7), F(6, 7)))),
+    ])
+    def test_pinned_results(self, p, expected):
+        # p = 5 is what the permutation walk returned; p = 7 was out of its reach
+        assert param_search(p, 4) == expected
+        assert coefficient_sums_distinct(p, *expected)
 
     def test_exhausted_grid_raises(self):
         # five Farey rationals with denominator <= 4 cannot fill six distinct slots
