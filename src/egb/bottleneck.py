@@ -73,21 +73,26 @@ def _pair_cost(b1: Bar, b2: Bar):
     return max(birth, abs(b1.death - b2.death))
 
 
-def _feasible(bars_b: list[Bar], bars_c: list[Bar], delta) -> bool:
-    """Is there a delta-matching: displacements <= delta, deletions only of
-    bars of length <= 2*delta?"""
-    nb, nc = len(bars_b), len(bars_c)
+def _feasible(cost_ranks: list[list[int]], b_ranks: list[int], c_ranks: list[int],
+              k: int) -> bool:
+    """Is there a delta-matching for delta = the k-th smallest candidate:
+    displacements <= delta, deletions only of bars of length <= 2*delta?
+
+    ``cost_ranks[i][j]`` is the rank among the candidates of the pair cost of
+    B-bar i and C-bar j, and ``b_ranks`` / ``c_ranks`` those of the bars'
+    half-lengths (the candidate count for +inf), so every test is an integer
+    comparison.
+    """
+    nb, nc = len(b_ranks), len(c_ranks)
     # left: B-bars then C-deletion slots; right: C-bars then B-deletion slots
     adjacency: dict = {}
-    for i, bb in enumerate(bars_b):
-        edges = [("c", j) for j, cb in enumerate(bars_c) if _pair_cost(bb, cb) <= delta]
-        if bb.finite and bb.length <= 2 * delta:
+    for i, row in enumerate(cost_ranks):
+        edges = [("c", j) for j, r in enumerate(row) if r <= k]
+        if b_ranks[i] <= k:
             edges.append(("bslot", i))
         adjacency[("b", i)] = edges
-    for j, cb in enumerate(bars_c):
-        edges: list = []
-        if cb.finite and cb.length <= 2 * delta:
-            edges.append(("c", j))
+    for j, r in enumerate(c_ranks):
+        edges = [("c", j)] if r <= k else []
         edges.extend(("bslot", i) for i in range(nb))
         adjacency[("cslot", j)] = edges
     left_order = [("b", i) for i in range(nb)] + [("cslot", j) for j in range(nc)]
@@ -100,33 +105,32 @@ def bottleneck(b: Barcode, c: Barcode):
 
     Realized as a minimum over the finite candidate set {0, endpoint
     displacement costs, half-lengths}: feasibility is monotone in delta and
-    can only change at these values.
+    can only change at these values.  Each pair cost is computed once.
     """
     bars_b = b.bars()
     bars_c = c.bars()
     if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
         return INF
-    candidates = {Fraction(0)}
-    for x in bars_b:
-        if x.finite:
-            candidates.add(x.length / 2)
-    for y in bars_c:
-        if y.finite:
-            candidates.add(y.length / 2)
-    for x in bars_b:
-        for y in bars_c:
-            cost = _pair_cost(x, y)
-            if not is_inf(cost):
-                candidates.add(cost)
-    ordered = sorted(candidates)
+    half_b = [x.length / 2 if x.finite else INF for x in bars_b]
+    half_c = [y.length / 2 if y.finite else INF for y in bars_c]
+    costs = [[_pair_cost(x, y) for y in bars_c] for x in bars_b]
+    candidates = {Fraction(0), *half_b, *half_c, *(cost for row in costs for cost in row)}
+    ordered = sorted(v for v in candidates if not is_inf(v))
+    rank = {v: k for k, v in enumerate(ordered)}
+
+    def ranks(values) -> list[int]:
+        return [rank.get(v, len(ordered)) for v in values]
+
+    cost_ranks = [ranks(row) for row in costs]
+    b_ranks, c_ranks = ranks(half_b), ranks(half_c)
     lo, hi = 0, len(ordered) - 1
-    if not _feasible(bars_b, bars_c, ordered[hi]):
+    if not _feasible(cost_ranks, b_ranks, c_ranks, hi):
         # cannot happen when infinite counts agree: at max candidate all
         # finite bars are deletable and infinite ones pairwise matchable
         return INF
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(bars_b, bars_c, ordered[mid]):
+        if _feasible(cost_ranks, b_ranks, c_ranks, mid):
             hi = mid
         else:
             lo = mid + 1

@@ -246,7 +246,7 @@ def cmd_bounds(args) -> int:
         try:
             tuples = tuple(
                 (ser.parse_frac(t["action"]), ser.parse_int(t.get("degree", 0), "degree"))
-                for t in obj["tuples"]
+                for t in ser.parse_array(obj["tuples"], "tuples", objects=True)
             )
             model_input = mdl.ModelInput(p, tuples)
         except (KeyError, TypeError, ValueError) as e:

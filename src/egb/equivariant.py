@@ -17,7 +17,6 @@ from .field import (
     CyclotomicField,
     CyclotomicNumber,
     Matrix,
-    _is_zero,
     cyclo_one,
     is_prime,
     primitive_roots,
@@ -104,7 +103,7 @@ class EquivariantComplex:
         gens = self.complex.generators
         for j in range(n):
             for i in range(n):
-                if _is_zero(t.entries[i][j]):
+                if not t.entries[i][j]:
                     continue
                 if gens[i][0] != gens[j][0] or gens[i][1] != gens[j][1]:
                     raise ValueError("chain map must preserve action and degree")
@@ -351,7 +350,7 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
         basis[i] = R[j]
         kill[i] = act[j]
     s_cols = [
-        {pos[h]: s_mat.entries[h][g] for h in range(n) if not _is_zero(s_mat.entries[h][g])}
+        {pos[h]: s_mat.entries[h][g] for h in range(n) if s_mat.entries[h][g]}
         for g in order
     ]
     best: Fraction | float = Fraction(0)
@@ -360,7 +359,7 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
         for r, c in basis[x].items():
             for h, e in s_cols[r].items():
                 v = image[h] + c * e if h in image else c * e
-                if _is_zero(v):
+                if not v:
                     image.pop(h, None)
                 else:
                     image[h] = v
@@ -371,7 +370,7 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
             factor = image[y] / basis[y][y]
             for r, e in basis[y].items():
                 v = image[r] - factor * e if r in image else -(factor * e)
-                if _is_zero(v):
+                if not v:
                     image.pop(r, None)
                 else:
                     image[r] = v
@@ -404,11 +403,11 @@ class _SpreadWindow(_WindowData):
                 image = [field.zero()] * len(glob)
                 for col, g in enumerate(glob):
                     v = z[col]
-                    if _is_zero(v):
+                    if not v:
                         continue
                     for row, h in enumerate(glob):
                         e = s_mat.entries[h][g]
-                        if not _is_zero(e):
+                        if e:
                             image[row] = image[row] + e * v
                 images.append(tuple(image))
             out[r] = images

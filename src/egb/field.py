@@ -1,21 +1,24 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_p), p prime.
 
-Rationals are `fractions.Fraction`; cyclotomic numbers are length-(p-1)
-rational coordinate vectors in the basis 1, zeta, ..., zeta^{p-2}, reduced
-modulo 1 + zeta + ... + zeta^{p-1} = 0.  All linear algebra (rank, kernel,
-solve, determinant) is Gaussian elimination with first-nonzero pivoting;
-there is no floating point anywhere in this module.
+Rationals are `fractions.Fraction`.  A cyclotomic number holds p-1 integer
+numerators of the basis 1, zeta, ..., zeta^{p-2} over one positive common
+denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
+Its arithmetic runs on integers: a product is one integer convolution, and
+the inverse is the product of the other Galois conjugates over the norm.
+Both element types test zero by truthiness and invert by ``1 / x``.  All
+linear algebra (rank, kernel, solve, determinant) is Gaussian elimination
+with first-nonzero pivoting; there is no floating point anywhere in this
+module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
-_ZERO_COORDS = {p: (Fraction(0),) * (p - 1) for p in _SUPPORTED_PRIMES}
-_TAIL_ZEROS = {p: (Fraction(0),) * (p - 2) for p in _SUPPORTED_PRIMES}
 
 
 # The first 13 primes as Miller-Rabin bases decide every n below this bound
@@ -50,87 +53,77 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CyclotomicNumber:
-    """Element of Q(zeta_p) as coordinates of 1, zeta, ..., zeta^{p-2}.
+    """Element of Q(zeta_p) as integer numerators of 1, zeta, ..., zeta^{p-2}
+    over one positive denominator.
 
-    Coordinates are always reduced rationals; equality and hashing are
-    coordinate-wise, so canonical form is automatic.
+    `num` holds p-1 ints and `den` > 0 with gcd(den, *num) = 1, so every
+    element has exactly one representation and equality and hashing are
+    coordinate-wise.  `coords` gives the coordinates as Fractions.
+    Instances are immutable.
     """
 
-    p: int
-    coords: tuple[Fraction, ...]
+    __slots__ = ("p", "num", "den")
 
-    def __post_init__(self):
-        if self.p not in _SUPPORTED_PRIMES:
-            raise ValueError(f"p must be a prime <= 13, got {self.p}")
-        if len(self.coords) != self.p - 1:
-            raise ValueError(
-                f"need {self.p - 1} coordinates for p={self.p}, got {len(self.coords)}"
-            )
-        if any(type(c) is not Fraction for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(Fraction(c) for c in self.coords)
-            )
+    def __init__(self, p: int, coords):
+        _check_supported_prime(p)
+        if len(coords) != p - 1:
+            raise ValueError(f"need {p - 1} coordinates for p={p}, got {len(coords)}")
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coords]
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*(f.denominator for f in fracs))
+        _set(self, "p", p)
+        _set(self, "num", tuple(f.numerator * (den // f.denominator) for f in fracs))
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CyclotomicNumber is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     # -- ring structure ----------------------------------------------------
 
-    def _check(self, other: "CyclotomicNumber") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mismatched cyclotomic fields: p={self.p} vs p={other.p}")
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return CyclotomicNumber(
-            self.p, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _cyclo(self.p, [a + b for a, b in zip(self.num, other.num)], d1)
+        return _cyclo(self.p, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return CyclotomicNumber(
-            self.p, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _cyclo(self.p, [a - b for a, b in zip(self.num, other.num)], d1)
+        return _cyclo(self.p, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self):
-        return CyclotomicNumber(self.p, tuple(-a for a in self.coords))
+        return _cyclo(self.p, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        n = self.p - 1
+        p, x, y = self.p, self.num, other.num
+        den = self.den * other.den
         # scalar fast paths (most matrix entries are rational)
-        if self.is_rational():
-            q = self.coords[0]
-            return CyclotomicNumber(self.p, tuple(q * b for b in other.coords))
-        if other.is_rational():
-            q = other.coords[0]
-            return CyclotomicNumber(self.p, tuple(q * a for a in self.coords))
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                conv[i + j] += a * b
-        # zeta^k for k >= p-1 rewrites as -(zeta^{k-p+1})(1 + ... + zeta^{p-2})
-        for k in range(2 * n - 2, n - 1, -1):
-            c = conv[k]
-            if c == 0:
-                continue
-            conv[k] = Fraction(0)
-            base = k - n
-            for t in range(n):
-                conv[base + t] -= c
-        return CyclotomicNumber(self.p, tuple(conv[:n]))
+        if not any(x[1:]):
+            q = x[0]
+            return _cyclo(p, [q * b for b in y], den)
+        if not any(y[1:]):
+            q = y[0]
+            return _cyclo(p, [q * a for a in x], den)
+        return _cyclo(p, _convolve(p, x, y), den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -142,15 +135,21 @@ class CyclotomicNumber:
         return (-self).__add__(other)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = cyclo_one(self.p)
+        result = _ONE[self.p]
         base = self
         while n:
             if n & 1:
@@ -159,42 +158,59 @@ class CyclotomicNumber:
             n >>= 1
         return result
 
-    def _coerce(self, other) -> "CyclotomicNumber":
-        if isinstance(other, CyclotomicNumber):
+    def _operand(self, other) -> "CyclotomicNumber":
+        """`other` as an element of this field, or NotImplemented."""
+        if type(other) is CyclotomicNumber:
+            if other.p != self.p:
+                raise ValueError(f"mismatched cyclotomic fields: p={self.p} vs p={other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return cyclo_from_rational(self.p, Fraction(other))
+            return _cyclo(self.p, (other.numerator,) + _TAIL[self.p], other.denominator)
         return NotImplemented
 
+    def __eq__(self, other):
+        if type(other) is not CyclotomicNumber:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p, self.num, self.den))
+
+    def __bool__(self):
+        return any(self.num)
+
     def is_zero(self) -> bool:
-        return self.coords == _ZERO_COORDS[self.p]
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return self.coords[1:] == _TAIL_ZEROS[self.p]
+        return not any(self.num[1:])
 
     def rational_part(self) -> Fraction:
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, by solving the multiplication-by-self system."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return cyclo_from_rational(self.p, 1 / self.coords[0])
-        n = self.p - 1
-        cols = []
-        power = cyclo_one(self.p)
-        for _ in range(n):
-            cols.append((self * power).coords)
-            power = power * cyclo_zeta(self.p)
-        mat = Matrix.from_rows(
-            RationalField(), [[cols[j][i] for j in range(n)] for i in range(n)]
-        )
-        rhs = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-        sol = mat.solve(rhs)
-        if sol is None:  # impossible in a field; guards logic errors
-            raise ZeroDivisionError("no inverse found")
-        return CyclotomicNumber(self.p, tuple(sol))
+        """Multiplicative inverse in closed form.
+
+        For x = X/den with X integral, 1/x = den * Y / N(X), where Y is the
+        product of the other Galois conjugates sigma_k(X), k = 2..p-1, and
+        the norm N(X) = X * Y is a positive integer: the conjugates come in
+        complex-conjugate pairs, since Q(zeta_p) has no real embedding for
+        odd p (p = 2 only has rationals).
+        """
+        p, num = self.p, self.num
+        if not any(num[1:]):
+            q = num[0]
+            if not q:
+                raise ZeroDivisionError("inverse of zero cyclotomic number")
+            return _cyclo(p, (self.den if q > 0 else -self.den,) + _TAIL[p], abs(q))
+        y = _conjugate(p, num, 2)
+        for k in range(3, p):
+            y = _convolve(p, y, _conjugate(p, num, k))
+        norm = _convolve(p, num, y)[0]
+        return _cyclo(p, [self.den * c for c in y], norm)
+
+    def __repr__(self):
+        return f"CyclotomicNumber(p={self.p!r}, coords={self.coords!r})"
 
     def __str__(self):
         if self.is_zero():
@@ -212,30 +228,84 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _cyclo(p: int, num, den: int) -> CyclotomicNumber:
+    """Internal constructor: integer numerators over den > 0, put in lowest terms."""
+    g = math.gcd(den, *num)
+    x = _new(CyclotomicNumber)
+    _set(x, "p", p)
+    if g == 1:
+        _set(x, "num", tuple(num))
+        _set(x, "den", den)
+    else:
+        _set(x, "num", tuple([a // g for a in num]))
+        _set(x, "den", den // g)
+    return x
+
+
+def _convolve(p: int, x, y) -> list[int]:
+    """Product of two integer coordinate vectors in Z[zeta_p]."""
+    conv = [0] * (2 * p - 1)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                conv[k] += a * b
+    # zeta^{k+p} = zeta^k, and zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    top = conv[p - 1]
+    return [conv[k] + conv[k + p] - top for k in range(p - 1)]
+
+
+def _conjugate(p: int, x, k: int) -> list[int]:
+    """The Galois conjugate sigma_k: zeta^i -> zeta^{ik mod p}, on integer coordinates."""
+    out = [0] * p
+    for i, a in enumerate(x):
+        out[i * k % p] = a
+    top = out[p - 1]
+    return [c - top for c in out[:-1]]
+
+
+def _check_supported_prime(p: int) -> None:
+    if p not in _SUPPORTED_PRIMES:
+        raise ValueError(f"p must be a prime <= 13, got {p}")
+
+
+_TAIL = {p: (0,) * (p - 2) for p in _SUPPORTED_PRIMES}
+_ZERO = {p: _cyclo(p, (0,) * (p - 1), 1) for p in _SUPPORTED_PRIMES}
+_ONE = {p: _cyclo(p, (1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
+
+
 def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
-    coords = [Fraction(q)] + [Fraction(0)] * (p - 2)
-    return CyclotomicNumber(p, tuple(coords))
+    _check_supported_prime(p)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return _cyclo(p, (q.numerator,) + _TAIL[p], q.denominator)
 
 
 def cyclo_zero(p: int) -> CyclotomicNumber:
-    return cyclo_from_rational(p, 0)
+    _check_supported_prime(p)
+    return _ZERO[p]
 
 
 def cyclo_one(p: int) -> CyclotomicNumber:
-    return cyclo_from_rational(p, 1)
+    _check_supported_prime(p)
+    return _ONE[p]
 
 
 def cyclo_zeta(p: int, k: int = 1) -> CyclotomicNumber:
-    """zeta_p^k as a coordinate vector (zeta^{p-1} reduced into the basis)."""
+    """zeta_p^k (zeta^{p-1} reduced into the basis)."""
+    _check_supported_prime(p)
     k %= p
     if k == 0:
-        return cyclo_one(p)
+        return _ONE[p]
+    num = [0] * (p - 1)
     if k <= p - 2:
-        coords = [Fraction(0)] * (p - 1)
-        coords[k] = Fraction(1)
-        return CyclotomicNumber(p, tuple(coords))
-    # k == p-1: zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
-    return CyclotomicNumber(p, tuple([Fraction(-1)] * (p - 1)))
+        num[k] = 1
+    else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+        num = [-1] * (p - 1)
+    return _cyclo(p, num, 1)
 
 
 def primitive_roots(p: int) -> list[CyclotomicNumber]:
@@ -261,6 +331,8 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, x) -> Fraction:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, CyclotomicNumber):
             if not x.is_rational():
                 raise ValueError(f"{x} is not rational")
@@ -281,16 +353,15 @@ class CyclotomicField:
     """Marker for Q(zeta_p)."""
 
     def __init__(self, p: int):
-        if p not in _SUPPORTED_PRIMES:
-            raise ValueError(f"p must be a prime <= 13, got {p}")
+        _check_supported_prime(p)
         self.p = p
         self.name = f"Q(zeta_{p})"
 
     def zero(self) -> CyclotomicNumber:
-        return cyclo_zero(self.p)
+        return _ZERO[self.p]
 
     def one(self) -> CyclotomicNumber:
-        return cyclo_one(self.p)
+        return _ONE[self.p]
 
     def zeta(self, k: int = 1) -> CyclotomicNumber:
         return cyclo_zeta(self.p, k)
@@ -300,7 +371,7 @@ class CyclotomicField:
             if x.p != self.p:
                 raise ValueError(f"element of Q(zeta_{x.p}) in Q(zeta_{self.p}) matrix")
             return x
-        return cyclo_from_rational(self.p, Fraction(x))
+        return cyclo_from_rational(self.p, x)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.p == self.p
@@ -315,18 +386,6 @@ class CyclotomicField:
 Field = Union[RationalField, CyclotomicField]
 
 QQ_FIELD = RationalField()
-
-
-def _is_zero(x: Element) -> bool:
-    if isinstance(x, CyclotomicNumber):
-        return x.is_zero()
-    return x == 0
-
-
-def _inv(x: Element) -> Element:
-    if isinstance(x, CyclotomicNumber):
-        return x.inverse()
-    return 1 / x
 
 
 # -- matrices ---------------------------------------------------------------
@@ -378,7 +437,7 @@ class Matrix:
         return Matrix(
             self.field, self.rows, self.cols,
             tuple(
-                tuple(a + b for a, b in zip(r1, r2))
+                tuple(a + b if b else a for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
         )
@@ -388,7 +447,7 @@ class Matrix:
         return Matrix(
             self.field, self.rows, self.cols,
             tuple(
-                tuple(a - b for a, b in zip(r1, r2))
+                tuple(a - b if b else a for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
         )
@@ -418,13 +477,13 @@ class Matrix:
         out = []
         for i in range(self.rows):
             row_i = self.entries[i]
-            nonzero = [(k, a) for k, a in enumerate(row_i) if not _is_zero(a)]
+            nonzero = [(k, a) for k, a in enumerate(row_i) if a]
             row = []
             for j in range(other.cols):
                 acc = z
                 for k, a in nonzero:
                     b = other.entries[k][j]
-                    if _is_zero(b):
+                    if not b:
                         continue
                     acc = acc + a * b
                 row.append(acc)
@@ -441,7 +500,7 @@ class Matrix:
             acc = z
             for k in range(self.cols):
                 a = self.entries[i][k]
-                if _is_zero(a):
+                if not a:
                     continue
                 acc = acc + a * vec[k]
             out.append(acc)
@@ -478,7 +537,7 @@ class Matrix:
         return result
 
     def is_zero(self) -> bool:
-        return all(_is_zero(a) for row in self.entries for a in row)
+        return not any(a for row in self.entries for a in row)
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -514,7 +573,7 @@ class Matrix:
         for piv_c in range(self.cols):
             sel = None
             for r in range(piv_r, self.rows):
-                if not _is_zero(m[r][piv_c]):
+                if m[r][piv_c]:
                     sel = r
                     break
             if sel is None:
@@ -523,10 +582,10 @@ class Matrix:
                 m[piv_r], m[sel] = m[sel], m[piv_r]
                 if t is not None:
                     t[piv_r], t[sel] = t[sel], t[piv_r]
-            fp_inv = _inv(m[piv_r][piv_c])
+            fp_inv = 1 / m[piv_r][piv_c]
             for r in range(piv_r + 1, self.rows):
                 fr = m[r][piv_c]
-                if _is_zero(fr):
+                if not fr:
                     continue
                 factor = fr * fp_inv
                 for c in range(piv_c, self.cols):
@@ -556,7 +615,7 @@ class Matrix:
         for k in range(self.rows):
             sel = None
             for r in range(k, self.rows):
-                if not _is_zero(m[r][k]):
+                if m[r][k]:
                     sel = r
                     break
             if sel is None:
@@ -565,9 +624,9 @@ class Matrix:
                 m[k], m[sel] = m[sel], m[k]
                 sign = -sign
             det = det * m[k][k]
-            pk_inv = _inv(m[k][k])
+            pk_inv = 1 / m[k][k]
             for r in range(k + 1, self.rows):
-                if _is_zero(m[r][k]):
+                if not m[r][k]:
                     continue
                 factor = m[r][k] * pk_inv
                 for c in range(k, self.cols):
@@ -580,7 +639,7 @@ class Matrix:
         pivot_set = set(pivots)
         free_cols = [c for c in range(self.cols) if c not in pivot_set]
         z, o = self.field.zero(), self.field.one()
-        piv_inv = {r: _inv(m[r][pivots[r]]) for r in range(len(pivots))}
+        piv_inv = {r: 1 / m[r][pivots[r]] for r in range(len(pivots))}
         basis = []
         for fc in free_cols:
             sol = [z] * self.cols
@@ -590,7 +649,7 @@ class Matrix:
                 pc = pivots[r]
                 acc = z
                 for c in range(pc + 1, self.cols):
-                    if _is_zero(m[r][c]) or _is_zero(sol[c]):
+                    if not m[r][c] or not sol[c]:
                         continue
                     acc = acc + m[r][c] * sol[c]
                 sol[pc] = -acc * piv_inv[r]
@@ -605,7 +664,7 @@ class Matrix:
         m, t, pivots = self._echelon([[x] for x in rhs])
         # consistency: zero rows of echelon must have zero rhs
         for r in range(len(pivots), self.rows):
-            if not _is_zero(t[r][0]):
+            if t[r][0]:
                 return None
         z = self.field.zero()
         sol = [z] * self.cols
@@ -613,7 +672,7 @@ class Matrix:
             pc = pivots[r]
             acc = t[r][0]
             for c in range(pc + 1, self.cols):
-                if _is_zero(m[r][c]) or _is_zero(sol[c]):
+                if not m[r][c] or not sol[c]:
                     continue
                 acc = acc - m[r][c] * sol[c]
             sol[pc] = acc / m[r][pc]

@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Field, Matrix, _is_zero
+from .field import Field, Matrix
 
 INF = float("inf")
 
@@ -386,7 +386,7 @@ class FilteredComplex:
             raise ValueError("boundary over wrong field")
         for j in range(n):
             for i in range(n):
-                if _is_zero(self.boundary.entries[i][j]):
+                if not self.boundary.entries[i][j]:
                     continue
                 if gens[i][1] != gens[j][1] - 1:
                     raise ValueError(
@@ -426,7 +426,7 @@ def _reduce(complex_: FilteredComplex):
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for j, g in enumerate(order):
-        col = {pos[i]: entries[i][g] for i in range(n) if not _is_zero(entries[i][g])}
+        col = {pos[i]: entries[i][g] for i in range(n) if entries[i][g]}
         vcol = {j: complex_.field.one()}
         while col:
             low = max(col)
@@ -439,7 +439,7 @@ def _reduce(complex_: FilteredComplex):
             for target, source in ((col, R[k]), (vcol, V[k])):
                 for r, v in source.items():
                     nv = target[r] - factor * v if r in target else -(factor * v)
-                    if _is_zero(nv):
+                    if not nv:
                         target.pop(r, None)
                     else:
                         target[r] = nv
@@ -615,11 +615,11 @@ def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
     out = [field.zero()] * len(dst_glob)
     for i, g in enumerate(src_glob):
         v = vec[i]
-        if _is_zero(v):
+        if not v:
             continue
         for h in range(len(complex_.generators)):
             e = complex_.boundary.entries[h][g]
-            if _is_zero(e):
+            if not e:
                 continue
             if h in look:
                 out[look[h]] = out[look[h]] + v * e

@@ -66,6 +66,16 @@ def parse_int(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def parse_array(x, what: str, objects: bool = False) -> list:
+    """A JSON array field, of JSON objects when ``objects``; a string is
+    refused rather than read as its characters."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON array")
+    if objects and not all(isinstance(item, dict) for item in x):
+        raise ValueError(f"every entry of {what} must be a JSON object")
+    return x
+
+
 # -- barcodes -------------------------------------------------------------------
 
 
@@ -82,10 +92,8 @@ def barcode_to_obj(barcode: Barcode) -> list[dict]:
 
 
 def barcode_from_obj(obj) -> Barcode:
-    if not isinstance(obj, list):
-        raise ValueError("barcode JSON must be an array of bar objects")
     entries = []
-    for item in obj:
+    for item in parse_array(obj, "barcode JSON", objects=True):
         birth = parse_frac(item["birth"])
         death = parse_frac(item["death"], allow_inf=True)
         mult = parse_int(item.get("mult", 1), "mult")
@@ -181,7 +189,8 @@ def _matrix_list(obj, count: int, what: str) -> list:
 def complex_from_obj(obj) -> FilteredComplex:
     field = field_from_obj(_require_object(obj, "complex").get("field"))
     gens = tuple(
-        (parse_frac(g["action"]), parse_int(g["degree"], "degree")) for g in obj["generators"]
+        (parse_frac(g["action"]), parse_int(g["degree"], "degree"))
+        for g in parse_array(obj["generators"], "generators", objects=True)
     )
     n = len(gens)
     boundary = matrix_from_obj(field, obj["boundary"], n, n)
@@ -202,8 +211,8 @@ def module_to_obj(module: FinitePersistenceModule) -> dict:
 
 def module_from_obj(obj) -> FinitePersistenceModule:
     field = field_from_obj(_require_object(obj, "module").get("field"))
-    spectrum = tuple(parse_frac(s) for s in obj["spectrum"])
-    dims = tuple(parse_int(d, "dims") for d in obj["dims"])
+    spectrum = tuple(parse_frac(s) for s in parse_array(obj["spectrum"], "spectrum"))
+    dims = tuple(parse_int(d, "dims") for d in parse_array(obj["dims"], "dims"))
     matrices = _matrix_list(obj["transitions"], max(len(dims) - 1, 0), "transitions")
     transitions = tuple(
         matrix_from_obj(field, t, dims[i + 1], dims[i]) for i, t in enumerate(matrices)

@@ -5,6 +5,7 @@ The seed comes from EGB_SEED (default 0) so failures reproduce exactly.
 
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from egb.equivariant import (
     zp_direct_sum,
 )
 from egb.eggbeater import _eps, leading_sum, sign_vectors
-from egb.field import CyclotomicField, Matrix, _is_zero, cyclo_zeta
+from egb.field import CyclotomicField, Matrix, RationalField, cyclo_zeta
 from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
 from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF, is_inf
@@ -200,14 +201,14 @@ def random_equivariant_complex(rng, p: int, field=QQ_FIELD, max_blocks: int = 3)
             e = add(act, deg, p)
             for i in range(p):
                 for j in range(p):
-                    if not _is_zero(perm[i][j]):
+                    if perm[i][j]:
                         chain[(e + i, e + j)] = perm[i][j]
             killer = rng.choice(["none", "block"] + (["antisymmetric"] if p == 2 else []))
             if killer == "block":
                 f = add(act + gap, deg + 1, p)
                 for i in range(p):
                     for j in range(p):
-                        if not _is_zero(perm[i][j]):
+                        if perm[i][j]:
                             chain[(f + i, f + j)] = perm[i][j]
                 # boundary sum_m c_m P^m commutes with the permutation P
                 coeffs = [rng.randint(-1, 2) for _ in range(p)]
@@ -317,7 +318,7 @@ def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
             if not src.keep:
                 continue
             s_images = src.apply_chain_map(s_mat)
-            if all(_is_zero(x) for images in s_images.values() for v in images for x in v):
+            if not any(x for images in s_images.values() for v in images for x in v):
                 continue
             for i2 in range(i1, g):
                 for j2 in range(j1, g):
@@ -424,3 +425,199 @@ def build_model(model_input: ModelInput) -> ZpPersistenceModule:
         action.append(Matrix.from_rows(field, ent) if ent else Matrix.zeros(field, 0, 0))
     base = FinitePersistenceModule(field, spectrum, dims, tuple(transitions))
     return ZpPersistenceModule(p, base, tuple(action))
+
+
+# -- Q(zeta_p) oracle ------------------------------------------------------------
+
+_FRAC_PRIMES = (2, 3, 5, 7, 11, 13)
+_ZERO_COORDS = {p: (Fraction(0),) * (p - 1) for p in _FRAC_PRIMES}
+_TAIL_ZEROS = {p: (Fraction(0),) * (p - 2) for p in _FRAC_PRIMES}
+
+
+@dataclass(frozen=True)
+class FracCyclotomicNumber:
+    """Element of Q(zeta_p) as Fraction coordinates of 1, zeta, ..., zeta^{p-2}:
+    the differential oracle of `egb.field.CyclotomicNumber`.
+
+    Coordinates are always reduced rationals; equality and hashing are
+    coordinate-wise, so canonical form is automatic.
+    """
+
+    p: int
+    coords: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if self.p not in _FRAC_PRIMES:
+            raise ValueError(f"p must be a prime <= 13, got {self.p}")
+        if len(self.coords) != self.p - 1:
+            raise ValueError(
+                f"need {self.p - 1} coordinates for p={self.p}, got {len(self.coords)}"
+            )
+        if any(type(c) is not Fraction for c in self.coords):
+            object.__setattr__(
+                self, "coords", tuple(Fraction(c) for c in self.coords)
+            )
+
+    # -- ring structure ----------------------------------------------------
+
+    def _check(self, other: "FracCyclotomicNumber") -> None:
+        if self.p != other.p:
+            raise ValueError(f"mismatched cyclotomic fields: p={self.p} vs p={other.p}")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return FracCyclotomicNumber(
+            self.p, tuple(a + b for a, b in zip(self.coords, other.coords))
+        )
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return FracCyclotomicNumber(
+            self.p, tuple(a - b for a, b in zip(self.coords, other.coords))
+        )
+
+    def __neg__(self):
+        return FracCyclotomicNumber(self.p, tuple(-a for a in self.coords))
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        n = self.p - 1
+        # scalar fast paths (most matrix entries are rational)
+        if self.is_rational():
+            q = self.coords[0]
+            return FracCyclotomicNumber(self.p, tuple(q * b for b in other.coords))
+        if other.is_rational():
+            q = other.coords[0]
+            return FracCyclotomicNumber(self.p, tuple(q * a for a in self.coords))
+        conv = [Fraction(0)] * (2 * n - 1)
+        for i, a in enumerate(self.coords):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coords):
+                if b == 0:
+                    continue
+                conv[i + j] += a * b
+        # zeta^k for k >= p-1 rewrites as -(zeta^{k-p+1})(1 + ... + zeta^{p-2})
+        for k in range(2 * n - 2, n - 1, -1):
+            c = conv[k]
+            if c == 0:
+                continue
+            conv[k] = Fraction(0)
+            base = k - n
+            for t in range(n):
+                conv[base + t] -= c
+        return FracCyclotomicNumber(self.p, tuple(conv[:n]))
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = frac_cyclo_one(self.p)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def _coerce(self, other) -> "FracCyclotomicNumber":
+        if isinstance(other, FracCyclotomicNumber):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return frac_cyclo_from_rational(self.p, Fraction(other))
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return self.coords == _ZERO_COORDS[self.p]
+
+    def is_rational(self) -> bool:
+        return self.coords[1:] == _TAIL_ZEROS[self.p]
+
+    def rational_part(self) -> Fraction:
+        return self.coords[0]
+
+    def inverse(self) -> "FracCyclotomicNumber":
+        """Multiplicative inverse, by solving the multiplication-by-self system."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        if self.is_rational():
+            return frac_cyclo_from_rational(self.p, 1 / self.coords[0])
+        n = self.p - 1
+        cols = []
+        power = frac_cyclo_one(self.p)
+        for _ in range(n):
+            cols.append((self * power).coords)
+            power = power * frac_cyclo_zeta(self.p)
+        mat = Matrix.from_rows(
+            RationalField(), [[cols[j][i] for j in range(n)] for i in range(n)]
+        )
+        rhs = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
+        sol = mat.solve(rhs)
+        if sol is None:  # impossible in a field; guards logic errors
+            raise ZeroDivisionError("no inverse found")
+        return FracCyclotomicNumber(self.p, tuple(sol))
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coords):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append(f"{c}*z")
+            else:
+                parts.append(f"{c}*z^{i}")
+        return " + ".join(parts)
+
+
+def frac_cyclo_from_rational(p: int, q) -> FracCyclotomicNumber:
+    coords = [Fraction(q)] + [Fraction(0)] * (p - 2)
+    return FracCyclotomicNumber(p, tuple(coords))
+
+
+def frac_cyclo_zero(p: int) -> FracCyclotomicNumber:
+    return frac_cyclo_from_rational(p, 0)
+
+
+def frac_cyclo_one(p: int) -> FracCyclotomicNumber:
+    return frac_cyclo_from_rational(p, 1)
+
+
+def frac_cyclo_zeta(p: int, k: int = 1) -> FracCyclotomicNumber:
+    """zeta_p^k as a coordinate vector (zeta^{p-1} reduced into the basis)."""
+    k %= p
+    if k == 0:
+        return frac_cyclo_one(p)
+    if k <= p - 2:
+        coords = [Fraction(0)] * (p - 1)
+        coords[k] = Fraction(1)
+        return FracCyclotomicNumber(p, tuple(coords))
+    # k == p-1: zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
+    return FracCyclotomicNumber(p, tuple([Fraction(-1)] * (p - 1)))

@@ -538,3 +538,45 @@ class TestMalformedMatrices:
         f = tmp_path / "in.json"
         f.write_text(json.dumps(obj))
         assert_clean_error(run_subprocess("barcode", command, str(f)))
+
+
+class TestMalformedArrays:
+    """An array field given as a string (or any non-array), and an entry of
+    generators, tuples or bars that is not an object, exit 1 with an
+    `error:` line that names the field."""
+
+    COMPLEX = TestMalformedMatrices.COMPLEX
+    MODULE = TestMalformedMatrices.MODULE
+    BAR = {"birth": "0", "death": "1"}
+
+    CASES = {
+        "spectrum and dims are strings": (
+            "mu", {**MODULE, "spectrum": "0", "dims": "01"}, "spectrum must be a JSON array"),
+        "dims is a string": ("mu", {**MODULE, "dims": "01"}, "dims must be a JSON array"),
+        "generators is a string": (
+            "decompose", {**COMPLEX, "generators": "ab"}, "generators must be a JSON array"),
+        "generator is a string": (
+            "decompose", {**COMPLEX, "generators": ["a", "b"]}, "generators must be a JSON object"),
+        "tuples is a string": ("bounds", {"tuples": "ab"}, "tuples must be a JSON array"),
+        "tuple is a string": ("bounds", {"tuples": ["a"]}, "tuples must be a JSON object"),
+        "barcode is an object": ("bottleneck", BAR, "barcode JSON must be a JSON array"),
+        "bar is a string": ("bottleneck", [BAR, "a"], "barcode JSON must be a JSON object"),
+    }
+
+    @staticmethod
+    def argv(command: str, path: str) -> list[str]:
+        return {
+            "mu": ["barcode", "mu", path],
+            "decompose": ["barcode", "decompose", path],
+            "bounds": ["bounds", "--p", "2", "--file", path],
+            "bottleneck": ["barcode", "bottleneck", path, path],
+        }[command]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_one(self, tmp_path, case):
+        command, obj, message = self.CASES[case]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        proc = run_subprocess(*self.argv(command, str(f)))
+        assert_clean_error(proc)
+        assert message in proc.stderr

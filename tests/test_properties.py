@@ -1,0 +1,85 @@
+"""Property tests: the JSON codecs round-trip field elements, matrices and
+Z_p modules, and Q(zeta_p) is a field.  Derandomized, so every run draws
+the same examples."""
+
+import json
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
+from egb.serialize import (
+    element_from_obj,
+    element_to_obj,
+    matrix_from_obj,
+    matrix_to_obj,
+    zp_module_from_obj,
+    zp_module_to_obj,
+)
+
+from conftest import random_zp_module
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+primes = st.sampled_from((2, 3, 5, 7, 11, 13))
+rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@st.composite
+def cyclotomic(draw, p):
+    return CyclotomicNumber(p, draw(st.lists(rationals, min_size=p - 1, max_size=p - 1)))
+
+
+@st.composite
+def field_and_element(draw):
+    if draw(st.booleans()):
+        return QQ_FIELD, draw(rationals)
+    p = draw(primes)
+    return CyclotomicField(p), draw(cyclotomic(p))
+
+
+@st.composite
+def cyclotomic_matrix(draw):
+    p = draw(primes)
+    field = CyclotomicField(p)
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if rows == 0:
+        return Matrix.zeros(field, 0, cols)
+    entries = draw(st.lists(st.lists(cyclotomic(p), min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    return Matrix.from_rows(field, entries)
+
+
+@PROPERTY
+@given(field_and_element())
+def test_element_round_trip(field_element):
+    field, x = field_element
+    assert element_from_obj(field, through_json(element_to_obj(x))) == x
+
+
+@PROPERTY
+@given(cyclotomic_matrix())
+def test_matrix_round_trip(m):
+    obj = through_json(matrix_to_obj(m))
+    assert matrix_from_obj(m.field, obj, m.rows, m.cols) == m
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 2 ** 32))
+def test_zp_module_round_trip(p, seed):
+    module = random_zp_module(random.Random(seed), p, max_blocks=3)
+    assert zp_module_from_obj(through_json(zp_module_to_obj(module))) == module
+
+
+@PROPERTY
+@given(primes.flatmap(lambda p: st.tuples(cyclotomic(p), cyclotomic(p), cyclotomic(p))))
+def test_field_axioms(abc):
+    a, b, c = abc
+    one = CyclotomicField(a.p).one()
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * a.inverse() == one
