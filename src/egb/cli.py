@@ -64,6 +64,13 @@ def _load_json(path: str):
         raise InputError(f"invalid JSON in {path}: {e}") from e
 
 
+def _load_object(path: str) -> dict:
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"the top level of {path} must be a JSON object")
+    return obj
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -86,6 +93,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
     leads = sorted(r.action_leading for r in records)
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min(b - a for a, b in zip(leads, leads[1:])) / lam
+    objs = [ser.record_to_obj(r) for r in records]
     diag = {
         "p": p,
         "L": ser.frac_str(L),
@@ -98,10 +106,10 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
         "expected_count": 4 ** p,
         "min_action_gap": ser.frac_str(gap),
         "min_leading_gap_per_lambda": ser.frac_str(lead_gap),
-        "det_values": {r.label(): ser.frac_str(r.det) for r in records},
-        "records": [ser.record_to_obj(r) for r in records],
+        "det_values": {o["signs"]: o["det"] for o in objs},
+        "records": objs,
     }
-    csv_text = ser.records_to_csv(records)
+    csv_text = ser.records_to_csv(objs)
     if out_dir is not None:
         stem = f"eggbeater_lam_{lam.numerator}_{lam.denominator}"
         (out_dir / f"{stem}.csv").write_text(csv_text)
@@ -154,14 +162,15 @@ def cmd_eggbeater_2d(args) -> int:
         records = eb.solve_2d(mu, nu, lam, L)
     except ValueError as e:
         raise InputError(str(e)) from e
+    objs = [ser.record_to_obj(r) for r in records]
     if args.format == "csv":
-        _emit(ser.records_to_csv(records), args.out)
+        _emit(ser.records_to_csv(objs), args.out)
     else:
         obj = {
             "mu": ser.frac_str(mu),
             "nu": ser.frac_str(nu),
             "lambda": ser.frac_str(lam),
-            "records": [ser.record_to_obj(r) for r in records],
+            "records": objs,
         }
         _emit(_dump(obj), args.out)
     return 0
@@ -207,17 +216,13 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_spread(args) -> int:
-    obj = _load_json(args.file)
-    try:
-        cx = ser.complex_from_obj(obj["complex"])
-        p = ser.parse_int(obj["p"], "p")
-        k = _k_or_p(args.k, p)
-        n = len(cx.generators)
-        chain_map = ser.matrix_from_obj(cx.field, obj["chain_map"], n, n)
-        eq = EquivariantComplex(p, cx, chain_map)
-        value = w_spread(eq, k)
-    except (KeyError, ValueError) as e:
-        raise InputError(str(e)) from e
+    obj = _load_object(args.file)
+    cx = ser.complex_from_obj(obj["complex"])
+    p = ser.parse_int(obj["p"], "p")
+    k = _k_or_p(args.k, p)
+    n = len(cx.generators)
+    chain_map = ser.matrix_from_obj(cx.field, obj["chain_map"], n, n)
+    value = w_spread(EquivariantComplex(p, cx, chain_map), k)
     out = {"w_spread": ser.frac_str(value)}
     if is_inf(value):
         out["note"] = "model-degenerate, use spread_lower_bound_from_gaps"
@@ -242,14 +247,14 @@ def cmd_bounds(args) -> int:
         except ValueError as e:
             raise InputError(f"bad betti vector {args.stabilize!r}") from e
     if args.file:
-        obj = _load_json(args.file)
+        obj = _load_object(args.file)
         try:
             tuples = tuple(
                 (ser.parse_frac(t["action"]), ser.parse_int(t.get("degree", 0), "degree"))
                 for t in ser.parse_array(obj["tuples"], "tuples", objects=True)
             )
             model_input = mdl.ModelInput(p, tuples)
-        except (KeyError, TypeError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise InputError(f"bad tuples file: {e}") from e
         if not tuples:
             raise InputError("tuples file is empty")
@@ -408,7 +413,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        msg = f"missing field {e.args[0]!r}" if isinstance(e, KeyError) else e
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -151,26 +151,20 @@ def _induced_module(
     module: ZpPersistenceModule, prefixes: list[list], bases: list[list]
 ) -> FinitePersistenceModule:
     """The module span(bases[i]) modulo span(prefixes[i]) with the induced
-    transitions: each image is solved in the frame prefixes[i+1] + bases[i+1]
-    of the next interval, and its coordinates past the prefix are kept."""
-    field = module.field
+    transitions: the images of bases[i] are solved in the frame
+    prefixes[i+1] + bases[i+1] of the next interval, all in one elimination,
+    and their coordinates past the prefix are kept."""
+    field, dims = module.field, module.base.dims
     transitions = []
     for i, t in enumerate(module.base.transitions):
         prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
-        if not dst:
-            transitions.append(Matrix.zeros(field, 0, len(src)))
-            continue
-        frame = Matrix.from_columns(field, prefix + dst, module.base.dims[i + 1])
-        cols = []
-        for v in src:
-            coords = frame.solve(t.apply(v))
-            if coords is None:
-                raise ValueError("transition does not preserve the induced subspace")
-            cols.append(coords[len(prefix):])
-        transitions.append(Matrix.from_columns(field, cols, len(dst)) if cols
-                           else Matrix.zeros(field, len(dst), 0))
-    dims = tuple(len(b) for b in bases)
-    return FinitePersistenceModule(field, module.base.spectrum, dims, tuple(transitions))
+        frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
+        coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
+        if coords is None:
+            raise ValueError("transition does not preserve the induced subspace")
+        transitions.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
+    return FinitePersistenceModule(field, module.base.spectrum,
+                                   tuple(len(b) for b in bases), tuple(transitions))
 
 
 # -- the multiplicity sensitive spread ---------------------------------------

@@ -6,9 +6,11 @@ denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
 Its arithmetic runs on integers: a product is one integer convolution, and
 the inverse is the product of the other Galois conjugates over the norm.
 Both element types test zero by truthiness and invert by ``1 / x``.  All
-linear algebra (rank, kernel, solve, determinant) is Gaussian elimination
-with first-nonzero pivoting; there is no floating point anywhere in this
-module.
+linear algebra reads one elimination: `Matrix._echelon`, a forward pass with
+first-nonzero pivoting, and one shared back substitution.  Rank is the pivot
+count, the determinant the signed product of the pivots, and a kernel, solve,
+solve_matrix or inverse back-substitutes each column of one echelon pass.
+There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -527,12 +529,19 @@ class Matrix:
             raise ValueError("matrix power of non-square matrix")
         if n < 0:
             raise ValueError("negative matrix power")
-        result = Matrix.identity(self.field, self.rows)
+        if n == 0:
+            return Matrix.identity(self.field, self.rows)
+        # start from the lowest set bit's power; square only while bits remain
         base = self
+        while not n & 1:
+            base = base @ base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base @ base
             if n & 1:
                 result = result @ base
-            base = base @ base
             n >>= 1
         return result
 
@@ -560,15 +569,22 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _echelon(self, aug: list[list[Element]] | None = None):
-        """Row echelon form with first-nonzero pivoting.
+    def _echelon(self, aug=()):
+        """Row echelon form with first-nonzero pivoting: the module's one
+        forward elimination.
 
-        Returns (echelon rows, augmented rows echelonized alongside,
-        pivot column list).
+        The rows of ``aug`` (right-hand-side columns, one row per row of this
+        matrix) are appended to the rows and reduced alongside; pivots are
+        sought among this matrix's columns only.  Returns (echelon rows,
+        pivot column list, parity of the row swaps).
         """
         m = [list(row) for row in self.entries]
-        t = [list(row) for row in aug] if aug is not None else None
+        for row, extra in zip(m, aug):
+            row.extend(extra)
+        width = len(m[0]) if m else self.cols
+        z = self.field.zero()
         pivots: list[int] = []
+        odd = False
         piv_r = 0
         for piv_c in range(self.cols):
             sel = None
@@ -580,79 +596,69 @@ class Matrix:
                 continue
             if sel != piv_r:
                 m[piv_r], m[sel] = m[sel], m[piv_r]
-                if t is not None:
-                    t[piv_r], t[sel] = t[sel], t[piv_r]
-            fp_inv = 1 / m[piv_r][piv_c]
+                odd = not odd
+            prow = m[piv_r]
+            fp_inv = 1 / prow[piv_c]
+            rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
             for r in range(piv_r + 1, self.rows):
-                fr = m[r][piv_c]
+                row = m[r]
+                fr = row[piv_c]
                 if not fr:
                     continue
                 factor = fr * fp_inv
-                for c in range(piv_c, self.cols):
-                    m[r][c] = m[r][c] - factor * m[piv_r][c]
-                if t is not None:
-                    for c in range(len(t[r])):
-                        t[r][c] = t[r][c] - factor * t[piv_r][c]
+                row[piv_c] = z
+                for c, a in rest:
+                    row[c] = row[c] - factor * a
             pivots.append(piv_c)
             piv_r += 1
             if piv_r == self.rows:
                 break
-        return m, t, pivots
+        return m, pivots, odd
+
+    def _back_substitute(self, m, pivots, rhs) -> list:
+        """The solution of the echelon system with right-hand side ``rhs`` (one
+        value per pivot row) that sets every free variable to 0."""
+        sol = [self.field.zero()] * self.cols
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            row = m[r]
+            acc = rhs[r]
+            for c in range(pc + 1, self.cols):
+                if row[c] and sol[c]:
+                    acc = acc - row[c] * sol[c]
+            sol[pc] = acc / row[pc]
+        return sol
 
     def rank(self) -> int:
-        _, _, pivots = self._echelon()
-        return len(pivots)
+        return len(self._echelon()[1])
 
     def det(self) -> Element:
-        """Determinant via elimination (square matrices)."""
+        """Determinant: the signed product of the echelon pivots (square matrices)."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        if self.rows == 0:
-            return self.field.one()
-        m = [list(row) for row in self.entries]
-        sign = 1
+        m, pivots, odd = self._echelon()
+        if len(pivots) < self.rows:
+            return self.field.zero()
         det = self.field.one()
-        for k in range(self.rows):
-            sel = None
-            for r in range(k, self.rows):
-                if m[r][k]:
-                    sel = r
-                    break
-            if sel is None:
-                return self.field.zero()
-            if sel != k:
-                m[k], m[sel] = m[sel], m[k]
-                sign = -sign
-            det = det * m[k][k]
-            pk_inv = 1 / m[k][k]
-            for r in range(k + 1, self.rows):
-                if not m[r][k]:
-                    continue
-                factor = m[r][k] * pk_inv
-                for c in range(k, self.cols):
-                    m[r][c] = m[r][c] - factor * m[k][c]
-        return det if sign == 1 else -det
+        for r in range(self.rows):
+            det = det * m[r][r]
+        return -det if odd else det
 
     def kernel_basis(self) -> list[tuple]:
-        """Basis of the null space; empty iff the matrix is injective."""
-        m, _, pivots = self._echelon()
+        """Basis of the null space; empty iff the matrix is injective.
+
+        One vector per free column fc: the back substitution of -(column fc),
+        with the free variable fc then set to 1.
+        """
+        m, pivots, _ = self._echelon()
         pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
-        piv_inv = {r: 1 / m[r][pivots[r]] for r in range(len(pivots))}
+        one = self.field.one()
         basis = []
-        for fc in free_cols:
-            sol = [z] * self.cols
-            sol[fc] = o
-            # back-substitute pivot variables, bottom pivot row first
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                acc = z
-                for c in range(pc + 1, self.cols):
-                    if not m[r][c] or not sol[c]:
-                        continue
-                    acc = acc + m[r][c] * sol[c]
-                sol[pc] = -acc * piv_inv[r]
+        for fc in range(self.cols):
+            if fc in pivot_set:
+                continue
+            sol = self._back_substitute(m, pivots, [-m[r][fc] for r in range(len(pivots))])
+            sol[fc] = one
             basis.append(tuple(sol))
         return basis
 
@@ -660,35 +666,23 @@ class Matrix:
         """One solution of self @ x = rhs, or None if the system is inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError(f"rhs of length {len(rhs)} for {self.rows}x{self.cols}")
-        rhs = tuple(self.field.coerce(x) for x in rhs)
-        m, t, pivots = self._echelon([[x] for x in rhs])
-        # consistency: zero rows of echelon must have zero rhs
-        for r in range(len(pivots), self.rows):
-            if t[r][0]:
-                return None
-        z = self.field.zero()
-        sol = [z] * self.cols
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            acc = t[r][0]
-            for c in range(pc + 1, self.cols):
-                if not m[r][c] or not sol[c]:
-                    continue
-                acc = acc - m[r][c] * sol[c]
-            sol[pc] = acc / m[r][pc]
-        return tuple(sol)
+        sol = self.solve_matrix(Matrix(self.field, self.rows, 1, tuple((x,) for x in rhs)))
+        return None if sol is None else sol.column(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix | None":
-        """Solve self @ X = rhs column by column; None if any column fails."""
+        """Solve self @ X = rhs, all columns from one elimination of
+        [self | rhs]; None if any column is inconsistent."""
         if rhs.rows != self.rows:
             raise ValueError("solve_matrix shape mismatch")
-        cols = []
-        for j in range(rhs.cols):
-            sol = self.solve(rhs.column(j))
-            if sol is None:
-                return None
-            cols.append(sol)
-        return Matrix.from_columns(self.field, cols, self.cols)
+        coerce = self.field.coerce
+        m, pivots, _ = self._echelon([[coerce(x) for x in row] for row in rhs.entries])
+        n, k = self.cols, len(pivots)
+        # consistency: the zero rows of the echelon form must have zero rhs
+        if any(x for row in m[k:] for x in row[n:]):
+            return None
+        cols = [self._back_substitute(m, pivots, [m[r][n + j] for r in range(k)])
+                for j in range(rhs.cols)]
+        return Matrix.from_columns(self.field, cols, n)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -697,4 +691,3 @@ class Matrix:
         if inv is None:
             raise ValueError("matrix is singular")
         return inv
-

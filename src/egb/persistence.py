@@ -546,7 +546,7 @@ def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
     them: the pivot columns past the basis in one echelon form of
     [basis | candidates], since a column is a pivot exactly when it is
     independent of the columns before it."""
-    _, _, pivots = Matrix.from_columns(field, basis + candidates, dim)._echelon()
+    _, pivots, _ = Matrix.from_columns(field, basis + candidates, dim)._echelon()
     k = len(basis)
     return [candidates[c - k] for c in pivots if c >= k]
 
@@ -561,15 +561,14 @@ def induced_homology_rank(
     """Rank of an induced map on homology, without choosing homology bases.
 
     ``images`` are the chain-level images of a cycle basis of the source; the
-    rank is rank[images | B_dst] - rank[B_dst].  (Well-defined because the
-    chain map sends boundaries to boundaries.)
+    rank is rank[images | B_dst] - rank[B_dst] (well-defined because the chain
+    map sends boundaries to boundaries): the number of images that one echelon
+    of [B_dst | images] keeps past the boundary columns.
     """
     if not src_cycles or dst_dim == 0:
         return 0
-    img_mat = Matrix.from_columns(field, images, dst_dim)
-    if dst_boundary.cols == 0:
-        return img_mat.rank()
-    return img_mat.hstack(dst_boundary).rank() - dst_boundary.rank()
+    boundaries = [dst_boundary.column(j) for j in range(dst_boundary.cols)]
+    return len(_extend_basis(field, boundaries, images, dst_dim))
 
 
 class _WindowData:

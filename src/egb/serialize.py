@@ -246,16 +246,14 @@ def zp_module_from_obj(obj) -> ZpPersistenceModule:
 CSV_HEADER = "signs,x0,y0,action_exact,action_leading,det,valid,rejection_reason"
 
 
-def records_to_csv(records) -> str:
+def records_to_csv(objs) -> str:
+    """CSV rows of records already formatted by `record_to_obj`."""
     lines = [CSV_HEADER]
-    for r in records:
-        x0 = frac_str(r.point[0]) if r.point else ""
-        y0 = frac_str(r.point[1]) if r.point else ""
-        action = frac_str(r.action) if r.action is not None else ""
-        reason = (r.reason or "").replace(",", ";")
+    for o in objs:
+        reason = (o["rejection_reason"] or "").replace(",", ";")
         lines.append(
-            f"{r.label()},{x0},{y0},{action},{frac_str(r.action_leading)},"
-            f"{frac_str(r.det)},{str(r.valid).lower()},{reason}"
+            f"{o['signs']},{o['x0'] or ''},{o['y0'] or ''},{o['action_exact'] or ''},"
+            f"{o['action_leading']},{o['det']},{str(o['valid']).lower()},{reason}"
         )
     return "\n".join(lines) + "\n"
 

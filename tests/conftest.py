@@ -34,6 +34,19 @@ def rng():
     return random.Random(SEED)
 
 
+def count_calls(monkeypatch, cls, name: str) -> list:
+    """Record each call of cls.name (its positional arguments) in a list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def rand_frac(rng, lo=-8, hi=8, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

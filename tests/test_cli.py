@@ -580,3 +580,46 @@ class TestMalformedArrays:
         proc = run_subprocess(*self.argv(command, str(f)))
         assert_clean_error(proc)
         assert message in proc.stderr
+
+
+class TestMissingFields:
+    """A missing JSON field is named in the error, and the top level of a
+    `bounds --file` or `spread` input must be a JSON object."""
+
+    COMPLEX = TestMalformedMatrices.COMPLEX
+    MODULE = TestMalformedMatrices.MODULE
+    SPREAD = {"complex": COMPLEX, "p": 2, "chain_map": [["1", "0"], ["0", "1"]]}
+
+    CASES = {
+        "module without spectrum": (
+            ["barcode", "mu"], {k: v for k, v in MODULE.items() if k != "spectrum"},
+            "missing field 'spectrum'"),
+        "generator without degree": (
+            ["barcode", "decompose"], {**COMPLEX, "generators": [{"action": "1"}]},
+            "missing field 'degree'"),
+        "tuple without action": (
+            ["bounds", "--p", "2", "--file"], {"tuples": [{"degree": 0}]},
+            "missing field 'action'"),
+        "tuples file without tuples": (
+            ["bounds", "--p", "2", "--file"], {}, "missing field 'tuples'"),
+        "tuples file is an array": (
+            ["bounds", "--p", "2", "--file"], [{"tuples": []}], "must be a JSON object"),
+        "spread without chain_map": (
+            ["spread"], {k: v for k, v in SPREAD.items() if k != "chain_map"},
+            "missing field 'chain_map'"),
+        "spread input is an array": (["spread"], [SPREAD], "must be a JSON object"),
+    }
+
+    def test_well_formed_spread_runs(self, tmp_path, capsys):
+        f = tmp_path / "spread.json"
+        f.write_text(json.dumps(self.SPREAD))
+        assert run(capsys, "spread", str(f))[0] == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_one(self, tmp_path, case):
+        argv, obj, message = self.CASES[case]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        proc = run_subprocess(*argv, str(f))
+        assert_clean_error(proc)
+        assert message in proc.stderr

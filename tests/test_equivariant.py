@@ -41,6 +41,7 @@ from egb.persistence import (
 from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
+    count_calls,
     rand_frac,
     random_equivariant_complex,
     random_zp_module,
@@ -122,6 +123,23 @@ class TestQuotientFix:
                 ]
                 for i in range(len(q.dims)):
                     assert q.dims[i] == sum(e.dims[i] for e in eigens)
+
+
+class TestInducedModuleSolves:
+    """Each transition of an eigenspace or quotient module comes from one
+    `solve_matrix` of the whole basis, with no per-vector `solve`."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_solve_matrix_per_transition(self, rng, monkeypatch, p):
+        solves = count_calls(monkeypatch, Matrix, "solve")
+        solve_matrices = count_calls(monkeypatch, Matrix, "solve_matrix")
+        for _ in range(4):
+            m = random_zp_module(rng, p, max_blocks=3)
+            for build in [quotient_fix_module] + [
+                    lambda m, k=k: eigenspace_module(m, cyclo_zeta(p, k)) for k in range(p)]:
+                del solves[:], solve_matrices[:]
+                build(m)
+                assert (len(solves), len(solve_matrices)) == (0, len(m.base.transitions))
 
 
 class TestMuP:

@@ -16,7 +16,7 @@ from egb.field import (
     primitive_roots,
 )
 
-from conftest import rand_frac
+from conftest import count_calls, rand_frac
 
 
 class TestIsPrime:
@@ -204,3 +204,139 @@ class TestLinearAlgebra:
         assert len(primitive_roots(5)) == 4
         for z in primitive_roots(5):
             assert (z ** 5) == cyclo_one(5)
+
+
+FIELDS = [QQ_FIELD] + [CyclotomicField(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+def rand_entry(rng, field):
+    if field == QQ_FIELD or rng.random() < 0.5:
+        return field.coerce(rand_frac(rng, -3, 3, 2)) if rng.random() < 0.7 else field.zero()
+    return rand_cyclo(rng, field.p, -2, 2)
+
+
+def rand_matrix(rng, field, rows: int, cols: int, rank: int | None = None) -> Matrix:
+    """Random matrix; of rank at most ``rank`` (a product through that
+    inner dimension) when it is given."""
+    if rank is not None:
+        return rand_matrix(rng, field, rows, rank) @ rand_matrix(rng, field, rank, cols)
+    return Matrix(field, rows, cols, tuple(tuple(rand_entry(rng, field) for _ in range(cols))
+                                           for _ in range(rows)))
+
+
+def cofactor_det(m: Matrix):
+    """Determinant by Laplace expansion along the first row: no elimination."""
+    if m.rows == 0:
+        return m.field.one()
+    det = m.field.zero()
+    for j in range(m.cols):
+        if m[0, j]:
+            minor = Matrix(m.field, m.rows - 1, m.cols - 1, tuple(
+                row[:j] + row[j + 1:] for row in m.entries[1:]))
+            term = m[0, j] * cofactor_det(minor)
+            det = det - term if j % 2 else det + term
+    return det
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+class TestOneElimination:
+    """solve_matrix, inverse and det, each read off one echelon pass, against
+    per-column solves and a cofactor-expansion oracle."""
+
+    def shapes(self, rng):
+        for _ in range(12):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            yield rows, cols, rng.choice((None, rng.randint(0, min(rows, cols))))
+
+    def test_solve_matrix_equals_per_column_solve(self, rng, field):
+        for rows, cols, rank in self.shapes(rng):
+            m = rand_matrix(rng, field, rows, cols, rank)
+            width = rng.randint(0, 3)
+            # columns in the image of m, or random ones (inconsistent when m is not onto)
+            if rng.random() < 0.5:
+                rhs = m @ rand_matrix(rng, field, cols, width)
+            else:
+                rhs = rand_matrix(rng, field, rows, width)
+            sols = [m.solve(rhs.column(j)) for j in range(width)]
+            got = m.solve_matrix(rhs)
+            if any(s is None for s in sols):
+                assert got is None
+                continue
+            assert got == Matrix.from_columns(field, sols, cols)
+            assert m @ got == rhs
+
+    def test_inconsistent_column_gives_none(self, rng, field):
+        for rows, cols, _ in self.shapes(rng):
+            if rows == 0:
+                continue
+            m = rand_matrix(rng, field, rows, cols, rank=min(rows - 1, cols))
+            good = m.apply(tuple(rand_entry(rng, field) for _ in range(cols)))
+            # a vector outside the image: the first one the rank test rejects
+            bad = next(v for v in Matrix.identity(field, rows).entries
+                       if Matrix.from_columns(field, [*(m.column(j) for j in range(cols)), v],
+                                              rows).rank() > m.rank())
+            assert m.solve(bad) is None
+            assert m.solve_matrix(Matrix.from_columns(field, [good, bad], rows)) is None
+            assert m.solve_matrix(Matrix.from_columns(field, [good], rows)) is not None
+
+    def test_inverse_equals_per_column_solve(self, rng, field):
+        for n in range(5):
+            for rank in (n, max(n - 1, 0)):
+                m = rand_matrix(rng, field, n, n, rank)
+                det = m.det()
+                assert det == cofactor_det(m)
+                if not det:
+                    with pytest.raises(ValueError, match="matrix is singular"):
+                        m.inverse()
+                    continue
+                cols = [m.solve(e) for e in Matrix.identity(field, n).entries]
+                inv = m.inverse()
+                assert inv == Matrix.from_columns(field, cols, n)
+                assert m @ inv == Matrix.identity(field, n)
+
+    def test_det_equals_cofactor_expansion(self, rng, field):
+        for _ in range(12):
+            n = rng.randint(0, 4)
+            m = rand_matrix(rng, field, n, n, rng.choice((None, rng.randint(0, n))))
+            assert m.det() == cofactor_det(m)
+
+    def test_shape_errors_stay(self, field):
+        m = Matrix.zeros(field, 2, 3)
+        for method in (m.det, m.inverse):
+            with pytest.raises(ValueError, match="non-square"):
+                method()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.solve_matrix(Matrix.zeros(field, 3, 1))
+
+    def test_inverse_and_solve_matrix_eliminate_once(self, rng, monkeypatch, field):
+        n = 4
+        m = rand_matrix(rng, field, n, n)
+        while not m.det():
+            m = rand_matrix(rng, field, n, n)
+        rhs = rand_matrix(rng, field, n, 3)
+        calls = count_calls(monkeypatch, Matrix, "_echelon")
+        m.inverse()
+        assert len(calls) == 1
+        m.solve_matrix(rhs)
+        assert len(calls) == 2
+
+
+class TestMatpow:
+    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(5)], ids=repr)
+    def test_products_and_values(self, rng, monkeypatch, field):
+        a = rand_matrix(rng, field, 3, 3)
+        powers = [Matrix.identity(field, 3)]
+        for _ in range(9):
+            powers.append(powers[-1] @ a)
+        calls = count_calls(monkeypatch, Matrix, "__matmul__")
+        for n in range(10):
+            before = len(calls)
+            assert a.matpow(n) == powers[n]
+            expected = n.bit_length() + bin(n).count("1") - 2 if n else 0
+            assert len(calls) - before == expected
+
+    def test_rejects_negative_and_non_square(self):
+        with pytest.raises(ValueError, match="negative"):
+            Matrix.identity(QQ_FIELD, 2).matpow(-1)
+        with pytest.raises(ValueError, match="non-square"):
+            Matrix.zeros(QQ_FIELD, 2, 3).matpow(2)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from egb.field import Matrix, QQ_FIELD
+from egb.field import CyclotomicField, Matrix, QQ_FIELD
 from egb.persistence import (
     Bar,
     Barcode,
@@ -13,6 +13,7 @@ from egb.persistence import (
     barcode_of_complex,
     barcode_of_module,
     direct_sum,
+    induced_homology_rank,
     les_check,
     longest_finite_bar,
     module_from_barcode,
@@ -20,7 +21,7 @@ from egb.persistence import (
     window_homology,
 )
 
-from conftest import rand_barcode, random_filtered_complex
+from conftest import count_calls, rand_barcode, rand_frac, random_filtered_complex
 
 
 def forget_degrees(barcode: Barcode) -> Barcode:
@@ -286,3 +287,31 @@ class TestBarcodeContainers:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             Barcode(((Bar(0, 1), 0, None),))
+
+
+class TestInducedHomologyRank:
+    """One echelon of [B | images] against rank[images | B] - rank[B]."""
+
+    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3)], ids=repr)
+    def test_equals_rank_difference(self, rng, monkeypatch, field):
+        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        for _ in range(60):
+            dim = rng.randint(1, 5)
+            # boundary columns of rank at most r; images mix new vectors and boundaries
+            r = rng.randint(0, dim)
+            basis = [tuple(field.coerce(rand_frac(rng, -2, 2, 2)) for _ in range(dim))
+                     for _ in range(r)]
+            boundary_cols = [
+                tuple(sum((field.coerce(rng.randint(-1, 1)) * v[i] for v in basis), field.zero())
+                      for i in range(dim))
+                for _ in range(rng.randint(0, 4))]
+            boundary = Matrix(field, dim, len(boundary_cols), tuple(
+                tuple(col[i] for col in boundary_cols) for i in range(dim)))
+            images = [rng.choice(boundary_cols) if boundary_cols and rng.random() < 0.3
+                      else tuple(field.coerce(rand_frac(rng, -2, 2, 2)) for _ in range(dim))
+                      for _ in range(rng.randint(1, 4))]
+            expected = (Matrix.from_columns(field, images + boundary_cols, dim).rank()
+                        - boundary.rank())
+            del echelons[:]
+            assert induced_homology_rank(field, images, images, boundary, dim) == expected
+            assert len(echelons) == 1

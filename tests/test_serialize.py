@@ -19,6 +19,7 @@ from egb.serialize import (
     module_from_obj,
     module_to_obj,
     parse_frac,
+    record_to_obj,
     records_to_csv,
     zp_module_from_obj,
     zp_module_to_obj,
@@ -99,7 +100,7 @@ class TestCsv:
     def test_sixteen_rows(self):
         lam = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
         records = enumerate_records(fixture_params(lam))
-        text = records_to_csv(records)
+        text = records_to_csv([record_to_obj(r) for r in records])
         lines = text.strip().split("\n")
         assert len(lines) == 17  # header + 16
         assert lines[0].startswith("signs,")
