@@ -90,7 +90,8 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
     records = eb.enumerate_records(params)
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
-    leads = sorted(r.action_leading for r in records)
+    leads = [r.action_leading for r in records]
+    leads.sort(key=eb._exact_key(leads))
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min(b - a for a, b in zip(leads, leads[1:])) / lam
     objs = [ser.record_to_obj(r) for r in records]

@@ -126,18 +126,35 @@ class EggBeaterParams:
 @dataclass(frozen=True)
 class FixedPointRecord:
     """One sign-indexed solution attempt, VALID only when the checked
-    piecewise map closes up exactly with matching signs."""
+    piecewise map closes up exactly with matching signs.
+
+    A valid record stores its p even points (x_{2j}, y_{2j}); the start
+    point and the odd points are derived from them when read.  A rejected
+    record stores no points, so its `point` is None and its `odd_points`
+    are empty."""
 
     signs: tuple[int, ...]
     valid: bool
     reason: str | None
-    point: tuple[Fraction, Fraction] | None
     even_points: tuple[tuple[Fraction, Fraction], ...]
-    odd_points: tuple[tuple[Fraction, Fraction], ...]
     action: Fraction | None
     action_leading: Fraction
     det: Fraction
     kink_distance: Fraction | None
+
+    @property
+    def point(self) -> tuple[Fraction, Fraction] | None:
+        """The start point (x_0, y_0): the first even point."""
+        return self.even_points[0] if self.even_points else None
+
+    @property
+    def odd_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(x_{2j+1}, y_{2j+1}) = (-y_{2j+2}, x_{2j}), indices mod 2p: the
+        intermediate point (x_{2j}, y_{2j+2}) of block j, turned by
+        (x, y) -> (-y, x) into the square of the horizontal shear."""
+        even = self.even_points
+        p = len(even)
+        return tuple((-even[(j + 1) % p][1], even[j][0]) for j in range(p))
 
     def label(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)
@@ -295,9 +312,7 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     det = Fraction(det_num, unit * unit)
 
     def reject(reason: str) -> FixedPointRecord:
-        return FixedPointRecord(
-            signs, False, reason, None, (), (), None, lead, det, None
-        )
+        return FixedPointRecord(signs, False, reason, (), None, lead, det, None)
 
     if det_num == 0:
         return reject("singular system: det(A_bar - id) = 0")
@@ -338,30 +353,32 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
             return reject(f"even point {j} has a zero coordinate (sign undefined)")
         if not (-den < x < den and -den < y < den):
             return reject(f"even point {j} outside the open square")
-        if (1 if x > 0 else -1) != _eps(signs, 2 * j + 1):
+        if (1 if x > 0 else -1) != signs[2 * j]:
             return reject(f"realized sign of x_{2 * j} differs from requested")
-        if (1 if y > 0 else -1) != _eps(signs, 2 * j + 2):
+        if (1 if y > 0 else -1) != signs[2 * j + 1]:
             return reject(f"realized sign of y_{2 * j} differs from requested")
 
-    odd = [(-even[(j + 1) % p][1], even[j][0]) for j in range(p)]
-    for j, (x, y) in enumerate(odd):
+    for j in range(p):
+        x, y = -even[(j + 1) % p][1], even[j][0]
         if not (-den < x < den and -den < y < den):
             return reject(f"odd point {j} outside the open square")
 
-    kink = min(min(abs(c), den - abs(c)) for pt in even for c in pt)
-    # lam (h0(s) - w s) with s = S/D is (K lam (2DS - S|S|) - 2D (K w lam) S) / (2 K D^2)
-    total = 0
-    for j in range(p):
-        xv, xh = even[j][0], odd[j][0]
-        total += (
-            big_lam * (2 * den * (xv + xh) - xv * abs(xv) - xh * abs(xh))
-            - 2 * den * (big_mu[j] * xv + big_nu[j] * xh)
-        )
-    even_points = [(x0, y0)] + [(Fraction(x, den), Fraction(y, den)) for x, y in even[1:]]
-    odd_points = tuple((-even_points[(j + 1) % p][1], even_points[j][0]) for j in range(p))
+    xs = [x for x, _ in even]
+    ys = [y for _, y in even]
+    mags = [abs(c) for c in xs + ys]
+    kink = min(min(mags), den - max(mags))
+    # lam (h0(s) - w s) with s = S/D is (K lam (2DS - S|S|) - 2D (K w lam) S) / (2 K D^2);
+    # the horizontal segment j flows x_{2j+1} = -y_{2j+2}, so the sums run over
+    # the even points with the y terms negated
+    total = 2 * den * (
+        big_lam * (sum(xs) - sum(ys))
+        - sum(w * x for w, x in zip(big_mu, xs))
+        + sum(w * y for w, y in zip(big_nu, ys[1:] + ys[:1]))
+    ) - big_lam * sum(x * abs(x) for x in xs) + big_lam * sum(y * abs(y) for y in ys)
+    even_points = ((x0, y0),) + tuple((Fraction(x, den), Fraction(y, den)) for x, y in even[1:])
     return FixedPointRecord(
-        signs, True, None, (x0, y0), tuple(even_points), odd_points,
-        Fraction(total, 2 * k * den * den), lead, det, Fraction(kink, den),
+        signs, True, None, even_points, Fraction(total, 2 * k * den * den), lead, det,
+        Fraction(kink, den),
     )
 
 
@@ -411,13 +428,35 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
     return records
 
 
+def _exact_key(values):
+    """An exact integer sort key for Fractions among `values`: numerator
+    times (common denominator of `values` / own denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return lambda v: v.numerator * (den // v.denominator)
+
+
 def min_action_gap(records) -> Fraction | float:
-    """Minimum pairwise distance of the exact actions of VALID records."""
-    actions = [r.action for r in records if r.valid]
-    if len(actions) < 2:
+    """Minimum pairwise distance of the exact actions of VALID records.
+
+    The actions are first put in the order of their leading terms, sorted
+    on the integer key of `_exact_key`.  An action is its leading term plus
+    a bounded correction, so wherever the leading order holds the exact sort
+    that follows is about one merge pass."""
+    valid = [r for r in records if r.valid]
+    if len(valid) < 2:
         return INF
+    key = _exact_key([r.action_leading for r in valid])
+    actions = [r.action for r in sorted(valid, key=lambda r: key(r.action_leading))]
     actions.sort()
-    return min(b - a for a, b in zip(actions, actions[1:]))
+    # the differences stay unreduced, (n, d) < (n', d') iff n d' < n' d, and
+    # only the minimum is reduced: a gcd per difference would cost more
+    best = None
+    for a, b in zip(actions, actions[1:]):
+        n = b.numerator * a.denominator - a.numerator * b.denominator
+        d = a.denominator * b.denominator
+        if best is None or n * best[1] < best[0] * d:
+            best = (n, d)
+    return Fraction(*best)
 
 
 def coefficient_sums_distinct(p: int, mu, nu) -> bool:

@@ -576,7 +576,7 @@ class Matrix:
         The rows of ``aug`` (right-hand-side columns, one row per row of this
         matrix) are appended to the rows and reduced alongside; pivots are
         sought among this matrix's columns only.  Returns (echelon rows,
-        pivot column list, parity of the row swaps).
+        pivot column list, inverse of each pivot, parity of the row swaps).
         """
         m = [list(row) for row in self.entries]
         for row, extra in zip(m, aug):
@@ -584,6 +584,7 @@ class Matrix:
         width = len(m[0]) if m else self.cols
         z = self.field.zero()
         pivots: list[int] = []
+        inverses = []
         odd = False
         piv_r = 0
         for piv_c in range(self.cols):
@@ -610,14 +611,16 @@ class Matrix:
                 for c, a in rest:
                     row[c] = row[c] - factor * a
             pivots.append(piv_c)
+            inverses.append(fp_inv)
             piv_r += 1
             if piv_r == self.rows:
                 break
-        return m, pivots, odd
+        return m, pivots, inverses, odd
 
-    def _back_substitute(self, m, pivots, rhs) -> list:
+    def _back_substitute(self, m, pivots, inverses, rhs) -> list:
         """The solution of the echelon system with right-hand side ``rhs`` (one
-        value per pivot row) that sets every free variable to 0."""
+        value per pivot row) that sets every free variable to 0; each pivot
+        row multiplies by the pivot inverse `_echelon` computed."""
         sol = [self.field.zero()] * self.cols
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
@@ -626,7 +629,7 @@ class Matrix:
             for c in range(pc + 1, self.cols):
                 if row[c] and sol[c]:
                     acc = acc - row[c] * sol[c]
-            sol[pc] = acc / row[pc]
+            sol[pc] = acc * inverses[r]
         return sol
 
     def rank(self) -> int:
@@ -636,7 +639,7 @@ class Matrix:
         """Determinant: the signed product of the echelon pivots (square matrices)."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m, pivots, odd = self._echelon()
+        m, pivots, _, odd = self._echelon()
         if len(pivots) < self.rows:
             return self.field.zero()
         det = self.field.one()
@@ -650,14 +653,15 @@ class Matrix:
         One vector per free column fc: the back substitution of -(column fc),
         with the free variable fc then set to 1.
         """
-        m, pivots, _ = self._echelon()
+        m, pivots, inverses, _ = self._echelon()
         pivot_set = set(pivots)
         one = self.field.one()
         basis = []
         for fc in range(self.cols):
             if fc in pivot_set:
                 continue
-            sol = self._back_substitute(m, pivots, [-m[r][fc] for r in range(len(pivots))])
+            sol = self._back_substitute(m, pivots, inverses,
+                                        [-m[r][fc] for r in range(len(pivots))])
             sol[fc] = one
             basis.append(tuple(sol))
         return basis
@@ -675,12 +679,12 @@ class Matrix:
         if rhs.rows != self.rows:
             raise ValueError("solve_matrix shape mismatch")
         coerce = self.field.coerce
-        m, pivots, _ = self._echelon([[coerce(x) for x in row] for row in rhs.entries])
+        m, pivots, inverses, _ = self._echelon([[coerce(x) for x in row] for row in rhs.entries])
         n, k = self.cols, len(pivots)
         # consistency: the zero rows of the echelon form must have zero rhs
         if any(x for row in m[k:] for x in row[n:]):
             return None
-        cols = [self._back_substitute(m, pivots, [m[r][n + j] for r in range(k)])
+        cols = [self._back_substitute(m, pivots, inverses, [m[r][n + j] for r in range(k)])
                 for j in range(rhs.cols)]
         return Matrix.from_columns(self.field, cols, n)
 

@@ -546,7 +546,7 @@ def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
     them: the pivot columns past the basis in one echelon form of
     [basis | candidates], since a column is a pivot exactly when it is
     independent of the columns before it."""
-    _, pivots, _ = Matrix.from_columns(field, basis + candidates, dim)._echelon()
+    _, pivots, _, _ = Matrix.from_columns(field, basis + candidates, dim)._echelon()
     k = len(basis)
     return [candidates[c - k] for c in pivots if c >= k]
 

@@ -258,15 +258,25 @@ def records_to_csv(objs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _negated(s: str) -> str:
+    """frac_str(-x), given s = frac_str(x) of a nonzero rational x: a stored
+    point has no zero coordinate, since `_validate` rejects one."""
+    return s[1:] if s[0] == "-" else "-" + s
+
+
 def record_to_obj(r: FixedPointRecord) -> dict:
+    """Each coordinate is formatted once: the start point and the odd
+    points (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
+    even = [[frac_str(x), frac_str(y)] for x, y in r.even_points]
+    p = len(even)
     return {
         "signs": r.label(),
         "valid": r.valid,
         "rejection_reason": r.reason,
-        "x0": frac_str(r.point[0]) if r.point else None,
-        "y0": frac_str(r.point[1]) if r.point else None,
-        "even_points": [[frac_str(x), frac_str(y)] for x, y in r.even_points],
-        "odd_points": [[frac_str(x), frac_str(y)] for x, y in r.odd_points],
+        "x0": even[0][0] if even else None,
+        "y0": even[0][1] if even else None,
+        "even_points": even,
+        "odd_points": [[_negated(even[(j + 1) % p][1]), even[j][0]] for j in range(p)],
         "action_exact": frac_str(r.action) if r.action is not None else None,
         "action_leading": frac_str(r.action_leading),
         "det": frac_str(r.det),

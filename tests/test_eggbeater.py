@@ -12,6 +12,7 @@ from egb.eggbeater import (
     FixedPointRecord,
     ReductionWindowError,
     _enumerate_core,
+    _exact_key,
     _farey_rationals,
     _solve_core,
     action_exact,
@@ -37,6 +38,7 @@ from egb.eggbeater import (
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
 from egb.persistence import is_inf
+from egb.serialize import frac_str, record_to_obj
 
 from conftest import asymptotic_limit, block_parabolic_factors, eps_bar, min_leading_gap
 
@@ -48,7 +50,20 @@ def rand_signs(rng, p):
 def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
     """The solver on `Matrix`: products of the block matrices, the O(p^2)
     sum of transported block vectors, `Matrix.solve` and `phi_block`.  The
-    oracle the shared-prefix solver is pinned to."""
+    oracle the shared-prefix solver is pinned to; the start point and odd
+    points the record derives must be the ones the oracle computed."""
+    record, point, odd = reference_orbit(p, lam, mu, nu, signs)
+    assert record.point == point
+    assert record.odd_points == odd
+    return record
+
+
+def reference_orbit(p, lam, mu, nu, signs):
+    """(record, start point, odd points) of `reference_solve`, the points as
+    the oracle computes them: the start point from `Matrix.solve`, odd point
+    j as the intermediate point (x_{2j}, y') of block j's vertical half-step,
+    turned by (x, y) -> (-y, x) into the horizontal square.  A rejected
+    record has start point None and no odd points."""
     lam = F(lam)
     mu = tuple(F(v) for v in mu)
     nu = tuple(F(v) for v in nu)
@@ -63,7 +78,7 @@ def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
     assert det == 2 - (a_bar[0, 0] + a_bar[1, 1])
 
     def reject(reason):
-        return FixedPointRecord(signs, False, reason, None, (), (), None, lead, det, None)
+        return FixedPointRecord(signs, False, reason, (), None, lead, det, None), None, ()
 
     if det == 0:
         return reject("singular system: det(A_bar - id) = 0")
@@ -92,7 +107,7 @@ def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
             return reject(f"realized sign of x_{2 * j} differs from requested")
         if (1 if y > 0 else -1) != signs[2 * j + 1]:
             return reject(f"realized sign of y_{2 * j} differs from requested")
-    odd = [(-even[(j + 1) % p][1], even[j][0]) for j in range(p)]
+    odd = tuple((-(y + lam * u0(x) - mu[j] * lam), x) for j, (x, y) in enumerate(even))
     for j, (x, y) in enumerate(odd):
         if not (-1 < x < 1 and -1 < y < 1):
             return reject(f"odd point {j} outside the open square")
@@ -101,9 +116,8 @@ def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
         lam * h0(xv) - lam * mu[j] * xv + lam * h0(xh) - lam * nu[j] * xh
         for j, ((xv, _), (xh, _)) in enumerate(zip(even, odd))
     )
-    return FixedPointRecord(
-        signs, True, None, (x0, y0), tuple(even), tuple(odd), action, lead, det, kink
-    )
+    record = FixedPointRecord(signs, True, None, tuple(even), action, lead, det, kink)
+    return record, (x0, y0), odd
 
 
 class TestProfiles:
@@ -399,9 +413,55 @@ class TestReferenceSolver:
             _solve_core(2, F(840), FIXTURE_P2_MU, FIXTURE_P2_NU, (1, 0, 1, 1))
 
 
+def reference_obj(r: FixedPointRecord, point, odd) -> dict:
+    """`record_to_obj` with `frac_str` applied to every coordinate, the start
+    point and odd points taken from the oracle."""
+    return {
+        "signs": r.label(),
+        "valid": r.valid,
+        "rejection_reason": r.reason,
+        "x0": frac_str(point[0]) if point else None,
+        "y0": frac_str(point[1]) if point else None,
+        "even_points": [[frac_str(x), frac_str(y)] for x, y in r.even_points],
+        "odd_points": [[frac_str(x), frac_str(y)] for x, y in odd],
+        "action_exact": frac_str(r.action) if r.action is not None else None,
+        "action_leading": frac_str(r.action_leading),
+        "det": frac_str(r.det),
+        "kink_distance": frac_str(r.kink_distance) if r.kink_distance is not None else None,
+    }
+
+
+class TestDerivedFields:
+    """A record stores its even points only: the start point, the odd points
+    and the formatted record must equal what the oracle computes."""
+
+    PRIMES_MU = (F(1, 3), F(1, 7), F(1, 13), F(1, 19), F(1, 29))
+    PRIMES_NU = (F(1, 2), F(1, 5), F(1, 11), F(1, 17), F(1, 23))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_point_odd_points_and_obj_match_the_oracle(self, rng, p):
+        mu, nu = self.PRIMES_MU[:p], self.PRIMES_NU[:p]
+        lams = [lambda_lattice(FIXTURE_L, mu, nu, 1)[0], F(1), F(3, 2), F(14)]
+        seen = set()
+        for lam in lams:
+            records = _enumerate_core(p, lam, mu, nu)
+            vectors = list(sign_vectors(p))
+            for i in rng.sample(range(len(vectors)), min(len(vectors), 24)):
+                rec = records[i]
+                ref, point, odd = reference_orbit(p, lam, mu, nu, vectors[i])
+                assert rec == ref
+                assert rec.point == point
+                assert rec.odd_points == odd
+                assert record_to_obj(rec) == reference_obj(rec, point, odd)
+                seen.add(rec.valid)
+        assert seen == ({True} if p == 1 else {True, False})  # p = 1 never rejects
+
+
 class TestGoldenOutput:
     """sha256 of the CSV and JSON files `egb eggbeater --out` writes, pinned
-    to the output of the solver on `Matrix`."""
+    to the output of the solver on `Matrix`, and of `egb eggbeater-2d` on
+    stdout and in its --out file, pinned before the start point and the odd
+    points were derived from the even points."""
 
     @pytest.mark.parametrize("argv, digests", [
         (["--fixture", "--lambda", "840"], {
@@ -427,6 +487,29 @@ class TestGoldenOutput:
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert written == digests
 
+    @pytest.mark.parametrize("argv, fmt, stdout_digest, file_digest", [
+        (["--mu", "1/2", "--nu", "1/4", "--lambda", "160"], "json",
+         "2afd82c153020add2ff52b77f63b4f8f5bf78530d46eeb3d2de57e70b7d1154e",
+         "8bc6533315e5a0eddf5e8d5a7932e7b834850963556fe96b1c76d6d9af12c07c"),
+        (["--mu", "1/2", "--nu", "1/4", "--lambda", "160"], "csv",
+         "51b8cf59f4c899b58841488844df289ec9930f63d9b323353003f654abdfe176",
+         "51b8cf59f4c899b58841488844df289ec9930f63d9b323353003f654abdfe176"),
+        (["--mu", "1/3", "--nu", "2/3", "--lambda", "36", "--L", "4"], "json",
+         "6280c9179258b4ce09f8d6c7043cb98619545dcab0d38b01f71c41774502bcc1",
+         "26b552cc473c5c49e578a047be6feab5984ff2e1baa8b644e0cf930907831c53"),
+        (["--mu", "1/3", "--nu", "2/3", "--lambda", "36", "--L", "4"], "csv",
+         "ba018b066ea41c829ba1db763ae20d6baaa2e67c04e455e5462345d0754c3e41",
+         "ba018b066ea41c829ba1db763ae20d6baaa2e67c04e455e5462345d0754c3e41"),
+    ], ids=["2d-json", "2d-csv", "2d-thirds-json", "2d-thirds-csv"])
+    def test_2d_output_bytes(self, tmp_path, capsys, argv, fmt, stdout_digest, file_digest):
+        argv = ["eggbeater-2d", *argv, "--format", fmt]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+        out = tmp_path / f"records.{fmt}"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_digest
+
 
 class TestGaps:
     def test_min_gap_scales_linearly(self):
@@ -446,6 +529,65 @@ class TestGaps:
 
     def test_fewer_than_two_records(self):
         assert is_inf(min_action_gap([]))
+
+
+def hand_record(action, leading) -> FixedPointRecord:
+    """A record carrying only what `min_action_gap` reads; rejected when
+    `action` is None."""
+    valid = action is not None
+    reason = None if valid else "hand-built rejection"
+    return FixedPointRecord((1, 1), valid, reason, (), action, leading, F(1), None)
+
+
+def brute_gap(records):
+    actions = [r.action for r in records if r.valid]
+    return min(abs(a - b) for i, a in enumerate(actions) for b in actions[i + 1:])
+
+
+def rand_fracs(rng, n):
+    """Fractions with unrelated denominators, some of them equal."""
+    out = [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)) for _ in range(n)]
+    return out + rng.sample(out, n // 4) + [F(rng.randint(-5, 5))]
+
+
+class TestGapInLeadingOrder:
+    """`min_action_gap` sorts in leading order first; the gap must stay the
+    pairwise minimum whatever that order says."""
+
+    def test_leading_order_reversed_and_shuffled(self, rng):
+        for _ in range(20):
+            actions = sorted(set(rand_fracs(rng, 12)))
+            leading = sorted(rand_fracs(rng, len(actions)), reverse=True)
+            records = [hand_record(a, lead) for a, lead in zip(actions, leading)]
+            assert min_action_gap(records) == brute_gap(records)
+            rng.shuffle(leading)
+            records = [hand_record(a, lead) for a, lead in zip(actions, leading)]
+            assert min_action_gap(records) == brute_gap(records)
+
+    def test_equal_actions_give_gap_zero(self, rng):
+        records = [hand_record(F(7, 3), F(1)), hand_record(F(-2), F(5, 7)),
+                   hand_record(F(14, 6), F(-4, 9))]
+        rng.shuffle(records)
+        assert min_action_gap(records) == 0
+
+    def test_rejected_records_mixed_in(self, rng):
+        for _ in range(20):
+            pairs = zip(rand_fracs(rng, 8), rand_fracs(rng, 8))
+            records = [hand_record(a, lead) for a, lead in pairs]
+            records += [hand_record(None, lead) for lead in rand_fracs(rng, 6)]
+            rng.shuffle(records)
+            assert min_action_gap(records) == brute_gap(records)
+
+    def test_fewer_than_two_valid_records(self):
+        rejected = [hand_record(None, F(k, 3)) for k in range(4)]
+        assert is_inf(min_action_gap(rejected))
+        assert is_inf(min_action_gap(rejected + [hand_record(F(1, 2), F(1))]))
+
+    def test_exact_key_sorts_like_sorted(self, rng):
+        for _ in range(50):
+            values = rand_fracs(rng, rng.randint(1, 40))
+            rng.shuffle(values)
+            assert sorted(values, key=_exact_key(values)) == sorted(values)
 
 
 class TestLeadingCoefficients:

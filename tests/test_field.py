@@ -320,6 +320,26 @@ class TestOneElimination:
         m.solve_matrix(rhs)
         assert len(calls) == 2
 
+@pytest.mark.parametrize("field", FIELDS[1:], ids=repr)
+def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
+    """kernel_basis, solve_matrix and inverse over Q(zeta_p) invert each
+    pivot once, in the elimination, for any number of columns solved."""
+    calls = count_calls(monkeypatch, CyclotomicNumber, "inverse")
+    for rows, cols, rank in ((4, 4, None), (3, 5, 2), (5, 3, None), (4, 4, 2)):
+        m = rand_matrix(rng, field, rows, cols, rank)
+        rhs = m @ rand_matrix(rng, field, cols, 3)  # consistent: every column is solved
+        pivots = m.rank()
+        for solve in (m.kernel_basis, lambda: m.solve_matrix(rhs)):
+            calls.clear()
+            solve()
+            assert len(calls) == pivots
+    m = rand_matrix(rng, field, 4, 4)
+    while not m.det():
+        m = rand_matrix(rng, field, 4, 4)
+    calls.clear()
+    m.inverse()
+    assert len(calls) == 4
+
 
 class TestMatpow:
     @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(5)], ids=repr)
