@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -29,10 +30,7 @@ from .equivariant import (
     w_spread,
 )
 from .persistence import Barcode, barcode_of_complex, is_inf
-
-
-class InputError(ValueError):
-    pass
+from .serialize import InputError
 
 
 def _parse_frac_arg(s: str) -> Fraction:
@@ -94,8 +92,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
     leads.sort(key=eb._exact_key(leads))
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min(b - a for a, b in zip(leads, leads[1:])) / lam
-    objs = [ser.record_to_obj(r) for r in records]
-    diag = {
+    header = {
         "p": p,
         "L": ser.frac_str(L),
         "lambda": ser.frac_str(lam),
@@ -107,17 +104,16 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
         "expected_count": 4 ** p,
         "min_action_gap": ser.frac_str(gap),
         "min_leading_gap_per_lambda": ser.frac_str(lead_gap),
-        "det_values": {o["signs"]: o["det"] for o in objs},
-        "records": objs,
     }
-    csv_text = ser.records_to_csv(objs)
-    if out_dir is not None:
-        stem = f"eggbeater_lam_{lam.numerator}_{lam.denominator}"
-        (out_dir / f"{stem}.csv").write_text(csv_text)
-        (out_dir / f"{stem}.json").write_text(_dump(diag) + "\n")
+    if out_dir is None:  # the whole CSV table comes before the JSON
+        json_out = io.StringIO()
+        ser.write_records(records, sys.stdout, json_out, header, det_values=True)
+        sys.stdout.write(json_out.getvalue() + "\n")
     else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(_dump(diag) + "\n")
+        stem = out_dir / f"eggbeater_lam_{lam.numerator}_{lam.denominator}"
+        with open(f"{stem}.csv", "w") as csv_out, open(f"{stem}.json", "w") as json_out:
+            ser.write_records(records, csv_out, json_out, header, det_values=True)
+            json_out.write("\n")
     return len(valid) == 4 ** p
 
 
@@ -163,17 +159,13 @@ def cmd_eggbeater_2d(args) -> int:
         records = eb.solve_2d(mu, nu, lam, L)
     except ValueError as e:
         raise InputError(str(e)) from e
-    objs = [ser.record_to_obj(r) for r in records]
+    text = io.StringIO()
     if args.format == "csv":
-        _emit(ser.records_to_csv(objs), args.out)
+        ser.write_records(records, csv_out=text)
     else:
-        obj = {
-            "mu": ser.frac_str(mu),
-            "nu": ser.frac_str(nu),
-            "lambda": ser.frac_str(lam),
-            "records": objs,
-        }
-        _emit(_dump(obj), args.out)
+        header = {"mu": ser.frac_str(mu), "nu": ser.frac_str(nu), "lambda": ser.frac_str(lam)}
+        ser.write_records(records, json_out=text, header=header)
+    _emit(text.getvalue(), args.out)
     return 0
 
 
@@ -218,11 +210,11 @@ def cmd_barcode(args) -> int:
 
 def cmd_spread(args) -> int:
     obj = _load_object(args.file)
-    cx = ser.complex_from_obj(obj["complex"])
-    p = ser.parse_int(obj["p"], "p")
+    cx = ser.complex_from_obj(ser._field(obj, "complex", "spread input"))
+    p = ser.parse_int(ser._field(obj, "p", "spread input"), "p")
     k = _k_or_p(args.k, p)
     n = len(cx.generators)
-    chain_map = ser.matrix_from_obj(cx.field, obj["chain_map"], n, n)
+    chain_map = ser.matrix_from_obj(cx.field, ser._field(obj, "chain_map", "spread input"), n, n)
     value = w_spread(EquivariantComplex(p, cx, chain_map), k)
     out = {"w_spread": ser.frac_str(value)}
     if is_inf(value):
@@ -251,8 +243,10 @@ def cmd_bounds(args) -> int:
         obj = _load_object(args.file)
         try:
             tuples = tuple(
-                (ser.parse_frac(t["action"]), ser.parse_int(t.get("degree", 0), "degree"))
-                for t in ser.parse_array(obj["tuples"], "tuples", objects=True)
+                (ser.parse_frac(ser._field(t, "action", "tuple")),
+                 ser.parse_int(t.get("degree", 0), "degree"))
+                for t in ser.parse_array(ser._field(obj, "tuples", "tuples file"), "tuples",
+                                         objects=True)
             )
             model_input = mdl.ModelInput(p, tuples)
         except (TypeError, ValueError) as e:
@@ -413,9 +407,12 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError) as e:
-        msg = f"missing field {e.args[0]!r}" if isinstance(e, KeyError) else e
-        print(f"error: {msg}", file=sys.stderr)
+    except OSError as e:
+        where = f": {e.filename}" if e.filename is not None else ""
+        print(f"error: {e.strerror or e}{where}", file=sys.stderr)
+        return 1
+    except (ValueError, TypeError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

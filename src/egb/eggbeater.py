@@ -541,6 +541,8 @@ def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
     coefficients = [Fraction(v) for v in tuple(mu) + tuple(nu)]
     if not coefficients:
         raise ValueError("need at least one winding coefficient")
+    if min(coefficients) <= 0:
+        raise ValueError(f"winding coefficient {min(coefficients)} must be positive")
     step = _lcm_fractions(L / c for c in coefficients)
     return [step * i for i in range(1, count + 1)]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .eggbeater import FixedPointRecord
 from .equivariant import ZpPersistenceModule
@@ -28,6 +29,18 @@ from .persistence import (
     INF,
     is_inf,
 )
+
+
+class InputError(ValueError):
+    """A malformed input: the CLI reports it as an `error:` line, exit 1."""
+
+
+def _field(obj: dict, key: str, what: str):
+    """obj[key] of a JSON object; a missing key names the field and the object."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise InputError(f"missing field {key!r} in {what}") from None
 
 
 def frac_str(x) -> str:
@@ -94,8 +107,8 @@ def barcode_to_obj(barcode: Barcode) -> list[dict]:
 def barcode_from_obj(obj) -> Barcode:
     entries = []
     for item in parse_array(obj, "barcode JSON", objects=True):
-        birth = parse_frac(item["birth"])
-        death = parse_frac(item["death"], allow_inf=True)
+        birth = parse_frac(_field(item, "birth", "bar"))
+        death = parse_frac(_field(item, "death", "bar"), allow_inf=True)
         mult = parse_int(item.get("mult", 1), "mult")
         degree = item.get("degree")
         if degree is not None:
@@ -189,11 +202,12 @@ def _matrix_list(obj, count: int, what: str) -> list:
 def complex_from_obj(obj) -> FilteredComplex:
     field = field_from_obj(_require_object(obj, "complex").get("field"))
     gens = tuple(
-        (parse_frac(g["action"]), parse_int(g["degree"], "degree"))
-        for g in parse_array(obj["generators"], "generators", objects=True)
+        (parse_frac(_field(g, "action", "generator")),
+         parse_int(_field(g, "degree", "generator"), "degree"))
+        for g in parse_array(_field(obj, "generators", "complex"), "generators", objects=True)
     )
     n = len(gens)
-    boundary = matrix_from_obj(field, obj["boundary"], n, n)
+    boundary = matrix_from_obj(field, _field(obj, "boundary", "complex"), n, n)
     return FilteredComplex(field, gens, boundary)
 
 
@@ -211,9 +225,13 @@ def module_to_obj(module: FinitePersistenceModule) -> dict:
 
 def module_from_obj(obj) -> FinitePersistenceModule:
     field = field_from_obj(_require_object(obj, "module").get("field"))
-    spectrum = tuple(parse_frac(s) for s in parse_array(obj["spectrum"], "spectrum"))
-    dims = tuple(parse_int(d, "dims") for d in parse_array(obj["dims"], "dims"))
-    matrices = _matrix_list(obj["transitions"], max(len(dims) - 1, 0), "transitions")
+    spectrum = tuple(
+        parse_frac(s) for s in parse_array(_field(obj, "spectrum", "module"), "spectrum")
+    )
+    dims = tuple(parse_int(d, "dims") for d in parse_array(_field(obj, "dims", "module"), "dims"))
+    matrices = _matrix_list(
+        _field(obj, "transitions", "module"), max(len(dims) - 1, 0), "transitions"
+    )
     transitions = tuple(
         matrix_from_obj(field, t, dims[i + 1], dims[i]) for i, t in enumerate(matrices)
     )
@@ -229,13 +247,15 @@ def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
 
 
 def zp_module_from_obj(obj) -> ZpPersistenceModule:
-    p = parse_int(_require_object(obj, "module")["p"], "p")
+    p = parse_int(_field(_require_object(obj, "module"), "p", "module"), "p")
     base_obj = dict(obj)
     base_obj.setdefault("field", {"cyclotomic": p})
     base = module_from_obj(base_obj)
     action = tuple(
         matrix_from_obj(base.field, a, base.dims[i], base.dims[i])
-        for i, a in enumerate(_matrix_list(obj["action"], len(base.dims), "action"))
+        for i, a in enumerate(
+            _matrix_list(_field(obj, "action", "module"), len(base.dims), "action")
+        )
     )
     return ZpPersistenceModule(p, base, action, degree=parse_int(obj.get("degree", 0), "degree"))
 
@@ -243,19 +263,13 @@ def zp_module_from_obj(obj) -> ZpPersistenceModule:
 # -- fixed point records -----------------------------------------------------------
 
 
-CSV_HEADER = "signs,x0,y0,action_exact,action_leading,det,valid,rejection_reason"
+CSV_HEADER = "signs,x0,y0,action_exact,action_leading,det,valid,rejection_reason\n"
 
 
-def records_to_csv(objs) -> str:
-    """CSV rows of records already formatted by `record_to_obj`."""
-    lines = [CSV_HEADER]
-    for o in objs:
-        reason = (o["rejection_reason"] or "").replace(",", ";")
-        lines.append(
-            f"{o['signs']},{o['x0'] or ''},{o['y0'] or ''},{o['action_exact'] or ''},"
-            f"{o['action_leading']},{o['det']},{str(o['valid']).lower()},{reason}"
-        )
-    return "\n".join(lines) + "\n"
+def _quoted(s: str | None) -> str:
+    """JSON text of a formatted rational: `frac_str` yields only [-0-9/] or
+    "inf", which need no escaping."""
+    return "null" if s is None else f'"{s}"'
 
 
 def _negated(s: str) -> str:
@@ -264,24 +278,90 @@ def _negated(s: str) -> str:
     return s[1:] if s[0] == "-" else "-" + s
 
 
-def record_to_obj(r: FixedPointRecord) -> dict:
-    """Each coordinate is formatted once: the start point and the odd
-    points (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
-    even = [[frac_str(x), frac_str(y)] for x, y in r.even_points]
+def _points_json(points) -> str:
+    if not points:
+        return "[]"
+    inner = ",\n".join(
+        f'        [\n          "{x}",\n          "{y}"\n        ]' for x, y in points
+    )
+    return f"[\n{inner}\n      ]"
+
+
+def _record_texts(r: FixedPointRecord, label: str, det: str) -> tuple[str, str]:
+    """The CSV row and the JSON object (indent 2, sorted keys, at depth 2) of
+    one record.  Each coordinate is formatted once: the start point and the
+    odd points (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
+    even = [(frac_str(x), frac_str(y)) for x, y in r.even_points]
     p = len(even)
-    return {
-        "signs": r.label(),
-        "valid": r.valid,
-        "rejection_reason": r.reason,
-        "x0": even[0][0] if even else None,
-        "y0": even[0][1] if even else None,
-        "even_points": even,
-        "odd_points": [[_negated(even[(j + 1) % p][1]), even[j][0]] for j in range(p)],
-        "action_exact": frac_str(r.action) if r.action is not None else None,
-        "action_leading": frac_str(r.action_leading),
-        "det": frac_str(r.det),
-        "kink_distance": frac_str(r.kink_distance) if r.kink_distance is not None else None,
+    odd = [(_negated(even[(j + 1) % p][1]), even[j][0]) for j in range(p)]
+    x0, y0 = even[0] if even else (None, None)
+    action = frac_str(r.action) if r.action is not None else None
+    kink = frac_str(r.kink_distance) if r.kink_distance is not None else None
+    leading = frac_str(r.action_leading)
+    valid = "true" if r.valid else "false"
+    reason = r.reason
+    reason_json = "null" if reason is None else encode_basestring_ascii(reason)
+    csv_row = (
+        f"{label},{x0 or ''},{y0 or ''},{action or ''},{leading},{det},{valid},"
+        f"{(reason or '').replace(',', ';')}\n"
+    )
+    json_text = (
+        "    {\n"
+        f'      "action_exact": {_quoted(action)},\n'
+        f'      "action_leading": "{leading}",\n'
+        f'      "det": "{det}",\n'
+        f'      "even_points": {_points_json(even)},\n'
+        f'      "kink_distance": {_quoted(kink)},\n'
+        f'      "odd_points": {_points_json(odd)},\n'
+        f'      "rejection_reason": {reason_json},\n'
+        f'      "signs": {encode_basestring_ascii(label)},\n'
+        f'      "valid": {valid},\n'
+        f'      "x0": {_quoted(x0)},\n'
+        f'      "y0": {_quoted(y0)}\n'
+        "    }"
+    )
+    return csv_row, json_text
+
+
+def write_records(records, csv_out=None, json_out=None, header: dict | None = None,
+                  det_values: bool = False) -> None:
+    """Write the CSV table of `records` to `csv_out`, and to `json_out` the
+    text `json.dumps(obj, indent=2, sort_keys=True)` gives for the object
+    `header` plus "records" (and "det_values", sign label -> det, when
+    asked), without a trailing newline.  Either output may be None.
+
+    Each record is formatted once, and its text is written as soon as it is
+    made; only the header values go through `json.dumps`."""
+    labels = [r.label() for r in records]
+    dets = [frac_str(r.det) for r in records]
+    members = {
+        k: json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in (header or {}).items()
     }
+    if det_values:
+        by_label = dict(zip(labels, dets))
+        members["det_values"] = ("{\n" + ",\n".join(
+            f'    {encode_basestring_ascii(k)}: "{by_label[k]}"' for k in sorted(by_label)
+        ) + "\n  }") if by_label else "{}"
+    keys = sorted([*members, "records"])
+    i = keys.index("records")
+    if csv_out is not None:
+        csv_out.write(CSV_HEADER)
+    if json_out is not None:
+        json_out.write("{\n" + "".join(
+            f"  {encode_basestring_ascii(k)}: {members[k]},\n" for k in keys[:i]
+        ) + '  "records": ')
+    sep = "[\n"
+    for r, label, det in zip(records, labels, dets):
+        csv_row, json_text = _record_texts(r, label, det)
+        if csv_out is not None:
+            csv_out.write(csv_row)
+        if json_out is not None:
+            json_out.write(sep + json_text)
+        sep = ",\n"
+    if json_out is not None:
+        json_out.write(("[]" if not records else "\n  ]") + "".join(
+            f",\n  {encode_basestring_ascii(k)}: {members[k]}" for k in keys[i + 1:]
+        ) + "\n}")
 
 
 def bounds_report_to_obj(report: BoundsReport, provenance: dict | None = None) -> dict:

@@ -24,6 +24,7 @@ from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
 from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF, is_inf
 from egb.field import QQ_FIELD
+from egb.serialize import frac_str
 
 
 SEED = int(os.environ.get("EGB_SEED", "0"))
@@ -385,6 +386,44 @@ def min_leading_gap(p: int, mu, nu) -> Fraction:
     sums = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(p))
     gaps = [b - a for a, b in zip(sums, sums[1:])]
     return min(gaps) if gaps else Fraction(0)
+
+
+# -- record output oracles ---------------------------------------------------------
+
+
+def _frac_or_none(x):
+    return None if x is None else frac_str(x)
+
+
+def record_to_obj(r) -> dict:
+    """The JSON object of one egg-beater record: `frac_str` of every
+    coordinate, the start point and the odd points read from the record."""
+    point = r.point
+    return {
+        "signs": r.label(),
+        "valid": r.valid,
+        "rejection_reason": r.reason,
+        "x0": frac_str(point[0]) if point else None,
+        "y0": frac_str(point[1]) if point else None,
+        "even_points": [[frac_str(x), frac_str(y)] for x, y in r.even_points],
+        "odd_points": [[frac_str(x), frac_str(y)] for x, y in r.odd_points],
+        "action_exact": _frac_or_none(r.action),
+        "action_leading": frac_str(r.action_leading),
+        "det": frac_str(r.det),
+        "kink_distance": _frac_or_none(r.kink_distance),
+    }
+
+
+def records_to_csv(objs) -> str:
+    """CSV rows of records already formatted by `record_to_obj`."""
+    lines = ["signs,x0,y0,action_exact,action_leading,det,valid,rejection_reason"]
+    for o in objs:
+        reason = (o["rejection_reason"] or "").replace(",", ";")
+        lines.append(
+            f"{o['signs']},{o['x0'] or ''},{o['y0'] or ''},{o['action_exact'] or ''},"
+            f"{o['action_leading']},{o['det']},{str(o['valid']).lower()},{reason}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- free-group oracles --------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -583,8 +584,9 @@ class TestMalformedArrays:
 
 
 class TestMissingFields:
-    """A missing JSON field is named in the error, and the top level of a
-    `bounds --file` or `spread` input must be a JSON object."""
+    """A missing JSON field is named in the error with the object it belongs
+    to, and the top level of a `bounds --file` or `spread` input must be a
+    JSON object."""
 
     COMPLEX = TestMalformedMatrices.COMPLEX
     MODULE = TestMalformedMatrices.MODULE
@@ -593,20 +595,20 @@ class TestMissingFields:
     CASES = {
         "module without spectrum": (
             ["barcode", "mu"], {k: v for k, v in MODULE.items() if k != "spectrum"},
-            "missing field 'spectrum'"),
+            "missing field 'spectrum' in module"),
         "generator without degree": (
             ["barcode", "decompose"], {**COMPLEX, "generators": [{"action": "1"}]},
-            "missing field 'degree'"),
+            "missing field 'degree' in generator"),
         "tuple without action": (
             ["bounds", "--p", "2", "--file"], {"tuples": [{"degree": 0}]},
-            "missing field 'action'"),
+            "missing field 'action' in tuple"),
         "tuples file without tuples": (
-            ["bounds", "--p", "2", "--file"], {}, "missing field 'tuples'"),
+            ["bounds", "--p", "2", "--file"], {}, "missing field 'tuples' in tuples file"),
         "tuples file is an array": (
             ["bounds", "--p", "2", "--file"], [{"tuples": []}], "must be a JSON object"),
         "spread without chain_map": (
             ["spread"], {k: v for k, v in SPREAD.items() if k != "chain_map"},
-            "missing field 'chain_map'"),
+            "missing field 'chain_map' in spread input"),
         "spread input is an array": (["spread"], [SPREAD], "must be a JSON object"),
     }
 
@@ -623,3 +625,35 @@ class TestMissingFields:
         proc = run_subprocess(*argv, str(f))
         assert_clean_error(proc)
         assert message in proc.stderr
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 1 with an `error:` line
+    naming the operating system's reason and the path."""
+
+    COMMANDS = {
+        "bounds": ["bounds", "--out"],
+        "bounds svg": ["bounds", "--svg"],
+        "eggbeater": ["eggbeater", "--fixture", "--lambda", "840", "--out"],
+        "eggbeater-2d": ["eggbeater-2d", "--mu", "1/2", "--nu", "1/4", "--lambda", "160", "--out"],
+        "barcode": ["barcode", "bottleneck", "{bars}", "{bars}", "--out"],
+    }
+    PLACES = {  # eggbeater makes its --out directory with its parents
+        "under a file": ("file/out", "Not a directory"),
+        "in a missing directory": ("missing/out", "No such file or directory"),
+    }
+
+    @pytest.mark.parametrize("command, where", [
+        case for case in itertools.product(sorted(COMMANDS), sorted(PLACES))
+        if case != ("eggbeater", "in a missing directory")
+    ])
+    def test_exits_one(self, tmp_path, capsys, command, where):
+        (tmp_path / "file").write_text("")
+        bars = tmp_path / "bars.json"
+        bars.write_text(json.dumps([{"birth": "0", "death": "1"}]))
+        relative, reason = self.PLACES[where]
+        path = tmp_path / relative
+        argv = [a.format(bars=bars) for a in self.COMMANDS[command]]
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert err.startswith("error:") and reason in err and str(path) in err

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +40,7 @@ from egb.eggbeater import (
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
 from egb.persistence import is_inf
-from egb.serialize import frac_str, record_to_obj
+from egb.serialize import frac_str, write_records
 
 from conftest import asymptotic_limit, block_parabolic_factors, eps_bar, min_leading_gap
 
@@ -414,8 +416,8 @@ class TestReferenceSolver:
 
 
 def reference_obj(r: FixedPointRecord, point, odd) -> dict:
-    """`record_to_obj` with `frac_str` applied to every coordinate, the start
-    point and odd points taken from the oracle."""
+    """The JSON object of a record with `frac_str` applied to every
+    coordinate, the start point and odd points taken from the oracle."""
     return {
         "signs": r.label(),
         "valid": r.valid,
@@ -433,7 +435,8 @@ def reference_obj(r: FixedPointRecord, point, odd) -> dict:
 
 class TestDerivedFields:
     """A record stores its even points only: the start point, the odd points
-    and the formatted record must equal what the oracle computes."""
+    and the JSON text written for the record must equal what the oracle
+    computes."""
 
     PRIMES_MU = (F(1, 3), F(1, 7), F(1, 13), F(1, 19), F(1, 29))
     PRIMES_NU = (F(1, 2), F(1, 5), F(1, 11), F(1, 17), F(1, 23))
@@ -452,14 +455,18 @@ class TestDerivedFields:
                 assert rec == ref
                 assert rec.point == point
                 assert rec.odd_points == odd
-                assert record_to_obj(rec) == reference_obj(rec, point, odd)
+                text = io.StringIO()
+                write_records([rec], json_out=text)
+                expected = {"records": [reference_obj(rec, point, odd)]}
+                assert text.getvalue() == json.dumps(expected, indent=2, sort_keys=True)
                 seen.add(rec.valid)
         assert seen == ({True} if p == 1 else {True, False})  # p = 1 never rejects
 
 
 class TestGoldenOutput:
     """sha256 of the CSV and JSON files `egb eggbeater --out` writes, pinned
-    to the output of the solver on `Matrix`, and of `egb eggbeater-2d` on
+    to the output of the solver on `Matrix`, of what `egb eggbeater` writes
+    to stdout, pinned before the records were streamed, and of `egb eggbeater-2d` on
     stdout and in its --out file, pinned before the start point and the odd
     points were derived from the even points."""
 
@@ -486,6 +493,19 @@ class TestGoldenOutput:
         assert capsys.readouterr().out == ""
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
         assert written == digests
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--fixture", "--lambda", "840"],
+         "f1abd86ddbc3859eb5d1f4c07717a4e61494bde7f35593d7bf25d6cdc568606a"),
+        (["--p", "3", "--mu", "1/2,1/3,1/5", "--nu", "1/7,1/11,1/13", "--lambda", "auto",
+          "--count", "2"],
+         "e7774571891fee80d3ae9ff34708a0c5a3efdcabbb7cc4c649f006e371879500"),
+    ], ids=["p2-fixture", "p3-count2"])
+    def test_stdout_bytes(self, capsys, argv, digest):
+        """Without --out, each lattice point's CSV table and then its JSON
+        go to stdout."""
+        assert main(["eggbeater", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, fmt, stdout_digest, file_digest", [
         (["--mu", "1/2", "--nu", "1/4", "--lambda", "160"], "json",

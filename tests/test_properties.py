@@ -1,16 +1,20 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
-Z_p modules, and Q(zeta_p) is a field.  Derandomized, so every run draws
+Z_p modules, a formatted rational needs no JSON escaping, and Q(zeta_p) is
+a field.  Derandomized, so every run draws
 the same examples."""
 
 import json
 import random
+from json.encoder import encode_basestring_ascii
 
 from hypothesis import given, settings, strategies as st
 
 from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
+from egb.persistence import INF
 from egb.serialize import (
     element_from_obj,
     element_to_obj,
+    frac_str,
     matrix_from_obj,
     matrix_to_obj,
     zp_module_from_obj,
@@ -66,6 +70,14 @@ def test_element_round_trip(field_element):
 def test_matrix_round_trip(m):
     obj = through_json(matrix_to_obj(m))
     assert matrix_from_obj(m.field, obj, m.rows, m.cols) == m
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.one_of(st.fractions(), st.just(INF)))
+def test_frac_str_needs_no_json_escaping(x):
+    """The record writer quotes `frac_str` output without escaping it."""
+    s = frac_str(x)
+    assert encode_basestring_ascii(s) == '"' + s + '"'
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)

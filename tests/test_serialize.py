@@ -1,8 +1,18 @@
+import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from egb.eggbeater import enumerate_records, fixture_params, lambda_lattice, FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU
+from egb.eggbeater import (
+    FIXTURE_L,
+    FIXTURE_P2_MU,
+    FIXTURE_P2_NU,
+    _enumerate_core,
+    enumerate_records,
+    fixture_params,
+    lambda_lattice,
+)
 from egb.equivariant import cyclic_tuple_module
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import Bar, Barcode, FilteredComplex, INF
@@ -19,13 +29,12 @@ from egb.serialize import (
     module_from_obj,
     module_to_obj,
     parse_frac,
-    record_to_obj,
-    records_to_csv,
+    write_records,
     zp_module_from_obj,
     zp_module_to_obj,
 )
 
-from conftest import rand_barcode, random_zp_module
+from conftest import rand_barcode, random_zp_module, record_to_obj, records_to_csv
 
 
 class TestRationalStrings:
@@ -100,11 +109,57 @@ class TestCsv:
     def test_sixteen_rows(self):
         lam = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
         records = enumerate_records(fixture_params(lam))
-        text = records_to_csv([record_to_obj(r) for r in records])
-        lines = text.strip().split("\n")
+        text = io.StringIO()
+        write_records(records, csv_out=text)
+        lines = text.getvalue().strip().split("\n")
         assert len(lines) == 17  # header + 16
         assert lines[0].startswith("signs,")
         assert "." not in lines[1].split(",")[1]  # exact rationals, no floats
+
+
+class TestRecordWriter:
+    """`write_records` against the oracle: `json.dumps(indent=2,
+    sort_keys=True)` of the record dicts plus the oracle CSV, byte for byte."""
+
+    MU = (F(1, 3), F(1, 7), F(1, 13), F(1, 19), F(1, 29))
+    NU = (F(1, 2), F(1, 5), F(1, 11), F(1, 17), F(1, 23))
+    REASONS = ('a "quoted" reason', "back\\slash, and comma", "tab\there", "\u00e9chec \u2260 ok")
+
+    @staticmethod
+    def expected(records, header):
+        objs = [record_to_obj(r) for r in records]
+        obj = {**header, "det_values": {o["signs"]: o["det"] for o in objs}, "records": objs}
+        return records_to_csv(objs), json.dumps(obj, indent=2, sort_keys=True)
+
+    @staticmethod
+    def written(records, header):
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        write_records(records, csv_out, json_out, header, det_values=True)
+        return csv_out.getvalue(), json_out.getvalue()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_bytes_equal_the_oracle(self, rng, p):
+        mu, nu = self.MU[:p], self.NU[:p]
+        lam = lambda_lattice(FIXTURE_L, mu, nu, 1)[0]
+        records = _enumerate_core(p, lam, mu, nu)
+        # rejected records the way a forced rejection builds them, with
+        # reasons that JSON must escape and the CSV must keep comma-free
+        for i, reason in enumerate(self.REASONS):
+            r = records[i]
+            records[i] = type(r)(r.signs, False, reason, (), None, r.action_leading, r.det, None)
+        records += _enumerate_core(p, F(3, 2), mu, nu)[:8]  # rejected by the solver
+        rng.shuffle(records)  # det_values is in label order, the records are not
+        header = {
+            "p": p, "L": "4", "lambda": frac_str(lam),
+            "mu": [frac_str(v) for v in mu], "nu": [frac_str(v) for v in nu],
+            "valid_count": sum(r.valid for r in records), "windings_m": list(range(p)),
+        }
+        if p > 1:  # p = 1 never rejects
+            assert any(not r.valid and r.reason not in self.REASONS for r in records)
+        assert self.written(records, header) == self.expected(records, header)
+
+    def test_no_records(self):
+        assert self.written([], {"p": 2}) == self.expected([], {"p": 2})
 
 
 class TestSvg:
