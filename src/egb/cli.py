@@ -300,7 +300,13 @@ def _parse_itinerary(text: str) -> fg.Itinerary:
         flow, ends, wind = parts
         src, dst = ends.split("-", 1)
         try:
-            segments.append(fg.Segment(flow, src, dst, int(wind)))
+            winding = int(wind)
+        except ValueError:
+            raise InputError(
+                f"bad winding {wind!r} in segment {tok!r}; expected an integer"
+            ) from None
+        try:
+            segments.append(fg.Segment(flow, src, dst, winding))
         except ValueError as e:
             raise InputError(str(e)) from e
     try:

@@ -535,8 +535,8 @@ def _lcm_fractions(values) -> Fraction:
 def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
     """The `count` smallest lambda with every winding m_j, n_j a positive
     integer: multiples of lcm_j(L / coefficient)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     L = Fraction(L)
     coefficients = [Fraction(v) for v in tuple(mu) + tuple(nu)]
     if not coefficients:

@@ -27,17 +27,19 @@ from .persistence import (
     FinitePersistenceModule,
     INF,
     Interval,
-    _WindowData,
+    _NormalForm,
+    _apply,
     _block_diag,
     _extend_basis,
-    _reduce,
     _reindex,
     direct_sum,
+    homology_basis,
     induced_homology_rank,
     is_inf,
     longest_finite_bar,
     multiplicity,
     barcode_of_module,
+    window_complex,
 )
 
 GradedBarcodeFamily = dict  # degree -> Barcode
@@ -299,18 +301,10 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     """sup of d with (comparison to the d-shifted window) . (T - id) != 0 on
     window homology, over all windows (a, b), read off one normal form.
 
-    The reduction R = DV gives a filtration-adapted basis in which the
-    boundary is a partial matching (the Barannikov normal form): b_i = R_j
-    and b_j = V_j for each pair (i = low R_j, j), and b_g = V_g for every
-    other generator g.  Each b_g has g as its leading term, so the basis is
-    upper triangular in the filtration order, and the b_g with action below
-    t span the sublevel complex C^{<t}.  Let lp(x) be the action of low R_x
-    (-inf when R_x = 0) and kill(y) the action of the j with y = low R_j
-    (+inf when there is none).
+    In the normal-form basis b_x of `persistence._NormalForm` (one R = DV
+    reduction), the homology of the window C^{<b}/C^{<a} has as its basis
+    the classes of the b_x with a < act(x) < b, lp(x) < a and kill(x) > b.
 
-    * The homology of the window C^{<b}/C^{<a} has as its basis the classes
-      of the b_x with a < act(x) < b, lp(x) < a and kill(x) > b: the other
-      basis vectors in the window pair up under the boundary.
     * The comparison to the window (a + d, b + d) sends b_x to itself, so the
       class of a cycle sum_y c_y b_y there is its part on that window's basis.
       Hence (comparison) . S, with S = T - id, is nonzero iff S has a nonzero
@@ -335,54 +329,33 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     s_mat = t_mat - identity
     if s_mat.is_zero():
         return Fraction(0)
-    order, R, V, pairs = _reduce(cx)
-    pos = {g: i for i, g in enumerate(order)}
-    act = [cx.generators[g][0] for g in order]
-    basis = list(V)
-    kill: list[Fraction | None] = [None] * n  # None: never killed
-    for i, j in pairs:
-        basis[i] = R[j]
-        kill[i] = act[j]
-    s_cols = [
-        {pos[h]: s_mat.entries[h][g] for h in range(n) if s_mat.entries[h][g]}
-        for g in order
-    ]
+    nf = _NormalForm(cx)
+    s_cols = nf.columns(s_mat)
     best: Fraction | float = Fraction(0)
-    for x in range(n):
-        image: dict = {}
-        for r, c in basis[x].items():
-            for h, e in s_cols[r].items():
-                v = image[h] + c * e if h in image else c * e
-                if not v:
-                    image.pop(h, None)
-                else:
-                    image[h] = v
-        lp = act[max(R[x])] if R[x] else None
-        # back substitution: peel off the leading basis vector until nothing is left
-        while image:
-            y = max(image)
-            factor = image[y] / basis[y][y]
-            for r, e in basis[y].items():
-                v = image[r] - factor * e if r in image else -(factor * e)
-                if not v:
-                    image.pop(r, None)
-                else:
-                    image[r] = v
-            value = min(INF if lp is None else act[y] - lp,
-                        INF if kill[y] is None else kill[y] - act[x])
+    for x, b_x in enumerate(nf.basis):
+        for y, _ in nf.coordinates(_apply(s_cols, b_x)):
+            value = min(nf.act[y] - nf.lp[x], nf.kill[y] - nf.act[x])
             if is_inf(value):
                 return INF
             best = max(best, value)
     return best
 
 
-class _SpreadWindow(_WindowData):
-    """Window homology data for one window of an equivariant complex; the
-    window-scan oracle of the w_spread tests is built from it."""
+class _SpreadWindow:
+    """Window homology data for one window of an equivariant complex, cached
+    per degree; the window-scan oracle of the w_spread tests is built from it."""
 
     def __init__(self, cx: FilteredComplex, a, b):
-        super().__init__(cx, a, b)
         self.cx = cx
+        self.keep, self.wc = window_complex(cx, a, b)
+        self._cache: dict[int, tuple[list[int], list[tuple], Matrix]] = {}
+
+    def at(self, r: int):
+        """(global generator indices, cycle basis, boundary matrix) in degree r."""
+        if r not in self._cache:
+            idx_r, cycles, d_rp1 = homology_basis(self.wc, r)
+            self._cache[r] = ([self.keep[i] for i in idx_r], cycles, d_rp1)
+        return self._cache[r]
 
     def apply_chain_map(self, s_mat: Matrix) -> dict[int, list[tuple]]:
         """Images of the cycle bases under the (action-preserving) chain map,

@@ -365,9 +365,6 @@ class CyclotomicField:
     def one(self) -> CyclotomicNumber:
         return _ONE[self.p]
 
-    def zeta(self, k: int = 1) -> CyclotomicNumber:
-        return cyclo_zeta(self.p, k)
-
     def coerce(self, x) -> CyclotomicNumber:
         if isinstance(x, CyclotomicNumber):
             if x.p != self.p:

@@ -155,9 +155,6 @@ class Barcode:
     def infinite_count(self) -> int:
         return sum(m for bar, m, _ in self.items if not bar.finite)
 
-    def degrees(self) -> list[int | None]:
-        return sorted({e[2] for e in self.items}, key=_degree_key)
-
     def union(self, other: "Barcode") -> "Barcode":
         return Barcode(self.items + other.items)
 
@@ -407,6 +404,24 @@ class FilteredComplex:
         return sorted({a for a, _ in self.generators})
 
 
+def _axpy(target: dict, c, source: dict) -> None:
+    """target += c * source on sparse columns, dropping the entries that cancel."""
+    for r, v in source.items():
+        nv = target[r] + c * v if r in target else c * v
+        if nv:
+            target[r] = nv
+        else:
+            target.pop(r, None)
+
+
+def _apply(cols: list[dict], chain: dict) -> dict:
+    """The image of a sparse chain under the matrix with sparse columns ``cols``."""
+    image: dict = {}
+    for g, c in chain.items():
+        _axpy(image, c, cols[g])
+    return image
+
+
 def _reduce(complex_: FilteredComplex):
     """The standard column reduction R = DV in the filtration order.
 
@@ -436,27 +451,88 @@ def _reduce(complex_: FilteredComplex):
                 pairs.append((low, j))
                 break
             factor = col[low] / R[k][low]
-            for target, source in ((col, R[k]), (vcol, V[k])):
-                for r, v in source.items():
-                    nv = target[r] - factor * v if r in target else -(factor * v)
-                    if not nv:
-                        target.pop(r, None)
-                    else:
-                        target[r] = nv
+            _axpy(col, -factor, R[k])
+            _axpy(vcol, -factor, V[k])
         R.append(col)
         V.append(vcol)
     return order, R, V, pairs
 
 
+class _NormalForm:
+    """The Barannikov normal form of a filtered complex, read off R = DV.
+
+    Positions are the generators in the filtration order of `_reduce`.  The
+    basis is b_i = R_j and b_j = V_j for each pair (i = low R_j, j), and
+    b_g = V_g for every other generator g, so the boundary is the partial
+    matching D b_j = b_i.  Each b_g has g as its leading term: the basis is
+    upper triangular in the filtration order, and the b_g with action below
+    t span the sublevel complex C^{<t}.  ``lp[x]`` is the action of low R_x
+    (-inf when R_x = 0) and ``kill[x]`` that of the j with x = low R_j (+inf
+    when there is none); b_x is a cycle modulo C^{<a} iff lp(x) < a, and a
+    boundary in C^{<b} iff kill(x) < b.
+    """
+
+    def __init__(self, complex_: FilteredComplex):
+        order, R, V, pairs = _reduce(complex_)
+        self.field = complex_.field
+        self.order = order
+        self.pos = {g: i for i, g in enumerate(order)}
+        self.act = [complex_.generators[g][0] for g in order]
+        self.deg = [complex_.generators[g][1] for g in order]
+        self.basis = list(V)
+        self.kill: list[Fraction | float] = [INF] * len(order)
+        for i, j in pairs:
+            self.basis[i] = R[j]
+            self.kill[i] = self.act[j]
+        self.lp = [self.act[max(col)] if col else -INF for col in R]
+
+    def columns(self, matrix: Matrix) -> list[dict]:
+        """A square matrix on the generators as sparse columns in positions."""
+        ent, n = matrix.entries, matrix.rows
+        return [{self.pos[h]: ent[h][g] for h in range(n) if ent[h][g]} for g in self.order]
+
+    def window_basis(self, lo, hi, r: int) -> list[int]:
+        """The x whose b_x represent a basis of the degree-r homology of the
+        window C^{<hi}/C^{<lo}: lo < act(x) < hi, lp(x) < lo and kill(x) > hi.
+        The other basis vectors in the window pair up under the boundary."""
+        return [x for x in range(len(self.order))
+                if self.deg[x] == r and lo < self.act[x] < hi
+                and self.lp[x] < lo and self.kill[x] > hi]
+
+    def coordinates(self, chain: dict, floor: int = 0):
+        """Back substitution: while the leading position of ``chain`` is at
+        least ``floor``, peel off that basis vector and yield its
+        (position, coefficient).  ``chain`` is consumed; what is left of it
+        lies below ``floor``."""
+        while chain:
+            y = max(chain)
+            if y < floor:
+                return
+            factor = chain[y] / self.basis[y][y]
+            _axpy(chain, -factor, self.basis[y])
+            yield y, factor
+
+    def window_class(self, chain: dict, lo, hi, target: list[int]) -> list | None:
+        """Coordinates on ``target`` = ``window_basis(lo, hi, r)`` of the
+        class of a cycle of C^{<hi}/C^{<lo}; None when the chain is not a
+        window cycle, i.e. it has a coordinate off the target on a b_y that
+        is not a boundary in the window."""
+        index = {x: k for k, x in enumerate(target)}
+        out = [self.field.zero()] * len(target)
+        for y, c in self.coordinates(dict(chain), bisect.bisect_right(self.act, lo)):
+            if y in index:
+                out[index[y]] = c
+            elif not (self.lp[y] < lo and self.kill[y] < hi):
+                return None
+        return out
+
+
 def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
-    """Graded barcode of sublevel homology, by standard column reduction."""
-    order, R, _, pairs = _reduce(complex_)
-    gens = [complex_.generators[g] for g in order]
-    killed = {i for i, _ in pairs}
-    entries = [(Bar(gens[i][0], gens[j][0]), 1, gens[i][1]) for i, j in pairs]
-    entries += [(Bar(g[0], INF), 1, g[1])
-                for i, g in enumerate(gens) if not R[i] and i not in killed]
-    return Barcode.of(entries)
+    """Graded barcode of sublevel homology: each cycle b_x of the normal form
+    is a bar (act(x), kill(x)]."""
+    nf = _NormalForm(complex_)
+    return Barcode.of([(Bar(nf.act[x], nf.kill[x]), 1, nf.deg[x])
+                       for x in range(len(nf.order)) if nf.lp[x] == -INF])
 
 
 def _check_window(complex_: FilteredComplex, *cuts) -> None:
@@ -479,30 +555,14 @@ def window_complex(complex_: FilteredComplex, a, b) -> tuple[list[int], Filtered
     _check_window(complex_, a, b)
     keep = [i for i, (act, _) in enumerate(complex_.generators) if a < act < b]
     gens = tuple(complex_.generators[i] for i in keep)
-    ent = [
-        [complex_.boundary.entries[i][j] for j in keep] for i in keep
-    ]
-    boundary = (
-        Matrix.from_rows(complex_.field, ent)
-        if keep
-        else Matrix.zeros(complex_.field, 0, 0)
-    )
-    return keep, FilteredComplex(complex_.field, gens, boundary)
+    return keep, FilteredComplex(complex_.field, gens, _boundary_block(complex_, keep, keep))
 
 
-def _boundary_blocks(complex_: FilteredComplex):
-    """Per-degree boundary data: for each degree r, the matrix of the
-    boundary from degree r chains to degree r-1 chains, with index maps."""
-    degs = sorted({d for _, d in complex_.generators})
-    by_deg = {d: [i for i, (_, dd) in enumerate(complex_.generators) if dd == d] for d in degs}
-    return degs, by_deg
-
-
-def _restricted_boundary(complex_: FilteredComplex, rows: list[int], cols: list[int]) -> Matrix:
-    ent = [[complex_.boundary.entries[i][j] for j in cols] for i in rows]
-    if not rows:
-        return Matrix.zeros(complex_.field, 0, len(cols))
-    return Matrix.from_rows(complex_.field, ent)
+def _boundary_block(complex_: FilteredComplex, rows: list[int], cols: list[int]) -> Matrix:
+    """The boundary restricted to the given generator rows and columns."""
+    ent = complex_.boundary.entries
+    return Matrix(complex_.field, len(rows), len(cols),
+                  tuple(tuple(ent[i][j] for j in cols) for i in rows))
 
 
 def homology_basis(complex_: FilteredComplex, r: int):
@@ -514,30 +574,33 @@ def homology_basis(complex_: FilteredComplex, r: int):
     coordinate vectors over those indices, and boundary_matrix has the
     degree-(r+1) boundaries as columns.
     """
-    degs, by_deg = _boundary_blocks(complex_)
-    idx_r = by_deg.get(r, [])
-    idx_rm1 = by_deg.get(r - 1, [])
-    idx_rp1 = by_deg.get(r + 1, [])
-    d_r = _restricted_boundary(complex_, idx_rm1, idx_r)
-    d_rp1 = _restricted_boundary(complex_, idx_r, idx_rp1)
-    cycles = d_r.kernel_basis() if idx_r else []
-    return idx_r, cycles, d_rp1
+    idx_rm1, idx_r, idx_rp1 = (
+        [i for i, (_, d) in enumerate(complex_.generators) if d == deg]
+        for deg in (r - 1, r, r + 1)
+    )
+    cycles = _boundary_block(complex_, idx_rm1, idx_r).kernel_basis() if idx_r else []
+    return idx_r, cycles, _boundary_block(complex_, idx_r, idx_rp1)
 
 
 def window_homology(complex_: FilteredComplex, a, b, r: int):
     """Dimension and a homology basis of the (a, b) quotient complex in degree r.
 
-    The basis vectors are coordinates over the window's degree-r generators
-    (returned alongside, as indices into the original complex).
+    The basis is the b_x of `_NormalForm.window_basis`, as coordinates over
+    the window's degree-r generators (returned alongside, as indices into
+    the original complex).
     """
-    keep, wc = window_complex(complex_, a, b)
-    idx_r, cycles, d_rp1 = homology_basis(wc, r)
-    if not idx_r:
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("window requires a < b")
+    _check_window(complex_, a, b)
+    idx = [i for i, (act, d) in enumerate(complex_.generators) if d == r and a < act < b]
+    if not idx:
         return 0, [], []
-    # cycles extending a basis of the boundary space represent a homology basis
-    boundaries = [d_rp1.column(j) for j in range(d_rp1.cols)]
-    chosen = _extend_basis(complex_.field, boundaries, cycles, len(idx_r))
-    return len(chosen), chosen, [keep[i] for i in idx_r]
+    nf = _NormalForm(complex_)
+    z = complex_.field.zero()
+    chosen = [tuple(nf.basis[x].get(nf.pos[g], z) for g in idx)
+              for x in nf.window_basis(a, b, r)]
+    return len(chosen), chosen, idx
 
 
 def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
@@ -571,26 +634,6 @@ def induced_homology_rank(
     return len(_extend_basis(field, boundaries, images, dst_dim))
 
 
-class _WindowData:
-    """Homology data of one window complex, cached per degree."""
-
-    def __init__(self, complex_: FilteredComplex, a: Fraction, b: Fraction):
-        self.keep, self.wc = window_complex(complex_, a, b)
-        self._cache: dict[int, tuple[list[int], list[tuple], Matrix]] = {}
-
-    def at(self, r: int):
-        """(global generator indices, cycle basis, boundary matrix) in degree r."""
-        if r not in self._cache:
-            idx_r, cycles, d_rp1 = homology_basis(self.wc, r)
-            glob = [self.keep[i] for i in idx_r]
-            self._cache[r] = (glob, cycles, d_rp1)
-        return self._cache[r]
-
-    def dim(self, r: int) -> int:
-        glob, cycles, d_rp1 = self.at(r)
-        return induced_homology_rank(self.wc.field, cycles, cycles, d_rp1, len(glob))
-
-
 def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
              dst_glob: list[int]) -> list[tuple]:
     """Move chains between windows: keep shared generators, drop the rest."""
@@ -606,80 +649,49 @@ def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
     return out
 
 
-def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
-                dst_glob: list[int]) -> tuple:
-    """Connecting map: lift, apply the full boundary, restrict to the target."""
-    field = complex_.field
-    look = {g: i for i, g in enumerate(dst_glob)}
-    out = [field.zero()] * len(dst_glob)
-    for i, g in enumerate(src_glob):
-        v = vec[i]
-        if not v:
-            continue
-        for h in range(len(complex_.generators)):
-            e = complex_.boundary.entries[h][g]
-            if not e:
-                continue
-            if h in look:
-                out[look[h]] = out[look[h]] + v * e
-    return tuple(out)
-
-
 def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     """Exactness of the prescribed sequence V^{(a,b)} -> V^{(a,c)} -> V^{(b,c)}
     -> V^{(a,b)}[1] in window homology.
 
-    At every degree, consecutive maps must compose to zero on homology and
-    ranks must add up to the middle dimension (im = ker at each node).
+    The maps are evaluated on the normal-form bases of `window_homology`, and
+    each image is written in the target basis by back substitution: j1 and
+    j2 take b_x to the target window, and the connecting map applies the
+    boundary D to b_x and keeps its part in (a, b).  An image that is not a
+    window cycle fails the check.  At every degree, consecutive maps must
+    compose to zero and ranks must add up to the middle dimension (im = ker
+    at each node).
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not a < b < c:
         raise ValueError("need a < b < c")
     _check_window(complex_, a, b, c)
-    field = complex_.field
-    w_ab = _WindowData(complex_, a, b)
-    w_ac = _WindowData(complex_, a, c)
-    w_bc = _WindowData(complex_, b, c)
-
     if not complex_.generators:
         return True
-    degs = sorted({d for _, d in complex_.generators})
-    lo, hi = min(degs) - 1, max(degs) + 1
+    nf = _NormalForm(complex_)
+    d_cols = nf.columns(complex_.boundary)
 
-    ok = True
-    for r in range(lo, hi + 1):
-        g_ab, z_ab, b_ab = w_ab.at(r)
-        g_ac, z_ac, b_ac = w_ac.at(r)
-        g_bc, z_bc, b_bc = w_bc.at(r)
-        g_ab1, z_ab1, b_ab1 = w_ab.at(r - 1)
-        g_ac1, z_ac1, b_ac1 = w_ac.at(r - 1)
+    def induced(chains, lo, hi, r):
+        target = nf.window_basis(lo, hi, r)
+        cols = [nf.window_class(chain, lo, hi, target) for chain in chains]
+        return None if None in cols else Matrix.from_columns(nf.field, cols, len(target))
 
-        # j1: inclusion (a,b) -> (a,c); j2: projection (a,c) -> (b,c);
-        # delta: (b,c) -> (a,b) in degree r-1
-        img_j1 = _reindex(field, z_ab, g_ab, g_ac)
-        img_j2 = _reindex(field, z_ac, g_ac, g_bc)
-        img_delta = [_connecting(complex_, z, g_bc, g_ab1) for z in z_bc]
-        img_j2j1 = _reindex(field, img_j1, g_ac, g_bc)
-        img_dj2 = [_connecting(complex_, v, g_bc, g_ab1) for v in img_j2]
-        img_j1d = _reindex(field, img_delta, g_ab1, g_ac1)
+    # maps[r] = (j1, j2, delta) with delta from degree r to degree r - 1
+    maps = {}
+    for r in range(min(nf.deg) - 1, max(nf.deg) + 2):
+        j1 = induced([nf.basis[x] for x in nf.window_basis(a, b, r)], a, c, r)
+        j2 = induced([nf.basis[x] for x in nf.window_basis(a, c, r)], b, c, r)
+        delta = induced([_apply(d_cols, nf.basis[x]) for x in nf.window_basis(b, c, r)],
+                        a, b, r - 1)
+        if None in (j1, j2, delta):
+            return False
+        maps[r] = j1, j2, delta
 
-        r_j1 = induced_homology_rank(field, z_ab, img_j1, b_ac, len(g_ac))
-        r_j2 = induced_homology_rank(field, z_ac, img_j2, b_bc, len(g_bc))
-        r_delta = induced_homology_rank(field, z_bc, img_delta, b_ab1, len(g_ab1))
+    def exact(r):
+        (j1, j2, delta), j1_down = maps[r], maps[r - 1][0]
+        return ((j2 @ j1).is_zero() and (delta @ j2).is_zero()
+                and (j1_down @ delta).is_zero()
+                and j1.rank() + j2.rank() == j1.rows  # at H_r(a,c)
+                and j2.rank() + delta.rank() == j2.rows  # at H_r(b,c)
+                and delta.rank() + j1_down.rank() == delta.rows)  # at H_{r-1}(a,b)
 
-        if induced_homology_rank(field, z_ab, img_j2j1, b_bc, len(g_bc)) != 0:
-            ok = False  # j2 . j1 != 0
-        if induced_homology_rank(field, z_ac, img_dj2, b_ab1, len(g_ab1)) != 0:
-            ok = False  # delta . j2 != 0
-        if induced_homology_rank(field, z_bc, img_j1d, b_ac1, len(g_ac1)) != 0:
-            ok = False  # j1 . delta != 0
-        if r_j1 + r_j2 != w_ac.dim(r):
-            ok = False  # exactness at H_r(a,c)
-        if r_j2 + r_delta != w_bc.dim(r):
-            ok = False  # exactness at H_r(b,c)
-        # exactness at H_{r-1}(a,b) uses delta from degree r and j1 at r-1
-        img_j1_down = _reindex(field, z_ab1, g_ab1, g_ac1)
-        r_j1_down = induced_homology_rank(field, z_ab1, img_j1_down, b_ac1, len(g_ac1))
-        if r_delta + r_j1_down != w_ab.dim(r - 1):
-            ok = False
-    return ok
+    return all(exact(r) for r in range(min(nf.deg), max(nf.deg) + 2))

@@ -22,7 +22,19 @@ from egb.eggbeater import _eps, leading_sum, sign_vectors
 from egb.field import CyclotomicField, Matrix, RationalField, cyclo_zeta
 from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
-from egb.persistence import Bar, Barcode, FilteredComplex, FinitePersistenceModule, INF, is_inf
+from egb.persistence import (
+    Bar,
+    Barcode,
+    FilteredComplex,
+    FinitePersistenceModule,
+    INF,
+    _extend_basis,
+    _reindex,
+    homology_basis,
+    induced_homology_rank,
+    is_inf,
+    window_complex,
+)
 from egb.field import QQ_FIELD
 from egb.serialize import frac_str
 
@@ -353,6 +365,109 @@ def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
                             return INF
                         best = max(best, hi)
     return best
+
+
+def gap_cuts(complex_: FilteredComplex) -> list[Fraction]:
+    """One cut inside every gap of the action spectrum, the unbounded gaps included."""
+    return [rep for _, _, rep in _gaps(complex_.spectrum())]
+
+
+# -- window homology oracles -------------------------------------------------
+
+
+def window_homology_oracle(complex_: FilteredComplex, a, b, r: int):
+    """Elimination oracle of `window_homology`: the window complex, a kernel
+    basis of its degree-r boundary, and the cycles that extend a basis of
+    the boundaries."""
+    keep, wc = window_complex(complex_, a, b)
+    idx_r, cycles, d_rp1 = homology_basis(wc, r)
+    if not idx_r:
+        return 0, [], []
+    boundaries = [d_rp1.column(j) for j in range(d_rp1.cols)]
+    chosen = _extend_basis(complex_.field, boundaries, cycles, len(idx_r))
+    return len(chosen), chosen, [keep[i] for i in idx_r]
+
+
+def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
+                dst_glob: list[int]) -> tuple:
+    """Connecting map: lift, apply the full boundary, restrict to the target."""
+    field = complex_.field
+    look = {g: i for i, g in enumerate(dst_glob)}
+    out = [field.zero()] * len(dst_glob)
+    for i, g in enumerate(src_glob):
+        v = vec[i]
+        if not v:
+            continue
+        for h in range(len(complex_.generators)):
+            e = complex_.boundary.entries[h][g]
+            if e and h in look:
+                out[look[h]] = out[look[h]] + v * e
+    return tuple(out)
+
+
+def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
+    """Elimination oracle of `les_check`: a window complex per window, and
+    kernels and echelons per window and degree for every induced rank."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if not a < b < c:
+        raise ValueError("need a < b < c")
+    field = complex_.field
+    windows = {w: window_complex(complex_, *w) for w in ((a, b), (a, c), (b, c))}
+    cache: dict = {}
+
+    def at(w, r):
+        """(global generator indices, cycle basis, boundary matrix) in degree r."""
+        if (w, r) not in cache:
+            keep, wc = windows[w]
+            idx_r, cycles, d_rp1 = homology_basis(wc, r)
+            cache[(w, r)] = ([keep[i] for i in idx_r], cycles, d_rp1)
+        return cache[(w, r)]
+
+    def dim(w, r):
+        glob, cycles, bnd = at(w, r)
+        return induced_homology_rank(field, cycles, cycles, bnd, len(glob))
+
+    if not complex_.generators:
+        return True
+    degs = sorted({d for _, d in complex_.generators})
+    ab, ac, bc = (a, b), (a, c), (b, c)
+    ok = True
+    for r in range(degs[0] - 1, degs[-1] + 2):
+        g_ab, z_ab, b_ab = at(ab, r)
+        g_ac, z_ac, b_ac = at(ac, r)
+        g_bc, z_bc, b_bc = at(bc, r)
+        g_ab1, z_ab1, b_ab1 = at(ab, r - 1)
+        g_ac1, z_ac1, b_ac1 = at(ac, r - 1)
+
+        # j1: inclusion (a,b) -> (a,c); j2: projection (a,c) -> (b,c);
+        # delta: (b,c) -> (a,b) in degree r-1
+        img_j1 = _reindex(field, z_ab, g_ab, g_ac)
+        img_j2 = _reindex(field, z_ac, g_ac, g_bc)
+        img_delta = [_connecting(complex_, z, g_bc, g_ab1) for z in z_bc]
+        img_j2j1 = _reindex(field, img_j1, g_ac, g_bc)
+        img_dj2 = [_connecting(complex_, v, g_bc, g_ab1) for v in img_j2]
+        img_j1d = _reindex(field, img_delta, g_ab1, g_ac1)
+
+        r_j1 = induced_homology_rank(field, z_ab, img_j1, b_ac, len(g_ac))
+        r_j2 = induced_homology_rank(field, z_ac, img_j2, b_bc, len(g_bc))
+        r_delta = induced_homology_rank(field, z_bc, img_delta, b_ab1, len(g_ab1))
+
+        if induced_homology_rank(field, z_ab, img_j2j1, b_bc, len(g_bc)) != 0:
+            ok = False  # j2 . j1 != 0
+        if induced_homology_rank(field, z_ac, img_dj2, b_ab1, len(g_ab1)) != 0:
+            ok = False  # delta . j2 != 0
+        if induced_homology_rank(field, z_bc, img_j1d, b_ac1, len(g_ac1)) != 0:
+            ok = False  # j1 . delta != 0
+        if r_j1 + r_j2 != dim(ac, r):
+            ok = False  # exactness at H_r(a,c)
+        if r_j2 + r_delta != dim(bc, r):
+            ok = False  # exactness at H_r(b,c)
+        # exactness at H_{r-1}(a,b) uses delta from degree r and j1 at r-1
+        img_j1_down = _reindex(field, z_ab1, g_ab1, g_ac1)
+        r_j1_down = induced_homology_rank(field, z_ab1, img_j1_down, b_ac1, len(g_ac1))
+        if r_delta + r_j1_down != dim(ab, r - 1):
+            ok = False
+    return ok
 
 
 # -- egg-beater oracles ------------------------------------------------------

@@ -112,6 +112,12 @@ class TestFreegroupCommands:
         code, _, err = run(capsys, "freegroup", "si", "0", "3")
         assert code == 1
 
+    def test_itinerary_bad_winding_names_segment(self):
+        proc = run_subprocess("freegroup", "itinerary", "V:A-A:3 V:A-A:x")
+        assert_clean_error(proc)
+        assert proc.stderr == (
+            "error: bad winding 'x' in segment 'V:A-A:x'; expected an integer\n")
+
 
 class TestBarcodeCommands:
     def test_bottleneck_identical_files(self, tmp_path, capsys):
@@ -303,6 +309,13 @@ class TestEggbeaterCommand:
     def test_malformed_input_exits_one(self, capsys):
         code, _, err = run(capsys, "eggbeater", "--p", "2", "--mu", "1/2", "--nu", "1/3,1/7")
         assert code == 1
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_one(self, count):
+        proc = run_subprocess("eggbeater", "--fixture", "--lambda", "auto", "--count", count)
+        assert_clean_error(proc)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: count must be >= 1\n"
 
     def test_off_lattice_exits_one(self, capsys):
         code, _, err = run(capsys, "eggbeater", "--fixture", "--lambda", "841")

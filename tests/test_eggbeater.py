@@ -689,7 +689,8 @@ class TestLattice:
         assert lambda_lattice(4, (F(1, 2),), (F(1, 2),), 2) == [F(8), F(16)]
 
     def test_count_zero(self):
-        assert lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 0) == []
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 0)
 
     def test_windings_are_positive_integers(self):
         lam = lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]

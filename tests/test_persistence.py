@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from egb import persistence
 from egb.field import CyclotomicField, Matrix, QQ_FIELD
 from egb.persistence import (
     Bar,
@@ -13,15 +15,25 @@ from egb.persistence import (
     barcode_of_complex,
     barcode_of_module,
     direct_sum,
+    homology_basis,
     induced_homology_rank,
     les_check,
     longest_finite_bar,
     module_from_barcode,
     multiplicity,
+    window_complex,
     window_homology,
 )
 
-from conftest import count_calls, rand_barcode, rand_frac, random_filtered_complex
+from conftest import (
+    count_calls,
+    gap_cuts,
+    les_check_oracle,
+    rand_barcode,
+    rand_frac,
+    random_filtered_complex,
+    window_homology_oracle,
+)
 
 
 def forget_degrees(barcode: Barcode) -> Barcode:
@@ -202,24 +214,21 @@ class TestFilteredComplex:
             )
 
     def test_random_complex_barcode_vs_window_oracle(self, rng):
-        """Bars restricted to a window reproduce quotient-complex homology."""
-        for _ in range(20):
-            cx = random_filtered_complex(rng)
-            bc = barcode_of_complex(cx)
-            spectrum = cx.spectrum()
-            if not spectrum:
-                continue
-            points = sorted(spectrum)
-            cuts = [points[0] - 1]
-            for x, y in zip(points, points[1:]):
-                cuts.append((x + y) / 2)
-            cuts.append(points[-1] + 1)
-            for i in range(len(cuts)):
-                for j in range(i + 1, len(cuts)):
-                    a, b = cuts[i], cuts[j]
-                    degrees = {d for _, d in cx.generators}
-                    for r in degrees | {min(degrees) + 1}:
-                        dim, _, _ = window_homology(cx, a, b, r)
+        """At every window between spectrum gaps and every degree, over Q and
+        Q(zeta_3): the window homology has the dimension of the elimination
+        oracle and of the bars restricted to the window, and its basis
+        vectors are window cycles independent modulo the window boundaries."""
+        for field in (QQ_FIELD, CyclotomicField(3)):
+            for _ in range(20):
+                cx = random_filtered_complex(rng, field)
+                bc = barcode_of_complex(cx)
+                degrees = {d for _, d in cx.generators}
+                for a, b in combinations(gap_cuts(cx), 2):
+                    keep, wc = window_complex(cx, a, b)
+                    for r in range(min(degrees) - 1, max(degrees) + 2):
+                        dim, vecs, idx = window_homology(cx, a, b, r)
+                        oracle_dim, _, oracle_idx = window_homology_oracle(cx, a, b, r)
+                        assert (dim, idx) == (oracle_dim, oracle_idx)
                         expected = sum(
                             m for bar, m, deg in bc.items
                             if deg == r and a <= bar.birth < b
@@ -230,6 +239,16 @@ class TestFilteredComplex:
                             and bar.finite and a <= bar.death < b
                         )
                         assert dim == expected
+                        if not idx:
+                            continue
+                        local = [keep.index(g) for g in idx]
+                        for vec in vecs:
+                            chain = [field.zero()] * len(keep)
+                            for k, v in zip(local, vec):
+                                chain[k] = v
+                            assert not any(wc.boundary.apply(tuple(chain)))
+                        _, _, boundaries = homology_basis(wc, r)
+                        assert induced_homology_rank(field, vecs, vecs, boundaries, len(idx)) == dim
 
 
 class TestWindowHomology:
@@ -266,17 +285,37 @@ class TestWindowHomology:
         assert les_check(pair_complex(), F(0), F(1), F(10))
 
     def test_les_random(self, rng):
-        for _ in range(15):
-            cx = random_filtered_complex(rng)
-            spectrum = cx.spectrum()
-            if not spectrum:
-                continue
-            a = spectrum[0] - 1
-            b = (spectrum[0] + spectrum[-1]) / 2 + F(1, 7)
-            c = spectrum[-1] + 1
-            if not (a < b < c) or b in spectrum:
-                continue
-            assert les_check(cx, a, b, c)
+        """les_check and its elimination oracle both hold at every triple of
+        spectrum gaps, over Q and Q(zeta_3)."""
+        for field in (QQ_FIELD, CyclotomicField(3)):
+            for _ in range(15):
+                cx = random_filtered_complex(rng, field)
+                for a, b, c in combinations(gap_cuts(cx), 3):
+                    assert les_check(cx, a, b, c) is True
+                    assert les_check_oracle(cx, a, b, c) is True
+
+    def test_les_detects_a_dropped_pair(self, rng, monkeypatch):
+        """With one pair dropped from the reduction, the normal form is wrong
+        and les_check fails at some triple of spectrum gaps."""
+        reduce = persistence._reduce
+
+        def drop_one_pair(complex_):
+            order, R, V, pairs = reduce(complex_)
+            return order, R, V, pairs[1:]
+
+        tried = 0
+        for field in (QQ_FIELD, CyclotomicField(3)):
+            for _ in range(10):
+                cx = random_filtered_complex(rng, field)
+                if not reduce(cx)[3]:
+                    continue
+                tried += 1
+                triples = list(combinations(gap_cuts(cx), 3))
+                assert all(les_check(cx, *t) for t in triples)
+                with monkeypatch.context() as m:
+                    m.setattr(persistence, "_reduce", drop_one_pair)
+                    assert not all(les_check(cx, *t) for t in triples)
+        assert tried
 
 
 class TestBarcodeContainers:
