@@ -44,6 +44,22 @@ def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
     return tuple(_parse_frac_arg(part) for part in s.split(",") if part)
 
 
+# The positional arguments of each barcode and freegroup subcommand.
+_OPERANDS = {
+    "decompose": "COMPLEX.json", "bottleneck": "BARCODE1.json BARCODE2.json",
+    "mu": "MODULE.json", "reduce": "WORD", "conjugate": "WORD1 WORD2",
+    "itinerary": "ITINERARY", "si": "M N",
+}
+
+
+def _check_operands(args, given: list[str]) -> None:
+    names = _OPERANDS[args.subcommand]
+    n = len(names.split())
+    if len(given) != n:
+        raise InputError(f"{args.command} {args.subcommand} expects {n} argument"
+                         f"{'s' * (n > 1)} {names}, got {len(given)}")
+
+
 def _k_or_p(k: int | None, p: int) -> int:
     """The --k option: p when it is left out; a k below 1 is malformed."""
     if k is None:
@@ -173,16 +189,14 @@ def cmd_eggbeater_2d(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    _check_operands(args, args.files)
     if args.subcommand == "decompose":
         cx = ser.complex_from_obj(_load_json(args.files[0]))
         barcode = barcode_of_complex(cx)
         _emit(ser.barcode_to_json(barcode), args.out)
         return 0
     if args.subcommand == "bottleneck":
-        if len(args.files) != 2:
-            raise InputError("bottleneck needs exactly two barcode files")
-        b = ser.barcode_from_obj(_load_json(args.files[0]))
-        c = ser.barcode_from_obj(_load_json(args.files[1]))
+        b, c = (ser.barcode_from_obj(_load_json(f)) for f in args.files)
         _emit(_dump({"bottleneck": ser.frac_str(bottleneck(b, c))}), args.out)
         return 0
     if args.subcommand == "mu":
@@ -202,7 +216,6 @@ def cmd_barcode(args) -> int:
         }
         _emit(_dump(report), args.out)
         return 0
-    raise InputError(f"unknown barcode subcommand {args.subcommand!r}")
 
 
 # -- spread ---------------------------------------------------------------------
@@ -316,29 +329,28 @@ def _parse_itinerary(text: str) -> fg.Itinerary:
 
 
 def cmd_freegroup(args) -> int:
+    _check_operands(args, args.args)
     try:
         if args.subcommand == "reduce":
             word = fg.parse_word(args.args[0])
             if args.cyclic:
                 word = fg.cyclic_reduce(word)
             print(fg.format_word(word))
-            return 0
-        if args.subcommand == "conjugate":
-            w1 = fg.parse_word(args.args[0])
-            w2 = fg.parse_word(args.args[1])
+        elif args.subcommand == "conjugate":
+            w1, w2 = (fg.parse_word(w) for w in args.args)
             print("true" if fg.conjugate_eq(w1, w2) else "false")
-            return 0
-        if args.subcommand == "itinerary":
+        elif args.subcommand == "itinerary":
             itinerary = _parse_itinerary(args.args[0])
             print(fg.format_word(fg.itinerary_to_word(itinerary)))
-            return 0
-        if args.subcommand == "si":
-            m, n = int(args.args[0]), int(args.args[1])
+        else:
+            try:
+                m, n = (int(x) for x in args.args)
+            except ValueError:
+                raise InputError(f"freegroup si expects integers M N, got {' '.join(args.args)!r}")
             print(fg.self_intersection(m, n))
-            return 0
-    except (ValueError, IndexError) as e:
+    except ValueError as e:
         raise InputError(str(e)) from e
-    raise InputError(f"unknown freegroup subcommand {args.subcommand!r}")
+    return 0
 
 
 # -- parser ------------------------------------------------------------------------

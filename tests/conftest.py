@@ -372,6 +372,35 @@ def gap_cuts(complex_: FilteredComplex) -> list[Fraction]:
     return [rep for _, _, rep in _gaps(complex_.spectrum())]
 
 
+# -- module barcode oracle ---------------------------------------------------
+
+
+def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
+    """Rank inclusion-exclusion oracle of `barcode_of_module`.
+
+    A bar (s_{u-1}, s_v] lives on constancy intervals u..v; its multiplicity
+    is r(u,v) - r(u-1,v) - r(u,v+1) + r(u-1,v+1), where r is the composite
+    rank of `FinitePersistenceModule.rank_table`.
+    """
+    m = len(module.spectrum)
+    r = module.rank_table()
+
+    def rk(u: int, v: int) -> int:
+        return r[u][v] if u >= 0 else 0
+
+    entries = []
+    for u in range(1, m + 1):  # bar born at spectrum[u-1]
+        birth = module.spectrum[u - 1]
+        for v in range(u, m + 1):  # bar dying at spectrum[v], or never (v == m)
+            later = rk(u, v + 1) - rk(u - 1, v + 1) if v < m else 0
+            mult = rk(u, v) - rk(u - 1, v) - later
+            assert mult >= 0, "negative multiplicity: invalid persistence module"
+            if mult > 0:
+                death = module.spectrum[v] if v < m else INF
+                entries.append((Bar(birth, death), mult, None))
+    return Barcode.of(entries)
+
+
 # -- window homology oracles -------------------------------------------------
 
 

@@ -119,6 +119,30 @@ class TestFreegroupCommands:
             "error: bad winding 'x' in segment 'V:A-A:x'; expected an integer\n")
 
 
+class TestOperandCounts:
+    """A wrong number of positional arguments, or a non-integer `si`
+    argument, exits 1 with an error naming the subcommand and what it
+    expects; no input file is read first."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("freegroup", "conjugate", "a"),
+         "freegroup conjugate expects 2 arguments WORD1 WORD2, got 1"),
+        (("freegroup", "si", "1"), "freegroup si expects 2 arguments M N, got 1"),
+        (("freegroup", "si", "a", "2"), "freegroup si expects integers M N, got 'a 2'"),
+        (("freegroup", "si", "2", "3", "4"), "freegroup si expects 2 arguments M N, got 3"),
+        (("freegroup", "reduce", "a", "b"), "freegroup reduce expects 1 argument WORD, got 2"),
+        (("freegroup", "itinerary", "X", "Y"),
+         "freegroup itinerary expects 1 argument ITINERARY, got 2"),
+        (("barcode", "decompose", "f", "g"),
+         "barcode decompose expects 1 argument COMPLEX.json, got 2"),
+        (("barcode", "mu", "f", "g"), "barcode mu expects 1 argument MODULE.json, got 2"),
+        (("barcode", "bottleneck", "f"),
+         "barcode bottleneck expects 2 arguments BARCODE1.json BARCODE2.json, got 1"),
+    ])
+    def test_bad_count_exits_one(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestBarcodeCommands:
     def test_bottleneck_identical_files(self, tmp_path, capsys):
         bc = Barcode.of([(Bar(0, 4), 1), (Bar(1, 3), 2)])

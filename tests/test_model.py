@@ -42,7 +42,7 @@ class TestBuildModel:
         model_input, _ = fixture_model()
         model = build_model(model_input)
         bc = barcode_of_module(eigenspace_module(model, cyclo_zeta(2)))
-        assert bc.total() == 16
+        assert len(bc.bars()) == 16
         assert bc.infinite_count() == 16
         assert bc.births() == model_input.actions()
 

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from egb import persistence
-from egb.field import CyclotomicField, Matrix, QQ_FIELD
+from egb.equivariant import eigenspace_module, quotient_fix_module
+from egb.field import CyclotomicField, Matrix, QQ_FIELD, primitive_roots
 from egb.persistence import (
     Bar,
     Barcode,
@@ -26,12 +27,14 @@ from egb.persistence import (
 )
 
 from conftest import (
+    barcode_of_module_oracle,
     count_calls,
     gap_cuts,
     les_check_oracle,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
+    random_zp_module,
     window_homology_oracle,
 )
 
@@ -132,7 +135,7 @@ class TestModuleDecomposition:
         for _ in range(40):
             bc = rand_barcode(rng)
             m = module_from_barcode(QQ_FIELD, bc)
-            assert barcode_of_module(m) == forget_degrees(bc)
+            assert barcode_of_module(m) == forget_degrees(bc) == barcode_of_module_oracle(m)
 
     def test_rank_reconstruction_random(self, rng):
         """rank of the composite transition counts the bars containing the
@@ -163,7 +166,49 @@ class TestModuleDecomposition:
             m = direct_sum(
                 module_from_barcode(QQ_FIELD, b1), module_from_barcode(QQ_FIELD, b2)
             )
-            assert barcode_of_module(m) == forget_degrees(b1.union(b2))
+            expected = forget_degrees(b1.union(b2))
+            assert barcode_of_module(m) == expected == barcode_of_module_oracle(m)
+
+    def test_elder_rule(self):
+        """Two classes born at 0 and 1 map onto one vector at 2: the younger
+        one dies there, the elder lives on.  The second class is born in a
+        basis that mixes it with the first, so the dying class is not a
+        basis vector of either interval."""
+        m = FinitePersistenceModule(
+            QQ_FIELD, (F(0), F(1), F(2)), (0, 1, 2, 1),
+            (
+                Matrix.zeros(QQ_FIELD, 1, 0),
+                Matrix.from_rows(QQ_FIELD, [[1], [1]]),
+                Matrix.from_rows(QQ_FIELD, [[1, 2]]),
+            ),
+        )
+        expected = Barcode.of([(Bar(0, INF), 1), (Bar(1, 2), 1)])
+        assert barcode_of_module(m) == expected == barcode_of_module_oracle(m)
+
+    def test_one_product_and_one_elimination_per_transition(self, rng, monkeypatch):
+        modules = [random_zp_module(rng, 3).base for _ in range(5)]
+        tables = count_calls(monkeypatch, FinitePersistenceModule, "rank_table")
+        composites = count_calls(monkeypatch, FinitePersistenceModule, "composite")
+        ranks = count_calls(monkeypatch, Matrix, "rank")
+        products = count_calls(monkeypatch, Matrix, "__matmul__")
+        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        for m in modules:
+            products.clear()
+            echelons.clear()
+            barcode_of_module(m)
+            assert len(products) == len(echelons) == len(m.spectrum)
+        assert tables == composites == ranks == []
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sweep_equals_rank_table_oracle_cyclotomic(self, rng, p):
+        """The base, every eigenspace module and the V/Fix quotient of
+        conjugated (dense) random Z_p modules over Q(zeta_p)."""
+        for _ in range(8):
+            zm = random_zp_module(rng, p)
+            modules = [zm.base, quotient_fix_module(zm)]
+            modules += [eigenspace_module(zm, z) for z in primitive_roots(p)]
+            for m in modules:
+                assert barcode_of_module(m) == barcode_of_module_oracle(m)
 
     def test_invalid_module_rejected(self):
         with pytest.raises(ValueError):
