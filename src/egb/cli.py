@@ -50,6 +50,8 @@ _OPERANDS = {
     "mu": "MODULE.json", "reduce": "WORD", "conjugate": "WORD1 WORD2",
     "itinerary": "ITINERARY", "si": "M N",
 }
+# The options that only one barcode or freegroup subcommand reads.
+_OPTION_OWNER = {"zeta_index": "mu", "cyclic": "reduce"}
 
 
 def _check_operands(args, given: list[str]) -> None:
@@ -58,6 +60,10 @@ def _check_operands(args, given: list[str]) -> None:
     if len(given) != n:
         raise InputError(f"{args.command} {args.subcommand} expects {n} argument"
                          f"{'s' * (n > 1)} {names}, got {len(given)}")
+    for dest, owner in _OPTION_OWNER.items():
+        if getattr(args, dest, None) is not None and args.subcommand != owner:
+            raise InputError(f"--{dest.replace('_', '-')} applies only to "
+                             f"{args.command} {owner}")
 
 
 def _k_or_p(k: int | None, p: int) -> int:
@@ -201,7 +207,7 @@ def cmd_barcode(args) -> int:
         return 0
     if args.subcommand == "mu":
         module = ser.zp_module_from_obj(_load_json(args.files[0]))
-        zi = args.zeta_index
+        zi = 1 if args.zeta_index is None else args.zeta_index
         if not 1 <= zi <= module.p - 1:
             raise InputError(f"zeta index must lie in 1..{module.p - 1}")
         barcodes = eigenspace_barcodes(module)  # barcodes[k - 1] is at zeta^k
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc = sub.add_parser("barcode", help="decompose | bottleneck | mu")
     p_bc.add_argument("subcommand", choices=("decompose", "bottleneck", "mu"))
     p_bc.add_argument("files", nargs="+")
-    p_bc.add_argument("--zeta-index", dest="zeta_index", type=int, default=1)
+    p_bc.add_argument("--zeta-index", dest="zeta_index", type=int, help="mu only; default 1")
     p_bc.add_argument("--out", default="")
     p_bc.set_defaults(func=cmd_barcode)
 
@@ -411,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fg = sub.add_parser("freegroup", help="reduce | conjugate | itinerary | si")
     p_fg.add_argument("subcommand", choices=("reduce", "conjugate", "itinerary", "si"))
     p_fg.add_argument("args", nargs="+")
-    p_fg.add_argument("--cyclic", action="store_true", help="cyclically reduce")
+    p_fg.add_argument("--cyclic", action="store_true", default=None,
+                      help="reduce only: cyclically reduce")
     p_fg.set_defaults(func=cmd_freegroup)
 
     return parser

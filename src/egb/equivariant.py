@@ -9,6 +9,7 @@ full-power obstruction with its test fixtures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 import random
@@ -26,7 +27,6 @@ from .persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
-    Interval,
     _NormalForm,
     _apply,
     _block_diag,
@@ -37,7 +37,6 @@ from .persistence import (
     induced_homology_rank,
     is_inf,
     longest_finite_bar,
-    multiplicity,
     barcode_of_module,
     window_complex,
 )
@@ -181,49 +180,44 @@ def mu_from_barcode(barcode: Barcode, p: int) -> Fraction | float:
     interval (largest birth <= left, smallest death >= right, or +inf) keeps
     the containing set while weakly improving both the length budget and the
     distance to every excluded bar.  The supremum is therefore attained over
-    the finite candidate grid births x (deaths + inf) and is computed there
-    in closed form.
+    the finite candidate grid births x (deaths + inf), and each candidate's
+    value is a closed form read off one pass of `_spread_candidates`.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    best: Fraction | float = Fraction(0)
-    for interval, inside in _candidate_intervals(barcode):
-        if inside % p == 0:
-            continue
-        x, y = interval.left, interval.right
-        # smallest c at which some excluded bar swallows the 2c-shrink
-        horizon: Fraction | float = INF
-        for bar, m, _ in barcode.items:
-            if bar.contains(interval):
-                continue
-            need_left = (bar.birth - x) / 2 if bar.birth > x else Fraction(0)
-            if is_inf(y):
-                if bar.finite:
-                    continue  # finite bar can never contain (x+2c, inf)
-                threshold = need_left
-            else:
-                need_right = (
-                    (y - bar.death) / 2 if bar.finite and bar.death < y else Fraction(0)
-                )
-                threshold = max(need_left, need_right)
-            horizon = min(horizon, threshold)
-        budget = INF if is_inf(y) else (y - x) / 4
-        value = min(budget, horizon)
-        if value > best:
-            best = value
-    return best
+    return max(_spread_candidates(barcode, p), default=Fraction(0))
 
 
-def _candidate_intervals(barcode: Barcode):
-    """(interval, multiplicity) over the candidate grid births x (finite
-    deaths + inf), the intervals on which mu and the full-power verdict are
-    decided."""
-    rights = barcode.finite_deaths() + [INF]
-    for x in barcode.births():
-        for y in rights:
-            if x < y:
-                interval = Interval(x, y)
-                yield interval, multiplicity(barcode, interval)
+def _spread_candidates(barcode: Barcode, p: int):
+    """The value min((y - x)/4, horizon) of each candidate interval (x, y],
+    x a birth and y > x a finite death or +inf, whose multiplicity is not
+    divisible by p; the horizon is the least c at which an excluded bar
+    contains the 2c-shrink (x + 2c, y - 2c].
+
+    One pass over the births in the canonical order of `barcode.items`.  The
+    infinite bars (rays) enter only through the multiplicity of those born
+    at or before x and the next ray birth after x, so a candidate (x, +inf]
+    costs O(1) and the all-infinite barcodes of the model cost O(n).  Only a
+    candidate with a finite right end scans, and it scans the finite bars.
+    """
+    rays = [(bar.birth, m) for bar, m, _ in barcode.items if not bar.finite]
+    finite = [(bar.birth, bar.death, m) for bar, m, _ in barcode.items if bar.finite]
+    deaths = sorted({d for _, d, _ in finite})
+    below = i = 0
+    for x in dict.fromkeys(bar.birth for bar, _, _ in barcode.items):
+        while i < len(rays) and rays[i][0] <= x:
+            below += rays[i][1]
+            i += 1
+        # twice the horizon the rays set: an excluded ray is born after x
+        reach = rays[i][0] - x if i < len(rays) else INF
+        if below % p:
+            yield reach / 2
+        for y in deaths[bisect_right(deaths, x):]:
+            m = below + sum(k for b, d, k in finite if b <= x and d >= y)
+            if m % p:
+                h = min((max(b - x, y - d) for b, d, _ in finite if b > x or d < y),
+                        default=INF)
+                yield min((y - x) / 4, min(reach, h) / 2)
 
 
 def eigenspace_barcodes(module: ZpPersistenceModule) -> list[Barcode]:
@@ -422,8 +416,9 @@ def full_power_check(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> str
 
 def full_power_verdict(barcode: Barcode, p: int) -> str:
     """FAIL iff some candidate-interval multiplicity of the eigenspace
-    barcode is not divisible by p."""
-    return "FAIL" if any(m % p for _, m in _candidate_intervals(barcode)) else "PASS"
+    barcode is not divisible by p: the first candidate that
+    `_spread_candidates` yields decides it."""
+    return "FAIL" if next(_spread_candidates(barcode, p), None) is not None else "PASS"
 
 
 def construct_full_power(

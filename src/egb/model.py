@@ -66,7 +66,8 @@ def paper_mu_lower_bound(
 ) -> Fraction:
     """Differential-independent bound g(1 - 2 eps)/4 from the minimal
     inter-tuple gap g, with the witness interval checked to have model
-    multiplicity 1 (a count not divisible by p)."""
+    multiplicity 1 (a count not divisible by p), summed over the degrees of
+    the family: multiplicity is additive over a multiset union."""
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac < 1:
         raise ValueError("eps_frac must lie in (0, 1)")
@@ -79,11 +80,9 @@ def paper_mu_lower_bound(
     c = gap * (1 - 2 * eps_frac) / 4
     if family is None:
         family = eigenspace_family(model_input)
-    merged = Barcode.empty()
-    for bc in family.values():
-        merged = merged.union(bc)
-    m_full = multiplicity(merged, witness)
-    m_shrunk = multiplicity(merged, witness.shrink(2 * c))
+    shrunk = witness.shrink(2 * c)
+    m_full = sum(multiplicity(bc, witness) for bc in family.values())
+    m_shrunk = sum(multiplicity(bc, shrunk) for bc in family.values())
     if not (m_full == m_shrunk == 1):
         raise AssertionError("witness interval does not have model multiplicity 1")
     return c

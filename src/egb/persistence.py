@@ -165,12 +165,6 @@ class Barcode:
             return Barcode.empty()
         return Barcode(tuple((bar, m * n, deg) for bar, m, deg in self.items))
 
-    def births(self) -> list[Fraction]:
-        return sorted({bar.birth for bar, _, _ in self.items})
-
-    def finite_deaths(self) -> list[Fraction]:
-        return sorted({bar.death for bar, _, _ in self.items if bar.finite})
-
     def is_empty(self) -> bool:
         return not self.items
 

@@ -28,11 +28,13 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
+    Interval,
     _extend_basis,
     _reindex,
     homology_basis,
     induced_homology_rank,
     is_inf,
+    multiplicity,
     window_complex,
 )
 from egb.field import QQ_FIELD
@@ -399,6 +401,66 @@ def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
                 death = module.spectrum[v] if v < m else INF
                 entries.append((Bar(birth, death), mult, None))
     return Barcode.of(entries)
+
+
+# -- spread oracles ----------------------------------------------------------
+
+
+def births(barcode: Barcode) -> list[Fraction]:
+    return sorted({bar.birth for bar, _, _ in barcode.items})
+
+
+def finite_deaths(barcode: Barcode) -> list[Fraction]:
+    return sorted({bar.death for bar, _, _ in barcode.items if bar.finite})
+
+
+def _candidate_intervals(barcode: Barcode):
+    """(interval, multiplicity) over the candidate grid births x (finite
+    deaths + inf), the intervals on which mu and the full-power verdict are
+    decided."""
+    rights = finite_deaths(barcode) + [INF]
+    for x in births(barcode):
+        for y in rights:
+            if x < y:
+                interval = Interval(x, y)
+                yield interval, multiplicity(barcode, interval)
+
+
+def mu_from_barcode_oracle(barcode: Barcode, p: int) -> Fraction | float:
+    """Grid oracle of `mu_from_barcode`: every candidate interval of the
+    births x (deaths + inf) grid recounts its multiplicity and scans every
+    bar for the least c at which an excluded bar swallows its 2c-shrink."""
+    best: Fraction | float = Fraction(0)
+    for interval, inside in _candidate_intervals(barcode):
+        if inside % p == 0:
+            continue
+        x, y = interval.left, interval.right
+        horizon: Fraction | float = INF
+        for bar, m, _ in barcode.items:
+            if bar.contains(interval):
+                continue
+            need_left = (bar.birth - x) / 2 if bar.birth > x else Fraction(0)
+            if is_inf(y):
+                if bar.finite:
+                    continue  # finite bar can never contain (x+2c, inf)
+                threshold = need_left
+            else:
+                need_right = (
+                    (y - bar.death) / 2 if bar.finite and bar.death < y else Fraction(0)
+                )
+                threshold = max(need_left, need_right)
+            horizon = min(horizon, threshold)
+        budget = INF if is_inf(y) else (y - x) / 4
+        value = min(budget, horizon)
+        if value > best:
+            best = value
+    return best
+
+
+def full_power_verdict_oracle(barcode: Barcode, p: int) -> str:
+    """Grid oracle of `full_power_verdict`: FAIL iff some candidate-interval
+    multiplicity, recounted over every bar, is not divisible by p."""
+    return "FAIL" if any(m % p for _, m in _candidate_intervals(barcode)) else "PASS"
 
 
 # -- window homology oracles -------------------------------------------------

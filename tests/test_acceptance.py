@@ -41,8 +41,10 @@ from conftest import (
     SEED,
     alpha_word,
     asymptotic_limit,
+    births,
     conjugate_module,
     eps_bar,
+    finite_deaths,
     min_leading_gap,
     rand_barcode,
     random_zp_module,
@@ -275,10 +277,9 @@ def test_criterion_09_multiplicity_stability():
         if b.is_empty():
             continue
         c = F(rng.randint(1, 12), 16)
-        births = b.births()
-        rights = b.finite_deaths() + [INF]
+        rights = finite_deaths(b) + [INF]
         candidates = []
-        for x in births:
+        for x in births(b):
             for y in rights:
                 if is_inf(y) or y - x > 4 * c:
                     candidates.append(Interval(x, y))

@@ -120,9 +120,10 @@ class TestFreegroupCommands:
 
 
 class TestOperandCounts:
-    """A wrong number of positional arguments, or a non-integer `si`
-    argument, exits 1 with an error naming the subcommand and what it
-    expects; no input file is read first."""
+    """A wrong number of positional arguments, a non-integer `si`
+    argument, or an option that only another subcommand reads exits 1 with
+    an error naming the subcommand and what it expects, or the option; no
+    input file is read first."""
 
     @pytest.mark.parametrize("argv, message", [
         (("freegroup", "conjugate", "a"),
@@ -141,6 +142,23 @@ class TestOperandCounts:
     ])
     def test_bad_count_exits_one(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("freegroup", "si", "2", "3", "--cyclic"), "--cyclic applies only to freegroup reduce"),
+        (("freegroup", "conjugate", "a", "a", "--cyclic"),
+         "--cyclic applies only to freegroup reduce"),
+        (("freegroup", "itinerary", "V:A-A:3", "--cyclic"),
+         "--cyclic applies only to freegroup reduce"),
+        (("barcode", "bottleneck", "f", "g", "--zeta-index", "7"),
+         "--zeta-index applies only to barcode mu"),
+        (("barcode", "decompose", "f", "--zeta-index", "0"),
+         "--zeta-index applies only to barcode mu"),
+    ])
+    def test_option_of_another_subcommand_exits_one(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_owned_options_still_work(self, capsys):
+        assert run(capsys, "freegroup", "reduce", "b a c b^-1", "--cyclic") == (0, "a c\n", "")
 
 
 class TestBarcodeCommands:

@@ -14,6 +14,7 @@ from egb.equivariant import (
     cyclic_tuple_module,
     eigenspace_module,
     full_power_check,
+    full_power_verdict,
     kunneth_stabilize,
     mu_from_barcode,
     mu_p,
@@ -42,6 +43,9 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
     count_calls,
+    full_power_verdict_oracle,
+    mu_from_barcode_oracle,
+    rand_barcode,
     rand_frac,
     random_equivariant_complex,
     random_zp_module,
@@ -212,6 +216,52 @@ class TestMuP:
     def test_graded_family_max(self):
         fam = {0: Barcode.of([(Bar(0, 10), 1)]), 1: Barcode.of([(Bar(0, 4), 1)])}
         assert mu_p_of_family(fam, 2) == F(5, 2)
+
+
+def rays(rng, n: int, max_mult: int = 3) -> Barcode:
+    """n infinite bars at random births (repeats merge), multiplicities 1..max_mult."""
+    return Barcode.of([(Bar(rand_frac(rng), INF), rng.randint(1, max_mult)) for _ in range(n)])
+
+
+def spread_barcodes(rng, kind: str, count: int = 60):
+    """Random barcodes of one kind: finite bars only, infinite bars only, or
+    both, the mixed ones with bars in several degrees."""
+    for _ in range(count):
+        if kind == "finite":
+            yield rand_barcode(rng, max_bars=8, allow_infinite=False)
+        elif kind == "infinite":
+            yield rays(rng, rng.randint(0, 8))
+        else:
+            bc = rand_barcode(rng, max_bars=8).union(rays(rng, rng.randint(1, 3)))
+            yield Barcode.of([(bar, m, rng.choice([None, 0, 1])) for bar, m, _ in bc.items])
+
+
+class TestSpreadSweep:
+    """`mu_from_barcode` and `full_power_verdict` from one pass over the
+    canonical order, against the candidate-grid oracles of conftest."""
+
+    @pytest.mark.parametrize("kind", ["finite", "infinite", "mixed"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_equals_oracles(self, rng, kind, p):
+        for bc in spread_barcodes(rng, kind):
+            got, want = mu_from_barcode(bc, p), mu_from_barcode_oracle(bc, p)
+            assert (got, type(got)) == (want, type(want)), bc
+            assert full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p), bc
+
+    def test_rays_never_scan_bars(self, rng, monkeypatch):
+        contains = count_calls(monkeypatch, Bar, "contains")
+        for p in (2, 3, 5):
+            for bc in spread_barcodes(rng, "infinite", 20):
+                mu_from_barcode(bc, p)
+                full_power_verdict(bc, p)
+        assert contains == []
+
+    def test_ray_horizon_is_half_the_next_birth(self):
+        # (0, inf] alone has multiplicity 1 until the ray born at 6 enters
+        bc = Barcode.of([(Bar(0, INF), 1), (Bar(6, INF), 1)])
+        assert mu_from_barcode(bc, 2) == 3
+        assert full_power_verdict(bc, 2) == "FAIL"
+        assert full_power_verdict(bc.repeat(2), 2) == "PASS"
 
 
 class TestWHat:

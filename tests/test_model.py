@@ -9,6 +9,9 @@ from egb.eggbeater import (
     enumerate_records,
     fixture_params,
     lambda_lattice,
+    min_action_gap,
+    param_search,
+    validation_threshold,
 )
 from egb.equivariant import eigenspace_module, mu_p_of_family
 from egb.field import cyclo_zeta, primitive_roots
@@ -21,7 +24,7 @@ from egb.model import (
 )
 from egb.persistence import Bar, Barcode, INF, barcode_of_module, is_inf
 
-from conftest import build_model
+from conftest import births, build_model
 
 
 def fixture_model(lam=None):
@@ -44,7 +47,7 @@ class TestBuildModel:
         bc = barcode_of_module(eigenspace_module(model, cyclo_zeta(2)))
         assert len(bc.bars()) == 16
         assert bc.infinite_count() == 16
-        assert bc.births() == model_input.actions()
+        assert births(bc) == model_input.actions()
 
     def test_eigen_dimension_counts_tuples(self):
         model_input, _ = fixture_model()
@@ -105,6 +108,15 @@ class TestPaperBound:
             assert is_inf(model_mu) or model_mu >= bound
 
 
+    def test_witness_multiplicity_adds_over_degrees(self):
+        # the same bar in two degrees gives the witness multiplicity 2
+        model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
+        ray = Barcode.of([(Bar(0, INF), 1)])
+        assert paper_mu_lower_bound(model_input, family={0: ray, 1: Barcode.empty()}) == F(49, 25)
+        with pytest.raises(AssertionError, match="multiplicity 1"):
+            paper_mu_lower_bound(model_input, family={0: ray, 1: ray})
+
+
 class TestBoundsReport:
     def test_fixture_report(self):
         model_input, lam = fixture_model()
@@ -150,3 +162,13 @@ class TestBoundsReport:
         model_input, _ = fixture_model()
         with pytest.raises(ValueError):
             bounds_report(model_input, eps_frac=F(3, 2))
+
+    def test_p5_from_the_solver_records(self):
+        # the 1,024 records at the validation threshold of the searched p = 5
+        # coefficients: 4^5 = 4 (mod 5) simple rays give an infinite model spread
+        lam, records = validation_threshold(5, 4, *param_search(5, 4))
+        assert len(records) == 4 ** 5
+        report = bounds_report(model_input_from_records(records, 5), lam=lam)
+        assert is_inf(report.mu_p_model)
+        assert report.gap == min_action_gap(records)
+        assert report.mu_p_paper_bound == report.gap * F(49, 50) / 4  # the witness check passed

@@ -1,7 +1,8 @@
 """The README's examples run as written: the "Library quick tour" block, and
 every "Command line" example that reads no input file, with the outputs its
-comments state."""
+comments state.  Its bounds table is what `scripts/bounds_table.py` prints."""
 
+import runpy
 import shlex
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from egb.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -52,3 +54,9 @@ def test_command_line_example(tmp_path, monkeypatch, capsys, argv, expected):
     out = capsys.readouterr().out
     if expected is not None:
         assert out == expected + "\n"
+
+
+def test_bounds_table_is_the_scripts_output():
+    section = README.split("\n## Bounds against p and λ\n", 1)[1].split("\n## ", 1)[0]
+    table = runpy.run_path(str(ROOT / "scripts" / "bounds_table.py"))["table"]()
+    assert f"\n{table}\n" in section
