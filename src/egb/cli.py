@@ -29,7 +29,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, barcode_of_complex, is_inf
+from .persistence import Barcode, barcode_of_complex, is_inf, min_gap
 from .serialize import InputError
 
 
@@ -105,15 +105,15 @@ def _dump(obj) -> str:
 # -- eggbeater -----------------------------------------------------------------
 
 
-def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
-    params = eb.EggBeaterParams(p, L, lam, mu, nu, degree=degree)
+def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
+    params = eb.EggBeaterParams(p, L, lam, mu, nu)
     records = eb.enumerate_records(params)
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
     leads = [r.action_leading for r in records]
     leads.sort(key=eb._exact_key(leads))
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
-    lead_gap = min(b - a for a, b in zip(leads, leads[1:])) / lam
+    lead_gap = min_gap(leads) / lam
     header = {
         "p": p,
         "L": ser.frac_str(L),
@@ -140,12 +140,16 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None, degree: int):
 
 
 def cmd_eggbeater(args) -> int:
+    if args.fixture and (args.mu or args.nu):
+        raise InputError(f"--{'mu' if args.mu else 'nu'} applies only without --fixture")
+    if args.count is not None and args.lam != "auto":
+        raise InputError("--count applies only to --lambda auto")
     p = args.p
     L = _parse_frac_arg(args.L)
     if args.mu and args.nu:
         mu = _parse_frac_list(args.mu)
         nu = _parse_frac_list(args.nu)
-    elif args.fixture or (not args.mu and not args.nu):
+    elif not args.mu and not args.nu:
         if p != 2:
             raise InputError("the frozen fixture is for p=2; pass --mu/--nu")
         mu, nu = eb.FIXTURE_P2_MU, eb.FIXTURE_P2_NU
@@ -155,7 +159,7 @@ def cmd_eggbeater(args) -> int:
         raise InputError(f"need {p} mu and {p} nu coefficients")
 
     if args.lam == "auto":
-        lams = eb.lambda_lattice(L, mu, nu, args.count)
+        lams = eb.lambda_lattice(L, mu, nu, 1 if args.count is None else args.count)
     else:
         lams = [_parse_frac_arg(args.lam)]
     out_dir = None
@@ -165,7 +169,7 @@ def cmd_eggbeater(args) -> int:
     all_valid = True
     for lam in lams:
         try:
-            ok = _run_eggbeater_once(p, L, mu, nu, lam, out_dir, args.degree)
+            ok = _run_eggbeater_once(p, L, mu, nu, lam, out_dir)
         except ValueError as e:
             raise InputError(str(e)) from e
         all_valid = all_valid and ok
@@ -249,6 +253,8 @@ def cmd_spread(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.file and args.lam is not None:
+        raise InputError("--lambda applies only without --file")
     p = args.p
     eps = _parse_frac_arg(args.epsilon_frac)
     k = _k_or_p(args.k, p)
@@ -376,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eb.add_argument("--nu", default="", help="comma-separated rationals")
     p_eb.add_argument("--fixture", action="store_true", help="use the frozen p=2 fixture")
     p_eb.add_argument("--lambda", dest="lam", default="auto")
-    p_eb.add_argument("--count", type=int, default=1, help="lattice points for --lambda auto")
-    p_eb.add_argument("--degree", type=int, default=0)
+    p_eb.add_argument("--count", type=int, help="lattice points for --lambda auto; default 1")
     p_eb.add_argument("--out", default="", help="output directory")
     p_eb.set_defaults(func=cmd_eggbeater)
 
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd = sub.add_parser("bounds", help="certified Hofer-distance lower bounds")
     p_bd.add_argument("--p", type=int, default=2)
     p_bd.add_argument("--file", default="", help="tuples JSON instead of the fixture")
-    p_bd.add_argument("--lambda", dest="lam", default="auto")
+    p_bd.add_argument("--lambda", dest="lam", help="fixture only; default auto")
     p_bd.add_argument("--k", type=int, default=None, help="order checked; default p")
     p_bd.add_argument("--epsilon-frac", dest="epsilon_frac", default="1/100")
     p_bd.add_argument("--stabilize", default="", help="betti vector b0,b1,...")

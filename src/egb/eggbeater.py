@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import Matrix, QQ_FIELD, is_prime
-from .persistence import INF
+from .persistence import min_gap
 
 
 class ReductionWindowError(ValueError):
@@ -79,7 +79,6 @@ class EggBeaterParams:
     lam: Fraction
     mu: tuple[Fraction, ...]
     nu: tuple[Fraction, ...]
-    degree: int = 0  # grading indices are not computed; one shared slot
 
     def __post_init__(self):
         object.__setattr__(self, "L", Fraction(self.L))
@@ -242,15 +241,13 @@ def solve_signed(signs: tuple[int, ...], params: EggBeaterParams) -> FixedPointR
 def _solve_core(
     p: int, lam: Fraction, mu: tuple, nu: tuple, signs: tuple[int, ...]
 ) -> FixedPointRecord:
-    lam = Fraction(lam)
-    mu = tuple(Fraction(v) for v in mu)
-    nu = tuple(Fraction(v) for v in nu)
     if len(signs) != 2 * p or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be a vector over {+1, -1} of length 2p")
     scale = _integer_scale(lam, mu, nu)
-    composed = _block(0, signs, scale)
-    for j in range(1, p):
-        composed = _compose(_block(j, signs, scale), composed)
+    blocks = [_block(j, _eps(signs, 2 * j + 1), _eps(signs, 2 * j + 4), scale) for j in range(p)]
+    composed = blocks[0]
+    for block in blocks[1:]:
+        composed = _compose(block, composed)
     return _validate(p, scale, signs, composed)
 
 
@@ -263,14 +260,13 @@ def _integer_scale(lam: Fraction, mu: tuple, nu: tuple) -> tuple:
     return k, lam.numerator * (k // lam.denominator), ints[:len(mu)], ints[len(mu):]
 
 
-def _block(j: int, signs: tuple[int, ...], scale: tuple) -> tuple:
-    """Block j on the integers of `scale` = (K, K lam, (K mu_i lam)_i,
-    (K nu_i lam)_i): K^2 A_j, then K^{2j+2} b_j, then K^2 lam^2 times the
-    block's term of `leading_sum`.  Composing blocks 0, ..., j in order then
-    gives K^{2j+2} (A, v) for the composed affine map (A, v)."""
+def _block(j: int, e1: int, e4: int, scale: tuple) -> tuple:
+    """Block j with the signs e1 = eps_{2j+1}, e4 = eps_{2j+4} on the
+    integers of `scale` = (K, K lam, (K mu_i lam)_i, (K nu_i lam)_i): K^2 A_j,
+    then K^{2j+2} b_j, then K^2 lam^2 times the block's term of
+    `leading_sum`.  Composing blocks 0, ..., j in order then gives
+    K^{2j+2} (A, v) for the composed affine map (A, v)."""
     k, big_lam, big_mu, big_nu = scale
-    e1 = _eps(signs, 2 * j + 1)
-    e4 = _eps(signs, 2 * j + 4)
     rm = big_lam - big_mu[j]  # K (1 - mu_j) lam
     rn = big_lam - big_nu[j]
     lift = k ** (2 * j)
@@ -399,20 +395,12 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
     products of four variants per block.  The affine maps of all prefixes
     are composed level by level, each once, and shared by the vectors that
     extend them; every vector is then validated on its own."""
-    lam = Fraction(lam)
-    mu = tuple(Fraction(v) for v in mu)
-    nu = tuple(Fraction(v) for v in nu)
     n = 2 * p
 
     def variants(j: int) -> list[tuple]:
         """Block j for (e1, e4) = (+,+), (+,-), (-,+), (-,-): variant
         2 (e1 < 0) + (e4 < 0)."""
-        out = []
-        for e1, e4 in itertools.product((1, -1), repeat=2):
-            signs = [1] * n
-            signs[2 * j], signs[(2 * j + 3) % n] = e1, e4
-            out.append(_block(j, tuple(signs), scale))
-        return out
+        return [_block(j, e1, e4, scale) for e1, e4 in itertools.product((1, -1), repeat=2)]
 
     scale = _integer_scale(lam, mu, nu)
     table = variants(0)
@@ -436,32 +424,18 @@ def _exact_key(values):
 
 
 def min_action_gap(records) -> Fraction | float:
-    """Minimum pairwise distance of the exact actions of VALID records.
+    """Minimum pairwise distance of the exact actions of VALID records; +inf
+    for fewer than two.
 
     The actions are first put in the order of their leading terms, sorted
     on the integer key of `_exact_key`.  An action is its leading term plus
     a bounded correction, so wherever the leading order holds the exact sort
     that follows is about one merge pass."""
     valid = [r for r in records if r.valid]
-    if len(valid) < 2:
-        return INF
     key = _exact_key([r.action_leading for r in valid])
     actions = [r.action for r in sorted(valid, key=lambda r: key(r.action_leading))]
     actions.sort()
-    # the differences stay unreduced, (n, d) < (n', d') iff n d' < n' d, and
-    # only the minimum is reduced: a gcd per difference would cost more
-    best = None
-    for a, b in zip(actions, actions[1:]):
-        n = b.numerator * a.denominator - a.numerator * b.denominator
-        d = a.denominator * b.denominator
-        if best is None or n * best[1] < best[0] * d:
-            best = (n, d)
-    return Fraction(*best)
-
-
-def coefficient_sums_distinct(p: int, mu, nu) -> bool:
-    sums = {leading_sum(tuple(s), mu, nu) for s in sign_vectors(p)}
-    return len(sums) == 4 ** p
+    return min_gap(actions)
 
 
 def _farey_rationals(max_denominator: int) -> list[Fraction]:
@@ -516,25 +490,10 @@ def param_search(p: int, L, max_denominator: int = 10) -> tuple[tuple[Fraction, 
     return combo[:p], combo[p:]
 
 
-def _lcm_fractions(values) -> Fraction:
-    out = None
-    for v in values:
-        v = Fraction(v)
-        if out is None:
-            out = v
-        else:
-            out = Fraction(
-                math.lcm(out.numerator, v.numerator),
-                math.gcd(out.denominator, v.denominator),
-            )
-    if out is None:
-        raise ValueError("lcm of nothing")
-    return out
-
-
 def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
     """The `count` smallest lambda with every winding m_j, n_j a positive
-    integer: multiples of lcm_j(L / coefficient)."""
+    integer: multiples of lcm_j(L / coefficient), the lcm of the numerators
+    of the reduced ratios over the gcd of their denominators."""
     if count < 1:
         raise ValueError("count must be >= 1")
     L = Fraction(L)
@@ -543,19 +502,21 @@ def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
         raise ValueError("need at least one winding coefficient")
     if min(coefficients) <= 0:
         raise ValueError(f"winding coefficient {min(coefficients)} must be positive")
-    step = _lcm_fractions(L / c for c in coefficients)
+    ratios = [L / c for c in coefficients]
+    step = Fraction(math.lcm(*(r.numerator for r in ratios)),
+                    math.gcd(*(r.denominator for r in ratios)))
     return [step * i for i in range(1, count + 1)]
 
 
 def validation_threshold(
-    p: int, L, mu, nu, max_steps: int = 12, degree: int = 0
+    p: int, L, mu, nu, max_steps: int = 12
 ) -> tuple[Fraction, list[FixedPointRecord]]:
     """Smallest lattice lambda at which all 2^{2p} sign vectors validate.
 
     Existence is only known asymptotically, so this reports the empirical
     threshold instead of asserting one."""
     for lam in lambda_lattice(L, mu, nu, max_steps):
-        params = EggBeaterParams(p, L, lam, tuple(mu), tuple(nu), degree=degree)
+        params = EggBeaterParams(p, L, lam, tuple(mu), tuple(nu))
         records = enumerate_records(params)
         if all(r.valid for r in records):
             return lam, records
@@ -569,10 +530,8 @@ FIXTURE_P2_NU = (Fraction(1, 3), Fraction(1, 7))
 FIXTURE_L = Fraction(4)
 
 
-def fixture_params(lam, p: int = 2, degree: int = 0) -> EggBeaterParams:
-    if p != 2:
-        raise ValueError("the frozen fixture is for p = 2")
-    return EggBeaterParams(2, FIXTURE_L, lam, FIXTURE_P2_MU, FIXTURE_P2_NU, degree=degree)
+def fixture_params(lam) -> EggBeaterParams:
+    return EggBeaterParams(2, FIXTURE_L, lam, FIXTURE_P2_MU, FIXTURE_P2_NU)
 
 
 # -- the 2D variant -------------------------------------------------------------

@@ -88,19 +88,7 @@ def parse_word(text: str) -> Word:
     square A) and returned as their image in Free<a,b,c>.
     """
     tokens = text.replace("*", " ").split()
-    tokens = [t for t in tokens if t != "1"]  # "1" denotes the identity
-    if not tokens:
-        return Word(())
-    if any(t.lstrip().startswith("q") for t in tokens):
-        return _parse_groupoid(tokens)
-    letters: list[int] = []
-    for tok in tokens:
-        name, exp = _split_caret(tok)
-        if name not in _VALUES:
-            raise ValueError(f"unknown letter {name!r}")
-        base = _VALUES[name]
-        letters.extend([base if exp > 0 else -base] * abs(exp))
-    return Word(tuple(letters))
+    return _parse_groupoid([t for t in tokens if t != "1"])  # "1" denotes the identity
 
 
 def _split_caret(tok: str) -> tuple[str, int]:
@@ -112,8 +100,6 @@ def _split_caret(tok: str) -> tuple[str, int]:
             raise ValueError(f"bad exponent in {tok!r}") from e
     else:
         name, exp = tok, 1
-    if exp == 0:
-        return name, 0
     return name, exp
 
 
@@ -129,12 +115,12 @@ _EDGE_IMAGE = {
 
 
 def _parse_groupoid(tokens: list[str]) -> Word:
+    """The image in Free<a,b,c> of a groupoid word based at A; a word over
+    a, b, c alone is a loop at A."""
     at = "A"
     letters: list[int] = []
     for tok in tokens:
         name, exp = _split_caret(tok)
-        if exp == 0:
-            continue
         if name in _VALUES:  # a, b are loops at A; c = q3 q2 is a loop at A
             if at != "A":
                 raise ValueError(f"loop letter {name!r} used away from the square A")
@@ -247,8 +233,6 @@ def itinerary_to_word(itinerary: Itinerary) -> Word:
     tokens: list[str] = []
     for seg in itinerary.segments:
         tokens.extend(_segment_tokens(seg))
-    if not tokens:
-        return Word(())
     return _parse_groupoid(tokens)
 
 

@@ -14,12 +14,13 @@ from fractions import Fraction
 
 from .equivariant import GradedBarcodeFamily, kunneth_stabilize, mu_p_of_family
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
+from .persistence import Bar, Barcode, INF, Interval, is_inf, min_gap, multiplicity
 
 
 @dataclass(frozen=True)
 class ModelInput:
-    """Tuple actions (pairwise distinct) and degrees feeding the model."""
+    """Tuple actions (pairwise distinct) and degrees feeding the model,
+    stored sorted by action once, when built."""
 
     p: int
     tuples: tuple[tuple[Fraction, int], ...]
@@ -27,20 +28,14 @@ class ModelInput:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        tuples = tuple((Fraction(a), int(d)) for a, d in self.tuples)
-        object.__setattr__(self, "tuples", tuples)
-        actions = [a for a, _ in tuples]
-        if len(set(actions)) != len(actions):
+        tuples = sorted(((Fraction(a), int(d)) for a, d in self.tuples), key=lambda t: t[0])
+        if any(a == b for (a, _), (b, _) in zip(tuples, tuples[1:])):
             raise ValueError("tuple actions must be pairwise distinct")
+        object.__setattr__(self, "tuples", tuple(tuples))
 
     def actions(self) -> list[Fraction]:
-        return sorted(a for a, _ in self.tuples)
-
-    def min_gap(self) -> Fraction | float:
-        acts = self.actions()
-        if len(acts) < 2:
-            return INF
-        return min(b - a for a, b in zip(acts, acts[1:]))
+        """The actions in increasing order."""
+        return [a for a, _ in self.tuples]
 
 
 def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
@@ -71,10 +66,10 @@ def paper_mu_lower_bound(
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac < 1:
         raise ValueError("eps_frac must lie in (0, 1)")
-    gap = model_input.min_gap()
+    acts = model_input.actions()
+    gap = min_gap(acts)
     if is_inf(gap):
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
-    acts = model_input.actions()
     a_min = acts[0]
     witness = Interval(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
     c = gap * (1 - 2 * eps_frac) / 4
@@ -131,7 +126,7 @@ def bounds_report(
         stabilized = kunneth_stabilize(family, list(stabilize))
     mu_model = mu_p_of_family(stabilized, model_input.p)
     paper_bound = paper_mu_lower_bound(model_input, eps_frac, family=family)
-    gap = model_input.min_gap()
+    gap = min_gap(model_input.actions())
     aut_bound = Fraction(0) if is_inf(gap) else gap / k
     return BoundsReport(
         p=model_input.p,
@@ -145,10 +140,6 @@ def bounds_report(
     )
 
 
-def model_input_from_records(records, p: int, degree: int = 0) -> ModelInput:
-    """Tuple actions of the VALID records of an egg-beater run."""
-    tuples = []
-    for r in records:
-        if r.valid:
-            tuples.append((r.action, degree))
-    return ModelInput(p, tuple(tuples))
+def model_input_from_records(records, p: int) -> ModelInput:
+    """Tuple actions of the VALID records of an egg-beater run, in degree 0."""
+    return ModelInput(p, tuple((r.action, 0) for r in records if r.valid))

@@ -29,6 +29,20 @@ def is_inf(x) -> bool:
     return isinstance(x, float) and x == INF
 
 
+def min_gap(ordered) -> Fraction | float:
+    """Least difference of neighbours in a sorted sequence of Fractions; +inf
+    for fewer than two values.  The differences stay unreduced,
+    (n, d) < (n', d') iff n d' < n' d, and only the minimum is reduced: a gcd
+    per difference would cost more."""
+    best = None
+    for a, b in zip(ordered, ordered[1:]):
+        n = b.numerator * a.denominator - a.numerator * b.denominator
+        d = a.denominator * b.denominator
+        if best is None or n * best[1] < best[0] * d:
+            best = (n, d)
+    return INF if best is None else Fraction(*best)
+
+
 @dataclass(frozen=True)
 class Bar:
     """Half-open interval (birth, death], death possibly +inf."""

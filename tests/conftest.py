@@ -587,6 +587,12 @@ def asymptotic_limit(signs: tuple[int, ...], mu, nu) -> tuple[Fraction, Fraction
     return (_eps(signs, 1) * (1 - mu[0]), _eps(signs, 2) * (1 - nu[-1]))
 
 
+def coefficient_sums_distinct(p: int, mu, nu) -> bool:
+    """Are the 4^p leading coefficient sums pairwise distinct?"""
+    sums = {leading_sum(tuple(s), mu, nu) for s in sign_vectors(p)}
+    return len(sums) == 4 ** p
+
+
 def min_leading_gap(p: int, mu, nu) -> Fraction:
     """Minimum pairwise distance of the leading coefficient sums (per lam/2)."""
     sums = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(p))

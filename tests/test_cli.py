@@ -121,9 +121,9 @@ class TestFreegroupCommands:
 
 class TestOperandCounts:
     """A wrong number of positional arguments, a non-integer `si`
-    argument, or an option that only another subcommand reads exits 1 with
-    an error naming the subcommand and what it expects, or the option; no
-    input file is read first."""
+    argument, or an option that only another subcommand or mode reads exits
+    1 with an error naming the subcommand and what it expects, or the
+    option; no input file is read first."""
 
     @pytest.mark.parametrize("argv, message", [
         (("freegroup", "conjugate", "a"),
@@ -153,9 +153,22 @@ class TestOperandCounts:
          "--zeta-index applies only to barcode mu"),
         (("barcode", "decompose", "f", "--zeta-index", "0"),
          "--zeta-index applies only to barcode mu"),
+        (("eggbeater", "--fixture", "--mu", "1/3,1/5", "--lambda", "840"),
+         "--mu applies only without --fixture"),
+        (("eggbeater", "--fixture", "--nu", "1/3,1/7"), "--nu applies only without --fixture"),
+        (("eggbeater", "--fixture", "--mu", "1/2,1/5", "--nu", "1/3,1/7", "--lambda", "840"),
+         "--mu applies only without --fixture"),
+        (("bounds", "--file", "t.json", "--lambda", "840"), "--lambda applies only without --file"),
+        (("eggbeater", "--lambda", "840", "--count", "5"), "--count applies only to --lambda auto"),
     ])
     def test_option_of_another_subcommand_exits_one(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_degree_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "eggbeater", "--degree", "0")
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "egb: error: unrecognized arguments: --degree 0"]
 
     def test_owned_options_still_work(self, capsys):
         assert run(capsys, "freegroup", "reduce", "b a c b^-1", "--cyclic") == (0, "a c\n", "")

@@ -100,8 +100,7 @@ def argv(draw, tmp: Path) -> list[str]:
         rest = options(draw, {
             "--p": ["1", "2", "3", "0", "-1", "x"], "--L": ["4", "5", "0", "x"],
             "--mu": COEFFICIENTS, "--nu": COEFFICIENTS, "--fixture": None,
-            "--lambda": RATIONALS, "--count": ["0", "1", "2", "-1", "x"],
-            "--degree": ["0", "1", "x"], "--out": outs})
+            "--lambda": RATIONALS, "--count": ["0", "1", "2", "-1", "x"], "--out": outs})
     elif command == "eggbeater-2d":
         rest = ["--mu", draw(st.sampled_from(["1/2", "1/3", "0", "x"])),
                 "--nu", draw(st.sampled_from(["1/4", "2/3", "1/2", "1"])),

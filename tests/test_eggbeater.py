@@ -21,7 +21,6 @@ from egb.eggbeater import (
     action_leading,
     block_matrix,
     block_vector,
-    coefficient_sums_distinct,
     enumerate_records,
     fixture_params,
     h0,
@@ -39,10 +38,16 @@ from egb.eggbeater import (
 )
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
-from egb.persistence import is_inf
+from egb.persistence import is_inf, min_gap
 from egb.serialize import frac_str, write_records
 
-from conftest import asymptotic_limit, block_parabolic_factors, eps_bar, min_leading_gap
+from conftest import (
+    asymptotic_limit,
+    block_parabolic_factors,
+    coefficient_sums_distinct,
+    eps_bar,
+    min_leading_gap,
+)
 
 
 def rand_signs(rng, p):
@@ -608,6 +613,30 @@ class TestGapInLeadingOrder:
             values = rand_fracs(rng, rng.randint(1, 40))
             rng.shuffle(values)
             assert sorted(values, key=_exact_key(values)) == sorted(values)
+
+
+class TestMinGap:
+    """`persistence.min_gap` on a sorted sequence is its least pairwise
+    distance, the brute-force minimum over all pairs."""
+
+    def test_matches_all_pairs(self, rng):
+        for i in range(60):
+            values = rand_fracs(rng, rng.randint(2, 30))
+            values += [F(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30))
+                       for _ in range(rng.randint(0, 3))]
+            if i % 2:
+                values = list(set(values))  # distinct values, so the gap is positive
+            values.sort()
+            got = min_gap(values)
+            assert type(got) is F
+            assert got == min(b - a for j, a in enumerate(values) for b in values[j + 1:])
+
+    def test_equal_neighbours_give_zero(self):
+        assert min_gap([F(-1, 3), F(7, 3), F(14, 6), F(5)]) == 0
+
+    def test_fewer_than_two_values(self):
+        assert is_inf(min_gap([]))
+        assert is_inf(min_gap([F(3, 7)]))
 
 
 class TestLeadingCoefficients:

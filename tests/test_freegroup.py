@@ -56,6 +56,29 @@ class TestReduction:
         deep = parse_word(f"b^{n} a c b^-{n}")
         assert cyclic_reduce(deep) == pairwise(deep) == parse_word("a c")
 
+    def test_parse_word_reads_every_letter(self, rng):
+        """Tokens over a, b, c with exponents (zero and negative ones
+        included), `1` tokens and `*` separators parse to the word of their
+        letters."""
+        for _ in range(200):
+            tokens, letters = [], []
+            for _ in range(rng.randint(0, 8)):
+                if rng.random() < 0.15:
+                    tokens.append("1")
+                    continue
+                base, exp = rng.randint(1, 3), rng.randint(-3, 3)
+                plain = exp == 1 and rng.random() < 0.5
+                tokens.append("abc"[base - 1] + ("" if plain else f"^{exp}"))
+                letters += [base if exp > 0 else -base] * abs(exp)
+            text = rng.choice([" ", " * ", "*"]).join(tokens)
+            assert parse_word(text) == Word(tuple(letters)), text
+
+    def test_parse_word_errors(self):
+        with pytest.raises(ValueError, match="unknown letter 'x'"):
+            parse_word("a x^0 b")
+        with pytest.raises(ValueError, match="bad exponent in 'b\\^y'"):
+            parse_word("a b^y")
+
     def test_parse_format_roundtrip(self, rng):
         for _ in range(40):
             w = rand_word(rng)

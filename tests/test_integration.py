@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 from egb.eggbeater import (
     EggBeaterParams,
-    coefficient_sums_distinct,
     enumerate_records,
     lambda_lattice,
     min_action_gap,
@@ -16,7 +15,7 @@ from egb.freegroup import canonical_itinerary, itinerary_to_word
 from egb.model import bounds_report, model_input_from_records
 from egb.persistence import FilteredComplex, INF, is_inf
 
-from conftest import alpha_word, min_leading_gap
+from conftest import alpha_word, coefficient_sums_distinct, min_leading_gap
 
 # six winding fractions whose squared complements have disjoint prime
 # denominators, so all 4^3 coefficient sums are automatically distinct

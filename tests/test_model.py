@@ -158,6 +158,22 @@ class TestBoundsReport:
         assert report.pow_bound == 0
         assert report.mu_p_paper_bound == 0
 
+    def test_shuffled_tuples_give_the_same_input(self, rng):
+        """The tuples are stored sorted by action, so the order they come in
+        changes neither the input nor its report."""
+        fixture, lam = fixture_model()
+        inputs = [fixture]
+        for p in (2, 3, 5):
+            actions = rng.sample(range(-400, 400), rng.randint(1, 12))
+            inputs.append(ModelInput(p, tuple((F(a, 7), rng.randint(0, 2)) for a in actions)))
+        for model_input in inputs:
+            tuples = list(model_input.tuples)
+            assert model_input.actions() == sorted(a for a, _ in tuples)
+            rng.shuffle(tuples)
+            shuffled = ModelInput(model_input.p, tuple(tuples))
+            assert shuffled == model_input
+            assert bounds_report(shuffled, lam=lam) == bounds_report(model_input, lam=lam)
+
     def test_bad_eps_rejected(self):
         model_input, _ = fixture_model()
         with pytest.raises(ValueError):
