@@ -14,7 +14,6 @@ from .persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
-    Interval,
     barcode_of_complex,
     barcode_of_module,
     direct_sum,
@@ -27,7 +26,6 @@ from .persistence import (
 from .bottleneck import bottleneck, hopcroft_karp
 from .equivariant import (
     EquivariantComplex,
-    GradedBarcodeFamily,
     ZpPersistenceModule,
     construct_full_power,
     cyclic_tuple_module,

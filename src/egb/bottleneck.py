@@ -1,10 +1,11 @@
 """Exact bottleneck distance between barcodes.
 
-Feasibility of a delta-matching is decided by maximum bipartite matching on
-the augmented graph (bars on both sides plus one deletion slot per bar), and
-the distance is the smallest feasible value in the finite candidate set of
-endpoint displacements and half-lengths, located by binary search.  No
-tolerances anywhere: candidates are exact rationals.
+The distance is taken degree by degree and is the maximum over the degrees.
+In one degree, feasibility of a delta-matching is decided by two maximum
+bipartite matchings, one per side, and the distance is the smallest feasible
+value in the finite candidate set of endpoint displacements and
+half-lengths, located by binary search.  No tolerances anywhere: candidates
+are exact rationals.
 """
 
 from __future__ import annotations
@@ -76,41 +77,27 @@ def _pair_cost(b1: Bar, b2: Bar):
 def _feasible(cost_ranks: list[list[int]], b_ranks: list[int], c_ranks: list[int],
               k: int) -> bool:
     """Is there a delta-matching for delta = the k-th smallest candidate:
-    displacements <= delta, deletions only of bars of length <= 2*delta?
+    pairs of cost <= delta covering every long bar (half-length > delta)?
 
-    ``cost_ranks[i][j]`` is the rank among the candidates of the pair cost of
-    B-bar i and C-bar j, and ``b_ranks`` / ``c_ranks`` those of the bars'
-    half-lengths (the candidate count for +inf), so every test is an integer
-    comparison.
+    The arguments are ranks among the candidates, +inf ranking past them
+    all: ``cost_ranks[i][j]`` that of the pair cost of B-bar i and C-bar j,
+    ``b_ranks`` / ``c_ranks`` those of the half-lengths.  By the
+    Mendelsohn-Dulmage theorem (1958), one matching covers the long bars of
+    both sides iff one covers the long B-bars and another the long C-bars.
     """
-    nb, nc = len(b_ranks), len(c_ranks)
-    # left: B-bars then C-deletion slots; right: C-bars then B-deletion slots
-    adjacency: dict = {}
-    for i, row in enumerate(cost_ranks):
-        edges = [("c", j) for j, r in enumerate(row) if r <= k]
-        if b_ranks[i] <= k:
-            edges.append(("bslot", i))
-        adjacency[("b", i)] = edges
-    for j, r in enumerate(c_ranks):
-        edges = [("c", j)] if r <= k else []
-        edges.extend(("bslot", i) for i in range(nb))
-        adjacency[("cslot", j)] = edges
-    left_order = [("b", i) for i in range(nb)] + [("cslot", j) for j in range(nc)]
-    matching = hopcroft_karp(adjacency, left_order)
-    return len(matching) == nb + nc
+    long_b = [i for i, r in enumerate(b_ranks) if r > k]
+    into_c = {i: [j for j, r in enumerate(cost_ranks[i]) if r <= k] for i in long_b}
+    if len(hopcroft_karp(into_c, long_b)) < len(long_b):
+        return False
+    long_c = [j for j, r in enumerate(c_ranks) if r > k]
+    into_b = {j: [i for i, row in enumerate(cost_ranks) if row[j] <= k] for j in long_c}
+    return len(hopcroft_karp(into_b, long_c)) == len(long_c)
 
 
-def bottleneck(b: Barcode, c: Barcode):
-    """Bottleneck distance; +inf iff the infinite-ray counts differ.
-
-    Realized as a minimum over the finite candidate set {0, endpoint
-    displacement costs, half-lengths}: feasibility is monotone in delta and
-    can only change at these values.  Each pair cost is computed once.
-    """
-    bars_b = b.bars()
-    bars_c = c.bars()
-    if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
-        return INF
+def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
+    """The finite candidates {0, pair costs, half-lengths} in increasing
+    order, and the ranks of the pair costs and half-lengths among them that
+    `_feasible` reads.  Each pair cost is computed once."""
     half_b = [x.length / 2 if x.finite else INF for x in bars_b]
     half_c = [y.length / 2 if y.finite else INF for y in bars_c]
     costs = [[_pair_cost(x, y) for y in bars_c] for x in bars_b]
@@ -121,13 +108,18 @@ def bottleneck(b: Barcode, c: Barcode):
     def ranks(values) -> list[int]:
         return [rank.get(v, len(ordered)) for v in values]
 
-    cost_ranks = [ranks(row) for row in costs]
-    b_ranks, c_ranks = ranks(half_b), ranks(half_c)
-    lo, hi = 0, len(ordered) - 1
-    if not _feasible(cost_ranks, b_ranks, c_ranks, hi):
-        # cannot happen when infinite counts agree: at max candidate all
-        # finite bars are deletable and infinite ones pairwise matchable
+    return ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
+
+
+def _distance(bars_b: list[Bar], bars_c: list[Bar]):
+    """Bottleneck distance between the bars of one degree, +inf iff the ray
+    counts differ: feasibility is monotone in delta and changes only at a
+    candidate, so a binary search finds the least feasible one."""
+    if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
         return INF
+    ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+    # the top candidate is feasible: no finite bar is long, equal ray counts match
+    lo, hi = 0, len(ordered) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if _feasible(cost_ranks, b_ranks, c_ranks, mid):
@@ -135,3 +127,15 @@ def bottleneck(b: Barcode, c: Barcode):
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+def bottleneck(b: Barcode, c: Barcode):
+    """Bottleneck distance: the maximum over the degrees of either barcode
+    (``None`` is a degree of its own) of the distance between the bars of
+    that degree; 0 when both are empty, +inf iff some degree's infinite-ray
+    counts differ."""
+    by_degree: dict = {}
+    for side, barcode in enumerate((b, c)):
+        for bar, d in barcode.expand():
+            by_degree.setdefault(d, ([], []))[side].append(bar)
+    return max((_distance(x, y) for x, y in by_degree.values()), default=Fraction(0))

@@ -41,9 +41,6 @@ from .persistence import (
     window_complex,
 )
 
-GradedBarcodeFamily = dict  # degree -> Barcode
-
-
 @dataclass(frozen=True)
 class ZpPersistenceModule:
     """Finite persistence module over Q(zeta_p) with an order-p automorphism.
@@ -55,7 +52,6 @@ class ZpPersistenceModule:
     p: int
     base: FinitePersistenceModule
     action: tuple[Matrix, ...]
-    degree: int = 0
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -237,7 +233,7 @@ def mu_p(module: ZpPersistenceModule) -> Fraction | float:
     return max(mu_from_barcode(bc, module.p) for bc in eigenspace_barcodes(module))
 
 
-def mu_p_of_family(family: GradedBarcodeFamily, p: int) -> Fraction | float:
+def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
     """Graded spread: maximum of mu over the degrees of a barcode family."""
     values = [mu_from_barcode(bc, p) for bc in family.values()]
     return max(values) if values else Fraction(0)
@@ -314,15 +310,15 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     action, where finiteness needs analytic input the algebra cannot see).
     """
     cx = equivariant.complex
-    t_mat = equivariant.chain_map
-    n = len(cx.generators)
-    identity = Matrix.identity(cx.field, n)
-    # T^p = id was checked when the complex was built
-    if k != equivariant.p and not (t_mat.matpow(k) - identity).is_zero():
-        raise ValueError(f"chain map does not satisfy T^{k} = id")
-    s_mat = t_mat - identity
+    s_mat = equivariant.chain_map - Matrix.identity(cx.field, len(cx.generators))
+    # T^p = id was checked when the complex was built and p is prime, so
+    # T^k = id iff T = id or p divides k
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if s_mat.is_zero():
         return Fraction(0)
+    if k % equivariant.p:
+        raise ValueError(f"chain map does not satisfy T^{k} = id")
     nf = _NormalForm(cx)
     s_cols = nf.columns(s_mat)
     best: Fraction | float = Fraction(0)
@@ -424,11 +420,9 @@ def full_power_verdict(barcode: Barcode, p: int) -> str:
 def construct_full_power(
     seed: FinitePersistenceModule, root: tuple[Matrix, ...]
 ) -> ZpPersistenceModule:
-    """Z_p module with action A = B^p from a root B with B^{p^2} = id.
-
-    The order p^2 and commutation are validated here; the resulting module is
-    the standard fixture on which the full-power obstruction must PASS.
-    """
+    """Z_p module with action A = B^p from a root B commuting with the
+    transitions; B^{p^2} = id is the module's own check A^p = id.  This is
+    the standard fixture on which the full-power obstruction must PASS."""
     field = seed.field
     if not isinstance(field, CyclotomicField):
         raise ValueError("seed module must live over a cyclotomic field")
@@ -439,8 +433,6 @@ def construct_full_power(
         n = seed.dims[i]
         if (b.rows, b.cols) != (n, n):
             raise ValueError(f"root matrix {i} has wrong shape")
-        if not (b.matpow(p * p) - Matrix.identity(field, n)).is_zero():
-            raise ValueError(f"root matrix {i} does not satisfy B^(p^2) = id")
     for i, t in enumerate(seed.transitions):
         if not (root[i + 1] @ t - t @ root[i]).is_zero():
             raise ValueError(f"root does not commute with transition {i}")
@@ -457,9 +449,7 @@ def cyclic_permutation_matrix(field, n: int) -> Matrix:
     return Matrix.from_rows(field, ent) if n else Matrix.zeros(field, 0, 0)
 
 
-def cyclic_tuple_module(
-    action_value, p: int, degree: int = 0, death=INF
-) -> ZpPersistenceModule:
+def cyclic_tuple_module(action_value, p: int, death=INF) -> ZpPersistenceModule:
     """p generators born together with the cyclic Z_p action; the eigenspace
     at any primitive root has exactly one bar (action_value, death]."""
     field = CyclotomicField(p)
@@ -482,7 +472,7 @@ def cyclic_tuple_module(
             Matrix.zeros(field, 0, 0),
         )
     base = FinitePersistenceModule(field, spectrum, dims, transitions)
-    return ZpPersistenceModule(p, base, action, degree=degree)
+    return ZpPersistenceModule(p, base, action)
 
 
 def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersistenceModule:
@@ -496,20 +486,20 @@ def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersisten
         return [mod.action[mod.base.interval_index(s)] for s in base.spectrum] + [mod.action[-1]]
 
     action = tuple(_block_diag(x, y) for x, y in zip(refined_action(a), refined_action(b)))
-    return ZpPersistenceModule(a.p, base, action, degree=a.degree)
+    return ZpPersistenceModule(a.p, base, action)
 
 
 # -- stabilization and interleaving -------------------------------------------
 
 
-def kunneth_stabilize(family: GradedBarcodeFamily, betti: list[int]) -> GradedBarcodeFamily:
+def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int, Barcode]:
     """F'(r) = union over i of betti[i] copies of F(r - i); betti[0] must be 1
     (connected stabilizing factor)."""
     if not betti or betti[0] != 1:
         raise ValueError("betti[0] must be 1 (connected factor)")
     if any(b < 0 for b in betti):
         raise ValueError("betti numbers must be nonnegative")
-    out: GradedBarcodeFamily = {}
+    out: dict[int, Barcode] = {}
     for r, barcode in family.items():
         for i, b in enumerate(betti):
             if b == 0 or barcode.is_empty():
@@ -532,7 +522,7 @@ def shift_module(module: ZpPersistenceModule, shifts) -> ZpPersistenceModule:
     base = FinitePersistenceModule(
         module.field, new_spec, module.base.dims, module.base.transitions
     )
-    return ZpPersistenceModule(module.p, base, module.action, degree=module.degree)
+    return ZpPersistenceModule(module.p, base, module.action)
 
 
 def random_order_preserving_shifts(

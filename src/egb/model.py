@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivariant import GradedBarcodeFamily, kunneth_stabilize, mu_p_of_family
+from .equivariant import kunneth_stabilize, mu_p_of_family
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, Interval, is_inf, min_gap, multiplicity
+from .persistence import Bar, Barcode, INF, is_inf, min_gap, multiplicity
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ModelInput:
         return [a for a, _ in self.tuples]
 
 
-def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
+def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
     """Per-degree barcodes of every eigenspace of the model, in closed form.
 
     Every p-th root of unity is a simple eigenvalue of the cyclic
@@ -46,7 +46,7 @@ def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
     (action, +inf] to ``family[degree]``, whichever root is chosen."""
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
-    family: GradedBarcodeFamily = {}
+    family: dict[int, Barcode] = {}
     for r in sorted({d for _, d in model_input.tuples}):
         family[r] = Barcode.of(
             (Bar(a, INF), 1, None) for a, d in model_input.tuples if d == r
@@ -57,7 +57,7 @@ def eigenspace_family(model_input: ModelInput) -> GradedBarcodeFamily:
 def paper_mu_lower_bound(
     model_input: ModelInput,
     eps_frac=Fraction(1, 100),
-    family: GradedBarcodeFamily | None = None,
+    family: dict[int, Barcode] | None = None,
 ) -> Fraction:
     """Differential-independent bound g(1 - 2 eps)/4 from the minimal
     inter-tuple gap g, with the witness interval checked to have model
@@ -71,7 +71,7 @@ def paper_mu_lower_bound(
     if is_inf(gap):
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
     a_min = acts[0]
-    witness = Interval(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
+    witness = Bar(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
     c = gap * (1 - 2 * eps_frac) / 4
     if family is None:
         family = eigenspace_family(model_input)

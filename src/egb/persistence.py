@@ -45,7 +45,8 @@ def min_gap(ordered) -> Fraction | float:
 
 @dataclass(frozen=True)
 class Bar:
-    """Half-open interval (birth, death], death possibly +inf."""
+    """Half-open interval (birth, death], death possibly +inf: a bar of a
+    barcode, or a query interval of `multiplicity`."""
 
     birth: Fraction
     death: Fraction | float
@@ -65,47 +66,23 @@ class Bar:
     def length(self):
         return self.death - self.birth if self.finite else INF
 
-    def contains(self, other: "Interval") -> bool:
-        """True iff this bar contains the interval (set containment)."""
-        if self.birth > other.left:
-            return False
-        if is_inf(other.right):
-            return not self.finite
-        return not self.finite or self.death >= other.right
+    def contains(self, other: "Bar") -> bool:
+        """True iff this bar contains the other (set containment)."""
+        return self.birth <= other.birth and (
+            not self.finite or other.finite and self.death >= other.death)
 
     def __str__(self):
         d = "inf" if not self.finite else str(self.death)
         return f"({self.birth}, {d}]"
 
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open query interval (left, right], right possibly +inf."""
-
-    left: Fraction
-    right: Fraction | float
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", Fraction(self.left))
-        if not is_inf(self.right):
-            object.__setattr__(self, "right", Fraction(self.right))
-        if not self.left < self.right:
-            raise ValueError(f"empty interval ({self.left}, {self.right}]")
-
-    @property
-    def length(self):
-        return self.right - self.left if not is_inf(self.right) else INF
-
-    def shrink(self, c) -> "Interval":
-        """(a, b] -> (a+c, b-c]; an infinite right end stays fixed."""
+    def shrink(self, c) -> "Bar":
+        """(a, b] -> (a+c, b-c]; an infinite death stays fixed."""
         c = Fraction(c)
         if c < 0:
             raise ValueError("shrink amount must be >= 0")
-        if is_inf(self.right):
-            return Interval(self.left + c, INF)
-        if self.length <= 2 * c:
+        if self.finite and self.length <= 2 * c:
             raise ValueError(f"cannot shrink {self} by {c}: length {self.length} <= 2c")
-        return Interval(self.left + c, self.right - c)
+        return Bar(self.birth + c, self.death - c if self.finite else INF)
 
 
 def _degree_key(d):
@@ -183,9 +160,9 @@ class Barcode:
         return not self.items
 
 
-def multiplicity(barcode: Barcode, interval: Interval) -> int:
-    """Number of bars (with multiplicities) containing the interval."""
-    return sum(m for bar, m, _ in barcode.items if bar.contains(interval))
+def multiplicity(barcode: Barcode, query: Bar) -> int:
+    """Number of bars (with multiplicities) containing the query interval."""
+    return sum(m for bar, m, _ in barcode.items if bar.contains(query))
 
 
 def longest_finite_bar(barcode: Barcode) -> Fraction:

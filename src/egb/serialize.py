@@ -241,7 +241,6 @@ def module_from_obj(obj) -> FinitePersistenceModule:
 def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
     obj = module_to_obj(module.base)
     obj["p"] = module.p
-    obj["degree"] = module.degree
     obj["action"] = [matrix_to_obj(a) for a in module.action]
     return obj
 
@@ -257,7 +256,7 @@ def zp_module_from_obj(obj) -> ZpPersistenceModule:
             _matrix_list(_field(obj, "action", "module"), len(base.dims), "action")
         )
     )
-    return ZpPersistenceModule(p, base, action, degree=parse_int(obj.get("degree", 0), "degree"))
+    return ZpPersistenceModule(p, base, action)
 
 
 # -- fixed point records -----------------------------------------------------------

@@ -18,6 +18,7 @@ from egb.equivariant import (
     cyclic_tuple_module,
     zp_direct_sum,
 )
+from egb.bottleneck import hopcroft_karp
 from egb.eggbeater import _eps, leading_sum, sign_vectors
 from egb.field import CyclotomicField, Matrix, RationalField, cyclo_zeta
 from egb.freegroup import A_, B_, Word
@@ -28,7 +29,6 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
-    Interval,
     _extend_basis,
     _reindex,
     homology_basis,
@@ -125,7 +125,7 @@ def conjugate_module(rng, module: ZpPersistenceModule) -> ZpPersistenceModule:
     base = FinitePersistenceModule(
         field, module.base.spectrum, module.base.dims, transitions
     )
-    return ZpPersistenceModule(module.p, base, action, degree=module.degree)
+    return ZpPersistenceModule(module.p, base, action)
 
 
 def random_zp_module(rng, p: int, max_blocks: int = 4, conjugate: bool = True,
@@ -374,6 +374,30 @@ def gap_cuts(complex_: FilteredComplex) -> list[Fraction]:
     return [rep for _, _, rep in _gaps(complex_.spectrum())]
 
 
+# -- bottleneck oracle -------------------------------------------------------
+
+
+def feasible_slot_oracle(cost_ranks: list[list[int]], b_ranks: list[int],
+                         c_ranks: list[int], k: int) -> bool:
+    """Oracle of `bottleneck._feasible` by one matching on the augmented
+    graph: B-bars and one deletion slot per C-bar on the left, C-bars and one
+    deletion slot per B-bar on the right, slots joined to every slot of the
+    other side; a delta-matching exists iff the left side is matched."""
+    nb, nc = len(b_ranks), len(c_ranks)
+    adjacency: dict = {}
+    for i, row in enumerate(cost_ranks):
+        edges = [("c", j) for j, r in enumerate(row) if r <= k]
+        if b_ranks[i] <= k:
+            edges.append(("bslot", i))
+        adjacency[("b", i)] = edges
+    for j, r in enumerate(c_ranks):
+        edges = [("c", j)] if r <= k else []
+        edges.extend(("bslot", i) for i in range(nb))
+        adjacency[("cslot", j)] = edges
+    left_order = [("b", i) for i in range(nb)] + [("cslot", j) for j in range(nc)]
+    return len(hopcroft_karp(adjacency, left_order)) == nb + nc
+
+
 # -- module barcode oracle ---------------------------------------------------
 
 
@@ -422,7 +446,7 @@ def _candidate_intervals(barcode: Barcode):
     for x in births(barcode):
         for y in rights:
             if x < y:
-                interval = Interval(x, y)
+                interval = Bar(x, y)
                 yield interval, multiplicity(barcode, interval)
 
 
@@ -434,7 +458,7 @@ def mu_from_barcode_oracle(barcode: Barcode, p: int) -> Fraction | float:
     for interval, inside in _candidate_intervals(barcode):
         if inside % p == 0:
             continue
-        x, y = interval.left, interval.right
+        x, y = interval.birth, interval.death
         horizon: Fraction | float = INF
         for bar, m, _ in barcode.items:
             if bar.contains(interval):

@@ -35,7 +35,7 @@ from egb.equivariant import (
 from egb.field import CyclotomicField, Matrix, cyclo_zeta, primitive_roots
 from egb.freegroup import canonical_itinerary, conjugate_eq, itinerary_to_word, self_intersection
 from egb.model import bounds_report, model_input_from_records
-from egb.persistence import Bar, Barcode, INF, Interval, is_inf, multiplicity
+from egb.persistence import Bar, Barcode, INF, is_inf, multiplicity
 
 from conftest import (
     SEED,
@@ -282,7 +282,7 @@ def test_criterion_09_multiplicity_stability():
         for x in births(b):
             for y in rights:
                 if is_inf(y) or y - x > 4 * c:
-                    candidates.append(Interval(x, y))
+                    candidates.append(Bar(x, y))
         rng.shuffle(candidates)
         for interval in candidates[:3]:
             l = multiplicity(b, interval)

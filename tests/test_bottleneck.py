@@ -1,9 +1,9 @@
 from fractions import Fraction as F
 
-from egb.bottleneck import bottleneck, hopcroft_karp
+from egb.bottleneck import _feasible, _ranks, bottleneck, hopcroft_karp
 from egb.persistence import Bar, Barcode, INF, is_inf
 
-from conftest import rand_barcode
+from conftest import feasible_slot_oracle, rand_barcode, rand_frac
 
 
 def brute_force_bottleneck(b: Barcode, c: Barcode):
@@ -118,6 +118,64 @@ class TestBottleneckOracle:
             c = rand_barcode(rng, max_bars=3, allow_infinite=False)
             d = bottleneck(b, c)
             assert abs(longest_finite_bar(b) - longest_finite_bar(c)) <= 2 * d
+
+
+def _in_degree(barcode: Barcode, degree) -> Barcode:
+    return Barcode.of((bar, m) for bar, m, d in barcode.items if d == degree)
+
+
+class TestDegrees:
+    """The distance is the maximum over the degrees; None is a degree too."""
+
+    def test_one_bar_in_two_degrees(self):
+        for d_b, d_c in ((0, 1), (None, 0)):
+            b = Barcode.of([(Bar(0, 10), 1, d_b)])
+            c = Barcode.of([(Bar(0, 10), 1, d_c)])
+            assert bottleneck(b, c) == 5
+
+    def test_one_ray_in_two_degrees(self):
+        b = Barcode.of([(Bar(0, INF), 1, 0)])
+        c = Barcode.of([(Bar(0, INF), 1, 1)])
+        assert is_inf(bottleneck(b, c))
+
+    def test_against_brute_force_per_degree(self, rng):
+        mixed = 0
+        for _ in range(150):
+            b, c = (Barcode.of((bar, m, rng.choice([None, 0, 1]))
+                               for bar, m, _ in rand_barcode(rng, 3, max_mult=2).items)
+                    for _ in range(2))
+            degrees = {d for _, _, d in b.items + c.items}
+            sides = [(_in_degree(b, d), _in_degree(c, d)) for d in degrees]
+            if any(len(x.bars()) > 5 or len(y.bars()) > 5 for x, y in sides):
+                continue
+            mixed += len(degrees) > 1
+            expected = max((brute_force_bottleneck(x, y) for x, y in sides), default=F(0))
+            assert bottleneck(b, c) == expected
+        assert mixed > 20
+
+
+class TestFeasibility:
+    def test_against_slot_oracle(self, rng):
+        """Two one-sided matchings decide a delta-matching like one matching
+        on the graph with deletion slots, at every candidate."""
+        seen = set()
+        for n in range(240):
+            b = rand_barcode(rng, max_bars=4, max_mult=2)
+            c = rand_barcode(rng, max_bars=4, max_mult=2)
+            if n % 6 == 0:  # a side of short bars: half-length 1/8, below every B-bar's
+                c = Barcode.of(Bar(x, x + F(1, 4)) for x in (rand_frac(rng) for _ in range(3)))
+            bars_b, bars_c = b.bars(), c.bars()
+            ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+            for k in range(len(ordered)):
+                got = _feasible(cost_ranks, b_ranks, c_ranks, k)
+                assert got == feasible_slot_oracle(cost_ranks, b_ranks, c_ranks, k)
+                seen.add(got)
+                if any(r > k for r in b_ranks) and not any(r > k for r in c_ranks):
+                    seen.add("one side short")
+            seen.update(("empty" for side in (bars_b, bars_c) if not side),
+                        ("ray" for x in bars_b + bars_c if not x.finite),
+                        ("mult" for bc in (b, c) for _, m, _ in bc.items if m > 1))
+        assert seen == {True, False, "one side short", "empty", "ray", "mult"}
 
 
 class TestHopcroftKarp:

@@ -175,7 +175,7 @@ class TestMuP:
 
     def test_rescan_oracle(self, rng):
         """mu from the closed-form candidate scan equals a denser sweep."""
-        from egb.persistence import Interval, multiplicity
+        from egb.persistence import multiplicity
 
         for _ in range(20):
             bc = Barcode.of(
@@ -195,7 +195,7 @@ class TestMuP:
                 for y in grid:
                     if not x < y:
                         continue
-                    interval = Interval(x, y)
+                    interval = Bar(x, y)
                     l = multiplicity(bc, interval)
                     if l % p == 0:
                         continue
@@ -327,21 +327,20 @@ class TestWSpread:
             w_spread(EquivariantComplex(2, cx, t), 3)
 
     def test_order_checked_once(self, monkeypatch):
-        # T^p = id is checked when the complex is built; w_spread powers T
-        # again only for k != p, and still rejects a k with T^k != id
+        # T^p = id is checked when the complex is built and p is prime, so
+        # w_spread reads T^k = id off k mod p and never powers T
         cx = FilteredComplex(
             QQ_FIELD, ((F(0), 0), (F(0), 0)), Matrix.zeros(QQ_FIELD, 2, 2)
         )
         eq = EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, [[0, 1], [1, 0]]))
-        powers = []
-        matpow = Matrix.matpow
-        monkeypatch.setattr(Matrix, "matpow", lambda m, k: powers.append(k) or matpow(m, k))
+        powers = count_calls(monkeypatch, Matrix, "matpow")
         assert is_inf(w_spread(eq, 2))
-        assert powers == []
         assert is_inf(w_spread(eq, 4))
-        assert powers == [4]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"does not satisfy T\^3 = id"):
             w_spread(eq, 3)
+        with pytest.raises(ValueError):
+            w_spread(eq, -2)
+        assert powers == []
 
     def test_matches_window_scan(self, rng):
         """The normal-form closed form equals the O(g^4) window scan on

@@ -12,7 +12,6 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
-    Interval,
     barcode_of_complex,
     barcode_of_module,
     direct_sum,
@@ -55,24 +54,30 @@ def pair_complex():
 class TestIntervalOps:
     def test_multiplicity_direct(self):
         b = Barcode.of([(Bar(0, 10), 1), (Bar(2, 8), 2)])
-        assert multiplicity(b, Interval(3, 7)) == 3
+        assert multiplicity(b, Bar(3, 7)) == 3
 
     def test_multiplicity_wide_interval(self):
         b = Barcode.of([(Bar(0, 10), 1), (Bar(2, 8), 2)])
-        assert multiplicity(b, Interval(-5, 20)) == 0
+        assert multiplicity(b, Bar(-5, 20)) == 0
 
     def test_multiplicity_infinite_bar(self):
         b = Barcode.of([(Bar(0, INF), 1)])
-        assert multiplicity(b, Interval(1, 10 ** 6)) == 1
+        assert multiplicity(b, Bar(1, 10 ** 6)) == 1
 
     def test_shrink(self):
-        assert Interval(0, 10).shrink(2) == Interval(2, 8)
-        assert Interval(0, 10).shrink(0) == Interval(0, 10)
-        assert Interval(0, INF).shrink(3) == Interval(3, INF)
+        assert Bar(0, 10).shrink(2) == Bar(2, 8)
+        assert Bar(0, 10).shrink(0) == Bar(0, 10)
+        assert Bar(0, INF).shrink(3) == Bar(3, INF)
 
     def test_overshrink_rejected(self):
         with pytest.raises(ValueError):
-            Interval(0, 10).shrink(5)
+            Bar(0, 10).shrink(5)
+
+    def test_ray_contains_finite_bar_not_reverse(self):
+        ray, finite = Bar(0, INF), Bar(1, 10 ** 6)
+        assert ray.contains(finite) and ray.contains(ray)
+        assert not finite.contains(ray)
+        assert not Bar(2, INF).contains(finite)
 
     def test_empty_bar_rejected(self):
         with pytest.raises(ValueError):
