@@ -52,7 +52,6 @@ from .freegroup import (
     cyclic_reduce,
     itinerary_to_word,
     parse_word,
-    reduce,
     self_intersection,
 )
 from .eggbeater import (

@@ -21,7 +21,6 @@ from . import model as mdl
 from . import serialize as ser
 from .bottleneck import bottleneck
 from .equivariant import (
-    EquivariantComplex,
     eigenspace_barcodes,
     full_power_verdict,
     mu_from_barcode,
@@ -30,18 +29,10 @@ from .equivariant import (
     w_spread,
 )
 from .persistence import Barcode, barcode_of_complex, is_inf, min_gap
-from .serialize import InputError
-
-
-def _parse_frac_arg(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational {s!r}") from e
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_frac_arg(part) for part in s.split(",") if part)
+    return tuple(ser.parse_frac(part) for part in s.split(",") if part)
 
 
 # The positional arguments of each barcode and freegroup subcommand.
@@ -58,20 +49,19 @@ def _check_operands(args, given: list[str]) -> None:
     names = _OPERANDS[args.subcommand]
     n = len(names.split())
     if len(given) != n:
-        raise InputError(f"{args.command} {args.subcommand} expects {n} argument"
+        raise ValueError(f"{args.command} {args.subcommand} expects {n} argument"
                          f"{'s' * (n > 1)} {names}, got {len(given)}")
     for dest, owner in _OPTION_OWNER.items():
         if getattr(args, dest, None) is not None and args.subcommand != owner:
-            raise InputError(f"--{dest.replace('_', '-')} applies only to "
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to "
                              f"{args.command} {owner}")
 
 
-def _k_or_p(k: int | None, p: int) -> int:
-    """The --k option: p when it is left out; a k below 1 is malformed."""
-    if k is None:
-        return p
-    if k < 1:
-        raise InputError("k must be >= 1")
+def _k_option(k: int | None) -> int | None:
+    """The --k option, None when it is left out (k is then p); a k below 1 is
+    malformed.  It is checked before any input file is read."""
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     return k
 
 
@@ -79,15 +69,17 @@ def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as e:
-        raise InputError(f"no such file: {path}") from e
+        raise ValueError(f"no such file: {path}") from e
     except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON in {path}: {e}") from e
+        raise ValueError(f"invalid JSON in {path}: {e}") from e
+    except RecursionError:
+        raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _load_object(path: str) -> dict:
     obj = _load_json(path)
     if not isinstance(obj, dict):
-        raise InputError(f"the top level of {path} must be a JSON object")
+        raise ValueError(f"the top level of {path} must be a JSON object")
     return obj
 
 
@@ -141,50 +133,38 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
 
 def cmd_eggbeater(args) -> int:
     if args.fixture and (args.mu or args.nu):
-        raise InputError(f"--{'mu' if args.mu else 'nu'} applies only without --fixture")
+        raise ValueError(f"--{'mu' if args.mu else 'nu'} applies only without --fixture")
     if args.count is not None and args.lam != "auto":
-        raise InputError("--count applies only to --lambda auto")
+        raise ValueError("--count applies only to --lambda auto")
     p = args.p
-    L = _parse_frac_arg(args.L)
+    L = ser.parse_frac(args.L)
     if args.mu and args.nu:
         mu = _parse_frac_list(args.mu)
         nu = _parse_frac_list(args.nu)
     elif not args.mu and not args.nu:
         if p != 2:
-            raise InputError("the frozen fixture is for p=2; pass --mu/--nu")
+            raise ValueError("the frozen fixture is for p=2; pass --mu/--nu")
         mu, nu = eb.FIXTURE_P2_MU, eb.FIXTURE_P2_NU
     else:
-        raise InputError("--mu and --nu must be given together")
+        raise ValueError("--mu and --nu must be given together")
     if len(mu) != p or len(nu) != p:
-        raise InputError(f"need {p} mu and {p} nu coefficients")
+        raise ValueError(f"need {p} mu and {p} nu coefficients")
 
     if args.lam == "auto":
         lams = eb.lambda_lattice(L, mu, nu, 1 if args.count is None else args.count)
     else:
-        lams = [_parse_frac_arg(args.lam)]
+        lams = [ser.parse_frac(args.lam)]
     out_dir = None
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    all_valid = True
-    for lam in lams:
-        try:
-            ok = _run_eggbeater_once(p, L, mu, nu, lam, out_dir)
-        except ValueError as e:
-            raise InputError(str(e)) from e
-        all_valid = all_valid and ok
-    return 0 if all_valid else 2
+    valid = [_run_eggbeater_once(p, L, mu, nu, lam, out_dir) for lam in lams]
+    return 0 if all(valid) else 2
 
 
 def cmd_eggbeater_2d(args) -> int:
-    mu = _parse_frac_arg(args.mu)
-    nu = _parse_frac_arg(args.nu)
-    lam = _parse_frac_arg(args.lam)
-    L = _parse_frac_arg(args.L)
-    try:
-        records = eb.solve_2d(mu, nu, lam, L)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    mu, nu, lam, L = (ser.parse_frac(s) for s in (args.mu, args.nu, args.lam, args.L))
+    records = eb.solve_2d(mu, nu, lam, L)
     text = io.StringIO()
     if args.format == "csv":
         ser.write_records(records, csv_out=text)
@@ -213,7 +193,7 @@ def cmd_barcode(args) -> int:
         module = ser.zp_module_from_obj(_load_json(args.files[0]))
         zi = 1 if args.zeta_index is None else args.zeta_index
         if not 1 <= zi <= module.p - 1:
-            raise InputError(f"zeta index must lie in 1..{module.p - 1}")
+            raise ValueError(f"zeta index must lie in 1..{module.p - 1}")
         barcodes = eigenspace_barcodes(module)  # barcodes[k - 1] is at zeta^k
         mus = [mu_from_barcode(bc, module.p) for bc in barcodes]
         report = {
@@ -232,18 +212,14 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_spread(args) -> int:
-    obj = _load_object(args.file)
-    cx = ser.complex_from_obj(ser._field(obj, "complex", "spread input"))
-    p = ser.parse_int(ser._field(obj, "p", "spread input"), "p")
-    k = _k_or_p(args.k, p)
-    n = len(cx.generators)
-    chain_map = ser.matrix_from_obj(cx.field, ser._field(obj, "chain_map", "spread input"), n, n)
-    value = w_spread(EquivariantComplex(p, cx, chain_map), k)
+    k = _k_option(args.k)
+    eq = ser.equivariant_from_obj(_load_object(args.file))
+    value = w_spread(eq, k or eq.p)
     out = {"w_spread": ser.frac_str(value)}
     if is_inf(value):
         out["note"] = "model-degenerate, use spread_lower_bound_from_gaps"
         out["spread_lower_bound_from_gaps"] = ser.frac_str(
-            spread_lower_bound_from_gaps(cx.generators)
+            spread_lower_bound_from_gaps(eq.complex.generators)
         )
     _emit(_dump(out), args.out)
     return 0
@@ -254,43 +230,31 @@ def cmd_spread(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.file and args.lam is not None:
-        raise InputError("--lambda applies only without --file")
+        raise ValueError("--lambda applies only without --file")
     p = args.p
-    eps = _parse_frac_arg(args.epsilon_frac)
-    k = _k_or_p(args.k, p)
+    eps = ser.parse_frac(args.epsilon_frac)
+    k = _k_option(args.k) or p
     stabilize = None
     if args.stabilize:
         try:
             stabilize = [int(x) for x in args.stabilize.split(",")]
         except ValueError as e:
-            raise InputError(f"bad betti vector {args.stabilize!r}") from e
+            raise ValueError(f"bad betti vector {args.stabilize!r}") from e
     if args.file:
-        obj = _load_object(args.file)
-        try:
-            tuples = tuple(
-                (ser.parse_frac(ser._field(t, "action", "tuple")),
-                 ser.parse_int(t.get("degree", 0), "degree"))
-                for t in ser.parse_array(ser._field(obj, "tuples", "tuples file"), "tuples",
-                                         objects=True)
-            )
-            model_input = mdl.ModelInput(p, tuples)
-        except (TypeError, ValueError) as e:
-            raise InputError(f"bad tuples file: {e}") from e
-        if not tuples:
-            raise InputError("tuples file is empty")
+        model_input = mdl.ModelInput(p, ser.tuples_from_obj(_load_object(args.file)))
         provenance = {"source": args.file}
         lam = None
     else:
         if p != 2:
-            raise InputError("the frozen fixture is for p=2; pass --file")
+            raise ValueError("the frozen fixture is for p=2; pass --file")
         L, mu, nu = eb.FIXTURE_L, eb.FIXTURE_P2_MU, eb.FIXTURE_P2_NU
         if args.lam == "auto" or not args.lam:
             lam, records = eb.validation_threshold(2, L, mu, nu)
         else:
-            lam = _parse_frac_arg(args.lam)
+            lam = ser.parse_frac(args.lam)
             records = eb.enumerate_records(eb.EggBeaterParams(2, L, lam, mu, nu))
             if not all(r.valid for r in records):
-                raise InputError(f"lambda {lam} does not fully validate; use auto")
+                raise ValueError(f"lambda {lam} does not fully validate; use auto")
         model_input = mdl.model_input_from_records(records, p)
         provenance = {
             "source": "fixture-p2",
@@ -299,11 +263,7 @@ def cmd_bounds(args) -> int:
             "nu": [ser.frac_str(v) for v in nu],
             "lambda": ser.frac_str(lam),
         }
-    try:
-        report = mdl.bounds_report(model_input, k=k, eps_frac=eps, lam=lam,
-                                   stabilize=stabilize)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    report = mdl.bounds_report(model_input, k=k, eps_frac=eps, lam=lam, stabilize=stabilize)
     _emit(_dump(ser.bounds_report_to_obj(report, provenance)), args.out)
     if args.svg:
         merged = functools.reduce(Barcode.union, mdl.eigenspace_family(model_input).values())
@@ -314,54 +274,25 @@ def cmd_bounds(args) -> int:
 # -- freegroup --------------------------------------------------------------------
 
 
-def _parse_itinerary(text: str) -> fg.Itinerary:
-    segments = []
-    for tok in text.split():
-        parts = tok.split(":")
-        if len(parts) != 3 or "-" not in parts[1]:
-            raise InputError(
-                f"bad segment {tok!r}; expected FLOW:SRC-DST:WINDING like V:A-A:3"
-            )
-        flow, ends, wind = parts
-        src, dst = ends.split("-", 1)
-        try:
-            winding = int(wind)
-        except ValueError:
-            raise InputError(
-                f"bad winding {wind!r} in segment {tok!r}; expected an integer"
-            ) from None
-        try:
-            segments.append(fg.Segment(flow, src, dst, winding))
-        except ValueError as e:
-            raise InputError(str(e)) from e
-    try:
-        return fg.Itinerary(tuple(segments))
-    except ValueError as e:
-        raise InputError(str(e)) from e
-
-
 def cmd_freegroup(args) -> int:
     _check_operands(args, args.args)
-    try:
-        if args.subcommand == "reduce":
-            word = fg.parse_word(args.args[0])
-            if args.cyclic:
-                word = fg.cyclic_reduce(word)
-            print(fg.format_word(word))
-        elif args.subcommand == "conjugate":
-            w1, w2 = (fg.parse_word(w) for w in args.args)
-            print("true" if fg.conjugate_eq(w1, w2) else "false")
-        elif args.subcommand == "itinerary":
-            itinerary = _parse_itinerary(args.args[0])
-            print(fg.format_word(fg.itinerary_to_word(itinerary)))
-        else:
-            try:
-                m, n = (int(x) for x in args.args)
-            except ValueError:
-                raise InputError(f"freegroup si expects integers M N, got {' '.join(args.args)!r}")
-            print(fg.self_intersection(m, n))
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    if args.subcommand == "reduce":
+        word = fg.parse_word(args.args[0])
+        if args.cyclic:
+            word = fg.cyclic_reduce(word)
+        print(fg.format_word(word))
+    elif args.subcommand == "conjugate":
+        w1, w2 = (fg.parse_word(w) for w in args.args)
+        print("true" if fg.conjugate_eq(w1, w2) else "false")
+    elif args.subcommand == "itinerary":
+        print(fg.format_word(fg.itinerary_to_word(fg.parse_itinerary(args.args[0]))))
+    else:
+        try:
+            m, n = (int(x) for x in args.args)
+        except ValueError:
+            raise ValueError(
+                f"freegroup si expects integers M N, got {' '.join(args.args)!r}") from None
+        print(fg.self_intersection(m, n))
     return 0
 
 

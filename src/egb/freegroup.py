@@ -57,11 +57,6 @@ def _reduce(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reduce(word: Word) -> Word:
-    """Free reduction (already maintained as an invariant of Word)."""
-    return Word(word.letters)
-
-
 def cyclic_reduce(word: Word) -> Word:
     """Strip inverse pairs from the two ends until the word is cyclically
     reduced: count the cancelling pairs first, then slice once."""
@@ -211,29 +206,45 @@ class Itinerary:
         return self.segments[0].src == "A" and self.segments[-1].dst == "A"
 
 
-def _segment_tokens(segment: Segment) -> list[str]:
-    """Groupoid letters of one flow segment, from the trajectory-type table."""
-    loop = "a" if segment.flow == "V" else "b"
+def parse_itinerary(text: str) -> Itinerary:
+    """Parse segments `FLOW:SRC-DST:WINDING` separated by spaces, like
+    `V:A-A:3 H:A-B:1`."""
+    segments = []
+    for tok in text.split():
+        parts = tok.split(":")
+        if len(parts) != 3 or "-" not in parts[1]:
+            raise ValueError(f"bad segment {tok!r}; expected FLOW:SRC-DST:WINDING like V:A-A:3")
+        flow, ends, wind = parts
+        src, dst = ends.split("-", 1)
+        try:
+            winding = int(wind)
+        except ValueError:
+            raise ValueError(
+                f"bad winding {wind!r} in segment {tok!r}; expected an integer") from None
+        segments.append(Segment(flow, src, dst, winding))
+    return Itinerary(tuple(segments))
+
+
+def _segment_letters(segment: Segment) -> list[int]:
+    """Image in Free<a,b,c> of one flow segment, from the trajectory-type
+    table: the edge back to A when it starts at B, winding - 1 loops (winding
+    loops for A -> A), and the edge into B when it ends there."""
+    loop = A_ if segment.flow == "V" else B_
     into, back = ("q1", "q2") if segment.flow == "V" else ("q3", "q4")
     w = segment.winding
-    key = (segment.src, segment.dst)
-    if key == ("A", "A"):
+    if (segment.src, segment.dst) == ("A", "A"):
         return [loop] * w
-    if key == ("A", "B"):
-        return [loop] * (w - 1) + [into]
-    if key == ("B", "A"):
-        return [back] + [loop] * (w - 1)
-    return [back] + [loop] * (w - 1) + [into]  # B -> B
+    head = _EDGE_IMAGE[back] if segment.src == "B" else ()
+    tail = _EDGE_IMAGE[into] if segment.dst == "B" else ()
+    return [*head, *[loop] * (w - 1), *tail]
 
 
 def itinerary_to_word(itinerary: Itinerary) -> Word:
-    """Reduced a,b,c word of a loop itinerary based at A."""
+    """Reduced a,b,c word of a loop itinerary based at A.  Consecutive
+    segments chain, so the groupoid word of a loop at A is composable."""
     if not itinerary.is_loop_at_a():
         raise ValueError("itinerary must be a loop based at A")
-    tokens: list[str] = []
-    for seg in itinerary.segments:
-        tokens.extend(_segment_tokens(seg))
-    return _parse_groupoid(tokens)
+    return Word(tuple(x for seg in itinerary.segments for x in _segment_letters(seg)))
 
 
 def canonical_itinerary(windings_v, windings_h) -> Itinerary:

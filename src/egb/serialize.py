@@ -12,7 +12,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .eggbeater import FixedPointRecord
-from .equivariant import ZpPersistenceModule
+from .equivariant import EquivariantComplex, ZpPersistenceModule
 from .field import (
     CyclotomicField,
     CyclotomicNumber,
@@ -31,16 +31,12 @@ from .persistence import (
 )
 
 
-class InputError(ValueError):
-    """A malformed input: the CLI reports it as an `error:` line, exit 1."""
-
-
 def _field(obj: dict, key: str, what: str):
     """obj[key] of a JSON object; a missing key names the field and the object."""
     try:
         return obj[key]
     except KeyError:
-        raise InputError(f"missing field {key!r} in {what}") from None
+        raise ValueError(f"missing field {key!r} in {what}") from None
 
 
 def frac_str(x) -> str:
@@ -52,17 +48,17 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str, allow_inf: bool = False):
+    """An exact rational of a JSON field or a command-line option; "inf" only
+    when `allow_inf`.  Text that `Fraction` refuses, a zero denominator
+    included, is a `bad rational`."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} must be an exact string such as \"3/2\"")
-    s = s.strip()
-    if s in ("inf", "+inf", "Infinity"):
-        if not allow_inf:
-            raise ValueError("inf not allowed here")
+    if allow_inf and s.strip() in ("inf", "+inf", "Infinity"):
         return INF
     try:
         return Fraction(s)
-    except ZeroDivisionError as e:
-        raise ValueError(f"zero denominator in {s!r}") from e
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {s!r}") from None
 
 
 def parse_int(x, what: str) -> int:
@@ -168,9 +164,8 @@ def matrix_from_obj(field: Field, obj, rows: int, cols: int) -> Matrix:
         raise ValueError("matrix JSON must be an array of row arrays")
     if len(obj) != rows or any(len(r) != cols for r in obj):
         raise ValueError(f"matrix JSON is not {rows}x{cols}")
-    if rows == 0:
-        return Matrix.zeros(field, 0, cols)
-    return Matrix.from_rows(field, [[element_from_obj(field, x) for x in row] for row in obj])
+    entries = tuple(tuple(element_from_obj(field, x) for x in row) for row in obj)
+    return Matrix(field, rows, cols, entries)  # the elements are already in `field`
 
 
 # -- filtered complexes ---------------------------------------------------------
@@ -257,6 +252,28 @@ def zp_module_from_obj(obj) -> ZpPersistenceModule:
         )
     )
     return ZpPersistenceModule(p, base, action)
+
+
+def equivariant_from_obj(obj) -> EquivariantComplex:
+    """The `egb spread` input: {"p", "complex", "chain_map"}."""
+    cx = complex_from_obj(_field(_require_object(obj, "spread input"), "complex", "spread input"))
+    p = parse_int(_field(obj, "p", "spread input"), "p")
+    n = len(cx.generators)
+    chain_map = matrix_from_obj(cx.field, _field(obj, "chain_map", "spread input"), n, n)
+    return EquivariantComplex(p, cx, chain_map)
+
+
+def tuples_from_obj(obj) -> tuple[tuple[Fraction, int], ...]:
+    """The (action, degree) tuples of a `bounds --file` input: {"tuples":
+    [{"action", "degree"?}, ...]}, the degree 0 when left out."""
+    items = parse_array(_field(_require_object(obj, "tuples file"), "tuples", "tuples file"),
+                        "tuples", objects=True)
+    if not items:
+        raise ValueError("tuples file is empty")
+    return tuple(
+        (parse_frac(_field(t, "action", "tuple")), parse_int(t.get("degree", 0), "degree"))
+        for t in items
+    )
 
 
 # -- fixed point records -----------------------------------------------------------

@@ -453,6 +453,20 @@ class TestBoundsCommand:
         f.write_text(json.dumps({"tuples": [{"action": 5}]}))
         assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
 
+    def test_p_not_prime_is_named(self, tmp_path):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))
+        proc = run_subprocess("bounds", "--p", "4", "--file", str(f))
+        assert_clean_error(proc)
+        assert proc.stderr == "error: p must be prime, got 4\n"
+
+    def test_duplicate_actions_exit_one(self, tmp_path, capsys):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "1/2"}, {"action": "2/4", "degree": 1}]}))
+        code, _, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
+        assert code == 1
+        assert err == "error: tuple actions must be pairwise distinct\n"
+
     def test_k_left_out_means_p(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))
@@ -478,6 +492,43 @@ class TestBoundsCommand:
         assert barcode_from_json(json.dumps(barcode_obj)) == Barcode.of(
             [(Bar(0, 10), 1)]
         )
+
+
+class TestBadRationals:
+    """A rational that `Fraction` refuses, in an option or a JSON field, a
+    zero denominator included, gives one `bad rational` line."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["bounds", "--lambda", "x"], "x"),
+        (["bounds", "--lambda", "1/0"], "1/0"),
+        (["eggbeater-2d", "--mu", "1/2", "--nu", "1/4", "--lambda", "1/0"], "1/0"),
+        (["eggbeater", "--p", "2", "--mu", "1/2,x", "--nu", "1/3,1/5"], "x"),
+    ])
+    def test_option(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: bad rational {text!r}\n")
+
+    def test_json_field(self, tmp_path, capsys):
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": "1/0"}]}))
+        code, out, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
+        assert (code, out, err) == (1, "", "error: bad rational '1/0'\n")
+
+
+class TestNestedJson:
+    """JSON nested beyond the parser's recursion limit is invalid JSON, not a
+    traceback, in every command that reads a JSON file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["barcode", "bottleneck", "{f}", "{f}"], ["barcode", "decompose", "{f}"],
+        ["barcode", "mu", "{f}"], ["spread", "{f}"], ["bounds", "--file", "{f}"],
+    ])
+    def test_exits_one(self, tmp_path, argv):
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 200000 + "]" * 200000)
+        proc = run_subprocess(*(a.format(f=f) for a in argv))
+        assert_clean_error(proc)
+        assert proc.stderr == f"error: invalid JSON in {f}: nested too deeply\n"
 
 
 class TestLargePrime:

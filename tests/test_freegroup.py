@@ -9,8 +9,8 @@ from egb.freegroup import (
     cyclic_reduce,
     format_word,
     itinerary_to_word,
+    parse_itinerary,
     parse_word,
-    reduce,
     self_intersection,
 )
 
@@ -35,7 +35,7 @@ class TestReduction:
     def test_alpha_already_cyclically_reduced(self):
         alpha = alpha_word([3, 1], [2, 4])
         assert cyclic_reduce(alpha) == alpha
-        assert reduce(alpha) == alpha
+        assert Word(alpha.letters) == alpha
 
     def test_reduction_is_invariant(self):
         w = Word((1, 2, -2, -1, 3))
@@ -207,6 +207,67 @@ class TestItineraries:
         word = itinerary_to_word(it)
         # a^1 q1 | q4 b^2 q3 | q2  maps to  a.a | (c^-1 b) b^2 c | 1
         assert word == parse_word("a^2 c^-1 b^3 c")
+
+
+def groupoid_tokens(segment: Segment) -> list[str]:
+    """The groupoid word of one segment as `parse_word` text tokens, written
+    out from the trajectory-type table: a, b loop at A; q1, q3 go A -> B and
+    q2, q4 go B -> A."""
+    loop = "a" if segment.flow == "V" else "b"
+    into, back = ("q1", "q2") if segment.flow == "V" else ("q3", "q4")
+    w = segment.winding
+    key = (segment.src, segment.dst)
+    if key == ("A", "A"):
+        return [loop] * w
+    if key == ("A", "B"):
+        return [loop] * (w - 1) + [into]
+    if key == ("B", "A"):
+        return [back] + [loop] * (w - 1)
+    return [back] + [loop] * (w - 1) + [into]
+
+
+def random_loop_itinerary(rng) -> Itinerary:
+    """A chained itinerary from A back to A, with up to 8 segments of
+    alternating flows."""
+    n = rng.randint(0, 8)
+    squares = ["A"] + [rng.choice("AB") for _ in range(n - 1)] + ["A"] if n else []
+    flows = "VH" if rng.random() < 0.5 else "HV"
+    return Itinerary(tuple(
+        Segment(flows[i % 2], src, dst, rng.randint(0 if (src, dst) == ("A", "A") else 1, 4))
+        for i, (src, dst) in enumerate(zip(squares, squares[1:]))
+    ))
+
+
+class TestItineraryLetters:
+    """`itinerary_to_word` builds letters straight from the segment table;
+    the text route through `parse_word` is its oracle."""
+
+    def test_against_groupoid_text(self, rng):
+        seen = set()
+        for _ in range(600):
+            it = random_loop_itinerary(rng)
+            tokens = [t for seg in it.segments for t in groupoid_tokens(seg)]
+            assert itinerary_to_word(it) == parse_word(" ".join(tokens)), it
+            seen.update((s.src, s.dst, s.winding == 0) for s in it.segments)
+            seen.add("empty" if not it.segments else "nonempty")
+        assert {("B", "B", False), ("A", "A", True), ("A", "B", False), "empty"} <= seen
+
+    def test_parse_itinerary(self):
+        assert parse_itinerary(" V:A-B:2  H:B-A:1 ") == Itinerary(
+            (Segment("V", "A", "B", 2), Segment("H", "B", "A", 1)))
+        assert parse_itinerary("") == Itinerary(())
+
+    @pytest.mark.parametrize("text, message", [
+        ("V:A-A", "bad segment 'V:A-A'"),
+        ("V:AA:1", "bad segment 'V:AA:1'"),
+        ("V:A-A:x", "bad winding 'x' in segment 'V:A-A:x'"),
+        ("X:A-A:1", "flow must be V or H"),
+        ("V:A-C:1", "endpoints must be A or B"),
+        ("V:A-B:1 V:B-A:1", "alternate V and H"),
+    ])
+    def test_parse_itinerary_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_itinerary(text)
 
 
 class TestGroupoidParsing:

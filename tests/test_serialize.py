@@ -25,10 +25,13 @@ from egb.serialize import (
     complex_to_obj,
     element_from_obj,
     element_to_obj,
+    equivariant_from_obj,
     frac_str,
+    matrix_from_obj,
     module_from_obj,
     module_to_obj,
     parse_frac,
+    tuples_from_obj,
     write_records,
     zp_module_from_obj,
     zp_module_to_obj,
@@ -49,6 +52,49 @@ class TestRationalStrings:
         assert parse_frac("inf", allow_inf=True) == INF
         with pytest.raises(ValueError):
             parse_frac("inf")
+
+    @pytest.mark.parametrize("text", ["x", "1/0", "inf", " 1/0 ", ""])
+    def test_refused_text_is_a_bad_rational(self, text):
+        with pytest.raises(ValueError) as e:
+            parse_frac(text)
+        assert str(e.value) == f"bad rational {text!r}"
+
+
+class TestMatrixJson:
+    @pytest.mark.parametrize("obj, rows, cols", [([], 0, 3), ([[], []], 2, 0), ([], 0, 0)])
+    def test_empty_shapes_kept(self, obj, rows, cols):
+        m = matrix_from_obj(QQ_FIELD, obj, rows, cols)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m == Matrix.zeros(QQ_FIELD, rows, cols)
+
+    def test_entries_are_field_elements(self):
+        field = CyclotomicField(3)
+        m = matrix_from_obj(field, [["1/2", ["0", "1"]]], 1, 2)
+        assert m == Matrix.from_rows(field, [[F(1, 2), cyclo_zeta(3)]])
+
+
+class TestInputFormats:
+    def test_tuples(self):
+        obj = {"tuples": [{"action": "1/2", "degree": 1}, {"action": "0"}]}
+        assert tuples_from_obj(obj) == ((F(1, 2), 1), (F(0), 0))
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"tuples": []}, "tuples file is empty"),
+        ({}, "missing field 'tuples' in tuples file"),
+        ([], "tuples file JSON must be an object"),
+        ({"tuples": [{"action": "1/0"}]}, "bad rational '1/0'"),
+    ])
+    def test_tuples_refused(self, obj, message):
+        with pytest.raises(ValueError) as e:
+            tuples_from_obj(obj)
+        assert str(e.value) == message
+
+    def test_equivariant_complex(self):
+        cx = FilteredComplex(QQ_FIELD, ((F(0), 0), (F(0), 0)), Matrix.zeros(QQ_FIELD, 2, 2))
+        eq = equivariant_from_obj(
+            {"p": 2, "complex": complex_to_obj(cx), "chain_map": [["0", "1"], ["1", "0"]]})
+        assert (eq.p, eq.complex) == (2, cx)
+        assert eq.chain_map == Matrix.from_rows(QQ_FIELD, [[0, 1], [1, 0]])
 
 
 class TestBarcodeJson:
