@@ -28,7 +28,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, barcode_of_complex, is_inf, min_gap
+from .persistence import Barcode, barcode_of_complex, exact_key, is_inf, min_gap
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
@@ -76,13 +76,6 @@ def _load_json(path: str):
         raise ValueError(f"invalid JSON in {path}: nested too deeply") from None
 
 
-def _load_object(path: str) -> dict:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise ValueError(f"the top level of {path} must be a JSON object")
-    return obj
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -103,7 +96,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
     leads = [r.action_leading for r in records]
-    leads.sort(key=eb._exact_key(leads))
+    leads.sort(key=exact_key(leads))
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min_gap(leads) / lam
     header = {
@@ -213,7 +206,7 @@ def cmd_barcode(args) -> int:
 
 def cmd_spread(args) -> int:
     k = _k_option(args.k)
-    eq = ser.equivariant_from_obj(_load_object(args.file))
+    eq = ser.equivariant_from_obj(_load_json(args.file))
     value = w_spread(eq, k or eq.p)
     out = {"w_spread": ser.frac_str(value)}
     if is_inf(value):
@@ -241,7 +234,7 @@ def cmd_bounds(args) -> int:
         except ValueError as e:
             raise ValueError(f"bad betti vector {args.stabilize!r}") from e
     if args.file:
-        model_input = mdl.ModelInput(p, ser.tuples_from_obj(_load_object(args.file)))
+        model_input = mdl.ModelInput(p, ser.tuples_from_obj(_load_json(args.file)))
         provenance = {"source": args.file}
         lam = None
     else:
@@ -361,6 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Python 3.10.7 and later cap int/str conversions
+    (4,300 digits by default); the cap is lifted for the run, so exact
+    rationals of any length parse and print, and the caller's cap is
+    restored on return."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
+    try:
+        return _run(argv)
+    finally:
+        set_cap(cap)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

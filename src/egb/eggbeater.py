@@ -21,52 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Matrix, QQ_FIELD, is_prime
-from .persistence import min_gap
-
-
-class ReductionWindowError(ValueError):
-    """A lifted trajectory missed its reduction window: the point does not
-    realize the prescribed winding class."""
-
-
-def u0(s) -> Fraction:
-    """Tent shear profile 1 - |s| on [-1, 1]."""
-    s = Fraction(s)
-    if not -1 <= s <= 1:
-        raise ValueError(f"u0 argument {s} outside [-1, 1]")
-    return 1 - abs(s)
-
-
-def h0(s) -> Fraction:
-    """Normalized tent Hamiltonian s - sign(s) s^2/2 (odd, h0(+-1) = +-1/2)."""
-    s = Fraction(s)
-    if not -1 <= s <= 1:
-        raise ValueError(f"h0 argument {s} outside [-1, 1]")
-    return s - s * abs(s) / 2  # sign(s) s^2 = s |s|
-
-
-def phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
-    """One vertical-then-horizontal block of the lifted map on the square.
-
-    Equals HV . r_{nu lam} . f . VH . r_{mu lam} . f on its domain; both
-    reduction windows are checked, and a miss signals that the input does
-    not follow the prescribed winding class.
-    """
-    x, y, mu, nu, lam = (Fraction(v) for v in (x, y, mu, nu, lam))
-    if not (-1 < x < 1 and -1 < y < 1):
-        raise ReductionWindowError(f"input ({x}, {y}) outside the open square")
-    y2 = y + lam * u0(x) - mu * lam
-    if not -1 < y2 < 1:
-        raise ReductionWindowError(
-            f"vertical reduction window missed: intermediate height {y2}"
-        )
-    x2 = x + lam * u0(y2) - nu * lam
-    if not -1 < x2 < 1:
-        raise ReductionWindowError(
-            f"horizontal reduction window missed: intermediate height {x2}"
-        )
-    return (x2, y2)
+from .field import is_prime
+from .persistence import exact_key, min_gap
 
 
 @dataclass(frozen=True)
@@ -164,74 +120,6 @@ def _eps(signs: tuple[int, ...], i: int) -> int:
     return signs[(i - 1) % len(signs)]
 
 
-def block_matrix(j: int, signs: tuple[int, ...], lam) -> Matrix:
-    """Coefficient matrix of block j (0-based): det = 1 and it factors into
-    the two parabolic shears."""
-    lam = Fraction(lam)
-    e1 = _eps(signs, 2 * j + 1)
-    e4 = _eps(signs, 2 * j + 4)
-    return Matrix.from_rows(
-        QQ_FIELD,
-        [[1 + e4 * e1 * lam * lam, -e4 * lam], [-e1 * lam, Fraction(1)]],
-    )
-
-
-def block_vector(j: int, signs: tuple[int, ...], lam, mu_j, nu_j) -> tuple[Fraction, Fraction]:
-    lam, mu_j, nu_j = Fraction(lam), Fraction(mu_j), Fraction(nu_j)
-    e4 = _eps(signs, 2 * j + 4)
-    return (
-        -e4 * (1 - mu_j) * lam * lam + (1 - nu_j) * lam,
-        (1 - mu_j) * lam,
-    )
-
-
-def nondegeneracy(signs: tuple[int, ...], lam) -> Fraction:
-    """det(A_bar - id), cross-checked against 2 - trace(A_bar)."""
-    p = len(signs) // 2
-    a_bar = Matrix.identity(QQ_FIELD, 2)
-    for j in range(p):
-        a_bar = block_matrix(j, signs, lam) @ a_bar
-    m = a_bar - Matrix.identity(QQ_FIELD, 2)
-    det = m.det()
-    trace = a_bar.entries[0][0] + a_bar.entries[1][1]
-    if det != 2 - trace:
-        raise AssertionError("det(A-id) != 2 - trace(A) for a det-1 matrix")
-    return det
-
-
-def leading_sum(signs: tuple[int, ...], mu, nu) -> Fraction:
-    """Coefficient of lambda/2 in the action: the signed sum of squared
-    winding complements."""
-    mu = tuple(Fraction(v) for v in mu)
-    nu = tuple(Fraction(v) for v in nu)
-    total = Fraction(0)
-    for j in range(len(mu)):
-        e1, e4 = _eps(signs, 2 * j + 1), _eps(signs, 2 * j + 4)
-        total += e1 * (1 - mu[j]) ** 2 - e4 * (1 - nu[j]) ** 2
-    return total
-
-
-def action_leading(signs: tuple[int, ...], params: EggBeaterParams) -> Fraction:
-    return params.lam / 2 * leading_sum(signs, params.mu, params.nu)
-
-
-def action_exact(record: FixedPointRecord, params: EggBeaterParams) -> Fraction:
-    """Segment-wise action: Hamiltonian term lam*h0 of the flowing coordinate
-    minus the reference-loop area term lam*(winding fraction)*coordinate.
-
-    The 2p segments alternate vertical (even points, fraction mu) and
-    horizontal (odd points, fraction nu); the odd point's flowing coordinate
-    is its first (the flipped height)."""
-    if not record.valid:
-        raise ValueError("action of an invalid record")
-    total = Fraction(0)
-    for j in range(params.p):
-        xv = record.even_points[j][0]
-        xh = record.odd_points[j][0]
-        total += h0(xv) - params.mu[j] * xv + h0(xh) - params.nu[j] * xh
-    return params.lam * total
-
-
 def solve_signed(signs: tuple[int, ...], params: EggBeaterParams) -> FixedPointRecord:
     """Solve the sign-indexed affine system and validate through the exact
     piecewise map; rejections carry the failing check."""
@@ -263,9 +151,11 @@ def _integer_scale(lam: Fraction, mu: tuple, nu: tuple) -> tuple:
 def _block(j: int, e1: int, e4: int, scale: tuple) -> tuple:
     """Block j with the signs e1 = eps_{2j+1}, e4 = eps_{2j+4} on the
     integers of `scale` = (K, K lam, (K mu_i lam)_i, (K nu_i lam)_i): K^2 A_j,
-    then K^{2j+2} b_j, then K^2 lam^2 times the block's term of
-    `leading_sum`.  Composing blocks 0, ..., j in order then gives
-    K^{2j+2} (A, v) for the composed affine map (A, v)."""
+    then K^{2j+2} b_j, then K^2 lam^2 times the block's term
+    e1 (1 - mu_j)^2 - e4 (1 - nu_j)^2 of the leading sum, the coefficient of
+    lam/2 in the action (oracle: `tests/conftest.py::leading_sum`).
+    Composing blocks 0, ..., j in order then gives K^{2j+2} (A, v) for the
+    composed affine map (A, v)."""
     k, big_lam, big_mu, big_nu = scale
     rm = big_lam - big_mu[j]  # K (1 - mu_j) lam
     rn = big_lam - big_nu[j]
@@ -300,7 +190,7 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     K^{2p-i}, so every division is exact."""
     k, big_lam, big_mu, big_nu = scale
     unit = k ** (2 * p)
-    a, b, c, d, v1, v2, lead_num = composed  # lead_num = K^2 lam^2 leading_sum
+    a, b, c, d, v1, v2, lead_num = composed  # lead_num = K^2 lam^2 (leading sum)
     lead = Fraction(lead_num, 2 * k * big_lam)
     det_num = (a - unit) * (d - unit) - b * c  # K^{4p} det(A_bar - id)
     if det_num != (2 * unit - (a + d)) * unit:
@@ -363,6 +253,7 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     ys = [y for _, y in even]
     mags = [abs(c) for c in xs + ys]
     kink = min(min(mags), den - max(mags))
+    # with the tent Hamiltonian h0(s) = s - s|s|/2, the segment action
     # lam (h0(s) - w s) with s = S/D is (K lam (2DS - S|S|) - 2D (K w lam) S) / (2 K D^2);
     # the horizontal segment j flows x_{2j+1} = -y_{2j+2}, so the sums run over
     # the even points with the y terms negated
@@ -416,23 +307,16 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
     return records
 
 
-def _exact_key(values):
-    """An exact integer sort key for Fractions among `values`: numerator
-    times (common denominator of `values` / own denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return lambda v: v.numerator * (den // v.denominator)
-
-
 def min_action_gap(records) -> Fraction | float:
     """Minimum pairwise distance of the exact actions of VALID records; +inf
     for fewer than two.
 
     The actions are first put in the order of their leading terms, sorted
-    on the integer key of `_exact_key`.  An action is its leading term plus
-    a bounded correction, so wherever the leading order holds the exact sort
-    that follows is about one merge pass."""
+    on the integer key of `persistence.exact_key`.  An action is its leading
+    term plus a bounded correction, so wherever the leading order holds the
+    exact sort that follows is about one merge pass."""
     valid = [r for r in records if r.valid]
-    key = _exact_key([r.action_leading for r in valid])
+    key = exact_key([r.action_leading for r in valid])
     actions = [r.action for r in sorted(valid, key=lambda r: key(r.action_leading))]
     actions.sort()
     return min_gap(actions)

@@ -286,11 +286,6 @@ def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
     return _cyclo(p, (q.numerator,) + _TAIL[p], q.denominator)
 
 
-def cyclo_zero(p: int) -> CyclotomicNumber:
-    _check_supported_prime(p)
-    return _ZERO[p]
-
-
 def cyclo_one(p: int) -> CyclotomicNumber:
     _check_supported_prime(p)
     return _ONE[p]

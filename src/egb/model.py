@@ -9,7 +9,7 @@ which is valid no matter what the unknown differential does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import kunneth_stabilize, mu_p_of_family
@@ -20,10 +20,12 @@ from .persistence import Bar, Barcode, INF, is_inf, min_gap, multiplicity
 @dataclass(frozen=True)
 class ModelInput:
     """Tuple actions (pairwise distinct) and degrees feeding the model,
-    stored sorted by action once, when built."""
+    stored sorted by action once, when built, with the least gap between
+    neighbouring actions (+inf for fewer than two tuples)."""
 
     p: int
     tuples: tuple[tuple[Fraction, int], ...]
+    gap: Fraction | float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -32,10 +34,7 @@ class ModelInput:
         if any(a == b for (a, _), (b, _) in zip(tuples, tuples[1:])):
             raise ValueError("tuple actions must be pairwise distinct")
         object.__setattr__(self, "tuples", tuple(tuples))
-
-    def actions(self) -> list[Fraction]:
-        """The actions in increasing order."""
-        return [a for a, _ in self.tuples]
+        object.__setattr__(self, "gap", min_gap([a for a, _ in tuples]))
 
 
 def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
@@ -66,11 +65,10 @@ def paper_mu_lower_bound(
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac < 1:
         raise ValueError("eps_frac must lie in (0, 1)")
-    acts = model_input.actions()
-    gap = min_gap(acts)
+    gap = model_input.gap
     if is_inf(gap):
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
-    a_min = acts[0]
+    a_min = model_input.tuples[0][0]
     witness = Bar(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
     c = gap * (1 - 2 * eps_frac) / 4
     if family is None:
@@ -126,7 +124,7 @@ def bounds_report(
         stabilized = kunneth_stabilize(family, list(stabilize))
     mu_model = mu_p_of_family(stabilized, model_input.p)
     paper_bound = paper_mu_lower_bound(model_input, eps_frac, family=family)
-    gap = min_gap(model_input.actions())
+    gap = model_input.gap
     aut_bound = Fraction(0) if is_inf(gap) else gap / k
     return BoundsReport(
         p=model_input.p,

@@ -17,6 +17,7 @@ transitions; everything on a complex reads the one R = DV reduction.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,13 @@ def min_gap(ordered) -> Fraction | float:
         if best is None or n * best[1] < best[0] * d:
             best = (n, d)
     return INF if best is None else Fraction(*best)
+
+
+def exact_key(values):
+    """An exact integer sort key for Fractions among `values`: numerator
+    times (common denominator of `values` / own denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return lambda v: v.numerator * (den // v.denominator)
 
 
 @dataclass(frozen=True)
@@ -267,26 +275,6 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
         basis = Matrix(field, n, len(pivots),
                        tuple(tuple(row[c] for c in pivots) for row in stacked.entries))
     return Barcode.of(bars + [Bar(b, INF) for b in births])
-
-
-def module_from_barcode(field: Field, barcode: Barcode) -> FinitePersistenceModule:
-    """Direct sum of interval modules Q(I), one basis vector per bar unit."""
-    bars = [bar for bar, _ in barcode.expand()]
-    points = sorted({b.birth for b in bars} | {b.death for b in bars if b.finite})
-    m = len(points)
-    index = {s: i for i, s in enumerate(points)}
-    # bar alive on constancy intervals (birth index)+1 .. (death index), or .. m
-    spans = [(index[b.birth] + 1, index[b.death] if b.finite else m) for b in bars]
-    alive = [[k for k, (lo, hi) in enumerate(spans) if lo <= i <= hi] for i in range(m + 1)]
-    z, o = field.zero(), field.one()
-    transitions = tuple(
-        Matrix(field, len(after), len(before),
-               tuple(tuple(o if k == j else z for j in before) for k in after))
-        for before, after in zip(alive, alive[1:])
-    )
-    return FinitePersistenceModule(
-        field, tuple(points), tuple(len(a) for a in alive), transitions
-    )
 
 
 def refine_module(

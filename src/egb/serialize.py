@@ -117,10 +117,6 @@ def barcode_to_json(barcode: Barcode) -> str:
     return json.dumps(barcode_to_obj(barcode), indent=2, sort_keys=True)
 
 
-def barcode_from_json(text: str) -> Barcode:
-    return barcode_from_obj(json.loads(text))
-
-
 # -- fields and matrices --------------------------------------------------------
 
 
@@ -183,7 +179,7 @@ def complex_to_obj(cx: FilteredComplex) -> dict:
 
 def _require_object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} JSON must be an object")
+        raise ValueError(f"{what} must be a JSON object")
     return obj
 
 

@@ -19,8 +19,8 @@ from egb.equivariant import (
     zp_direct_sum,
 )
 from egb.bottleneck import hopcroft_karp
-from egb.eggbeater import _eps, leading_sum, sign_vectors
-from egb.field import CyclotomicField, Matrix, RationalField, cyclo_zeta
+from egb.eggbeater import _eps, sign_vectors
+from egb.field import CyclotomicField, Field, Matrix, RationalField, cyclo_zeta
 from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
 from egb.persistence import (
@@ -427,6 +427,26 @@ def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
     return Barcode.of(entries)
 
 
+def module_from_barcode(field: Field, barcode: Barcode) -> FinitePersistenceModule:
+    """Direct sum of interval modules Q(I), one basis vector per bar unit."""
+    bars = [bar for bar, _ in barcode.expand()]
+    points = sorted({b.birth for b in bars} | {b.death for b in bars if b.finite})
+    m = len(points)
+    index = {s: i for i, s in enumerate(points)}
+    # bar alive on constancy intervals (birth index)+1 .. (death index), or .. m
+    spans = [(index[b.birth] + 1, index[b.death] if b.finite else m) for b in bars]
+    alive = [[k for k, (lo, hi) in enumerate(spans) if lo <= i <= hi] for i in range(m + 1)]
+    z, o = field.zero(), field.one()
+    transitions = tuple(
+        Matrix(field, len(after), len(before),
+               tuple(tuple(o if k == j else z for j in before) for k in after))
+        for before, after in zip(alive, alive[1:])
+    )
+    return FinitePersistenceModule(
+        field, tuple(points), tuple(len(a) for a in alive), transitions
+    )
+
+
 # -- spread oracles ----------------------------------------------------------
 
 
@@ -586,6 +606,85 @@ def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
 
 
 # -- egg-beater oracles ------------------------------------------------------
+# The egg-beater map on Fractions and `Matrix`, the description the integer
+# solver of `egb.eggbeater` is pinned to.
+
+
+class ReductionWindowError(ValueError):
+    """A lifted trajectory missed its reduction window: the point does not
+    realize the prescribed winding class."""
+
+
+def u0(s) -> Fraction:
+    """Tent shear profile 1 - |s| on [-1, 1]."""
+    s = Fraction(s)
+    if not -1 <= s <= 1:
+        raise ValueError(f"u0 argument {s} outside [-1, 1]")
+    return 1 - abs(s)
+
+
+def h0(s) -> Fraction:
+    """Normalized tent Hamiltonian s - sign(s) s^2/2 (odd, h0(+-1) = +-1/2)."""
+    s = Fraction(s)
+    if not -1 <= s <= 1:
+        raise ValueError(f"h0 argument {s} outside [-1, 1]")
+    return s - s * abs(s) / 2  # sign(s) s^2 = s |s|
+
+
+def phi_block(x, y, mu, nu, lam) -> tuple[Fraction, Fraction]:
+    """One vertical-then-horizontal block of the lifted map on the square.
+
+    Equals HV . r_{nu lam} . f . VH . r_{mu lam} . f on its domain; both
+    reduction windows are checked, and a miss signals that the input does
+    not follow the prescribed winding class.
+    """
+    x, y, mu, nu, lam = (Fraction(v) for v in (x, y, mu, nu, lam))
+    if not (-1 < x < 1 and -1 < y < 1):
+        raise ReductionWindowError(f"input ({x}, {y}) outside the open square")
+    y2 = y + lam * u0(x) - mu * lam
+    if not -1 < y2 < 1:
+        raise ReductionWindowError(
+            f"vertical reduction window missed: intermediate height {y2}"
+        )
+    x2 = x + lam * u0(y2) - nu * lam
+    if not -1 < x2 < 1:
+        raise ReductionWindowError(
+            f"horizontal reduction window missed: intermediate height {x2}"
+        )
+    return (x2, y2)
+
+
+def block_matrix(j: int, signs: tuple[int, ...], lam) -> Matrix:
+    """Coefficient matrix of block j (0-based): det = 1 and it factors into
+    the two parabolic shears."""
+    lam = Fraction(lam)
+    e1 = _eps(signs, 2 * j + 1)
+    e4 = _eps(signs, 2 * j + 4)
+    return Matrix.from_rows(
+        QQ_FIELD,
+        [[1 + e4 * e1 * lam * lam, -e4 * lam], [-e1 * lam, Fraction(1)]],
+    )
+
+
+def block_vector(j: int, signs: tuple[int, ...], lam, mu_j, nu_j) -> tuple[Fraction, Fraction]:
+    lam, mu_j, nu_j = Fraction(lam), Fraction(mu_j), Fraction(nu_j)
+    e4 = _eps(signs, 2 * j + 4)
+    return (
+        -e4 * (1 - mu_j) * lam * lam + (1 - nu_j) * lam,
+        (1 - mu_j) * lam,
+    )
+
+
+def leading_sum(signs: tuple[int, ...], mu, nu) -> Fraction:
+    """Coefficient of lambda/2 in the action: the signed sum of squared
+    winding complements."""
+    mu = tuple(Fraction(v) for v in mu)
+    nu = tuple(Fraction(v) for v in nu)
+    total = Fraction(0)
+    for j in range(len(mu)):
+        e1, e4 = _eps(signs, 2 * j + 1), _eps(signs, 2 * j + 4)
+        total += e1 * (1 - mu[j]) ** 2 - e4 * (1 - nu[j]) ** 2
+    return total
 
 
 def block_parabolic_factors(j: int, signs: tuple[int, ...], lam) -> tuple[Matrix, Matrix]:
@@ -690,7 +789,7 @@ def build_model(model_input: ModelInput) -> ZpPersistenceModule:
         raise ValueError("model needs at least one tuple")
     p = model_input.p
     field = CyclotomicField(p)
-    spectrum = tuple(model_input.actions())
+    spectrum = tuple(a for a, _ in model_input.tuples)
     m = len(spectrum)
     dims = tuple(p * i for i in range(m + 1))
     z, o = field.zero(), field.one()

@@ -16,7 +16,6 @@ from egb.eggbeater import (
     fixture_params,
     lambda_lattice,
     min_action_gap,
-    phi_block,
     solve_2d,
     solve_signed,
     validation_threshold,
@@ -46,6 +45,7 @@ from conftest import (
     eps_bar,
     finite_deaths,
     min_leading_gap,
+    phi_block,
     rand_barcode,
     random_zp_module,
 )

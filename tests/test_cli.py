@@ -18,7 +18,9 @@ from egb.persistence import (
     FinitePersistenceModule,
     barcode_of_module,
 )
-from egb.serialize import barcode_to_json, barcode_to_obj, complex_to_obj, frac_str, zp_module_to_obj
+from egb.serialize import (
+    barcode_from_obj, barcode_to_json, barcode_to_obj, complex_to_obj, frac_str, zp_module_to_obj,
+)
 from egb.equivariant import (
     ZpPersistenceModule,
     cyclic_tuple_module,
@@ -482,14 +484,12 @@ class TestBoundsCommand:
         assert proc.stderr == "error: k must be >= 1\n"
 
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
-        from egb.serialize import barcode_from_json
-
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         f = tmp_path / "m.json"
         f.write_text(json.dumps(zp_module_to_obj(m)))
         code, out, _ = run(capsys, "barcode", "mu", str(f))
         barcode_obj = json.loads(out)["barcode"]
-        assert barcode_from_json(json.dumps(barcode_obj)) == Barcode.of(
+        assert barcode_from_obj(barcode_obj) == Barcode.of(
             [(Bar(0, 10), 1)]
         )
 
@@ -513,6 +513,28 @@ class TestBadRationals:
         f.write_text(json.dumps({"tuples": [{"action": "1/0"}]}))
         code, out, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
         assert (code, out, err) == (1, "", "error: bad rational '1/0'\n")
+
+
+class TestLongRationals:
+    """Rationals longer than Python's default int/str digit cap (4,300
+    digits) are read and printed exactly, and `main` gives the caller's cap
+    back when it returns."""
+
+    def test_bounds_gap_of_5000_digits(self, tmp_path, capsys):
+        digits = "1" * 5000
+        f = tmp_path / "tuples.json"
+        f.write_text(json.dumps({"tuples": [{"action": digits}, {"action": "0"}]}))
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["gap"] == digits
+        assert sys.get_int_max_str_digits() == cap
+
+    def test_eggbeater_2d_lambda_of_5001_digits(self, capsys):
+        lam = "16" + "0" * 4999
+        code, out, err = run(capsys, "eggbeater-2d", "--mu", "1/2", "--nu", "1/4", "--lambda", lam)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lambda"] == lam
 
 
 class TestNestedJson:

@@ -91,8 +91,12 @@ def argv(draw, tmp: Path) -> list[str]:
     command = draw(st.sampled_from(
         ["eggbeater", "eggbeater-2d", "barcode", "spread", "bounds", "freegroup", "nope"]))
 
+    written = []
+
     def input_file(kind: str) -> str:
-        path = tmp / "in.json"
+        """A drawn input in a file of its own, or a missing file."""
+        path = tmp / f"in{len(written)}.json"
+        written.append(path)
         path.write_text(draw(json_text(kind)))
         return draw(st.sampled_from([str(path)] * 3 + [str(tmp / "absent.json")]))
 
@@ -116,10 +120,12 @@ def argv(draw, tmp: Path) -> list[str]:
         rest = [input_file("spread"), *options(draw, {"--k": ["1", "2", "0", "x"], "--out": outs})]
     elif command == "bounds":
         rest = options(draw, {
-            "--p": ["2", "3", "5", "4", "1", "x"], "--file": [input_file("tuples")],
+            "--p": ["2", "3", "5", "4", "1", "x"],
             "--lambda": RATIONALS, "--k": ["1", "2", "0", "x"],
             "--epsilon-frac": ["1/100", "0", "2", "x"], "--stabilize": ["1,2,1", "1,-1", "x", ""],
             "--svg": outs, "--out": outs})
+        if draw(st.booleans()):  # the tuples file is drawn only when it is read
+            rest += ["--file", input_file("tuples")]
     elif command == "freegroup":
         sub = draw(st.sampled_from(["reduce", "conjugate", "itinerary", "si", "nope"]))
         words = ["a b A", "a^2 b^-1", "q1 q2", "x", "", "V:A-A:3 H:A-A:2", "V:A-B", "2", "-1"]
@@ -132,7 +138,8 @@ def argv(draw, tmp: Path) -> list[str]:
 
 @pytest.fixture(scope="module")
 def tmp(tmp_path_factory):
-    """A directory shared by the examples; in.json is a regular file in it."""
+    """A directory shared by the examples; in.json is a regular file in it,
+    which the drawn inputs (in0.json, in1.json) never overwrite."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "in.json").write_text("{}")
     return d

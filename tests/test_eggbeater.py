@@ -12,41 +12,37 @@ from egb.eggbeater import (
     FIXTURE_P2_MU,
     FIXTURE_P2_NU,
     FixedPointRecord,
-    ReductionWindowError,
     _enumerate_core,
-    _exact_key,
     _farey_rationals,
     _solve_core,
-    action_exact,
-    action_leading,
-    block_matrix,
-    block_vector,
     enumerate_records,
     fixture_params,
-    h0,
     lambda_lattice,
-    leading_sum,
     min_action_gap,
-    nondegeneracy,
     param_search,
-    phi_block,
     sign_vectors,
     solve_2d,
     solve_signed,
-    u0,
     validation_threshold,
 )
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
-from egb.persistence import is_inf, min_gap
+from egb.persistence import exact_key, is_inf, min_gap
 from egb.serialize import frac_str, write_records
 
 from conftest import (
+    ReductionWindowError,
     asymptotic_limit,
+    block_matrix,
     block_parabolic_factors,
+    block_vector,
     coefficient_sums_distinct,
     eps_bar,
+    h0,
+    leading_sum,
     min_leading_gap,
+    phi_block,
+    u0,
 )
 
 
@@ -310,11 +306,13 @@ class TestSolver:
             assert F(2, 5) < r2 < F(5, 2)
 
     def test_action_exact_matches_recomputation(self):
+        """The segment-wise action and the leading term lam/2 * leading_sum
+        of the Fraction oracle, against the record's own."""
         lam, records = validation_threshold(2, FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU)
-        params = fixture_params(lam)
         for r in records:
-            assert action_exact(r, params) == r.action
-            assert action_leading(r.signs, params) == r.action_leading
+            reference, _, _ = reference_orbit(2, lam, FIXTURE_P2_MU, FIXTURE_P2_NU, r.signs)
+            assert reference.action == r.action
+            assert lam / 2 * leading_sum(r.signs, FIXTURE_P2_MU, FIXTURE_P2_NU) == r.action_leading
 
     def test_action_minus_leading_bounded_over_doubling(self):
         lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4)
@@ -325,17 +323,20 @@ class TestSolver:
                 diffs.append(abs(rec.action - rec.action_leading))
             assert diffs[2] < 2 * max(diffs[0], F(1))  # bounded, not growing with lambda
 
-    def test_nondegeneracy_det(self, rng):
+    def test_nondegeneracy_det(self):
+        """det(A_bar - id) of the `Matrix` oracle, which also checks it against
+        2 - trace(A_bar), is the record's nonzero det."""
         lam, records = validation_threshold(2, FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU)
         for r in records:
             assert r.det != 0
-            assert nondegeneracy(r.signs, lam) == r.det
+            reference, _, _ = reference_orbit(2, lam, FIXTURE_P2_MU, FIXTURE_P2_NU, r.signs)
+            assert reference.det == r.det
 
     def test_det_leading_term(self):
         # det / lambda^{2p} -> -eps_bar over a doubling sequence
         lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
         for signs in [(1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1)]:
-            vals = [nondegeneracy(signs, lam) / lam ** 4 for lam in lams]
+            vals = [solve_signed(signs, fixture_params(lam)).det / lam ** 4 for lam in lams]
             target = -eps_bar(signs)
             assert abs(vals[1] - target) < abs(vals[0] - target) + F(1, 100)
             assert abs(vals[1] - target) < F(1, 50)
@@ -612,7 +613,7 @@ class TestGapInLeadingOrder:
         for _ in range(50):
             values = rand_fracs(rng, rng.randint(1, 40))
             rng.shuffle(values)
-            assert sorted(values, key=_exact_key(values)) == sorted(values)
+            assert sorted(values, key=exact_key(values)) == sorted(values)
 
 
 class TestMinGap:

@@ -19,7 +19,6 @@ from egb.persistence import (
     induced_homology_rank,
     les_check,
     longest_finite_bar,
-    module_from_barcode,
     multiplicity,
     window_complex,
     window_homology,
@@ -30,6 +29,7 @@ from conftest import (
     count_calls,
     gap_cuts,
     les_check_oracle,
+    module_from_barcode,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
