@@ -292,6 +292,7 @@ def cmd_freegroup(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egb",

@@ -64,7 +64,7 @@ class ZpPersistenceModule:
             n = self.base.dims[i]
             if (a.rows, a.cols) != (n, n):
                 raise ValueError(f"automorphism {i} has wrong shape")
-            if not (a.matpow(self.p) - Matrix.identity(a.field, n)).is_zero():
+            if not a.matpow(self.p).shift_diagonal(1).is_zero():
                 raise ValueError(f"automorphism {i} does not have order dividing p")
         for i, t in enumerate(self.base.transitions):
             if not (self.action[i + 1] @ t - t @ self.action[i]).is_zero():
@@ -92,7 +92,7 @@ class EquivariantComplex:
             raise ValueError("chain map must be square on the generators")
         if t.field != self.complex.field:
             raise ValueError("chain map over wrong field")
-        if not (t.matpow(self.p) - Matrix.identity(t.field, n)).is_zero():
+        if not t.matpow(self.p).shift_diagonal(1).is_zero():
             raise ValueError("chain map does not satisfy T^p = id")
         d = self.complex.boundary
         if not (t @ d - d @ t).is_zero():
@@ -120,12 +120,7 @@ def eigenspace_module(
 ) -> FinitePersistenceModule:
     """Pointwise kernels of (A - zeta id), with the induced transitions."""
     _validate_root(module.p, zeta, primitive=False)
-    field = module.field
-    kernels = []
-    for i, a in enumerate(module.action):
-        n = module.base.dims[i]
-        shifted = a - Matrix.identity(field, n).scale(zeta)
-        kernels.append(shifted.kernel_basis())
+    kernels = [a.shift_diagonal(zeta).kernel_basis() for a in module.action]
     return _induced_module(module, [[] for _ in kernels], kernels)
 
 
@@ -251,11 +246,9 @@ def w_hat(module: ZpPersistenceModule) -> Fraction | float:
     """
     base = module.base
     m = len(base.spectrum)
-    field = module.field
     best = Fraction(0)
     for u in range(1, m + 1):  # interval 0 has dimension 0
-        n_u = base.dims[u]
-        s_mat = module.action[u] - Matrix.identity(field, n_u)
+        s_mat = module.action[u].shift_diagonal(1)
         if s_mat.is_zero():
             continue
         acc = s_mat
@@ -310,7 +303,7 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     action, where finiteness needs analytic input the algebra cannot see).
     """
     cx = equivariant.complex
-    s_mat = equivariant.chain_map - Matrix.identity(cx.field, len(cx.generators))
+    s_mat = equivariant.chain_map.shift_diagonal(1)
     # T^p = id was checked when the complex was built and p is prime, so
     # T^k = id iff T = id or p divides k
     if k < 0:

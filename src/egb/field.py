@@ -10,6 +10,9 @@ linear algebra reads one elimination: `Matrix._echelon`, a forward pass with
 first-nonzero pivoting, and one shared back substitution.  Rank is the pivot
 count, the determinant the signed product of the pivots, and a kernel, solve,
 solve_matrix or inverse back-substitutes each column of one echelon pass.
+Matrices are dense tuples, but products skip zeros: `@` lists the nonzero
+entries of each row of the right factor once and multiplies only nonzero
+pairs (Gustavson's row-by-row product, ACM TOMS 1978).
 There is no floating point anywhere in this module.
 """
 
@@ -277,6 +280,7 @@ def _check_supported_prime(p: int) -> None:
 _TAIL = {p: (0,) * (p - 2) for p in _SUPPORTED_PRIMES}
 _ZERO = {p: _cyclo(p, (0,) * (p - 1), 1) for p in _SUPPORTED_PRIMES}
 _ONE = {p: _cyclo(p, (1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
+_Q_ZERO = Fraction(0)
 
 
 def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
@@ -322,7 +326,7 @@ class RationalField:
     name = "Q"
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q_ZERO
 
     def one(self) -> Fraction:
         return Fraction(1)
@@ -468,20 +472,19 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         z = self.field.zero()
+        # Gustavson's row-by-row product: the nonzero (j, b) of each row of
+        # `other`, listed once, meet only the nonzero a of each row of self;
+        # None marks an output entry no product has reached yet
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            nonzero = [(k, a) for k, a in enumerate(row_i) if a]
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k, a in nonzero:
-                    b = other.entries[k][j]
-                    if not b:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
+        for row_i in self.entries:
+            acc = [None] * other.cols
+            for a, nonzero in zip(row_i, sparse):
+                if a:
+                    for j, b in nonzero:
+                        c = acc[j]
+                        acc[j] = a * b if c is None else c + a * b
+            out.append(tuple(z if c is None else c for c in acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def apply(self, vec: tuple) -> tuple:
@@ -504,8 +507,16 @@ class Matrix:
         c = self.field.coerce(c)
         return Matrix(
             self.field, self.rows, self.cols,
-            tuple(tuple(c * a for a in row) for row in self.entries),
+            tuple(tuple(c * a if a else a for a in row) for row in self.entries),
         )
+
+    def shift_diagonal(self, c) -> "Matrix":
+        """self - c * identity of a square matrix, with no identity built."""
+        if self.rows != self.cols:
+            raise ValueError("diagonal shift of non-square matrix")
+        c = self.field.coerce(c)
+        return Matrix(self.field, self.rows, self.cols, tuple(
+            row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(self.entries)))
 
     def transpose(self) -> "Matrix":
         return Matrix(

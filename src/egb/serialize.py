@@ -143,6 +143,8 @@ def element_to_obj(x):
 
 
 def element_from_obj(field: Field, obj):
+    if obj == "0":  # most matrix entries; Fraction would parse it, to the same zero
+        return field.zero()
     if isinstance(obj, list):
         if not isinstance(field, CyclotomicField):
             raise ValueError("coordinate-list element in a rational matrix")

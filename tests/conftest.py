@@ -66,6 +66,26 @@ def rand_frac(rng, lo=-8, hi=8, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a @ b by the dense triple loop, each entry a sum over the
+    nonzero a[i, k] of a row: the oracle of the zero-skipping product."""
+    z = a.field.zero()
+    out = []
+    for i in range(a.rows):
+        nonzero = [(k, x) for k, x in enumerate(a.entries[i]) if x]
+        row = []
+        for j in range(b.cols):
+            acc = z
+            for k, x in nonzero:
+                y = b.entries[k][j]
+                if not y:
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        out.append(tuple(row))
+    return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
 def rand_barcode(rng, max_bars=4, allow_infinite=True, max_mult=3) -> Barcode:
     entries = []
     for _ in range(rng.randint(0, max_bars)):

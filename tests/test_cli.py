@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import egb
-from egb.cli import main
+from egb.cli import build_parser, main
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
     Bar,
@@ -662,6 +662,8 @@ class TestMalformedMatrices:
         "boundary rows are strings": ("decompose", {**COMPLEX, "boundary": ["01", "00"]}),
         "boundary row is a number": ("decompose", {**COMPLEX, "boundary": [["0", "0"], 5]}),
         "boundary is a number": ("decompose", {**COMPLEX, "boundary": 5}),
+        "boundary entry is the number 0": ("decompose",
+                                           {**COMPLEX, "boundary": [[0, "0"], ["0", "0"]]}),
         "complex is an array": ("decompose", [COMPLEX]),
         "action row is a string": ("mu", {**MODULE, "action": [[], ["1"]]}),
         "extra transition": ("mu", {**MODULE, "transitions": [[[]], []]}),
@@ -798,3 +800,33 @@ class TestUnwritableOutput:
         code, _, err = run(capsys, *argv, str(path))
         assert code == 1
         assert err.startswith("error:") and reason in err and str(path) in err
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; no option of one call
+    reaches the next, and a malformed call after a good one fails as it
+    does first."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_cyclic_does_not_carry_over(self, capsys):
+        assert run(capsys, "freegroup", "reduce", "a b a^-1", "--cyclic") == (0, "b\n", "")
+        assert run(capsys, "freegroup", "reduce", "a b a^-1") == (0, "a b a^-1\n", "")
+        code, _, err = run(capsys, "freegroup", "si", "2", "3", "--cyclic")
+        assert (code, err) == (1, "error: --cyclic applies only to freegroup reduce\n")
+        assert run(capsys, "freegroup", "si", "2", "3") == (0, "8\n", "")
+
+    def test_zeta_index_does_not_carry_over(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(zp_module_to_obj(mixed_p3_module())))
+        code, out, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", "2")
+        assert (code, json.loads(out)["zeta_index"]) == (0, 2)
+        code, out, _ = run(capsys, "barcode", "mu", str(f))
+        assert (code, json.loads(out)["zeta_index"]) == (0, 1)
+
+    def test_malformed_option_after_a_good_call(self, capsys):
+        first = run(capsys, "bounds", "--k", "x")
+        assert first[0] == 1 and "error: argument --k: invalid int value: 'x'" in first[2]
+        assert run(capsys, "bounds", "--p", "2", "--k", "2")[0] == 0
+        assert run(capsys, "bounds", "--k", "x") == first

@@ -91,14 +91,19 @@ def argv(draw, tmp: Path) -> list[str]:
     command = draw(st.sampled_from(
         ["eggbeater", "eggbeater-2d", "barcode", "spread", "bounds", "freegroup", "nope"]))
 
+    # In 3 examples of 4 a command that reads a file draws only what gets
+    # past its options and operands: well-formed values, the right operand
+    # count and a file that exists, so more examples reach the JSON parsers.
+    tidy = draw(st.sampled_from([True, True, True, False]))
     written = []
 
     def input_file(kind: str) -> str:
-        """A drawn input in a file of its own, or a missing file."""
+        """A drawn input in a file of its own, or (untidy only) a missing file."""
         path = tmp / f"in{len(written)}.json"
         written.append(path)
         path.write_text(draw(json_text(kind)))
-        return draw(st.sampled_from([str(path)] * 3 + [str(tmp / "absent.json")]))
+        return str(path) if tidy else draw(
+            st.sampled_from([str(path)] * 3 + [str(tmp / "absent.json")]))
 
     if command == "eggbeater":
         rest = options(draw, {
@@ -112,12 +117,22 @@ def argv(draw, tmp: Path) -> list[str]:
                 *options(draw, {"--L": ["4", "0"], "--format": ["json", "csv", "xml"],
                                 "--out": outs})]
     elif command == "barcode":
-        sub = draw(st.sampled_from(["decompose", "bottleneck", "mu", "nope"]))
+        operands = {"decompose": 1, "bottleneck": 2, "mu": 1}
+        sub = draw(st.sampled_from([*operands] if tidy else [*operands, "nope"]))
         kind = {"decompose": "complex", "mu": "module"}.get(sub, "barcode")
-        files = [input_file(kind) for _ in range(draw(st.integers(0, 2)))]
-        rest = [sub, *files, *options(draw, {"--zeta-index": ["1", "2", "0", "x"], "--out": outs})]
+        count = operands[sub] if tidy else draw(st.integers(0, 2))
+        files = [input_file(kind) for _ in range(count)]
+        choices = {"--out": outs}
+        if sub == "mu" or not tidy:
+            choices["--zeta-index"] = ["1", "2", "0"] if tidy else ["1", "2", "0", "x"]
+        rest = [sub, *files, *options(draw, choices)]
     elif command == "spread":
-        rest = [input_file("spread"), *options(draw, {"--k": ["1", "2", "0", "x"], "--out": outs})]
+        rest = [input_file("spread"), *options(draw, {
+            "--k": ["1", "2", "3"] if tidy else ["1", "2", "0", "x"], "--out": outs})]
+    elif command == "bounds" and tidy:
+        rest = ["--file", input_file("tuples"), *options(draw, {
+            "--p": ["2", "3", "5"], "--k": ["1", "2"], "--epsilon-frac": ["1/100", "1/3"],
+            "--stabilize": ["1,2,1", ""], "--svg": outs, "--out": outs})]
     elif command == "bounds":
         rest = options(draw, {
             "--p": ["2", "3", "5", "4", "1", "x"],

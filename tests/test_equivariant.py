@@ -568,3 +568,43 @@ class TestLipschitz:
             diameter = (spectrum[-1] - spectrum[0]) if len(spectrum) > 1 else F(1)
             delta = abs(rand_frac(rng, 0, 8, 4)) * diameter / 8
             assert perturb_and_check_lipschitz(m, delta, rng=rng)
+
+
+class TestInputChecks:
+    """The constructors reject what the algebra forbids, on hand-built
+    counterexamples: D^2 != 0, T^p != id, a T that does not commute with D,
+    and a module action of the wrong order or not commuting with a
+    transition."""
+
+    def test_boundary_squared_nonzero(self):
+        gens = ((F(0), 0), (F(1), 1), (F(2), 2))
+        d = Matrix.from_rows(QQ_FIELD, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        with pytest.raises(ValueError, match="boundary squared is nonzero"):
+            FilteredComplex(QQ_FIELD, gens, d)
+
+    def test_chain_map_of_wrong_order(self):
+        cx = FilteredComplex(QQ_FIELD, ((F(0), 0),), Matrix.zeros(QQ_FIELD, 1, 1))
+        with pytest.raises(ValueError, match=r"does not satisfy T\^p = id"):
+            EquivariantComplex(3, cx, Matrix.from_rows(QQ_FIELD, [[-1]]))
+        assert EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, [[-1]])).p == 2
+
+    def test_chain_map_not_commuting_with_boundary(self):
+        d = Matrix.from_rows(QQ_FIELD, [[0, 1], [0, 0]])
+        cx = FilteredComplex(QQ_FIELD, ((F(0), 0), (F(1), 1)), d)
+        with pytest.raises(ValueError, match="does not commute with the boundary"):
+            EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, [[1, 0], [0, -1]]))
+
+    def test_action_of_wrong_order(self):
+        field = CyclotomicField(3)
+        base = FinitePersistenceModule(field, (F(0),), (0, 1), (Matrix.zeros(field, 1, 0),))
+        with pytest.raises(ValueError, match="does not have order dividing p"):
+            ZpPersistenceModule(3, base, (Matrix.zeros(field, 0, 0),
+                                          Matrix.from_rows(field, [[-1]])))
+
+    def test_action_not_commuting_with_transition(self):
+        field = CyclotomicField(2)
+        base = FinitePersistenceModule(field, (F(0), F(1)), (0, 2, 2), (
+            Matrix.zeros(field, 2, 0), Matrix.from_rows(field, [[1, 0], [0, 0]])))
+        swap = Matrix.from_rows(field, [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="does not commute with transition 1"):
+            ZpPersistenceModule(2, base, (Matrix.zeros(field, 0, 0), swap, swap))

@@ -15,7 +15,7 @@ from egb.field import (
     primitive_roots,
 )
 
-from conftest import count_calls, rand_frac
+from conftest import count_calls, dense_matmul, rand_frac
 
 
 class TestIsPrime:
@@ -359,3 +359,51 @@ class TestMatpow:
             Matrix.identity(QQ_FIELD, 2).matpow(-1)
         with pytest.raises(ValueError, match="non-square"):
             Matrix.zeros(QQ_FIELD, 2, 3).matpow(2)
+
+
+def sparse_matrix(rng, field, rows: int, cols: int, zeros: float) -> Matrix:
+    """Random matrix whose entries are zero with probability ``zeros``."""
+    def entry():
+        if rng.random() < zeros:
+            return field.zero()
+        x = field.zero()
+        while not x:
+            x = rand_entry(rng, field)
+        return x
+    return Matrix(field, rows, cols, tuple(tuple(entry() for _ in range(cols))
+                                           for _ in range(rows)))
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3), CyclotomicField(5)], ids=repr)
+class TestZeroSkipping:
+    """The zero-skipping product, matpow, scale and diagonal shift against the
+    dense computations they replace, at zero densities from none to all."""
+
+    # (rows, inner, cols) of a @ b, empty shapes included
+    SHAPES = [(3, 4, 2), (5, 5, 5), (1, 6, 1), (6, 1, 6), (0, 3, 4), (3, 4, 0), (3, 0, 4),
+              (0, 0, 0)]
+
+    def test_product_equals_dense_oracle(self, rng, field, zeros):
+        for _ in range(3):
+            for m, k, n in self.SHAPES:
+                a = sparse_matrix(rng, field, m, k, zeros)
+                b = sparse_matrix(rng, field, k, n, zeros)
+                assert a @ b == dense_matmul(a, b)
+
+    def test_matpow_equals_dense_powers(self, rng, field, zeros):
+        for n in (0, 1, 4):
+            a = sparse_matrix(rng, field, n, n, zeros)
+            power = Matrix.identity(field, n)
+            for e in range(7):
+                assert a.matpow(e) == power
+                power = dense_matmul(power, a)
+
+    def test_scale_and_diagonal_shift(self, rng, field, zeros):
+        c = F(-2, 3) if field == QQ_FIELD else cyclo_zeta(field.p) + F(1, 2)
+        for n in (0, 1, 4):
+            a = sparse_matrix(rng, field, n, n, zeros)
+            assert a.scale(c).entries == tuple(tuple(c * x for x in row) for row in a.entries)
+            assert a.shift_diagonal(c) == a - Matrix.identity(field, n).scale(c)
+        with pytest.raises(ValueError, match="non-square"):
+            sparse_matrix(rng, field, 2, 3, zeros).shift_diagonal(c)

@@ -128,6 +128,20 @@ class TestElementJson:
         assert element_to_obj(x) == "2/3"
         assert element_from_obj(field, "2/3") == x
 
+    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(2), CyclotomicField(5)],
+                             ids=repr)
+    def test_zero_string_is_the_field_zero(self, field):
+        zero = element_from_obj(field, "0")
+        assert zero == field.zero() and type(zero) is type(field.zero())
+        for text in ("-0", "0/7", "00"):
+            assert element_from_obj(field, text) == field.coerce(parse_frac(text)) == zero
+
+    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3)], ids=repr)
+    def test_json_number_zero_is_refused(self, field):
+        with pytest.raises(ValueError) as e:
+            element_from_obj(field, 0)
+        assert str(e.value) == 'rational 0 must be an exact string such as "3/2"'
+
 
 class TestComplexJson:
     def test_roundtrip(self):
