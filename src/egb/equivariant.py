@@ -1,16 +1,18 @@
 """Persistence modules with a cyclic automorphism of prime order.
 
-Provides the eigenspace and fixed-quotient modules of the action, the
-multiplicity-sensitive spread mu_p, the modified spread w_hat (equal to the
-longest finite bar of V/Fix by the two independent computations exposed
-here), the two-window spread of an equivariant filtered complex, and the
-full-power obstruction with its test fixtures.
-"""
+A `ZpPersistenceModule` is decomposed once, when built, into its isotypic
+parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  Its order check is
+that the kernel dimensions of A - zeta^k, k = 0..p-1, sum to dim V; its
+commutation check is that every transition maps each part into itself.  The
+eigenspace modules, mu_p, the full-power verdict and w_hat (the longest bar
+of the union of the parts 1..p-1) read the stored parts; V/Fix is the
+independent route to w_hat.  Also the two-window spread of an equivariant
+filtered complex, and the full-power obstruction with its test fixtures."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 import random
 
@@ -18,9 +20,8 @@ from .field import (
     CyclotomicField,
     CyclotomicNumber,
     Matrix,
-    cyclo_one,
+    cyclo_zeta,
     is_prime,
-    primitive_roots,
 )
 from .persistence import (
     Barcode,
@@ -46,12 +47,18 @@ class ZpPersistenceModule:
     """Finite persistence module over Q(zeta_p) with an order-p automorphism.
 
     ``action[i]`` acts on the i-th constancy interval; it has order p and
-    commutes with the transition maps.
+    commutes with the transition maps.  Set when the module is built:
+    ``parts[k]`` is the zeta^k-eigenspace module (k = 0..p-1), ``fixed[i]``
+    the basis of Fix(A_i) that part 0 spans on interval i, and
+    ``barcodes[k - 1]`` the barcode of part k (k = 1..p-1).
     """
 
     p: int
     base: FinitePersistenceModule
     action: tuple[Matrix, ...]
+    parts: tuple[FinitePersistenceModule, ...] = dataclass_field(init=False, compare=False)
+    fixed: tuple[tuple[tuple, ...], ...] = dataclass_field(init=False, compare=False)
+    barcodes: tuple[Barcode, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -60,15 +67,23 @@ class ZpPersistenceModule:
             raise ValueError("base module must live over Q(zeta_p)")
         if len(self.action) != self.base.num_intervals:
             raise ValueError("one automorphism matrix per constancy interval")
+        kernels = []
         for i, a in enumerate(self.action):
             n = self.base.dims[i]
             if (a.rows, a.cols) != (n, n):
                 raise ValueError(f"automorphism {i} has wrong shape")
-            if not a.matpow(self.p).shift_diagonal(1).is_zero():
+            # x^p - 1 has p distinct roots in Q(zeta_p), so A^p = id exactly
+            # when the eigenspaces of A at those roots fill the space
+            spaces = [tuple(a.shift_diagonal(cyclo_zeta(self.p, k)).kernel_basis())
+                      for k in range(self.p)]
+            if sum(map(len, spaces)) != n:
                 raise ValueError(f"automorphism {i} does not have order dividing p")
-        for i, t in enumerate(self.base.transitions):
-            if not (self.action[i + 1] @ t - t @ self.action[i]).is_zero():
-                raise ValueError(f"automorphism does not commute with transition {i}")
+            kernels.append(spaces)
+        parts = _induced_modules(self, [([()] * len(kernels), [ks[k] for ks in kernels])
+                                        for k in range(self.p)])
+        object.__setattr__(self, "parts", tuple(parts))
+        object.__setattr__(self, "fixed", tuple(ks[0] for ks in kernels))
+        object.__setattr__(self, "barcodes", tuple(barcode_of_module(m) for m in parts[1:]))
 
     @property
     def field(self) -> CyclotomicField:
@@ -106,57 +121,59 @@ class EquivariantComplex:
                     raise ValueError("chain map must preserve action and degree")
 
 
-def _validate_root(p: int, zeta: CyclotomicNumber, primitive: bool) -> None:
+def _root_index(p: int, zeta: CyclotomicNumber, primitive: bool) -> int:
+    """The k in 0..p-1 with zeta = zeta_p^k: the p-th roots of unity in
+    Q(zeta_p) are exactly these p."""
     if zeta.p != p:
         raise ValueError("root of unity over the wrong field")
-    if not (zeta ** p - cyclo_one(p)).is_zero():
+    k = next((k for k in range(p) if zeta == cyclo_zeta(p, k)), None)
+    if k is None:
         raise ValueError("not a p-th root of unity")
-    if primitive and (zeta - cyclo_one(p)).is_zero():
+    if primitive and k == 0:
         raise ValueError("root must be primitive (zeta != 1)")
+    return k
 
 
 def eigenspace_module(
     module: ZpPersistenceModule, zeta: CyclotomicNumber
 ) -> FinitePersistenceModule:
-    """Pointwise kernels of (A - zeta id), with the induced transitions."""
-    _validate_root(module.p, zeta, primitive=False)
-    kernels = [a.shift_diagonal(zeta).kernel_basis() for a in module.action]
-    return _induced_module(module, [[] for _ in kernels], kernels)
+    """Pointwise kernels of (A - zeta id), with the induced transitions: the
+    part the module stored when it was built."""
+    return module.parts[_root_index(module.p, zeta, primitive=False)]
 
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
-    """The quotient L = V / Fix(A) with the induced persistence maps."""
+    """The quotient L = V / Fix(A) with the induced persistence maps; Fix(A)
+    is the kernel of part 0, stored when the module was built."""
     field = module.field
-    fixed = []
     complements = []
-    for i, a in enumerate(module.action):
-        n = module.base.dims[i]
-        identity = Matrix.identity(field, n)
-        w = (a - identity).kernel_basis()
-        fixed.append(w)
+    for w, n in zip(module.fixed, module.base.dims):
         # standard-basis vectors extending Fix(A) to a basis (identity is symmetric)
-        complements.append(_extend_basis(field, w, list(identity.entries), n))
-    return _induced_module(module, fixed, complements)
+        identity = Matrix.identity(field, n)
+        complements.append(tuple(_extend_basis(field, list(w), list(identity.entries), n)))
+    return _induced_modules(module, [(module.fixed, complements)])[0]
 
 
-def _induced_module(
-    module: ZpPersistenceModule, prefixes: list[list], bases: list[list]
-) -> FinitePersistenceModule:
-    """The module span(bases[i]) modulo span(prefixes[i]) with the induced
-    transitions: the images of bases[i] are solved in the frame
-    prefixes[i+1] + bases[i+1] of the next interval, all in one elimination,
-    and their coordinates past the prefix are kept."""
+def _induced_modules(module: ZpPersistenceModule, frames) -> list[FinitePersistenceModule]:
+    """For each (prefixes, bases) of ``frames``, the module span(bases[i])
+    modulo span(prefixes[i]) with the induced transitions: the images of
+    bases[i] are solved in the frame prefixes[i+1] + bases[i+1] of the next
+    interval, all in one elimination, and their coordinates past the prefix
+    are kept.  An image outside the frame means the transition does not
+    commute with the action; the first such transition is the one named."""
     field, dims = module.field, module.base.dims
-    transitions = []
+    maps = [[] for _ in frames]
     for i, t in enumerate(module.base.transitions):
-        prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
-        frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
-        coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
-        if coords is None:
-            raise ValueError("transition does not preserve the induced subspace")
-        transitions.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
-    return FinitePersistenceModule(field, module.base.spectrum,
-                                   tuple(len(b) for b in bases), tuple(transitions))
+        for (prefixes, bases), out in zip(frames, maps):
+            prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
+            frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
+            coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
+            if coords is None:
+                raise ValueError(f"automorphism does not commute with transition {i}")
+            out.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
+    return [FinitePersistenceModule(field, module.base.spectrum,
+                                    tuple(map(len, bases)), tuple(out))
+            for (_, bases), out in zip(frames, maps)]
 
 
 # -- the multiplicity sensitive spread ---------------------------------------
@@ -212,20 +229,19 @@ def _spread_candidates(barcode: Barcode, p: int):
 
 
 def eigenspace_barcodes(module: ZpPersistenceModule) -> list[Barcode]:
-    """Barcode of the zeta^k-eigenspace for k = 1..p-1, each computed once."""
-    return [barcode_of_module(eigenspace_module(module, z)) for z in primitive_roots(module.p)]
+    """Barcode of the zeta^k-eigenspace for k = 1..p-1, as stored at construction."""
+    return list(module.barcodes)
 
 
 def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction | float:
     """mu_{p,zeta}: the spread of the barcode of the zeta-eigenspace."""
-    _validate_root(module.p, zeta, primitive=True)
-    eigen = eigenspace_module(module, zeta)
-    return mu_from_barcode(barcode_of_module(eigen), module.p)
+    k = _root_index(module.p, zeta, primitive=True)
+    return mu_from_barcode(module.barcodes[k - 1], module.p)
 
 
 def mu_p(module: ZpPersistenceModule) -> Fraction | float:
     """Maximum of mu_{p,zeta} over the p-1 primitive roots of unity."""
-    return max(mu_from_barcode(bc, module.p) for bc in eigenspace_barcodes(module))
+    return max(mu_from_barcode(bc, module.p) for bc in module.barcodes)
 
 
 def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
@@ -240,32 +256,14 @@ def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
 def w_hat(module: ZpPersistenceModule) -> Fraction | float:
     """sup of d such that theta_{s,s+d}(A_s - id) != 0 for some s.
 
-    Computed by direct scan over pairs of constancy intervals; the companion
-    computation longest_finite_bar(quotient_fix_module(V)) must agree (with
-    +inf when the quotient has an infinite bar), which tests exercise.
+    A_s - id maps V_s onto the sum of the parts 1..p-1 (it is zero on Fix and
+    invertible on every other eigenspace), and the transitions keep the parts
+    apart, so this is the longest bar of the union of their barcodes: +inf on
+    an infinite bar.  `w_hat_from_quotient` is the independent route.
     """
-    base = module.base
-    m = len(base.spectrum)
-    best = Fraction(0)
-    for u in range(1, m + 1):  # interval 0 has dimension 0
-        s_mat = module.action[u].shift_diagonal(1)
-        if s_mat.is_zero():
-            continue
-        acc = s_mat
-        # d ranges over shifts landing in interval v >= u; the sup of
-        # (s + d) - s over s in (s_{u-1}, s_u], s + d in (s_{v-1}, s_v]
-        # is s_v - s_{u-1} (or +inf for the unbounded top interval)
-        for v in range(u, m + 1):
-            if v > u:
-                acc = base.transitions[v - 1] @ acc
-            if acc.is_zero():
-                break
-            if v == m:
-                return INF
-            d_sup = base.spectrum[v] - base.spectrum[u - 1]
-            if d_sup > best:
-                best = d_sup
-    return best
+    if any(bc.infinite_count() for bc in module.barcodes):
+        return INF
+    return max(longest_finite_bar(bc) for bc in module.barcodes)
 
 
 def w_hat_from_quotient(module: ZpPersistenceModule) -> Fraction | float:
@@ -399,8 +397,8 @@ def spread_lower_bound_from_gaps(generators) -> Fraction | float:
 def full_power_check(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> str:
     """PASS iff every candidate-interval multiplicity of B(L_zeta) is divisible
     by p; a FAIL certifies the module is not a full p-th power."""
-    _validate_root(module.p, zeta, primitive=True)
-    return full_power_verdict(barcode_of_module(eigenspace_module(module, zeta)), module.p)
+    k = _root_index(module.p, zeta, primitive=True)
+    return full_power_verdict(module.barcodes[k - 1], module.p)
 
 
 def full_power_verdict(barcode: Barcode, p: int) -> str:

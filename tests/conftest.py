@@ -447,6 +447,77 @@ def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
     return Barcode.of(entries)
 
 
+# -- Z_p module oracles ----------------------------------------------------------
+
+
+def zp_module_checks_oracle(p: int, base: FinitePersistenceModule, action) -> str | None:
+    """The message with which `ZpPersistenceModule` refuses an action (p
+    prime, base over Q(zeta_p), one matrix per interval), or None if it
+    accepts it, by the dense checks: A^p = id by `matpow` and A T = T A by
+    two products per transition.  The oracle of the checks the constructor
+    reads off its isotypic decomposition."""
+    for i, a in enumerate(action):
+        if (a.rows, a.cols) != (base.dims[i], base.dims[i]):
+            return f"automorphism {i} has wrong shape"
+        if not a.matpow(p).shift_diagonal(1).is_zero():
+            return f"automorphism {i} does not have order dividing p"
+    for i, t in enumerate(base.transitions):
+        if not (action[i + 1] @ t - t @ action[i]).is_zero():
+            return f"automorphism does not commute with transition {i}"
+    return None
+
+
+def induced_module_oracle(module: ZpPersistenceModule, prefixes: list[list],
+                          bases: list[list]) -> FinitePersistenceModule:
+    """The module span(bases[i]) modulo span(prefixes[i]) with the induced
+    transitions, one part at a time: the images of bases[i] are solved in the
+    frame prefixes[i+1] + bases[i+1] of the next interval, and their
+    coordinates past the prefix are kept."""
+    field, dims = module.field, module.base.dims
+    transitions = []
+    for i, t in enumerate(module.base.transitions):
+        prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
+        frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
+        coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
+        if coords is None:
+            raise ValueError("transition does not preserve the induced subspace")
+        transitions.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
+    return FinitePersistenceModule(field, module.base.spectrum,
+                                   tuple(len(b) for b in bases), tuple(transitions))
+
+
+def eigenspace_module_oracle(module: ZpPersistenceModule, zeta) -> FinitePersistenceModule:
+    """The zeta-eigenspace module computed afresh: the kernels of A_i - zeta
+    and the induced transitions."""
+    kernels = [a.shift_diagonal(zeta).kernel_basis() for a in module.action]
+    return induced_module_oracle(module, [[] for _ in kernels], kernels)
+
+
+def w_hat_scan_oracle(module: ZpPersistenceModule) -> Fraction | float:
+    """w_hat by direct scan: the sup of d with theta_{s,s+d}(A_s - id) != 0,
+    over the pairs of constancy intervals u <= v, from the composite
+    transitions applied to A_u - id."""
+    base = module.base
+    m = len(base.spectrum)
+    best = Fraction(0)
+    for u in range(1, m + 1):  # interval 0 has dimension 0
+        acc = module.action[u].shift_diagonal(1)
+        if acc.is_zero():
+            continue
+        # d ranges over shifts landing in interval v >= u; the sup of
+        # (s + d) - s over s in (s_{u-1}, s_u], s + d in (s_{v-1}, s_v]
+        # is s_v - s_{u-1} (or +inf for the unbounded top interval)
+        for v in range(u, m + 1):
+            if v > u:
+                acc = base.transitions[v - 1] @ acc
+            if acc.is_zero():
+                break
+            if v == m:
+                return INF
+            best = max(best, base.spectrum[v] - base.spectrum[u - 1])
+    return best
+
+
 def module_from_barcode(field: Field, barcode: Barcode) -> FinitePersistenceModule:
     """Direct sum of interval modules Q(I), one basis vector per bar unit."""
     bars = [bar for bar, _ in barcode.expand()]

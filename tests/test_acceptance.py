@@ -48,6 +48,7 @@ from conftest import (
     phi_block,
     rand_barcode,
     random_zp_module,
+    w_hat_scan_oracle,
 )
 from test_bottleneck import brute_force_bottleneck
 
@@ -153,7 +154,7 @@ def test_criterion_04_two_dimensional_variant():
 
 def test_criterion_05_w_hat_equals_beta():
     """w_hat = beta(L) exactly on >= 200 random modules per p in {2,3,5},
-    within 60 s."""
+    and both equal the pair-scan oracle, within 60 s."""
     t0 = time.monotonic()
     counts = {}
     for p, blocks in ((2, 4), (3, 3), (5, 2)):
@@ -161,16 +162,16 @@ def test_criterion_05_w_hat_equals_beta():
         n = 0
         while n < 200:
             m = random_zp_module(rng, p, max_blocks=blocks)
-            a, b = w_hat(m), w_hat_from_quotient(m)
-            if is_inf(a) or is_inf(b):
-                assert is_inf(a) and is_inf(b)
+            a, b, c = w_hat(m), w_hat_from_quotient(m), w_hat_scan_oracle(m)
+            if is_inf(a) or is_inf(b) or is_inf(c):
+                assert is_inf(a) and is_inf(b) and is_inf(c)
             else:
-                assert a == b
+                assert a == b == c
             n += 1
         counts[p] = n
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    report(f"CRITERION 05 PASS: w_hat == beta(L) on {counts} random modules in {elapsed:.1f} s (< 60 s)")
+    report(f"CRITERION 05 PASS: w_hat == beta(L) == scan on {counts} random modules in {elapsed:.1f} s (< 60 s)")
 
 
 def test_criterion_06_full_power_obstruction():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import egb
+from egb import serialize
 from egb.cli import build_parser, main
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
@@ -31,6 +32,8 @@ from egb.equivariant import (
     w_hat,
     zp_direct_sum,
 )
+
+from conftest import count_calls
 
 
 def run(capsys, *argv):
@@ -252,18 +255,28 @@ class TestBarcodeCommands:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_mu_builds_one_eigenspace_per_root(self, tmp_path, capsys, monkeypatch, p):
+        """The module is decomposed once, when it is parsed: p kernels per
+        interval and p solves per transition.  The report reads the stored
+        parts and eliminates nothing more."""
+        m = cyclic_tuple_module(F(0), p, death=F(10))
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(zp_module_to_obj(cyclic_tuple_module(F(0), p, death=F(10)))))
-        calls = []
+        f.write_text(json.dumps(zp_module_to_obj(m)))
+        kernels = count_calls(monkeypatch, Matrix, "kernel_basis")
+        solves = count_calls(monkeypatch, Matrix, "solve_matrix")
+        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        parse, at_parse = serialize.zp_module_from_obj, []
 
-        def counting(module, zeta):
-            calls.append(zeta)
-            return eigenspace_module(module, zeta)
+        def counting(obj):
+            module = parse(obj)
+            at_parse.append((len(kernels), len(solves), len(echelons)))
+            return module
 
-        monkeypatch.setattr("egb.equivariant.eigenspace_module", counting)
+        monkeypatch.setattr(serialize, "zp_module_from_obj", counting)
         code, _, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", str(p - 1))
         assert code == 0
-        assert len(calls) == p - 1
+        built = (p * len(m.base.dims), p * len(m.base.transitions))
+        assert at_parse == [built + (len(echelons),)]
+        assert (len(kernels), len(solves)) == built
 
 
 def killed_swap_obj() -> dict:
@@ -482,6 +495,17 @@ class TestBoundsCommand:
         proc = run_subprocess("bounds", "--p", "2", "--k", k)
         assert_clean_error(proc)
         assert proc.stderr == "error: k must be >= 1\n"
+
+    def test_k_one_bounds_by_the_whole_gap(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--p", "2", "--k", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["k"], report["aut_bound"]) == (1, report["gap"])
+
+    @pytest.mark.parametrize("eps", ["0", "1"])
+    def test_epsilon_frac_endpoints_exit_one(self, capsys, eps):
+        code, out, err = run(capsys, "bounds", "--epsilon-frac", eps)
+        assert (code, out, err) == (1, "", "error: eps_frac must lie in (0, 1)\n")
 
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
         m = cyclic_tuple_module(F(0), 2, death=F(10))

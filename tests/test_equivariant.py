@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import json
 import random
@@ -43,6 +45,7 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
     count_calls,
+    eigenspace_module_oracle,
     full_power_verdict_oracle,
     mu_from_barcode_oracle,
     rand_barcode,
@@ -51,6 +54,8 @@ from conftest import (
     random_zp_module,
     scalar_interval_module,
     scan_w_spread,
+    w_hat_scan_oracle,
+    zp_module_checks_oracle,
 )
 
 
@@ -130,20 +135,120 @@ class TestQuotientFix:
 
 
 class TestInducedModuleSolves:
-    """Each transition of an eigenspace or quotient module comes from one
-    `solve_matrix` of the whole basis, with no per-vector `solve`."""
+    """Building a module solves each transition once per isotypic part, each
+    with one `solve_matrix` of the whole basis and no per-vector `solve`; the
+    quotient V/Fix solves each transition once more, and the readers of the
+    stored parts eliminate nothing."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_one_solve_matrix_per_transition(self, rng, monkeypatch, p):
         solves = count_calls(monkeypatch, Matrix, "solve")
         solve_matrices = count_calls(monkeypatch, Matrix, "solve_matrix")
+        kernels = count_calls(monkeypatch, Matrix, "kernel_basis")
+        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+
+        def counts():
+            out = (len(solves), len(solve_matrices), len(kernels), len(echelons))
+            del solves[:], solve_matrices[:], kernels[:], echelons[:]
+            return out
+
         for _ in range(4):
             m = random_zp_module(rng, p, max_blocks=3)
-            for build in [quotient_fix_module] + [
-                    lambda m, k=k: eigenspace_module(m, cyclo_zeta(p, k)) for k in range(p)]:
-                del solves[:], solve_matrices[:]
-                build(m)
-                assert (len(solves), len(solve_matrices)) == (0, len(m.base.transitions))
+            transitions = len(m.base.transitions)
+            counts()
+            m = ZpPersistenceModule(p, m.base, m.action)
+            assert counts()[:3] == (0, p * transitions, p * len(m.base.dims))
+            zetas = [cyclo_zeta(p, k) for k in range(p)]
+            for zeta in zetas:
+                eigenspace_module(m, zeta)
+            mu_p(m)
+            w_hat(m)
+            for zeta in zetas[1:]:
+                mu_p_zeta(m, zeta)
+                full_power_check(m, zeta)
+            assert counts() == (0, 0, 0, 0)
+            quotient_fix_module(m)
+            assert counts()[:3] == (0, transitions, 0)
+
+
+class TestDecomposition:
+    """The isotypic parts stored at construction, and the checks read off
+    them, against the oracles that compute each afresh."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_parts_equal_the_kernel_oracle(self, rng, p):
+        for _ in range(6):
+            m = random_zp_module(rng, p, max_blocks=3)
+            for k in range(p):
+                oracle = eigenspace_module_oracle(m, cyclo_zeta(p, k))
+                assert m.parts[k] == oracle
+                assert eigenspace_module(m, cyclo_zeta(p, k)) is m.parts[k]
+                if k:
+                    assert m.barcodes[k - 1] == barcode_of_module(oracle)
+            assert m.fixed == tuple(tuple(a.shift_diagonal(1).kernel_basis()) for a in m.action)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_checks_equal_the_dense_oracle(self, rng, p):
+        """Random modules are accepted by both; with one entry of an action
+        or a transition changed, both give the same verdict and message."""
+        field = CyclotomicField(p)
+        refused = collections.Counter()
+        for _ in range(16):
+            m = random_zp_module(rng, p, max_blocks=3)
+            base, action = m.base, list(m.action)
+            assert zp_module_checks_oracle(p, base, action) is None
+            transitions = list(base.transitions)
+            targets = [[(action, i) for i, a in enumerate(action) if a.rows],
+                       [(transitions, i) for i, t in enumerate(transitions) if t.rows and t.cols]]
+            mats, i = rng.choice(rng.choice([t for t in targets if t]))
+            ent = [list(row) for row in mats[i].entries]
+            r, c = rng.randrange(len(ent)), rng.randrange(len(ent[0]))
+            ent[r][c] = ent[r][c] + cyclo_zeta(p, rng.randrange(p))
+            mats[i] = Matrix.from_rows(field, ent)
+            base = FinitePersistenceModule(field, base.spectrum, base.dims, tuple(transitions))
+            expected = zp_module_checks_oracle(p, base, action)
+            try:
+                ZpPersistenceModule(p, base, tuple(action))
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert got == expected
+            if expected:
+                refused["order" if "order" in expected else "commutation"] += 1
+        assert refused["order"] and refused["commutation"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_order_p_squared_refused(self, p):
+        """A p^2-cycle permutation is diagonalizable over C but has order p^2:
+        its eigenvalues in Q(zeta_p) fill only part of the space."""
+        field = CyclotomicField(p)
+        n = p * p
+        base = FinitePersistenceModule(field, (F(0),), (0, n), (Matrix.zeros(field, n, 0),))
+        action = (Matrix.zeros(field, 0, 0), cyclic_permutation_matrix(field, n))
+        message = "automorphism 1 does not have order dividing p"
+        assert zp_module_checks_oracle(p, base, action) == message
+        with pytest.raises(ValueError, match=message):
+            ZpPersistenceModule(p, base, action)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_non_diagonalizable_refused(self, p):
+        """[[1, 1], [0, 1]] has the single eigenvalue 1 with a one-dimensional
+        kernel, so its kernel dimensions sum to 1, not 2."""
+        field = CyclotomicField(p)
+        base = FinitePersistenceModule(field, (F(0),), (0, 2), (Matrix.zeros(field, 2, 0),))
+        action = (Matrix.zeros(field, 0, 0), Matrix.from_rows(field, [[1, 1], [0, 1]]))
+        message = "automorphism 1 does not have order dividing p"
+        assert zp_module_checks_oracle(p, base, action) == message
+        with pytest.raises(ValueError, match=message):
+            ZpPersistenceModule(p, base, action)
+
+    @pytest.mark.parametrize("p,blocks", [(2, 4), (3, 3), (5, 2)])
+    def test_union_of_parts_is_the_quotient_barcode(self, rng, p, blocks):
+        """V/Fix is isomorphic to the sum of the parts 1..p-1."""
+        for _ in range(10):
+            m = random_zp_module(rng, p, max_blocks=blocks)
+            union = functools.reduce(Barcode.union, m.barcodes)
+            assert union == barcode_of_module(quotient_fix_module(m))
 
 
 class TestMuP:
@@ -284,11 +389,11 @@ class TestWHat:
     def test_w_hat_equals_beta_randomized(self, rng, p, blocks):
         for _ in range(40):
             m = random_zp_module(rng, p, max_blocks=blocks)
-            a, b = w_hat(m), w_hat_from_quotient(m)
-            if is_inf(a) or is_inf(b):
-                assert is_inf(a) and is_inf(b)
+            a, b, c = w_hat(m), w_hat_from_quotient(m), w_hat_scan_oracle(m)
+            if is_inf(a) or is_inf(b) or is_inf(c):
+                assert is_inf(a) and is_inf(b) and is_inf(c)
             else:
-                assert a == b
+                assert a == b == c
 
 
 class TestWSpread:

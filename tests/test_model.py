@@ -86,6 +86,12 @@ class TestPaperBound:
     def test_single_tuple_gives_zero(self):
         assert paper_mu_lower_bound(ModelInput(2, ((F(0), 0),))) == 0
 
+    @pytest.mark.parametrize("eps", [F(0), F(1)])
+    def test_eps_endpoints_rejected(self, eps):
+        model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
+        with pytest.raises(ValueError, match=r"eps_frac must lie in \(0, 1\)"):
+            paper_mu_lower_bound(model_input, eps)
+
     def test_grows_linearly_in_lambda(self):
         lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
         bounds = []
@@ -157,6 +163,19 @@ class TestBoundsReport:
         report = bounds_report(ModelInput(2, ((F(3), 0),)))
         assert report.pow_bound == 0
         assert report.mu_p_paper_bound == 0
+
+    def test_k_one_bounds_by_the_whole_gap(self):
+        model_input, lam = fixture_model()
+        report = bounds_report(model_input, k=1, lam=lam)
+        assert report.k == 1
+        assert report.aut_bound == report.gap == model_input.gap
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_tuple_reports_zero_bounds(self, p):
+        # fewer than two tuples: the gap is +inf and both gap bounds are vacuous
+        report = bounds_report(ModelInput(p, ((F(3), 0),)), k=1)
+        assert is_inf(report.gap)
+        assert (report.aut_bound, report.mu_p_paper_bound) == (0, 0)
 
     def test_shuffled_tuples_give_the_same_input(self, rng):
         """The tuples are stored sorted by action, so the order they come in
