@@ -28,7 +28,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, barcode_of_complex, exact_key, is_inf, min_gap
+from .persistence import Barcode, _order_key, barcode_of_complex, is_inf, min_gap
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
@@ -96,7 +96,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
     leads = [r.action_leading for r in records]
-    leads.sort(key=exact_key(leads))
+    leads.sort(key=_order_key)
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
     lead_gap = min_gap(leads) / lam
     header = {

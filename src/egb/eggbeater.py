@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import is_prime
-from .persistence import exact_key, min_gap
+from .persistence import _order_key, min_gap
 
 
 @dataclass(frozen=True)
@@ -309,17 +309,9 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
 
 def min_action_gap(records) -> Fraction | float:
     """Minimum pairwise distance of the exact actions of VALID records; +inf
-    for fewer than two.
-
-    The actions are first put in the order of their leading terms, sorted
-    on the integer key of `persistence.exact_key`.  An action is its leading
-    term plus a bounded correction, so wherever the leading order holds the
-    exact sort that follows is about one merge pass."""
-    valid = [r for r in records if r.valid]
-    key = exact_key([r.action_leading for r in valid])
-    actions = [r.action for r in sorted(valid, key=lambda r: key(r.action_leading))]
-    actions.sort()
-    return min_gap(actions)
+    for fewer than two.  The actions are sorted on the integer-first key
+    `persistence._order_key`."""
+    return min_gap(sorted((r.action for r in records if r.valid), key=_order_key))
 
 
 def _farey_rationals(max_denominator: int) -> list[Fraction]:

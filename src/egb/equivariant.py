@@ -208,16 +208,23 @@ def _spread_candidates(barcode: Barcode, p: int):
     costs O(1) and the all-infinite barcodes of the model cost O(n).  Only a
     candidate with a finite right end scans, and it scans the finite bars.
     """
-    rays = [(bar.birth, m) for bar, m, _ in barcode.items if not bar.finite]
+    births, rays, last = [], [], None  # the distinct births; the rays born at each
+    for bar, m, _ in barcode.items:
+        if last != (key := (bar.birth.numerator, bar.birth.denominator)):
+            births.append(bar.birth)
+            rays.append(0)
+            last = key
+        if not bar.finite:
+            rays[-1] += m
+    ranks = [g for g, r in enumerate(rays) if r]  # the ranks of the ray births
     finite = [(bar.birth, bar.death, m) for bar, m, _ in barcode.items if bar.finite]
     deaths = sorted({d for _, d, _ in finite})
-    below = i = 0
-    for x in dict.fromkeys(bar.birth for bar, _, _ in barcode.items):
-        while i < len(rays) and rays[i][0] <= x:
-            below += rays[i][1]
-            i += 1
+    below = 0
+    for g, x in enumerate(births):
+        below += rays[g]
         # twice the horizon the rays set: an excluded ray is born after x
-        reach = rays[i][0] - x if i < len(rays) else INF
+        i = bisect_right(ranks, g)
+        reach = births[ranks[i]] - x if i < len(ranks) else INF
         if below % p:
             yield reach / 2
         for y in deaths[bisect_right(deaths, x):]:

@@ -290,11 +290,6 @@ def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
     return _cyclo(p, (q.numerator,) + _TAIL[p], q.denominator)
 
 
-def cyclo_one(p: int) -> CyclotomicNumber:
-    _check_supported_prime(p)
-    return _ONE[p]
-
-
 def cyclo_zeta(p: int, k: int = 1) -> CyclotomicNumber:
     """zeta_p^k (zeta^{p-1} reduced into the basis)."""
     _check_supported_prime(p)
@@ -307,11 +302,6 @@ def cyclo_zeta(p: int, k: int = 1) -> CyclotomicNumber:
     else:  # zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2})
         num = [-1] * (p - 1)
     return _cyclo(p, num, 1)
-
-
-def primitive_roots(p: int) -> list[CyclotomicNumber]:
-    """The p-1 primitive p-th roots of unity zeta^k, k = 1..p-1."""
-    return [cyclo_zeta(p, k) for k in range(1, p)]
 
 
 Element = Union[Fraction, CyclotomicNumber]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .equivariant import kunneth_stabilize, mu_p_of_family
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, is_inf, min_gap, multiplicity
+from .persistence import Bar, Barcode, INF, _order_key, is_inf, min_gap, multiplicity
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,12 @@ class ModelInput:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        tuples = sorted(((Fraction(a), int(d)) for a, d in self.tuples), key=lambda t: t[0])
-        if any(a == b for (a, _), (b, _) in zip(tuples, tuples[1:])):
+        keyed = sorted((_order_key(a if isinstance(a, Fraction) else Fraction(a)), int(d))
+                       for a, d in self.tuples)
+        if any(a == b for (a, _), (b, _) in zip(keyed, keyed[1:])):
             raise ValueError("tuple actions must be pairwise distinct")
-        object.__setattr__(self, "tuples", tuple(tuples))
-        object.__setattr__(self, "gap", min_gap([a for a, _ in tuples]))
+        object.__setattr__(self, "tuples", tuple((a, d) for (_, a), d in keyed))
+        object.__setattr__(self, "gap", min_gap([a for a, _ in self.tuples]))
 
 
 def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
@@ -58,10 +59,11 @@ def paper_mu_lower_bound(
     eps_frac=Fraction(1, 100),
     family: dict[int, Barcode] | None = None,
 ) -> Fraction:
-    """Differential-independent bound g(1 - 2 eps)/4 from the minimal
-    inter-tuple gap g, with the witness interval checked to have model
-    multiplicity 1 (a count not divisible by p), summed over the degrees of
-    the family: multiplicity is additive over a multiset union."""
+    """Differential-independent bound c = g(1 - 2 eps)/4 from the minimal
+    inter-tuple gap g.  The witness (a + eps g/2, a + g - eps g/2], a the
+    least action, and its 2c-shrink must each have model multiplicity 1 (a
+    count not divisible by p), summed over the degrees of the family:
+    multiplicity is additive over a multiset union."""
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac < 1:
         raise ValueError("eps_frac must lie in (0, 1)")

@@ -17,7 +17,6 @@ transitions; everything on a complex reads the one R = DV reduction.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,11 +43,10 @@ def min_gap(ordered) -> Fraction | float:
     return INF if best is None else Fraction(*best)
 
 
-def exact_key(values):
-    """An exact integer sort key for Fractions among `values`: numerator
-    times (common denominator of `values` / own denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return lambda v: v.numerator * (den // v.denominator)
+def _order_key(x: Fraction) -> tuple:
+    """Exact sort key of a Fraction: floor(x * 2^64), which never decreases
+    as x grows, then x itself for the rare tie, so sorting compares integers."""
+    return ((x.numerator << 64) // x.denominator, x)
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,11 @@ class Bar:
     death: Fraction | float
 
     def __post_init__(self):
-        object.__setattr__(self, "birth", Fraction(self.birth))
-        if not is_inf(self.death):
+        if not isinstance(self.birth, Fraction):
+            object.__setattr__(self, "birth", Fraction(self.birth))
+        if not (isinstance(self.death, Fraction) or is_inf(self.death)):
             object.__setattr__(self, "death", Fraction(self.death))
-        if not self.birth < self.death:
+        if not (is_inf(self.death) or self.birth < self.death):
             raise ValueError(f"empty bar ({self.birth}, {self.death}]")
 
     @property
@@ -112,15 +111,19 @@ class Barcode:
     items: tuple[tuple[Bar, int, int | None], ...]
 
     def __post_init__(self):
+        # merged on integer pairs, exact as a Fraction is kept in lowest terms
         merged: dict = {}
         for bar, mult, degree in self.items:
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            key = (bar, degree)
-            merged[key] = merged.get(key, 0) + mult
+            b, d = bar.birth, bar.death
+            key = (b.numerator, b.denominator,
+                   None if is_inf(d) else (d.numerator, d.denominator), degree)
+            entry = merged.setdefault(key, [bar, 0, degree])
+            entry[1] += mult
         canon = sorted(
-            ((bar, m, deg) for (bar, deg), m in merged.items()),
-            key=lambda e: (e[0].birth, _death_key(e[0].death), _degree_key(e[2])),
+            map(tuple, merged.values()),
+            key=lambda e: (_order_key(e[0].birth), _death_key(e[0].death), _degree_key(e[2])),
         )
         object.__setattr__(self, "items", tuple(canon))
 

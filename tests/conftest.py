@@ -20,7 +20,7 @@ from egb.equivariant import (
 )
 from egb.bottleneck import hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
-from egb.field import CyclotomicField, Field, Matrix, RationalField, cyclo_zeta
+from egb.field import CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta
 from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
 from egb.persistence import (
@@ -84,6 +84,35 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(tuple(row))
     return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
+def cyclo_one(p: int) -> CyclotomicNumber:
+    return cyclo_zeta(p, 0)
+
+
+def primitive_roots(p: int) -> list[CyclotomicNumber]:
+    """The p-1 primitive p-th roots of unity zeta^k, k = 1..p-1."""
+    return [cyclo_zeta(p, k) for k in range(1, p)]
+
+
+def canonical_items_oracle(items) -> tuple:
+    """`Barcode`'s canonical form on Fractions: the (bar, degree) entries
+    merged in a dict that hashes the bar's Fractions, then sorted by birth,
+    by death (finite before +inf) and by degree (None last)."""
+    merged: dict = {}
+    for bar, mult, degree in items:
+        merged[bar, degree] = merged.get((bar, degree), 0) + mult
+    return tuple(sorted(
+        ((bar, m, degree) for (bar, degree), m in merged.items()),
+        key=lambda e: (e[0].birth, (1, 0) if is_inf(e[0].death) else (0, e[0].death),
+                       (1, 0) if e[2] is None else (0, e[2]))))
+
+
+def model_input_oracle(tuples) -> tuple | None:
+    """`ModelInput`'s stored tuples on Fractions: (action, degree) sorted by
+    action; None when two actions are equal, which the input refuses."""
+    out = sorted(((Fraction(a), int(d)) for a, d in tuples), key=lambda t: t[0])
+    return tuple(out) if len({a for a, _ in out}) == len(out) else None
 
 
 def rand_barcode(rng, max_bars=4, allow_infinite=True, max_mult=3) -> Barcode:

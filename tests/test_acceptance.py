@@ -31,7 +31,7 @@ from egb.equivariant import (
     w_hat_from_quotient,
     zp_direct_sum,
 )
-from egb.field import CyclotomicField, Matrix, cyclo_zeta, primitive_roots
+from egb.field import CyclotomicField, Matrix, cyclo_zeta
 from egb.freegroup import canonical_itinerary, conjugate_eq, itinerary_to_word, self_intersection
 from egb.model import bounds_report, model_input_from_records
 from egb.persistence import Bar, Barcode, INF, is_inf, multiplicity
@@ -46,6 +46,7 @@ from conftest import (
     finite_deaths,
     min_leading_gap,
     phi_block,
+    primitive_roots,
     rand_barcode,
     random_zp_module,
     w_hat_scan_oracle,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import egb
 from egb import serialize
 from egb.cli import build_parser, main
+from egb.eggbeater import param_search, validation_threshold
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
     Bar,
@@ -441,6 +443,36 @@ class TestBoundsCommand:
         stab = json.loads(out2)
         assert stab["pow_bound"] == plain["pow_bound"]
         assert stab["mu_p_model"] == plain["mu_p_model"]
+
+    # sha256 of stdout and of the --svg file, pinned before bars were merged
+    # and sorted on integer keys.  The SVG draws the bars in canonical order.
+    # A --file input is the first n solver actions at the validation threshold
+    # of param_search(p, 4), the i-th in degree i % degrees.
+    @pytest.mark.parametrize("file_input, argv, stdout_digest, svg_digest", [
+        (None, ["--p", "2", "--stabilize", "1,2,1"],
+         "b61c531b80ddc9dd7d3b7eef7fb441e32da4e6aaf75bd2aadf5513cafa02eb2d",
+         "724f3297b1424cc3fe1f8f3c75cab581b4432cbf3517f9cac079c5e5264f4963"),
+        ((3, 63, 3), ["--p", "3", "--stabilize", "1,2"],
+         "9dd44317ed29c6c95ac2501d5cb91ba0cc4ec41c7ea20c26394c802b69eed20a",
+         "16542d06cb5cb8ea20b606e13e51e7b71c5d3e018fb8f9f85d92828cd0fbcc6f"),
+        ((5, 1020, 4), ["--p", "5", "--stabilize", "1,1,1"],
+         "6cd47b26aedafc3e9f545f9557a45870026116b4e40126f0aee348f8abf173b6",
+         "5fa8598bee9dc37848340b91dbecc06ee625c84cd257928cf013432b79bdd1b9"),
+    ], ids=["p2-fixture", "p3-file-mixed", "p5-file-mixed"])
+    def test_output_bytes(self, tmp_path, monkeypatch, capsys, file_input, argv,
+                          stdout_digest, svg_digest):
+        monkeypatch.chdir(tmp_path)  # the provenance names the --file path as given
+        if file_input is not None:
+            p, n, degrees = file_input
+            _, records = validation_threshold(p, 4, *param_search(p, 4))
+            tuples = [{"action": frac_str(r.action), "degree": i % degrees}
+                      for i, r in enumerate(records[:n])]
+            Path("tuples.json").write_text(json.dumps({"tuples": tuples}))
+            argv = [*argv, "--file", "tuples.json"]
+        code, out, err = run(capsys, "bounds", *argv, "--svg", "bars.svg")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(Path("bars.svg").read_bytes()).hexdigest() == svg_digest
 
     def test_tuples_file(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"

@@ -9,10 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_one
+from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
 from egb.serialize import element_to_obj
 
-from conftest import SEED, FracCyclotomicNumber
+from conftest import SEED, FracCyclotomicNumber, cyclo_one
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 

@@ -27,7 +27,7 @@ from egb.eggbeater import (
 )
 from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
-from egb.persistence import exact_key, is_inf, min_gap
+from egb.persistence import is_inf, min_gap
 from egb.serialize import frac_str, write_records
 
 from conftest import (
@@ -577,8 +577,8 @@ def rand_fracs(rng, n):
 
 
 class TestGapInLeadingOrder:
-    """`min_action_gap` sorts in leading order first; the gap must stay the
-    pairwise minimum whatever that order says."""
+    """`min_action_gap` is the pairwise minimum of the valid actions, whatever
+    order their leading terms are in."""
 
     def test_leading_order_reversed_and_shuffled(self, rng):
         for _ in range(20):
@@ -608,12 +608,6 @@ class TestGapInLeadingOrder:
         rejected = [hand_record(None, F(k, 3)) for k in range(4)]
         assert is_inf(min_action_gap(rejected))
         assert is_inf(min_action_gap(rejected + [hand_record(F(1, 2), F(1))]))
-
-    def test_exact_key_sorts_like_sorted(self, rng):
-        for _ in range(50):
-            values = rand_fracs(rng, rng.randint(1, 40))
-            rng.shuffle(values)
-            assert sorted(values, key=exact_key(values)) == sorted(values)
 
 
 class TestMinGap:

@@ -31,7 +31,7 @@ from egb.equivariant import (
     w_spread,
     zp_direct_sum,
 )
-from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_one, cyclo_zeta, primitive_roots
+from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
     Bar,
     Barcode,
@@ -45,9 +45,11 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
     count_calls,
+    cyclo_one,
     eigenspace_module_oracle,
     full_power_verdict_oracle,
     mu_from_barcode_oracle,
+    primitive_roots,
     rand_barcode,
     rand_frac,
     random_equivariant_complex,

@@ -9,13 +9,11 @@ from egb.field import (
     Matrix,
     QQ_FIELD,
     cyclo_from_rational,
-    cyclo_one,
     cyclo_zeta,
     is_prime,
-    primitive_roots,
 )
 
-from conftest import count_calls, dense_matmul, rand_frac
+from conftest import count_calls, cyclo_one, dense_matmul, primitive_roots, rand_frac
 
 
 class TestIsPrime:

@@ -14,7 +14,7 @@ from egb.eggbeater import (
     validation_threshold,
 )
 from egb.equivariant import eigenspace_module, mu_p_of_family
-from egb.field import cyclo_zeta, primitive_roots
+from egb.field import cyclo_zeta
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -24,7 +24,7 @@ from egb.model import (
 )
 from egb.persistence import Bar, Barcode, INF, barcode_of_module, is_inf
 
-from conftest import births, build_model
+from conftest import births, build_model, count_calls, primitive_roots
 
 
 def fixture_model(lam=None):
@@ -207,3 +207,37 @@ class TestBoundsReport:
         assert is_inf(report.mu_p_model)
         assert report.gap == min_action_gap(records)
         assert report.mu_p_paper_bound == report.gap * F(49, 50) / 4  # the witness check passed
+
+
+class TestNoFractionHashing:
+    """The bounds path merges and sorts actions on integer keys: building the
+    input and its report hashes no Fraction."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_model_input_and_report(self, p, monkeypatch):
+        _, records = validation_threshold(p, 4, *param_search(p, 4))
+        tuples = tuple((r.action, i % 3) for i, r in enumerate(records))
+        hashes = count_calls(monkeypatch, F, "__hash__")
+        for stabilize in (None, [1, 2, 1]):
+            report = bounds_report(ModelInput(p, tuples), stabilize=stabilize)
+            assert report.gap == min_action_gap(records)
+        assert hashes == []
+
+
+class TestWitnessEnds:
+    """`paper_mu_lower_bound` checks the witness (a + eps g/2, a + g - eps g/2]
+    and its 2c-shrink (a + (1 - eps) g/2, a + (1 + eps) g/2], a the least
+    action and g the gap.  An extra finite bar equal to either interval
+    contains it, so the check must refuse; a witness with an end moved
+    outwards would escape that bar."""
+
+    @pytest.mark.parametrize("eps", [F(1, 100), F(1, 5)])
+    @pytest.mark.parametrize("shrunk", [False, True], ids=["witness", "shrunk"])
+    def test_an_extra_bar_on_the_witness_is_refused(self, eps, shrunk):
+        model_input = ModelInput(3, ((F(3), 0), (F(5), 1), (F(9), 0)))
+        a, g = F(3), F(2)
+        assert paper_mu_lower_bound(model_input, eps) == g * (1 - 2 * eps) / 4
+        half = (1 - eps) * g / 2 if shrunk else eps * g / 2
+        family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a + half, a + g - half)])}
+        with pytest.raises(AssertionError, match="does not have model multiplicity 1"):
+            paper_mu_lower_bound(model_input, eps, family=family)

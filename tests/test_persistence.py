@@ -5,7 +5,7 @@ import pytest
 
 from egb import persistence
 from egb.equivariant import eigenspace_module, quotient_fix_module
-from egb.field import CyclotomicField, Matrix, QQ_FIELD, primitive_roots
+from egb.field import CyclotomicField, Matrix, QQ_FIELD
 from egb.persistence import (
     Bar,
     Barcode,
@@ -30,6 +30,7 @@ from conftest import (
     gap_cuts,
     les_check_oracle,
     module_from_barcode,
+    primitive_roots,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
