@@ -1,10 +1,11 @@
 """Paired benchmark runs of two checkouts, alternating which side goes first.
 
     python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR bounds 22101-22110
-    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR invariants 7 --seconds 8
+    python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR invariants 7
 
 For each seed (A-B inclusive, or A alone) the script runs
-`python3 bench/run.py --workload W --seed S --seconds 32` in each checkout,
+`python3 bench/run.py --workload W --seed S --seconds T` in each checkout,
+T the `run_seconds` of the change's BENCHMARK.json,
 the parent first on odd seeds and the change first on even ones, and reads
 the JSON object on the last line each run prints.  It then prints one JSON
 object, the blocks a BENCH_*.json file carries for one workload:
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("workload")
     parser.add_argument("seeds", type=seed_range, help="A-B (inclusive) or A")
-    parser.add_argument("--seconds", type=float, default=32)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {}
@@ -94,7 +94,8 @@ def main(argv=None) -> int:
         for side in ["parent", "change"] if seed % 2 else ["change", "parent"]:
             started = time.perf_counter()
             try:
-                metrics = run_once(getattr(args, side), args.workload, seed, args.seconds)
+                metrics = run_once(getattr(args, side), args.workload, seed,
+                                   spec["run_seconds"])
             except ValueError as e:
                 print(f"error: {side} run at seed {seed}: {e}", file=sys.stderr)
                 return 1

@@ -219,11 +219,12 @@ def _spread_candidates(barcode: Barcode, p: int):
     ranks = [g for g, r in enumerate(rays) if r]  # the ranks of the ray births
     finite = [(bar.birth, bar.death, m) for bar, m, _ in barcode.items if bar.finite]
     deaths = sorted({d for _, d, _ in finite})
-    below = 0
+    below = i = 0
     for g, x in enumerate(births):
         below += rays[g]
+        while i < len(ranks) and ranks[i] <= g:
+            i += 1
         # twice the horizon the rays set: an excluded ray is born after x
-        i = bisect_right(ranks, g)
         reach = births[ranks[i]] - x if i < len(ranks) else INF
         if below % p:
             yield reach / 2

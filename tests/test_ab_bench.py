@@ -64,15 +64,18 @@ class TestSummarize:
 
 
 def stand_in(root: Path, name: str, throughput: float, correct=True) -> Path:
-    """A checkout whose bench/run.py appends its seed to runs.log and prints
-    one canned result line."""
+    """A checkout whose bench/run.py appends its seed and run length to
+    runs.log and prints one canned result line."""
     checkout = root / name
     (checkout / "bench").mkdir(parents=True)
-    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (checkout / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 32, "end_to_end": METRICS}))
     (checkout / "bench" / "run.py").write_text(
         "import sys\n"
         "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
-        f"open({str(root / 'runs.log')!r}, 'a').write({name!r} + ' ' + seed + '\\n')\n"
+        "seconds = sys.argv[sys.argv.index('--seconds') + 1]\n"
+        f"open({str(root / 'runs.log')!r}, 'a').write("
+        f"{name!r} + ' ' + seed + ' ' + seconds + '\\n')\n"
         f"print({result_line(throughput, 1.0, correct)!r})\n")
     return checkout
 
@@ -84,15 +87,16 @@ def run_script(*argv):
 
 def test_alternating_pairs_against_stand_in_checkouts(tmp_path):
     parent, change = stand_in(tmp_path, "parent", 100.0), stand_in(tmp_path, "change", 120.0)
-    proc = run_script(parent, change, "bounds", "3-4", "--seconds", "1")
+    proc = run_script(parent, change, "bounds", "3-4")
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout)
     assert summary["end_to_end"]["throughput_ops_s"]["change_better_pairs"] == 2
     assert summary["runs"]["3"] == {"parent": {"throughput_ops_s": 100.0, "op_p50_ms": 1.0},
                                     "change": {"throughput_ops_s": 120.0, "op_p50_ms": 1.0}}
-    # odd seeds run the parent first, even seeds the change
+    # odd seeds run the parent first, even seeds the change, each for the
+    # run_seconds of BENCHMARK.json
     assert (tmp_path / "runs.log").read_text().split("\n") == [
-        "parent 3", "change 3", "change 4", "parent 4", ""]
+        "parent 3 32", "change 3 32", "change 4 32", "parent 4 32", ""]
 
 
 def test_an_incorrect_run_exits_one(tmp_path):
