@@ -11,7 +11,8 @@ lattice, coordinates, actions, determinants.  Validation never trusts the
 affine shortcut: every candidate is pushed through the checked piecewise map
 and must come back exactly.  The solver composes the blocks and runs that
 same piecewise map on integer numerators over one shared positive
-denominator, and builds Fractions only for what a record stores.
+denominator, and a valid record keeps the orbit as those integers: the
+points become Fractions only when something reads them.
 """
 
 from __future__ import annotations
@@ -67,15 +68,11 @@ class EggBeaterParams:
 
     def winding_m(self, j: int) -> int:
         m = self.mu[j] * self.lam / self.L
-        if m.denominator != 1:
-            return 0
-        return int(m)
+        return m.numerator if m.denominator == 1 else 0
 
     def winding_n(self, j: int) -> int:
         n = self.nu[j] * self.lam / self.L
-        if n.denominator != 1:
-            return 0
-        return int(n)
+        return n.numerator if n.denominator == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -83,24 +80,31 @@ class FixedPointRecord:
     """One sign-indexed solution attempt, VALID only when the checked
     piecewise map closes up exactly with matching signs.
 
-    A valid record stores its p even points (x_{2j}, y_{2j}); the start
-    point and the odd points are derived from them when read.  A rejected
-    record stores no points, so its `point` is None and its `odd_points`
-    are empty."""
+    A valid record stores its p even points (x_{2j}, y_{2j}) as integer
+    numerators (X_{2j}, Y_{2j}) over one positive denominator `den`; the
+    points, the start point and the odd points are Fractions built from them
+    when read.  A rejected record stores no points, so its `point` is None
+    and its `even_points` and `odd_points` are empty."""
 
     signs: tuple[int, ...]
     valid: bool
     reason: str | None
-    even_points: tuple[tuple[Fraction, Fraction], ...]
+    numerators: tuple[tuple[int, int], ...]
+    den: int
     action: Fraction | None
     action_leading: Fraction
     det: Fraction
     kink_distance: Fraction | None
 
     @property
+    def even_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(x_{2j}, y_{2j}) = (X_{2j}, Y_{2j}) / den for j = 0, ..., p - 1."""
+        return tuple((Fraction(x, self.den), Fraction(y, self.den)) for x, y in self.numerators)
+
+    @property
     def point(self) -> tuple[Fraction, Fraction] | None:
         """The start point (x_0, y_0): the first even point."""
-        return self.even_points[0] if self.even_points else None
+        return self.even_points[0] if self.numerators else None
 
     @property
     def odd_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -140,9 +144,10 @@ def _solve_core(
 
 
 def _integer_scale(lam: Fraction, mu: tuple, nu: tuple) -> tuple:
-    """(K, K lam, (K mu_j lam)_j, (K nu_j lam)_j) for the least K > 0 that
-    makes all of them integers; K = 1 when lam, mu_j lam, nu_j lam already are."""
-    shifts = [v * lam for v in mu + nu]
+    """(K, K lam, (K (1 - mu_j) lam)_j, (K (1 - nu_j) lam)_j) for the least
+    K > 0 that makes all of them integers; K = 1 when lam, mu_j lam, nu_j lam
+    already are."""
+    shifts = [(1 - v) * lam for v in mu + nu]
     k = math.lcm(lam.denominator, *(v.denominator for v in shifts))
     ints = [v.numerator * (k // v.denominator) for v in shifts]
     return k, lam.numerator * (k // lam.denominator), ints[:len(mu)], ints[len(mu):]
@@ -150,15 +155,14 @@ def _integer_scale(lam: Fraction, mu: tuple, nu: tuple) -> tuple:
 
 def _block(j: int, e1: int, e4: int, scale: tuple) -> tuple:
     """Block j with the signs e1 = eps_{2j+1}, e4 = eps_{2j+4} on the
-    integers of `scale` = (K, K lam, (K mu_i lam)_i, (K nu_i lam)_i): K^2 A_j,
+    integers of `scale` = (K, K lam, (K (1 - mu_i) lam)_i, (K (1 - nu_i) lam)_i): K^2 A_j,
     then K^{2j+2} b_j, then K^2 lam^2 times the block's term
     e1 (1 - mu_j)^2 - e4 (1 - nu_j)^2 of the leading sum, the coefficient of
     lam/2 in the action (oracle: `tests/conftest.py::leading_sum`).
     Composing blocks 0, ..., j in order then gives K^{2j+2} (A, v) for the
     composed affine map (A, v)."""
-    k, big_lam, big_mu, big_nu = scale
-    rm = big_lam - big_mu[j]  # K (1 - mu_j) lam
-    rn = big_lam - big_nu[j]
+    k, big_lam, big_rm, big_rn = scale
+    rm, rn = big_rm[j], big_rn[j]
     lift = k ** (2 * j)
     return (
         k * k + e4 * e1 * big_lam * big_lam, -e4 * k * big_lam, -e1 * k * big_lam, k * k,
@@ -183,12 +187,15 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     validate z through the checked piecewise map.
 
     The orbit is carried as integer numerators over one denominator
-    D = lcm(den x0, den y0) K^{2p}, with (K, K lam, K mu_j lam, K nu_j lam) =
-    `scale`: the half-step y' = y + lam (1 - |x|) - mu_j lam reads
-    Y' = Y + (K lam (D - |X|) - K mu_j lam D) / K.  Both numerators start
+    D = |det_num| / g K^{2p}, with det_num = K^{4p} det(A_bar - id) and g
+    the gcd of det_num and the two Cramer numerators, so D / K^{2p} is the
+    least common denominator of the start point.  With
+    (K, K lam, K (1 - mu_j) lam, K (1 - nu_j) lam) = `scale`, the half-step
+    y' = y + lam (1 - |x|) - mu_j lam reads
+    Y' = Y + (K (1 - mu_j) lam D - K lam |X|) / K.  Both numerators start
     divisible by K^{2p}, and the i-th half-step leaves them divisible by
     K^{2p-i}, so every division is exact."""
-    k, big_lam, big_mu, big_nu = scale
+    k, big_lam, big_rm, big_rn = scale
     unit = k ** (2 * p)
     a, b, c, d, v1, v2, lead_num = composed  # lead_num = K^2 lam^2 (leading sum)
     lead = Fraction(lead_num, 2 * k * big_lam)
@@ -198,73 +205,64 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     det = Fraction(det_num, unit * unit)
 
     def reject(reason: str) -> FixedPointRecord:
-        return FixedPointRecord(signs, False, reason, (), None, lead, det, None)
+        return FixedPointRecord(signs, False, reason, (), 1, None, lead, det, None)
 
     if det_num == 0:
         return reject("singular system: det(A_bar - id) = 0")
 
-    # Cramer's rule
-    x0 = Fraction(b * v2 - (d - unit) * v1, det_num)
-    y0 = Fraction(c * v1 - (a - unit) * v2, det_num)
-
-    den = math.lcm(x0.denominator, y0.denominator) * unit
-    start = (x0.numerator * (den // x0.denominator), y0.numerator * (den // y0.denominator))
-    x, y = start
-    even = [start]
+    # Cramer's rule: (x0, y0) = (xn, yn) / det_num
+    xn = b * v2 - (d - unit) * v1
+    yn = c * v1 - (a - unit) * v2
+    g = math.gcd(xn, yn, det_num) * (1 if det_num > 0 else -1)
+    den = det_num // g * unit
+    start = x, y = xn // g * unit, yn // g * unit
+    even = []
+    # with the tent Hamiltonian h0(s) = s - s|s|/2, the segment action
+    # lam (h0(s) - w s) with s = S/D is (2D (K (1 - w) lam) S - K lam S|S|) / (2 K D^2);
+    # block j adds its input X_{2j} and, as the horizontal segment flows
+    # x_{2j+1} = -y_{2j+2}, minus its height Y_{2j+2}: all even points once closed
+    linear = squares = 0
     for j in range(p):
         if not (-den < x < den and -den < y < den):
             return reject(
                 f"forward map: input ({Fraction(x, den)}, {Fraction(y, den)}) "
                 "outside the open square"
             )
-        y += (big_lam * (den - abs(x)) - big_mu[j] * den) // k
+        even.append((x, y))
+        ax = abs(x)
+        y += (big_rm[j] * den - big_lam * ax) // k
         if not -den < y < den:
             return reject(
                 "forward map: vertical reduction window missed: "
                 f"intermediate height {Fraction(y, den)}"
             )
-        x += (big_lam * (den - abs(y)) - big_nu[j] * den) // k
+        linear += big_rm[j] * x - big_rn[j] * y
+        ay = abs(y)
+        squares += y * ay - x * ax
+        x += (big_rn[j] * den - big_lam * ay) // k
         if not -den < x < den:
             return reject(
                 "forward map: horizontal reduction window missed: "
                 f"intermediate height {Fraction(x, den)}"
             )
-        even.append((x, y))
-    if even[-1] != start:
+    if (x, y) != start:
         return reject("forward map does not close up on the affine solution")
-    even = even[:p]
 
+    # the forward map has already checked every even point and every odd
+    # point (-Y_{2j+2}, X_{2j}) against the open square
     for j, (x, y) in enumerate(even):
         if x == 0 or y == 0:
             return reject(f"even point {j} has a zero coordinate (sign undefined)")
-        if not (-den < x < den and -den < y < den):
-            return reject(f"even point {j} outside the open square")
         if (1 if x > 0 else -1) != signs[2 * j]:
             return reject(f"realized sign of x_{2 * j} differs from requested")
         if (1 if y > 0 else -1) != signs[2 * j + 1]:
             return reject(f"realized sign of y_{2 * j} differs from requested")
 
-    for j in range(p):
-        x, y = -even[(j + 1) % p][1], even[j][0]
-        if not (-den < x < den and -den < y < den):
-            return reject(f"odd point {j} outside the open square")
-
-    xs = [x for x, _ in even]
-    ys = [y for _, y in even]
-    mags = [abs(c) for c in xs + ys]
+    mags = [abs(c) for point in even for c in point]
     kink = min(min(mags), den - max(mags))
-    # with the tent Hamiltonian h0(s) = s - s|s|/2, the segment action
-    # lam (h0(s) - w s) with s = S/D is (K lam (2DS - S|S|) - 2D (K w lam) S) / (2 K D^2);
-    # the horizontal segment j flows x_{2j+1} = -y_{2j+2}, so the sums run over
-    # the even points with the y terms negated
-    total = 2 * den * (
-        big_lam * (sum(xs) - sum(ys))
-        - sum(w * x for w, x in zip(big_mu, xs))
-        + sum(w * y for w, y in zip(big_nu, ys[1:] + ys[:1]))
-    ) - big_lam * sum(x * abs(x) for x in xs) + big_lam * sum(y * abs(y) for y in ys)
-    even_points = ((x0, y0),) + tuple((Fraction(x, den), Fraction(y, den)) for x, y in even[1:])
     return FixedPointRecord(
-        signs, True, None, even_points, Fraction(total, 2 * k * den * den), lead, det,
+        signs, True, None, tuple(even), den,
+        Fraction(2 * den * linear + big_lam * squares, 2 * k * den * den), lead, det,
         Fraction(kink, den),
     )
 
@@ -316,15 +314,8 @@ def min_action_gap(records) -> Fraction | float:
 
 def _farey_rationals(max_denominator: int) -> list[Fraction]:
     """Rationals in (0,1) ordered by denominator, then numerator."""
-    seen = set()
-    out = []
-    for q in range(2, max_denominator + 1):
-        for num in range(1, q):
-            f = Fraction(num, q)
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-    return out
+    return [Fraction(num, q) for q in range(2, max_denominator + 1)
+            for num in range(1, q) if math.gcd(num, q) == 1]
 
 
 def param_search(p: int, L, max_denominator: int = 10) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -8,6 +8,7 @@ a human-facing drawing.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -292,6 +293,12 @@ def _negated(s: str) -> str:
     return s[1:] if s[0] == "-" else "-" + s
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """frac_str(Fraction(n, d)) for an integer n and a positive integer d."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _points_json(points) -> str:
     if not points:
         return "[]"
@@ -303,9 +310,11 @@ def _points_json(points) -> str:
 
 def _record_texts(r: FixedPointRecord, label: str, det: str) -> tuple[str, str]:
     """The CSV row and the JSON object (indent 2, sorted keys, at depth 2) of
-    one record.  Each coordinate is formatted once: the start point and the
-    odd points (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
-    even = [(frac_str(x), frac_str(y)) for x, y in r.even_points]
+    one record.  Each coordinate is formatted once, from its numerator over
+    the record's denominator: the start point and the odd points
+    (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
+    d = r.den
+    even = [(_ratio_str(x, d), _ratio_str(y, d)) for x, y in r.numerators]
     p = len(even)
     odd = [(_negated(even[(j + 1) % p][1]), even[j][0]) for j in range(p)]
     x0, y0 = even[0] if even else (None, None)

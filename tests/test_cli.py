@@ -403,7 +403,7 @@ class TestEggbeaterCommand:
             first = records[0]
             rejected = type(first)(
                 first.signs, False, "forced rejection for the exit-code test",
-                (), None, first.action_leading, first.det, None,
+                (), 1, None, first.action_leading, first.det, None,
             )
             return [rejected] + records[1:]
 

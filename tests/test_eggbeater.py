@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from egb.eggbeater import (
     FixedPointRecord,
     _enumerate_core,
     _farey_rationals,
+    _integer_scale,
     _solve_core,
     enumerate_records,
     fixture_params,
@@ -42,6 +44,7 @@ from conftest import (
     leading_sum,
     min_leading_gap,
     phi_block,
+    records_to_csv,
     u0,
 )
 
@@ -50,15 +53,24 @@ def rand_signs(rng, p):
     return tuple(rng.choice([1, -1]) for _ in range(2 * p))
 
 
-def reference_solve(p, lam, mu, nu, signs) -> FixedPointRecord:
-    """The solver on `Matrix`: products of the block matrices, the O(p^2)
-    sum of transported block vectors, `Matrix.solve` and `phi_block`.  The
-    oracle the shared-prefix solver is pinned to; the start point and odd
-    points the record derives must be the ones the oracle computed."""
+def exposed(r: FixedPointRecord) -> tuple:
+    """Every value a record exposes, the Fraction views of its points
+    included: what the oracle comparisons compare, whatever denominator the
+    record keeps its numerators over."""
+    return (r.signs, r.valid, r.reason, r.point, r.even_points, r.odd_points,
+            r.action, r.action_leading, r.det, r.kink_distance)
+
+
+def reference_solve(p, lam, mu, nu, signs) -> tuple:
+    """`exposed` of the solver on `Matrix`: products of the block matrices,
+    the O(p^2) sum of transported block vectors, `Matrix.solve` and
+    `phi_block`.  The oracle the shared-prefix solver is pinned to; the start
+    point and odd points the record derives must be the ones the oracle
+    computed."""
     record, point, odd = reference_orbit(p, lam, mu, nu, signs)
     assert record.point == point
     assert record.odd_points == odd
-    return record
+    return exposed(record)
 
 
 def reference_orbit(p, lam, mu, nu, signs):
@@ -66,7 +78,8 @@ def reference_orbit(p, lam, mu, nu, signs):
     the oracle computes them: the start point from `Matrix.solve`, odd point
     j as the intermediate point (x_{2j}, y') of block j's vertical half-step,
     turned by (x, y) -> (-y, x) into the horizontal square.  A rejected
-    record has start point None and no odd points."""
+    record has start point None and no odd points.  A valid record keeps the
+    even points as numerators over the lcm of their denominators."""
     lam = F(lam)
     mu = tuple(F(v) for v in mu)
     nu = tuple(F(v) for v in nu)
@@ -81,7 +94,7 @@ def reference_orbit(p, lam, mu, nu, signs):
     assert det == 2 - (a_bar[0, 0] + a_bar[1, 1])
 
     def reject(reason):
-        return FixedPointRecord(signs, False, reason, (), None, lead, det, None), None, ()
+        return FixedPointRecord(signs, False, reason, (), 1, None, lead, det, None), None, ()
 
     if det == 0:
         return reject("singular system: det(A_bar - id) = 0")
@@ -119,7 +132,10 @@ def reference_orbit(p, lam, mu, nu, signs):
         lam * h0(xv) - lam * mu[j] * xv + lam * h0(xh) - lam * nu[j] * xh
         for j, ((xv, _), (xh, _)) in enumerate(zip(even, odd))
     )
-    record = FixedPointRecord(signs, True, None, tuple(even), action, lead, det, kink)
+    den = math.lcm(*(v.denominator for pt in even for v in pt))
+    numerators = tuple(tuple(v.numerator * (den // v.denominator) for v in pt) for pt in even)
+    record = FixedPointRecord(signs, True, None, numerators, den, action, lead, det, kink)
+    assert record.even_points == tuple(even)
     return record, (x0, y0), odd
 
 
@@ -369,7 +385,7 @@ class TestReferenceSolver:
         for lam in lams:
             params = EggBeaterParams(p, FIXTURE_L, lam, mu, nu)
             expected = [reference_solve(p, lam, mu, nu, tuple(s)) for s in sign_vectors(p)]
-            assert enumerate_records(params) == expected
+            assert [exposed(r) for r in enumerate_records(params)] == expected
 
     @pytest.mark.parametrize("p, mu, nu, lams", [
         (1, (F(1, 2),), (F(1, 3),), (F(1, 2), F(1), F(2), F(3))),
@@ -383,7 +399,8 @@ class TestReferenceSolver:
         # compared at small off-lattice lambda (p = 1 never rejects)
         for lam in lams:
             got = _enumerate_core(p, lam, mu, nu)
-            assert got == [reference_solve(p, lam, mu, nu, tuple(s)) for s in sign_vectors(p)]
+            assert [exposed(r) for r in got] == [
+                reference_solve(p, lam, mu, nu, tuple(s)) for s in sign_vectors(p)]
 
     def test_off_lattice_cases_reach_every_reject(self):
         reasons = set()
@@ -410,7 +427,7 @@ class TestReferenceSolver:
             lam = F(rng.randint(1, 300), rng.randint(1, 6))
             signs = rand_signs(rng, p)
             rec = _solve_core(p, lam, mu, nu, signs)
-            assert rec == reference_solve(p, lam, mu, nu, signs)
+            assert exposed(rec) == reference_solve(p, lam, mu, nu, signs)
             rejected += not rec.valid
         assert rejected > 0
 
@@ -440,9 +457,10 @@ def reference_obj(r: FixedPointRecord, point, odd) -> dict:
 
 
 class TestDerivedFields:
-    """A record stores its even points only: the start point, the odd points
-    and the JSON text written for the record must equal what the oracle
-    computes."""
+    """A record stores integer numerators of its even points over one
+    denominator: the points, the start point, the odd points and the CSV row
+    and JSON text written for the record must equal what the oracle computes
+    and formats from its Fractions."""
 
     PRIMES_MU = (F(1, 3), F(1, 7), F(1, 13), F(1, 19), F(1, 29))
     PRIMES_NU = (F(1, 2), F(1, 5), F(1, 11), F(1, 17), F(1, 23))
@@ -453,20 +471,33 @@ class TestDerivedFields:
         lams = [lambda_lattice(FIXTURE_L, mu, nu, 1)[0], F(1), F(3, 2), F(14)]
         seen = set()
         for lam in lams:
+            k = _integer_scale(lam, mu, nu)[0]
             records = _enumerate_core(p, lam, mu, nu)
             vectors = list(sign_vectors(p))
-            for i in rng.sample(range(len(vectors)), min(len(vectors), 24)):
+            # a random sample, with the first valid and the first rejected record
+            picks = set(rng.sample(range(len(vectors)), min(len(vectors), 24)))
+            picks |= {next(i for i, r in enumerate(records) if r.valid is v)
+                      for v in {r.valid for r in records}}
+            for i in sorted(picks):
                 rec = records[i]
                 ref, point, odd = reference_orbit(p, lam, mu, nu, vectors[i])
-                assert rec == ref
+                assert exposed(rec) == exposed(ref)
                 assert rec.point == point
                 assert rec.odd_points == odd
-                text = io.StringIO()
-                write_records([rec], json_out=text)
-                expected = {"records": [reference_obj(rec, point, odd)]}
-                assert text.getvalue() == json.dumps(expected, indent=2, sort_keys=True)
-                seen.add(rec.valid)
-        assert seen == ({True} if p == 1 else {True, False})  # p = 1 never rejects
+                if rec.valid:  # the denominator D = lcm(den x0, den y0) K^{2p}
+                    assert rec.den == math.lcm(*(v.denominator for v in point)) * k ** (2 * p)
+                else:
+                    assert rec.numerators == ()
+                obj = reference_obj(ref, point, odd)
+                csv_text, json_text = io.StringIO(), io.StringIO()
+                write_records([rec], csv_out=csv_text, json_out=json_text)
+                assert csv_text.getvalue() == records_to_csv([obj])
+                assert json_text.getvalue() == json.dumps(
+                    {"records": [obj]}, indent=2, sort_keys=True)
+                seen.add((rec.valid, k > 1))
+        # p = 1 never rejects; K > 1 at the three lambda off the lattice
+        assert seen == ({(True, False), (True, True)} if p == 1 else
+                        {(True, False), (True, True), (False, True)})
 
 
 class TestGoldenOutput:
@@ -562,7 +593,7 @@ def hand_record(action, leading) -> FixedPointRecord:
     `action` is None."""
     valid = action is not None
     reason = None if valid else "hand-built rejection"
-    return FixedPointRecord((1, 1), valid, reason, (), action, leading, F(1), None)
+    return FixedPointRecord((1, 1), valid, reason, (), 1, action, leading, F(1), None)
 
 
 def brute_gap(records):

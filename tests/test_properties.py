@@ -1,6 +1,7 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
-Z_p modules, a formatted rational needs no JSON escaping, Q(zeta_p) is a
-field, and the integer keys order and merge exact values as Fractions do.
+Z_p modules, a formatted rational needs no JSON escaping and reads the same
+from its integers as from its Fraction, Q(zeta_p) is a field, and the integer
+keys order and merge exact values as Fractions do.
 Derandomized, so every run draws the same examples."""
 
 import json
@@ -15,6 +16,7 @@ from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
 from egb.model import ModelInput
 from egb.persistence import Bar, Barcode, INF, _order_key
 from egb.serialize import (
+    _ratio_str,
     element_from_obj,
     element_to_obj,
     frac_str,
@@ -81,6 +83,25 @@ def test_frac_str_needs_no_json_escaping(x):
     """The record writer quotes `frac_str` output without escaping it."""
     s = frac_str(x)
     assert encode_basestring_ascii(s) == '"' + s + '"'
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(-2 ** 1000, 2 ** 1000), st.integers(1, 2 ** 1000),
+       st.one_of(st.just(1), st.integers(1, 2 ** 200)))
+@example(0, 1, 1)
+@example(0, 7, 3)
+@example(-5, 1, 1)
+@example(12, 1, 12)
+@example(-3, 4, 2)
+@example(2 ** 999 + 1, 2 ** 1000 - 1, 2 ** 200)
+def test_ratio_str_is_frac_str_of_the_fraction(n, d, common):
+    """The record writer formats a coordinate from its numerator over the
+    record's denominator, sharing a factor or not, as `frac_str` formats the
+    Fraction: negative, zero and positive numerators, denominators from 1,
+    values up to ~1,200 bits."""
+    expected = frac_str(Fraction(n, d))
+    assert _ratio_str(n, d) == expected
+    assert _ratio_str(n * common, d * common) == expected
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
