@@ -21,7 +21,6 @@ from . import model as mdl
 from . import serialize as ser
 from .bottleneck import bottleneck
 from .equivariant import (
-    eigenspace_barcodes,
     full_power_verdict,
     mu_from_barcode,
     spread_lower_bound_from_gaps,
@@ -187,7 +186,7 @@ def cmd_barcode(args) -> int:
         zi = 1 if args.zeta_index is None else args.zeta_index
         if not 1 <= zi <= module.p - 1:
             raise ValueError(f"zeta index must lie in 1..{module.p - 1}")
-        barcodes = eigenspace_barcodes(module)  # barcodes[k - 1] is at zeta^k
+        barcodes = module.barcodes  # barcodes[k - 1] is at zeta^k
         mus = [mu_from_barcode(bc, module.p) for bc in barcodes]
         report = {
             "zeta_index": zi,

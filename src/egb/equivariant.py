@@ -30,9 +30,11 @@ from .persistence import (
     INF,
     _NormalForm,
     _apply,
+    _axpy,
     _block_diag,
     _extend_basis,
     _reindex,
+    _sparse_columns,
     direct_sum,
     homology_basis,
     induced_homology_rank,
@@ -92,11 +94,13 @@ class ZpPersistenceModule:
 
 @dataclass(frozen=True)
 class EquivariantComplex:
-    """Filtered complex with an action-preserving chain automorphism of order p."""
+    """Filtered complex with an action-preserving chain automorphism T of
+    order p; ``columns`` holds T's sparse columns, as the complex holds D's."""
 
     p: int
     complex: FilteredComplex
     chain_map: Matrix
+    columns: tuple[dict, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -109,16 +113,13 @@ class EquivariantComplex:
             raise ValueError("chain map over wrong field")
         if not t.matpow(self.p).shift_diagonal(1).is_zero():
             raise ValueError("chain map does not satisfy T^p = id")
-        d = self.complex.boundary
-        if not (t @ d - d @ t).is_zero():
+        d, cols = self.complex.columns, _sparse_columns(t)
+        if any(_apply(cols, d[j]) != _apply(d, col) for j, col in enumerate(cols)):
             raise ValueError("chain map does not commute with the boundary")
         gens = self.complex.generators
-        for j in range(n):
-            for i in range(n):
-                if not t.entries[i][j]:
-                    continue
-                if gens[i][0] != gens[j][0] or gens[i][1] != gens[j][1]:
-                    raise ValueError("chain map must preserve action and degree")
+        if any(gens[i] != gens[j] for j, col in enumerate(cols) for i in col):
+            raise ValueError("chain map must preserve action and degree")
+        object.__setattr__(self, "columns", cols)
 
 
 def _root_index(p: int, zeta: CyclotomicNumber, primitive: bool) -> int:
@@ -236,11 +237,6 @@ def _spread_candidates(barcode: Barcode, p: int):
                 yield min((y - x) / 4, min(reach, h) / 2)
 
 
-def eigenspace_barcodes(module: ZpPersistenceModule) -> list[Barcode]:
-    """Barcode of the zeta^k-eigenspace for k = 1..p-1, as stored at construction."""
-    return list(module.barcodes)
-
-
 def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction | float:
     """mu_{p,zeta}: the spread of the barcode of the zeta-eigenspace."""
     k = _root_index(module.p, zeta, primitive=True)
@@ -308,21 +304,22 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     shift kills the class (e.g. zero-boundary complexes with a nontrivial
     action, where finiteness needs analytic input the algebra cannot see).
     """
-    cx = equivariant.complex
-    s_mat = equivariant.chain_map.shift_diagonal(1)
+    one = equivariant.complex.field.one()
     # T^p = id was checked when the complex was built and p is prime, so
     # T^k = id iff T = id or p divides k
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if s_mat.is_zero():
+    if all(col == {g: one} for g, col in enumerate(equivariant.columns)):
         return Fraction(0)
     if k % equivariant.p:
         raise ValueError(f"chain map does not satisfy T^{k} = id")
-    nf = _NormalForm(cx)
-    s_cols = nf.columns(s_mat)
+    nf = _NormalForm(equivariant.complex)
+    t_cols = nf.columns(equivariant.columns)
     best: Fraction | float = Fraction(0)
     for x, b_x in enumerate(nf.basis):
-        for y, _ in nf.coordinates(_apply(s_cols, b_x)):
+        s_x = _apply(t_cols, b_x)  # (T - id) b_x
+        _axpy(s_x, -one, b_x)
+        for y, _ in nf.coordinates(s_x):
             value = min(nf.act[y] - nf.lp[x], nf.kill[y] - nf.act[x])
             if is_inf(value):
                 return INF

@@ -11,13 +11,14 @@ Conventions (fixed once, used everywhere):
   multiset of ``(birth, death]`` bars.
 
 A module's barcode comes from one left-to-right elder-rule sweep over its
-transitions; everything on a complex reads the one R = DV reduction.
+transitions.  A complex keeps its boundary as sparse columns, built once: its
+checks walk them, and everything else on it reads one R = DV reduction of them.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .field import Field, Matrix
@@ -328,11 +329,13 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class FilteredComplex:
     """Finite filtered chain complex: generators with (action, degree), and a
-    degree -1 boundary that strictly decreases action."""
+    degree -1 boundary D that strictly decreases action, also kept as sparse
+    ``columns``: i -> D[i][j] != 0 in column j, so dict equality is vector equality."""
 
     field: Field
     generators: tuple[tuple[Fraction, int], ...]
     boundary: Matrix
+    columns: tuple[dict, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
         gens = tuple((Fraction(a), int(d)) for a, d in self.generators)
@@ -342,27 +345,25 @@ class FilteredComplex:
             raise ValueError("boundary must be square on the generators")
         if self.boundary.field != self.field:
             raise ValueError("boundary over wrong field")
-        for j in range(n):
-            for i in range(n):
-                if not self.boundary.entries[i][j]:
-                    continue
+        cols = _sparse_columns(self.boundary)
+        for j, col in enumerate(cols):
+            for i in col:
                 if gens[i][1] != gens[j][1] - 1:
-                    raise ValueError(
-                        f"boundary entry {i},{j} does not drop degree by 1"
-                    )
+                    raise ValueError(f"boundary entry {i},{j} does not drop degree by 1")
                 if gens[i][0] >= gens[j][0]:
-                    raise ValueError(
-                        f"boundary entry {i},{j} does not decrease action"
-                    )
-        if not (self.boundary @ self.boundary).is_zero():
+                    raise ValueError(f"boundary entry {i},{j} does not decrease action")
+        if any(_apply(cols, col) for col in cols):
             raise ValueError("boundary squared is nonzero")
-
-    @property
-    def actions(self) -> list[Fraction]:
-        return [a for a, _ in self.generators]
+        object.__setattr__(self, "columns", cols)
 
     def spectrum(self) -> list[Fraction]:
         return sorted({a for a, _ in self.generators})
+
+
+def _sparse_columns(matrix: Matrix) -> tuple[dict, ...]:
+    """The columns of a matrix as dicts row -> nonzero entry, rows ascending."""
+    ent = matrix.entries
+    return tuple({i: row[j] for i, row in enumerate(ent) if row[j]} for j in range(matrix.cols))
 
 
 def _axpy(target: dict, c, source: dict) -> None:
@@ -375,7 +376,7 @@ def _axpy(target: dict, c, source: dict) -> None:
             target.pop(r, None)
 
 
-def _apply(cols: list[dict], chain: dict) -> dict:
+def _apply(cols, chain: dict) -> dict:
     """The image of a sparse chain under the matrix with sparse columns ``cols``."""
     image: dict = {}
     for g, c in chain.items():
@@ -393,16 +394,14 @@ def _reduce(complex_: FilteredComplex):
     holds each (low R_j, j).  Since the boundary strictly lowers action,
     ``low R_j`` always has a smaller action than ``j``.
     """
-    n = len(complex_.generators)
-    order = sorted(range(n), key=lambda k: (complex_.generators[k][0], k))
+    order = sorted(range(len(complex_.generators)), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
-    entries = complex_.boundary.entries
     R: list[dict] = []
     V: list[dict] = []
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for j, g in enumerate(order):
-        col = {pos[i]: entries[i][g] for i in range(n) if entries[i][g]}
+        col = {pos[i]: v for i, v in complex_.columns[g].items()}
         vcol = {j: complex_.field.one()}
         while col:
             low = max(col)
@@ -447,10 +446,9 @@ class _NormalForm:
             self.kill[i] = self.act[j]
         self.lp = [self.act[max(col)] if col else -INF for col in R]
 
-    def columns(self, matrix: Matrix) -> list[dict]:
-        """A square matrix on the generators as sparse columns in positions."""
-        ent, n = matrix.entries, matrix.rows
-        return [{self.pos[h]: ent[h][g] for h in range(n) if ent[h][g]} for g in self.order]
+    def columns(self, cols) -> list[dict]:
+        """Sparse columns of a square matrix on the generators, moved to positions."""
+        return [{self.pos[h]: v for h, v in cols[g].items()} for g in self.order]
 
     def window_basis(self, lo, hi, r: int) -> list[int]:
         """The x whose b_x represent a basis of the degree-r homology of the
@@ -629,7 +627,7 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     if not complex_.generators:
         return True
     nf = _NormalForm(complex_)
-    d_cols = nf.columns(complex_.boundary)
+    d_cols = nf.columns(complex_.columns)
 
     def induced(chains, lo, hi, r):
         target = nf.window_basis(lo, hi, r)

@@ -20,7 +20,9 @@ from egb.equivariant import (
 )
 from egb.bottleneck import hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
-from egb.field import CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta
+from egb.field import (
+    CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta, is_prime,
+)
 from egb.freegroup import A_, B_, Word
 from egb.model import ModelInput
 from egb.persistence import (
@@ -474,6 +476,51 @@ def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
                 death = module.spectrum[v] if v < m else INF
                 entries.append((Bar(birth, death), mult, None))
     return Barcode.of(entries)
+
+
+def complex_checks_oracle(field: Field, generators, boundary: Matrix, p: int | None = None,
+                          chain_map: Matrix | None = None) -> str | None:
+    """The message with which `FilteredComplex` (and, given p and a chain
+    map, `EquivariantComplex`) refuses its input, or None if both accept it,
+    by the dense checks: an n^2 scan of the entries of D and of T, D @ D,
+    T^p = id by `matpow`, and T @ D - D @ T.  The oracle of the checks the
+    constructors read off their sparse columns."""
+    gens = tuple((Fraction(a), int(d)) for a, d in generators)
+    n = len(gens)
+    if (boundary.rows, boundary.cols) != (n, n):
+        return "boundary must be square on the generators"
+    if boundary.field != field:
+        return "boundary over wrong field"
+    for j in range(n):
+        for i in range(n):
+            if not boundary.entries[i][j]:
+                continue
+            if gens[i][1] != gens[j][1] - 1:
+                return f"boundary entry {i},{j} does not drop degree by 1"
+            if gens[i][0] >= gens[j][0]:
+                return f"boundary entry {i},{j} does not decrease action"
+    if not (boundary @ boundary).is_zero():
+        return "boundary squared is nonzero"
+    if chain_map is None:
+        return None
+    if not is_prime(p):
+        return f"p must be prime, got {p}"
+    t, d = chain_map, boundary
+    if (t.rows, t.cols) != (n, n):
+        return "chain map must be square on the generators"
+    if t.field != field:
+        return "chain map over wrong field"
+    if not t.matpow(p).shift_diagonal(1).is_zero():
+        return "chain map does not satisfy T^p = id"
+    if not (t @ d - d @ t).is_zero():
+        return "chain map does not commute with the boundary"
+    for j in range(n):
+        for i in range(n):
+            if not t.entries[i][j]:
+                continue
+            if gens[i][0] != gens[j][0] or gens[i][1] != gens[j][1]:
+                return "chain map must preserve action and degree"
+    return None
 
 
 # -- Z_p module oracles ----------------------------------------------------------

@@ -22,7 +22,8 @@ from egb.persistence import (
     barcode_of_module,
 )
 from egb.serialize import (
-    barcode_from_obj, barcode_to_json, barcode_to_obj, complex_to_obj, frac_str, zp_module_to_obj,
+    barcode_from_obj, barcode_to_json, barcode_to_obj, complex_to_obj, frac_str, matrix_to_obj,
+    zp_module_to_obj,
 )
 from egb.equivariant import (
     ZpPersistenceModule,
@@ -296,18 +297,50 @@ def killed_swap_obj() -> dict:
     }
 
 
+def degenerate_swap_obj() -> dict:
+    """`egb spread` input: a swapped pair with zero boundary, so w_spread is
+    +inf and the report adds the gap bound."""
+    cx = FilteredComplex(
+        QQ_FIELD, ((F(0), 0), (F(0), 0)), Matrix.zeros(QQ_FIELD, 2, 2)
+    )
+    return {
+        "p": 2,
+        "complex": complex_to_obj(cx),
+        "chain_map": [["0", "1"], ["1", "0"]],
+    }
+
+
+def zeta3_obj() -> dict:
+    """`egb spread` input over Q(zeta_3), in a basis that mixes each
+    (action, degree) class: a 3-cycle at action 1 whose zeta- and
+    zeta^2-parts a 3-cycle at action 4 kills through zeta (I - P), and a
+    zeta^2-scalar generator at action 0 killed at action 2."""
+    field = CyclotomicField(3)
+    z1, z2 = cyclo_zeta(3, 1), cyclo_zeta(3, 2)
+    gens = ((F(1), 0),) * 3 + ((F(4), 1),) * 3 + ((F(0), 0), (F(2), 1))
+    bnd, chain = [[0] * 8 for _ in range(8)], [[0] * 8 for _ in range(8)]
+    for j in range(3):
+        for e in (0, 3):
+            chain[e + (j + 1) % 3][e + j] = 1
+        bnd[j][3 + j], bnd[(j + 1) % 3][3 + j] = z1, -z1
+    chain[6][6] = chain[7][7] = z2
+    bnd[6][7] = z1
+    ent = [[1 if r == c else 0 for c in range(8)] for r in range(8)]
+    ent[0][1], ent[1][2], ent[3][5] = 1, z2, F(-1, 2)
+    change = Matrix.from_rows(field, ent)
+    back = change.inverse()
+    cx = FilteredComplex(field, gens, change @ Matrix.from_rows(field, bnd) @ back)
+    return {
+        "p": 3,
+        "complex": complex_to_obj(cx),
+        "chain_map": matrix_to_obj(change @ Matrix.from_rows(field, chain) @ back),
+    }
+
+
 class TestSpreadCommand:
     def test_degenerate_labelled(self, tmp_path, capsys):
-        cx = FilteredComplex(
-            QQ_FIELD, ((F(0), 0), (F(0), 0)), Matrix.zeros(QQ_FIELD, 2, 2)
-        )
-        obj = {
-            "p": 2,
-            "complex": complex_to_obj(cx),
-            "chain_map": [["0", "1"], ["1", "0"]],
-        }
         f = tmp_path / "eq.json"
-        f.write_text(json.dumps(obj))
+        f.write_text(json.dumps(degenerate_swap_obj()))
         code, out, _ = run(capsys, "spread", str(f))
         assert code == 0
         report = json.loads(out)
@@ -339,6 +372,48 @@ class TestSpreadCommand:
         proc = run_subprocess("spread", str(f), "--k", k)
         assert_clean_error(proc)
         assert proc.stderr == "error: k must be >= 1\n"
+
+
+def zero_boundary_obj() -> dict:
+    """`egb spread` input: two fixed generators in degrees 0 and 1 with zero
+    boundary, the complex of `test_decompose_zero_boundary`."""
+    cx = FilteredComplex(QQ_FIELD, ((F(1), 0), (F(3), 1)), Matrix.zeros(QQ_FIELD, 2, 2))
+    return {"p": 2, "complex": complex_to_obj(cx), "chain_map": [["1", "0"], ["0", "1"]]}
+
+
+class TestComplexOutputBytes:
+    """sha256 of stdout of `egb spread` and of `egb barcode decompose` on
+    each fixture (the complex of the spread input), pinned before the
+    complexes kept their maps as sparse columns."""
+
+    FIXTURES = {"killed-swap": killed_swap_obj, "degenerate-swap": degenerate_swap_obj,
+                "zeta3-mixed": zeta3_obj, "zero-boundary": zero_boundary_obj}
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("killed-swap", "ed81a689552a1ada43ac5613fcf693654c287931708440ffaee5f9e76ab724e3"),
+        ("degenerate-swap", "241046df6a7588beb8b662a70bbcd755d255d4d1e5b9505253670ed618ab6b1d"),
+        ("zeta3-mixed", "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
+        ("zero-boundary", "5bd3df132af7711718544c242a3660677141b166b97ea231a5d6c3f62c1f5578"),
+    ])
+    def test_spread(self, tmp_path, capsys, fixture, digest):
+        f = tmp_path / "eq.json"
+        f.write_text(json.dumps(self.FIXTURES[fixture]()))
+        code, out, err = run(capsys, "spread", str(f))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fixture, digest", [
+        ("killed-swap", "9868f46a120dc96f9ffc18a8465abd16f112f27a6be6e17754f121e52e510948"),
+        ("degenerate-swap", "86495faf022b692f1984e17894d8016be2b023109ca91cc53c4db027dcfef22a"),
+        ("zeta3-mixed", "be2257691e90b792c4194c4be71aee92784c850be73d432f891cc68554442272"),
+        ("zero-boundary", "d0947bad392d4865bde4b4078e1874059b3ca6ccdd564294eb9c6af67286147f"),
+    ])
+    def test_decompose(self, tmp_path, capsys, fixture, digest):
+        f = tmp_path / "cx.json"
+        f.write_text(json.dumps(self.FIXTURES[fixture]()["complex"]))
+        code, out, err = run(capsys, "barcode", "decompose", str(f))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEggbeater2d:

@@ -1,7 +1,8 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
 Z_p modules, a formatted rational needs no JSON escaping and reads the same
-from its integers as from its Fraction, Q(zeta_p) is a field, and the integer
-keys order and merge exact values as Fractions do.
+from its integers as from its Fraction, Q(zeta_p) is a field, the integer
+keys order and merge exact values as Fractions do, and the complex
+constructors' sparse checks agree with the dense oracle.
 Derandomized, so every run draws the same examples."""
 
 import json
@@ -12,11 +13,14 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
+from egb.equivariant import EquivariantComplex
+from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_zeta
 from egb.model import ModelInput
-from egb.persistence import Bar, Barcode, INF, _order_key
+from egb.persistence import Bar, Barcode, FilteredComplex, INF, _order_key
 from egb.serialize import (
     _ratio_str,
+    complex_from_obj,
+    complex_to_obj,
     element_from_obj,
     element_to_obj,
     frac_str,
@@ -26,7 +30,13 @@ from egb.serialize import (
     zp_module_to_obj,
 )
 
-from conftest import canonical_items_oracle, model_input_oracle, random_zp_module
+from conftest import (
+    canonical_items_oracle,
+    complex_checks_oracle,
+    model_input_oracle,
+    random_equivariant_complex,
+    random_zp_module,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -194,3 +204,121 @@ def test_model_input_order_and_duplicates(values, p, rnd):
             ModelInput(p, tuples)
     else:
         assert ModelInput(p, tuples).tuples == expected
+
+
+# -- the complex checks ---------------------------------------------------------
+
+CORRUPTIONS = (None, "degree", "action", "square", "order", "commute", "mix")
+
+
+@st.composite
+def corrupted_complexes(draw, kind):
+    """A random equivariant complex over Q (p = 2, 3) or Q(zeta_3) (p = 3)
+    with one corruption of the given kind, or none when the kind is None:
+    a boundary entry that does not drop the degree ("degree"); an added
+    generator whose boundary does not lower the action ("action") or is a
+    generator with nonzero boundary ("square"); 2T, or the complex checked at another prime
+    when T != id ("order"); T conjugated by an elementary matrix on one
+    (action, degree) class, which need not commute with D, or an added
+    p-cycle of which an added fixed generator kills one generator
+    ("commute"); p added generators of distinct (action, degree) that T
+    cycles ("mix").  Returns (field, generators, D, p, T)."""
+    field = draw(st.sampled_from((QQ_FIELD, CyclotomicField(3))))
+    p = 3 if field != QQ_FIELD else draw(st.sampled_from((2, 3)))
+    eq = random_equivariant_complex(random.Random(draw(st.integers(0, 2 ** 32))), p, field)
+    gens = list(eq.complex.generators)
+    d = [list(row) for row in eq.complex.boundary.entries]
+    t = [list(row) for row in eq.chain_map.entries]
+    n, z, one = len(gens), field.zero(), field.one()
+    value = field.coerce(draw(st.sampled_from((1, -2, Fraction(1, 3)))))
+    if field != QQ_FIELD and draw(st.booleans()):
+        value = value * cyclo_zeta(3, 1)
+    act, deg = Fraction(draw(st.integers(-3, 3))), draw(st.integers(0, 1))
+
+    def grow(new_gens):  # zero rows and columns in D and T for the new generators
+        k = len(new_gens)
+        for m in (d, t):
+            m[:] = [row + [z] * k for row in m] + [[z] * (n + k) for _ in range(k)]
+        gens.extend(new_gens)
+
+    def cycle(start):  # T cycles the p generators from `start` on
+        for k in range(p):
+            t[start + (k + 1) % p][start + k] = one
+
+    classes = [(a, b) for a in range(n) for b in range(n) if a != b and gens[a] == gens[b]]
+    if kind == "degree":
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                                     if gens[i][1] != gens[j][1] - 1]))
+        d[i][j] = value  # zero in the valid D
+    elif kind in ("action", "square"):
+        # the new generator's boundary is generator i: D e_n = value e_i
+        pool = [i for i in range(n) if kind == "action" or any(row[i] for row in d)]
+        if not pool:  # a fixed killing pair gives a generator with nonzero boundary
+            grow([(act, deg), (act + 1, deg + 1)])
+            d[n][n + 1] = t[n][n] = t[n + 1][n + 1] = one
+            pool, n = [n + 1], n + 2
+        i = draw(st.sampled_from(pool))
+        lift = -draw(st.integers(0, 2)) if kind == "action" else 1
+        grow([(gens[i][0] + lift, gens[i][1] + 1)])
+        d[i][n], t[n][n] = value, one
+    elif kind == "order":
+        if eq.chain_map == Matrix.identity(field, n) or draw(st.booleans()):
+            t = [[2 * x for x in row] for row in t]
+        else:  # T^q = id for primes q != p only if T = id
+            p = 5 if p == 3 else 3
+    elif kind == "commute" and classes and draw(st.booleans()):
+        a, b = draw(st.sampled_from(classes))
+        m = Matrix.from_rows(field, [[value if (r, c) == (a, b) else one if r == c else z
+                                      for c in range(n)] for r in range(n)])
+        t = [list(row) for row in (m @ Matrix.from_rows(field, t) @ m.inverse()).entries]
+    elif kind == "commute":  # D e_{n+p} = e_n, but T e_n = e_{n+1} while T e_{n+p} = e_{n+p}
+        grow([(act, deg)] * p + [(act + 1, deg + 1)])
+        cycle(n)
+        d[n][n + p], t[n + p][n + p] = value, one
+    elif kind == "mix":
+        grow([(act + k, deg) if draw(st.booleans()) else (act, deg + k) for k in range(p)])
+        cycle(n)
+    # relabel the generators, so that a corrupted column can come first
+    perm = draw(st.permutations(range(len(gens))))
+    d, t = ([[m[a][b] for b in perm] for a in perm] for m in (d, t))
+    gens = tuple(gens[k] for k in perm)
+    return (field, gens, Matrix.from_rows(field, d), p, Matrix.from_rows(field, t))
+
+
+def sparse_oracle(m: Matrix) -> tuple:
+    """The nonzero entries of each column of m, by a scan of its rows."""
+    return tuple({i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j]}
+                 for j in range(m.cols))
+
+
+# the message each corruption must give; a conjugated T may still commute
+EXPECTED = {None: (None,), "degree": ("does not drop degree by 1",),
+            "action": ("does not decrease action",),
+            "square": ("boundary squared is nonzero",),
+            "order": ("chain map does not satisfy T^p = id",),
+            "commute": (None, "chain map does not commute with the boundary"),
+            "mix": ("chain map must preserve action and degree",)}
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_complex_checks_equal_the_dense_oracle(kind, data):
+    """`FilteredComplex` and `EquivariantComplex` refuse exactly the inputs the
+    dense oracle refuses, with its first message, and an accepted complex
+    keeps the nonzero entries of D and T as its columns, also after a JSON
+    round trip."""
+    field, gens, boundary, p, chain_map = data.draw(corrupted_complexes(kind))
+    expected = complex_checks_oracle(field, gens, boundary, p, chain_map)
+    assert expected is None and None in EXPECTED[kind] or any(
+        expected is not None and expected.endswith(m) for m in EXPECTED[kind] if m)
+    got = None
+    try:
+        cx = FilteredComplex(field, gens, boundary)
+        assert cx.columns == sparse_oracle(boundary)
+        assert complex_from_obj(through_json(complex_to_obj(cx))).columns == cx.columns
+        eq = EquivariantComplex(p, cx, chain_map)
+        assert eq.columns == sparse_oracle(chain_map)
+    except ValueError as e:
+        got = str(e)
+    assert got == expected
