@@ -11,6 +11,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, _order_key, barcode_of_complex, is_inf, min_gap
+from .persistence import Barcode, barcode_of_complex, is_inf
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
@@ -94,10 +95,12 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
     records = eb.enumerate_records(params)
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
-    leads = [r.action_leading for r in records]
-    leads.sort(key=_order_key)
     # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
-    lead_gap = min_gap(leads) / lam
+    # as integer numerators over their common denominator
+    leads = [r.action_leading for r in records]
+    den = math.lcm(*{x.denominator for x in leads})
+    nums = sorted(x.numerator * den // x.denominator for x in leads)
+    lead_gap = Fraction(min(b - a for a, b in zip(nums, nums[1:])), den) / lam
     header = {
         "p": p,
         "L": ser.frac_str(L),

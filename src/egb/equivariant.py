@@ -2,12 +2,14 @@
 
 A `ZpPersistenceModule` is decomposed once, when built, into its isotypic
 parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  Its order check is
-that the kernel dimensions of A - zeta^k, k = 0..p-1, sum to dim V; its
-commutation check is that every transition maps each part into itself.  The
-eigenspace modules, mu_p, the full-power verdict and w_hat (the longest bar
-of the union of the parts 1..p-1) read the stored parts; V/Fix is the
-independent route to w_hat.  Also the two-window spread of an equivariant
-filtered complex, and the full-power obstruction with its test fixtures."""
+that the kernel dimensions of A - zeta^k, k = 0..p-1, sum to dim V.  A kernel
+basis is the identity at its free columns, so an image's coordinates in a
+part are its rows there, with no elimination, and the commutation check is
+that they give the image back.  The eigenspace modules, mu_p, the full-power
+verdict and w_hat (the longest bar of the union of the parts 1..p-1) read the
+stored parts; V/Fix, read off part 0's free columns, is the independent route
+to w_hat.  Also the two-window spread of an equivariant filtered complex, and
+the full-power obstruction with its test fixtures."""
 
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from .persistence import (
     _apply,
     _axpy,
     _block_diag,
-    _extend_basis,
     _reindex,
     _sparse_columns,
     direct_sum,
@@ -81,8 +82,20 @@ class ZpPersistenceModule:
             if sum(map(len, spaces)) != n:
                 raise ValueError(f"automorphism {i} does not have order dividing p")
             kernels.append(spaces)
-        parts = _induced_modules(self, [([()] * len(kernels), [ks[k] for ks in kernels])
-                                        for k in range(self.p)])
+        # the coordinates of an image in the next interval's part are its rows
+        # at the free columns, and it lies in that part (the action commutes)
+        # iff they give back its other rows
+        field, maps = self.field, [[] for _ in range(self.p)]
+        for i, t in enumerate(self.base.transitions):
+            for src, dst, out in zip(kernels[i], kernels[i + 1], maps):
+                free, rest, b_rest = _frame(field, dst, t.rows)
+                w = t @ Matrix.from_columns(field, src, t.cols)
+                coords = _rows(w, free)
+                if b_rest @ coords != _rows(w, rest):
+                    raise ValueError(f"automorphism does not commute with transition {i}")
+                out.append(coords)
+        parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, bases)),
+                                         tuple(out)) for bases, out in zip(zip(*kernels), maps)]
         object.__setattr__(self, "parts", tuple(parts))
         object.__setattr__(self, "fixed", tuple(ks[0] for ks in kernels))
         object.__setattr__(self, "barcodes", tuple(barcode_of_module(m) for m in parts[1:]))
@@ -145,36 +158,33 @@ def eigenspace_module(
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """The quotient L = V / Fix(A) with the induced persistence maps; Fix(A)
-    is the kernel of part 0, stored when the module was built."""
+    is the kernel B_i of part 0, stored when the module was built.  L_i has
+    the basis e_c, c in P_i (`_frame`), and the transition is the rows P_(i+1)
+    of W - B_(i+1) W[F_(i+1)], for W the columns P_i of T_i."""
     field = module.field
-    complements = []
-    for w, n in zip(module.fixed, module.base.dims):
-        # standard-basis vectors extending Fix(A) to a basis (identity is symmetric)
-        identity = Matrix.identity(field, n)
-        complements.append(tuple(_extend_basis(field, list(w), list(identity.entries), n)))
-    return _induced_modules(module, [(module.fixed, complements)])[0]
-
-
-def _induced_modules(module: ZpPersistenceModule, frames) -> list[FinitePersistenceModule]:
-    """For each (prefixes, bases) of ``frames``, the module span(bases[i])
-    modulo span(prefixes[i]) with the induced transitions: the images of
-    bases[i] are solved in the frame prefixes[i+1] + bases[i+1] of the next
-    interval, all in one elimination, and their coordinates past the prefix
-    are kept.  An image outside the frame means the transition does not
-    commute with the action; the first such transition is the one named."""
-    field, dims = module.field, module.base.dims
-    maps = [[] for _ in frames]
+    frames = [_frame(field, b, n) for b, n in zip(module.fixed, module.base.dims)]
+    maps = []
     for i, t in enumerate(module.base.transitions):
-        for (prefixes, bases), out in zip(frames, maps):
-            prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
-            frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
-            coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
-            if coords is None:
-                raise ValueError(f"automorphism does not commute with transition {i}")
-            out.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
-    return [FinitePersistenceModule(field, module.base.spectrum,
-                                    tuple(map(len, bases)), tuple(out))
-            for (_, bases), out in zip(frames, maps)]
+        kept, (free, rest, b_rest) = frames[i][1], frames[i + 1]
+        w = Matrix(field, t.rows, len(kept), tuple(tuple(r[c] for c in kept) for r in t.entries))
+        maps.append(_rows(w, rest) - b_rest @ _rows(w, free))
+    return FinitePersistenceModule(field, module.base.spectrum,
+                                   tuple(len(rest) for _, rest, _ in frames), tuple(maps))
+
+
+def _frame(field, basis, n: int) -> tuple[list[int], list[int], Matrix]:
+    """(F, P, B[P]) for the matrix B of a `Matrix.kernel_basis` of n-vectors:
+    F its free columns, P the other rows.  B[F] is the identity, so B and the
+    e_c, c in P, are a basis, in which w has the coordinates w[F] along B and
+    w[P] - B[P] w[F] along the e_c: no elimination."""
+    free = [max(j for j, x in enumerate(v) if x) for v in basis]
+    rest = sorted(set(range(n)).difference(free))
+    return free, rest, Matrix(field, len(rest), len(basis),
+                              tuple(tuple(v[r] for v in basis) for r in rest))
+
+
+def _rows(m: Matrix, rows) -> Matrix:
+    return Matrix(m.field, len(rows), m.cols, tuple(m.entries[r] for r in rows))
 
 
 # -- the multiplicity sensitive spread ---------------------------------------
@@ -194,14 +204,20 @@ def mu_from_barcode(barcode: Barcode, p: int) -> Fraction | float:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return max(_spread_candidates(barcode, p), default=Fraction(0))
+    best = (0, 1)
+    for n, d in _spread_candidates(barcode, p):
+        if n * best[1] > best[0] * d:
+            best = (n, d)
+    return Fraction(*best) if best[1] else INF
 
 
 def _spread_candidates(barcode: Barcode, p: int):
     """The value min((y - x)/4, horizon) of each candidate interval (x, y],
     x a birth and y > x a finite death or +inf, whose multiplicity is not
     divisible by p; the horizon is the least c at which an excluded bar
-    contains the 2c-shrink (x + 2c, y - 2c].
+    contains the 2c-shrink (x + 2c, y - 2c].  Each value is an unreduced
+    pair (n, d) of integers, d >= 0, for n / d, and +inf is (1, 0), so that
+    (n, d) < (n', d') iff n d' < n' d and no Fraction is built per candidate.
 
     One pass over the births in the canonical order of `barcode.items`.  The
     infinite bars (rays) enter only through the multiplicity of those born
@@ -225,16 +241,19 @@ def _spread_candidates(barcode: Barcode, p: int):
         below += rays[g]
         while i < len(ranks) and ranks[i] <= g:
             i += 1
-        # twice the horizon the rays set: an excluded ray is born after x
-        reach = births[ranks[i]] - x if i < len(ranks) else INF
+        # the next ray birth r after x sets the horizon (r - x) / 2
+        r = births[ranks[i]] if i < len(ranks) else None
         if below % p:
-            yield reach / 2
+            yield (1, 0) if r is None else (
+                r.numerator * x.denominator - x.numerator * r.denominator,
+                2 * r.denominator * x.denominator)
         for y in deaths[bisect_right(deaths, x):]:
             m = below + sum(k for b, d, k in finite if b <= x and d >= y)
             if m % p:
                 h = min((max(b - x, y - d) for b, d, _ in finite if b > x or d < y),
                         default=INF)
-                yield min((y - x) / 4, min(reach, h) / 2)
+                c = min((y - x) / 4, min(INF if r is None else r - x, h) / 2)
+                yield c.numerator, c.denominator
 
 
 def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction | float:
@@ -411,29 +430,6 @@ def full_power_verdict(barcode: Barcode, p: int) -> str:
     barcode is not divisible by p: the first candidate that
     `_spread_candidates` yields decides it."""
     return "FAIL" if next(_spread_candidates(barcode, p), None) is not None else "PASS"
-
-
-def construct_full_power(
-    seed: FinitePersistenceModule, root: tuple[Matrix, ...]
-) -> ZpPersistenceModule:
-    """Z_p module with action A = B^p from a root B commuting with the
-    transitions; B^{p^2} = id is the module's own check A^p = id.  This is
-    the standard fixture on which the full-power obstruction must PASS."""
-    field = seed.field
-    if not isinstance(field, CyclotomicField):
-        raise ValueError("seed module must live over a cyclotomic field")
-    p = field.p
-    if len(root) != seed.num_intervals:
-        raise ValueError("one root matrix per constancy interval")
-    for i, b in enumerate(root):
-        n = seed.dims[i]
-        if (b.rows, b.cols) != (n, n):
-            raise ValueError(f"root matrix {i} has wrong shape")
-    for i, t in enumerate(seed.transitions):
-        if not (root[i + 1] @ t - t @ root[i]).is_zero():
-            raise ValueError(f"root does not commute with transition {i}")
-    action = tuple(b.matpow(p) for b in root)
-    return ZpPersistenceModule(p, seed, action)
 
 
 def cyclic_permutation_matrix(field, n: int) -> Matrix:

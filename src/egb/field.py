@@ -643,9 +643,10 @@ class Matrix:
     def kernel_basis(self) -> list[tuple]:
         """Basis of the null space; empty iff the matrix is injective.
 
-        One vector per free column fc: the back substitution of -(column fc),
-        with the free variable fc then set to 1.
-        """
+        One vector per free column fc, ascending: the back substitution of
+        -(column fc), with the free variable fc then set to 1.  It is 1 at fc
+        and 0 at every other free column, and fc is its last nonzero entry,
+        since no pivot row past fc has an entry in column fc."""
         m, pivots, inverses, _ = self._echelon()
         pivot_set = set(pivots)
         one = self.field.one()

@@ -179,6 +179,29 @@ def conjugate_module(rng, module: ZpPersistenceModule) -> ZpPersistenceModule:
     return ZpPersistenceModule(module.p, base, action)
 
 
+def construct_full_power(
+    seed: FinitePersistenceModule, root: tuple[Matrix, ...]
+) -> ZpPersistenceModule:
+    """Z_p module with action A = B^p from a root B commuting with the
+    transitions; B^{p^2} = id is the module's own check A^p = id.  This is
+    the standard fixture on which the full-power obstruction must PASS."""
+    field = seed.field
+    if not isinstance(field, CyclotomicField):
+        raise ValueError("seed module must live over a cyclotomic field")
+    p = field.p
+    if len(root) != seed.num_intervals:
+        raise ValueError("one root matrix per constancy interval")
+    for i, b in enumerate(root):
+        n = seed.dims[i]
+        if (b.rows, b.cols) != (n, n):
+            raise ValueError(f"root matrix {i} has wrong shape")
+    for i, t in enumerate(seed.transitions):
+        if not (root[i + 1] @ t - t @ root[i]).is_zero():
+            raise ValueError(f"root does not commute with transition {i}")
+    action = tuple(b.matpow(p) for b in root)
+    return ZpPersistenceModule(p, seed, action)
+
+
 def random_zp_module(rng, p: int, max_blocks: int = 4, conjugate: bool = True,
                      allow_infinite: bool = True) -> ZpPersistenceModule:
     """Random direct sum of scalar interval blocks and (twisted) cyclic tuple

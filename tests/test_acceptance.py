@@ -21,7 +21,6 @@ from egb.eggbeater import (
     validation_threshold,
 )
 from egb.equivariant import (
-    construct_full_power,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
     full_power_check,
@@ -42,6 +41,7 @@ from conftest import (
     asymptotic_limit,
     births,
     conjugate_module,
+    construct_full_power,
     eps_bar,
     finite_deaths,
     min_leading_gap,

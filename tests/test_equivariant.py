@@ -11,7 +11,6 @@ from egb.cli import main
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
-    construct_full_power,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
     eigenspace_module,
@@ -45,6 +44,7 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
     count_calls,
+    construct_full_power,
     cyclo_one,
     eigenspace_module_oracle,
     full_power_verdict_oracle,
@@ -137,13 +137,13 @@ class TestQuotientFix:
 
 
 class TestInducedModuleSolves:
-    """Building a module solves each transition once per isotypic part, each
-    with one `solve_matrix` of the whole basis and no per-vector `solve`; the
-    quotient V/Fix solves each transition once more, and the readers of the
-    stored parts eliminate nothing."""
+    """Building a module takes p kernels per interval and solves nothing
+    after them: each part's transition is the rows of its images at the free
+    columns of the next interval's kernel.  The quotient V/Fix and the
+    readers of the stored parts eliminate nothing at all."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_one_solve_matrix_per_transition(self, rng, monkeypatch, p):
+    def test_no_solve_after_the_kernels(self, rng, monkeypatch, p):
         solves = count_calls(monkeypatch, Matrix, "solve")
         solve_matrices = count_calls(monkeypatch, Matrix, "solve_matrix")
         kernels = count_calls(monkeypatch, Matrix, "kernel_basis")
@@ -156,10 +156,9 @@ class TestInducedModuleSolves:
 
         for _ in range(4):
             m = random_zp_module(rng, p, max_blocks=3)
-            transitions = len(m.base.transitions)
             counts()
             m = ZpPersistenceModule(p, m.base, m.action)
-            assert counts()[:3] == (0, p * transitions, p * len(m.base.dims))
+            assert counts()[:3] == (0, 0, p * len(m.base.dims))
             zetas = [cyclo_zeta(p, k) for k in range(p)]
             for zeta in zetas:
                 eigenspace_module(m, zeta)
@@ -170,7 +169,7 @@ class TestInducedModuleSolves:
                 full_power_check(m, zeta)
             assert counts() == (0, 0, 0, 0)
             quotient_fix_module(m)
-            assert counts()[:3] == (0, transitions, 0)
+            assert counts() == (0, 0, 0, 0)
 
 
 class TestDecomposition:

@@ -1,9 +1,12 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
 Z_p modules, a formatted rational needs no JSON escaping and reads the same
 from its integers as from its Fraction, Q(zeta_p) is a field, the integer
-keys order and merge exact values as Fractions do, and the complex
-constructors' sparse checks agree with the dense oracle.
-Derandomized, so every run draws the same examples."""
+keys order and merge exact values as Fractions do, the complex
+constructors' sparse checks agree with the dense oracle, a kernel basis is
+the identity at its free columns, the Z_p module's parts, V/Fix and checks
+agree with the solve and dense oracles, and the integer spread candidates
+give the grid oracle's mu.  Derandomized, so every run draws the same
+examples."""
 
 import json
 import random
@@ -13,10 +16,24 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from egb.equivariant import EquivariantComplex
+from egb.equivariant import (
+    EquivariantComplex,
+    ZpPersistenceModule,
+    full_power_verdict,
+    mu_from_barcode,
+    quotient_fix_module,
+)
 from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_zeta
 from egb.model import ModelInput
-from egb.persistence import Bar, Barcode, FilteredComplex, INF, _order_key
+from egb.persistence import (
+    Bar,
+    Barcode,
+    FilteredComplex,
+    FinitePersistenceModule,
+    INF,
+    _extend_basis,
+    _order_key,
+)
 from egb.serialize import (
     _ratio_str,
     complex_from_obj,
@@ -33,9 +50,14 @@ from egb.serialize import (
 from conftest import (
     canonical_items_oracle,
     complex_checks_oracle,
+    eigenspace_module_oracle,
+    full_power_verdict_oracle,
+    induced_module_oracle,
     model_input_oracle,
+    mu_from_barcode_oracle,
     random_equivariant_complex,
     random_zp_module,
+    zp_module_checks_oracle,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -322,3 +344,91 @@ def test_complex_checks_equal_the_dense_oracle(kind, data):
     except ValueError as e:
         got = str(e)
     assert got == expected
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Small matrices over Q or Q(zeta_3) whose entries come from a few
+    values, so that columns often depend on the ones before them."""
+    if draw(st.booleans()):
+        field, values = QQ_FIELD, [Fraction(v) for v in (0, 0, 1, -1, 2, Fraction(1, 2))]
+    else:
+        field = CyclotomicField(3)
+        z = cyclo_zeta(3, 1)
+        values = [field.zero(), field.zero(), field.one(), -field.one(), z, z * z, z + 1]
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entries = draw(st.lists(st.lists(st.sampled_from(values), min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    return Matrix(field, rows, cols, tuple(map(tuple, entries)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rank_deficient_matrices())
+def test_kernel_basis_is_the_identity_at_its_free_columns(m):
+    """Each kernel vector has its last nonzero entry at its own free column,
+    is 1 there and 0 at every other free column; the free columns are the
+    non-pivot columns of the echelon form, in ascending order."""
+    basis = m.kernel_basis()
+    free = [max(j for j, x in enumerate(v) if x) for v in basis]
+    assert free == [c for c in range(m.cols) if c not in m._echelon()[1]]
+    one, zero = m.field.one(), m.field.zero()
+    for j, v in enumerate(basis):
+        assert [v[f] for f in free] == [one if k == j else zero for k in range(len(free))]
+        assert not any(m.apply(v))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 2 ** 32))
+def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
+    """The stored isotypic parts and V/Fix, read off the kernels' free
+    columns, equal the modules the solve oracle induces, entry for entry:
+    the parts in the kernel bases, V/Fix in the standard vectors that extend
+    Fix(A) to a basis."""
+    m = random_zp_module(random.Random(seed), p, max_blocks=3)
+    for k, part in enumerate(m.parts):
+        assert part == eigenspace_module_oracle(m, cyclo_zeta(p, k))
+    field = m.field
+    complements = [_extend_basis(field, list(w), list(Matrix.identity(field, n).entries), n)
+                   for w, n in zip(m.fixed, m.base.dims)]
+    oracle = induced_module_oracle(m, [list(w) for w in m.fixed], complements)
+    assert quotient_fix_module(m) == oracle
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 2 ** 32), st.data())
+def test_corrupted_transitions_give_the_oracle_message(p, seed, data):
+    """One or two transitions of a random module, each with one entry
+    changed, are refused exactly when the dense oracle refuses them, with
+    its message, which names the first corrupted transition that no longer
+    commutes with the action."""
+    m = random_zp_module(random.Random(seed), p, max_blocks=3)
+    field, transitions = m.field, list(m.base.transitions)
+    targets = [i for i, t in enumerate(transitions) if t.rows and t.cols]
+    if not targets:
+        return
+    for i in data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True)):
+        ent = [list(row) for row in transitions[i].entries]
+        r, c = data.draw(st.integers(0, len(ent) - 1)), data.draw(st.integers(0, len(ent[0]) - 1))
+        ent[r][c] = ent[r][c] + cyclo_zeta(p, data.draw(st.integers(0, p - 1)))
+        transitions[i] = Matrix.from_rows(field, ent)
+    base = FinitePersistenceModule(field, m.base.spectrum, m.base.dims, tuple(transitions))
+    expected = zp_module_checks_oracle(p, base, m.action)
+    try:
+        ZpPersistenceModule(p, base, m.action)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(bar_items(), st.sampled_from((2, 3, 5)))
+@example([(Bar(0, INF), 1, None), (Bar(6, INF), 1, None)], 2)
+def test_spread_candidates_on_integers_give_the_grid_oracle(items, p):
+    """mu, compared over the candidates' unreduced integer pairs and built
+    as one Fraction (or +inf), and the full-power verdict equal the
+    candidate-grid oracles on small and ~600-bit values."""
+    bc = Barcode(tuple((bar, m, None) for bar, m, _ in items))
+    got, want = mu_from_barcode(bc, p), mu_from_barcode_oracle(bc, p)
+    assert (got, type(got)) == (want, type(want))
+    assert full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p)
