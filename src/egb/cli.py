@@ -11,7 +11,6 @@ import argparse
 import functools
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -95,11 +94,10 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
     records = eb.enumerate_records(params)
     valid = [r for r in records if r.valid]
     gap = eb.min_action_gap(records)
-    # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
-    # as integer numerators over their common denominator
-    leads = [r.action_leading for r in records]
-    den = math.lcm(*{x.denominator for x in leads})
-    nums = sorted(x.numerator * den // x.denominator for x in leads)
+    # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum:
+    # every leading action is an integer over the one denominator 2 K (K lam)
+    (den,) = {r.leading_ratio[1] for r in records}
+    nums = sorted(r.leading_ratio[0] for r in records)
     lead_gap = Fraction(min(b - a for a, b in zip(nums, nums[1:])), den) / lam
     header = {
         "p": p,

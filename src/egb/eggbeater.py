@@ -11,8 +11,10 @@ lattice, coordinates, actions, determinants.  Validation never trusts the
 affine shortcut: every candidate is pushed through the checked piecewise map
 and must come back exactly.  The solver composes the blocks and runs that
 same piecewise map on integer numerators over one shared positive
-denominator, and a valid record keeps the orbit as those integers: the
-points become Fractions only when something reads them.
+denominator, and a valid record keeps the orbit as those integers.  Its
+action, leading action, det(A_bar - id) and kink distance are kept as
+integer numerators and denominators too: all of them become Fractions only
+when something reads them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import is_prime
-from .persistence import _order_key, min_gap
+from .persistence import INF, _order_key, min_gap
 
 
 @dataclass(frozen=True)
@@ -84,17 +86,40 @@ class FixedPointRecord:
     numerators (X_{2j}, Y_{2j}) over one positive denominator `den`; the
     points, the start point and the odd points are Fractions built from them
     when read.  A rejected record stores no points, so its `point` is None
-    and its `even_points` and `odd_points` are empty."""
+    and its `even_points` and `odd_points` are empty.
+
+    The action, the leading action and det(A_bar - id) are kept as the
+    integer (numerator, positive denominator) pairs the solver computes, not
+    reduced, and the kink distance as its numerator over `den`; `action`,
+    `action_leading`, `det` and `kink_distance` are the Fractions built from
+    them when read.  A rejected record has no action or kink distance: its
+    `action_ratio` and `kink_numerator` are None."""
 
     signs: tuple[int, ...]
     valid: bool
     reason: str | None
     numerators: tuple[tuple[int, int], ...]
     den: int
-    action: Fraction | None
-    action_leading: Fraction
-    det: Fraction
-    kink_distance: Fraction | None
+    action_ratio: tuple[int, int] | None
+    leading_ratio: tuple[int, int]
+    det_ratio: tuple[int, int]
+    kink_numerator: int | None
+
+    @property
+    def action(self) -> Fraction | None:
+        return None if self.action_ratio is None else Fraction(*self.action_ratio)
+
+    @property
+    def action_leading(self) -> Fraction:
+        return Fraction(*self.leading_ratio)
+
+    @property
+    def det(self) -> Fraction:
+        return Fraction(*self.det_ratio)
+
+    @property
+    def kink_distance(self) -> Fraction | None:
+        return None if self.kink_numerator is None else Fraction(self.kink_numerator, self.den)
 
     @property
     def even_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -198,11 +223,11 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     k, big_lam, big_rm, big_rn = scale
     unit = k ** (2 * p)
     a, b, c, d, v1, v2, lead_num = composed  # lead_num = K^2 lam^2 (leading sum)
-    lead = Fraction(lead_num, 2 * k * big_lam)
+    lead = (lead_num, 2 * k * big_lam)
     det_num = (a - unit) * (d - unit) - b * c  # K^{4p} det(A_bar - id)
     if det_num != (2 * unit - (a + d)) * unit:
         raise AssertionError("det(A-id) != 2 - trace(A) for a det-1 matrix")
-    det = Fraction(det_num, unit * unit)
+    det = (det_num, unit * unit)
 
     def reject(reason: str) -> FixedPointRecord:
         return FixedPointRecord(signs, False, reason, (), 1, None, lead, det, None)
@@ -262,8 +287,7 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     kink = min(min(mags), den - max(mags))
     return FixedPointRecord(
         signs, True, None, tuple(even), den,
-        Fraction(2 * den * linear + big_lam * squares, 2 * k * den * den), lead, det,
-        Fraction(kink, den),
+        (2 * den * linear + big_lam * squares, 2 * k * den * den), lead, det, kink,
     )
 
 
@@ -307,9 +331,32 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
 
 def min_action_gap(records) -> Fraction | float:
     """Minimum pairwise distance of the exact actions of VALID records; +inf
-    for fewer than two.  The actions are sorted on the integer-first key
-    `persistence._order_key`."""
-    return min_gap(sorted((r.action for r in records if r.valid), key=_order_key))
+    for fewer than two.
+
+    The (numerator, denominator) pairs are sorted on the integer key
+    floor(a 2^64).  Distinct keys order the actions exactly, and 2^64 times
+    the gap of two actions differs from their key difference by less than 1.
+    So with m the least key difference, the gap of that pair is below
+    (m + 1) 2^-64, and no pair whose keys differ by more than m + 1 can have
+    the least gap: only the neighbours within m + 1 are compared exactly, on
+    cross products, and one Fraction is built, for the answer.  Equal keys
+    (actions within 2^-64 of each other) leave the order open, and the
+    actions are then sorted and compared as Fractions."""
+    keyed = sorted(((n << 64) // d, n, d) for n, d in
+                   (r.action_ratio for r in records if r.valid))
+    if len(keyed) < 2:
+        return INF
+    steps = [b[0] - a[0] for a, b in zip(keyed, keyed[1:])]
+    least = min(steps)
+    if least == 0:
+        return min_gap(sorted((Fraction(n, d) for _, n, d in keyed), key=_order_key))
+    best = None
+    for step, (_, n0, d0), (_, n1, d1) in zip(steps, keyed, keyed[1:]):
+        if step <= least + 1:
+            gap = n1 * d0 - n0 * d1, d0 * d1
+            if best is None or gap[0] * best[1] < best[0] * gap[1]:
+                best = gap
+    return Fraction(*best)
 
 
 def _farey_rationals(max_denominator: int) -> list[Fraction]:

@@ -10,11 +10,15 @@ q2 -> 1, q3 -> c, q4 -> c^{-1} b), to reduced words in a, b, c.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 A_, B_, C_ = 1, 2, 3
 _NAMES = {1: "a", 2: "b", 3: "c"}
 _VALUES = {v: k for k, v in _NAMES.items()}
+_LETTERS = frozenset((1, -1, 2, -2, 3, -3))
+# a word is reduced iff its `_image` contains none of these
+_INVERSE_PAIRS = tuple(bytes((x % 256, -x % 256)) for x in _LETTERS)
 
 
 @dataclass(frozen=True)
@@ -24,9 +28,9 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        for x in self.letters:
-            if x == 0 or abs(x) > 3:
-                raise ValueError(f"invalid letter {x}")
+        if not _LETTERS.issuperset(self.letters):
+            bad = next(x for x in self.letters if x not in _LETTERS)
+            raise ValueError(f"invalid letter {bad}")
         object.__setattr__(self, "letters", _reduce(self.letters))
 
     def __len__(self):
@@ -47,7 +51,18 @@ class Word:
         return format_word(self)
 
 
+def _image(letters) -> bytes:
+    """The letters as signed bytes (x mod 256), one per letter."""
+    return array("b", letters).tobytes()
+
+
 def _reduce(letters) -> tuple[int, ...]:
+    """The freely reduced word; a word that is already reduced, as most words
+    built from reduced words are, comes back as it is after six substring
+    searches of its byte image."""
+    image = _image(letters)
+    if not any(pair in image for pair in _INVERSE_PAIRS):
+        return tuple(letters)
     out: list[int] = []
     for x in letters:
         if out and out[-1] == -x:
@@ -70,9 +85,9 @@ def cyclic_reduce(word: Word) -> Word:
 def conjugate_eq(w1: Word, w2: Word) -> bool:
     """Conjugacy in the free group: cyclic reductions are rotations of each
     other, tested via the doubling trick (u is a rotation of v iff |u| = |v|
-    and u occurs in v.v).  Each letter x becomes the byte x + 3, so the
+    and u occurs in v.v).  Each letter becomes one byte of `_image`, so the
     occurrence test is one substring search."""
-    u, v = (bytes(x + 3 for x in cyclic_reduce(w).letters) for w in (w1, w2))
+    u, v = (_image(cyclic_reduce(w).letters) for w in (w1, w2))
     return len(u) == len(v) and u in v + v
 
 

@@ -299,6 +299,28 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _orbit_strs(r: FixedPointRecord) -> tuple[list[tuple[str, str]], str | None]:
+    """frac_str of the even points' coordinates X / D and of the kink
+    distance K / D, all over D = `r.den`.  A stored coordinate has
+    0 < |X| < D, so its reduced denominator D / gcd(X, D) is never 1; its
+    string is made once per distinct gcd.  K is |X| or D - |X| for some
+    coordinate X, and gcd(D - |X|, D) = gcd(|X|, D), so K reuses that
+    coordinate's gcd."""
+    d = r.den
+    dens: dict[int, str] = {}  # gcd -> str(D / gcd)
+    gcds: dict[int, int] = {}  # X -> gcd(X, D)
+    even = []
+    for x, y in r.numerators:
+        gx, gy = gcds[x], gcds[y] = math.gcd(x, d), math.gcd(y, d)
+        even.append((f"{x // gx}/{dens.get(gx) or dens.setdefault(gx, str(d // gx))}",
+                     f"{y // gy}/{dens.get(gy) or dens.setdefault(gy, str(d // gy))}"))
+    kink = r.kink_numerator
+    if kink is None:
+        return even, None
+    g = gcds.get(kink) or gcds.get(-kink) or gcds.get(d - kink) or gcds[kink - d]
+    return even, f"{kink // g}/{dens.get(g) or str(d // g)}"
+
+
 def _points_json(points) -> str:
     if not points:
         return "[]"
@@ -313,14 +335,12 @@ def _record_texts(r: FixedPointRecord, label: str, det: str) -> tuple[str, str]:
     one record.  Each coordinate is formatted once, from its numerator over
     the record's denominator: the start point and the odd points
     (-y_{2j+2}, x_{2j}) reuse the strings of the even points."""
-    d = r.den
-    even = [(_ratio_str(x, d), _ratio_str(y, d)) for x, y in r.numerators]
+    even, kink = _orbit_strs(r)
     p = len(even)
     odd = [(_negated(even[(j + 1) % p][1]), even[j][0]) for j in range(p)]
     x0, y0 = even[0] if even else (None, None)
-    action = frac_str(r.action) if r.action is not None else None
-    kink = frac_str(r.kink_distance) if r.kink_distance is not None else None
-    leading = frac_str(r.action_leading)
+    action = _ratio_str(*r.action_ratio) if r.action_ratio is not None else None
+    leading = _ratio_str(*r.leading_ratio)
     valid = "true" if r.valid else "false"
     reason = r.reason
     reason_json = "null" if reason is None else encode_basestring_ascii(reason)
@@ -356,7 +376,7 @@ def write_records(records, csv_out=None, json_out=None, header: dict | None = No
     Each record is formatted once, and its text is written as soon as it is
     made; only the header values go through `json.dumps`."""
     labels = [r.label() for r in records]
-    dets = [frac_str(r.det) for r in records]
+    dets = [_ratio_str(*r.det_ratio) for r in records]
     members = {
         k: json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in (header or {}).items()
     }

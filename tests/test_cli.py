@@ -510,7 +510,7 @@ class TestEggbeaterCommand:
             first = records[0]
             rejected = type(first)(
                 first.signs, False, "forced rejection for the exit-code test",
-                (), 1, None, first.action_leading, first.det, None,
+                (), 1, None, first.leading_ratio, first.det_ratio, None,
             )
             return [rejected] + records[1:]
 

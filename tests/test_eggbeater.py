@@ -94,7 +94,8 @@ def reference_orbit(p, lam, mu, nu, signs):
     assert det == 2 - (a_bar[0, 0] + a_bar[1, 1])
 
     def reject(reason):
-        return FixedPointRecord(signs, False, reason, (), 1, None, lead, det, None), None, ()
+        return FixedPointRecord(signs, False, reason, (), 1, None, lead.as_integer_ratio(),
+                                det.as_integer_ratio(), None), None, ()
 
     if det == 0:
         return reject("singular system: det(A_bar - id) = 0")
@@ -134,7 +135,9 @@ def reference_orbit(p, lam, mu, nu, signs):
     )
     den = math.lcm(*(v.denominator for pt in even for v in pt))
     numerators = tuple(tuple(v.numerator * (den // v.denominator) for v in pt) for pt in even)
-    record = FixedPointRecord(signs, True, None, numerators, den, action, lead, det, kink)
+    record = FixedPointRecord(signs, True, None, numerators, den, action.as_integer_ratio(),
+                              lead.as_integer_ratio(), det.as_integer_ratio(),
+                              kink.numerator * (den // kink.denominator))
     assert record.even_points == tuple(even)
     return record, (x0, y0), odd
 
@@ -482,6 +485,12 @@ class TestDerivedFields:
                 rec = records[i]
                 ref, point, odd = reference_orbit(p, lam, mu, nu, vectors[i])
                 assert exposed(rec) == exposed(ref)
+                values = (rec.action, rec.action_leading, rec.det, rec.kink_distance)
+                if rec.valid:
+                    assert all(type(v) is F for v in values)
+                else:
+                    assert values[0] is None and values[3] is None
+                    assert type(values[1]) is F and type(values[2]) is F
                 assert rec.point == point
                 assert rec.odd_points == odd
                 if rec.valid:  # the denominator D = lcm(den x0, den y0) K^{2p}
@@ -498,6 +507,20 @@ class TestDerivedFields:
         # p = 1 never rejects; K > 1 at the three lambda off the lattice
         assert seen == ({(True, False), (True, True)} if p == 1 else
                         {(True, False), (True, True), (False, True)})
+
+    def test_valid_records_build_no_fraction(self, monkeypatch):
+        """The solver keeps a valid record's values as integers: enumerating
+        a lattice point where every record validates calls no `Fraction`."""
+        mu, nu = self.PRIMES_MU[:3], self.PRIMES_NU[:3]
+        params = EggBeaterParams(3, FIXTURE_L, lambda_lattice(FIXTURE_L, mu, nu, 1)[0], mu, nu)
+
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built while enumerating")
+
+        monkeypatch.setattr("egb.eggbeater.Fraction", refuse)
+        records = enumerate_records(params)
+        monkeypatch.undo()
+        assert len(records) == 64 and all(r.valid for r in records)
 
 
 class TestGoldenOutput:
@@ -593,7 +616,9 @@ def hand_record(action, leading) -> FixedPointRecord:
     `action` is None."""
     valid = action is not None
     reason = None if valid else "hand-built rejection"
-    return FixedPointRecord((1, 1), valid, reason, (), 1, action, leading, F(1), None)
+    return FixedPointRecord((1, 1), valid, reason, (), 1,
+                            action.as_integer_ratio() if valid else None,
+                            leading.as_integer_ratio(), (1, 1), None)
 
 
 def brute_gap(records):
@@ -639,6 +664,58 @@ class TestGapInLeadingOrder:
         rejected = [hand_record(None, F(k, 3)) for k in range(4)]
         assert is_inf(min_action_gap(rejected))
         assert is_inf(min_action_gap(rejected + [hand_record(F(1, 2), F(1))]))
+
+
+def near_key(rng, key: int, frac: F) -> F:
+    """(key + frac + r / d) / 2^64 for a random ~600-bit d and a small r:
+    floor(a 2^64) = key when frac + r / d < 1."""
+    d = rng.getrandbits(600) | (1 << 599) | 1
+    return (key + frac + F(rng.randint(1, 1000), d)) / 2 ** 64
+
+
+class TestGapCandidateCut:
+    """`min_action_gap` sorts on the key floor(a 2^64) and compares exactly
+    only the neighbours whose keys differ by at most the least key
+    difference plus one; ties fall back to the exact order."""
+
+    def check(self, rng, actions):
+        records = [hand_record(a, F(i)) for i, a in enumerate(actions)]
+        records += [hand_record(None, F(-1))]
+        for _ in range(4):
+            rng.shuffle(records)
+            got = min_action_gap(records)
+            assert type(got) is F
+            assert got == brute_gap(records)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 2 ** 40])
+    def test_least_gap_one_key_step_past_the_least_key_difference(self, rng, m):
+        """Pair A has key difference m and gap (m + 0.9) 2^-64, pair B key
+        difference m + 1 and gap (m + 0.1) 2^-64: the minimum is B's."""
+        base = rng.randrange(-2 ** 80, 2 ** 80)
+        far = base + 3 * m + 10  # every other neighbour is > m + 1 keys apart
+        pair_a = [near_key(rng, base, F(1, 20)), near_key(rng, base + m, F(19, 20))]
+        pair_b = [near_key(rng, far, F(9, 10)), near_key(rng, far + m + 1, F(0))]
+        spread = [near_key(rng, far + (5 + i) * (m + 5), F(1, 2)) for i in range(5)]
+        assert [math.floor(a * 2 ** 64) for a in pair_a + pair_b] == [base, base + m, far,
+                                                                       far + m + 1]
+        assert brute_gap([hand_record(a, F(0)) for a in pair_b]) < (m + F(1, 2)) / 2 ** 64
+        self.check(rng, pair_a + pair_b + spread)
+
+    def test_tied_keys(self, rng):
+        """Actions within 2^-64 of each other share a key, whatever order
+        their numerators and denominators sort in."""
+        for _ in range(20):
+            base = rng.randrange(-2 ** 70, 2 ** 70)
+            tied = [near_key(rng, base, F(rng.randint(1, 9), 10)) for _ in range(3)]
+            others = [near_key(rng, base + rng.choice([-3, -1, 1, 2, 5]), F(1, 3))]
+            self.check(rng, tied + others)
+
+    def test_equal_actions(self, rng):
+        for _ in range(10):
+            a = near_key(rng, rng.randrange(2 ** 70), F(1, 3))
+            b = near_key(rng, rng.randrange(2 ** 70), F(2, 3))
+            self.check(rng, [a, a, b])
+            assert min_action_gap([hand_record(x, F(0)) for x in (a, b, a)]) == 0
 
 
 class TestMinGap:

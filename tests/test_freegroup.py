@@ -56,6 +56,36 @@ class TestReduction:
         deep = parse_word(f"b^{n} a c b^-{n}")
         assert cyclic_reduce(deep) == pairwise(deep) == parse_word("a c")
 
+    def test_reduce_matches_pairwise_loop(self, rng):
+        """Words with inverse pairs planted among random letters reduce to
+        what cancelling the leftmost adjacent inverse pair, one at a time,
+        leaves; a word with none comes back unchanged."""
+        def pairwise(letters):
+            letters = list(letters)
+            i = 0
+            while i + 1 < len(letters):
+                if letters[i] == -letters[i + 1]:
+                    del letters[i:i + 2]
+                    i = max(i - 1, 0)
+                else:
+                    i += 1
+            return tuple(letters)
+
+        for _ in range(300):
+            letters = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randint(0, 12))]
+            for _ in range(rng.randint(0, 4)):
+                x = rng.choice([1, -1, 2, -2, 3, -3])
+                i = rng.randint(0, len(letters))
+                letters[i:i] = [x, -x]
+            assert Word(tuple(letters)).letters == pairwise(letters)
+            reduced = pairwise(letters)
+            assert Word(reduced).letters == reduced
+
+    def test_invalid_letter_names_the_first(self):
+        for letters, bad in [((1, 4, 0), 4), ((0, -7), 0), ((2, -3, -5), -5)]:
+            with pytest.raises(ValueError, match=f"^invalid letter {bad}$"):
+                Word(letters)
+
     def test_parse_word_reads_every_letter(self, rng):
         """Tokens over a, b, c with exponents (zero and negative ones
         included), `1` tokens and `*` separators parse to the word of their

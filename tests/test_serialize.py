@@ -206,7 +206,8 @@ class TestRecordWriter:
         # reasons that JSON must escape and the CSV must keep comma-free
         for i, reason in enumerate(self.REASONS):
             r = records[i]
-            records[i] = type(r)(r.signs, False, reason, (), 1, None, r.action_leading, r.det, None)
+            records[i] = type(r)(r.signs, False, reason, (), 1, None, r.leading_ratio, r.det_ratio,
+                                 None)
         records += _enumerate_core(p, F(3, 2), mu, nu)[:8]  # rejected by the solver
         rng.shuffle(records)  # det_values is in label order, the records are not
         header = {
