@@ -27,7 +27,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, barcode_of_complex, is_inf
+from .persistence import Barcode, barcode_of_complex, is_inf, min_gap
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
@@ -92,13 +92,10 @@ def _dump(obj) -> str:
 def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
     params = eb.EggBeaterParams(p, L, lam, mu, nu)
     records = eb.enumerate_records(params)
-    valid = [r for r in records if r.valid]
+    valid_count = sum(r.valid for r in records)
     gap = eb.min_action_gap(records)
-    # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum:
-    # every leading action is an integer over the one denominator 2 K (K lam)
-    (den,) = {r.leading_ratio[1] for r in records}
-    nums = sorted(r.leading_ratio[0] for r in records)
-    lead_gap = Fraction(min(b - a for a, b in zip(nums, nums[1:])), den) / lam
+    # half the minimum gap of the 4^p leading sums, read off the records' lam/2 * sum
+    lead_gap = min_gap(r.leading_ratio for r in records) / lam
     header = {
         "p": p,
         "L": ser.frac_str(L),
@@ -107,7 +104,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
         "nu": [ser.frac_str(v) for v in nu],
         "windings_m": [params.winding_m(j) for j in range(p)],
         "windings_n": [params.winding_n(j) for j in range(p)],
-        "valid_count": len(valid),
+        "valid_count": valid_count,
         "expected_count": 4 ** p,
         "min_action_gap": ser.frac_str(gap),
         "min_leading_gap_per_lambda": ser.frac_str(lead_gap),
@@ -121,7 +118,7 @@ def _run_eggbeater_once(p, L, mu, nu, lam, out_dir: Path | None):
         with open(f"{stem}.csv", "w") as csv_out, open(f"{stem}.json", "w") as json_out:
             ser.write_records(records, csv_out, json_out, header, det_values=True)
             json_out.write("\n")
-    return len(valid) == 4 ** p
+    return valid_count == 4 ** p
 
 
 def cmd_eggbeater(args) -> int:
@@ -380,8 +377,11 @@ def _run(argv) -> int:
         where = f": {e.filename}" if e.filename is not None else ""
         print(f"error: {e.strerror or e}{where}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import is_prime
-from .persistence import INF, _order_key, min_gap
+from .persistence import min_gap
 
 
 @dataclass(frozen=True)
@@ -331,32 +331,8 @@ def _enumerate_core(p: int, lam: Fraction, mu: tuple, nu: tuple) -> list[FixedPo
 
 def min_action_gap(records) -> Fraction | float:
     """Minimum pairwise distance of the exact actions of VALID records; +inf
-    for fewer than two.
-
-    The (numerator, denominator) pairs are sorted on the integer key
-    floor(a 2^64).  Distinct keys order the actions exactly, and 2^64 times
-    the gap of two actions differs from their key difference by less than 1.
-    So with m the least key difference, the gap of that pair is below
-    (m + 1) 2^-64, and no pair whose keys differ by more than m + 1 can have
-    the least gap: only the neighbours within m + 1 are compared exactly, on
-    cross products, and one Fraction is built, for the answer.  Equal keys
-    (actions within 2^-64 of each other) leave the order open, and the
-    actions are then sorted and compared as Fractions."""
-    keyed = sorted(((n << 64) // d, n, d) for n, d in
-                   (r.action_ratio for r in records if r.valid))
-    if len(keyed) < 2:
-        return INF
-    steps = [b[0] - a[0] for a, b in zip(keyed, keyed[1:])]
-    least = min(steps)
-    if least == 0:
-        return min_gap(sorted((Fraction(n, d) for _, n, d in keyed), key=_order_key))
-    best = None
-    for step, (_, n0, d0), (_, n1, d1) in zip(steps, keyed, keyed[1:]):
-        if step <= least + 1:
-            gap = n1 * d0 - n0 * d1, d0 * d1
-            if best is None or gap[0] * best[1] < best[0] * gap[1]:
-                best = gap
-    return Fraction(*best)
+    for fewer than two (`persistence.min_gap` on their integer pairs)."""
+    return min_gap(r.action_ratio for r in records if r.valid)
 
 
 def _farey_rationals(max_denominator: int) -> list[Fraction]:

@@ -32,10 +32,11 @@ class ModelInput:
             raise ValueError(f"p must be prime, got {self.p}")
         keyed = sorted((_order_key(a if isinstance(a, Fraction) else Fraction(a)), int(d))
                        for a, d in self.tuples)
-        if any(a == b for (a, _), (b, _) in zip(keyed, keyed[1:])):
-            raise ValueError("tuple actions must be pairwise distinct")
         object.__setattr__(self, "tuples", tuple((a, d) for (_, a), d in keyed))
-        object.__setattr__(self, "gap", min_gap([a for a, _ in self.tuples]))
+        gap = min_gap(a.as_integer_ratio() for a, _ in self.tuples)
+        if gap == 0:
+            raise ValueError("tuple actions must be pairwise distinct")
+        object.__setattr__(self, "gap", gap)
 
 
 def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:

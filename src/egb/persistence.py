@@ -30,18 +30,34 @@ def is_inf(x) -> bool:
     return isinstance(x, float) and x == INF
 
 
-def min_gap(ordered) -> Fraction | float:
-    """Least difference of neighbours in a sorted sequence of Fractions; +inf
-    for fewer than two values.  The differences stay unreduced,
-    (n, d) < (n', d') iff n d' < n' d, and only the minimum is reduced: a gcd
-    per difference would cost more."""
+def min_gap(pairs) -> Fraction | float:
+    """Least distance between the values n / d of integer pairs (n, d > 0),
+    given in any order and not necessarily reduced; +inf for fewer than two.
+
+    The pairs are sorted on the integer key floor(n 2^64 / d).  Distinct keys
+    order the values exactly, and 2^64 times the gap of two values differs
+    from their key difference by less than 1.  So with m the least key
+    difference of neighbours, the gap of that pair is below (m + 1) 2^-64,
+    and no pair whose keys differ by more than m + 1 can have the least gap:
+    only the neighbours within m + 1 are compared exactly, on cross
+    products, and one Fraction is built, for the answer.  Tied keys (m = 0)
+    leave the order open, so the pairs are re-sorted by key, then exact
+    value; the same cut holds, since in exact order keys 2 or more apart
+    mean a gap above 2^-64, and the least gap is below it."""
+    keyed = sorted(((n << 64) // d, n, d) for n, d in pairs)
+    if len(keyed) < 2:
+        return INF
+    steps = [b[0] - a[0] for a, b in zip(keyed, keyed[1:])]
+    least = min(steps)
+    if least == 0:  # the re-sort keeps the keys, so the steps too
+        keyed.sort(key=lambda t: (t[0], Fraction(t[1], t[2])))
     best = None
-    for a, b in zip(ordered, ordered[1:]):
-        n = b.numerator * a.denominator - a.numerator * b.denominator
-        d = a.denominator * b.denominator
-        if best is None or n * best[1] < best[0] * d:
-            best = (n, d)
-    return INF if best is None else Fraction(*best)
+    for step, (_, n0, d0), (_, n1, d1) in zip(steps, keyed, keyed[1:]):
+        if step <= least + 1:
+            gap = n1 * d0 - n0 * d1, d0 * d1
+            if best is None or gap[0] * best[1] < best[0] * gap[1]:
+                best = gap
+    return Fraction(*best)
 
 
 def _order_key(x: Fraction) -> tuple:

@@ -1179,10 +1179,6 @@ def frac_cyclo_from_rational(p: int, q) -> FracCyclotomicNumber:
     return FracCyclotomicNumber(p, tuple(coords))
 
 
-def frac_cyclo_zero(p: int) -> FracCyclotomicNumber:
-    return frac_cyclo_from_rational(p, 0)
-
-
 def frac_cyclo_one(p: int) -> FracCyclotomicNumber:
     return frac_cyclo_from_rational(p, 1)
 

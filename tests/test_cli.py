@@ -127,6 +127,18 @@ class TestFreegroupCommands:
         assert proc.stderr == (
             "error: bad winding 'x' in segment 'V:A-A:x'; expected an integer\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("reduce", "a^99999999999999"), "out of memory"),
+        (("reduce", "a^9223372036854775808"), "cannot fit 'int' into an index-sized integer"),
+        (("itinerary", "V:A-A:99999999999999"), "out of memory"),
+    ])
+    def test_huge_exponent_exits_one(self, argv, message):
+        """An exponent past any list the machine can hold fails at once, before
+        allocating, and ends in one error line."""
+        proc = run_subprocess("freegroup", *argv)
+        assert_clean_error(proc)
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
 
 class TestOperandCounts:
     """A wrong number of positional arguments, a non-integer `si`

@@ -676,7 +676,7 @@ def near_key(rng, key: int, frac: F) -> F:
 class TestGapCandidateCut:
     """`min_action_gap` sorts on the key floor(a 2^64) and compares exactly
     only the neighbours whose keys differ by at most the least key
-    difference plus one; ties fall back to the exact order."""
+    difference plus one; tied keys are re-sorted in exact order."""
 
     def check(self, rng, actions):
         records = [hand_record(a, F(i)) for i, a in enumerate(actions)]
@@ -719,8 +719,19 @@ class TestGapCandidateCut:
 
 
 class TestMinGap:
-    """`persistence.min_gap` on a sorted sequence is its least pairwise
-    distance, the brute-force minimum over all pairs."""
+    """`persistence.min_gap` on integer (numerator, denominator) pairs, in any
+    order and not necessarily reduced, is the least pairwise distance of their
+    values, the brute-force minimum over all pairs."""
+
+    @staticmethod
+    def pairs(rng, values):
+        """Each value as a pair scaled by a random factor, shuffled."""
+        out = []
+        for a in values:
+            c = rng.randint(1, 9)
+            out.append((c * a.numerator, c * a.denominator))
+        rng.shuffle(out)
+        return out
 
     def test_matches_all_pairs(self, rng):
         for i in range(60):
@@ -729,17 +740,33 @@ class TestMinGap:
                        for _ in range(rng.randint(0, 3))]
             if i % 2:
                 values = list(set(values))  # distinct values, so the gap is positive
-            values.sort()
-            got = min_gap(values)
+            got = min_gap(self.pairs(rng, values))
             assert type(got) is F
-            assert got == min(b - a for j, a in enumerate(values) for b in values[j + 1:])
+            assert got == min(abs(b - a) for j, a in enumerate(values) for b in values[j + 1:])
 
-    def test_equal_neighbours_give_zero(self):
-        assert min_gap([F(-1, 3), F(7, 3), F(14, 6), F(5)]) == 0
+    def test_equal_neighbours_give_zero(self, rng):
+        pairs = [(-1, 3), (7, 3), (14, 6), (5, 1)]
+        rng.shuffle(pairs)
+        assert min_gap(pairs) == 0
+        assert min_gap([(2, 6), (5, 1), (1, 3)]) == 0
+
+    def test_tied_keys_with_distinct_values(self, rng):
+        """Values within 2^-64 of each other share the key floor(a 2^64), so
+        the least key difference is 0 and the pairs are re-sorted exactly."""
+        for _ in range(20):
+            base = rng.randrange(-2 ** 70, 2 ** 70)
+            values = [near_key(rng, base, F(k, 10)) for k in rng.sample(range(1, 10), 4)]
+            values += [near_key(rng, base + rng.choice([-3, -1, 1, 2, 5]), F(1, 3))]
+            pairs = self.pairs(rng, values)
+            assert len({n * 2 ** 64 // d for n, d in pairs}) < len(pairs)
+            got = min_gap(pairs)
+            assert type(got) is F and got > 0
+            assert got == min(abs(b - a) for j, a in enumerate(values) for b in values[j + 1:])
 
     def test_fewer_than_two_values(self):
         assert is_inf(min_gap([]))
-        assert is_inf(min_gap([F(3, 7)]))
+        assert is_inf(min_gap([(3, 7)]))
+        assert is_inf(min_gap([(6, 14)]))
 
 
 class TestLeadingCoefficients:
