@@ -398,13 +398,13 @@ def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
     return [step * i for i in range(1, count + 1)]
 
 
-def validation_threshold(
-    p: int, L, mu, nu, max_steps: int = 12
-) -> tuple[Fraction, list[FixedPointRecord]]:
-    """Smallest lattice lambda at which all 2^{2p} sign vectors validate.
+def validation_threshold(p: int, L, mu, nu) -> tuple[Fraction, list[FixedPointRecord]]:
+    """Smallest of the first 12 lattice lambdas at which all 2^{2p} sign
+    vectors validate.
 
     Existence is only known asymptotically, so this reports the empirical
     threshold instead of asserting one."""
+    max_steps = 12
     for lam in lambda_lattice(L, mu, nu, max_steps):
         params = EggBeaterParams(p, L, lam, tuple(mu), tuple(nu))
         records = enumerate_records(params)

@@ -8,15 +8,14 @@ part are its rows there, with no elimination, and the commutation check is
 that they give the image back.  The eigenspace modules, mu_p, the full-power
 verdict and w_hat (the longest bar of the union of the parts 1..p-1) read the
 stored parts; V/Fix, read off part 0's free columns, is the independent route
-to w_hat.  Also the two-window spread of an equivariant filtered complex, and
-the full-power obstruction with its test fixtures."""
+to w_hat.  Also the two-window spread of an equivariant filtered complex, the
+full-power obstruction and the cyclic tuple module."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-import random
 
 from .field import (
     CyclotomicField,
@@ -33,10 +32,8 @@ from .persistence import (
     _NormalForm,
     _apply,
     _axpy,
-    _block_diag,
     _reindex,
     _sparse_columns,
-    direct_sum,
     homology_basis,
     induced_homology_rank,
     is_inf,
@@ -467,21 +464,7 @@ def cyclic_tuple_module(action_value, p: int, death=INF) -> ZpPersistenceModule:
     return ZpPersistenceModule(p, base, action)
 
 
-def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersistenceModule:
-    """Direct sum of Z_p modules on the common spectrum refinement."""
-    if a.p != b.p:
-        raise ValueError("direct sum of modules with different p")
-    base = direct_sum(a.base, b.base)
-
-    def refined_action(mod: ZpPersistenceModule) -> list[Matrix]:
-        # the value at a spectrum point is the left limit; the top interval is last
-        return [mod.action[mod.base.interval_index(s)] for s in base.spectrum] + [mod.action[-1]]
-
-    action = tuple(_block_diag(x, y) for x, y in zip(refined_action(a), refined_action(b)))
-    return ZpPersistenceModule(a.p, base, action)
-
-
-# -- stabilization and interleaving -------------------------------------------
+# -- stabilization ------------------------------------------------------------
 
 
 def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int, Barcode]:
@@ -500,65 +483,3 @@ def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int,
             piece = barcode.repeat(b)
             out[target] = out[target].union(piece) if target in out else piece
     return out
-
-
-def shift_module(module: ZpPersistenceModule, shifts) -> ZpPersistenceModule:
-    """Same module with spectrum point i moved by shifts[i] (order-preserving)."""
-    spectrum = module.base.spectrum
-    shifts = [Fraction(s) for s in shifts]
-    if len(shifts) != len(spectrum):
-        raise ValueError("one shift per spectrum point")
-    new_spec = tuple(s + d for s, d in zip(spectrum, shifts))
-    if any(new_spec[i] >= new_spec[i + 1] for i in range(len(new_spec) - 1)):
-        raise ValueError("shifts must preserve the spectrum ordering")
-    base = FinitePersistenceModule(
-        module.field, new_spec, module.base.dims, module.base.transitions
-    )
-    return ZpPersistenceModule(module.p, base, module.action)
-
-
-def random_order_preserving_shifts(
-    spectrum, delta, rng: random.Random, grid: int = 16
-) -> list[Fraction]:
-    """Per-point shifts of magnitude <= delta keeping the order strict."""
-    delta = Fraction(delta)
-    shifts: list[Fraction] = []
-    prev = None
-    for s in spectrum:
-        lo = s - delta
-        if prev is not None and prev >= lo:
-            lo = prev
-        hi = s + delta
-        # sample strictly inside (lo, hi]
-        k = rng.randint(1, grid)
-        t = lo + (hi - lo) * Fraction(k, grid)
-        shifts.append(t - s)
-        prev = t
-    return shifts
-
-
-def perturb_and_check_lipschitz(
-    module: ZpPersistenceModule,
-    delta,
-    shifts=None,
-    rng: random.Random | None = None,
-) -> bool:
-    """Shift every spectrum point by at most delta (an explicit equivariant
-    delta-interleaving) and check |mu_p(V) - mu_p(W)| <= delta."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if shifts is None:
-        if rng is not None:
-            shifts = random_order_preserving_shifts(module.base.spectrum, delta, rng)
-        else:
-            shifts = [delta] * len(module.base.spectrum)
-    if any(abs(Fraction(s)) > delta for s in shifts):
-        raise ValueError("a shift exceeds delta")
-    perturbed = shift_module(module, shifts)
-    a, b = mu_p(module), mu_p(perturbed)
-    if is_inf(a) and is_inf(b):
-        return True
-    if is_inf(a) or is_inf(b):
-        return False
-    return abs(a - b) <= delta

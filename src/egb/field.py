@@ -481,17 +481,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.rows}x{self.cols}")
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = z
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if not a:
-                    continue
-                acc = acc + a * vec[k]
-            out.append(acc)
-        return tuple(out)
+        return (self @ Matrix.from_columns(self.field, [vec], self.cols)).column(0)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -509,13 +499,7 @@ class Matrix:
             row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(self.entries)))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.cols, self.rows,
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-        )
+        return Matrix.from_columns(self.field, self.entries, self.cols)
 
     def matpow(self, n: int) -> "Matrix":
         if self.rows != self.cols:

@@ -19,6 +19,7 @@ _VALUES = {v: k for k, v in _NAMES.items()}
 _LETTERS = frozenset((1, -1, 2, -2, 3, -3))
 # a word is reduced iff its `_image` contains none of these
 _INVERSE_PAIRS = tuple(bytes((x % 256, -x % 256)) for x in _LETTERS)
+MAX_LETTERS = 10 ** 7  # the longest word a text or an itinerary may expand to
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,15 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word(self.letters * n)
-
     def __str__(self):
         return format_word(self)
+
+
+def _check_length(count: int, what: str) -> None:
+    """Refuse a word of `count` > `MAX_LETTERS` letters before the excess is built."""
+    if count > MAX_LETTERS:
+        raise ValueError(f"{what} expands to at least {count} letters, "
+                         f"over the limit of {MAX_LETTERS}")
 
 
 def _image(letters) -> bytes:
@@ -135,6 +138,7 @@ def _parse_groupoid(tokens: list[str]) -> Word:
             if at != "A":
                 raise ValueError(f"loop letter {name!r} used away from the square A")
             base = _VALUES[name]
+            _check_length(len(letters) + abs(exp), "word")
             letters.extend([base if exp > 0 else -base] * abs(exp))
             continue
         if name not in _EDGE_ENDS:
@@ -240,18 +244,18 @@ def parse_itinerary(text: str) -> Itinerary:
     return Itinerary(tuple(segments))
 
 
-def _segment_letters(segment: Segment) -> list[int]:
-    """Image in Free<a,b,c> of one flow segment, from the trajectory-type
-    table: the edge back to A when it starts at B, winding - 1 loops (winding
-    loops for A -> A), and the edge into B when it ends there."""
+def _segment_parts(segment: Segment) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+    """(head, loop, n, tail): the image in Free<a,b,c> of one flow segment is
+    head, n loop letters and tail, from the trajectory-type table: the edge
+    back to A when it starts at B, winding - 1 loops (winding loops for
+    A -> A), and the edge into B when it ends there."""
     loop = A_ if segment.flow == "V" else B_
     into, back = ("q1", "q2") if segment.flow == "V" else ("q3", "q4")
-    w = segment.winding
     if (segment.src, segment.dst) == ("A", "A"):
-        return [loop] * w
+        return (), loop, segment.winding, ()
     head = _EDGE_IMAGE[back] if segment.src == "B" else ()
     tail = _EDGE_IMAGE[into] if segment.dst == "B" else ()
-    return [*head, *[loop] * (w - 1), *tail]
+    return head, loop, segment.winding - 1, tail
 
 
 def itinerary_to_word(itinerary: Itinerary) -> Word:
@@ -259,7 +263,9 @@ def itinerary_to_word(itinerary: Itinerary) -> Word:
     segments chain, so the groupoid word of a loop at A is composable."""
     if not itinerary.is_loop_at_a():
         raise ValueError("itinerary must be a loop based at A")
-    return Word(tuple(x for seg in itinerary.segments for x in _segment_letters(seg)))
+    parts = [_segment_parts(seg) for seg in itinerary.segments]
+    _check_length(sum(len(head) + n + len(tail) for head, _, n, tail in parts), "itinerary")
+    return Word(tuple(x for head, loop, n, tail in parts for x in head + (loop,) * n + tail))
 
 
 def canonical_itinerary(windings_v, windings_h) -> Itinerary:

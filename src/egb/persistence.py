@@ -240,10 +240,6 @@ class FinitePersistenceModule:
     def num_intervals(self) -> int:
         return len(self.dims)
 
-    def interval_index(self, t) -> int:
-        """Index of the constancy interval containing t (left-limit convention)."""
-        return bisect.bisect_left(self.spectrum, Fraction(t))
-
     def composite(self, u: int, v: int) -> Matrix:
         """Composite transition from constancy interval u to interval v >= u;
         kept in the library only because the benchmark tracer wraps it by name."""
@@ -295,48 +291,6 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
         basis = Matrix(field, n, len(pivots),
                        tuple(tuple(row[c] for c in pivots) for row in stacked.entries))
     return Barcode.of(bars + [Bar(b, INF) for b in births])
-
-
-def refine_module(
-    module: FinitePersistenceModule, points
-) -> FinitePersistenceModule:
-    """Same module on a spectrum enlarged by extra points (identity across them)."""
-    new_spec = sorted(set(module.spectrum) | {Fraction(p) for p in points})
-    dims = []
-    transitions = []
-    for i, s in enumerate(new_spec):
-        u = module.interval_index(s)
-        dims.append(module.dims[u])
-        if s in module.spectrum:
-            transitions.append(module.transitions[module.spectrum.index(s)])
-        else:
-            transitions.append(Matrix.identity(module.field, module.dims[u]))
-    dims.append(module.dims[-1])
-    return FinitePersistenceModule(
-        module.field, tuple(new_spec), tuple(dims), tuple(transitions)
-    )
-
-
-def direct_sum(
-    a: FinitePersistenceModule, b: FinitePersistenceModule
-) -> FinitePersistenceModule:
-    """Direct sum, on the common refinement of the two spectra."""
-    if a.field != b.field:
-        raise ValueError("direct sum over different fields")
-    common = sorted(set(a.spectrum) | set(b.spectrum))
-    ra, rb = refine_module(a, common), refine_module(b, common)
-    dims = tuple(da + db for da, db in zip(ra.dims, rb.dims))
-    transitions = tuple(_block_diag(ta, tb) for ta, tb in zip(ra.transitions, rb.transitions))
-    return FinitePersistenceModule(a.field, tuple(common), dims, transitions)
-
-
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    """The block-diagonal matrix diag(a, b) over the field of a."""
-    z = a.field.zero()
-    rows = tuple(row + (z,) * b.cols for row in a.entries) + tuple(
-        (z,) * a.cols + row for row in b.entries
-    )
-    return Matrix(a.field, a.rows + b.rows, a.cols + b.cols, rows)
 
 
 # -- filtered chain complexes --------------------------------------------------
@@ -557,27 +511,6 @@ def homology_basis(complex_: FilteredComplex, r: int):
     return idx_r, cycles, _boundary_block(complex_, idx_r, idx_rp1)
 
 
-def window_homology(complex_: FilteredComplex, a, b, r: int):
-    """Dimension and a homology basis of the (a, b) quotient complex in degree r.
-
-    The basis is the b_x of `_NormalForm.window_basis`, as coordinates over
-    the window's degree-r generators (returned alongside, as indices into
-    the original complex).
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError("window requires a < b")
-    _check_window(complex_, a, b)
-    idx = [i for i, (act, d) in enumerate(complex_.generators) if d == r and a < act < b]
-    if not idx:
-        return 0, [], []
-    nf = _NormalForm(complex_)
-    z = complex_.field.zero()
-    chosen = [tuple(nf.basis[x].get(nf.pos[g], z) for g in idx)
-              for x in nf.window_basis(a, b, r)]
-    return len(chosen), chosen, idx
-
-
 def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
                   dim: int) -> list[tuple]:
     """The candidates independent of ``basis`` and of the candidates before
@@ -628,13 +561,13 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     """Exactness of the prescribed sequence V^{(a,b)} -> V^{(a,c)} -> V^{(b,c)}
     -> V^{(a,b)}[1] in window homology.
 
-    The maps are evaluated on the normal-form bases of `window_homology`, and
-    each image is written in the target basis by back substitution: j1 and
-    j2 take b_x to the target window, and the connecting map applies the
-    boundary D to b_x and keeps its part in (a, b).  An image that is not a
-    window cycle fails the check.  At every degree, consecutive maps must
-    compose to zero and ranks must add up to the middle dimension (im = ker
-    at each node).
+    The maps are evaluated on the normal-form bases of
+    `_NormalForm.window_basis`, and each image is written in the target basis
+    by back substitution: j1 and j2 take b_x to the target window, and the
+    connecting map applies the boundary D to b_x and keeps its part in
+    (a, b).  An image that is not a window cycle fails the check.  At every
+    degree, consecutive maps must compose to zero and ranks must add up to
+    the middle dimension (im = ker at each node).
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not a < b < c:

@@ -232,13 +232,6 @@ def module_from_obj(obj) -> FinitePersistenceModule:
     return FinitePersistenceModule(field, spectrum, dims, transitions)
 
 
-def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
-    obj = module_to_obj(module.base)
-    obj["p"] = module.p
-    obj["action"] = [matrix_to_obj(a) for a in module.action]
-    return obj
-
-
 def zp_module_from_obj(obj) -> ZpPersistenceModule:
     p = parse_int(_field(_require_object(obj, "module"), "p", "module"), "p")
     base_obj = dict(obj)
@@ -303,21 +296,18 @@ def _orbit_strs(r: FixedPointRecord) -> tuple[list[tuple[str, str]], str | None]
     """frac_str of the even points' coordinates X / D and of the kink
     distance K / D, all over D = `r.den`.  A stored coordinate has
     0 < |X| < D, so its reduced denominator D / gcd(X, D) is never 1; its
-    string is made once per distinct gcd.  K is |X| or D - |X| for some
-    coordinate X, and gcd(D - |X|, D) = gcd(|X|, D), so K reuses that
-    coordinate's gcd."""
+    string is made once per distinct gcd."""
     d = r.den
     dens: dict[int, str] = {}  # gcd -> str(D / gcd)
-    gcds: dict[int, int] = {}  # X -> gcd(X, D)
     even = []
     for x, y in r.numerators:
-        gx, gy = gcds[x], gcds[y] = math.gcd(x, d), math.gcd(y, d)
+        gx, gy = math.gcd(x, d), math.gcd(y, d)
         even.append((f"{x // gx}/{dens.get(gx) or dens.setdefault(gx, str(d // gx))}",
                      f"{y // gy}/{dens.get(gy) or dens.setdefault(gy, str(d // gy))}"))
     kink = r.kink_numerator
     if kink is None:
         return even, None
-    g = gcds.get(kink) or gcds.get(-kink) or gcds.get(d - kink) or gcds[kink - d]
+    g = math.gcd(kink, d)
     return even, f"{kink // g}/{dens.get(g) or str(d // g)}"
 
 
@@ -427,9 +417,10 @@ def bounds_report_to_obj(report: BoundsReport, provenance: dict | None = None) -
 # -- SVG ----------------------------------------------------------------------------
 
 
-def barcode_svg(barcode: Barcode, width: int = 640, row_height: int = 14) -> str:
+def barcode_svg(barcode: Barcode) -> str:
     """Bars as horizontal segments ordered by birth; infinite bars run to the
     right margin and are drawn dashed."""
+    width, row_height = 640, 14
     bars = barcode.expand()  # already birth-sorted by canonical order
     if not bars:
         return (

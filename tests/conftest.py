@@ -3,6 +3,7 @@
 The seed comes from EGB_SEED (default 0) so failures reproduce exactly.
 """
 
+import bisect
 import os
 import random
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from egb.equivariant import (
     _SpreadWindow,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
-    zp_direct_sum,
+    mu_p,
 )
 from egb.bottleneck import hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
@@ -31,6 +32,8 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
+    _NormalForm,
+    _check_window,
     _extend_basis,
     _reindex,
     homology_basis,
@@ -40,7 +43,7 @@ from egb.persistence import (
     window_complex,
 )
 from egb.field import QQ_FIELD
-from egb.serialize import frac_str
+from egb.serialize import frac_str, matrix_to_obj, module_to_obj
 
 
 SEED = int(os.environ.get("EGB_SEED", "0"))
@@ -546,6 +549,132 @@ def complex_checks_oracle(field: Field, generators, boundary: Matrix, p: int | N
     return None
 
 
+# -- direct sums, refinements and spectrum shifts ----------------------------
+
+
+def interval_index(module: FinitePersistenceModule, t) -> int:
+    """Index of the constancy interval containing t (left-limit convention)."""
+    return bisect.bisect_left(module.spectrum, Fraction(t))
+
+
+def refine_module(
+    module: FinitePersistenceModule, points
+) -> FinitePersistenceModule:
+    """Same module on a spectrum enlarged by extra points (identity across them)."""
+    new_spec = sorted(set(module.spectrum) | {Fraction(p) for p in points})
+    dims = []
+    transitions = []
+    for i, s in enumerate(new_spec):
+        u = interval_index(module, s)
+        dims.append(module.dims[u])
+        if s in module.spectrum:
+            transitions.append(module.transitions[module.spectrum.index(s)])
+        else:
+            transitions.append(Matrix.identity(module.field, module.dims[u]))
+    dims.append(module.dims[-1])
+    return FinitePersistenceModule(
+        module.field, tuple(new_spec), tuple(dims), tuple(transitions)
+    )
+
+
+def direct_sum(
+    a: FinitePersistenceModule, b: FinitePersistenceModule
+) -> FinitePersistenceModule:
+    """Direct sum, on the common refinement of the two spectra."""
+    if a.field != b.field:
+        raise ValueError("direct sum over different fields")
+    common = sorted(set(a.spectrum) | set(b.spectrum))
+    ra, rb = refine_module(a, common), refine_module(b, common)
+    dims = tuple(da + db for da, db in zip(ra.dims, rb.dims))
+    transitions = tuple(_block_diag(ta, tb) for ta, tb in zip(ra.transitions, rb.transitions))
+    return FinitePersistenceModule(a.field, tuple(common), dims, transitions)
+
+
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix diag(a, b) over the field of a."""
+    z = a.field.zero()
+    rows = tuple(row + (z,) * b.cols for row in a.entries) + tuple(
+        (z,) * a.cols + row for row in b.entries
+    )
+    return Matrix(a.field, a.rows + b.rows, a.cols + b.cols, rows)
+
+
+def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersistenceModule:
+    """Direct sum of Z_p modules on the common spectrum refinement."""
+    if a.p != b.p:
+        raise ValueError("direct sum of modules with different p")
+    base = direct_sum(a.base, b.base)
+
+    def refined_action(mod: ZpPersistenceModule) -> list[Matrix]:
+        # the value at a spectrum point is the left limit; the top interval is last
+        return [mod.action[interval_index(mod.base, s)] for s in base.spectrum] + [mod.action[-1]]
+
+    action = tuple(_block_diag(x, y) for x, y in zip(refined_action(a), refined_action(b)))
+    return ZpPersistenceModule(a.p, base, action)
+
+
+def shift_module(module: ZpPersistenceModule, shifts) -> ZpPersistenceModule:
+    """Same module with spectrum point i moved by shifts[i] (order-preserving)."""
+    spectrum = module.base.spectrum
+    shifts = [Fraction(s) for s in shifts]
+    if len(shifts) != len(spectrum):
+        raise ValueError("one shift per spectrum point")
+    new_spec = tuple(s + d for s, d in zip(spectrum, shifts))
+    if any(new_spec[i] >= new_spec[i + 1] for i in range(len(new_spec) - 1)):
+        raise ValueError("shifts must preserve the spectrum ordering")
+    base = FinitePersistenceModule(
+        module.field, new_spec, module.base.dims, module.base.transitions
+    )
+    return ZpPersistenceModule(module.p, base, module.action)
+
+
+def random_order_preserving_shifts(
+    spectrum, delta, rng: random.Random, grid: int = 16
+) -> list[Fraction]:
+    """Per-point shifts of magnitude <= delta keeping the order strict."""
+    delta = Fraction(delta)
+    shifts: list[Fraction] = []
+    prev = None
+    for s in spectrum:
+        lo = s - delta
+        if prev is not None and prev >= lo:
+            lo = prev
+        hi = s + delta
+        # sample strictly inside (lo, hi]
+        k = rng.randint(1, grid)
+        t = lo + (hi - lo) * Fraction(k, grid)
+        shifts.append(t - s)
+        prev = t
+    return shifts
+
+
+def perturb_and_check_lipschitz(
+    module: ZpPersistenceModule,
+    delta,
+    shifts=None,
+    rng: random.Random | None = None,
+) -> bool:
+    """Shift every spectrum point by at most delta (an explicit equivariant
+    delta-interleaving) and check |mu_p(V) - mu_p(W)| <= delta."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if shifts is None:
+        if rng is not None:
+            shifts = random_order_preserving_shifts(module.base.spectrum, delta, rng)
+        else:
+            shifts = [delta] * len(module.base.spectrum)
+    if any(abs(Fraction(s)) > delta for s in shifts):
+        raise ValueError("a shift exceeds delta")
+    perturbed = shift_module(module, shifts)
+    a, b = mu_p(module), mu_p(perturbed)
+    if is_inf(a) and is_inf(b):
+        return True
+    if is_inf(a) or is_inf(b):
+        return False
+    return abs(a - b) <= delta
+
+
 # -- Z_p module oracles ----------------------------------------------------------
 
 
@@ -697,7 +826,28 @@ def full_power_verdict_oracle(barcode: Barcode, p: int) -> str:
     return "FAIL" if any(m % p for _, m in _candidate_intervals(barcode)) else "PASS"
 
 
-# -- window homology oracles -------------------------------------------------
+# -- window homology and its oracles -----------------------------------------
+
+
+def window_homology(complex_: FilteredComplex, a, b, r: int):
+    """Dimension and a homology basis of the (a, b) quotient complex in degree r.
+
+    The basis is the b_x of `_NormalForm.window_basis`, as coordinates over
+    the window's degree-r generators (returned alongside, as indices into
+    the original complex).
+    """
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("window requires a < b")
+    _check_window(complex_, a, b)
+    idx = [i for i, (act, d) in enumerate(complex_.generators) if d == r and a < act < b]
+    if not idx:
+        return 0, [], []
+    nf = _NormalForm(complex_)
+    z = complex_.field.zero()
+    chosen = [tuple(nf.basis[x].get(nf.pos[g], z) for g in idx)
+              for x in nf.window_basis(a, b, r)]
+    return len(chosen), chosen, idx
 
 
 def window_homology_oracle(complex_: FilteredComplex, a, b, r: int):
@@ -911,6 +1061,16 @@ def min_leading_gap(p: int, mu, nu) -> Fraction:
     sums = sorted(leading_sum(tuple(s), mu, nu) for s in sign_vectors(p))
     gaps = [b - a for a, b in zip(sums, sums[1:])]
     return min(gaps) if gaps else Fraction(0)
+
+
+# -- the Z_p module writer ----------------------------------------------------
+
+
+def zp_module_to_obj(module: ZpPersistenceModule) -> dict:
+    obj = module_to_obj(module.base)
+    obj["p"] = module.p
+    obj["action"] = [matrix_to_obj(a) for a in module.action]
+    return obj
 
 
 # -- record output oracles ---------------------------------------------------------

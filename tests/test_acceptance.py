@@ -25,10 +25,8 @@ from egb.equivariant import (
     cyclic_tuple_module,
     full_power_check,
     mu_p,
-    perturb_and_check_lipschitz,
     w_hat,
     w_hat_from_quotient,
-    zp_direct_sum,
 )
 from egb.field import CyclotomicField, Matrix, cyclo_zeta
 from egb.freegroup import canonical_itinerary, conjugate_eq, itinerary_to_word, self_intersection
@@ -45,11 +43,13 @@ from conftest import (
     eps_bar,
     finite_deaths,
     min_leading_gap,
+    perturb_and_check_lipschitz,
     phi_block,
     primitive_roots,
     rand_barcode,
     random_zp_module,
     w_hat_scan_oracle,
+    zp_direct_sum,
 )
 from test_bottleneck import brute_force_bottleneck
 

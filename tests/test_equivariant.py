@@ -21,14 +21,11 @@ from egb.equivariant import (
     mu_p,
     mu_p_of_family,
     mu_p_zeta,
-    perturb_and_check_lipschitz,
     quotient_fix_module,
-    shift_module,
     spread_lower_bound_from_gaps,
     w_hat,
     w_hat_from_quotient,
     w_spread,
-    zp_direct_sum,
 )
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
@@ -49,6 +46,7 @@ from conftest import (
     eigenspace_module_oracle,
     full_power_verdict_oracle,
     mu_from_barcode_oracle,
+    perturb_and_check_lipschitz,
     primitive_roots,
     rand_barcode,
     rand_frac,
@@ -56,7 +54,9 @@ from conftest import (
     random_zp_module,
     scalar_interval_module,
     scan_w_spread,
+    shift_module,
     w_hat_scan_oracle,
+    zp_direct_sum,
     zp_module_checks_oracle,
 )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from egb import freegroup
 from egb.freegroup import (
     Itinerary,
     Segment,
@@ -108,6 +109,18 @@ class TestReduction:
             parse_word("a x^0 b")
         with pytest.raises(ValueError, match="bad exponent in 'b\\^y'"):
             parse_word("a b^y")
+
+    def test_letter_limit_counts_the_whole_word(self, monkeypatch):
+        """The limit holds for the expanded word, summed over its tokens or
+        segments; a word of exactly `MAX_LETTERS` letters passes."""
+        monkeypatch.setattr(freegroup, "MAX_LETTERS", 10)
+        message = " expands to at least 11 letters, over the limit of 10$"
+        assert len(parse_word("b a^-5 c^4")) == 10
+        with pytest.raises(ValueError, match="^word" + message):
+            parse_word("b a^-5 c^5")
+        assert len(itinerary_to_word(parse_itinerary("V:A-B:5 H:B-A:4"))) == 10
+        with pytest.raises(ValueError, match="^itinerary" + message):
+            itinerary_to_word(parse_itinerary("V:A-B:5 H:B-A:5"))
 
     def test_parse_format_roundtrip(self, rng):
         for _ in range(40):

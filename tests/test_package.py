@@ -1,7 +1,10 @@
 """The package `egb` re-exports nothing: each name is imported from its own
-module, and importing one module loads only what that module needs."""
+module, and importing one module loads only what that module needs.  Every
+public name of the library has a caller outside the tests."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,6 +15,7 @@ import pytest
 import egb
 
 SRC = str(Path(egb.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def loaded_after(statement: str) -> list[str]:
@@ -37,3 +41,22 @@ def test_package_defines_only_its_version():
     assert [name for name, value in vars(egb).items()
             if not name.startswith("__") and not isinstance(value, types.ModuleType)] == []
     assert egb.__version__ == "0.1.0"
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each public module-level function or class of `src/egb` is named in the
+    library outside its own definition, in `bench/`, in `scripts/` or in the
+    README: a construction only the tests use belongs in `tests/conftest.py`."""
+    library = {path: path.read_text() for path in sorted((ROOT / "src" / "egb").glob("*.py"))}
+    callers = [path.read_text() for d in ("bench", "scripts") for path in (ROOT / d).glob("*.py")]
+    callers.append((ROOT / "README.md").read_text())
+    orphans = []
+    for path, text in library.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
+                haystack = "\n".join([*rest, *callers, *(t for q, t in library.items() if q != path)])
+                if not re.search(rf"\b{node.name}\b", haystack):
+                    orphans.append(f"{path.stem}.{node.name}")
+    assert orphans == []

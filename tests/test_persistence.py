@@ -14,19 +14,18 @@ from egb.persistence import (
     INF,
     barcode_of_complex,
     barcode_of_module,
-    direct_sum,
     homology_basis,
     induced_homology_rank,
     les_check,
     longest_finite_bar,
     multiplicity,
     window_complex,
-    window_homology,
 )
 
 from conftest import (
     barcode_of_module_oracle,
     count_calls,
+    direct_sum,
     gap_cuts,
     les_check_oracle,
     module_from_barcode,
@@ -35,6 +34,7 @@ from conftest import (
     rand_frac,
     random_filtered_complex,
     random_zp_module,
+    window_homology,
     window_homology_oracle,
 )
 

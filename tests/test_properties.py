@@ -44,7 +44,6 @@ from egb.serialize import (
     matrix_from_obj,
     matrix_to_obj,
     zp_module_from_obj,
-    zp_module_to_obj,
 )
 
 from conftest import (
@@ -58,6 +57,7 @@ from conftest import (
     random_equivariant_complex,
     random_zp_module,
     zp_module_checks_oracle,
+    zp_module_to_obj,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)

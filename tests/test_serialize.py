@@ -34,10 +34,11 @@ from egb.serialize import (
     tuples_from_obj,
     write_records,
     zp_module_from_obj,
-    zp_module_to_obj,
 )
 
-from conftest import rand_barcode, random_zp_module, record_to_obj, records_to_csv
+from conftest import (
+    rand_barcode, random_zp_module, record_to_obj, records_to_csv, zp_module_to_obj,
+)
 
 
 class TestRationalStrings:
