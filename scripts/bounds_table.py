@@ -41,7 +41,7 @@ def rows(p: int):
     else:
         mu, nu = eb.param_search(p, eb.FIXTURE_L)
     threshold, _ = eb.validation_threshold(p, eb.FIXTURE_L, mu, nu)
-    step = eb.lambda_lattice(eb.FIXTURE_L, mu, nu, 1)[0]
+    step = next(iter(eb.lambda_lattice(eb.FIXTURE_L, mu, nu, 1)))
     for lam in (threshold, threshold + step, threshold + 2 * step):
         records = eb.enumerate_records(eb.EggBeaterParams(p, eb.FIXTURE_L, lam, mu, nu))
         report = mdl.bounds_report(mdl.model_input_from_records(records, p), lam=lam)

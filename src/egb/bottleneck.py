@@ -4,16 +4,19 @@ The distance is taken degree by degree and is the maximum over the degrees.
 In one degree, feasibility of a delta-matching is decided by two maximum
 bipartite matchings, one per side, and the distance is the smallest feasible
 value in the finite candidate set of endpoint displacements and
-half-lengths, located by binary search.  No tolerances anywhere: candidates
-are exact rationals.
+half-lengths, located by binary search.  No tolerances anywhere: every
+endpoint is put over one common denominator, twice the lcm of theirs, so the
+candidates are integer numerators, compared and sorted as integers, and one
+Fraction is built, for the answer.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
-from .persistence import Bar, Barcode, INF, is_inf
+from .persistence import Bar, Barcode, INF
 
 
 def hopcroft_karp(adjacency: dict, left_order: list) -> dict:
@@ -64,16 +67,6 @@ def hopcroft_karp(adjacency: dict, left_order: list) -> dict:
     return pair_left
 
 
-def _pair_cost(b1: Bar, b2: Bar):
-    """Matching cost max(|birth diff|, |death diff|); INF across finiteness."""
-    if b1.finite != b2.finite:
-        return INF
-    birth = abs(b1.birth - b2.birth)
-    if not b1.finite:
-        return birth
-    return max(birth, abs(b1.death - b2.death))
-
-
 def _feasible(cost_ranks: list[list[int]], b_ranks: list[int], c_ranks: list[int],
               k: int) -> bool:
     """Is there a delta-matching for delta = the k-th smallest candidate:
@@ -94,15 +87,35 @@ def _feasible(cost_ranks: list[list[int]], b_ranks: list[int], c_ranks: list[int
     return len(hopcroft_karp(into_b, long_c)) == len(long_c)
 
 
+def _denominator(bars: list[Bar]) -> int:
+    """Twice the lcm of the denominators of the finite endpoints: over it
+    every endpoint, pair cost and half-length is an integer numerator."""
+    return 2 * math.lcm(*(x.birth.denominator for x in bars),
+                        *(x.death.denominator for x in bars if x.finite))
+
+
 def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
     """The finite candidates {0, pair costs, half-lengths} in increasing
-    order, and the ranks of the pair costs and half-lengths among them that
-    `_feasible` reads.  Each pair cost is computed once."""
-    half_b = [x.length / 2 if x.finite else INF for x in bars_b]
-    half_c = [y.length / 2 if y.finite else INF for y in bars_c]
-    costs = [[_pair_cost(x, y) for y in bars_c] for x in bars_b]
-    candidates = {Fraction(0), *half_b, *half_c, *(cost for row in costs for cost in row)}
-    ordered = sorted(v for v in candidates if not is_inf(v))
+    order, as integer numerators over `_denominator` of all the bars, and
+    the ranks of the pair costs and half-lengths among them that `_feasible`
+    reads.  A pair costs max(|birth diff|, |death diff|), or |birth diff|
+    for two rays, and +inf across finiteness; each is computed once."""
+    den = _denominator(bars_b + bars_c)
+
+    def ends(bars) -> list[tuple]:
+        return [(x.birth.numerator * (den // x.birth.denominator),
+                 x.death.numerator * (den // x.death.denominator) if x.finite else None)
+                for x in bars]
+
+    ends_b, ends_c = ends(bars_b), ends(bars_c)
+    half_b = [INF if d is None else (d - b) // 2 for b, d in ends_b]
+    half_c = [INF if d is None else (d - b) // 2 for b, d in ends_c]
+    costs = [[max(abs(b1 - b2), abs(d1 - d2)) if d1 is not None and d2 is not None
+              else abs(b1 - b2) if d1 is d2 else INF
+              for b2, d2 in ends_c] for b1, d1 in ends_b]
+    candidates = {0, *half_b, *half_c, *(cost for row in costs for cost in row)}
+    candidates.discard(INF)
+    ordered = sorted(candidates)
     rank = {v: k for k, v in enumerate(ordered)}
 
     def ranks(values) -> list[int]:
@@ -114,7 +127,8 @@ def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
 def _distance(bars_b: list[Bar], bars_c: list[Bar]):
     """Bottleneck distance between the bars of one degree, +inf iff the ray
     counts differ: feasibility is monotone in delta and changes only at a
-    candidate, so a binary search finds the least feasible one."""
+    candidate, so a binary search finds the least feasible one, the one
+    Fraction built."""
     if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
         return INF
     ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
@@ -126,7 +140,7 @@ def _distance(bars_b: list[Bar], bars_c: list[Bar]):
             hi = mid
         else:
             lo = mid + 1
-    return ordered[lo]
+    return Fraction(ordered[lo], _denominator(bars_b + bars_c))
 
 
 def bottleneck(b: Barcode, c: Barcode):

@@ -148,8 +148,10 @@ def cmd_eggbeater(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    valid = [_run_eggbeater_once(p, L, mu, nu, lam, out_dir) for lam in lams]
-    return 0 if all(valid) else 2
+    all_valid = True
+    for lam in lams:
+        all_valid = _run_eggbeater_once(p, L, mu, nu, lam, out_dir) and all_valid
+    return 0 if all_valid else 2
 
 
 def cmd_eggbeater_2d(args) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -380,10 +381,13 @@ def param_search(p: int, L, max_denominator: int = 10) -> tuple[tuple[Fraction, 
     return combo[:p], combo[p:]
 
 
-def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
+def lambda_lattice(L, mu, nu, count: int) -> Iterator[Fraction]:
     """The `count` smallest lambda with every winding m_j, n_j a positive
-    integer: multiples of lcm_j(L / coefficient), the lcm of the numerators
-    of the reduced ratios over the gcd of their denominators."""
+    integer, in increasing order: multiples of lcm_j(L / coefficient), the
+    lcm of the numerators of the reduced ratios over the gcd of their
+    denominators.  The arguments are checked at the call; the points are
+    made one at a time as they are read, so memory does not grow with
+    `count`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     L = Fraction(L)
@@ -395,7 +399,7 @@ def lambda_lattice(L, mu, nu, count: int) -> list[Fraction]:
     ratios = [L / c for c in coefficients]
     step = Fraction(math.lcm(*(r.numerator for r in ratios)),
                     math.gcd(*(r.denominator for r in ratios)))
-    return [step * i for i in range(1, count + 1)]
+    return (step * i for i in range(1, count + 1))
 
 
 def validation_threshold(p: int, L, mu, nu) -> tuple[Fraction, list[FixedPointRecord]]:

@@ -5,6 +5,9 @@ numerators of the basis 1, zeta, ..., zeta^{p-2} over one positive common
 denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
 Its arithmetic runs on integers: a product is one integer convolution, and
 the inverse is the product of the other Galois conjugates over the norm.
+Each result is put in lowest terms once, with one gcd (none over the
+denominator 1); the update x - f*a that elimination and products repeat is
+fused into one such normalization.
 Both element types test zero by truthiness and invert by ``1 / x``.  All
 linear algebra reads one elimination: `Matrix._echelon`, a forward pass with
 first-nonzero pivoting, and one shared back substitution.  Rank is the pivot
@@ -113,7 +116,7 @@ class CyclotomicNumber:
         return _cyclo(self.p, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __neg__(self):
-        return _cyclo(self.p, [-a for a in self.num], self.den)
+        return _negate(self)
 
     def __mul__(self, other):
         other = self._operand(other)
@@ -121,12 +124,16 @@ class CyclotomicNumber:
             return NotImplemented
         p, x, y = self.p, self.num, other.num
         den = self.den * other.den
-        # scalar fast paths (most matrix entries are rational)
+        # scalar fast paths (most matrix entries are rational, many are +-1)
         if not any(x[1:]):
             q = x[0]
+            if self.den == 1 and (q == 1 or q == -1):
+                return other if q == 1 else _negate(other)
             return _cyclo(p, [q * b for b in y], den)
         if not any(y[1:]):
             q = y[0]
+            if other.den == 1 and (q == 1 or q == -1):
+                return self if q == 1 else _negate(self)
             return _cyclo(p, [q * a for a in x], den)
         return _cyclo(p, _convolve(p, x, y), den)
 
@@ -239,7 +246,7 @@ _set = object.__setattr__
 
 def _cyclo(p: int, num, den: int) -> CyclotomicNumber:
     """Internal constructor: integer numerators over den > 0, put in lowest terms."""
-    g = math.gcd(den, *num)
+    g = 1 if den == 1 else math.gcd(den, *num)
     x = _new(CyclotomicNumber)
     _set(x, "p", p)
     if g == 1:
@@ -249,6 +256,38 @@ def _cyclo(p: int, num, den: int) -> CyclotomicNumber:
         _set(x, "num", tuple([a // g for a in num]))
         _set(x, "den", den // g)
     return x
+
+
+def _negate(x: CyclotomicNumber) -> CyclotomicNumber:
+    """-x; negation keeps the lowest terms, so no gcd is taken."""
+    y = _new(CyclotomicNumber)
+    _set(y, "p", x.p)
+    _set(y, "num", tuple([-a for a in x.num]))
+    _set(y, "den", x.den)
+    return y
+
+
+def _sub_mul(x: CyclotomicNumber, f: CyclotomicNumber, a: CyclotomicNumber) -> CyclotomicNumber:
+    """x - f*a with one normalization: the integer numerators of f*a over
+    f.den * a.den and those of x are brought to the lcm of the two
+    denominators, and their difference makes one `_cyclo`.  The elimination
+    and product updates of `Matrix` over Q(zeta_p) use it."""
+    p, fn, an = x.p, f.num, a.num
+    if not any(fn[1:]):
+        q = fn[0]
+        prod = [q * b for b in an]
+    elif not any(an[1:]):
+        q = an[0]
+        prod = [q * b for b in fn]
+    else:
+        prod = _convolve(p, fn, an)
+    d1, d2 = x.den, f.den * a.den
+    if d1 == d2:
+        return _cyclo(p, [u - v for u, v in zip(x.num, prod)], d1)
+    g = math.gcd(d1, d2)
+    if g != 1:
+        d1, d2 = d1 // g, d2 // g
+    return _cyclo(p, [u * d2 - v * d1 for u, v in zip(x.num, prod)], d1 * d2 * g)
 
 
 def _convolve(p: int, x, y) -> list[int]:
@@ -464,16 +503,21 @@ class Matrix:
         z = self.field.zero()
         # Gustavson's row-by-row product: the nonzero (j, b) of each row of
         # `other`, listed once, meet only the nonzero a of each row of self;
-        # None marks an output entry no product has reached yet
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        # None marks an output entry no product has reached yet.  Over
+        # Q(zeta_p) -b is listed too, so that each later product is one
+        # fused c - a*(-b)
+        cyclo = type(z) is CyclotomicNumber
+        sparse = [[(j, b, _negate(b) if cyclo else b) for j, b in enumerate(row) if b]
+                  for row in other.entries]
         out = []
         for row_i in self.entries:
             acc = [None] * other.cols
             for a, nonzero in zip(row_i, sparse):
                 if a:
-                    for j, b in nonzero:
+                    for j, b, nb in nonzero:
                         c = acc[j]
-                        acc[j] = a * b if c is None else c + a * b
+                        acc[j] = (a * b if c is None else
+                                  _sub_mul(c, a, nb) if cyclo else c + a * b)
             out.append(tuple(z if c is None else c for c in acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
@@ -560,6 +604,7 @@ class Matrix:
             row.extend(extra)
         width = len(m[0]) if m else self.cols
         z = self.field.zero()
+        cyclo = type(z) is CyclotomicNumber
         pivots: list[int] = []
         inverses = []
         odd = False
@@ -576,7 +621,7 @@ class Matrix:
                 m[piv_r], m[sel] = m[sel], m[piv_r]
                 odd = not odd
             prow = m[piv_r]
-            fp_inv = 1 / prow[piv_c]
+            fp_inv = prow[piv_c].inverse() if cyclo else 1 / prow[piv_c]
             rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
             for r in range(piv_r + 1, self.rows):
                 row = m[r]
@@ -586,7 +631,7 @@ class Matrix:
                 factor = fr * fp_inv
                 row[piv_c] = z
                 for c, a in rest:
-                    row[c] = row[c] - factor * a
+                    row[c] = _sub_mul(row[c], factor, a) if cyclo else row[c] - factor * a
             pivots.append(piv_c)
             inverses.append(fp_inv)
             piv_r += 1
@@ -598,14 +643,16 @@ class Matrix:
         """The solution of the echelon system with right-hand side ``rhs`` (one
         value per pivot row) that sets every free variable to 0; each pivot
         row multiplies by the pivot inverse `_echelon` computed."""
-        sol = [self.field.zero()] * self.cols
+        z = self.field.zero()
+        cyclo = type(z) is CyclotomicNumber
+        sol = [z] * self.cols
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
             row = m[r]
             acc = rhs[r]
             for c in range(pc + 1, self.cols):
                 if row[c] and sol[c]:
-                    acc = acc - row[c] * sol[c]
+                    acc = _sub_mul(acc, row[c], sol[c]) if cyclo else acc - row[c] * sol[c]
             sol[pc] = acc * inverses[r]
         return sol
 

@@ -19,7 +19,7 @@ from egb.equivariant import (
     cyclic_tuple_module,
     mu_p,
 )
-from egb.bottleneck import hopcroft_karp
+from egb.bottleneck import _feasible, hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta, is_prime,
@@ -473,6 +473,58 @@ def feasible_slot_oracle(cost_ranks: list[list[int]], b_ranks: list[int],
         adjacency[("cslot", j)] = edges
     left_order = [("b", i) for i in range(nb)] + [("cslot", j) for j in range(nc)]
     return len(hopcroft_karp(adjacency, left_order)) == nb + nc
+
+
+def ranks_oracle(bars_b: list[Bar], bars_c: list[Bar]):
+    """`bottleneck._ranks` on Fractions: the finite candidates {0, pair
+    costs, half-lengths} as a sorted list of Fractions, and the ranks of the
+    pair costs and half-lengths among them, +inf ranking past them all."""
+
+    def pair_cost(b1: Bar, b2: Bar):
+        if b1.finite != b2.finite:
+            return INF
+        birth = abs(b1.birth - b2.birth)
+        if not b1.finite:
+            return birth
+        return max(birth, abs(b1.death - b2.death))
+
+    half_b = [x.length / 2 if x.finite else INF for x in bars_b]
+    half_c = [y.length / 2 if y.finite else INF for y in bars_c]
+    costs = [[pair_cost(x, y) for y in bars_c] for x in bars_b]
+    candidates = {Fraction(0), *half_b, *half_c, *(cost for row in costs for cost in row)}
+    ordered = sorted(v for v in candidates if not is_inf(v))
+    rank = {v: k for k, v in enumerate(ordered)}
+
+    def ranks(values) -> list[int]:
+        return [rank.get(v, len(ordered)) for v in values]
+
+    return ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
+
+
+def bars_by_degree(b: Barcode, c: Barcode) -> list[tuple[list[Bar], list[Bar]]]:
+    """(bars of b, bars of c) in each degree of either barcode, one bar per
+    unit of multiplicity."""
+    by_degree: dict = {}
+    for side, barcode in enumerate((b, c)):
+        for bar, d in barcode.expand():
+            by_degree.setdefault(d, ([], []))[side].append(bar)
+    return list(by_degree.values())
+
+
+def bottleneck_oracle(b: Barcode, c: Barcode):
+    """`bottleneck` on the Fraction candidates of `ranks_oracle`: per degree,
+    +inf if the ray counts differ, else the least candidate that
+    `_feasible` accepts; the maximum over the degrees, 0 for none."""
+    distances = []
+    for bars_b, bars_c in bars_by_degree(b, c):
+        if sum(not x.finite for x in bars_b) != sum(not x.finite for x in bars_c):
+            distances.append(INF)
+            continue
+        ordered, cost_ranks, b_ranks, c_ranks = ranks_oracle(bars_b, bars_c)
+        k = bisect.bisect_left(range(len(ordered)), True,
+                               key=lambda k: _feasible(cost_ranks, b_ranks, c_ranks, k))
+        distances.append(ordered[k])
+    return max(distances, default=Fraction(0))
 
 
 # -- module barcode oracle ---------------------------------------------------

@@ -62,7 +62,7 @@ def fixture_records(lam):
     return enumerate_records(fixture_params(lam))
 
 
-LATTICE = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4)
+LATTICE = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4))
 
 
 def test_criterion_01_eggbeater_count():

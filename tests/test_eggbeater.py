@@ -3,10 +3,16 @@ import io
 import itertools
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import egb
 from egb.eggbeater import (
     EggBeaterParams,
     FIXTURE_L,
@@ -308,7 +314,7 @@ class TestSolver:
             assert r.kink_distance > 0
 
     def test_asymptotics_toward_limit(self):
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4))
         for signs in [(1, 1, 1, 1), (1, -1, 1, -1), (-1, -1, -1, -1)]:
             sups = []
             for lam in (lams[0], lams[1], lams[3]):  # doubling pair 840, 1680... and 3360
@@ -334,7 +340,7 @@ class TestSolver:
             assert lam / 2 * leading_sum(r.signs, FIXTURE_P2_MU, FIXTURE_P2_NU) == r.action_leading
 
     def test_action_minus_leading_bounded_over_doubling(self):
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 4))
         for signs in [(1, 1, 1, 1), (-1, 1, -1, 1)]:
             diffs = []
             for lam in (lams[0], lams[1], lams[3]):
@@ -353,7 +359,7 @@ class TestSolver:
 
     def test_det_leading_term(self):
         # det / lambda^{2p} -> -eps_bar over a doubling sequence
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         for signs in [(1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1)]:
             vals = [solve_signed(signs, fixture_params(lam)).det / lam ** 4 for lam in lams]
             target = -eps_bar(signs)
@@ -361,7 +367,7 @@ class TestSolver:
             assert abs(vals[1] - target) < F(1, 50)
 
     def test_global_sign_flip_preserves_det_leading(self, rng):
-        lam = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
+        lam = next(iter(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)))
         for _ in range(5):
             signs = rand_signs(rng, 2)
             flipped = tuple(-s for s in signs)
@@ -383,7 +389,7 @@ class TestReferenceSolver:
     ])
     def test_enumerate_records_on_the_lattice(self, p, mu, nu, count):
         threshold, _ = validation_threshold(p, FIXTURE_L, mu, nu)
-        lams = lambda_lattice(FIXTURE_L, mu, nu, count)
+        lams = list(lambda_lattice(FIXTURE_L, mu, nu, count))
         assert threshold in lams  # every lattice point up to the threshold is compared
         for lam in lams:
             params = EggBeaterParams(p, FIXTURE_L, lam, mu, nu)
@@ -471,7 +477,7 @@ class TestDerivedFields:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_point_odd_points_and_obj_match_the_oracle(self, rng, p):
         mu, nu = self.PRIMES_MU[:p], self.PRIMES_NU[:p]
-        lams = [lambda_lattice(FIXTURE_L, mu, nu, 1)[0], F(1), F(3, 2), F(14)]
+        lams = [next(iter(lambda_lattice(FIXTURE_L, mu, nu, 1))), F(1), F(3, 2), F(14)]
         seen = set()
         for lam in lams:
             k = _integer_scale(lam, mu, nu)[0]
@@ -512,7 +518,8 @@ class TestDerivedFields:
         """The solver keeps a valid record's values as integers: enumerating
         a lattice point where every record validates calls no `Fraction`."""
         mu, nu = self.PRIMES_MU[:3], self.PRIMES_NU[:3]
-        params = EggBeaterParams(3, FIXTURE_L, lambda_lattice(FIXTURE_L, mu, nu, 1)[0], mu, nu)
+        lam = next(iter(lambda_lattice(FIXTURE_L, mu, nu, 1)))
+        params = EggBeaterParams(3, FIXTURE_L, lam, mu, nu)
 
         def refuse(*args):
             raise AssertionError(f"Fraction{args} built while enumerating")
@@ -593,7 +600,7 @@ class TestGoldenOutput:
 
 class TestGaps:
     def test_min_gap_scales_linearly(self):
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         gaps = []
         for lam in lams:
             records = enumerate_records(fixture_params(lam))
@@ -840,19 +847,31 @@ class TestParamSearch:
 
 class TestLattice:
     def test_fixture_lattice(self):
-        lams = lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 3)
+        lams = list(lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 3))
         assert lams == [F(840), F(1680), F(2520)]
 
     def test_halves_lattice(self):
         # denominators 2 everywhere: multiples of 8
-        assert lambda_lattice(4, (F(1, 2),), (F(1, 2),), 2) == [F(8), F(16)]
+        assert list(lambda_lattice(4, (F(1, 2),), (F(1, 2),), 2)) == [F(8), F(16)]
 
     def test_count_zero(self):
         with pytest.raises(ValueError, match="count must be >= 1"):
             lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 0)
 
+    def test_a_huge_count_yields_its_first_point_at_once(self):
+        """The points are made as they are read.  The check runs in a fresh
+        interpreter capped at 1 GiB of address space and 20 s, so a list of
+        all 10^15 points fails there instead of filling the memory."""
+        code = ("from egb.eggbeater import FIXTURE_P2_MU, FIXTURE_P2_NU, lambda_lattice\n"
+                "print(next(iter(lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 10 ** 15))))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(Path(egb.__file__).resolve().parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "840\n", "")
+
     def test_windings_are_positive_integers(self):
-        lam = lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
+        lam = next(iter(lambda_lattice(4, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)))
         params = fixture_params(lam)
         for j in range(2):
             assert params.winding_m(j) >= 1

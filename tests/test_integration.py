@@ -13,7 +13,7 @@ from egb.equivariant import EquivariantComplex, w_spread
 from egb.field import Matrix, QQ_FIELD
 from egb.freegroup import canonical_itinerary, itinerary_to_word
 from egb.model import bounds_report, model_input_from_records
-from egb.persistence import FilteredComplex, INF, is_inf
+from egb.persistence import FilteredComplex, is_inf
 
 from conftest import alpha_word, coefficient_sums_distinct, min_leading_gap
 
@@ -26,7 +26,7 @@ P3_NU = (F(1, 3), F(1, 7), F(1, 13))
 class TestPrimeThree:
     def test_sixty_four_tuples(self):
         assert coefficient_sums_distinct(3, P3_MU, P3_NU)
-        lam = lambda_lattice(4, P3_MU, P3_NU, 1)[0]
+        lam = next(iter(lambda_lattice(4, P3_MU, P3_NU, 1)))
         params = EggBeaterParams(3, 4, lam, P3_MU, P3_NU)
         records = enumerate_records(params)
         assert len(records) == 64
@@ -40,7 +40,7 @@ class TestPrimeThree:
 
     def test_p3_sign_index_wrapping(self):
         # eps_{2j+4} wraps differently mod 6 than mod 4; spot check one block
-        lam = lambda_lattice(4, P3_MU, P3_NU, 1)[0]
+        lam = next(iter(lambda_lattice(4, P3_MU, P3_NU, 1)))
         params = EggBeaterParams(3, 4, lam, P3_MU, P3_NU)
         signs = (1, -1, 1, 1, -1, 1)
         rec = solve_signed(signs, params)
@@ -50,7 +50,7 @@ class TestPrimeThree:
             assert (1 if y > 0 else -1) == signs[2 * j + 1]
 
     def test_p3_bounds_positive(self):
-        lam = lambda_lattice(4, P3_MU, P3_NU, 1)[0]
+        lam = next(iter(lambda_lattice(4, P3_MU, P3_NU, 1)))
         records = enumerate_records(EggBeaterParams(3, 4, lam, P3_MU, P3_NU))
         model_input = model_input_from_records(records, 3)
         report = bounds_report(model_input, lam=lam)
@@ -216,7 +216,7 @@ class TestOrbitClasses:
     def test_fixture_windings_give_alpha(self):
         from egb.eggbeater import FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, fixture_params
 
-        lam = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
+        lam = next(iter(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)))
         params = fixture_params(lam)
         ms = [params.winding_m(j) for j in range(2)]
         ns = [params.winding_n(j) for j in range(2)]

@@ -28,8 +28,7 @@ from conftest import births, build_model, count_calls, primitive_roots
 
 
 def fixture_model(lam=None):
-    lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)
-    lam = lam or lams[0]
+    lam = lam or next(iter(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)))
     records = enumerate_records(fixture_params(lam))
     assert all(r.valid for r in records)
     return model_input_from_records(records, 2), lam
@@ -93,7 +92,7 @@ class TestPaperBound:
             paper_mu_lower_bound(model_input, eps)
 
     def test_grows_linearly_in_lambda(self):
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         bounds = []
         for lam in lams:
             model_input, _ = fixture_model(lam)
@@ -133,7 +132,7 @@ class TestBoundsReport:
         assert not is_inf(report.mu_p_model)
 
     def test_linear_scaling_two_lambdas(self):
-        lams = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2)
+        lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         reports = []
         for lam in lams:
             model_input, _ = fixture_model(lam)

@@ -1,12 +1,13 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
 Z_p modules, a formatted rational needs no JSON escaping and reads the same
-from its integers as from its Fraction, Q(zeta_p) is a field, the integer
-keys order and merge exact values as Fractions do, the complex
-constructors' sparse checks agree with the dense oracle, a kernel basis is
-the identity at its free columns, the Z_p module's parts, V/Fix and checks
-agree with the solve and dense oracles, and the integer spread candidates
-give the grid oracle's mu.  Derandomized, so every run draws the same
-examples."""
+from its integers as from its Fraction, Q(zeta_p) is a field and its fused
+update x - f*a is the two-step one, the integer keys order and merge exact
+values as Fractions do, the integer bottleneck candidates are the Fraction
+ones, the complex constructors' sparse checks agree with the dense oracle, a
+kernel basis is the identity at its free columns, the Z_p module's parts,
+V/Fix and checks agree with the solve and dense oracles, and the integer
+spread candidates give the grid oracle's mu.  Derandomized, so every run
+draws the same examples."""
 
 import json
 import random
@@ -23,7 +24,10 @@ from egb.equivariant import (
     mu_from_barcode,
     quotient_fix_module,
 )
-from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_zeta
+from egb.bottleneck import _denominator, _ranks, bottleneck
+from egb.field import (
+    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, _sub_mul, cyclo_from_rational, cyclo_zeta,
+)
 from egb.model import ModelInput
 from egb.persistence import (
     Bar,
@@ -47,6 +51,8 @@ from egb.serialize import (
 )
 
 from conftest import (
+    bars_by_degree,
+    bottleneck_oracle,
     canonical_items_oracle,
     complex_checks_oracle,
     eigenspace_module_oracle,
@@ -56,6 +62,7 @@ from conftest import (
     mu_from_barcode_oracle,
     random_equivariant_complex,
     random_zp_module,
+    ranks_oracle,
     zp_module_checks_oracle,
     zp_module_to_obj,
 )
@@ -153,6 +160,35 @@ def test_field_axioms(abc):
         assert a * a.inverse() == one
 
 
+@st.composite
+def sub_mul_operands(draw):
+    """(x, f, a) in Q(zeta_p), p = 2, 3 or 5, each 0, 1, -1, a rational or
+    a general element, so that denominators differ or agree."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    element = st.one_of(st.sampled_from((0, 1, -1)).map(lambda q: cyclo_from_rational(p, q)),
+                        rationals.map(lambda q: cyclo_from_rational(p, q)),
+                        cyclotomic(p))
+    return draw(element), draw(element), draw(element)
+
+
+def _cy(p, *coords):
+    return CyclotomicNumber(p, [Fraction(c) for c in coords])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(sub_mul_operands())
+@example((_cy(3, 1, 2), _cy(3, "1/2", 0), _cy(3, 3, "1/5")))  # f rational, unequal denominators
+@example((_cy(3, "1/6", 1), _cy(3, "1/2", 1), _cy(3, 0, "1/3")))  # x.den == f.den * a.den
+@example((_cy(5, 1, 0, 2, 0), _cy(5, 0, 0, 0, 0), _cy(5, 1, 2, 3, 4)))  # f = 0
+@example((_cy(5, "1/3", 0, 0, 1), _cy(5, -1, 0, 0, 0), _cy(5, "2/7", 1, 0, 3)))  # f = -1
+@example((_cy(2, "3/4"), _cy(2, "2/3"), _cy(2, "5/6")))  # Q(zeta_2) = Q
+def test_fused_update_is_x_minus_f_times_a(xfa):
+    """The one-normalization update equals, and hashes like, x - f*a."""
+    x, f, a = xfa
+    got, want = _sub_mul(x, f, a), x - f * a
+    assert (got, hash(got)) == (want, hash(want))
+
+
 # -- exact keys ---------------------------------------------------------------
 
 # floor(x * 2^64), the integer part of `_order_key`, is equal for these two
@@ -214,6 +250,25 @@ SHARED = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5))  # a numerator or a de
 @example([(Bar(0, d), 2, g) for d in SHARED for g in (None, 0)])
 def test_barcode_canonical_form_is_the_fraction_one(items):
     assert Barcode(tuple(items)).items == canonical_items_oracle(items)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(bar_items(), bar_items())
+@example([(Bar(0, 4), 1, None)], [])
+@example([(Bar(Fraction(1, 3), INF), 2, 0)], [(Bar(Fraction(1, 2), INF), 2, 0)])
+def test_integer_ranks_give_the_fraction_candidates(items_b, items_c):
+    """The integer candidates over `_denominator` are the Fraction ones of
+    the oracle, with the same ranks, and the distance is the oracle's, on
+    small and ~600-bit values, rays and multiplicities."""
+    b, c = Barcode(tuple(items_b)), Barcode(tuple(items_c))
+    for bars_b, bars_c in bars_by_degree(b, c):
+        ordered, *ranks = _ranks(bars_b, bars_c)
+        want_ordered, *want_ranks = ranks_oracle(bars_b, bars_c)
+        den = _denominator(bars_b + bars_c)
+        assert ranks == want_ranks
+        assert [Fraction(v, den) for v in ordered] == want_ordered
+    got, want = bottleneck(b, c), bottleneck_oracle(b, c)
+    assert (got, type(got)) == (want, type(want))
 
 
 @PROPERTY

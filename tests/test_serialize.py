@@ -168,7 +168,7 @@ class TestModuleJson:
 
 class TestCsv:
     def test_sixteen_rows(self):
-        lam = lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)[0]
+        lam = next(iter(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 1)))
         records = enumerate_records(fixture_params(lam))
         text = io.StringIO()
         write_records(records, csv_out=text)
@@ -201,7 +201,7 @@ class TestRecordWriter:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_bytes_equal_the_oracle(self, rng, p):
         mu, nu = self.MU[:p], self.NU[:p]
-        lam = lambda_lattice(FIXTURE_L, mu, nu, 1)[0]
+        lam = next(iter(lambda_lattice(FIXTURE_L, mu, nu, 1)))
         records = _enumerate_core(p, lam, mu, nu)
         # rejected records the way a forced rejection builds them, with
         # reasons that JSON must escape and the CSV must keep comma-free
