@@ -50,14 +50,34 @@ def hopcroft_karp(adjacency: dict, left_order: list) -> dict:
                     queue.append(w)
         return found
 
-    def dfs(u) -> bool:
-        for v in adjacency[u]:
-            w = pair_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = UNSEEN
+    def dfs(root) -> bool:
+        """Depth-first search for an augmenting path from a free left node
+        along the BFS layers, flipped into the matching when found.  The
+        path is explicit, so no length meets the recursion limit: ``taken``
+        holds the right node taken at each level, whose partner is the left
+        node of the next, and ``edges`` the iterator over each level's
+        remaining edges."""
+        u, taken, edges = root, [], [iter(adjacency[root])]
+        while edges:
+            for v in edges[-1]:
+                w = pair_right.get(v)
+                if w is None:
+                    taken.append(v)
+                    x = root
+                    for y in taken:  # each left node on the path takes the next right node
+                        pair_left[x], pair_right[y], x = y, x, pair_right.get(y)
+                    return True
+                if dist[w] == dist[u] + 1:
+                    taken.append(v)
+                    edges.append(iter(adjacency[w]))
+                    u = w
+                    break
+            else:  # no augmenting path through u
+                dist[u] = UNSEEN
+                edges.pop()
+                if taken:
+                    taken.pop()
+                    u = pair_right[taken[-1]] if taken else root
         return False
 
     while bfs():

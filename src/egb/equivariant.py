@@ -123,8 +123,8 @@ class EquivariantComplex:
             raise ValueError("chain map over wrong field")
         if not t.matpow(self.p).shift_diagonal(1).is_zero():
             raise ValueError("chain map does not satisfy T^p = id")
-        d, cols = self.complex.columns, _sparse_columns(t)
-        if any(_apply(cols, d[j]) != _apply(d, col) for j, col in enumerate(cols)):
+        d, cols, field = self.complex.columns, _sparse_columns(t), t.field
+        if any(_apply(field, cols, d[j]) != _apply(field, d, col) for j, col in enumerate(cols)):
             raise ValueError("chain map does not commute with the boundary")
         gens = self.complex.generators
         if any(gens[i] != gens[j] for j, col in enumerate(cols) for i in col):
@@ -333,8 +333,8 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     t_cols = nf.columns(equivariant.columns)
     best: Fraction | float = Fraction(0)
     for x, b_x in enumerate(nf.basis):
-        s_x = _apply(t_cols, b_x)  # (T - id) b_x
-        _axpy(s_x, -one, b_x)
+        s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
+        _axpy(nf.field, s_x, one, b_x)
         for y, _ in nf.coordinates(s_x):
             value = min(nf.act[y] - nf.lp[x], nf.kill[y] - nf.act[x])
             if is_inf(value):

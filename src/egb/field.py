@@ -5,18 +5,19 @@ numerators of the basis 1, zeta, ..., zeta^{p-2} over one positive common
 denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
 Its arithmetic runs on integers: a product is one integer convolution, and
 the inverse is the product of the other Galois conjugates over the norm.
-Each result is put in lowest terms once, with one gcd (none over the
-denominator 1); the update x - f*a that elimination and products repeat is
-fused into one such normalization.
-Both element types test zero by truthiness and invert by ``1 / x``.  All
-linear algebra reads one elimination: `Matrix._echelon`, a forward pass with
-first-nonzero pivoting, and one shared back substitution.  Rank is the pivot
-count, the determinant the signed product of the pivots, and a kernel, solve,
+Each field supplies the update x - f*a as `sub_mul`, normalized once: over Q
+one Fraction of integer numerators, over Q(zeta_p) one gcd (none over the
+denominator 1), whose sums and differences are that update too.  Every loop of
+elimination and products calls it, with no element type test.  Both element
+types test zero by truthiness and invert by ``1 / x``.  All linear algebra
+reads one elimination: `Matrix._echelon`, a forward pass with first-nonzero
+pivoting, and one shared back substitution.  Rank is the pivot count, the
+determinant the signed product of the pivots, and a kernel, solve,
 solve_matrix or inverse back-substitutes each column of one echelon pass.
 Matrices are dense tuples, but products skip zeros: `@` lists the nonzero
-entries of each row of the right factor once and multiplies only nonzero
-pairs (Gustavson's row-by-row product, ACM TOMS 1978).
-There is no floating point anywhere in this module.
+entries of each row of the right factor once and multiplies only nonzero pairs
+(Gustavson's row-by-row product, ACM TOMS 1978).  There is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -101,47 +102,34 @@ class CyclotomicNumber:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _cyclo(self.p, [a + b for a, b in zip(self.num, other.num)], d1)
-        return _cyclo(self.p, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
+        return _sub_mul(self, _MINUS_ONE[self.p], other)
 
     def __sub__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _cyclo(self.p, [a - b for a, b in zip(self.num, other.num)], d1)
-        return _cyclo(self.p, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
+        return _sub_mul(self, _ONE[self.p], other)
 
     def __neg__(self):
-        return _negate(self)
+        """-x; negation keeps the lowest terms, so no gcd is taken."""
+        y = _new(CyclotomicNumber)
+        _set(y, "p", self.p)
+        _set(y, "num", tuple([-a for a in self.num]))
+        _set(y, "den", self.den)
+        return y
 
     def __mul__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        p, x, y = self.p, self.num, other.num
-        den = self.den * other.den
-        # scalar fast paths (most matrix entries are rational, many are +-1)
-        if not any(x[1:]):
-            q = x[0]
-            if self.den == 1 and (q == 1 or q == -1):
-                return other if q == 1 else _negate(other)
-            return _cyclo(p, [q * b for b in y], den)
-        if not any(y[1:]):
-            q = y[0]
-            if other.den == 1 and (q == 1 or q == -1):
-                return self if q == 1 else _negate(self)
-            return _cyclo(p, [q * a for a in x], den)
-        return _cyclo(p, _convolve(p, x, y), den)
+        x, y = self.num, other.num
+        if self.den == 1 and (x[0] == 1 or x[0] == -1) and not any(x[1:]):  # +-1 is common
+            return other if x[0] == 1 else -other
+        if other.den == 1 and (y[0] == 1 or y[0] == -1) and not any(y[1:]):
+            return self if y[0] == 1 else -self
+        return _cyclo(self.p, _product(self.p, x, y), self.den * other.den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__, __rmul__ = __add__, __mul__
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -218,7 +206,7 @@ class CyclotomicNumber:
         y = _conjugate(p, num, 2)
         for k in range(3, p):
             y = _convolve(p, y, _conjugate(p, num, k))
-        norm = _convolve(p, num, y)[0]
+        norm = _constant(p, num, y)
         return _cyclo(p, [self.den * c for c in y], norm)
 
     def __repr__(self):
@@ -258,29 +246,12 @@ def _cyclo(p: int, num, den: int) -> CyclotomicNumber:
     return x
 
 
-def _negate(x: CyclotomicNumber) -> CyclotomicNumber:
-    """-x; negation keeps the lowest terms, so no gcd is taken."""
-    y = _new(CyclotomicNumber)
-    _set(y, "p", x.p)
-    _set(y, "num", tuple([-a for a in x.num]))
-    _set(y, "den", x.den)
-    return y
-
-
 def _sub_mul(x: CyclotomicNumber, f: CyclotomicNumber, a: CyclotomicNumber) -> CyclotomicNumber:
     """x - f*a with one normalization: the integer numerators of f*a over
     f.den * a.den and those of x are brought to the lcm of the two
-    denominators, and their difference makes one `_cyclo`.  The elimination
-    and product updates of `Matrix` over Q(zeta_p) use it."""
-    p, fn, an = x.p, f.num, a.num
-    if not any(fn[1:]):
-        q = fn[0]
-        prod = [q * b for b in an]
-    elif not any(an[1:]):
-        q = an[0]
-        prod = [q * b for b in fn]
-    else:
-        prod = _convolve(p, fn, an)
+    denominators, and their difference makes one `_cyclo`.  It is the
+    `sub_mul` of Q(zeta_p), and x + a and x - a are it with f = -1 and 1."""
+    p, prod = x.p, _product(x.p, f.num, a.num)
     d1, d2 = x.den, f.den * a.den
     if d1 == d2:
         return _cyclo(p, [u - v for u, v in zip(x.num, prod)], d1)
@@ -288,6 +259,25 @@ def _sub_mul(x: CyclotomicNumber, f: CyclotomicNumber, a: CyclotomicNumber) -> C
     if g != 1:
         d1, d2 = d1 // g, d2 // g
     return _cyclo(p, [u * d2 - v * d1 for u, v in zip(x.num, prod)], d1 * d2 * g)
+
+
+def _product(p: int, x, y) -> list[int]:
+    """Product of two integer coordinate vectors in Z[zeta_p], with a fast
+    path when either is rational (most matrix entries are)."""
+    if not any(x[1:]):
+        q = x[0]
+        return [q * b for b in y]
+    if not any(y[1:]):
+        q = y[0]
+        return [q * a for a in x]
+    return _convolve(p, x, y)
+
+
+def _constant(p: int, x, y) -> int:
+    """The constant coordinate of `_convolve(p, x, y)` alone: the terms of
+    degree 0 and p, less those of degree p-1, about 2p products."""
+    return (x[0] * y[0] + sum(x[i] * y[p - i] for i in range(2, p - 1))
+            - sum(x[i] * y[p - 1 - i] for i in range(1, p - 1)))
 
 
 def _convolve(p: int, x, y) -> list[int]:
@@ -319,6 +309,7 @@ def _check_supported_prime(p: int) -> None:
 _TAIL = {p: (0,) * (p - 2) for p in _SUPPORTED_PRIMES}
 _ZERO = {p: _cyclo(p, (0,) * (p - 1), 1) for p in _SUPPORTED_PRIMES}
 _ONE = {p: _cyclo(p, (1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
+_MINUS_ONE = {p: _cyclo(p, (-1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
 _Q_ZERO = Fraction(0)
 
 
@@ -350,9 +341,15 @@ Element = Union[Fraction, CyclotomicNumber]
 
 
 class RationalField:
-    """Marker for Q; supplies zero/one so matrix code is field-generic."""
+    """Marker for Q; supplies zero, one and sub_mul so matrix code is field-generic."""
 
     name = "Q"
+
+    @staticmethod
+    def sub_mul(x, f, a) -> Fraction:
+        """x - f*a as one Fraction built from the integer numerators."""
+        xd, fd, ad = x.denominator, f.denominator, a.denominator
+        return Fraction(x.numerator * fd * ad - f.numerator * a.numerator * xd, xd * fd * ad)
 
     def zero(self) -> Fraction:
         return _Q_ZERO
@@ -381,6 +378,8 @@ class RationalField:
 
 class CyclotomicField:
     """Marker for Q(zeta_p)."""
+
+    sub_mul = staticmethod(_sub_mul)
 
     def __init__(self, p: int):
         _check_supported_prime(p)
@@ -500,15 +499,12 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        z = self.field.zero()
+        z, sub_mul = self.field.zero(), self.field.sub_mul
         # Gustavson's row-by-row product: the nonzero (j, b) of each row of
-        # `other`, listed once, meet only the nonzero a of each row of self;
-        # None marks an output entry no product has reached yet.  Over
-        # Q(zeta_p) -b is listed too, so that each later product is one
-        # fused c - a*(-b)
-        cyclo = type(z) is CyclotomicNumber
-        sparse = [[(j, b, _negate(b) if cyclo else b) for j, b in enumerate(row) if b]
-                  for row in other.entries]
+        # `other`, listed once with -b, meet only the nonzero a of each row
+        # of self, so that each product after the first is one update
+        # c - a*(-b); None marks an output entry no product has reached yet
+        sparse = [[(j, b, -b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for row_i in self.entries:
             acc = [None] * other.cols
@@ -516,8 +512,7 @@ class Matrix:
                 if a:
                     for j, b, nb in nonzero:
                         c = acc[j]
-                        acc[j] = (a * b if c is None else
-                                  _sub_mul(c, a, nb) if cyclo else c + a * b)
+                        acc[j] = a * b if c is None else sub_mul(c, a, nb)
             out.append(tuple(z if c is None else c for c in acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
@@ -603,8 +598,7 @@ class Matrix:
         for row, extra in zip(m, aug):
             row.extend(extra)
         width = len(m[0]) if m else self.cols
-        z = self.field.zero()
-        cyclo = type(z) is CyclotomicNumber
+        z, one, sub_mul = self.field.zero(), self.field.one(), self.field.sub_mul
         pivots: list[int] = []
         inverses = []
         odd = False
@@ -621,7 +615,7 @@ class Matrix:
                 m[piv_r], m[sel] = m[sel], m[piv_r]
                 odd = not odd
             prow = m[piv_r]
-            fp_inv = prow[piv_c].inverse() if cyclo else 1 / prow[piv_c]
+            fp_inv = one / prow[piv_c]
             rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
             for r in range(piv_r + 1, self.rows):
                 row = m[r]
@@ -631,7 +625,7 @@ class Matrix:
                 factor = fr * fp_inv
                 row[piv_c] = z
                 for c, a in rest:
-                    row[c] = _sub_mul(row[c], factor, a) if cyclo else row[c] - factor * a
+                    row[c] = sub_mul(row[c], factor, a)
             pivots.append(piv_c)
             inverses.append(fp_inv)
             piv_r += 1
@@ -643,8 +637,7 @@ class Matrix:
         """The solution of the echelon system with right-hand side ``rhs`` (one
         value per pivot row) that sets every free variable to 0; each pivot
         row multiplies by the pivot inverse `_echelon` computed."""
-        z = self.field.zero()
-        cyclo = type(z) is CyclotomicNumber
+        z, sub_mul = self.field.zero(), self.field.sub_mul
         sol = [z] * self.cols
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
@@ -652,7 +645,7 @@ class Matrix:
             acc = rhs[r]
             for c in range(pc + 1, self.cols):
                 if row[c] and sol[c]:
-                    acc = _sub_mul(acc, row[c], sol[c]) if cyclo else acc - row[c] * sol[c]
+                    acc = sub_mul(acc, row[c], sol[c])
             sol[pc] = acc * inverses[r]
         return sol
 

@@ -12,7 +12,8 @@ Conventions (fixed once, used everywhere):
 
 A module's barcode comes from one left-to-right elder-rule sweep over its
 transitions.  A complex keeps its boundary as sparse columns, built once: its
-checks walk them, and everything else on it reads one R = DV reduction of them.
+checks walk them, and everything else on it reads one R = DV reduction of them;
+each update of a sparse column is the field's `sub_mul` x - f*a.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ class FilteredComplex:
                     raise ValueError(f"boundary entry {i},{j} does not drop degree by 1")
                 if gens[i][0] >= gens[j][0]:
                     raise ValueError(f"boundary entry {i},{j} does not decrease action")
-        if any(_apply(cols, col) for col in cols):
+        if any(_apply(self.field, cols, col) for col in cols):
             raise ValueError("boundary squared is nonzero")
         object.__setattr__(self, "columns", cols)
 
@@ -336,21 +337,23 @@ def _sparse_columns(matrix: Matrix) -> tuple[dict, ...]:
     return tuple({i: row[j] for i, row in enumerate(ent) if row[j]} for j in range(matrix.cols))
 
 
-def _axpy(target: dict, c, source: dict) -> None:
-    """target += c * source on sparse columns, dropping the entries that cancel."""
+def _axpy(field: Field, target: dict, f, source: dict) -> None:
+    """target -= f * source on sparse columns, one `sub_mul` per entry of
+    ``source`` (a missing entry starts from zero), dropping those that cancel."""
+    sub_mul, z = field.sub_mul, field.zero()
     for r, v in source.items():
-        nv = target[r] + c * v if r in target else c * v
+        nv = sub_mul(target.get(r, z), f, v)
         if nv:
             target[r] = nv
         else:
             target.pop(r, None)
 
 
-def _apply(cols, chain: dict) -> dict:
+def _apply(field: Field, cols, chain: dict) -> dict:
     """The image of a sparse chain under the matrix with sparse columns ``cols``."""
     image: dict = {}
     for g, c in chain.items():
-        _axpy(image, c, cols[g])
+        _axpy(field, image, -c, cols[g])
     return image
 
 
@@ -381,8 +384,8 @@ def _reduce(complex_: FilteredComplex):
                 pairs.append((low, j))
                 break
             factor = col[low] / R[k][low]
-            _axpy(col, -factor, R[k])
-            _axpy(vcol, -factor, V[k])
+            _axpy(complex_.field, col, factor, R[k])
+            _axpy(complex_.field, vcol, factor, V[k])
         R.append(col)
         V.append(vcol)
     return order, R, V, pairs
@@ -438,7 +441,7 @@ class _NormalForm:
             if y < floor:
                 return
             factor = chain[y] / self.basis[y][y]
-            _axpy(chain, -factor, self.basis[y])
+            _axpy(self.field, chain, factor, self.basis[y])
             yield y, factor
 
     def window_class(self, chain: dict, lo, hi, target: list[int]) -> list | None:
@@ -588,7 +591,7 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     for r in range(min(nf.deg) - 1, max(nf.deg) + 2):
         j1 = induced([nf.basis[x] for x in nf.window_basis(a, b, r)], a, c, r)
         j2 = induced([nf.basis[x] for x in nf.window_basis(a, c, r)], b, c, r)
-        delta = induced([_apply(d_cols, nf.basis[x]) for x in nf.window_basis(b, c, r)],
+        delta = induced([_apply(nf.field, d_cols, nf.basis[x]) for x in nf.window_basis(b, c, r)],
                         a, b, r - 1)
         if None in (j1, j2, delta):
             return False

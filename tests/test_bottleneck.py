@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction as F
 
 from egb.bottleneck import _feasible, _ranks, bottleneck, hopcroft_karp
@@ -178,6 +179,43 @@ class TestFeasibility:
         assert seen == {True, False, "one side short", "empty", "ray", "mult"}
 
 
+def recursive_hopcroft_karp(adjacency: dict, left_order: list) -> dict:
+    """Hopcroft-Karp with the textbook recursive augmenting search: the
+    oracle of the iterative search, for paths within the recursion limit."""
+    pair_left, pair_right, dist = {}, {}, {}
+
+    def bfs() -> bool:
+        queue = deque(u for u in left_order if u not in pair_left)
+        for u in left_order:
+            dist[u] = 0 if u not in pair_left else -1
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                w = pair_right.get(v)
+                if w is None:
+                    found = True
+                elif dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u) -> bool:
+        for v in adjacency[u]:
+            w = pair_right.get(v)
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
+                pair_left[u], pair_right[v] = v, u
+                return True
+        dist[u] = -1
+        return False
+
+    while bfs():
+        for u in left_order:
+            if u not in pair_left:
+                dfs(u)
+    return pair_left
+
+
 class TestHopcroftKarp:
     def test_perfect_matching(self):
         adj = {0: ["a", "b"], 1: ["a"], 2: ["b", "c"]}
@@ -191,3 +229,47 @@ class TestHopcroftKarp:
 
     def test_empty_graph(self):
         assert hopcroft_karp({}, []) == {}
+
+    def test_augmenting_path_past_the_recursion_limit(self):
+        """Left node i < n - 1 lists right node i + 1 before i, and n - 1
+        lists only n - 1: the first phase matches every i < n - 1 to i + 1,
+        and the one augmenting path left runs through all n left nodes."""
+        n = 5000
+        adj = {i: [i + 1, i] for i in range(n - 1)}
+        adj[n - 1] = [n - 1]
+        assert hopcroft_karp(adj, list(range(n))) == {i: i for i in range(n)}
+
+    def test_a_dead_end_is_searched_once_per_phase(self):
+        """Left node (j, s), j < k and s = 0, 1, lists right node (j, s),
+        then both right nodes of layer j + 1.  The first phase matches each
+        to its own right node, "z" to "f", and leaves "root" free.  In the
+        second, "root" tries the layers before "f": 2^k paths into them, all
+        dead ends, unless a node found dead is skipped for the rest of the
+        phase.  Then the graph is read a bounded number of times per node."""
+        k = 16
+
+        class CountingDict(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingDict.reads += 1
+                return super().__getitem__(key)
+
+        adj = CountingDict({(j, s): [(j, s)] + [(j + 1, t) for t in (0, 1) if j + 1 < k]
+                            for j in range(k) for s in (0, 1)})
+        adj.update({"z": ["f", "g"], "root": [(0, 0), (0, 1), "f"]})
+        matching = hopcroft_karp(adj, list(adj))
+        assert matching == {**{(j, s): (j, s) for j in range(k) for s in (0, 1)},
+                            "z": "g", "root": "f"}
+        assert CountingDict.reads <= 6 * len(adj)
+
+    def test_matches_the_recursive_search(self, rng):
+        """The same matching, built in the same order, on random graphs of
+        up to 9 + 9 nodes and every density."""
+        for _ in range(300):
+            left, right, density = rng.randint(0, 9), rng.randint(0, 9), rng.random()
+            adj = {u: [v for v in rng.sample(range(right), right) if rng.random() < density]
+                   for u in range(left)}
+            order = rng.sample(range(left), left)
+            want = recursive_hopcroft_karp(adj, order)
+            assert list(hopcroft_karp(adj, order).items()) == list(want.items())

@@ -205,6 +205,21 @@ class TestBarcodeCommands:
         assert code == 0
         assert json.loads(out)["bottleneck"] == "0"
 
+    def test_bottleneck_with_an_augmenting_path_of_1100_bars(self, tmp_path, capsys):
+        """B_i = (i/2n, 1001 + 2i] for i < n - 1, B_(n-1) = ((n-1)/2n, 999] and
+        C_j = (j/2n, 1000 + 2j]: every pair costs at least 1, and at 1 the one
+        perfect matching pairs B_(n-1) with C_0 and B_i with C_(i+1), which
+        the search reaches by an augmenting path through all n bars."""
+        n = 1100
+        b = [{"birth": f"{i}/{2 * n}", "death": str(1001 + 2 * i)} for i in range(n - 1)]
+        b.append({"birth": f"{n - 1}/{2 * n}", "death": "999"})
+        c = [{"birth": f"{j}/{2 * n}", "death": str(1000 + 2 * j)} for j in range(n)]
+        paths = [tmp_path / "b.json", tmp_path / "c.json"]
+        for path, bars in zip(paths, (b, c)):
+            path.write_text(json.dumps(bars))
+        assert run(capsys, "barcode", "bottleneck", *map(str, paths)) == (
+            0, '{\n  "bottleneck": "1"\n}\n', "")
+
     def test_decompose_zero_boundary(self, tmp_path, capsys):
         cx = FilteredComplex(
             QQ_FIELD, ((F(1), 0), (F(3), 1)), Matrix.zeros(QQ_FIELD, 2, 2)

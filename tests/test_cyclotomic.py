@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD
+from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, _constant, _convolve
 from egb.serialize import element_to_obj
 
 from conftest import SEED, FracCyclotomicNumber, cyclo_one
@@ -80,6 +80,19 @@ class TestAgainstFractionOracle:
                 assert_same(a / k, oa / k)
             prev = a, oa
 
+    @pytest.mark.parametrize("u, v", [(F(1, 7), F(2, 7)), (F(1, 6), F(5, 6)),
+                                      (F(1, 4), F(2, 9)), (F(1, 6), F(3, 10))],
+                             ids=["equal", "equal-reducing", "coprime", "shared-factor"])
+    def test_sums_over_each_kind_of_denominator(self, p, u, v):
+        """x + a and x - a, one fused normalization each, where the
+        denominators are equal (and the result reduces or not), coprime, or
+        share a factor."""
+        x, y = ([w * (i + 1) for i in range(p - 1)] for w in (u, v))
+        a, b = CyclotomicNumber(p, x), CyclotomicNumber(p, y)
+        oa, ob = FracCyclotomicNumber(p, tuple(x)), FracCyclotomicNumber(p, tuple(y))
+        for got, want in ((a + b, oa + ob), (a - b, oa - ob), (b - a, ob - oa)):
+            assert_same(got, want)
+
     def test_inverse_division_and_powers(self, p):
         prev = None
         # the oracle inverts by a (p-1) x (p-1) solve over Q: few samples at large p
@@ -112,6 +125,17 @@ class TestAgainstFractionOracle:
                 assert (a != b) == (oa != ob)
                 roundabout = (a + b) - b
                 assert roundabout == a and hash(roundabout) == hash(a)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_constant_coordinate_is_that_of_the_convolution(p):
+    """The norm of `CyclotomicNumber.inverse` needs only the constant
+    coordinate of a product; `_constant` computes it alone."""
+    rng = random.Random(f"constant:{SEED}:{p}")
+    for _ in range(100):
+        x, y = ([rng.choice((0, rng.randint(-9, 9), rng.randint(-10 ** 20, 10 ** 20)))
+                 for _ in range(p - 1)] for _ in range(2))
+        assert _constant(p, x, y) == _convolve(p, x, y)[0]
 
 
 class TestRepresentation:

@@ -1,13 +1,13 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
 Z_p modules, a formatted rational needs no JSON escaping and reads the same
-from its integers as from its Fraction, Q(zeta_p) is a field and its fused
-update x - f*a is the two-step one, the integer keys order and merge exact
-values as Fractions do, the integer bottleneck candidates are the Fraction
-ones, the complex constructors' sparse checks agree with the dense oracle, a
-kernel basis is the identity at its free columns, the Z_p module's parts,
-V/Fix and checks agree with the solve and dense oracles, and the integer
-spread candidates give the grid oracle's mu.  Derandomized, so every run
-draws the same examples."""
+from its integers as from its Fraction, Q(zeta_p) is a field, the fused
+update x - f*a of Q and of Q(zeta_p) is the two-step one, the integer keys
+order and merge exact values as Fractions do, the integer bottleneck
+candidates are the Fraction ones, the complex constructors' sparse checks
+agree with the dense oracle, a kernel basis is the identity at its free
+columns, the Z_p module's parts, V/Fix and checks agree with the solve and
+dense oracles, and the integer spread candidates give the grid oracle's mu.
+Derandomized, so every run draws the same examples."""
 
 import json
 import random
@@ -26,7 +26,7 @@ from egb.equivariant import (
 )
 from egb.bottleneck import _denominator, _ranks, bottleneck
 from egb.field import (
-    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, _sub_mul, cyclo_from_rational, cyclo_zeta,
+    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
 from egb.model import ModelInput
 from egb.persistence import (
@@ -162,30 +162,52 @@ def test_field_axioms(abc):
 
 @st.composite
 def sub_mul_operands(draw):
-    """(x, f, a) in Q(zeta_p), p = 2, 3 or 5, each 0, 1, -1, a rational or
-    a general element, so that denominators differ or agree."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    element = st.one_of(st.sampled_from((0, 1, -1)).map(lambda q: cyclo_from_rational(p, q)),
+    """A field, Q or Q(zeta_p) with p = 2, 3 or 5, and (x, f, a) in it, each
+    0, 1, -1, a rational or, over Q, a ~600-bit-denominator rational and
+    over Q(zeta_p) a general element, so that denominators differ or agree."""
+    p = draw(st.sampled_from((None, 2, 3, 5)))
+    units = st.sampled_from((0, 1, -1)).map(Fraction)
+    if p is None:
+        huge = st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620), st.integers(1, 2 ** 600))
+        element = st.one_of(units, rationals, huge)
+        return QQ_FIELD, (draw(element), draw(element), draw(element))
+    element = st.one_of(units.map(lambda q: cyclo_from_rational(p, q)),
                         rationals.map(lambda q: cyclo_from_rational(p, q)),
                         cyclotomic(p))
-    return draw(element), draw(element), draw(element)
+    return CyclotomicField(p), (draw(element), draw(element), draw(element))
 
 
-def _cy(p, *coords):
-    return CyclotomicNumber(p, [Fraction(c) for c in coords])
+def _q(*values):
+    return QQ_FIELD, tuple(Fraction(v) for v in values)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+def _cys(p, *elements):
+    return CyclotomicField(p), tuple(CyclotomicNumber(p, [Fraction(c) for c in coords])
+                                     for coords in elements)
+
+
+BIG = Fraction(3 ** 380 + 1, 2 ** 600 + 3)  # a ~600-bit denominator
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sub_mul_operands())
-@example((_cy(3, 1, 2), _cy(3, "1/2", 0), _cy(3, 3, "1/5")))  # f rational, unequal denominators
-@example((_cy(3, "1/6", 1), _cy(3, "1/2", 1), _cy(3, 0, "1/3")))  # x.den == f.den * a.den
-@example((_cy(5, 1, 0, 2, 0), _cy(5, 0, 0, 0, 0), _cy(5, 1, 2, 3, 4)))  # f = 0
-@example((_cy(5, "1/3", 0, 0, 1), _cy(5, -1, 0, 0, 0), _cy(5, "2/7", 1, 0, 3)))  # f = -1
-@example((_cy(2, "3/4"), _cy(2, "2/3"), _cy(2, "5/6")))  # Q(zeta_2) = Q
-def test_fused_update_is_x_minus_f_times_a(xfa):
-    """The one-normalization update equals, and hashes like, x - f*a."""
-    x, f, a = xfa
-    got, want = _sub_mul(x, f, a), x - f * a
+@example(_cys(3, (1, 2), ("1/2", 0), (3, "1/5")))  # f rational, unequal denominators
+@example(_cys(3, ("1/6", 1), ("1/2", 1), (0, "1/3")))  # x.den == f.den * a.den
+@example(_cys(5, (1, 0, 2, 0), (0, 0, 0, 0), (1, 2, 3, 4)))  # f = 0
+@example(_cys(5, ("1/3", 0, 0, 1), (-1, 0, 0, 0), ("2/7", 1, 0, 3)))  # f = -1
+@example(_cys(2, ("3/4",), ("2/3",), ("5/6",)))  # Q(zeta_2) = Q
+@example(_q(0, "2/3", "5/7"))  # x = 0
+@example(_q("1/4", 1, "3/10"))  # f = 1, denominators sharing a factor
+@example(_q("1/4", -1, "3/10"))  # f = -1: x + a
+@example(_q("5/6", "7/15", "9/14"))  # unequal denominators, the result reduces
+@example(_q(BIG, "1/3", BIG))  # ~600-bit denominators
+@example(_q(BIG, 1, BIG))  # cancels to 0
+def test_fused_update_is_x_minus_f_times_a(case):
+    """The field's one-normalization update equals, hashes like and has the
+    type of x - f*a, over Q a Fraction."""
+    field, (x, f, a) = case
+    got, want = field.sub_mul(x, f, a), x - f * a
+    assert type(got) is type(want) is (Fraction if field == QQ_FIELD else CyclotomicNumber)
     assert (got, hash(got)) == (want, hash(want))
 
 
