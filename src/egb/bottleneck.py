@@ -115,8 +115,8 @@ def _denominator(bars: list[Bar]) -> int:
 
 
 def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
-    """The finite candidates {0, pair costs, half-lengths} in increasing
-    order, as integer numerators over `_denominator` of all the bars, and
+    """`_denominator` of all the bars, the finite candidates {0, pair costs,
+    half-lengths} over it as integer numerators in increasing order, and
     the ranks of the pair costs and half-lengths among them that `_feasible`
     reads.  A pair costs max(|birth diff|, |death diff|), or |birth diff|
     for two rays, and +inf across finiteness; each is computed once."""
@@ -141,7 +141,7 @@ def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
     def ranks(values) -> list[int]:
         return [rank.get(v, len(ordered)) for v in values]
 
-    return ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
+    return den, ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
 
 
 def _distance(bars_b: list[Bar], bars_c: list[Bar]):
@@ -151,7 +151,7 @@ def _distance(bars_b: list[Bar], bars_c: list[Bar]):
     Fraction built."""
     if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
         return INF
-    ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+    den, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
     # the top candidate is feasible: no finite bar is long, equal ray counts match
     lo, hi = 0, len(ordered) - 1
     while lo < hi:
@@ -160,7 +160,7 @@ def _distance(bars_b: list[Bar], bars_c: list[Bar]):
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(ordered[lo], _denominator(bars_b + bars_c))
+    return Fraction(ordered[lo], den)
 
 
 def bottleneck(b: Barcode, c: Barcode):

@@ -5,11 +5,11 @@ parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  Its order check is
 that the kernel dimensions of A - zeta^k, k = 0..p-1, sum to dim V.  A kernel
 basis is the identity at its free columns, so an image's coordinates in a
 part are its rows there, with no elimination, and the commutation check is
-that they give the image back.  The eigenspace modules, mu_p, the full-power
-verdict and w_hat (the longest bar of the union of the parts 1..p-1) read the
-stored parts; V/Fix, read off part 0's free columns, is the independent route
-to w_hat.  Also the two-window spread of an equivariant filtered complex, the
-full-power obstruction and the cyclic tuple module."""
+that they give the image back.  The parts are the eigenspace modules; mu_p,
+the full-power verdict and w_hat (the longest bar of the union of the parts
+1..p-1) read them; V/Fix, read off part 0's free columns, is the independent
+route to w_hat.  Also the two-window spread of an equivariant filtered
+complex, the full-power obstruction and the cyclic tuple module."""
 
 from __future__ import annotations
 
@@ -132,25 +132,17 @@ class EquivariantComplex:
         object.__setattr__(self, "columns", cols)
 
 
-def _root_index(p: int, zeta: CyclotomicNumber, primitive: bool) -> int:
-    """The k in 0..p-1 with zeta = zeta_p^k: the p-th roots of unity in
-    Q(zeta_p) are exactly these p."""
+def _root_index(p: int, zeta: CyclotomicNumber) -> int:
+    """The k in 1..p-1 with zeta = zeta_p^k: the p-th roots of unity in
+    Q(zeta_p) are exactly the zeta_p^k, k = 0..p-1, and k = 0 is not primitive."""
     if zeta.p != p:
         raise ValueError("root of unity over the wrong field")
     k = next((k for k in range(p) if zeta == cyclo_zeta(p, k)), None)
     if k is None:
         raise ValueError("not a p-th root of unity")
-    if primitive and k == 0:
+    if k == 0:
         raise ValueError("root must be primitive (zeta != 1)")
     return k
-
-
-def eigenspace_module(
-    module: ZpPersistenceModule, zeta: CyclotomicNumber
-) -> FinitePersistenceModule:
-    """Pointwise kernels of (A - zeta id), with the induced transitions: the
-    part the module stored when it was built."""
-    return module.parts[_root_index(module.p, zeta, primitive=False)]
 
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
@@ -251,12 +243,6 @@ def _spread_candidates(barcode: Barcode, p: int):
                         default=INF)
                 c = min((y - x) / 4, min(INF if r is None else r - x, h) / 2)
                 yield c.numerator, c.denominator
-
-
-def mu_p_zeta(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> Fraction | float:
-    """mu_{p,zeta}: the spread of the barcode of the zeta-eigenspace."""
-    k = _root_index(module.p, zeta, primitive=True)
-    return mu_from_barcode(module.barcodes[k - 1], module.p)
 
 
 def mu_p(module: ZpPersistenceModule) -> Fraction | float:
@@ -418,7 +404,7 @@ def spread_lower_bound_from_gaps(generators) -> Fraction | float:
 def full_power_check(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> str:
     """PASS iff every candidate-interval multiplicity of B(L_zeta) is divisible
     by p; a FAIL certifies the module is not a full p-th power."""
-    k = _root_index(module.p, zeta, primitive=True)
+    k = _root_index(module.p, zeta)
     return full_power_verdict(module.barcodes[k - 1], module.p)
 
 

@@ -10,10 +10,10 @@ Conventions (fixed once, used everywhere):
   cutoff, which makes the barcode of a filtered complex literally a
   multiset of ``(birth, death]`` bars.
 
-A module's barcode comes from one left-to-right elder-rule sweep over its
-transitions.  A complex keeps its boundary as sparse columns, built once: its
-checks walk them, and everything else on it reads one R = DV reduction of them;
-each update of a sparse column is the field's `sub_mul` x - f*a.
+Every barcode comes from one sparse column reduction, `_reduce_columns`: of
+the images of a module's basis at each transition of its elder-rule sweep, or
+of a complex's boundary, kept as sparse columns built once, for R = DV.  Each
+update of a sparse column is the field's `sub_mul` x - f*a.
 """
 
 from __future__ import annotations
@@ -270,28 +270,24 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
     """Decompose into interval modules in one left-to-right sweep under the
     elder rule (Zomorodian and Carlsson, "Computing persistent homology", 2005).
 
-    The sweep carries a basis B of the current constancy interval, oldest
-    birth first, such that the vectors born by any time t span the image of
-    the module at t.  At spectrum point s it echelons ``[T B | I]`` once: an
-    image pivot keeps its birth, a non-pivot image (a combination of older
-    images) dies as the bar (birth, s], and an identity pivot is a class born
+    The sweep carries a sparse basis of the current constancy interval,
+    oldest birth first, such that the vectors born by any time t span the
+    image of the module at t.  At spectrum point s, `_reduce_columns` reduces
+    the images T b, oldest first: an image that reduces to zero (a
+    combination of older images) dies as the bar (birth, s], a nonzero
+    reduced image keeps its birth and stays in the basis, and the e_r at the
+    rows r that no reduced image has as its lowest row are the classes born
     at s.  What survives the last transition becomes (birth, +inf].
     """
-    field = module.field
-    z, o = field.zero(), field.one()
-    basis, births, bars = Matrix.zeros(field, 0, 0), [], []
+    field, live, bars = module.field, [], []  # live: (birth, basis vector)
     for s, t in zip(module.spectrum, module.transitions):
-        n, k = t.rows, len(births)
-        stacked = Matrix(field, n, k + n, tuple(
-            row + (z,) * r + (o,) + (z,) * (n - 1 - r)
-            for r, row in enumerate((t @ basis).entries)))
-        pivots = stacked._echelon()[1]
-        kept = set(pivots)
-        bars += [Bar(births[j], s) for j in range(k) if j not in kept]
-        births = [births[c] if c < k else s for c in pivots]
-        basis = Matrix(field, n, len(pivots),
-                       tuple(tuple(row[c] for c in pivots) for row in stacked.entries))
-    return Barcode.of(bars + [Bar(b, INF) for b in births])
+        cols = _sparse_columns(t)
+        images = [_apply(field, cols, v) for _, v in live]
+        owned = _reduce_columns(field, images)[0]
+        bars += [Bar(b, s) for (b, _), image in zip(live, images) if not image]
+        live = [(b, image) for (b, _), image in zip(live, images) if image]
+        live += [(s, {r: field.one()}) for r in range(t.rows) if r not in owned]
+    return Barcode.of(bars + [Bar(b, INF) for b, _ in live])
 
 
 # -- filtered chain complexes --------------------------------------------------
@@ -357,6 +353,26 @@ def _apply(field: Field, cols, chain: dict) -> dict:
     return image
 
 
+def _reduce_columns(field: Field, columns: list[dict]):
+    """The standard column reduction, in place, left to right: while column
+    j has the lowest nonzero row of an earlier column k, subtract f times
+    column k.  Returns ``(lows, steps)``: ``lows`` maps the lowest row of
+    each nonzero reduced column to it, in column order, and ``steps`` lists
+    each (j, k, f) in order, for a caller to repeat on other columns."""
+    lows: dict[int, int] = {}
+    steps = []
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            k = lows.setdefault(low, j)
+            if k == j:
+                break
+            factor = col[low] / columns[k][low]
+            _axpy(field, col, factor, columns[k])
+            steps.append((j, k, factor))
+    return lows, steps
+
+
 def _reduce(complex_: FilteredComplex):
     """The standard column reduction R = DV in the filtration order.
 
@@ -367,28 +383,15 @@ def _reduce(complex_: FilteredComplex):
     holds each (low R_j, j).  Since the boundary strictly lowers action,
     ``low R_j`` always has a smaller action than ``j``.
     """
+    field = complex_.field
     order = sorted(range(len(complex_.generators)), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
-    R: list[dict] = []
-    V: list[dict] = []
-    low_owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for j, g in enumerate(order):
-        col = {pos[i]: v for i, v in complex_.columns[g].items()}
-        vcol = {j: complex_.field.one()}
-        while col:
-            low = max(col)
-            k = low_owner.get(low)
-            if k is None:
-                low_owner[low] = j
-                pairs.append((low, j))
-                break
-            factor = col[low] / R[k][low]
-            _axpy(complex_.field, col, factor, R[k])
-            _axpy(complex_.field, vcol, factor, V[k])
-        R.append(col)
-        V.append(vcol)
-    return order, R, V, pairs
+    R = [{pos[i]: v for i, v in complex_.columns[g].items()} for g in order]
+    V = [{j: field.one()} for j in range(len(order))]
+    lows, steps = _reduce_columns(field, R)
+    for j, k, factor in steps:
+        _axpy(field, V[j], factor, V[k])
+    return order, R, V, list(lows.items())
 
 
 class _NormalForm:

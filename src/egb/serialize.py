@@ -453,9 +453,7 @@ def barcode_svg(barcode: Barcode) -> str:
         else:
             x2 = width - margin / 2
             dash = ' stroke-dasharray="6 3"'
-        label = f"({bar.birth}, {'inf' if not bar.finite else bar.death}]"
-        if degree is not None:
-            label += f" deg {degree}"
+        label = str(bar) if degree is None else f"{bar} deg {degree}"
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y:.2f}" x2="{x2:.2f}" y2="{y:.2f}" '
             f'stroke="black" stroke-width="3"{dash}/>'

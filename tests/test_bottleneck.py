@@ -166,7 +166,7 @@ class TestFeasibility:
             if n % 6 == 0:  # a side of short bars: half-length 1/8, below every B-bar's
                 c = Barcode.of(Bar(x, x + F(1, 4)) for x in (rand_frac(rng) for _ in range(3)))
             bars_b, bars_c = b.bars(), c.bars()
-            ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+            _, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
             for k in range(len(ordered)):
                 got = _feasible(cost_ranks, b_ranks, c_ranks, k)
                 assert got == feasible_slot_oracle(cost_ranks, b_ranks, c_ranks, k)

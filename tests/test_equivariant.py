@@ -13,14 +13,12 @@ from egb.equivariant import (
     ZpPersistenceModule,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
-    eigenspace_module,
     full_power_check,
     full_power_verdict,
     kunneth_stabilize,
     mu_from_barcode,
     mu_p,
     mu_p_of_family,
-    mu_p_zeta,
     quotient_fix_module,
     spread_lower_bound_from_gaps,
     w_hat,
@@ -85,32 +83,22 @@ def swap_module(birth=F(0), death=INF):
 class TestEigenspace:
     def test_trivial_action_zeta_one(self):
         m = trivial_action_module(3, F(0), F(5))
-        eigen = eigenspace_module(m, cyclo_one(3))
-        assert eigen.dims == m.base.dims
+        assert m.parts[0].dims == m.base.dims
 
     def test_trivial_action_primitive_zeta(self):
         m = trivial_action_module(3, F(0), F(5))
-        eigen = eigenspace_module(m, cyclo_zeta(3))
-        assert all(d == 0 for d in eigen.dims)
+        assert all(d == 0 for d in m.parts[1].dims)
 
     def test_swap_eigenspace(self):
         m = swap_module()
-        eigen = eigenspace_module(m, cyclo_zeta(2))
-        assert eigen.dims == (0, 1)
-
-    def test_non_root_rejected(self):
-        m = swap_module()
-        bad = cyclo_one(2) + cyclo_one(2)  # 2 is not a square root of unity
-        with pytest.raises(ValueError):
-            eigenspace_module(m, bad)
+        assert m.parts[1].dims == (0, 1)
 
     def test_eigen_splitting_dims(self, rng):
         for p in (2, 3):
             for _ in range(12):
                 m = random_zp_module(rng, p)
-                eigens = [eigenspace_module(m, cyclo_zeta(p, k)) for k in range(p)]
                 for i, d in enumerate(m.base.dims):
-                    assert d == sum(e.dims[i] for e in eigens)
+                    assert d == sum(e.dims[i] for e in m.parts)
 
 
 class TestQuotientFix:
@@ -129,11 +117,8 @@ class TestQuotientFix:
             for _ in range(8):
                 m = random_zp_module(rng, p, max_blocks=3 if p < 5 else 2)
                 q = quotient_fix_module(m)
-                eigens = [
-                    eigenspace_module(m, cyclo_zeta(p, k)) for k in range(1, p)
-                ]
                 for i in range(len(q.dims)):
-                    assert q.dims[i] == sum(e.dims[i] for e in eigens)
+                    assert q.dims[i] == sum(e.dims[i] for e in m.parts[1:])
 
 
 class TestInducedModuleSolves:
@@ -159,14 +144,11 @@ class TestInducedModuleSolves:
             counts()
             m = ZpPersistenceModule(p, m.base, m.action)
             assert counts()[:3] == (0, 0, p * len(m.base.dims))
-            zetas = [cyclo_zeta(p, k) for k in range(p)]
-            for zeta in zetas:
-                eigenspace_module(m, zeta)
             mu_p(m)
             w_hat(m)
-            for zeta in zetas[1:]:
-                mu_p_zeta(m, zeta)
-                full_power_check(m, zeta)
+            for k in range(1, p):
+                mu_from_barcode(m.barcodes[k - 1], p)
+                full_power_check(m, cyclo_zeta(p, k))
             assert counts() == (0, 0, 0, 0)
             quotient_fix_module(m)
             assert counts() == (0, 0, 0, 0)
@@ -183,7 +165,6 @@ class TestDecomposition:
             for k in range(p):
                 oracle = eigenspace_module_oracle(m, cyclo_zeta(p, k))
                 assert m.parts[k] == oracle
-                assert eigenspace_module(m, cyclo_zeta(p, k)) is m.parts[k]
                 if k:
                     assert m.barcodes[k - 1] == barcode_of_module(oracle)
             assert m.fixed == tuple(tuple(a.shift_diagonal(1).kernel_basis()) for a in m.action)
@@ -267,17 +248,12 @@ class TestMuP:
     def test_single_tuple_module(self):
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         assert mu_p(m) == F(5, 2)
-        assert mu_p_zeta(m, cyclo_zeta(2)) == F(5, 2)
-
-    def test_mu_p_zeta_requires_primitive(self):
-        m = cyclic_tuple_module(F(0), 3, death=F(10))
-        with pytest.raises(ValueError):
-            mu_p_zeta(m, cyclo_one(3))
+        assert mu_from_barcode(m.barcodes[0], 2) == F(5, 2)
 
     def test_p2_equals_zeta_minus_one(self, rng):
         for _ in range(8):
             m = random_zp_module(rng, 2, max_blocks=3)
-            assert mu_p(m) == mu_p_zeta(m, cyclo_zeta(2))
+            assert mu_p(m) == mu_from_barcode(m.barcodes[0], 2)
 
     def test_rescan_oracle(self, rng):
         """mu from the closed-form candidate scan equals a denser sweep."""
@@ -561,6 +537,16 @@ class TestFullPower:
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         assert full_power_check(m, cyclo_zeta(2)) == "FAIL"
 
+    def test_root_rejected_unless_primitive(self):
+        """A root over the wrong field, a non-root and zeta = 1 all raise."""
+        with pytest.raises(ValueError, match="wrong field"):
+            full_power_check(cyclic_tuple_module(F(0), 3, death=F(10)), cyclo_zeta(2))
+        bad = cyclo_one(2) + cyclo_one(2)  # 2 is not a square root of unity
+        with pytest.raises(ValueError, match="not a p-th root"):
+            full_power_check(swap_module(), bad)
+        with pytest.raises(ValueError, match="primitive"):
+            full_power_check(cyclic_tuple_module(F(0), 3, death=F(10)), cyclo_one(3))
+
     def test_zero_module_passes(self):
         field = CyclotomicField(2)
         base = FinitePersistenceModule(field, (), (0,), ())
@@ -593,12 +579,12 @@ class TestFullPower:
 class TestCyclicTuple:
     def test_p3_infinite(self):
         m = cyclic_tuple_module(F(0), 3)
-        bc = barcode_of_module(eigenspace_module(m, cyclo_zeta(3)))
+        bc = barcode_of_module(m.parts[1])
         assert bc == Barcode.of([(Bar(0, INF), 1)])
 
     def test_p2_finite(self):
         m = cyclic_tuple_module(F(1), 2, death=F(4))
-        bc = barcode_of_module(eigenspace_module(m, cyclo_zeta(2)))
+        bc = barcode_of_module(m.parts[1])
         assert bc == Barcode.of([(Bar(1, 4), 1)])
 
     def test_tuple_count_equals_eigen_dimension(self, rng):
@@ -609,8 +595,7 @@ class TestCyclicTuple:
             total = mods[0]
             for m in mods[1:]:
                 total = zp_direct_sum(total, m)
-            eigen = eigenspace_module(total, cyclo_zeta(p))
-            assert eigen.dims[-1] == n_tuples
+            assert total.parts[1].dims[-1] == n_tuples
 
 
 class TestKunneth:

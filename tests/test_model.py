@@ -13,8 +13,7 @@ from egb.eggbeater import (
     param_search,
     validation_threshold,
 )
-from egb.equivariant import eigenspace_module, mu_p_of_family
-from egb.field import cyclo_zeta
+from egb.equivariant import mu_p_of_family
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -24,7 +23,7 @@ from egb.model import (
 )
 from egb.persistence import Bar, Barcode, INF, barcode_of_module, is_inf
 
-from conftest import births, build_model, count_calls, primitive_roots
+from conftest import births, build_model, count_calls
 
 
 def fixture_model(lam=None):
@@ -37,13 +36,13 @@ def fixture_model(lam=None):
 class TestBuildModel:
     def test_single_tuple_barcode(self):
         model = build_model(ModelInput(3, ((F(0), 0),)))
-        bc = barcode_of_module(eigenspace_module(model, cyclo_zeta(3)))
+        bc = barcode_of_module(model.parts[1])
         assert bc == Barcode.of([(Bar(0, INF), 1)])
 
     def test_sixteen_tuples(self):
         model_input, _ = fixture_model()
         model = build_model(model_input)
-        bc = barcode_of_module(eigenspace_module(model, cyclo_zeta(2)))
+        bc = barcode_of_module(model.parts[1])
         assert len(bc.bars()) == 16
         assert bc.infinite_count() == 16
         assert births(bc) == [a for a, _ in model_input.tuples]
@@ -51,12 +50,10 @@ class TestBuildModel:
     def test_eigen_dimension_counts_tuples(self):
         model_input, _ = fixture_model()
         model = build_model(model_input)
-        eigen = eigenspace_module(model, cyclo_zeta(2))
-        assert eigen.dims[-1] == 16  # contrapositive of divisibility: count = #tuples
+        assert model.parts[1].dims[-1] == 16  # contrapositive of divisibility: count = #tuples
 
     def test_closed_form_family_matches_dense_oracle(self, rng):
         for p in (2, 3, 5):
-            roots = [cyclo_zeta(p, 0)] + primitive_roots(p)
             for n in range(1, 6):
                 actions = rng.sample(range(-40, 40), n)
                 tuples = tuple((F(a, 3), rng.randint(0, 2)) for a in actions)
@@ -65,8 +62,8 @@ class TestBuildModel:
                 assert list(family) == sorted({d for _, d in tuples})
                 for r, barcode in family.items():
                     model = build_model(ModelInput(p, tuple(t for t in tuples if t[1] == r)))
-                    for zeta in roots:
-                        assert barcode_of_module(eigenspace_module(model, zeta)) == barcode
+                    for part in model.parts:
+                        assert barcode_of_module(part) == barcode
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one tuple"):

@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from egb import persistence
-from egb.equivariant import eigenspace_module, quotient_fix_module
-from egb.field import CyclotomicField, Matrix, QQ_FIELD
+from egb.equivariant import quotient_fix_module
+from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
     Bar,
     Barcode,
@@ -29,7 +29,6 @@ from conftest import (
     gap_cuts,
     les_check_oracle,
     module_from_barcode,
-    primitive_roots,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
@@ -50,6 +49,25 @@ def pair_complex():
         ((F(5), 1), (F(2), 0)),
         Matrix.from_rows(QQ_FIELD, [[0, 0], [1, 0]]),
     )
+
+
+def random_transition_module(rng, field) -> FinitePersistenceModule:
+    """Transitions A B for random A (n x r) and B (r x m), r drawn from
+    0..min(n, m); the entries are random rationals, or over Q(zeta_p) random
+    combinations of 1, zeta, ..., zeta^(p-2)."""
+    powers = [cyclo_zeta(field.p, k) for k in range(field.p - 1)] if field != QQ_FIELD else [F(1)]
+
+    def rand(rows, cols):
+        return Matrix.from_rows(field, [[sum(rand_frac(rng, -2, 2, 2) * z for z in powers)
+                                         for _ in range(cols)] for _ in range(rows)])
+
+    spectrum = sorted(rng.sample(range(-9, 9), rng.randint(1, 5)))
+    dims = [0] + [rng.randint(0, 3) for _ in spectrum]
+    transitions = []
+    for m, n in zip(dims, dims[1:]):
+        r = rng.randint(0, min(m, n))
+        transitions.append(rand(n, r) @ rand(r, m) if r else Matrix.zeros(field, n, m))
+    return FinitePersistenceModule(field, tuple(map(F, spectrum)), tuple(dims), tuple(transitions))
 
 
 class TestIntervalOps:
@@ -191,19 +209,35 @@ class TestModuleDecomposition:
         expected = Barcode.of([(Bar(0, INF), 1), (Bar(1, 2), 1)])
         assert barcode_of_module(m) == expected == barcode_of_module_oracle(m)
 
-    def test_one_product_and_one_elimination_per_transition(self, rng, monkeypatch):
+    def test_one_sparse_reduction_per_transition(self, rng, monkeypatch):
+        """The sweep reduces sparse columns, once per transition, and builds
+        no dense product, echelon, rank, rank table or composite."""
         modules = [random_zp_module(rng, 3).base for _ in range(5)]
-        tables = count_calls(monkeypatch, FinitePersistenceModule, "rank_table")
-        composites = count_calls(monkeypatch, FinitePersistenceModule, "composite")
-        ranks = count_calls(monkeypatch, Matrix, "rank")
-        products = count_calls(monkeypatch, Matrix, "__matmul__")
-        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        reductions = count_calls(monkeypatch, persistence, "_reduce_columns")
+        dense = [count_calls(monkeypatch, cls, name) for cls, name in (
+            (Matrix, "__matmul__"), (Matrix, "_echelon"), (Matrix, "rank"),
+            (FinitePersistenceModule, "rank_table"), (FinitePersistenceModule, "composite"))]
         for m in modules:
-            products.clear()
-            echelons.clear()
+            reductions.clear()
             barcode_of_module(m)
-            assert len(products) == len(echelons) == len(m.spectrum)
-        assert tables == composites == ranks == []
+            assert len(reductions) == len(m.spectrum)
+        assert dense == [[]] * 5
+
+    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3), CyclotomicField(5)], ids=str)
+    def test_sweep_equals_rank_table_oracle_on_rank_deficient_maps(self, rng, field):
+        """Random transitions of every rank, each kind drawn: zero,
+        non-injective and non-surjective maps."""
+        kinds = set()
+        for _ in range(25):
+            m = random_transition_module(rng, field)
+            for t in m.transitions:
+                if t.rows and t.cols:
+                    r = t.rank()
+                    kinds.update(kind for kind, hit in (
+                        ("zero", r == 0), ("non-injective", r < t.cols),
+                        ("non-surjective", r < t.rows)) if hit)
+            assert barcode_of_module(m) == barcode_of_module_oracle(m)
+        assert kinds == {"zero", "non-injective", "non-surjective"}
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_sweep_equals_rank_table_oracle_cyclotomic(self, rng, p):
@@ -212,7 +246,7 @@ class TestModuleDecomposition:
         for _ in range(8):
             zm = random_zp_module(rng, p)
             modules = [zm.base, quotient_fix_module(zm)]
-            modules += [eigenspace_module(zm, z) for z in primitive_roots(p)]
+            modules += zm.parts[1:]
             for m in modules:
                 assert barcode_of_module(m) == barcode_of_module_oracle(m)
 

@@ -24,7 +24,7 @@ from egb.equivariant import (
     mu_from_barcode,
     quotient_fix_module,
 )
-from egb.bottleneck import _denominator, _ranks, bottleneck
+from egb.bottleneck import _ranks, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
@@ -279,14 +279,13 @@ def test_barcode_canonical_form_is_the_fraction_one(items):
 @example([(Bar(0, 4), 1, None)], [])
 @example([(Bar(Fraction(1, 3), INF), 2, 0)], [(Bar(Fraction(1, 2), INF), 2, 0)])
 def test_integer_ranks_give_the_fraction_candidates(items_b, items_c):
-    """The integer candidates over `_denominator` are the Fraction ones of
-    the oracle, with the same ranks, and the distance is the oracle's, on
-    small and ~600-bit values, rays and multiplicities."""
+    """The integer candidates over the denominator that `_ranks` returns are
+    the Fraction ones of the oracle, with the same ranks, and the distance is
+    the oracle's, on small and ~600-bit values, rays and multiplicities."""
     b, c = Barcode(tuple(items_b)), Barcode(tuple(items_c))
     for bars_b, bars_c in bars_by_degree(b, c):
-        ordered, *ranks = _ranks(bars_b, bars_c)
+        den, ordered, *ranks = _ranks(bars_b, bars_c)
         want_ordered, *want_ranks = ranks_oracle(bars_b, bars_c)
-        den = _denominator(bars_b + bars_c)
         assert ranks == want_ranks
         assert [Fraction(v, den) for v in ordered] == want_ordered
     got, want = bottleneck(b, c), bottleneck_oracle(b, c)
