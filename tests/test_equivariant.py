@@ -93,6 +93,12 @@ class TestEigenspace:
         m = swap_module()
         assert m.parts[1].dims == (0, 1)
 
+    def test_non_root_rejected(self):
+        m = swap_module()
+        bad = cyclo_one(2) + cyclo_one(2)  # 2 is not a square root of unity
+        with pytest.raises(ValueError, match="not a p-th root"):
+            full_power_check(m, bad)
+
     def test_eigen_splitting_dims(self, rng):
         for p in (2, 3):
             for _ in range(12):
@@ -249,6 +255,11 @@ class TestMuP:
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         assert mu_p(m) == F(5, 2)
         assert mu_from_barcode(m.barcodes[0], 2) == F(5, 2)
+
+    def test_mu_p_zeta_requires_primitive(self):
+        m = cyclic_tuple_module(F(0), 3, death=F(10))
+        with pytest.raises(ValueError, match="primitive"):
+            full_power_check(m, cyclo_one(3))
 
     def test_p2_equals_zeta_minus_one(self, rng):
         for _ in range(8):
@@ -537,15 +548,9 @@ class TestFullPower:
         m = cyclic_tuple_module(F(0), 2, death=F(10))
         assert full_power_check(m, cyclo_zeta(2)) == "FAIL"
 
-    def test_root_rejected_unless_primitive(self):
-        """A root over the wrong field, a non-root and zeta = 1 all raise."""
+    def test_root_over_wrong_field_rejected(self):
         with pytest.raises(ValueError, match="wrong field"):
             full_power_check(cyclic_tuple_module(F(0), 3, death=F(10)), cyclo_zeta(2))
-        bad = cyclo_one(2) + cyclo_one(2)  # 2 is not a square root of unity
-        with pytest.raises(ValueError, match="not a p-th root"):
-            full_power_check(swap_module(), bad)
-        with pytest.raises(ValueError, match="primitive"):
-            full_power_check(cyclic_tuple_module(F(0), 3, death=F(10)), cyclo_one(3))
 
     def test_zero_module_passes(self):
         field = CyclotomicField(2)
