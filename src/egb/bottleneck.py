@@ -13,6 +13,7 @@ Fraction is built, for the answer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -87,24 +88,41 @@ def hopcroft_karp(adjacency: dict, left_order: list) -> dict:
     return pair_left
 
 
-def _feasible(cost_ranks: list[list[int]], b_ranks: list[int], c_ranks: list[int],
-              k: int) -> bool:
+def _adjacency(cost_ranks: list[list[int]], nc: int):
+    """Each B-bar's C-bars and each C-bar's B-bars, sorted by the rank of
+    their pair cost, each with its row of those ranks: the pairs of cost
+    rank <= k are a prefix of each, which `_feasible` takes by bisection.
+    Only the size of a matching is read, so the order of a node's edges is
+    free."""
+    def by_rank(rows, count: int) -> list[tuple[list[int], list[int]]]:
+        nodes = list(range(count))  # shared index objects, not one per row
+        return [(row, sorted(nodes, key=row.__getitem__)) for row in rows]
+
+    return (by_rank(cost_ranks, nc),
+            by_rank([[row[j] for row in cost_ranks] for j in range(nc)], len(cost_ranks)))
+
+
+def _feasible(adjacency, b_ranks: list[int], c_ranks: list[int], k: int) -> bool:
     """Is there a delta-matching for delta = the k-th smallest candidate:
     pairs of cost <= delta covering every long bar (half-length > delta)?
 
     The arguments are ranks among the candidates, +inf ranking past them
-    all: ``cost_ranks[i][j]`` that of the pair cost of B-bar i and C-bar j,
-    ``b_ranks`` / ``c_ranks`` those of the half-lengths.  By the
-    Mendelsohn-Dulmage theorem (1958), one matching covers the long bars of
-    both sides iff one covers the long B-bars and another the long C-bars.
+    all: ``adjacency`` is the `_adjacency` of the ranks of the pair costs of
+    B-bar i and C-bar j, ``b_ranks`` / ``c_ranks`` the ranks of the
+    half-lengths.  By the Mendelsohn-Dulmage theorem (1958), one matching
+    covers the long bars of both sides iff one covers the long B-bars and
+    another the long C-bars.
     """
-    long_b = [i for i, r in enumerate(b_ranks) if r > k]
-    into_c = {i: [j for j, r in enumerate(cost_ranks[i]) if r <= k] for i in long_b}
-    if len(hopcroft_karp(into_c, long_b)) < len(long_b):
-        return False
-    long_c = [j for j, r in enumerate(c_ranks) if r > k]
-    into_b = {j: [i for i, row in enumerate(cost_ranks) if row[j] <= k] for j in long_c}
-    return len(hopcroft_karp(into_b, long_c)) == len(long_c)
+    by_b, by_c = adjacency
+    for ranks, edges in ((b_ranks, by_b), (c_ranks, by_c)):
+        long = [i for i, r in enumerate(ranks) if r > k]
+        into = {}
+        for i in long:
+            row, order = edges[i]
+            into[i] = order[:bisect_right(order, k, key=row.__getitem__)]
+        if len(hopcroft_karp(into, long)) < len(long):
+            return False
+    return True
 
 
 def _denominator(bars: list[Bar]) -> int:
@@ -152,11 +170,12 @@ def _distance(bars_b: list[Bar], bars_c: list[Bar]):
     if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
         return INF
     den, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+    adjacency = _adjacency(cost_ranks, len(c_ranks))
     # the top candidate is feasible: no finite bar is long, equal ray counts match
     lo, hi = 0, len(ordered) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(cost_ranks, b_ranks, c_ranks, mid):
+        if _feasible(adjacency, b_ranks, c_ranks, mid):
             hi = mid
         else:
             lo = mid + 1

@@ -1,15 +1,20 @@
 """Persistence modules with a cyclic automorphism of prime order.
 
 A `ZpPersistenceModule` is decomposed once, when built, into its isotypic
-parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  Its order check is
-that the kernel dimensions of A - zeta^k, k = 0..p-1, sum to dim V.  A kernel
-basis is the identity at its free columns, so an image's coordinates in a
-part are its rows there, with no elimination, and the commutation check is
-that they give the image back.  The parts are the eigenspace modules; mu_p,
-the full-power verdict and w_hat (the longest bar of the union of the parts
-1..p-1) read them; V/Fix, read off part 0's free columns, is the independent
-route to w_hat.  Also the two-window spread of an equivariant filtered
-complex, the full-power obstruction and the cyclic tuple module."""
+parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  The kernel of each
+A - zeta^k comes from one sparse column reduction (`persistence._reduce_with_v`,
+R = DV): V_j for each zero column R_j.  The order check is that the kernel
+dimensions, k = 0..p-1, sum to dim V.  A kernel basis vector is 1 at its
+free position and 0 at the others, so an image's coordinates in a part are
+its entries there, with no elimination, and the commutation check is that
+subtracting them leaves nothing.  The parts are the eigenspace modules;
+mu_p, the full-power verdict and w_hat (the longest bar of the union of the
+parts 1..p-1) read them; V/Fix, read off part 0's free positions, is the
+independent route to w_hat.  Also the two-window spread of an equivariant
+filtered complex, whose T^p = id check squares and multiplies T's sparse
+columns, the full-power obstruction and the cyclic tuple module.  No dense
+`Matrix` elimination, product or power is made here; those are the oracles
+of the tests."""
 
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .persistence import (
     _NormalForm,
     _apply,
     _axpy,
+    _reduce_with_v,
     _reindex,
     _sparse_columns,
     homology_basis,
@@ -67,34 +73,43 @@ class ZpPersistenceModule:
             raise ValueError("base module must live over Q(zeta_p)")
         if len(self.action) != self.base.num_intervals:
             raise ValueError("one automorphism matrix per constancy interval")
-        kernels = []
+        field, z = self.field, self.field.zero()
+        roots = [cyclo_zeta(self.p, k) for k in range(self.p)]
+        kernels = []  # kernels[i][k]: (free position, sparse vector) of ker(A_i - zeta^k)
         for i, a in enumerate(self.action):
             n = self.base.dims[i]
             if (a.rows, a.cols) != (n, n):
                 raise ValueError(f"automorphism {i} has wrong shape")
+            if a.field != field:
+                raise ValueError(f"automorphism {i} over wrong field")
             # x^p - 1 has p distinct roots in Q(zeta_p), so A^p = id exactly
             # when the eigenspaces of A at those roots fill the space
-            spaces = [tuple(a.shift_diagonal(cyclo_zeta(self.p, k)).kernel_basis())
-                      for k in range(self.p)]
+            cols = _sparse_columns(a)
+            rows = _pivot_order(cols)
+            spaces = [_kernel(field, cols, root, rows) for root in roots]
             if sum(map(len, spaces)) != n:
                 raise ValueError(f"automorphism {i} does not have order dividing p")
             kernels.append(spaces)
-        # the coordinates of an image in the next interval's part are its rows
-        # at the free columns, and it lies in that part (the action commutes)
-        # iff they give back its other rows
-        field, maps = self.field, [[] for _ in range(self.p)]
+        # an image's coordinates in the next interval's part are its entries
+        # at the free positions, and it lies in that part (the action
+        # commutes) iff subtracting them leaves nothing
+        maps = [[] for _ in range(self.p)]
         for i, t in enumerate(self.base.transitions):
+            t_cols = _sparse_columns(t)
             for src, dst, out in zip(kernels[i], kernels[i + 1], maps):
-                free, rest, b_rest = _frame(field, dst, t.rows)
-                w = t @ Matrix.from_columns(field, src, t.cols)
-                coords = _rows(w, free)
-                if b_rest @ coords != _rows(w, rest):
-                    raise ValueError(f"automorphism does not commute with transition {i}")
-                out.append(coords)
-        parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, bases)),
-                                         tuple(out)) for bases, out in zip(zip(*kernels), maps)]
+                coords = []
+                for _, b in src:
+                    w = _apply(field, t_cols, b)
+                    coords.append(_peel(field, w, dst))
+                    if w:
+                        raise ValueError(f"automorphism does not commute with transition {i}")
+                out.append(_matrix_of(field, len(dst), coords))
+        parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, spaces)),
+                                         tuple(out)) for spaces, out in zip(zip(*kernels), maps)]
+        fixed = tuple(tuple(tuple(v.get(r, z) for r in range(n)) for _, v in spaces[0])
+                      for spaces, n in zip(kernels, self.base.dims))
         object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "fixed", tuple(ks[0] for ks in kernels))
+        object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "barcodes", tuple(barcode_of_module(m) for m in parts[1:]))
 
     @property
@@ -121,15 +136,29 @@ class EquivariantComplex:
             raise ValueError("chain map must be square on the generators")
         if t.field != self.complex.field:
             raise ValueError("chain map over wrong field")
-        if not t.matpow(self.p).shift_diagonal(1).is_zero():
-            raise ValueError("chain map does not satisfy T^p = id")
         d, cols, field = self.complex.columns, _sparse_columns(t), t.field
+        one = field.one()
+        if any(col != {j: one} for j, col in enumerate(_power(field, cols, self.p))):
+            raise ValueError("chain map does not satisfy T^p = id")
         if any(_apply(field, cols, d[j]) != _apply(field, d, col) for j, col in enumerate(cols)):
             raise ValueError("chain map does not commute with the boundary")
         gens = self.complex.generators
         if any(gens[i] != gens[j] for j, col in enumerate(cols) for i in col):
             raise ValueError("chain map must preserve action and degree")
         object.__setattr__(self, "columns", cols)
+
+
+def _power(field, cols, n: int) -> tuple[dict, ...]:
+    """The sparse columns of T^n, n >= 1, for T with sparse columns ``cols``:
+    square and multiply, O(log n) compositions of sparse columns."""
+    result = None
+    while True:
+        if n & 1:
+            result = cols if result is None else tuple(_apply(field, cols, c) for c in result)
+        n >>= 1
+        if not n:
+            return result
+        cols = tuple(_apply(field, cols, c) for c in cols)
 
 
 def _root_index(p: int, zeta: CyclotomicNumber) -> int:
@@ -145,35 +174,83 @@ def _root_index(p: int, zeta: CyclotomicNumber) -> int:
     return k
 
 
+def _pivot_order(cols) -> list[int]:
+    """A new position for each row of the square matrix with sparse columns
+    ``cols``: the rows by falling count of nonzero entries off the diagonal,
+    ties in row order.  The column reduction pivots on a column's last row,
+    so the sparsest rows become the pivots, as in Markowitz's rule (1957),
+    and each step touches fewer later columns."""
+    count = [0] * len(cols)
+    for j, col in enumerate(cols):
+        for r in col:
+            count[r] += r != j
+    order = sorted(range(len(cols)), key=count.__getitem__, reverse=True)
+    rows = [0] * len(cols)
+    for position, r in enumerate(order):
+        rows[r] = position
+    return rows
+
+
+def _kernel(field, cols, c, rows) -> list[tuple[int, dict]]:
+    """ker(A - c) for A with sparse columns ``cols``: one `_reduce_with_v`
+    of the columns of A - c, their rows moved to the positions ``rows``
+    (the kernel and the dependent columns stay the same), and (j, V_j) for
+    each j with R_j = 0.  V_j is 1 at j, 0 at the other such j and ends at
+    j, so it equals the vector `Matrix.kernel_basis` gives for the free
+    column j, entry for entry."""
+    shifted, z = [], field.zero()
+    for j, col in enumerate(cols):
+        d = col.get(j, z) - c
+        col = {rows[r]: x for r, x in col.items() if r != j}
+        if d:
+            col[rows[j]] = d
+        shifted.append(col)
+    V = _reduce_with_v(field, shifted)[1]
+    return [(j, V[j]) for j, col in enumerate(shifted) if not col]
+
+
+def _peel(field, w: dict, basis) -> list:
+    """The entries of the sparse vector w at the free positions f of
+    ``basis``, (f, B_f) pairs with B_f 1 at f and 0 at the other free
+    positions; w, in place, loses each of those multiples of B_f, which
+    leaves it zero iff it lies in the span of the basis."""
+    coords = [w.get(f, field.zero()) for f, _ in basis]
+    for x, (_, b_f) in zip(coords, basis):
+        if x:
+            _axpy(field, w, x, b_f)
+    return coords
+
+
+def _matrix_of(field, rows: int, columns: list[list]) -> Matrix:
+    """The `Matrix` of the given columns of field elements, with no coercion."""
+    return Matrix(field, rows, len(columns), tuple(tuple(col[r] for col in columns)
+                                                   for r in range(rows)))
+
+
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """The quotient L = V / Fix(A) with the induced persistence maps; Fix(A)
-    is the kernel B_i of part 0, stored when the module was built.  L_i has
-    the basis e_c, c in P_i (`_frame`), and the transition is the rows P_(i+1)
-    of W - B_(i+1) W[F_(i+1)], for W the columns P_i of T_i."""
-    field = module.field
-    frames = [_frame(field, b, n) for b, n in zip(module.fixed, module.base.dims)]
+    is the kernel B_i of part 0, stored when the module was built.  B_i is 1
+    at its free positions F_i and 0 at the other ones there, so L_i has the
+    basis e_c, c in the kept positions P_i, and column c of the transition
+    is column c of T_i less its entry at each f in F_(i+1) times that B_f,
+    read at P_(i+1): no elimination."""
+    field, z = module.field, module.field.zero()
+    frames = []  # (F_i as (f, B_f) pairs, P_i) per interval
+    for basis, n in zip(module.fixed, module.base.dims):
+        fix = [{r: x for r, x in enumerate(v) if x is not z and x} for v in basis]
+        free = [(max(v), v) for v in fix]
+        frames.append((free, sorted(set(range(n)).difference(f for f, _ in free))))
     maps = []
     for i, t in enumerate(module.base.transitions):
-        kept, (free, rest, b_rest) = frames[i][1], frames[i + 1]
-        w = Matrix(field, t.rows, len(kept), tuple(tuple(r[c] for c in kept) for r in t.entries))
-        maps.append(_rows(w, rest) - b_rest @ _rows(w, free))
+        t_cols, (free, kept) = _sparse_columns(t), frames[i + 1]
+        coords = []
+        for c in frames[i][1]:
+            w = dict(t_cols[c])
+            _peel(field, w, free)
+            coords.append([w.get(r, z) for r in kept])
+        maps.append(_matrix_of(field, len(kept), coords))
     return FinitePersistenceModule(field, module.base.spectrum,
-                                   tuple(len(rest) for _, rest, _ in frames), tuple(maps))
-
-
-def _frame(field, basis, n: int) -> tuple[list[int], list[int], Matrix]:
-    """(F, P, B[P]) for the matrix B of a `Matrix.kernel_basis` of n-vectors:
-    F its free columns, P the other rows.  B[F] is the identity, so B and the
-    e_c, c in P, are a basis, in which w has the coordinates w[F] along B and
-    w[P] - B[P] w[F] along the e_c: no elimination."""
-    free = [max(j for j, x in enumerate(v) if x) for v in basis]
-    rest = sorted(set(range(n)).difference(free))
-    return free, rest, Matrix(field, len(rest), len(basis),
-                              tuple(tuple(v[r] for v in basis) for r in rest))
-
-
-def _rows(m: Matrix, rows) -> Matrix:
-    return Matrix(m.field, len(rows), m.cols, tuple(m.entries[r] for r in rows))
+                                   tuple(len(kept) for _, kept in frames), tuple(maps))
 
 
 # -- the multiplicity sensitive spread ---------------------------------------

@@ -328,9 +328,12 @@ class FilteredComplex:
 
 
 def _sparse_columns(matrix: Matrix) -> tuple[dict, ...]:
-    """The columns of a matrix as dicts row -> nonzero entry, rows ascending."""
-    ent = matrix.entries
-    return tuple({i: row[j] for i, row in enumerate(ent) if row[j]} for j in range(matrix.cols))
+    """The columns of a matrix as dicts row -> nonzero entry, rows ascending;
+    the field's shared zero, most entries of a parsed matrix, is skipped by
+    identity before the truthiness test."""
+    ent, z = matrix.entries, matrix.field.zero()
+    return tuple({i: x for i, row in enumerate(ent) if (x := row[j]) is not z and x}
+                 for j in range(matrix.cols))
 
 
 def _axpy(field: Field, target: dict, f, source: dict) -> None:
@@ -358,19 +361,41 @@ def _reduce_columns(field: Field, columns: list[dict]):
     j has the lowest nonzero row of an earlier column k, subtract f times
     column k.  Returns ``(lows, steps)``: ``lows`` maps the lowest row of
     each nonzero reduced column to it, in column order, and ``steps`` lists
-    each (j, k, f) in order, for a caller to repeat on other columns."""
+    each (j, k, f) in order, for a caller to repeat on other columns.  The
+    pivot of column k is inverted once, at its first use, and each factor
+    is one product with that inverse."""
     lows: dict[int, int] = {}
+    inverses: dict[int, object] = {}
     steps = []
+    one = field.one()
     for j, col in enumerate(columns):
         while col:
             low = max(col)
             k = lows.setdefault(low, j)
             if k == j:
                 break
-            factor = col[low] / columns[k][low]
+            inverse = inverses.get(k)
+            if inverse is None:
+                inverse = inverses[k] = one / columns[k][low]
+            factor = col[low] * inverse
             _axpy(field, col, factor, columns[k])
             steps.append((j, k, factor))
     return lows, steps
+
+
+def _reduce_with_v(field: Field, columns: list[dict]):
+    """`_reduce_columns` of ``columns``, in place, with every step (j, k, f)
+    repeated on the unit columns e_j: returns ``(lows, V)`` with R = DV for
+    D the columns as given and R as left, V upper unitriangular.  A step
+    only subtracts a column k with R_k != 0, so for R_j = 0, V_j is the
+    kernel vector of D that is 1 at j, 0 at every other j' with R_j' = 0,
+    and ends at j: the vector `Matrix.kernel_basis` gives for the free
+    column j."""
+    lows, steps = _reduce_columns(field, columns)
+    V = [{j: field.one()} for j in range(len(columns))]
+    for j, k, factor in steps:
+        _axpy(field, V[j], factor, V[k])
+    return lows, V
 
 
 def _reduce(complex_: FilteredComplex):
@@ -383,14 +408,10 @@ def _reduce(complex_: FilteredComplex):
     holds each (low R_j, j).  Since the boundary strictly lowers action,
     ``low R_j`` always has a smaller action than ``j``.
     """
-    field = complex_.field
     order = sorted(range(len(complex_.generators)), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
     R = [{pos[i]: v for i, v in complex_.columns[g].items()} for g in order]
-    V = [{j: field.one()} for j in range(len(order))]
-    lows, steps = _reduce_columns(field, R)
-    for j, k, factor in steps:
-        _axpy(field, V[j], factor, V[k])
+    lows, V = _reduce_with_v(complex_.field, R)
     return order, R, V, list(lows.items())
 
 

@@ -163,7 +163,9 @@ def matrix_from_obj(field: Field, obj, rows: int, cols: int) -> Matrix:
         raise ValueError("matrix JSON must be an array of row arrays")
     if len(obj) != rows or any(len(r) != cols for r in obj):
         raise ValueError(f"matrix JSON is not {rows}x{cols}")
-    entries = tuple(tuple(element_from_obj(field, x) for x in row) for row in obj)
+    z = field.zero()  # "0", most entries, is the shared zero that `_sparse_columns` skips
+    entries = tuple(tuple(z if x == "0" else element_from_obj(field, x) for x in row)
+                    for row in obj)
     return Matrix(field, rows, cols, entries)  # the elements are already in `field`
 
 

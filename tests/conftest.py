@@ -19,7 +19,7 @@ from egb.equivariant import (
     cyclic_tuple_module,
     mu_p,
 )
-from egb.bottleneck import _feasible, hopcroft_karp
+from egb.bottleneck import _adjacency, _feasible, hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta, is_prime,
@@ -521,8 +521,9 @@ def bottleneck_oracle(b: Barcode, c: Barcode):
             distances.append(INF)
             continue
         ordered, cost_ranks, b_ranks, c_ranks = ranks_oracle(bars_b, bars_c)
+        adjacency = _adjacency(cost_ranks, len(c_ranks))
         k = bisect.bisect_left(range(len(ordered)), True,
-                               key=lambda k: _feasible(cost_ranks, b_ranks, c_ranks, k))
+                               key=lambda k: _feasible(adjacency, b_ranks, c_ranks, k))
         distances.append(ordered[k])
     return max(distances, default=Fraction(0))
 
@@ -771,6 +772,33 @@ def eigenspace_module_oracle(module: ZpPersistenceModule, zeta) -> FinitePersist
     and the induced transitions."""
     kernels = [a.shift_diagonal(zeta).kernel_basis() for a in module.action]
     return induced_module_oracle(module, [[] for _ in kernels], kernels)
+
+
+def quotient_fix_oracle(module: ZpPersistenceModule) -> FinitePersistenceModule:
+    """`quotient_fix_module` by dense products: for the matrix B of the
+    stored Fix basis of each interval, F its free columns (the last nonzero
+    row of each vector) and P the other rows, L_i has the basis e_c, c in
+    P_i, and the transition is the rows P_(i+1) of W - B_(i+1) W[F_(i+1)],
+    for W the columns P_i of T_i."""
+    field = module.field
+
+    def rows(m: Matrix, keep) -> Matrix:
+        return Matrix(field, len(keep), m.cols, tuple(m.entries[r] for r in keep))
+
+    frames = []
+    for basis, n in zip(module.fixed, module.base.dims):
+        free = [max(j for j, x in enumerate(v) if x) for v in basis]
+        rest = sorted(set(range(n)).difference(free))
+        b_rest = Matrix(field, len(rest), len(basis),
+                        tuple(tuple(v[r] for v in basis) for r in rest))
+        frames.append((free, rest, b_rest))
+    maps = []
+    for i, t in enumerate(module.base.transitions):
+        kept, (free, rest, b_rest) = frames[i][1], frames[i + 1]
+        w = Matrix(field, t.rows, len(kept), tuple(tuple(r[c] for c in kept) for r in t.entries))
+        maps.append(rows(w, rest) - b_rest @ rows(w, free))
+    return FinitePersistenceModule(field, module.base.spectrum,
+                                   tuple(len(rest) for _, rest, _ in frames), tuple(maps))
 
 
 def w_hat_scan_oracle(module: ZpPersistenceModule) -> Fraction | float:

@@ -1,7 +1,7 @@
 from collections import deque
 from fractions import Fraction as F
 
-from egb.bottleneck import _feasible, _ranks, bottleneck, hopcroft_karp
+from egb.bottleneck import _adjacency, _feasible, _ranks, bottleneck, hopcroft_karp
 from egb.persistence import Bar, Barcode, INF, is_inf
 
 from conftest import feasible_slot_oracle, rand_barcode, rand_frac
@@ -167,8 +167,9 @@ class TestFeasibility:
                 c = Barcode.of(Bar(x, x + F(1, 4)) for x in (rand_frac(rng) for _ in range(3)))
             bars_b, bars_c = b.bars(), c.bars()
             _, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+            adjacency = _adjacency(cost_ranks, len(c_ranks))
             for k in range(len(ordered)):
-                got = _feasible(cost_ranks, b_ranks, c_ranks, k)
+                got = _feasible(adjacency, b_ranks, c_ranks, k)
                 assert got == feasible_slot_oracle(cost_ranks, b_ranks, c_ranks, k)
                 seen.add(got)
                 if any(r > k for r in b_ranks) and not any(r > k for r in c_ranks):

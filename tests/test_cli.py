@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import egb
-from egb import serialize
+from egb import equivariant, serialize
 from egb.cli import build_parser, main
 from egb.eggbeater import param_search, validation_threshold
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
@@ -287,28 +287,29 @@ class TestBarcodeCommands:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_mu_builds_one_eigenspace_per_root(self, tmp_path, capsys, monkeypatch, p):
-        """The module is decomposed once, when it is parsed: p kernels per
-        interval and no solve.  The report reads the stored parts and
-        eliminates nothing more."""
+        """The module is decomposed once, when it is parsed: one sparse
+        column reduction per root and interval, and no dense `Matrix`
+        elimination, product or power.  The report reads the stored parts
+        and reduces nothing more."""
         m = cyclic_tuple_module(F(0), p, death=F(10))
         f = tmp_path / "m.json"
         f.write_text(json.dumps(zp_module_to_obj(m)))
-        kernels = count_calls(monkeypatch, Matrix, "kernel_basis")
-        solves = count_calls(monkeypatch, Matrix, "solve_matrix")
-        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        reductions = count_calls(monkeypatch, equivariant, "_reduce_with_v")
+        dense = [count_calls(monkeypatch, Matrix, name) for name in (
+            "kernel_basis", "_echelon", "__matmul__", "solve", "solve_matrix", "matpow",
+            "from_columns")]
         parse, at_parse = serialize.zp_module_from_obj, []
 
         def counting(obj):
             module = parse(obj)
-            at_parse.append((len(kernels), len(solves), len(echelons)))
+            at_parse.append(len(reductions))
             return module
 
         monkeypatch.setattr(serialize, "zp_module_from_obj", counting)
         code, _, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", str(p - 1))
         assert code == 0
-        built = (p * len(m.base.dims), 0)
-        assert at_parse == [built + (len(echelons),)]
-        assert (len(kernels), len(solves)) == built
+        assert at_parse == [p * len(m.base.dims)] == [len(reductions)]
+        assert [len(calls) for calls in dense] == [0] * 7
 
 
 def killed_swap_obj() -> dict:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from egb import equivariant
 from egb.cli import main
 from egb.equivariant import (
     EquivariantComplex,
@@ -39,6 +40,7 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 
 from conftest import (
     count_calls,
+    complex_checks_oracle,
     construct_full_power,
     cyclo_one,
     eigenspace_module_oracle,
@@ -46,6 +48,7 @@ from conftest import (
     mu_from_barcode_oracle,
     perturb_and_check_lipschitz,
     primitive_roots,
+    quotient_fix_oracle,
     rand_barcode,
     rand_frac,
     random_equivariant_complex,
@@ -126,38 +129,100 @@ class TestQuotientFix:
                 for i in range(len(q.dims)):
                     assert q.dims[i] == sum(e.dims[i] for e in m.parts[1:])
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_quotient_equals_the_dense_oracle(self, rng, p):
+        for _ in range(12):
+            m = random_zp_module(rng, p, max_blocks=4 if p < 5 else 3)
+            assert quotient_fix_module(m) == quotient_fix_oracle(m)
+
+
+# the dense `Matrix` eliminations, products and powers that the Z_p layer never calls
+DENSE = ("kernel_basis", "_echelon", "__matmul__", "solve", "solve_matrix", "matpow",
+         "from_columns")
+
 
 class TestInducedModuleSolves:
-    """Building a module takes p kernels per interval and solves nothing
-    after them: each part's transition is the rows of its images at the free
-    columns of the next interval's kernel.  The quotient V/Fix and the
-    readers of the stored parts eliminate nothing at all."""
+    """Building a module takes one sparse column reduction per root and
+    interval, with the steps replayed on V for the kernel, and no dense
+    `Matrix` elimination, product or power: each part's transition is read
+    off the images at the free positions of the next interval's kernel.
+    The readers of the stored parts and the quotient V/Fix reduce nothing
+    at all."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_no_solve_after_the_kernels(self, rng, monkeypatch, p):
-        solves = count_calls(monkeypatch, Matrix, "solve")
-        solve_matrices = count_calls(monkeypatch, Matrix, "solve_matrix")
-        kernels = count_calls(monkeypatch, Matrix, "kernel_basis")
-        echelons = count_calls(monkeypatch, Matrix, "_echelon")
+        dense = {name: count_calls(monkeypatch, Matrix, name) for name in DENSE}
+        reductions = count_calls(monkeypatch, equivariant, "_reduce_with_v")
 
         def counts():
-            out = (len(solves), len(solve_matrices), len(kernels), len(echelons))
-            del solves[:], solve_matrices[:], kernels[:], echelons[:]
+            out = (len(reductions), {name: len(calls) for name, calls in dense.items() if calls})
+            del reductions[:]
+            for calls in dense.values():
+                del calls[:]
             return out
 
         for _ in range(4):
             m = random_zp_module(rng, p, max_blocks=3)
             counts()
             m = ZpPersistenceModule(p, m.base, m.action)
-            assert counts()[:3] == (0, 0, p * len(m.base.dims))
+            assert counts() == (p * len(m.base.dims), {})
             mu_p(m)
             w_hat(m)
             for k in range(1, p):
                 mu_from_barcode(m.barcodes[k - 1], p)
                 full_power_check(m, cyclo_zeta(p, k))
-            assert counts() == (0, 0, 0, 0)
+            assert counts() == (0, {})
             quotient_fix_module(m)
-            assert counts() == (0, 0, 0, 0)
+            w_hat_from_quotient(m)
+            assert counts() == (0, {})
+
+
+class TestChainMapOrder:
+    """T^p = id is checked by square and multiply on T's sparse columns."""
+
+    @staticmethod
+    def chain_maps(field, p):
+        cycle = [list(row) for row in cyclic_permutation_matrix(field, p).entries]
+        maps = {"rotation": [[0, -1], [1, 0]], "unipotent": [[1, 1], [0, 1]],
+                "double": [[2, 0], [0, 2]], "swap": [[0, 1], [1, 0]], "minus": [[-1, 0], [0, -1]],
+                "identity": [[1, 0], [0, 1]], "unipotent_3": [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+                "cycle_3": cyclic_permutation_matrix(field, 3).entries, "cycle_p": cycle,
+                "cycle_p_and_rotation": [row + [0, 0] for row in cycle]
+                + [[0] * p + [0, -1], [0] * p + [1, 0]]}
+        if isinstance(field, CyclotomicField):
+            zeta = cyclo_zeta(p)
+            maps["zeta"] = [[zeta, 0], [0, zeta]]
+            maps["zeta_cycle"] = [[x * zeta for x in row] for row in cycle]
+        return {name: Matrix.from_rows(field, rows) for name, rows in maps.items()}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_power_check_equals_the_dense_oracle(self, monkeypatch, p):
+        """Chain maps of order 1, 2, 3, 4, p and 4p, unipotent ones and 2 id
+        on a complex with no boundary, at primes with several bits set."""
+        cases = []
+        for field in (QQ_FIELD, CyclotomicField(p)):
+            for name, t in self.chain_maps(field, p).items():
+                gens, boundary = ((F(0), 0),) * t.rows, Matrix.zeros(field, t.rows, t.rows)
+                expected = complex_checks_oracle(field, gens, boundary, p, t)
+                cases.append((name, FilteredComplex(field, gens, boundary), t, expected))
+        dense = [count_calls(monkeypatch, Matrix, name) for name in DENSE]
+        for name, cx, t, expected in cases:
+            try:
+                EquivariantComplex(p, cx, t)
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert (name, got) == (name, expected)
+        assert dense == [[]] * len(DENSE)
+        assert {expected for *_, expected in cases} == {None, "chain map does not satisfy T^p = id"}
+
+    def test_builds_no_dense_matrix(self, rng, monkeypatch):
+        inputs = [random_equivariant_complex(rng, p, field) for p in (2, 3, 5)
+                  for field in (QQ_FIELD, CyclotomicField(p)) for _ in range(3)]
+        dense = [count_calls(monkeypatch, Matrix, name) for name in DENSE]
+        for eq in inputs:
+            assert EquivariantComplex(eq.p, eq.complex, eq.chain_map).columns == eq.columns
+        assert dense == [[]] * len(DENSE)
 
 
 class TestDecomposition:
