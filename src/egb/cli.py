@@ -258,7 +258,8 @@ def cmd_bounds(args) -> int:
     report = mdl.bounds_report(model_input, k=k, eps_frac=eps, lam=lam, stabilize=stabilize)
     _emit(_dump(ser.bounds_report_to_obj(report, provenance)), args.out)
     if args.svg:
-        merged = functools.reduce(Barcode.union, mdl.eigenspace_family(model_input).values())
+        family = mdl.eigenspace_family(model_input)
+        merged = Barcode(tuple(e for bc in family.values() for e in bc.items))
         Path(args.svg).write_text(ser.barcode_svg(merged))
     return 0
 

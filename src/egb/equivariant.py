@@ -270,8 +270,14 @@ def mu_from_barcode(barcode: Barcode, p: int) -> Fraction | float:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _supremum(_spread_candidates(barcode, p))
+
+
+def _supremum(pairs) -> Fraction | float:
+    """The largest of the unreduced pairs (n, d) of `_spread_candidates`, and 0
+    for none: one Fraction, or +inf for (1, 0)."""
     best = (0, 1)
-    for n, d in _spread_candidates(barcode, p):
+    for n, d in pairs:
         if n * best[1] > best[0] * d:
             best = (n, d)
     return Fraction(*best) if best[1] else INF
@@ -328,9 +334,13 @@ def mu_p(module: ZpPersistenceModule) -> Fraction | float:
 
 
 def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
-    """Graded spread: maximum of mu over the degrees of a barcode family."""
-    values = [mu_from_barcode(bc, p) for bc in family.values()]
-    return max(values) if values else Fraction(0)
+    """Graded spread: maximum of mu over the degrees of a barcode family,
+    taken on the candidate pairs of every degree at once (0 for no degree)."""
+    if not family:
+        return Fraction(0)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return _supremum(pair for bc in family.values() for pair in _spread_candidates(bc, p))
 
 
 # -- the modified spread ------------------------------------------------------
@@ -535,14 +545,16 @@ def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int,
     (connected stabilizing factor)."""
     if not betti or betti[0] != 1:
         raise ValueError("betti[0] must be 1 (connected factor)")
+    if any(type(b) is not int for b in betti):
+        raise ValueError(f"betti numbers must be ints, got {betti!r}")
     if any(b < 0 for b in betti):
         raise ValueError("betti numbers must be nonnegative")
-    out: dict[int, Barcode] = {}
+    pieces: dict[int, list[Barcode]] = {}
     for r, barcode in family.items():
         for i, b in enumerate(betti):
             if b == 0 or barcode.is_empty():
                 continue
-            target = r + i
-            piece = barcode.repeat(b)
-            out[target] = out[target].union(piece) if target in out else piece
-    return out
+            pieces.setdefault(r + i, []).append(barcode.repeat(b))
+    # a lone piece is canonical already; several are merged and sorted once
+    return {t: ps[0] if len(ps) == 1 else Barcode(tuple(e for bc in ps for e in bc.items))
+            for t, ps in pieces.items()}

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .equivariant import kunneth_stabilize, mu_p_of_family
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, _order_key, is_inf, min_gap, multiplicity
+from .persistence import Bar, Barcode, INF, _canonical, _multiplicity, _order_key, is_inf, min_gap
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
     (action, +inf] to ``family[degree]``, whichever root is chosen."""
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
-    family: dict[int, Barcode] = {}
-    for r in sorted({d for _, d in model_input.tuples}):
-        family[r] = Barcode.of(
-            (Bar(a, INF), 1, None) for a, d in model_input.tuples if d == r
-        )
-    return family
+    # the tuples are sorted on `_order_key` with distinct actions, so each
+    # degree's rays are already merged and in canonical order
+    rays: dict[int, list] = {}
+    for a, d in model_input.tuples:
+        rays.setdefault(d, []).append((Bar(a, INF), 1, None))
+    return {r: _canonical(rays[r]) for r in sorted(rays)}
 
 
 def paper_mu_lower_bound(
@@ -62,23 +62,30 @@ def paper_mu_lower_bound(
 ) -> Fraction:
     """Differential-independent bound c = g(1 - 2 eps)/4 from the minimal
     inter-tuple gap g.  The witness (a + eps g/2, a + g - eps g/2], a the
-    least action, and its 2c-shrink must each have model multiplicity 1 (a
-    count not divisible by p), summed over the degrees of the family:
-    multiplicity is additive over a multiset union."""
+    least action, and its 2c-shrink (a + (1 - eps) g/2, a + (1 + eps) g/2]
+    must each have model multiplicity 1 (a count not divisible by p), summed
+    over the degrees of the family: multiplicity is additive over a multiset
+    union.  The four ends are integer numerators over one denominator, and
+    c is the one Fraction built."""
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac < 1:
         raise ValueError("eps_frac must lie in (0, 1)")
     gap = model_input.gap
     if is_inf(gap):
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
-    a_min = model_input.tuples[0][0]
-    witness = Bar(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
-    c = gap * (1 - 2 * eps_frac) / 4
+    (an, ad), (gn, gd) = model_input.tuples[0][0].as_integer_ratio(), gap.as_integer_ratio()
+    en, ed = eps_frac.as_integer_ratio()
+    if 2 * en > ed:
+        raise ValueError("shrink amount must be >= 0")  # c < 0
+    c = Fraction(gn * (ed - 2 * en), 4 * gd * ed)
     if family is None:
         family = eigenspace_family(model_input)
-    shrunk = witness.shrink(2 * c)
-    m_full = sum(multiplicity(bc, witness) for bc in family.values())
-    m_shrunk = sum(multiplicity(bc, shrunk) for bc in family.values())
+    # a = base / den and g/2 = ed u / den, so eps g/2 = en u / den
+    base, u, den = 2 * an * ed * gd, ad * gn, 2 * ad * ed * gd
+    witness = base + en * u, base + (2 * ed - en) * u
+    shrunk = base + (ed - en) * u, base + (ed + en) * u
+    m_full = sum(_multiplicity(bc, *witness, den) for bc in family.values())
+    m_shrunk = sum(_multiplicity(bc, *shrunk, den) for bc in family.values())
     if not (m_full == m_shrunk == 1):
         raise AssertionError("witness interval does not have model multiplicity 1")
     return c

@@ -132,6 +132,8 @@ class Barcode:
         # merged on integer pairs, exact as a Fraction is kept in lowest terms
         merged: dict = {}
         for bar, mult, degree in self.items:
+            if type(mult) is not int:  # a bool, float or Fraction is refused too
+                raise ValueError(f"multiplicity must be an int, got {mult!r}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
             b, d = bar.birth, bar.death
@@ -179,19 +181,51 @@ class Barcode:
         return Barcode(self.items + other.items)
 
     def repeat(self, n: int) -> "Barcode":
+        """n copies of every bar: the multiplicities scale and the canonical
+        order stays, so nothing is merged or sorted again."""
+        if type(n) is not int:  # the items skip the constructor's check
+            raise ValueError(f"repeat count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("negative repeat")
         if n == 0:
             return Barcode.empty()
-        return Barcode(tuple((bar, m * n, deg) for bar, m, deg in self.items))
+        return _canonical((bar, m * n, deg) for bar, m, deg in self.items)
 
     def is_empty(self) -> bool:
         return not self.items
 
 
+def _canonical(items) -> Barcode:
+    """A barcode of items already merged and in canonical order, which are
+    stored as given: the caller's order is the one the constructor would sort."""
+    barcode = object.__new__(Barcode)
+    object.__setattr__(barcode, "items", tuple(items))
+    return barcode
+
+
 def multiplicity(barcode: Barcode, query: Bar) -> int:
     """Number of bars (with multiplicities) containing the query interval."""
-    return sum(m for bar, m, _ in barcode.items if bar.contains(query))
+    b, d = query.birth, query.death
+    if is_inf(d):
+        return _multiplicity(barcode, b.numerator, None, b.denominator)
+    return _multiplicity(barcode, b.numerator * d.denominator, d.numerator * b.denominator,
+                         b.denominator * d.denominator)
+
+
+def _multiplicity(barcode: Barcode, lo: int, hi: int | None, den: int) -> int:
+    """Number of bars containing (lo/den, hi/den], hi None for +inf, on
+    integers: each end is compared by cross products with den > 0, and the
+    count stops at the first bar born after lo/den, since the items are
+    sorted by birth."""
+    total = 0
+    for bar, m, _ in barcode.items:
+        b = bar.birth
+        if b.numerator * den > lo * b.denominator:
+            break
+        e = bar.death
+        if is_inf(e) or hi is not None and e.numerator * den >= hi * e.denominator:
+            total += m
+    return total
 
 
 def longest_finite_bar(barcode: Barcode) -> Fraction:

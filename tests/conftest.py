@@ -39,7 +39,6 @@ from egb.persistence import (
     homology_basis,
     induced_homology_rank,
     is_inf,
-    multiplicity,
     window_complex,
 )
 from egb.field import QQ_FIELD
@@ -866,7 +865,7 @@ def _candidate_intervals(barcode: Barcode):
         for y in rights:
             if x < y:
                 interval = Bar(x, y)
-                yield interval, multiplicity(barcode, interval)
+                yield interval, multiplicity_oracle(barcode, interval)
 
 
 def mu_from_barcode_oracle(barcode: Barcode, p: int) -> Fraction | float:
@@ -904,6 +903,75 @@ def full_power_verdict_oracle(barcode: Barcode, p: int) -> str:
     """Grid oracle of `full_power_verdict`: FAIL iff some candidate-interval
     multiplicity, recounted over every bar, is not divisible by p."""
     return "FAIL" if any(m % p for _, m in _candidate_intervals(barcode)) else "PASS"
+
+
+# -- bounds report oracles ---------------------------------------------------
+
+
+def multiplicity_oracle(barcode: Barcode, query: Bar) -> int:
+    """`multiplicity` as a full scan: every bar is tested by `Bar.contains`."""
+    return sum(m for bar, m, _ in barcode.items if bar.contains(query))
+
+
+def eigenspace_family_oracle(model_input: ModelInput) -> dict[int, Barcode]:
+    """`eigenspace_family` through the sorting constructor: one ray
+    (action, +inf] per tuple, merged and sorted per degree."""
+    if not model_input.tuples:
+        raise ValueError("model needs at least one tuple")
+    return {r: Barcode.of((Bar(a, INF), 1, None) for a, d in model_input.tuples if d == r)
+            for r in sorted({d for _, d in model_input.tuples})}
+
+
+def kunneth_stabilize_oracle(family: dict[int, Barcode], betti: list[int]) -> dict[int, Barcode]:
+    """`kunneth_stabilize` as a chain of unions of repeats, every one through
+    the sorting constructor, so each target degree is merged and sorted once
+    per piece."""
+    if not betti or betti[0] != 1:
+        raise ValueError("betti[0] must be 1 (connected factor)")
+    if any(b < 0 for b in betti):
+        raise ValueError("betti numbers must be nonnegative")
+    out: dict[int, Barcode] = {}
+    for r, barcode in family.items():
+        for i, b in enumerate(betti):
+            if b == 0 or barcode.is_empty():
+                continue
+            piece = Barcode(tuple((bar, m * b, deg) for bar, m, deg in barcode.items))
+            out[r + i] = Barcode(out[r + i].items + piece.items) if r + i in out else piece
+    return out
+
+
+def mu_p_of_family_oracle(family: dict[int, Barcode], p: int) -> Fraction | float:
+    """`mu_p_of_family` as the largest grid-oracle mu over the degrees; 0 for
+    no degree."""
+    if not family:
+        return Fraction(0)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return max(mu_from_barcode_oracle(bc, p) for bc in family.values())
+
+
+def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 100),
+                                family: dict[int, Barcode] | None = None) -> Fraction:
+    """`paper_mu_lower_bound` on Fractions: the witness is a `Bar` of reduced
+    Fraction ends, its 2c-shrink is `Bar.shrink` (which refuses c < 0), and
+    both are counted by `multiplicity_oracle`."""
+    eps_frac = Fraction(eps_frac)
+    if not 0 < eps_frac < 1:
+        raise ValueError("eps_frac must lie in (0, 1)")
+    gap = model_input.gap
+    if is_inf(gap):
+        return Fraction(0)
+    a_min = model_input.tuples[0][0]
+    witness = Bar(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
+    c = gap * (1 - 2 * eps_frac) / 4
+    if family is None:
+        family = eigenspace_family_oracle(model_input)
+    shrunk = witness.shrink(2 * c)
+    m_full = sum(multiplicity_oracle(bc, witness) for bc in family.values())
+    m_shrunk = sum(multiplicity_oracle(bc, shrunk) for bc in family.values())
+    if not (m_full == m_shrunk == 1):
+        raise AssertionError("witness interval does not have model multiplicity 1")
+    return c
 
 
 # -- window homology and its oracles -----------------------------------------

@@ -685,6 +685,26 @@ class TestKunneth:
         with pytest.raises(ValueError):
             kunneth_stabilize({0: Barcode.of([(Bar(0, 1), 1)])}, [2])
 
+    @pytest.mark.parametrize("betti", [[1, F(1, 2)], [1, F(2, 1)], [1, 2.0], [1, 0.0],
+                                       [True, 1], [1, True]])
+    def test_non_int_betti_rejected(self, betti):
+        # an empty family too: the vector is checked before any degree is read
+        for fam in ({0: Barcode.of([(Bar(0, 1), 1)])}, {}):
+            with pytest.raises(ValueError, match="^betti numbers must be ints, got "):
+                kunneth_stabilize(fam, betti)
+
+    def test_negative_betti_rejected(self):
+        with pytest.raises(ValueError, match="^betti numbers must be nonnegative$"):
+            kunneth_stabilize({0: Barcode.of([(Bar(0, 1), 1)])}, [1, -1])
+
+    def test_pieces_of_one_target_merge(self):
+        # degree 1 gets F(1) and two copies of F(0), which share the bar (0, 5]
+        a, b = Barcode.of([(Bar(0, 5), 1), (Bar(2, INF), 1)]), Barcode.of([(Bar(0, 5), 3)])
+        fam = kunneth_stabilize({1: b, 0: a, 4: Barcode.empty()}, [1, 2, 0, 1])
+        assert list(fam) == [1, 2, 4, 0, 3]
+        assert fam == {0: a, 1: Barcode.of([(Bar(0, 5), 5), (Bar(2, INF), 2)]),
+                       2: Barcode.of([(Bar(0, 5), 6)]), 3: a, 4: b}
+
     def test_single_degree_mu_invariance(self, rng):
         from conftest import rand_barcode
 

@@ -237,3 +237,31 @@ class TestWitnessEnds:
         family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a + half, a + g - half)])}
         with pytest.raises(AssertionError, match="does not have model multiplicity 1"):
             paper_mu_lower_bound(model_input, eps, family=family)
+
+    @pytest.mark.parametrize("eps", [F(1, 100), F(1, 5)])
+    def test_a_bar_ending_inside_the_shrunk_witness_is_not_counted(self, eps):
+        # (a, a + g/2] contains neither interval: it ends before the shrunk
+        # end a + (1 + eps) g/2, and contains the point a + (1 - eps) g/2
+        model_input = ModelInput(3, ((F(3), 0), (F(5), 1), (F(9), 0)))
+        a, g = F(3), F(2)
+        family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a, a + g / 2)])}
+        assert paper_mu_lower_bound(model_input, eps, family=family) == g * (1 - 2 * eps) / 4
+
+    def test_eps_above_one_half_is_a_negative_shrink(self):
+        model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
+        assert paper_mu_lower_bound(model_input, F(1, 2)) == 0
+        with pytest.raises(ValueError, match="^shrink amount must be >= 0$"):
+            paper_mu_lower_bound(model_input, F(999999, 10 ** 6))
+
+
+class TestNoResort:
+    """`eigenspace_family` keeps the order `ModelInput` sorted, and the
+    stabilization scales it, so a report on one degree sorts no barcode."""
+
+    def test_report_builds_no_barcode_through_the_constructor(self, monkeypatch):
+        _, records = validation_threshold(5, 4, *param_search(5, 4))
+        tuples = tuple((r.action, 0) for r in records[:8])
+        calls = count_calls(monkeypatch, Barcode, "__post_init__")
+        for stabilize in (None, [1, 2, 1]):
+            bounds_report(ModelInput(5, tuples), stabilize=stabilize)
+        assert calls == []

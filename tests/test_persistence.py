@@ -83,6 +83,23 @@ class TestIntervalOps:
         b = Barcode.of([(Bar(0, INF), 1)])
         assert multiplicity(b, Bar(1, 10 ** 6)) == 1
 
+    def test_multiplicity_counts_a_bar_born_at_the_query_birth(self):
+        b = Barcode.of([(Bar(0, 4), 1), (Bar(3, INF), 2), (Bar(3, 9), 4), (Bar(5, INF), 8)])
+        assert multiplicity(b, Bar(3, 9)) == 6
+        assert multiplicity(b, Bar(3, INF)) == 2
+        assert multiplicity(b, Bar(5, 6)) == 14
+
+    @pytest.mark.parametrize("mult", [2.5, F(3, 1), True, 2.0])
+    def test_non_int_multiplicity_rejected(self, mult):
+        with pytest.raises(ValueError, match="^multiplicity must be an int, got "):
+            Barcode.of([(Bar(0, 1), mult)])
+        with pytest.raises(ValueError, match="^repeat count must be an int, got "):
+            Barcode.of([(Bar(0, 1), 1)]).repeat(mult)
+
+    def test_negative_repeat_rejected(self):
+        with pytest.raises(ValueError, match="^negative repeat$"):
+            Barcode.of([(Bar(0, 1), 1)]).repeat(-1)
+
     def test_shrink(self):
         assert Bar(0, 10).shrink(2) == Bar(2, 8)
         assert Bar(0, 10).shrink(0) == Bar(0, 10)

@@ -6,7 +6,9 @@ order and merge exact values as Fractions do, the integer bottleneck
 candidates are the Fraction ones, the complex constructors' sparse checks
 agree with the dense oracle, a kernel basis is the identity at its free
 columns, the Z_p module's parts, V/Fix and checks agree with the solve and
-dense oracles, and the integer spread candidates give the grid oracle's mu.
+dense oracles, the integer spread candidates give the grid oracle's mu, and
+the bounds report's family, stabilization, graded spread, witness and
+multiplicity equal their Fraction and sorting-constructor oracles.
 Derandomized, so every run draws the same examples."""
 
 import json
@@ -21,14 +23,16 @@ from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
     full_power_verdict,
+    kunneth_stabilize,
     mu_from_barcode,
+    mu_p_of_family,
     quotient_fix_module,
 )
 from egb.bottleneck import _ranks, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
-from egb.model import ModelInput
+from egb.model import ModelInput, eigenspace_family, paper_mu_lower_bound
 from egb.persistence import (
     Bar,
     Barcode,
@@ -37,6 +41,7 @@ from egb.persistence import (
     INF,
     _extend_basis,
     _order_key,
+    multiplicity,
 )
 from egb.serialize import (
     _ratio_str,
@@ -55,11 +60,16 @@ from conftest import (
     bottleneck_oracle,
     canonical_items_oracle,
     complex_checks_oracle,
+    eigenspace_family_oracle,
     eigenspace_module_oracle,
     full_power_verdict_oracle,
     induced_module_oracle,
+    kunneth_stabilize_oracle,
     model_input_oracle,
     mu_from_barcode_oracle,
+    mu_p_of_family_oracle,
+    multiplicity_oracle,
+    paper_mu_lower_bound_oracle,
     random_equivariant_complex,
     random_zp_module,
     ranks_oracle,
@@ -508,3 +518,111 @@ def test_spread_candidates_on_integers_give_the_grid_oracle(items, p):
     got, want = mu_from_barcode(bc, p), mu_from_barcode_oracle(bc, p)
     assert (got, type(got)) == (want, type(want))
     assert full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p)
+
+
+# -- the bounds report on the order ModelInput sorted ---------------------------
+
+EPS = st.one_of(st.sampled_from((Fraction(1, 10 ** 6), Fraction(999999, 10 ** 6),
+                                 Fraction(1, 100), Fraction(1, 2))),
+                st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
+                .filter(lambda e: 0 < e < 1))
+
+
+@st.composite
+def model_inputs(draw):
+    """A `ModelInput` over small, close and ~600-bit actions of both signs, in
+    one degree or in mixed degrees; one tuple included."""
+    actions = list(dict.fromkeys(draw(exact_values())))
+    top = draw(st.integers(0, 2))
+    return ModelInput(draw(st.sampled_from((2, 3, 5))),
+                      tuple((a, draw(st.integers(0, top))) for a in actions))
+
+
+@st.composite
+def families(draw):
+    """Barcodes of `bar_items` grouped into degrees 0..3 in a drawn order of
+    the degrees, some of them empty."""
+    items = draw(bar_items())
+    slot = {None: 0, 0: 1, 1: 2, 2: 3}
+    return {r: Barcode(tuple(e for e in items if slot[e[2]] == r))
+            for r in draw(st.permutations(range(4)))}
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(bar_items())
+@example([(Bar(3, INF), 2, None), (Bar(3, 9), 1, 0), (Bar(0, 4), 1, None)])
+def test_multiplicity_equals_the_full_scan(items):
+    """Queries from every end, every midpoint of neighbouring ends and a point
+    before and after all of them, to each later point and +inf: births shared
+    by several bars, rays and finite bars."""
+    bc = Barcode(tuple(items))
+    ends = sorted({bar.birth for bar, _, _ in items}
+                  | {bar.death for bar, _, _ in items if bar.finite} | {Fraction(0)})
+    points = sorted({ends[0] - 1, ends[-1] + 1, *ends,
+                     *((x + y) / 2 for x, y in zip(ends, ends[1:]))})
+    for i, x in enumerate(points):
+        for y in points[i + 1:] + [INF]:
+            query = Bar(x, y)
+            assert multiplicity(bc, query) == multiplicity_oracle(bc, query)
+
+
+@PROPERTY
+@given(model_inputs())
+def test_eigenspace_family_is_the_sorted_one(model_input):
+    got, want = eigenspace_family(model_input), eigenspace_family_oracle(model_input)
+    assert list(got) == list(want) and got == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(bar_items(), st.integers(0, 4))
+def test_repeat_is_the_sorted_one(items, n):
+    bc = Barcode(tuple(items))
+    assert bc.repeat(n) == Barcode(tuple((bar, m * n, d) for bar, m, d in bc.items if n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.one_of(families(), model_inputs().map(eigenspace_family)),
+       st.lists(st.integers(0, 3), max_size=3), st.sampled_from((2, 3, 5)))
+def test_kunneth_and_graded_mu_equal_the_union_chain(family, tail, p):
+    """Each target degree is one construction of the union chain's multiset,
+    in the chain's order of degrees, and the graded spread, compared on
+    every degree's unreduced candidates at once, is the largest grid mu."""
+    got, want = kunneth_stabilize(family, [1, *tail]), kunneth_stabilize_oracle(family, [1, *tail])
+    assert list(got) == list(want) and got == want
+    for fam in (family, got):
+        mu, mu_want = mu_p_of_family(fam, p), mu_p_of_family_oracle(fam, p)
+        assert (mu, type(mu)) == (mu_want, type(mu_want))
+
+
+def test_graded_mu_of_no_degree_is_zero_at_any_p():
+    assert mu_p_of_family({}, 4) == 0
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        mu_p_of_family({0: Barcode.empty()}, 4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(model_inputs(), EPS, st.data())
+def test_paper_bound_equals_the_fraction_witness(model_input, eps, data):
+    """The witness compared on integer ends gives the Fraction witness's c or
+    its error, with the model family and with extra bars whose ends sit at
+    the witness's ends, the shrunk ends, the least action, a + g/2 and a + g."""
+    extra = {}
+    if len(model_input.tuples) > 1:
+        a, g = model_input.tuples[0][0], model_input.gap
+        marks = [a + t * g for t in (0, eps / 2, (1 - eps) / 2, Fraction(1, 2),
+                                     (1 + eps) / 2, 1 - eps / 2, 1)]
+        for r in data.draw(st.lists(st.integers(0, 3), max_size=3)):
+            birth = data.draw(st.sampled_from(marks))
+            death = data.draw(st.sampled_from([m for m in marks if m > birth] + [INF]))
+            bars = extra.get(r, Barcode.empty()).items + ((Bar(birth, death), 1, None),)
+            extra[r] = Barcode(bars)
+    for family in (None, {**eigenspace_family(model_input), **extra}):
+        assert (outcome(paper_mu_lower_bound, model_input, eps, family)
+                == outcome(paper_mu_lower_bound_oracle, model_input, eps, family))
