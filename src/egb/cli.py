@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--file", default="", help="tuples JSON instead of the fixture")
     p_bd.add_argument("--lambda", dest="lam", help="fixture only; default auto")
     p_bd.add_argument("--k", type=int, default=None, help="order checked; default p")
-    p_bd.add_argument("--epsilon-frac", dest="epsilon_frac", default="1/100")
+    p_bd.add_argument("--epsilon-frac", dest="epsilon_frac", default="1/100",
+                      help="witness margin eps in (0, 1/2]; c = g(1 - 2 eps)/4")
     p_bd.add_argument("--stabilize", default="", help="betti vector b0,b1,...")
     p_bd.add_argument("--svg", default="", help="write the model barcode as SVG")
     p_bd.add_argument("--out", default="")

@@ -2,8 +2,9 @@
 
 A `ZpPersistenceModule` is decomposed once, when built, into its isotypic
 parts V = (+)_k V_{zeta^k} (Maschke's theorem for Z_p).  The kernel of each
-A - zeta^k comes from one sparse column reduction (`persistence._reduce_with_v`,
-R = DV): V_j for each zero column R_j.  The order check is that the kernel
+A - zeta^k comes from the one sparse column reduction of `egb.field`: the
+V_j of each zero column R_j of R = DV (`_null_vectors`, which
+`Matrix.kernel_basis` reads too).  The order check is that the kernel
 dimensions, k = 0..p-1, sum to dim V.  A kernel basis vector is 1 at its
 free position and 0 at the others, so an image's coordinates in a part are
 its entries there, with no elimination, and the commutation check is that
@@ -12,9 +13,9 @@ mu_p, the full-power verdict and w_hat (the longest bar of the union of the
 parts 1..p-1) read them; V/Fix, read off part 0's free positions, is the
 independent route to w_hat.  Also the two-window spread of an equivariant
 filtered complex, whose T^p = id check squares and multiplies T's sparse
-columns, the full-power obstruction and the cyclic tuple module.  No dense
-`Matrix` elimination, product or power is made here; those are the oracles
-of the tests."""
+columns, the full-power obstruction and the cyclic tuple module.  No
+`Matrix` method eliminates, multiplies or takes a power here; the dense
+echelon, products and powers of the tests are the oracles."""
 
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ from .field import (
     CyclotomicField,
     CyclotomicNumber,
     Matrix,
+    _apply,
+    _axpy,
+    _null_vectors,
+    _sparse_columns,
     cyclo_zeta,
     is_prime,
 )
@@ -35,11 +40,7 @@ from .persistence import (
     FinitePersistenceModule,
     INF,
     _NormalForm,
-    _apply,
-    _axpy,
-    _reduce_with_v,
     _reindex,
-    _sparse_columns,
     homology_basis,
     induced_homology_rank,
     is_inf,
@@ -192,12 +193,10 @@ def _pivot_order(cols) -> list[int]:
 
 
 def _kernel(field, cols, c, rows) -> list[tuple[int, dict]]:
-    """ker(A - c) for A with sparse columns ``cols``: one `_reduce_with_v`
-    of the columns of A - c, their rows moved to the positions ``rows``
-    (the kernel and the dependent columns stay the same), and (j, V_j) for
-    each j with R_j = 0.  V_j is 1 at j, 0 at the other such j and ends at
-    j, so it equals the vector `Matrix.kernel_basis` gives for the free
-    column j, entry for entry."""
+    """ker(A - c) for A with sparse columns ``cols``: `_null_vectors` of the
+    columns of A - c, their rows moved to the positions ``rows`` (the kernel
+    and the dependent columns stay the same), the (j, V_j) that
+    `Matrix.kernel_basis` reads too."""
     shifted, z = [], field.zero()
     for j, col in enumerate(cols):
         d = col.get(j, z) - c
@@ -205,8 +204,7 @@ def _kernel(field, cols, c, rows) -> list[tuple[int, dict]]:
         if d:
             col[rows[j]] = d
         shifted.append(col)
-    V = _reduce_with_v(field, shifted)[1]
-    return [(j, V[j]) for j, col in enumerate(shifted) if not col]
+    return _null_vectors(field, shifted)
 
 
 def _peel(field, w: dict, basis) -> list:

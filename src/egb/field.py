@@ -9,11 +9,14 @@ Each field supplies the update x - f*a as `sub_mul`, normalized once: over Q
 one Fraction of integer numerators, over Q(zeta_p) one gcd (none over the
 denominator 1), whose sums and differences are that update too.  Every loop of
 elimination and products calls it, with no element type test.  Both element
-types test zero by truthiness and invert by ``1 / x``.  All linear algebra
-reads one elimination: `Matrix._echelon`, a forward pass with first-nonzero
-pivoting, and one shared back substitution.  Rank is the pivot count, the
-determinant the signed product of the pivots, and a kernel, solve,
-solve_matrix or inverse back-substitutes each column of one echelon pass.
+types test zero by truthiness and invert by ``1 / x``.  All exact linear
+algebra reads one elimination, `_reduce_columns`: the standard column
+reduction R = DV of sparse columns, dicts row -> nonzero entry (Zomorodian
+and Carlsson, "Computing persistent homology", 2005).  The barcodes of
+`persistence` and the eigenspace kernels of `equivariant` read it, and so do
+the `Matrix` methods: rank is the number of lows, a kernel the V_j of each
+zero R_j, a solve the V of the columns of [A | B], and the determinant the
+product of the low entries signed by the permutation j -> low_j.
 Matrices are dense tuples, but products skip zeros: `@` lists the nonzero
 entries of each row of the right factor once and multiplies only nonzero pairs
 (Gustavson's row-by-row product, ACM TOMS 1978).  There is no floating point
@@ -414,6 +417,87 @@ Field = Union[RationalField, CyclotomicField]
 QQ_FIELD = RationalField()
 
 
+# -- sparse columns and the column reduction -----------------------------------
+
+
+def _sparse_columns(matrix: "Matrix") -> tuple[dict, ...]:
+    """The columns of a matrix as dicts row -> nonzero entry, rows ascending;
+    the field's shared zero, most entries of a parsed matrix, is skipped by
+    identity before the truthiness test."""
+    ent, z = matrix.entries, matrix.field.zero()
+    return tuple({i: x for i, row in enumerate(ent) if (x := row[j]) is not z and x}
+                 for j in range(matrix.cols))
+
+
+def _axpy(field: Field, target: dict, f, source: dict) -> None:
+    """target -= f * source on sparse columns, one `sub_mul` per entry of
+    ``source`` (a missing entry starts from zero), dropping those that cancel."""
+    sub_mul, z = field.sub_mul, field.zero()
+    for r, v in source.items():
+        nv = sub_mul(target.get(r, z), f, v)
+        if nv:
+            target[r] = nv
+        else:
+            target.pop(r, None)
+
+
+def _apply(field: Field, cols, chain: dict) -> dict:
+    """The image of a sparse chain under the matrix with sparse columns ``cols``."""
+    image: dict = {}
+    for g, c in chain.items():
+        _axpy(field, image, -c, cols[g])
+    return image
+
+
+def _reduce_columns(field: Field, columns):
+    """The standard column reduction, in place, left to right: while column
+    j has the lowest nonzero row of an earlier column k, subtract f times
+    column k.  Returns ``(lows, steps)``: ``lows`` maps the lowest row of
+    each nonzero reduced column to it, in column order, and ``steps`` lists
+    each (j, k, f) in order, for a caller to repeat on other columns.  A
+    column is nonzero after the reduction iff it is independent of the
+    columns before it.  The pivot of column k is inverted once, at its first
+    use, and each factor is one product with that inverse."""
+    lows: dict[int, int] = {}
+    inverses: dict[int, object] = {}
+    steps = []
+    one = field.one()
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            k = lows.setdefault(low, j)
+            if k == j:
+                break
+            inverse = inverses.get(k)
+            if inverse is None:
+                inverse = inverses[k] = one / columns[k][low]
+            factor = col[low] * inverse
+            _axpy(field, col, factor, columns[k])
+            steps.append((j, k, factor))
+    return lows, steps
+
+
+def _reduce_with_v(field: Field, columns):
+    """`_reduce_columns` of ``columns``, in place, with every step (j, k, f)
+    repeated on the unit columns e_j: returns ``(lows, V)`` with R = DV for
+    D the columns as given and R as left, V upper unitriangular.  A step
+    only subtracts a column k with R_k != 0, so V_j lives on j and on the
+    columns k < j with R_k != 0."""
+    lows, steps = _reduce_columns(field, columns)
+    V = [{j: field.one()} for j in range(len(columns))]
+    for j, k, factor in steps:
+        _axpy(field, V[j], factor, V[k])
+    return lows, V
+
+
+def _null_vectors(field: Field, columns) -> list[tuple[int, dict]]:
+    """(j, V_j) for each column j that `_reduce_with_v` reduces to zero, in
+    place: a basis of the kernel of the matrix with these columns, V_j 1 at
+    j, 0 at every other such j, and ending at j."""
+    V = _reduce_with_v(field, columns)[1]
+    return [(j, V[j]) for j, col in enumerate(columns) if not col]
+
+
 # -- matrices ---------------------------------------------------------------
 
 
@@ -529,14 +613,6 @@ class Matrix:
             tuple(tuple(c * a if a else a for a in row) for row in self.entries),
         )
 
-    def shift_diagonal(self, c) -> "Matrix":
-        """self - c * identity of a square matrix, with no identity built."""
-        if self.rows != self.cols:
-            raise ValueError("diagonal shift of non-square matrix")
-        c = self.field.coerce(c)
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(self.entries)))
-
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.entries, self.cols)
 
@@ -583,106 +659,47 @@ class Matrix:
         )
         return cls(field, rows, len(cols), ent)
 
-    # -- elimination -------------------------------------------------------
 
-    def _echelon(self, aug=()):
-        """Row echelon form with first-nonzero pivoting: the module's one
-        forward elimination.
-
-        The rows of ``aug`` (right-hand-side columns, one row per row of this
-        matrix) are appended to the rows and reduced alongside; pivots are
-        sought among this matrix's columns only.  Returns (echelon rows,
-        pivot column list, inverse of each pivot, parity of the row swaps).
-        """
-        m = [list(row) for row in self.entries]
-        for row, extra in zip(m, aug):
-            row.extend(extra)
-        width = len(m[0]) if m else self.cols
-        z, one, sub_mul = self.field.zero(), self.field.one(), self.field.sub_mul
-        pivots: list[int] = []
-        inverses = []
-        odd = False
-        piv_r = 0
-        for piv_c in range(self.cols):
-            sel = None
-            for r in range(piv_r, self.rows):
-                if m[r][piv_c]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            if sel != piv_r:
-                m[piv_r], m[sel] = m[sel], m[piv_r]
-                odd = not odd
-            prow = m[piv_r]
-            fp_inv = one / prow[piv_c]
-            rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
-            for r in range(piv_r + 1, self.rows):
-                row = m[r]
-                fr = row[piv_c]
-                if not fr:
-                    continue
-                factor = fr * fp_inv
-                row[piv_c] = z
-                for c, a in rest:
-                    row[c] = sub_mul(row[c], factor, a)
-            pivots.append(piv_c)
-            inverses.append(fp_inv)
-            piv_r += 1
-            if piv_r == self.rows:
-                break
-        return m, pivots, inverses, odd
-
-    def _back_substitute(self, m, pivots, inverses, rhs) -> list:
-        """The solution of the echelon system with right-hand side ``rhs`` (one
-        value per pivot row) that sets every free variable to 0; each pivot
-        row multiplies by the pivot inverse `_echelon` computed."""
-        z, sub_mul = self.field.zero(), self.field.sub_mul
-        sol = [z] * self.cols
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = m[r]
-            acc = rhs[r]
-            for c in range(pc + 1, self.cols):
-                if row[c] and sol[c]:
-                    acc = sub_mul(acc, row[c], sol[c])
-            sol[pc] = acc * inverses[r]
-        return sol
+    # -- elimination: readers of the column reduction ------------------------
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        """The number of lows of the reduced columns."""
+        return len(_reduce_columns(self.field, _sparse_columns(self))[0])
 
     def det(self) -> Element:
-        """Determinant: the signed product of the echelon pivots (square matrices)."""
+        """Determinant of a square matrix.  R = AV with V unitriangular, so
+        det A = det R; each R_j is zero below its low, and the lows of a full
+        rank are a permutation of the rows, so j -> low_j is the only
+        permutation whose entries of R are all nonzero: det is the product of
+        the low entries, signed by the parity of that permutation."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m, pivots, _, odd = self._echelon()
-        if len(pivots) < self.rows:
+        cols = _sparse_columns(self)
+        lows = _reduce_columns(self.field, cols)[0]
+        if len(lows) < self.rows:
             return self.field.zero()
-        det = self.field.one()
-        for r in range(self.rows):
-            det = det * m[r][r]
+        det, perm, odd = self.field.one(), [0] * self.rows, False
+        for low, j in lows.items():
+            det = det * cols[j][low]
+            perm[j] = low
+        for i in range(self.rows):  # sort by swaps, one per misplaced entry
+            while perm[i] != i:
+                k = perm[i]
+                perm[i], perm[k] = perm[k], k
+                odd = not odd
         return -det if odd else det
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the null space; empty iff the matrix is injective.
 
-        One vector per free column fc, ascending: the back substitution of
-        -(column fc), with the free variable fc then set to 1.  It is 1 at fc
-        and 0 at every other free column, and fc is its last nonzero entry,
-        since no pivot row past fc has an entry in column fc."""
-        m, pivots, inverses, _ = self._echelon()
-        pivot_set = set(pivots)
-        one = self.field.one()
-        basis = []
-        for fc in range(self.cols):
-            if fc in pivot_set:
-                continue
-            sol = self._back_substitute(m, pivots, inverses,
-                                        [-m[r][fc] for r in range(len(pivots))])
-            sol[fc] = one
-            basis.append(tuple(sol))
-        return basis
+        One vector per column j that reduces to zero, ascending: V_j of
+        `_null_vectors`.  It is 1 at j and 0 at every other such column, j is
+        its last nonzero entry, and its other entries lie on the pivot
+        columns, so it is the solution of A x = 0 with x_j = 1 and every
+        other free variable 0."""
+        z = self.field.zero()
+        return [tuple(v.get(r, z) for r in range(self.cols))
+                for _, v in _null_vectors(self.field, _sparse_columns(self))]
 
     def solve(self, rhs: tuple) -> tuple | None:
         """One solution of self @ x = rhs, or None if the system is inconsistent."""
@@ -692,19 +709,24 @@ class Matrix:
         return None if sol is None else sol.column(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix | None":
-        """Solve self @ X = rhs, all columns from one elimination of
-        [self | rhs]; None if any column is inconsistent."""
+        """Solve self @ X = rhs from one reduction of the columns of
+        [self | rhs], with V; None if a column of rhs stays nonzero, i.e. is
+        not in the column space.  Otherwise each column n + j of rhs reduces
+        to 0 = self V_(n+j)[:n] + rhs_j against pivot columns of self alone,
+        so X_j = -V_(n+j) on self's n columns: like a kernel vector, it lives
+        on the pivot columns, the solution with every free variable 0."""
         if rhs.rows != self.rows:
             raise ValueError("solve_matrix shape mismatch")
-        coerce = self.field.coerce
-        m, pivots, inverses, _ = self._echelon([[coerce(x) for x in row] for row in rhs.entries])
-        n, k = self.cols, len(pivots)
-        # consistency: the zero rows of the echelon form must have zero rhs
-        if any(x for row in m[k:] for x in row[n:]):
+        field, n, z = self.field, self.cols, self.field.zero()
+        coerce = field.coerce
+        cols = list(_sparse_columns(self))
+        cols += [{i: x for i, row in enumerate(rhs.entries) if (x := coerce(row[j]))}
+                 for j in range(rhs.cols)]
+        V = _reduce_with_v(field, cols)[1]
+        if any(cols[n:]):
             return None
-        cols = [self._back_substitute(m, pivots, inverses, [m[r][n + j] for r in range(k)])
-                for j in range(rhs.cols)]
-        return Matrix.from_columns(self.field, cols, n)
+        return Matrix(field, n, rhs.cols, tuple(
+            tuple(-x if (x := v.get(r)) else z for v in V[n:]) for r in range(n)))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

@@ -61,22 +61,20 @@ def paper_mu_lower_bound(
     family: dict[int, Barcode] | None = None,
 ) -> Fraction:
     """Differential-independent bound c = g(1 - 2 eps)/4 from the minimal
-    inter-tuple gap g.  The witness (a + eps g/2, a + g - eps g/2], a the
-    least action, and its 2c-shrink (a + (1 - eps) g/2, a + (1 + eps) g/2]
-    must each have model multiplicity 1 (a count not divisible by p), summed
-    over the degrees of the family: multiplicity is additive over a multiset
-    union.  The four ends are integer numerators over one denominator, and
-    c is the one Fraction built."""
-    eps_frac = Fraction(eps_frac)
-    if not 0 < eps_frac < 1:
-        raise ValueError("eps_frac must lie in (0, 1)")
+    inter-tuple gap g, for eps in (0, 1/2] so that c >= 0.  The witness
+    (a + eps g/2, a + g - eps g/2], a the least action, and its 2c-shrink
+    (a + (1 - eps) g/2, a + (1 + eps) g/2] must each have model multiplicity
+    1 (a count not divisible by p), summed over the degrees of the family:
+    multiplicity is additive over a multiset union.  The four ends are
+    integer numerators over one denominator, and c is the one Fraction
+    built."""
+    en, ed = Fraction(eps_frac).as_integer_ratio()
+    if not 0 < 2 * en <= ed:
+        raise ValueError("eps_frac must lie in (0, 1/2]")
     gap = model_input.gap
     if is_inf(gap):
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
     (an, ad), (gn, gd) = model_input.tuples[0][0].as_integer_ratio(), gap.as_integer_ratio()
-    en, ed = eps_frac.as_integer_ratio()
-    if 2 * en > ed:
-        raise ValueError("shrink amount must be >= 0")  # c < 0
     c = Fraction(gn * (ed - 2 * en), 4 * gd * ed)
     if family is None:
         family = eigenspace_family(model_input)

@@ -10,10 +10,11 @@ Conventions (fixed once, used everywhere):
   cutoff, which makes the barcode of a filtered complex literally a
   multiset of ``(birth, death]`` bars.
 
-Every barcode comes from one sparse column reduction, `_reduce_columns`: of
-the images of a module's basis at each transition of its elder-rule sweep, or
-of a complex's boundary, kept as sparse columns built once, for R = DV.  Each
-update of a sparse column is the field's `sub_mul` x - f*a.
+Every barcode, kernel and rank here comes from the one sparse column
+reduction of `egb.field`, `_reduce_columns`: of the images of a module's
+basis at each transition of its elder-rule sweep, of a complex's boundary,
+kept as sparse columns built once, for R = DV, and of the induced maps of
+`les_check`.  Each update of a sparse column is the field's `sub_mul` x - f*a.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import bisect
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .field import Field, Matrix
+from .field import Field, Matrix, _apply, _axpy, _reduce_columns, _reduce_with_v, _sparse_columns
 
 INF = float("inf")
 
@@ -287,8 +288,8 @@ class FinitePersistenceModule:
 
     def rank_table(self) -> list[list[int]]:
         """rank of the composite map interval u -> interval v, for all u <= v, by
-        O(m^2) products and ranks: the test oracle of `barcode_of_module`, kept
-        in the library because the benchmark tracer wraps it by name."""
+        O(m^2) products and ranks; kept in the library only because the
+        benchmark tracer wraps it by name."""
         n = self.num_intervals
         table = [[0] * n for _ in range(n)]
         for u in range(n):
@@ -361,77 +362,6 @@ class FilteredComplex:
         return sorted({a for a, _ in self.generators})
 
 
-def _sparse_columns(matrix: Matrix) -> tuple[dict, ...]:
-    """The columns of a matrix as dicts row -> nonzero entry, rows ascending;
-    the field's shared zero, most entries of a parsed matrix, is skipped by
-    identity before the truthiness test."""
-    ent, z = matrix.entries, matrix.field.zero()
-    return tuple({i: x for i, row in enumerate(ent) if (x := row[j]) is not z and x}
-                 for j in range(matrix.cols))
-
-
-def _axpy(field: Field, target: dict, f, source: dict) -> None:
-    """target -= f * source on sparse columns, one `sub_mul` per entry of
-    ``source`` (a missing entry starts from zero), dropping those that cancel."""
-    sub_mul, z = field.sub_mul, field.zero()
-    for r, v in source.items():
-        nv = sub_mul(target.get(r, z), f, v)
-        if nv:
-            target[r] = nv
-        else:
-            target.pop(r, None)
-
-
-def _apply(field: Field, cols, chain: dict) -> dict:
-    """The image of a sparse chain under the matrix with sparse columns ``cols``."""
-    image: dict = {}
-    for g, c in chain.items():
-        _axpy(field, image, -c, cols[g])
-    return image
-
-
-def _reduce_columns(field: Field, columns: list[dict]):
-    """The standard column reduction, in place, left to right: while column
-    j has the lowest nonzero row of an earlier column k, subtract f times
-    column k.  Returns ``(lows, steps)``: ``lows`` maps the lowest row of
-    each nonzero reduced column to it, in column order, and ``steps`` lists
-    each (j, k, f) in order, for a caller to repeat on other columns.  The
-    pivot of column k is inverted once, at its first use, and each factor
-    is one product with that inverse."""
-    lows: dict[int, int] = {}
-    inverses: dict[int, object] = {}
-    steps = []
-    one = field.one()
-    for j, col in enumerate(columns):
-        while col:
-            low = max(col)
-            k = lows.setdefault(low, j)
-            if k == j:
-                break
-            inverse = inverses.get(k)
-            if inverse is None:
-                inverse = inverses[k] = one / columns[k][low]
-            factor = col[low] * inverse
-            _axpy(field, col, factor, columns[k])
-            steps.append((j, k, factor))
-    return lows, steps
-
-
-def _reduce_with_v(field: Field, columns: list[dict]):
-    """`_reduce_columns` of ``columns``, in place, with every step (j, k, f)
-    repeated on the unit columns e_j: returns ``(lows, V)`` with R = DV for
-    D the columns as given and R as left, V upper unitriangular.  A step
-    only subtracts a column k with R_k != 0, so for R_j = 0, V_j is the
-    kernel vector of D that is 1 at j, 0 at every other j' with R_j' = 0,
-    and ends at j: the vector `Matrix.kernel_basis` gives for the free
-    column j."""
-    lows, steps = _reduce_columns(field, columns)
-    V = [{j: field.one()} for j in range(len(columns))]
-    for j, k, factor in steps:
-        _axpy(field, V[j], factor, V[k])
-    return lows, V
-
-
 def _reduce(complex_: FilteredComplex):
     """The standard column reduction R = DV in the filtration order.
 
@@ -502,13 +432,14 @@ class _NormalForm:
             _axpy(self.field, chain, factor, self.basis[y])
             yield y, factor
 
-    def window_class(self, chain: dict, lo, hi, target: list[int]) -> list | None:
-        """Coordinates on ``target`` = ``window_basis(lo, hi, r)`` of the
-        class of a cycle of C^{<hi}/C^{<lo}; None when the chain is not a
-        window cycle, i.e. it has a coordinate off the target on a b_y that
-        is not a boundary in the window."""
+    def window_class(self, chain: dict, lo, hi, target: list[int]) -> dict | None:
+        """The class of a cycle of C^{<hi}/C^{<lo} as a sparse column on
+        ``target`` = ``window_basis(lo, hi, r)``, index in the target ->
+        nonzero coordinate; None when the chain is not a window cycle, i.e. it
+        has a coordinate off the target on a b_y that is not a boundary in
+        the window."""
         index = {x: k for k, x in enumerate(target)}
-        out = [self.field.zero()] * len(target)
+        out = {}
         for y, c in self.coordinates(dict(chain), bisect.bisect_right(self.act, lo)):
             if y in index:
                 out[index[y]] = c
@@ -575,12 +506,12 @@ def homology_basis(complex_: FilteredComplex, r: int):
 def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
                   dim: int) -> list[tuple]:
     """The candidates independent of ``basis`` and of the candidates before
-    them: the pivot columns past the basis in one echelon form of
-    [basis | candidates], since a column is a pivot exactly when it is
+    them: the columns past the basis that keep a low in one reduction of
+    [basis | candidates], since a column keeps one exactly when it is
     independent of the columns before it."""
-    _, pivots, _, _ = Matrix.from_columns(field, basis + candidates, dim)._echelon()
+    columns = _sparse_columns(Matrix.from_columns(field, basis + candidates, dim))
     k = len(basis)
-    return [candidates[c - k] for c in pivots if c >= k]
+    return [candidates[j - k] for j in _reduce_columns(field, columns)[0].values() if j >= k]
 
 
 def induced_homology_rank(
@@ -594,8 +525,8 @@ def induced_homology_rank(
 
     ``images`` are the chain-level images of a cycle basis of the source; the
     rank is rank[images | B_dst] - rank[B_dst] (well-defined because the chain
-    map sends boundaries to boundaries): the number of images that one echelon
-    of [B_dst | images] keeps past the boundary columns.
+    map sends boundaries to boundaries): the number of images that keep a low
+    in one column reduction of [B_dst | images].
     """
     if not src_cycles or dst_dim == 0:
         return 0
@@ -626,8 +557,9 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     `_NormalForm.window_basis`, and each image is written in the target basis
     by back substitution: j1 and j2 take b_x to the target window, and the
     connecting map applies the boundary D to b_x and keeps its part in
-    (a, b).  An image that is not a window cycle fails the check.  At every
-    degree, consecutive maps must compose to zero and ranks must add up to
+    (a, b).  An image that is not a window cycle fails the check.  The maps
+    stay sparse columns: at every degree, consecutive maps must compose to
+    zero under `_apply`, and the ranks `_reduce_columns` gives must add up to
     the middle dimension (im = ker at each node).
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
@@ -637,30 +569,38 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     if not complex_.generators:
         return True
     nf = _NormalForm(complex_)
-    d_cols = nf.columns(complex_.columns)
+    field, d_cols = nf.field, nf.columns(complex_.columns)
 
     def induced(chains, lo, hi, r):
+        """(sparse columns, target dimension, rank) of the map taking each
+        chain to its class in the window (lo, hi) at degree r; None when a
+        chain is not a window cycle."""
         target = nf.window_basis(lo, hi, r)
         cols = [nf.window_class(chain, lo, hi, target) for chain in chains]
-        return None if None in cols else Matrix.from_columns(nf.field, cols, len(target))
+        if None in cols:
+            return None
+        return cols, len(target), len(_reduce_columns(field, [dict(col) for col in cols])[0])
 
     # maps[r] = (j1, j2, delta) with delta from degree r to degree r - 1
     maps = {}
     for r in range(min(nf.deg) - 1, max(nf.deg) + 2):
         j1 = induced([nf.basis[x] for x in nf.window_basis(a, b, r)], a, c, r)
         j2 = induced([nf.basis[x] for x in nf.window_basis(a, c, r)], b, c, r)
-        delta = induced([_apply(nf.field, d_cols, nf.basis[x]) for x in nf.window_basis(b, c, r)],
+        delta = induced([_apply(field, d_cols, nf.basis[x]) for x in nf.window_basis(b, c, r)],
                         a, b, r - 1)
         if None in (j1, j2, delta):
             return False
         maps[r] = j1, j2, delta
 
+    def vanishes(g, f):
+        """g after f is zero."""
+        return not any(_apply(field, g[0], col) for col in f[0])
+
     def exact(r):
         (j1, j2, delta), j1_down = maps[r], maps[r - 1][0]
-        return ((j2 @ j1).is_zero() and (delta @ j2).is_zero()
-                and (j1_down @ delta).is_zero()
-                and j1.rank() + j2.rank() == j1.rows  # at H_r(a,c)
-                and j2.rank() + delta.rank() == j2.rows  # at H_r(b,c)
-                and delta.rank() + j1_down.rank() == delta.rows)  # at H_{r-1}(a,b)
+        return (vanishes(j2, j1) and vanishes(delta, j2) and vanishes(j1_down, delta)
+                and j1[2] + j2[2] == j1[1]  # at H_r(a,c)
+                and j2[2] + delta[2] == j2[1]  # at H_r(b,c)
+                and delta[2] + j1_down[2] == delta[1])  # at H_{r-1}(a,b)
 
     return all(exact(r) for r in range(min(nf.deg), max(nf.deg) + 2))

@@ -33,11 +33,9 @@ from egb.persistence import (
     FinitePersistenceModule,
     INF,
     _NormalForm,
+    _boundary_block,
     _check_window,
-    _extend_basis,
     _reindex,
-    homology_basis,
-    induced_homology_rank,
     is_inf,
     window_complex,
 )
@@ -88,6 +86,144 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         out.append(tuple(row))
     return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
+def shift_diagonal(a: Matrix, c) -> Matrix:
+    """a - c * identity of a square matrix, with no identity built."""
+    if a.rows != a.cols:
+        raise ValueError("diagonal shift of non-square matrix")
+    c = a.field.coerce(c)
+    return Matrix(a.field, a.rows, a.cols, tuple(
+        row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(a.entries)))
+
+
+# -- the dense echelon: the oracle of the sparse column reduction --------------
+
+
+def echelon_oracle(m: Matrix, aug=()):
+    """Row echelon form of a dense matrix with first-nonzero pivoting.
+
+    The rows of ``aug`` (right-hand-side columns, one row per row of m) are
+    appended to the rows and reduced alongside; pivots are sought among m's
+    columns only.  Returns (echelon rows, pivot column list, inverse of each
+    pivot, parity of the row swaps).  It shares no code with the column
+    reduction of `egb.field`, so the oracles built on it never reach the
+    code they check."""
+    rows = [list(row) for row in m.entries]
+    for row, extra in zip(rows, aug):
+        row.extend(extra)
+    width = len(rows[0]) if rows else m.cols
+    z, one, sub_mul = m.field.zero(), m.field.one(), m.field.sub_mul
+    pivots, inverses, odd, piv_r = [], [], False, 0
+    for piv_c in range(m.cols):
+        sel = next((r for r in range(piv_r, m.rows) if rows[r][piv_c]), None)
+        if sel is None:
+            continue
+        if sel != piv_r:
+            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+            odd = not odd
+        prow = rows[piv_r]
+        fp_inv = one / prow[piv_c]
+        rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
+        for row in rows[piv_r + 1:]:
+            fr = row[piv_c]
+            if not fr:
+                continue
+            factor = fr * fp_inv
+            row[piv_c] = z
+            for c, a in rest:
+                row[c] = sub_mul(row[c], factor, a)
+        pivots.append(piv_c)
+        inverses.append(fp_inv)
+        piv_r += 1
+        if piv_r == m.rows:
+            break
+    return rows, pivots, inverses, odd
+
+
+def _back_substitute_oracle(m: Matrix, echelon, rhs) -> list:
+    """The solution of the echelon system of m with right-hand side ``rhs``
+    (one value per pivot row) that sets every free variable to 0."""
+    rows, pivots, inverses, _ = echelon
+    z, sub_mul = m.field.zero(), m.field.sub_mul
+    sol = [z] * m.cols
+    for r in range(len(pivots) - 1, -1, -1):
+        pc, row, acc = pivots[r], rows[r], rhs[r]
+        for c in range(pc + 1, m.cols):
+            if row[c] and sol[c]:
+                acc = sub_mul(acc, row[c], sol[c])
+        sol[pc] = acc * inverses[r]
+    return sol
+
+
+def rank_oracle(m: Matrix) -> int:
+    return len(echelon_oracle(m)[1])
+
+
+def det_oracle(m: Matrix):
+    """The signed product of the echelon pivots of a square matrix."""
+    rows, pivots, _, odd = echelon_oracle(m)
+    if len(pivots) < m.rows:
+        return m.field.zero()
+    det = m.field.one()
+    for r in range(m.rows):
+        det = det * rows[r][r]
+    return -det if odd else det
+
+
+def kernel_oracle(m: Matrix) -> list[tuple]:
+    """One null vector per free column fc, ascending: the back substitution
+    of -(column fc), with the free variable fc then set to 1."""
+    echelon = echelon_oracle(m)
+    rows, pivots = echelon[0], echelon[1]
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        sol = _back_substitute_oracle(m, echelon, [-rows[r][fc] for r in range(len(pivots))])
+        sol[fc] = m.field.one()
+        basis.append(tuple(sol))
+    return basis
+
+
+def solve_matrix_oracle(m: Matrix, rhs: Matrix) -> Matrix | None:
+    """m @ X = rhs by one echelon of [m | rhs] and a back substitution per
+    column, free variables 0; None if a column is inconsistent."""
+    coerce = m.field.coerce
+    echelon = echelon_oracle(m, [[coerce(x) for x in row] for row in rhs.entries])
+    rows, k, n = echelon[0], len(echelon[1]), m.cols
+    if any(x for row in rows[k:] for x in row[n:]):
+        return None
+    cols = [_back_substitute_oracle(m, echelon, [rows[r][n + j] for r in range(k)])
+            for j in range(rhs.cols)]
+    return Matrix.from_columns(m.field, cols, n)
+
+
+def extend_basis_oracle(field: Field, basis: list[tuple], candidates: list[tuple],
+                        dim: int) -> list[tuple]:
+    """The candidates that are echelon pivot columns of [basis | candidates]."""
+    pivots = echelon_oracle(Matrix.from_columns(field, basis + candidates, dim))[1]
+    return [candidates[c - len(basis)] for c in pivots if c >= len(basis)]
+
+
+def homology_basis_oracle(complex_: FilteredComplex, r: int):
+    """`homology_basis` with the kernel of `kernel_oracle`: the degree-r
+    generator indices, a cycle basis over them and the degree-(r+1)
+    boundary matrix."""
+    idx_rm1, idx_r, idx_rp1 = ([i for i, (_, d) in enumerate(complex_.generators) if d == deg]
+                               for deg in (r - 1, r, r + 1))
+    cycles = kernel_oracle(_boundary_block(complex_, idx_rm1, idx_r)) if idx_r else []
+    return idx_r, cycles, _boundary_block(complex_, idx_r, idx_rp1)
+
+
+def induced_homology_rank_oracle(field: Field, src_cycles: list[tuple], images: list[tuple],
+                                 dst_boundary: Matrix, dst_dim: int) -> int:
+    """rank[images | B_dst] - rank[B_dst], by `rank_oracle`."""
+    if not src_cycles or dst_dim == 0:
+        return 0
+    boundaries = [dst_boundary.column(j) for j in range(dst_boundary.cols)]
+    return (rank_oracle(Matrix.from_columns(field, images + boundaries, dst_dim))
+            - rank_oracle(Matrix.from_columns(field, boundaries, dst_dim)))
 
 
 def cyclo_one(p: int) -> CyclotomicNumber:
@@ -534,11 +670,17 @@ def barcode_of_module_oracle(module: FinitePersistenceModule) -> Barcode:
     """Rank inclusion-exclusion oracle of `barcode_of_module`.
 
     A bar (s_{u-1}, s_v] lives on constancy intervals u..v; its multiplicity
-    is r(u,v) - r(u-1,v) - r(u,v+1) + r(u-1,v+1), where r is the composite
-    rank of `FinitePersistenceModule.rank_table`.
+    is r(u,v) - r(u-1,v) - r(u,v+1) + r(u-1,v+1), where r(u,v) is the
+    `rank_oracle` of the dense composite transition from interval u to v.
     """
     m = len(module.spectrum)
-    r = module.rank_table()
+    r = [[0] * (m + 1) for _ in range(m + 1)]
+    for u in range(m + 1):
+        acc = Matrix.identity(module.field, module.dims[u])
+        r[u][u] = module.dims[u]
+        for v in range(u + 1, m + 1):
+            acc = module.transitions[v - 1] @ acc
+            r[u][v] = rank_oracle(acc)
 
     def rk(u: int, v: int) -> int:
         return r[u][v] if u >= 0 else 0
@@ -588,7 +730,7 @@ def complex_checks_oracle(field: Field, generators, boundary: Matrix, p: int | N
         return "chain map must be square on the generators"
     if t.field != field:
         return "chain map over wrong field"
-    if not t.matpow(p).shift_diagonal(1).is_zero():
+    if not shift_diagonal(t.matpow(p), 1).is_zero():
         return "chain map does not satisfy T^p = id"
     if not (t @ d - d @ t).is_zero():
         return "chain map does not commute with the boundary"
@@ -739,7 +881,7 @@ def zp_module_checks_oracle(p: int, base: FinitePersistenceModule, action) -> st
     for i, a in enumerate(action):
         if (a.rows, a.cols) != (base.dims[i], base.dims[i]):
             return f"automorphism {i} has wrong shape"
-        if not a.matpow(p).shift_diagonal(1).is_zero():
+        if not shift_diagonal(a.matpow(p), 1).is_zero():
             return f"automorphism {i} does not have order dividing p"
     for i, t in enumerate(base.transitions):
         if not (action[i + 1] @ t - t @ action[i]).is_zero():
@@ -758,7 +900,7 @@ def induced_module_oracle(module: ZpPersistenceModule, prefixes: list[list],
     for i, t in enumerate(module.base.transitions):
         prefix, src, dst = prefixes[i + 1], bases[i], bases[i + 1]
         frame = Matrix.from_columns(field, prefix + dst, dims[i + 1])
-        coords = frame.solve_matrix(t @ Matrix.from_columns(field, src, dims[i]))
+        coords = solve_matrix_oracle(frame, t @ Matrix.from_columns(field, src, dims[i]))
         if coords is None:
             raise ValueError("transition does not preserve the induced subspace")
         transitions.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
@@ -769,7 +911,7 @@ def induced_module_oracle(module: ZpPersistenceModule, prefixes: list[list],
 def eigenspace_module_oracle(module: ZpPersistenceModule, zeta) -> FinitePersistenceModule:
     """The zeta-eigenspace module computed afresh: the kernels of A_i - zeta
     and the induced transitions."""
-    kernels = [a.shift_diagonal(zeta).kernel_basis() for a in module.action]
+    kernels = [kernel_oracle(shift_diagonal(a, zeta)) for a in module.action]
     return induced_module_oracle(module, [[] for _ in kernels], kernels)
 
 
@@ -808,7 +950,7 @@ def w_hat_scan_oracle(module: ZpPersistenceModule) -> Fraction | float:
     m = len(base.spectrum)
     best = Fraction(0)
     for u in range(1, m + 1):  # interval 0 has dimension 0
-        acc = module.action[u].shift_diagonal(1)
+        acc = shift_diagonal(module.action[u], 1)
         if acc.is_zero():
             continue
         # d ranges over shifts landing in interval v >= u; the sup of
@@ -956,8 +1098,8 @@ def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 10
     Fraction ends, its 2c-shrink is `Bar.shrink` (which refuses c < 0), and
     both are counted by `multiplicity_oracle`."""
     eps_frac = Fraction(eps_frac)
-    if not 0 < eps_frac < 1:
-        raise ValueError("eps_frac must lie in (0, 1)")
+    if not 0 < eps_frac <= Fraction(1, 2):
+        raise ValueError("eps_frac must lie in (0, 1/2]")
     gap = model_input.gap
     if is_inf(gap):
         return Fraction(0)
@@ -1001,13 +1143,13 @@ def window_homology(complex_: FilteredComplex, a, b, r: int):
 def window_homology_oracle(complex_: FilteredComplex, a, b, r: int):
     """Elimination oracle of `window_homology`: the window complex, a kernel
     basis of its degree-r boundary, and the cycles that extend a basis of
-    the boundaries."""
+    the boundaries, all by the dense echelon."""
     keep, wc = window_complex(complex_, a, b)
-    idx_r, cycles, d_rp1 = homology_basis(wc, r)
+    idx_r, cycles, d_rp1 = homology_basis_oracle(wc, r)
     if not idx_r:
         return 0, [], []
     boundaries = [d_rp1.column(j) for j in range(d_rp1.cols)]
-    chosen = _extend_basis(complex_.field, boundaries, cycles, len(idx_r))
+    chosen = extend_basis_oracle(complex_.field, boundaries, cycles, len(idx_r))
     return len(chosen), chosen, [keep[i] for i in idx_r]
 
 
@@ -1030,7 +1172,7 @@ def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
 
 def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
     """Elimination oracle of `les_check`: a window complex per window, and
-    kernels and echelons per window and degree for every induced rank."""
+    dense kernels and echelons per window and degree for every induced rank."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if not a < b < c:
         raise ValueError("need a < b < c")
@@ -1042,13 +1184,13 @@ def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
         """(global generator indices, cycle basis, boundary matrix) in degree r."""
         if (w, r) not in cache:
             keep, wc = windows[w]
-            idx_r, cycles, d_rp1 = homology_basis(wc, r)
+            idx_r, cycles, d_rp1 = homology_basis_oracle(wc, r)
             cache[(w, r)] = ([keep[i] for i in idx_r], cycles, d_rp1)
         return cache[(w, r)]
 
     def dim(w, r):
         glob, cycles, bnd = at(w, r)
-        return induced_homology_rank(field, cycles, cycles, bnd, len(glob))
+        return induced_homology_rank_oracle(field, cycles, cycles, bnd, len(glob))
 
     if not complex_.generators:
         return True
@@ -1071,15 +1213,15 @@ def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
         img_dj2 = [_connecting(complex_, v, g_bc, g_ab1) for v in img_j2]
         img_j1d = _reindex(field, img_delta, g_ab1, g_ac1)
 
-        r_j1 = induced_homology_rank(field, z_ab, img_j1, b_ac, len(g_ac))
-        r_j2 = induced_homology_rank(field, z_ac, img_j2, b_bc, len(g_bc))
-        r_delta = induced_homology_rank(field, z_bc, img_delta, b_ab1, len(g_ab1))
+        r_j1 = induced_homology_rank_oracle(field, z_ab, img_j1, b_ac, len(g_ac))
+        r_j2 = induced_homology_rank_oracle(field, z_ac, img_j2, b_bc, len(g_bc))
+        r_delta = induced_homology_rank_oracle(field, z_bc, img_delta, b_ab1, len(g_ab1))
 
-        if induced_homology_rank(field, z_ab, img_j2j1, b_bc, len(g_bc)) != 0:
+        if induced_homology_rank_oracle(field, z_ab, img_j2j1, b_bc, len(g_bc)) != 0:
             ok = False  # j2 . j1 != 0
-        if induced_homology_rank(field, z_ac, img_dj2, b_ab1, len(g_ab1)) != 0:
+        if induced_homology_rank_oracle(field, z_ac, img_dj2, b_ab1, len(g_ab1)) != 0:
             ok = False  # delta . j2 != 0
-        if induced_homology_rank(field, z_bc, img_j1d, b_ac1, len(g_ac1)) != 0:
+        if induced_homology_rank_oracle(field, z_bc, img_j1d, b_ac1, len(g_ac1)) != 0:
             ok = False  # j1 . delta != 0
         if r_j1 + r_j2 != dim(ac, r):
             ok = False  # exactness at H_r(a,c)
@@ -1087,7 +1229,7 @@ def les_check_oracle(complex_: FilteredComplex, a, b, c) -> bool:
             ok = False  # exactness at H_r(b,c)
         # exactness at H_{r-1}(a,b) uses delta from degree r and j1 at r-1
         img_j1_down = _reindex(field, z_ab1, g_ab1, g_ac1)
-        r_j1_down = induced_homology_rank(field, z_ab1, img_j1_down, b_ac1, len(g_ac1))
+        r_j1_down = induced_homology_rank_oracle(field, z_ab1, img_j1_down, b_ac1, len(g_ac1))
         if r_delta + r_j1_down != dim(ab, r - 1):
             ok = False
     return ok

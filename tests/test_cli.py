@@ -288,16 +288,15 @@ class TestBarcodeCommands:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_mu_builds_one_eigenspace_per_root(self, tmp_path, capsys, monkeypatch, p):
         """The module is decomposed once, when it is parsed: one sparse
-        column reduction per root and interval, and no dense `Matrix`
-        elimination, product or power.  The report reads the stored parts
+        column reduction (`_null_vectors`) per root and interval, and no
+        `Matrix` elimination, product or power.  The report reads the stored parts
         and reduces nothing more."""
         m = cyclic_tuple_module(F(0), p, death=F(10))
         f = tmp_path / "m.json"
         f.write_text(json.dumps(zp_module_to_obj(m)))
-        reductions = count_calls(monkeypatch, equivariant, "_reduce_with_v")
+        reductions = count_calls(monkeypatch, equivariant, "_null_vectors")
         dense = [count_calls(monkeypatch, Matrix, name) for name in (
-            "kernel_basis", "_echelon", "__matmul__", "solve", "solve_matrix", "matpow",
-            "from_columns")]
+            "kernel_basis", "__matmul__", "solve", "solve_matrix", "matpow", "from_columns")]
         parse, at_parse = serialize.zp_module_from_obj, []
 
         def counting(obj):
@@ -309,7 +308,7 @@ class TestBarcodeCommands:
         code, _, _ = run(capsys, "barcode", "mu", str(f), "--zeta-index", str(p - 1))
         assert code == 0
         assert at_parse == [p * len(m.base.dims)] == [len(reductions)]
-        assert [len(calls) for calls in dense] == [0] * 7
+        assert [len(calls) for calls in dense] == [0] * 6
 
 
 def killed_swap_obj() -> dict:
@@ -673,7 +672,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("eps", ["0", "1"])
     def test_epsilon_frac_endpoints_exit_one(self, capsys, eps):
         code, out, err = run(capsys, "bounds", "--epsilon-frac", eps)
-        assert (code, out, err) == (1, "", "error: eps_frac must lie in (0, 1)\n")
+        assert (code, out, err) == (1, "", "error: eps_frac must lie in (0, 1/2]\n")
 
     def test_barcode_json_reparses_losslessly(self, tmp_path, capsys):
         m = cyclic_tuple_module(F(0), 2, death=F(10))

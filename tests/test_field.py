@@ -3,17 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from egb import field as field_module
 from egb.field import (
     CyclotomicNumber,
     CyclotomicField,
     Matrix,
     QQ_FIELD,
+    _reduce_columns,
+    _sparse_columns,
     cyclo_from_rational,
     cyclo_zeta,
     is_prime,
 )
 
-from conftest import count_calls, cyclo_one, dense_matmul, primitive_roots, rand_frac
+from conftest import (
+    count_calls, cyclo_one, dense_matmul, primitive_roots, rand_frac, shift_diagonal,
+)
 
 
 class TestIsPrime:
@@ -237,8 +242,8 @@ def cofactor_det(m: Matrix):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 class TestOneElimination:
-    """solve_matrix, inverse and det, each read off one echelon pass, against
-    per-column solves and a cofactor-expansion oracle."""
+    """solve_matrix, inverse and det, each read off one column reduction,
+    against per-column solves and a cofactor-expansion oracle."""
 
     def shapes(self, rng):
         for _ in range(12):
@@ -311,7 +316,7 @@ class TestOneElimination:
         while not m.det():
             m = rand_matrix(rng, field, n, n)
         rhs = rand_matrix(rng, field, n, 3)
-        calls = count_calls(monkeypatch, Matrix, "_echelon")
+        calls = count_calls(monkeypatch, field_module, "_reduce_columns")
         m.inverse()
         assert len(calls) == 1
         m.solve_matrix(rhs)
@@ -319,23 +324,47 @@ class TestOneElimination:
 
 @pytest.mark.parametrize("field", FIELDS[1:], ids=repr)
 def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
-    """kernel_basis, solve_matrix and inverse over Q(zeta_p) invert each
-    pivot once, in the elimination, for any number of columns solved."""
+    """Over Q(zeta_p) the column reduction inverts each pivot once, at its
+    first use, for any number of columns solved: kernel_basis, solve_matrix,
+    inverse and det invert exactly the pivots that reduce a later column,
+    in that order, none twice and at most one per pivot.  det inverts
+    nothing of its own: on an upper triangular matrix, whose lows are
+    distinct already, it inverts nothing at all."""
     calls = count_calls(monkeypatch, CyclotomicNumber, "inverse")
+
+    def pivots_used(*matrices):
+        """The pivot entries, in order of first use, that reduce a later
+        column in the reduction of the columns of [matrices]."""
+        cols = [col for m in matrices for col in _sparse_columns(m)]
+        lows, steps = _reduce_columns(field, cols)
+        low_of = {j: low for low, j in lows.items()}
+        calls.clear()
+        return [cols[k][low_of[k]] for k in dict.fromkeys(k for _, k, _ in steps)]
+
     for rows, cols, rank in ((4, 4, None), (3, 5, 2), (5, 3, None), (4, 4, 2)):
         m = rand_matrix(rng, field, rows, cols, rank)
         rhs = m @ rand_matrix(rng, field, cols, 3)  # consistent: every column is solved
         pivots = m.rank()
-        for solve in (m.kernel_basis, lambda: m.solve_matrix(rhs)):
-            calls.clear()
+        for solve, matrices in ((m.kernel_basis, (m,)), (lambda: m.solve_matrix(rhs), (m, rhs))):
+            expected = pivots_used(*matrices)
             solve()
-            assert len(calls) == pivots
+            assert [args[0] for args in calls] == expected
+            assert len(expected) <= pivots
     m = rand_matrix(rng, field, 4, 4)
     while not m.det():
         m = rand_matrix(rng, field, 4, 4)
+    for method, matrices in ((m.inverse, (m, Matrix.identity(field, 4))), (m.det, (m,))):
+        expected = pivots_used(*matrices)
+        method()
+        assert [args[0] for args in calls] == expected
+        assert len(expected) <= 4
+    z = cyclo_zeta(field.p) + 2  # nonzero, and irrational for p > 2
+    upper = Matrix(field, 4, 4, tuple(tuple(z if i == j else rand_entry(rng, field) if i < j
+                                            else field.zero() for j in range(4))
+                                      for i in range(4)))
     calls.clear()
-    m.inverse()
-    assert len(calls) == 4
+    assert upper.det() == z ** 4
+    assert calls == []
 
 
 class TestMatpow:
@@ -402,6 +431,6 @@ class TestZeroSkipping:
         for n in (0, 1, 4):
             a = sparse_matrix(rng, field, n, n, zeros)
             assert a.scale(c).entries == tuple(tuple(c * x for x in row) for row in a.entries)
-            assert a.shift_diagonal(c) == a - Matrix.identity(field, n).scale(c)
+            assert shift_diagonal(a, c) == a - Matrix.identity(field, n).scale(c)
         with pytest.raises(ValueError, match="non-square"):
-            sparse_matrix(rng, field, 2, 3, zeros).shift_diagonal(c)
+            shift_diagonal(sparse_matrix(rng, field, 2, 3, zeros), c)

@@ -85,7 +85,7 @@ class TestPaperBound:
     @pytest.mark.parametrize("eps", [F(0), F(1)])
     def test_eps_endpoints_rejected(self, eps):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        with pytest.raises(ValueError, match=r"eps_frac must lie in \(0, 1\)"):
+        with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
             paper_mu_lower_bound(model_input, eps)
 
     def test_grows_linearly_in_lambda(self):
@@ -250,7 +250,7 @@ class TestWitnessEnds:
     def test_eps_above_one_half_is_a_negative_shrink(self):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
         assert paper_mu_lower_bound(model_input, F(1, 2)) == 0
-        with pytest.raises(ValueError, match="^shrink amount must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
             paper_mu_lower_bound(model_input, F(999999, 10 ** 6))
 
 

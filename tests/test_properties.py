@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from egb import field as field_module, persistence
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
@@ -39,8 +40,9 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
-    _extend_basis,
     _order_key,
+    barcode_of_module,
+    les_check,
     multiplicity,
 )
 from egb.serialize import (
@@ -57,22 +59,35 @@ from egb.serialize import (
 
 from conftest import (
     bars_by_degree,
+    barcode_of_module_oracle,
     bottleneck_oracle,
     canonical_items_oracle,
     complex_checks_oracle,
+    det_oracle,
+    echelon_oracle,
     eigenspace_family_oracle,
     eigenspace_module_oracle,
+    extend_basis_oracle,
+    gap_cuts,
+    kernel_oracle,
     full_power_verdict_oracle,
     induced_module_oracle,
     kunneth_stabilize_oracle,
+    les_check_oracle,
     model_input_oracle,
     mu_from_barcode_oracle,
     mu_p_of_family_oracle,
     multiplicity_oracle,
     paper_mu_lower_bound_oracle,
+    quotient_fix_oracle,
     random_equivariant_complex,
+    random_filtered_complex,
     random_zp_module,
+    rank_oracle,
     ranks_oracle,
+    solve_matrix_oracle,
+    window_homology,
+    window_homology_oracle,
     zp_module_checks_oracle,
     zp_module_to_obj,
 )
@@ -456,7 +471,7 @@ def test_kernel_basis_is_the_identity_at_its_free_columns(m):
     non-pivot columns of the echelon form, in ascending order."""
     basis = m.kernel_basis()
     free = [max(j for j, x in enumerate(v) if x) for v in basis]
-    assert free == [c for c in range(m.cols) if c not in m._echelon()[1]]
+    assert free == [c for c in range(m.cols) if c not in echelon_oracle(m)[1]]
     one, zero = m.field.one(), m.field.zero()
     for j, v in enumerate(basis):
         assert [v[f] for f in free] == [one if k == j else zero for k in range(len(free))]
@@ -474,10 +489,126 @@ def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
     for k, part in enumerate(m.parts):
         assert part == eigenspace_module_oracle(m, cyclo_zeta(p, k))
     field = m.field
-    complements = [_extend_basis(field, list(w), list(Matrix.identity(field, n).entries), n)
-                   for w, n in zip(m.fixed, m.base.dims)]
+    units = [list(Matrix.identity(field, n).entries) for n in m.base.dims]
+    complements = [extend_basis_oracle(field, list(w), e, len(e)) for w, e in zip(m.fixed, units)]
     oracle = induced_module_oracle(m, [list(w) for w in m.fixed], complements)
     assert quotient_fix_module(m) == oracle
+
+
+@st.composite
+def elimination_cases(draw):
+    """A matrix over Q, Q(zeta_3) or Q(zeta_5) of 0-5 rows and columns with
+    entries from a few values, so that it is often rank-deficient, and a
+    right-hand side of 0-3 columns that is its image of another matrix
+    (consistent) or drawn freely (often inconsistent)."""
+    p = draw(st.sampled_from((None, 3, 5)))
+    if p is None:
+        field = QQ_FIELD
+        values = [Fraction(v) for v in (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7))]
+    else:
+        field, z = CyclotomicField(p), cyclo_zeta(p, 1)
+        values = [field.zero()] * 3 + [field.one(), -field.one(), z, z * z + Fraction(1, 3),
+                                       z - 2, field.coerce(Fraction(1, 2))]
+
+    def matrix(rows, cols):
+        return Matrix(field, rows, cols, tuple(
+            tuple(draw(st.sampled_from(values)) for _ in range(cols)) for _ in range(rows)))
+
+    rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    m = matrix(rows, cols)
+    rhs = m @ matrix(cols, k) if draw(st.booleans()) else matrix(rows, k)
+    return m, rhs
+
+
+def same_entries(a, b) -> bool:
+    """Equal, and of the same element type entry for entry."""
+    return a == b and [type(x) for x in a] == [type(x) for x in b]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(elimination_cases())
+@example((Matrix(QQ_FIELD, 0, 0, ()), Matrix(QQ_FIELD, 0, 2, ())))
+@example((Matrix(QQ_FIELD, 3, 0, ((),) * 3), Matrix.identity(QQ_FIELD, 3)))
+def test_matrix_eliminations_equal_the_echelon_oracle(case):
+    """rank, det, kernel_basis, solve, solve_matrix and inverse, read off
+    the sparse column reduction, equal the dense echelon and its back
+    substitution entry for entry; the singular and non-square messages stay."""
+    m, rhs = case
+    field = m.field
+    assert m.rank() == rank_oracle(m)
+    basis, oracle_basis = m.kernel_basis(), kernel_oracle(m)
+    assert len(basis) == len(oracle_basis)
+    assert all(same_entries(v, w) for v, w in zip(basis, oracle_basis))
+    x, oracle_x = m.solve_matrix(rhs), solve_matrix_oracle(m, rhs)
+    assert (x is None) == (oracle_x is None)
+    if x is not None:
+        assert (x.rows, x.cols) == (m.cols, rhs.cols)
+        assert all(same_entries(r, s) for r, s in zip(x.entries, oracle_x.entries))
+    for j in range(rhs.cols):
+        column = solve_matrix_oracle(m, Matrix(field, rhs.rows, 1, tuple(
+            (row[j],) for row in rhs.entries)))
+        solved = m.solve(rhs.column(j))
+        assert (solved is None) == (column is None)
+        assert solved is None or same_entries(solved, column.column(0))
+    if m.rows != m.cols:
+        for method, message in ((m.det, "determinant of non-square matrix"),
+                                (m.inverse, "inverse of non-square matrix")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                method()
+        return
+    det = m.det()
+    assert same_entries((det,), (det_oracle(m),))
+    inverse = solve_matrix_oracle(m, Matrix.identity(field, m.rows))
+    if inverse is None:
+        assert not det
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            m.inverse()
+    else:
+        assert all(same_entries(r, s) for r, s in zip(m.inverse().entries, inverse.entries))
+        assert m.inverse() == inverse
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracles_never_reach_the_column_reduction(monkeypatch, seed):
+    """The elimination oracles of the module, window and les tests give the
+    library's answers with `_reduce_columns` made to raise wherever it is
+    bound: they run on the dense echelon alone."""
+    rng = random.Random(seed)
+    p = (2, 3, 5, 3)[seed]
+    m = random_zp_module(rng, p, max_blocks=3)
+    units = [list(Matrix.identity(m.field, n).entries) for n in m.base.dims]
+    cx = random_filtered_complex(rng, QQ_FIELD if seed % 2 else CyclotomicField(3))
+    cuts = gap_cuts(cx)
+    degrees = sorted({d for _, d in cx.generators}) or [0]
+    windows = [(a, b, r) for i, a in enumerate(cuts) for b in cuts[i + 1:]
+               for r in range(degrees[0] - 1, degrees[-1] + 2)]
+    triples = [(a, b, c) for i, a in enumerate(cuts) for j, b in enumerate(cuts[i + 1:], i + 1)
+               for c in cuts[j + 1:]]
+    expected = {
+        "parts": m.parts,
+        "barcode": barcode_of_module(m.base),
+        "quotient": quotient_fix_module(m),
+        "windows": [window_homology(cx, *w)[::2] for w in windows],
+        "les": [les_check(cx, *t) for t in triples],
+    }
+    complements = [extend_basis_oracle(m.field, list(w), e, len(e))
+                   for w, e in zip(m.fixed, units)]
+
+    def refuse(*args):
+        raise AssertionError("an oracle reached the column reduction")
+
+    for module in (field_module, persistence):
+        monkeypatch.setattr(module, "_reduce_columns", refuse)
+    with pytest.raises(AssertionError, match="column reduction"):
+        Matrix.identity(m.field, 1).rank()
+    assert tuple(eigenspace_module_oracle(m, cyclo_zeta(p, k)) for k in range(p)) \
+        == expected["parts"]
+    assert barcode_of_module_oracle(m.base) == expected["barcode"]
+    assert quotient_fix_oracle(m) == expected["quotient"]
+    assert induced_module_oracle(m, [list(w) for w in m.fixed], complements) \
+        == expected["quotient"]
+    assert [window_homology_oracle(cx, *w)[::2] for w in windows] == expected["windows"]
+    assert [les_check_oracle(cx, *t) for t in triples] == expected["les"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
