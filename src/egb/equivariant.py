@@ -12,10 +12,9 @@ subtracting them leaves nothing.  The parts are the eigenspace modules;
 mu_p, the full-power verdict and w_hat (the longest bar of the union of the
 parts 1..p-1) read them; V/Fix, read off part 0's free positions, is the
 independent route to w_hat.  Also the two-window spread of an equivariant
-filtered complex, whose T^p = id check squares and multiplies T's sparse
-columns, the full-power obstruction and the cyclic tuple module.  No
-`Matrix` method eliminates, multiplies or takes a power here; the dense
-echelon, products and powers of the tests are the oracles."""
+filtered complex, whose T^p = id and TD = DT checks are `Matrix` products
+on sparse columns, the full-power obstruction and the cyclic tuple module.
+The dense echelon and products of the tests are the oracles."""
 
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .field import (
     _apply,
     _axpy,
     _null_vectors,
-    _sparse_columns,
     cyclo_zeta,
     is_prime,
 )
@@ -85,9 +83,8 @@ class ZpPersistenceModule:
                 raise ValueError(f"automorphism {i} over wrong field")
             # x^p - 1 has p distinct roots in Q(zeta_p), so A^p = id exactly
             # when the eigenspaces of A at those roots fill the space
-            cols = _sparse_columns(a)
-            rows = _pivot_order(cols)
-            spaces = [_kernel(field, cols, root, rows) for root in roots]
+            rows = _pivot_order(a.columns)
+            spaces = [_kernel(field, a.columns, root, rows) for root in roots]
             if sum(map(len, spaces)) != n:
                 raise ValueError(f"automorphism {i} does not have order dividing p")
             kernels.append(spaces)
@@ -96,15 +93,14 @@ class ZpPersistenceModule:
         # commutes) iff subtracting them leaves nothing
         maps = [[] for _ in range(self.p)]
         for i, t in enumerate(self.base.transitions):
-            t_cols = _sparse_columns(t)
             for src, dst, out in zip(kernels[i], kernels[i + 1], maps):
                 coords = []
                 for _, b in src:
-                    w = _apply(field, t_cols, b)
+                    w = _apply(field, t.columns, b)
                     coords.append(_peel(field, w, dst))
                     if w:
                         raise ValueError(f"automorphism does not commute with transition {i}")
-                out.append(_matrix_of(field, len(dst), coords))
+                out.append(Matrix(field, len(dst), len(coords), coords))
         parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, spaces)),
                                          tuple(out)) for spaces, out in zip(zip(*kernels), maps)]
         fixed = tuple(tuple(tuple(v.get(r, z) for r in range(n)) for _, v in spaces[0])
@@ -121,12 +117,11 @@ class ZpPersistenceModule:
 @dataclass(frozen=True)
 class EquivariantComplex:
     """Filtered complex with an action-preserving chain automorphism T of
-    order p; ``columns`` holds T's sparse columns, as the complex holds D's."""
+    order p."""
 
     p: int
     complex: FilteredComplex
     chain_map: Matrix
-    columns: tuple[dict, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -137,29 +132,14 @@ class EquivariantComplex:
             raise ValueError("chain map must be square on the generators")
         if t.field != self.complex.field:
             raise ValueError("chain map over wrong field")
-        d, cols, field = self.complex.columns, _sparse_columns(t), t.field
-        one = field.one()
-        if any(col != {j: one} for j, col in enumerate(_power(field, cols, self.p))):
+        if t.matpow(self.p) != Matrix.identity(t.field, n):
             raise ValueError("chain map does not satisfy T^p = id")
-        if any(_apply(field, cols, d[j]) != _apply(field, d, col) for j, col in enumerate(cols)):
+        d = self.complex.boundary
+        if t @ d != d @ t:
             raise ValueError("chain map does not commute with the boundary")
         gens = self.complex.generators
-        if any(gens[i] != gens[j] for j, col in enumerate(cols) for i in col):
+        if any(gens[i] != gens[j] for j, col in enumerate(t.columns) for i in col):
             raise ValueError("chain map must preserve action and degree")
-        object.__setattr__(self, "columns", cols)
-
-
-def _power(field, cols, n: int) -> tuple[dict, ...]:
-    """The sparse columns of T^n, n >= 1, for T with sparse columns ``cols``:
-    square and multiply, O(log n) compositions of sparse columns."""
-    result = None
-    while True:
-        if n & 1:
-            result = cols if result is None else tuple(_apply(field, cols, c) for c in result)
-        n >>= 1
-        if not n:
-            return result
-        cols = tuple(_apply(field, cols, c) for c in cols)
 
 
 def _root_index(p: int, zeta: CyclotomicNumber) -> int:
@@ -207,22 +187,19 @@ def _kernel(field, cols, c, rows) -> list[tuple[int, dict]]:
     return _null_vectors(field, shifted)
 
 
-def _peel(field, w: dict, basis) -> list:
-    """The entries of the sparse vector w at the free positions f of
-    ``basis``, (f, B_f) pairs with B_f 1 at f and 0 at the other free
-    positions; w, in place, loses each of those multiples of B_f, which
-    leaves it zero iff it lies in the span of the basis."""
-    coords = [w.get(f, field.zero()) for f, _ in basis]
-    for x, (_, b_f) in zip(coords, basis):
-        if x:
+def _peel(field, w: dict, basis) -> dict:
+    """The coordinates of the sparse vector w in ``basis``, (f, B_f) pairs
+    with B_f 1 at the free position f and 0 at the other free positions: a
+    sparse column, index k of a basis vector -> w's nonzero entry at its
+    free position.  w, in place, loses each of those multiples of B_f, which
+    leaves it zero iff it lies in the span of the basis; a multiple of B_f
+    leaves w unchanged at every other free position."""
+    coords = {}
+    for k, (f, b_f) in enumerate(basis):
+        if x := w.get(f):
+            coords[k] = x
             _axpy(field, w, x, b_f)
     return coords
-
-
-def _matrix_of(field, rows: int, columns: list[list]) -> Matrix:
-    """The `Matrix` of the given columns of field elements, with no coercion."""
-    return Matrix(field, rows, len(columns), tuple(tuple(col[r] for col in columns)
-                                                   for r in range(rows)))
 
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
@@ -240,13 +217,13 @@ def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
         frames.append((free, sorted(set(range(n)).difference(f for f, _ in free))))
     maps = []
     for i, t in enumerate(module.base.transitions):
-        t_cols, (free, kept) = _sparse_columns(t), frames[i + 1]
-        coords = []
+        free, kept = frames[i + 1]
+        index, coords = {r: k for k, r in enumerate(kept)}, []
         for c in frames[i][1]:
-            w = dict(t_cols[c])
-            _peel(field, w, free)
-            coords.append([w.get(r, z) for r in kept])
-        maps.append(_matrix_of(field, len(kept), coords))
+            w = dict(t.columns[c])
+            _peel(field, w, free)  # leaves w on the kept positions
+            coords.append({index[r]: x for r, x in w.items()})
+        maps.append(Matrix(field, len(kept), len(coords), coords))
     return FinitePersistenceModule(field, module.base.spectrum,
                                    tuple(len(kept) for _, kept in frames), tuple(maps))
 
@@ -396,12 +373,13 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     # T^k = id iff T = id or p divides k
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if all(col == {g: one} for g, col in enumerate(equivariant.columns)):
+    t = equivariant.chain_map
+    if t == Matrix.identity(t.field, t.rows):
         return Fraction(0)
     if k % equivariant.p:
         raise ValueError(f"chain map does not satisfy T^{k} = id")
     nf = _NormalForm(equivariant.complex)
-    t_cols = nf.columns(equivariant.columns)
+    t_cols = nf.columns(t.columns)
     best: Fraction | float = Fraction(0)
     for x, b_x in enumerate(nf.basis):
         s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
@@ -438,17 +416,15 @@ class _SpreadWindow:
         degrees = sorted({self.cx.generators[g][1] for g in self.keep})
         for r in degrees:
             glob, cycles, _ = self.at(r)
+            index = {h: row for row, h in enumerate(glob)}
             images = []
             for z in cycles:
                 image = [field.zero()] * len(glob)
-                for col, g in enumerate(glob):
-                    v = z[col]
-                    if not v:
-                        continue
-                    for row, h in enumerate(glob):
-                        e = s_mat.entries[h][g]
-                        if e:
-                            image[row] = image[row] + e * v
+                for v, g in zip(z, glob):
+                    if v:
+                        for h, e in s_mat.columns[g].items():
+                            if h in index:
+                                image[index[h]] += e * v
                 images.append(tuple(image))
             out[r] = images
         return out
@@ -502,11 +478,7 @@ def full_power_verdict(barcode: Barcode, p: int) -> str:
 
 def cyclic_permutation_matrix(field, n: int) -> Matrix:
     """e_j -> e_{j+1 mod n}."""
-    z, o = field.zero(), field.one()
-    ent = [[z] * n for _ in range(n)]
-    for j in range(n):
-        ent[(j + 1) % n][j] = o
-    return Matrix.from_rows(field, ent) if n else Matrix.zeros(field, 0, 0)
+    return Matrix(field, n, n, tuple({(j + 1) % n: field.one()} for j in range(n)))
 
 
 def cyclic_tuple_module(action_value, p: int, death=INF) -> ZpPersistenceModule:

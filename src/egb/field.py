@@ -17,10 +17,9 @@ and Carlsson, "Computing persistent homology", 2005).  The barcodes of
 the `Matrix` methods: rank is the number of lows, a kernel the V_j of each
 zero R_j, a solve the V of the columns of [A | B], and the determinant the
 product of the low entries signed by the permutation j -> low_j.
-Matrices are dense tuples, but products skip zeros: `@` lists the nonzero
-entries of each row of the right factor once and multiplies only nonzero pairs
-(Gustavson's row-by-row product, ACM TOMS 1978).  There is no floating point
-anywhere in this module.
+A `Matrix` holds its sparse columns in that same form, so a product is
+`_apply` per column and a sum `_axpy`; its dense rows are built only when
+read.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -420,15 +419,6 @@ QQ_FIELD = RationalField()
 # -- sparse columns and the column reduction -----------------------------------
 
 
-def _sparse_columns(matrix: "Matrix") -> tuple[dict, ...]:
-    """The columns of a matrix as dicts row -> nonzero entry, rows ascending;
-    the field's shared zero, most entries of a parsed matrix, is skipped by
-    identity before the truthiness test."""
-    ent, z = matrix.entries, matrix.field.zero()
-    return tuple({i: x for i, row in enumerate(ent) if (x := row[j]) is not z and x}
-                 for j in range(matrix.cols))
-
-
 def _axpy(field: Field, target: dict, f, source: dict) -> None:
     """target -= f * source on sparse columns, one `sub_mul` per entry of
     ``source`` (a missing entry starts from zero), dropping those that cancel."""
@@ -503,102 +493,95 @@ def _null_vectors(field: Field, columns) -> list[tuple[int, dict]]:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rectangular matrix over one fixed field (Q or Q(zeta_p))."""
+    """Immutable rectangular matrix over one fixed field (Q or Q(zeta_p)),
+    held as its sparse columns: ``columns[j]`` maps each row with a nonzero
+    entry of column j to it.  No zero is stored, so equality is entry
+    equality.  The column dicts may be shared between matrices and are
+    never changed: a reader that reduces them in place copies them first."""
 
     field: Field
     rows: int
     cols: int
-    entries: tuple[tuple[Element, ...], ...]
+    columns: tuple[dict, ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+        columns = tuple(self.columns)
+        if len(columns) != self.cols:
+            raise ValueError("column count mismatch")
+        if any(col and (min(col) < 0 or max(col) >= self.rows) for col in columns):
+            raise ValueError("row index outside the matrix")
+        object.__setattr__(self, "columns", columns)
+
+    @property
+    def entries(self) -> tuple[tuple[Element, ...], ...]:
+        """The dense rows, built on every read."""
+        z = self.field.zero()
+        return tuple(tuple(col.get(i, z) for col in self.columns) for i in range(self.rows))
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        ent = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        ncols = len(ent[0]) if ent else 0
-        return cls(field, len(ent), ncols, ent)
+        rows = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
+        coerce, columns = field.coerce, tuple({} for _ in range(ncols))
+        for i, row in enumerate(rows):
+            for col, x in zip(columns, row):
+                if x := coerce(x):
+                    col[i] = x
+        return cls(field, len(rows), ncols, columns)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(field, rows, cols, tuple({} for _ in range(cols)))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(
-            field, n, n,
-            tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-        )
+        one = field.one()
+        return cls(field, n, n, tuple({j: one} for j in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        if not 0 <= i < self.rows:
+            raise IndexError("matrix row index out of range")
+        return self.columns[j].get(i, self.field.zero())
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(
-                tuple(a + b if b else a for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        return self._minus(-self.field.one(), other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(
-                tuple(a - b if b else a for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        return self._minus(self.field.one(), other)
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(tuple(-a for a in row) for row in self.entries),
-        )
-
-    def _same_shape(self, other: "Matrix") -> None:
+    def _minus(self, f, other: "Matrix") -> "Matrix":
+        """self - f * other, one `_axpy` per column."""
         if self.field != other.field:
             raise ValueError("matrix field mismatch")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+        columns = self._copy()
+        for col, source in zip(columns, other.columns):
+            _axpy(self.field, col, f, source)
+        return Matrix(self.field, self.rows, self.cols, columns)
+
+    def __neg__(self) -> "Matrix":
+        return Matrix(self.field, self.rows, self.cols,
+                      tuple({i: -x for i, x in col.items()} for col in self.columns))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Column j of the product is `_apply` of self to column j of
+        ``other``, so only nonzero pairs are multiplied."""
         if self.field != other.field:
             raise ValueError("matrix field mismatch")
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        z, sub_mul = self.field.zero(), self.field.sub_mul
-        # Gustavson's row-by-row product: the nonzero (j, b) of each row of
-        # `other`, listed once with -b, meet only the nonzero a of each row
-        # of self, so that each product after the first is one update
-        # c - a*(-b); None marks an output entry no product has reached yet
-        sparse = [[(j, b, -b) for j, b in enumerate(row) if b] for row in other.entries]
-        out = []
-        for row_i in self.entries:
-            acc = [None] * other.cols
-            for a, nonzero in zip(row_i, sparse):
-                if a:
-                    for j, b, nb in nonzero:
-                        c = acc[j]
-                        acc[j] = a * b if c is None else sub_mul(c, a, nb)
-            out.append(tuple(z if c is None else c for c in acc))
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        return Matrix(self.field, self.rows, other.cols,
+                      tuple(_apply(self.field, self.columns, col) for col in other.columns))
 
     def apply(self, vec: tuple) -> tuple:
         """Matrix times column vector."""
@@ -608,13 +591,17 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(tuple(c * a if a else a for a in row) for row in self.entries),
-        )
+        if not c:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        return Matrix(self.field, self.rows, self.cols,
+                      tuple({i: c * x for i, x in col.items()} for col in self.columns))
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.field, self.entries, self.cols)
+        columns = tuple({} for _ in range(self.rows))
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                columns[i][j] = x
+        return Matrix(self.field, self.cols, self.rows, columns)
 
     def matpow(self, n: int) -> "Matrix":
         if self.rows != self.cols:
@@ -638,33 +625,33 @@ class Matrix:
         return result
 
     def is_zero(self) -> bool:
-        return not any(a for row in self.entries for a in row)
+        return not any(self.columns)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        col, z = self.columns[j], self.field.zero()
+        return tuple(col.get(i, z) for i in range(self.rows))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows:
             raise ValueError("hstack mismatch")
-        return Matrix(
-            self.field, self.rows, self.cols + other.cols,
-            tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-        )
+        return Matrix(self.field, self.rows, self.cols + other.cols, self.columns + other.columns)
 
     @classmethod
     def from_columns(cls, field: Field, columns, rows: int) -> "Matrix":
-        cols = list(columns)
-        ent = tuple(
-            tuple(field.coerce(col[i]) for col in cols) for i in range(rows)
-        )
-        return cls(field, rows, len(cols), ent)
+        coerce = field.coerce
+        columns = tuple({i: x for i in range(rows) if (x := coerce(col[i]))} for col in columns)
+        return cls(field, rows, len(columns), columns)
 
 
     # -- elimination: readers of the column reduction ------------------------
 
+    def _copy(self) -> list[dict]:
+        """Copies of the columns, for a reduction in place."""
+        return [dict(col) for col in self.columns]
+
     def rank(self) -> int:
         """The number of lows of the reduced columns."""
-        return len(_reduce_columns(self.field, _sparse_columns(self))[0])
+        return len(_reduce_columns(self.field, self._copy())[0])
 
     def det(self) -> Element:
         """Determinant of a square matrix.  R = AV with V unitriangular, so
@@ -674,7 +661,7 @@ class Matrix:
         the low entries, signed by the parity of that permutation."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        cols = _sparse_columns(self)
+        cols = self._copy()
         lows = _reduce_columns(self.field, cols)[0]
         if len(lows) < self.rows:
             return self.field.zero()
@@ -699,13 +686,13 @@ class Matrix:
         other free variable 0."""
         z = self.field.zero()
         return [tuple(v.get(r, z) for r in range(self.cols))
-                for _, v in _null_vectors(self.field, _sparse_columns(self))]
+                for _, v in _null_vectors(self.field, self._copy())]
 
     def solve(self, rhs: tuple) -> tuple | None:
         """One solution of self @ x = rhs, or None if the system is inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError(f"rhs of length {len(rhs)} for {self.rows}x{self.cols}")
-        sol = self.solve_matrix(Matrix(self.field, self.rows, 1, tuple((x,) for x in rhs)))
+        sol = self.solve_matrix(Matrix.from_columns(self.field, [rhs], self.rows))
         return None if sol is None else sol.column(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix | None":
@@ -717,16 +704,13 @@ class Matrix:
         on the pivot columns, the solution with every free variable 0."""
         if rhs.rows != self.rows:
             raise ValueError("solve_matrix shape mismatch")
-        field, n, z = self.field, self.cols, self.field.zero()
-        coerce = field.coerce
-        cols = list(_sparse_columns(self))
-        cols += [{i: x for i, row in enumerate(rhs.entries) if (x := coerce(row[j]))}
-                 for j in range(rhs.cols)]
+        field, n, coerce = self.field, self.cols, self.field.coerce
+        cols = self._copy() + [{i: coerce(x) for i, x in col.items()} for col in rhs.columns]
         V = _reduce_with_v(field, cols)[1]
         if any(cols[n:]):
             return None
-        return Matrix(field, n, rhs.cols, tuple(
-            tuple(-x if (x := v.get(r)) else z for v in V[n:]) for r in range(n)))
+        return Matrix(field, n, rhs.cols,
+                      tuple({r: -x for r, x in v.items() if r < n} for v in V[n:]))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

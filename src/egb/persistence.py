@@ -12,18 +12,19 @@ Conventions (fixed once, used everywhere):
 
 Every barcode, kernel and rank here comes from the one sparse column
 reduction of `egb.field`, `_reduce_columns`: of the images of a module's
-basis at each transition of its elder-rule sweep, of a complex's boundary,
-kept as sparse columns built once, for R = DV, and of the induced maps of
-`les_check`.  Each update of a sparse column is the field's `sub_mul` x - f*a.
+basis at each transition of its elder-rule sweep, of a complex's boundary
+for R = DV, and of the induced maps of `les_check`.  It reads the sparse
+columns that every `Matrix` holds.  Each update of a sparse column is the
+field's `sub_mul` x - f*a.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Field, Matrix, _apply, _axpy, _reduce_columns, _reduce_with_v, _sparse_columns
+from .field import Field, Matrix, _apply, _axpy, _reduce_columns, _reduce_with_v
 
 INF = float("inf")
 
@@ -316,8 +317,7 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
     """
     field, live, bars = module.field, [], []  # live: (birth, basis vector)
     for s, t in zip(module.spectrum, module.transitions):
-        cols = _sparse_columns(t)
-        images = [_apply(field, cols, v) for _, v in live]
+        images = [_apply(field, t.columns, v) for _, v in live]
         owned = _reduce_columns(field, images)[0]
         bars += [Bar(b, s) for (b, _), image in zip(live, images) if not image]
         live = [(b, image) for (b, _), image in zip(live, images) if image]
@@ -331,13 +331,11 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
 @dataclass(frozen=True)
 class FilteredComplex:
     """Finite filtered chain complex: generators with (action, degree), and a
-    degree -1 boundary D that strictly decreases action, also kept as sparse
-    ``columns``: i -> D[i][j] != 0 in column j, so dict equality is vector equality."""
+    degree -1 boundary D that strictly decreases action."""
 
     field: Field
     generators: tuple[tuple[Fraction, int], ...]
     boundary: Matrix
-    columns: tuple[dict, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
         gens = tuple((Fraction(a), int(d)) for a, d in self.generators)
@@ -347,16 +345,14 @@ class FilteredComplex:
             raise ValueError("boundary must be square on the generators")
         if self.boundary.field != self.field:
             raise ValueError("boundary over wrong field")
-        cols = _sparse_columns(self.boundary)
-        for j, col in enumerate(cols):
+        for j, col in enumerate(self.boundary.columns):
             for i in col:
                 if gens[i][1] != gens[j][1] - 1:
                     raise ValueError(f"boundary entry {i},{j} does not drop degree by 1")
                 if gens[i][0] >= gens[j][0]:
                     raise ValueError(f"boundary entry {i},{j} does not decrease action")
-        if any(_apply(self.field, cols, col) for col in cols):
+        if not (self.boundary @ self.boundary).is_zero():
             raise ValueError("boundary squared is nonzero")
-        object.__setattr__(self, "columns", cols)
 
     def spectrum(self) -> list[Fraction]:
         return sorted({a for a, _ in self.generators})
@@ -374,7 +370,7 @@ def _reduce(complex_: FilteredComplex):
     """
     order = sorted(range(len(complex_.generators)), key=lambda k: (complex_.generators[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
-    R = [{pos[i]: v for i, v in complex_.columns[g].items()} for g in order]
+    R = [{pos[i]: v for i, v in complex_.boundary.columns[g].items()} for g in order]
     lows, V = _reduce_with_v(complex_.field, R)
     return order, R, V, list(lows.items())
 
@@ -481,9 +477,9 @@ def window_complex(complex_: FilteredComplex, a, b) -> tuple[list[int], Filtered
 
 def _boundary_block(complex_: FilteredComplex, rows: list[int], cols: list[int]) -> Matrix:
     """The boundary restricted to the given generator rows and columns."""
-    ent = complex_.boundary.entries
+    index, d = {g: k for k, g in enumerate(rows)}, complex_.boundary.columns
     return Matrix(complex_.field, len(rows), len(cols),
-                  tuple(tuple(ent[i][j] for j in cols) for i in rows))
+                  tuple({index[i]: x for i, x in d[j].items() if i in index} for j in cols))
 
 
 def homology_basis(complex_: FilteredComplex, r: int):
@@ -503,17 +499,6 @@ def homology_basis(complex_: FilteredComplex, r: int):
     return idx_r, cycles, _boundary_block(complex_, idx_r, idx_rp1)
 
 
-def _extend_basis(field: Field, basis: list[tuple], candidates: list[tuple],
-                  dim: int) -> list[tuple]:
-    """The candidates independent of ``basis`` and of the candidates before
-    them: the columns past the basis that keep a low in one reduction of
-    [basis | candidates], since a column keeps one exactly when it is
-    independent of the columns before it."""
-    columns = _sparse_columns(Matrix.from_columns(field, basis + candidates, dim))
-    k = len(basis)
-    return [candidates[j - k] for j in _reduce_columns(field, columns)[0].values() if j >= k]
-
-
 def induced_homology_rank(
     field: Field,
     src_cycles: list[tuple],
@@ -526,12 +511,15 @@ def induced_homology_rank(
     ``images`` are the chain-level images of a cycle basis of the source; the
     rank is rank[images | B_dst] - rank[B_dst] (well-defined because the chain
     map sends boundaries to boundaries): the number of images that keep a low
-    in one column reduction of [B_dst | images].
+    in one column reduction of [B_dst | images], since a column keeps one
+    exactly when it is independent of the columns before it.
     """
     if not src_cycles or dst_dim == 0:
         return 0
-    boundaries = [dst_boundary.column(j) for j in range(dst_boundary.cols)]
-    return len(_extend_basis(field, boundaries, images, dst_dim))
+    coerce = field.coerce
+    columns = [dict(col) for col in dst_boundary.columns]
+    columns += [{i: y for i, x in enumerate(v) if (y := coerce(x))} for v in images]
+    return sum(j >= dst_boundary.cols for j in _reduce_columns(field, columns)[0].values())
 
 
 def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
@@ -569,7 +557,7 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     if not complex_.generators:
         return True
     nf = _NormalForm(complex_)
-    field, d_cols = nf.field, nf.columns(complex_.columns)
+    field, d_cols = nf.field, nf.columns(complex_.boundary.columns)
 
     def induced(chains, lo, hi, r):
         """(sparse columns, target dimension, rank) of the map taking each

@@ -144,8 +144,6 @@ def element_to_obj(x):
 
 
 def element_from_obj(field: Field, obj):
-    if obj == "0":  # most matrix entries; Fraction would parse it, to the same zero
-        return field.zero()
     if isinstance(obj, list):
         if not isinstance(field, CyclotomicField):
             raise ValueError("coordinate-list element in a rational matrix")
@@ -163,10 +161,12 @@ def matrix_from_obj(field: Field, obj, rows: int, cols: int) -> Matrix:
         raise ValueError("matrix JSON must be an array of row arrays")
     if len(obj) != rows or any(len(r) != cols for r in obj):
         raise ValueError(f"matrix JSON is not {rows}x{cols}")
-    z = field.zero()  # "0", most entries, is the shared zero that `_sparse_columns` skips
-    entries = tuple(tuple(z if x == "0" else element_from_obj(field, x) for x in row)
-                    for row in obj)
-    return Matrix(field, rows, cols, entries)  # the elements are already in `field`
+    columns = tuple({} for _ in range(cols))
+    for i, row in enumerate(obj):
+        for col, x in zip(columns, row):  # "0", most entries, is skipped unparsed
+            if x != "0" and (x := element_from_obj(field, x)):
+                col[i] = x
+    return Matrix(field, rows, cols, columns)  # the elements are already in `field`
 
 
 # -- filtered complexes ---------------------------------------------------------

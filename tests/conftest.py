@@ -68,24 +68,39 @@ def rand_frac(rng, lo=-8, hi=8, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+def dense_matrix(field: Field, rows: int, cols: int, entries) -> Matrix:
+    """The matrix of the given dense rows, of any shape: `Matrix.from_rows`
+    cannot tell the width of a matrix with no rows."""
+    m = Matrix.from_rows(field, entries) if rows else Matrix.zeros(field, 0, cols)
+    assert (m.rows, m.cols) == (rows, cols), "dense rows of the wrong shape"
+    return m
+
+
+def sparse_oracle(m: Matrix) -> tuple:
+    """The nonzero entries of each column of m, by a scan of its dense rows."""
+    rows = m.entries
+    return tuple({i: rows[i][j] for i in range(m.rows) if rows[i][j]} for j in range(m.cols))
+
+
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a @ b by the dense triple loop, each entry a sum over the
-    nonzero a[i, k] of a row: the oracle of the zero-skipping product."""
-    z = a.field.zero()
+    """The product a @ b by the dense triple loop over the dense rows, each
+    entry a sum over the nonzero a[i, k] of a row: the oracle of the product
+    on sparse columns."""
+    z, a_rows, b_rows = a.field.zero(), a.entries, b.entries
     out = []
     for i in range(a.rows):
-        nonzero = [(k, x) for k, x in enumerate(a.entries[i]) if x]
+        nonzero = [(k, x) for k, x in enumerate(a_rows[i]) if x]
         row = []
         for j in range(b.cols):
             acc = z
             for k, x in nonzero:
-                y = b.entries[k][j]
+                y = b_rows[k][j]
                 if not y:
                     continue
                 acc = acc + x * y
             row.append(acc)
         out.append(tuple(row))
-    return Matrix(a.field, a.rows, b.cols, tuple(out))
+    return dense_matrix(a.field, a.rows, b.cols, out)
 
 
 def shift_diagonal(a: Matrix, c) -> Matrix:
@@ -93,7 +108,7 @@ def shift_diagonal(a: Matrix, c) -> Matrix:
     if a.rows != a.cols:
         raise ValueError("diagonal shift of non-square matrix")
     c = a.field.coerce(c)
-    return Matrix(a.field, a.rows, a.cols, tuple(
+    return dense_matrix(a.field, a.rows, a.cols, (
         row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(a.entries)))
 
 
@@ -492,10 +507,10 @@ def random_equivariant_complex(rng, p: int, field=QQ_FIELD, max_blocks: int = 3)
         classes.setdefault(g, []).append(i)
     change: dict[tuple[int, int], object] = {}
     for members in classes.values():
-        block = _unitriangular(rng, field, len(members))
+        block = _unitriangular(rng, field, len(members)).entries
         for r, i in enumerate(members):
             for c, j in enumerate(members):
-                change[(i, j)] = block.entries[r][c]
+                change[(i, j)] = block[r][c]
     m = matrix(change)
     m_inv = m.inverse()
     cx = FilteredComplex(field, tuple(gens), m @ matrix(bnd) @ m_inv)
@@ -711,9 +726,10 @@ def complex_checks_oracle(field: Field, generators, boundary: Matrix, p: int | N
         return "boundary must be square on the generators"
     if boundary.field != field:
         return "boundary over wrong field"
+    d_rows = boundary.entries
     for j in range(n):
         for i in range(n):
-            if not boundary.entries[i][j]:
+            if not d_rows[i][j]:
                 continue
             if gens[i][1] != gens[j][1] - 1:
                 return f"boundary entry {i},{j} does not drop degree by 1"
@@ -734,9 +750,10 @@ def complex_checks_oracle(field: Field, generators, boundary: Matrix, p: int | N
         return "chain map does not satisfy T^p = id"
     if not (t @ d - d @ t).is_zero():
         return "chain map does not commute with the boundary"
+    t_rows = t.entries
     for j in range(n):
         for i in range(n):
-            if not t.entries[i][j]:
+            if not t_rows[i][j]:
                 continue
             if gens[i][0] != gens[j][0] or gens[i][1] != gens[j][1]:
                 return "chain map must preserve action and degree"
@@ -790,7 +807,7 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     rows = tuple(row + (z,) * b.cols for row in a.entries) + tuple(
         (z,) * a.cols + row for row in b.entries
     )
-    return Matrix(a.field, a.rows + b.rows, a.cols + b.cols, rows)
+    return dense_matrix(a.field, a.rows + b.rows, a.cols + b.cols, rows)
 
 
 def zp_direct_sum(a: ZpPersistenceModule, b: ZpPersistenceModule) -> ZpPersistenceModule:
@@ -903,7 +920,7 @@ def induced_module_oracle(module: ZpPersistenceModule, prefixes: list[list],
         coords = solve_matrix_oracle(frame, t @ Matrix.from_columns(field, src, dims[i]))
         if coords is None:
             raise ValueError("transition does not preserve the induced subspace")
-        transitions.append(Matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
+        transitions.append(dense_matrix(field, len(dst), len(src), coords.entries[len(prefix):]))
     return FinitePersistenceModule(field, module.base.spectrum,
                                    tuple(len(b) for b in bases), tuple(transitions))
 
@@ -924,19 +941,19 @@ def quotient_fix_oracle(module: ZpPersistenceModule) -> FinitePersistenceModule:
     field = module.field
 
     def rows(m: Matrix, keep) -> Matrix:
-        return Matrix(field, len(keep), m.cols, tuple(m.entries[r] for r in keep))
+        m_rows = m.entries
+        return dense_matrix(field, len(keep), m.cols, [m_rows[r] for r in keep])
 
     frames = []
     for basis, n in zip(module.fixed, module.base.dims):
         free = [max(j for j, x in enumerate(v) if x) for v in basis]
         rest = sorted(set(range(n)).difference(free))
-        b_rest = Matrix(field, len(rest), len(basis),
-                        tuple(tuple(v[r] for v in basis) for r in rest))
+        b_rest = dense_matrix(field, len(rest), len(basis), [[v[r] for v in basis] for r in rest])
         frames.append((free, rest, b_rest))
     maps = []
     for i, t in enumerate(module.base.transitions):
         kept, (free, rest, b_rest) = frames[i][1], frames[i + 1]
-        w = Matrix(field, t.rows, len(kept), tuple(tuple(r[c] for c in kept) for r in t.entries))
+        w = dense_matrix(field, t.rows, len(kept), [[r[c] for c in kept] for r in t.entries])
         maps.append(rows(w, rest) - b_rest @ rows(w, free))
     return FinitePersistenceModule(field, module.base.spectrum,
                                    tuple(len(rest) for _, rest, _ in frames), tuple(maps))
@@ -978,8 +995,8 @@ def module_from_barcode(field: Field, barcode: Barcode) -> FinitePersistenceModu
     alive = [[k for k, (lo, hi) in enumerate(spans) if lo <= i <= hi] for i in range(m + 1)]
     z, o = field.zero(), field.one()
     transitions = tuple(
-        Matrix(field, len(after), len(before),
-               tuple(tuple(o if k == j else z for j in before) for k in after))
+        dense_matrix(field, len(after), len(before),
+                     [[o if k == j else z for j in before] for k in after])
         for before, after in zip(alive, alive[1:])
     )
     return FinitePersistenceModule(
@@ -1156,7 +1173,7 @@ def window_homology_oracle(complex_: FilteredComplex, a, b, r: int):
 def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
                 dst_glob: list[int]) -> tuple:
     """Connecting map: lift, apply the full boundary, restrict to the target."""
-    field = complex_.field
+    field, d_rows = complex_.field, complex_.boundary.entries
     look = {g: i for i, g in enumerate(dst_glob)}
     out = [field.zero()] * len(dst_glob)
     for i, g in enumerate(src_glob):
@@ -1164,7 +1181,7 @@ def _connecting(complex_: FilteredComplex, vec: tuple, src_glob: list[int],
         if not v:
             continue
         for h in range(len(complex_.generators)):
-            e = complex_.boundary.entries[h][g]
+            e = d_rows[h][g]
             if e and h in look:
                 out[look[h]] = out[look[h]] + v * e
     return tuple(out)
@@ -1439,7 +1456,7 @@ def build_model(model_input: ModelInput) -> ZpPersistenceModule:
         ent = [[o if r == c else z for c in range(dims[i])] for r in range(dims[i])]
         ent.extend([[z] * dims[i] for _ in range(p)])
         transitions.append(Matrix.from_rows(field, ent))
-    cyc = cyclic_permutation_matrix(field, p)
+    cyc = cyclic_permutation_matrix(field, p).entries
     action = []
     for i in range(m + 1):
         blocks = i  # tuples alive on constancy interval i
@@ -1448,7 +1465,7 @@ def build_model(model_input: ModelInput) -> ZpPersistenceModule:
         for b in range(blocks):
             for r in range(p):
                 for c in range(p):
-                    ent[b * p + r][b * p + c] = cyc.entries[r][c]
+                    ent[b * p + r][b * p + c] = cyc[r][c]
         action.append(Matrix.from_rows(field, ent) if ent else Matrix.zeros(field, 0, 0))
     base = FinitePersistenceModule(field, spectrum, dims, tuple(transitions))
     return ZpPersistenceModule(p, base, tuple(action))

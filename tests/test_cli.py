@@ -445,6 +445,57 @@ class TestComplexOutputBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def respell_zeros(matrix: list, spellings) -> list:
+    """The JSON rows of a matrix with each "0" entry written as the next of
+    ``spellings``, in turn."""
+    spelling = itertools.cycle(spellings)
+    return [[next(spelling) if x == "0" else x for x in row] for row in matrix]
+
+
+class TestZeroSpellings:
+    """A matrix entry that parses to zero stores nothing, however it is
+    spelled: inputs whose zeros are written "0/7", "-0" or, over Q(zeta_3),
+    ["0", "0"] give the matrices spelled with "0", and the commands print
+    the same bytes."""
+
+    SPELLINGS = {"Q": ("0/7", "-0"), 3: ("0/7", "-0", ["0", "0"])}
+
+    def outputs(self, tmp_path, capsys, argv, objs):
+        out = []
+        for obj in objs:
+            f = tmp_path / "in.json"
+            f.write_text(json.dumps(obj))
+            out.append(run(capsys, *argv, str(f)))
+        return out
+
+    @pytest.mark.parametrize("fixture", ["killed-swap", "zeta3-mixed"])
+    def test_spread_and_decompose(self, tmp_path, capsys, fixture):
+        obj = TestComplexOutputBytes.FIXTURES[fixture]()
+        cx = obj["complex"]
+        spellings = self.SPELLINGS[cx["field"] if cx["field"] == "Q" else obj["p"]]
+        respelled_cx = {**cx, "boundary": respell_zeros(cx["boundary"], spellings)}
+        respelled = {**obj, "complex": respelled_cx,
+                     "chain_map": respell_zeros(obj["chain_map"], spellings)}
+        assert json.dumps(respelled) != json.dumps(obj)
+        assert serialize.equivariant_from_obj(respelled) == serialize.equivariant_from_obj(obj)
+        spread = self.outputs(tmp_path, capsys, ["spread"], [obj, respelled])
+        decompose = self.outputs(tmp_path, capsys, ["barcode", "decompose"], [cx, respelled_cx])
+        for original, again in (spread, decompose):
+            assert original[0] == 0 and again == original
+
+    def test_mu(self, tmp_path, capsys):
+        obj = zp_module_to_obj(random_zp_module(random.Random(2503), 3, max_blocks=5))
+        spellings = self.SPELLINGS[3]
+        respelled = {**obj, **{key: [respell_zeros(m, spellings) for m in obj[key]]
+                               for key in ("transitions", "action")}}
+        assert json.dumps(respelled) != json.dumps(obj)
+        assert serialize.zp_module_from_obj(respelled) == serialize.zp_module_from_obj(obj)
+        for k in ("1", "2"):
+            original, again = self.outputs(tmp_path, capsys, ["barcode", "mu", "--zeta-index", k],
+                                           [obj, respelled])
+            assert original[0] == 0 and again == original
+
+
 class TestBarcodeMuOutputBytes:
     """sha256 of stdout of `egb barcode mu` at every zeta index, on random
     conjugated Z_p modules drawn from a fixed seed (only finite bars, or

@@ -58,6 +58,7 @@ from conftest import (
     scan_w_spread,
     shift_diagonal,
     shift_module,
+    sparse_oracle,
     w_hat_scan_oracle,
     zp_direct_sum,
     zp_module_checks_oracle,
@@ -140,6 +141,13 @@ class TestQuotientFix:
 
 # the `Matrix` eliminations, products and powers that the Z_p layer never calls
 DENSE = ("kernel_basis", "__matmul__", "solve", "solve_matrix", "matpow", "from_columns")
+# those that an equivariant complex never calls: its checks are products on sparse columns
+ELIMINATIONS = ("kernel_basis", "solve", "solve_matrix", "from_columns")
+
+
+def square_and_multiply_products(p: int) -> int:
+    """The products of `Matrix.matpow(p)`, p >= 1."""
+    return p.bit_length() + bin(p).count("1") - 2
 
 
 class TestInducedModuleSolves:
@@ -206,24 +214,34 @@ class TestChainMapOrder:
                 gens, boundary = ((F(0), 0),) * t.rows, Matrix.zeros(field, t.rows, t.rows)
                 expected = complex_checks_oracle(field, gens, boundary, p, t)
                 cases.append((name, FilteredComplex(field, gens, boundary), t, expected))
-        dense = [count_calls(monkeypatch, Matrix, name) for name in DENSE]
+        dense = [count_calls(monkeypatch, Matrix, name) for name in ELIMINATIONS]
+        products = count_calls(monkeypatch, Matrix, "__matmul__")
         for name, cx, t, expected in cases:
+            del products[:]
             try:
                 EquivariantComplex(p, cx, t)
                 got = None
             except ValueError as e:
                 got = str(e)
             assert (name, got) == (name, expected)
-        assert dense == [[]] * len(DENSE)
+            # T^p, then T D and D T once it passes
+            assert len(products) == square_and_multiply_products(p) + 2 * (got is None)
+        assert dense == [[]] * len(ELIMINATIONS)
         assert {expected for *_, expected in cases} == {None, "chain map does not satisfy T^p = id"}
 
     def test_builds_no_dense_matrix(self, rng, monkeypatch):
+        """No elimination: the checks take T^p by square and multiply, then
+        T D and D T, and nothing else."""
         inputs = [random_equivariant_complex(rng, p, field) for p in (2, 3, 5)
                   for field in (QQ_FIELD, CyclotomicField(p)) for _ in range(3)]
-        dense = [count_calls(monkeypatch, Matrix, name) for name in DENSE]
+        dense = [count_calls(monkeypatch, Matrix, name) for name in ELIMINATIONS]
+        products = count_calls(monkeypatch, Matrix, "__matmul__")
         for eq in inputs:
-            assert EquivariantComplex(eq.p, eq.complex, eq.chain_map).columns == eq.columns
-        assert dense == [[]] * len(DENSE)
+            del products[:]
+            built = EquivariantComplex(eq.p, eq.complex, eq.chain_map)
+            assert built.chain_map.columns == sparse_oracle(eq.chain_map)
+            assert len(products) == square_and_multiply_products(eq.p) + 2
+        assert dense == [[]] * len(ELIMINATIONS)
 
 
 class TestDecomposition:

@@ -10,14 +10,14 @@ from egb.field import (
     Matrix,
     QQ_FIELD,
     _reduce_columns,
-    _sparse_columns,
     cyclo_from_rational,
     cyclo_zeta,
     is_prime,
 )
 
 from conftest import (
-    count_calls, cyclo_one, dense_matmul, primitive_roots, rand_frac, shift_diagonal,
+    count_calls, cyclo_one, dense_matmul, dense_matrix, primitive_roots, rand_frac,
+    shift_diagonal,
 )
 
 
@@ -222,8 +222,8 @@ def rand_matrix(rng, field, rows: int, cols: int, rank: int | None = None) -> Ma
     inner dimension) when it is given."""
     if rank is not None:
         return rand_matrix(rng, field, rows, rank) @ rand_matrix(rng, field, rank, cols)
-    return Matrix(field, rows, cols, tuple(tuple(rand_entry(rng, field) for _ in range(cols))
-                                           for _ in range(rows)))
+    return dense_matrix(field, rows, cols, [[rand_entry(rng, field) for _ in range(cols)]
+                                            for _ in range(rows)])
 
 
 def cofactor_det(m: Matrix):
@@ -233,8 +233,8 @@ def cofactor_det(m: Matrix):
     det = m.field.zero()
     for j in range(m.cols):
         if m[0, j]:
-            minor = Matrix(m.field, m.rows - 1, m.cols - 1, tuple(
-                row[:j] + row[j + 1:] for row in m.entries[1:]))
+            minor = dense_matrix(m.field, m.rows - 1, m.cols - 1,
+                                 [row[:j] + row[j + 1:] for row in m.entries[1:]])
             term = m[0, j] * cofactor_det(minor)
             det = det - term if j % 2 else det + term
     return det
@@ -335,7 +335,7 @@ def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
     def pivots_used(*matrices):
         """The pivot entries, in order of first use, that reduce a later
         column in the reduction of the columns of [matrices]."""
-        cols = [col for m in matrices for col in _sparse_columns(m)]
+        cols = [dict(col) for m in matrices for col in m.columns]
         lows, steps = _reduce_columns(field, cols)
         low_of = {j: low for low, j in lows.items()}
         calls.clear()
@@ -359,9 +359,8 @@ def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
         assert [args[0] for args in calls] == expected
         assert len(expected) <= 4
     z = cyclo_zeta(field.p) + 2  # nonzero, and irrational for p > 2
-    upper = Matrix(field, 4, 4, tuple(tuple(z if i == j else rand_entry(rng, field) if i < j
-                                            else field.zero() for j in range(4))
-                                      for i in range(4)))
+    upper = dense_matrix(field, 4, 4, [[z if i == j else rand_entry(rng, field) if i < j
+                                        else field.zero() for j in range(4)] for i in range(4)])
     calls.clear()
     assert upper.det() == z ** 4
     assert calls == []
@@ -397,8 +396,7 @@ def sparse_matrix(rng, field, rows: int, cols: int, zeros: float) -> Matrix:
         while not x:
             x = rand_entry(rng, field)
         return x
-    return Matrix(field, rows, cols, tuple(tuple(entry() for _ in range(cols))
-                                           for _ in range(rows)))
+    return dense_matrix(field, rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
 @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9, 1.0])
@@ -434,3 +432,28 @@ class TestZeroSkipping:
             assert shift_diagonal(a, c) == a - Matrix.identity(field, n).scale(c)
         with pytest.raises(ValueError, match="non-square"):
             shift_diagonal(sparse_matrix(rng, field, 2, 3, zeros), c)
+
+
+@pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3)], ids=repr)
+class TestSparseColumns:
+    """A matrix holds its nonzero entries as columns, with no zero stored,
+    so that equality is entry equality."""
+
+    def test_cancellations_store_no_zero(self, rng, field):
+        for rows, cols in ((3, 4), (2, 2), (0, 3), (3, 0)):
+            a = sparse_matrix(rng, field, rows, cols, 0.3)
+            zeros = Matrix.zeros(field, rows, cols)
+            for m in (a - a, a + (-a), a.scale(0)):
+                assert m == zeros
+                assert not any(m.columns)
+
+    def test_constructor_checks_the_columns(self, field):
+        one = field.one()
+        with pytest.raises(ValueError, match="^column count mismatch$"):
+            Matrix(field, 2, 2, ({0: one},))
+        for row in (2, -1):
+            with pytest.raises(ValueError, match="^row index outside the matrix$"):
+                Matrix(field, 2, 1, ({row: one},))
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            Matrix.from_rows(field, [[1, 2], [3]])
+        assert Matrix(field, 2, 1, [{1: one}]) == Matrix.from_rows(field, [[0], [1]])

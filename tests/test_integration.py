@@ -118,7 +118,7 @@ def _chain_comparison_nonzero(eq, a, b, d):
     cx = eq.complex
     field = cx.field
     n = len(cx.generators)
-    s_mat = eq.chain_map - Matrix.identity(field, n)
+    s_rows = (eq.chain_map - Matrix.identity(field, n)).entries
     keep1, w1 = window_complex(cx, a, b)
     keep2, w2 = window_complex(cx, a + d, b + d)
     degrees = {deg for _, deg in cx.generators}
@@ -140,7 +140,7 @@ def _chain_comparison_nonzero(eq, a, b, d):
                 if v == 0:
                     continue
                 for row_g in glob1:
-                    e = s_mat.entries[row_g][g]
+                    e = s_rows[row_g][g]
                     if e != 0 and row_g in look:
                         out[look[row_g]] = out[look[row_g]] + e * v
             images.append(tuple(out))

@@ -25,6 +25,7 @@ from egb.persistence import (
 from conftest import (
     barcode_of_module_oracle,
     count_calls,
+    dense_matrix,
     direct_sum,
     gap_cuts,
     les_check_oracle,
@@ -448,8 +449,8 @@ class TestInducedHomologyRank:
                 tuple(sum((field.coerce(rng.randint(-1, 1)) * v[i] for v in basis), field.zero())
                       for i in range(dim))
                 for _ in range(rng.randint(0, 4))]
-            boundary = Matrix(field, dim, len(boundary_cols), tuple(
-                tuple(col[i] for col in boundary_cols) for i in range(dim)))
+            boundary = dense_matrix(field, dim, len(boundary_cols),
+                                    [[col[i] for col in boundary_cols] for i in range(dim)])
             images = [rng.choice(boundary_cols) if boundary_cols and rng.random() < 0.3
                       else tuple(field.coerce(rand_frac(rng, -2, 2, 2)) for _ in range(dim))
                       for _ in range(rng.randint(1, 4))]

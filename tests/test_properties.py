@@ -28,6 +28,7 @@ from egb.equivariant import (
     mu_from_barcode,
     mu_p_of_family,
     quotient_fix_module,
+    w_spread,
 )
 from egb.bottleneck import _ranks, bottleneck
 from egb.field import (
@@ -41,6 +42,7 @@ from egb.persistence import (
     FinitePersistenceModule,
     INF,
     _order_key,
+    barcode_of_complex,
     barcode_of_module,
     les_check,
     multiplicity,
@@ -63,6 +65,7 @@ from conftest import (
     bottleneck_oracle,
     canonical_items_oracle,
     complex_checks_oracle,
+    dense_matrix,
     det_oracle,
     echelon_oracle,
     eigenspace_family_oracle,
@@ -86,6 +89,7 @@ from conftest import (
     rank_oracle,
     ranks_oracle,
     solve_matrix_oracle,
+    sparse_oracle,
     window_homology,
     window_homology_oracle,
     zp_module_checks_oracle,
@@ -408,12 +412,6 @@ def corrupted_complexes(draw, kind):
     return (field, gens, Matrix.from_rows(field, d), p, Matrix.from_rows(field, t))
 
 
-def sparse_oracle(m: Matrix) -> tuple:
-    """The nonzero entries of each column of m, by a scan of its rows."""
-    return tuple({i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j]}
-                 for j in range(m.cols))
-
-
 # the message each corruption must give; a conjugated T may still commute
 EXPECTED = {None: (None,), "degree": ("does not drop degree by 1",),
             "action": ("does not decrease action",),
@@ -438,10 +436,11 @@ def test_complex_checks_equal_the_dense_oracle(kind, data):
     got = None
     try:
         cx = FilteredComplex(field, gens, boundary)
-        assert cx.columns == sparse_oracle(boundary)
-        assert complex_from_obj(through_json(complex_to_obj(cx))).columns == cx.columns
+        assert cx.boundary.columns == sparse_oracle(boundary)
+        assert complex_from_obj(through_json(complex_to_obj(cx))).boundary.columns \
+            == cx.boundary.columns
         eq = EquivariantComplex(p, cx, chain_map)
-        assert eq.columns == sparse_oracle(chain_map)
+        assert eq.chain_map.columns == sparse_oracle(chain_map)
     except ValueError as e:
         got = str(e)
     assert got == expected
@@ -460,7 +459,7 @@ def rank_deficient_matrices(draw):
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     entries = draw(st.lists(st.lists(st.sampled_from(values), min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
-    return Matrix(field, rows, cols, tuple(map(tuple, entries)))
+    return dense_matrix(field, rows, cols, entries)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -511,8 +510,8 @@ def elimination_cases(draw):
                                        z - 2, field.coerce(Fraction(1, 2))]
 
     def matrix(rows, cols):
-        return Matrix(field, rows, cols, tuple(
-            tuple(draw(st.sampled_from(values)) for _ in range(cols)) for _ in range(rows)))
+        return dense_matrix(field, rows, cols, [[draw(st.sampled_from(values)) for _ in range(cols)]
+                                                for _ in range(rows)])
 
     rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
     m = matrix(rows, cols)
@@ -527,8 +526,8 @@ def same_entries(a, b) -> bool:
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(elimination_cases())
-@example((Matrix(QQ_FIELD, 0, 0, ()), Matrix(QQ_FIELD, 0, 2, ())))
-@example((Matrix(QQ_FIELD, 3, 0, ((),) * 3), Matrix.identity(QQ_FIELD, 3)))
+@example((Matrix.zeros(QQ_FIELD, 0, 0), Matrix.zeros(QQ_FIELD, 0, 2)))
+@example((Matrix.zeros(QQ_FIELD, 3, 0), Matrix.identity(QQ_FIELD, 3)))
 def test_matrix_eliminations_equal_the_echelon_oracle(case):
     """rank, det, kernel_basis, solve, solve_matrix and inverse, read off
     the sparse column reduction, equal the dense echelon and its back
@@ -545,8 +544,8 @@ def test_matrix_eliminations_equal_the_echelon_oracle(case):
         assert (x.rows, x.cols) == (m.cols, rhs.cols)
         assert all(same_entries(r, s) for r, s in zip(x.entries, oracle_x.entries))
     for j in range(rhs.cols):
-        column = solve_matrix_oracle(m, Matrix(field, rhs.rows, 1, tuple(
-            (row[j],) for row in rhs.entries)))
+        column = solve_matrix_oracle(m, dense_matrix(field, rhs.rows, 1,
+                                                     [(x,) for x in rhs.column(j)]))
         solved = m.solve(rhs.column(j))
         assert (solved is None) == (column is None)
         assert solved is None or same_entries(solved, column.column(0))
@@ -566,6 +565,68 @@ def test_matrix_eliminations_equal_the_echelon_oracle(case):
     else:
         assert all(same_entries(r, s) for r, s in zip(m.inverse().entries, inverse.entries))
         assert m.inverse() == inverse
+
+
+@st.composite
+def reader_cases(draw):
+    """Over Q or Q(zeta_3): two n x n matrices and an n x k right-hand side
+    with entries from a few values, so often singular, and a seed for a Z_3
+    module, a filtered complex and an equivariant complex at p = 3."""
+    field = draw(st.sampled_from((QQ_FIELD, CyclotomicField(3))))
+    values = [field.zero(), field.zero(), field.one(), -field.one(), field.coerce(Fraction(1, 2))]
+    if field != QQ_FIELD:
+        values.append(cyclo_zeta(3, 1))
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+
+    def matrix(rows, cols):
+        return dense_matrix(field, rows, cols, [[draw(st.sampled_from(values)) for _ in range(cols)]
+                                                for _ in range(rows)])
+
+    return matrix(n, n), matrix(n, n), matrix(n, k), draw(st.integers(0, 2 ** 32))
+
+
+def columns_of(*matrices) -> list:
+    """Copies of the column dicts of each matrix."""
+    return [[dict(col) for col in m.columns] for m in matrices]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(reader_cases())
+def test_readers_never_change_a_matrix(case):
+    """A `Matrix` holds its columns as dicts that matrices share, and the
+    column reduction works in place: every reader, from the eliminations to
+    the spread, leaves the columns of each matrix it reads as they were."""
+    a, b, rhs, seed = case
+    field, n, rng = a.field, a.rows, random.Random(seed)
+    module = random_zp_module(rng, 3, max_blocks=2)
+    cx = random_filtered_complex(rng, field)
+    eq = random_equivariant_complex(rng, 3, field)
+    plain = FinitePersistenceModule(field, (Fraction(0), Fraction(1)), (0, n, n),
+                                    (Matrix.zeros(field, n, 0), a))
+    cuts = gap_cuts(cx)
+    readers = {
+        "rank": a.rank, "det": a.det, "kernel_basis": a.kernel_basis,
+        "solve": lambda: [a.solve(rhs.column(j)) for j in range(rhs.cols)],
+        "solve_matrix": lambda: a.solve_matrix(rhs), "inverse": a.inverse,
+        "@": lambda: a @ b, "+": lambda: a + b, "-": lambda: a - b,
+        "matpow": lambda: a.matpow(3), "hstack": lambda: a.hstack(rhs),
+        "barcode_of_module": lambda: (barcode_of_module(plain), barcode_of_module(module.base)),
+        "ZpPersistenceModule": lambda: ZpPersistenceModule(3, module.base, module.action),
+        "quotient_fix_module": lambda: quotient_fix_module(module),
+        "barcode_of_complex": lambda: barcode_of_complex(cx),
+        "les_check": lambda: [les_check(cx, *cuts[i:i + 3]) for i in range(len(cuts) - 2)],
+        "w_spread": lambda: w_spread(eq, 3),
+    }
+    matrices = [a, b, rhs, *module.base.transitions, *module.action, cx.boundary,
+                eq.complex.boundary, eq.chain_map,
+                *(t for part in module.parts for t in part.transitions)]
+    before = columns_of(*matrices)
+    for name, read in readers.items():
+        try:
+            read()
+        except ValueError as e:
+            assert (name, str(e)) == ("inverse", "matrix is singular")
+        assert columns_of(*matrices) == before, name
 
 
 @pytest.mark.parametrize("seed", range(4))
