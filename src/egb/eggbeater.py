@@ -85,9 +85,11 @@ class FixedPointRecord:
 
     A valid record stores its p even points (x_{2j}, y_{2j}) as integer
     numerators (X_{2j}, Y_{2j}) over one positive denominator `den`; the
-    points, the start point and the odd points are Fractions built from them
-    when read.  A rejected record stores no points, so its `point` is None
-    and its `even_points` and `odd_points` are empty.
+    points and the start point are Fractions built from them when read.  The
+    odd points (x_{2j+1}, y_{2j+1}) = (-y_{2j+2}, x_{2j}), indices mod 2p,
+    are not kept: the writer forms them from the even points' strings.  A
+    rejected record stores no points, so its `point` is None and its
+    `even_points` are empty.
 
     The action, the leading action and det(A_bar - id) are kept as the
     integer (numerator, positive denominator) pairs the solver computes, not
@@ -131,15 +133,6 @@ class FixedPointRecord:
     def point(self) -> tuple[Fraction, Fraction] | None:
         """The start point (x_0, y_0): the first even point."""
         return self.even_points[0] if self.numerators else None
-
-    @property
-    def odd_points(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(x_{2j+1}, y_{2j+1}) = (-y_{2j+2}, x_{2j}), indices mod 2p: the
-        intermediate point (x_{2j}, y_{2j+2}) of block j, turned by
-        (x, y) -> (-y, x) into the square of the horizontal shear."""
-        even = self.even_points
-        p = len(even)
-        return tuple((-even[(j + 1) % p][1], even[j][0]) for j in range(p))
 
     def label(self) -> str:
         return "".join("+" if s > 0 else "-" for s in self.signs)

@@ -54,15 +54,17 @@ class ZpPersistenceModule:
     ``action[i]`` acts on the i-th constancy interval; it has order p and
     commutes with the transition maps.  Set when the module is built:
     ``parts[k]`` is the zeta^k-eigenspace module (k = 0..p-1), ``fixed[i]``
-    the basis of Fix(A_i) that part 0 spans on interval i, and
-    ``barcodes[k - 1]`` the barcode of part k (k = 1..p-1).
+    the basis of Fix(A_i) that part 0 spans on interval i, as the (free
+    position f, sparse vector B_f) pairs of `_null_vectors` with B_f 1 at f
+    and 0 at the other free positions, and ``barcodes[k - 1]`` the barcode
+    of part k (k = 1..p-1).
     """
 
     p: int
     base: FinitePersistenceModule
     action: tuple[Matrix, ...]
     parts: tuple[FinitePersistenceModule, ...] = dataclass_field(init=False, compare=False)
-    fixed: tuple[tuple[tuple, ...], ...] = dataclass_field(init=False, compare=False)
+    fixed: tuple[tuple[tuple[int, dict], ...], ...] = dataclass_field(init=False, compare=False)
     barcodes: tuple[Barcode, ...] = dataclass_field(init=False, compare=False)
 
     def __post_init__(self):
@@ -72,7 +74,7 @@ class ZpPersistenceModule:
             raise ValueError("base module must live over Q(zeta_p)")
         if len(self.action) != self.base.num_intervals:
             raise ValueError("one automorphism matrix per constancy interval")
-        field, z = self.field, self.field.zero()
+        field = self.field
         roots = [cyclo_zeta(self.p, k) for k in range(self.p)]
         kernels = []  # kernels[i][k]: (free position, sparse vector) of ker(A_i - zeta^k)
         for i, a in enumerate(self.action):
@@ -103,10 +105,8 @@ class ZpPersistenceModule:
                 out.append(Matrix(field, len(dst), len(coords), coords))
         parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, spaces)),
                                          tuple(out)) for spaces, out in zip(zip(*kernels), maps)]
-        fixed = tuple(tuple(tuple(v.get(r, z) for r in range(n)) for _, v in spaces[0])
-                      for spaces, n in zip(kernels, self.base.dims))
         object.__setattr__(self, "parts", tuple(parts))
-        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "fixed", tuple(tuple(spaces[0]) for spaces in kernels))
         object.__setattr__(self, "barcodes", tuple(barcode_of_module(m) for m in parts[1:]))
 
     @property
@@ -204,28 +204,24 @@ def _peel(field, w: dict, basis) -> dict:
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """The quotient L = V / Fix(A) with the induced persistence maps; Fix(A)
-    is the kernel B_i of part 0, stored when the module was built.  B_i is 1
-    at its free positions F_i and 0 at the other ones there, so L_i has the
-    basis e_c, c in the kept positions P_i, and column c of the transition
-    is column c of T_i less its entry at each f in F_(i+1) times that B_f,
-    read at P_(i+1): no elimination."""
-    field, z = module.field, module.field.zero()
-    frames = []  # (F_i as (f, B_f) pairs, P_i) per interval
-    for basis, n in zip(module.fixed, module.base.dims):
-        fix = [{r: x for r, x in enumerate(v) if x is not z and x} for v in basis]
-        free = [(max(v), v) for v in fix]
-        frames.append((free, sorted(set(range(n)).difference(f for f, _ in free))))
+    is the kernel of part 0, stored when the module was built as the (f, B_f)
+    pairs ``fixed[i]``.  B_f is 1 at its free position f and 0 at the other
+    free positions, so L_i has the basis e_c, c in the kept positions P_i
+    (the others), and column c of the transition is column c of T_i less its
+    entry at each f of ``fixed[i + 1]`` times that B_f, read at P_(i+1): no
+    elimination."""
+    field = module.field
+    kept = [sorted(set(range(n)).difference(f for f, _ in fix))
+            for fix, n in zip(module.fixed, module.base.dims)]
     maps = []
     for i, t in enumerate(module.base.transitions):
-        free, kept = frames[i + 1]
-        index, coords = {r: k for k, r in enumerate(kept)}, []
-        for c in frames[i][1]:
+        index, coords = {r: k for k, r in enumerate(kept[i + 1])}, []
+        for c in kept[i]:
             w = dict(t.columns[c])
-            _peel(field, w, free)  # leaves w on the kept positions
+            _peel(field, w, module.fixed[i + 1])  # leaves w on the kept positions
             coords.append({index[r]: x for r, x in w.items()})
-        maps.append(Matrix(field, len(kept), len(coords), coords))
-    return FinitePersistenceModule(field, module.base.spectrum,
-                                   tuple(len(kept) for _, kept in frames), tuple(maps))
+        maps.append(Matrix(field, len(index), len(coords), coords))
+    return FinitePersistenceModule(field, module.base.spectrum, tuple(map(len, kept)), tuple(maps))
 
 
 # -- the multiplicity sensitive spread ---------------------------------------

@@ -93,23 +93,9 @@ class Bar:
     def length(self):
         return self.death - self.birth if self.finite else INF
 
-    def contains(self, other: "Bar") -> bool:
-        """True iff this bar contains the other (set containment)."""
-        return self.birth <= other.birth and (
-            not self.finite or other.finite and self.death >= other.death)
-
     def __str__(self):
         d = "inf" if not self.finite else str(self.death)
         return f"({self.birth}, {d}]"
-
-    def shrink(self, c) -> "Bar":
-        """(a, b] -> (a+c, b-c]; an infinite death stays fixed."""
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("shrink amount must be >= 0")
-        if self.finite and self.length <= 2 * c:
-            raise ValueError(f"cannot shrink {self} by {c}: length {self.length} <= 2c")
-        return Bar(self.birth + c, self.death - c if self.finite else INF)
 
 
 def _degree_key(d):

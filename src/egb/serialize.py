@@ -225,6 +225,8 @@ def module_from_obj(obj) -> FinitePersistenceModule:
         parse_frac(s) for s in parse_array(_field(obj, "spectrum", "module"), "spectrum")
     )
     dims = tuple(parse_int(d, "dims") for d in parse_array(_field(obj, "dims", "module"), "dims"))
+    if any(d < 0 for d in dims):
+        raise ValueError(f"dims must be nonnegative, got {list(dims)}")
     matrices = _matrix_list(
         _field(obj, "transitions", "module"), max(len(dims) - 1, 0), "transitions"
     )

@@ -932,6 +932,14 @@ def eigenspace_module_oracle(module: ZpPersistenceModule, zeta) -> FinitePersist
     return induced_module_oracle(module, [[] for _ in kernels], kernels)
 
 
+def fix_vectors(module: ZpPersistenceModule) -> list[list[tuple]]:
+    """The stored Fix basis of each interval, ``fixed[i]``, as dense vectors
+    in its order: the form the dense oracles read."""
+    z = module.field.zero()
+    return [[tuple(v.get(r, z) for r in range(n)) for _, v in fix]
+            for fix, n in zip(module.fixed, module.base.dims)]
+
+
 def quotient_fix_oracle(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """`quotient_fix_module` by dense products: for the matrix B of the
     stored Fix basis of each interval, F its free columns (the last nonzero
@@ -945,7 +953,7 @@ def quotient_fix_oracle(module: ZpPersistenceModule) -> FinitePersistenceModule:
         return dense_matrix(field, len(keep), m.cols, [m_rows[r] for r in keep])
 
     frames = []
-    for basis, n in zip(module.fixed, module.base.dims):
+    for basis, n in zip(fix_vectors(module), module.base.dims):
         free = [max(j for j, x in enumerate(v) if x) for v in basis]
         rest = sorted(set(range(n)).difference(free))
         b_rest = dense_matrix(field, len(rest), len(basis), [[v[r] for v in basis] for r in rest])
@@ -1004,6 +1012,25 @@ def module_from_barcode(field: Field, barcode: Barcode) -> FinitePersistenceModu
     )
 
 
+# -- bar containment and the 2c-shrink ------------------------------------------
+
+
+def bar_contains(outer: Bar, inner: Bar) -> bool:
+    """True iff the bar ``outer`` contains the bar ``inner`` as a set."""
+    return outer.birth <= inner.birth and (
+        not outer.finite or inner.finite and outer.death >= inner.death)
+
+
+def shrink(bar: Bar, c) -> Bar:
+    """(a, b] -> (a + c, b - c]; an infinite death stays fixed."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("shrink amount must be >= 0")
+    if bar.finite and bar.length <= 2 * c:
+        raise ValueError(f"cannot shrink {bar} by {c}: length {bar.length} <= 2c")
+    return Bar(bar.birth + c, bar.death - c if bar.finite else INF)
+
+
 # -- spread oracles ----------------------------------------------------------
 
 
@@ -1038,7 +1065,7 @@ def mu_from_barcode_oracle(barcode: Barcode, p: int) -> Fraction | float:
         x, y = interval.birth, interval.death
         horizon: Fraction | float = INF
         for bar, m, _ in barcode.items:
-            if bar.contains(interval):
+            if bar_contains(bar, interval):
                 continue
             need_left = (bar.birth - x) / 2 if bar.birth > x else Fraction(0)
             if is_inf(y):
@@ -1068,8 +1095,8 @@ def full_power_verdict_oracle(barcode: Barcode, p: int) -> str:
 
 
 def multiplicity_oracle(barcode: Barcode, query: Bar) -> int:
-    """`multiplicity` as a full scan: every bar is tested by `Bar.contains`."""
-    return sum(m for bar, m, _ in barcode.items if bar.contains(query))
+    """`multiplicity` as a full scan: every bar is tested by `bar_contains`."""
+    return sum(m for bar, m, _ in barcode.items if bar_contains(bar, query))
 
 
 def eigenspace_family_oracle(model_input: ModelInput) -> dict[int, Barcode]:
@@ -1112,7 +1139,7 @@ def mu_p_of_family_oracle(family: dict[int, Barcode], p: int) -> Fraction | floa
 def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 100),
                                 family: dict[int, Barcode] | None = None) -> Fraction:
     """`paper_mu_lower_bound` on Fractions: the witness is a `Bar` of reduced
-    Fraction ends, its 2c-shrink is `Bar.shrink` (which refuses c < 0), and
+    Fraction ends, its 2c-shrink is `shrink` (which refuses c < 0), and
     both are counted by `multiplicity_oracle`."""
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac <= Fraction(1, 2):
@@ -1125,7 +1152,7 @@ def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 10
     c = gap * (1 - 2 * eps_frac) / 4
     if family is None:
         family = eigenspace_family_oracle(model_input)
-    shrunk = witness.shrink(2 * c)
+    shrunk = shrink(witness, 2 * c)
     m_full = sum(multiplicity_oracle(bc, witness) for bc in family.values())
     m_shrunk = sum(multiplicity_oracle(bc, shrunk) for bc in family.values())
     if not (m_full == m_shrunk == 1):
@@ -1387,9 +1414,19 @@ def _frac_or_none(x):
     return None if x is None else frac_str(x)
 
 
+def odd_points(even) -> tuple:
+    """(x_{2j+1}, y_{2j+1}) = (-y_{2j+2}, x_{2j}), indices mod 2p, from the
+    p even points of an orbit: the intermediate point (x_{2j}, y_{2j+2}) of
+    block j, turned by (x, y) -> (-y, x) into the square of the horizontal
+    shear."""
+    p = len(even)
+    return tuple((-even[(j + 1) % p][1], even[j][0]) for j in range(p))
+
+
 def record_to_obj(r) -> dict:
     """The JSON object of one egg-beater record: `frac_str` of every
-    coordinate, the start point and the odd points read from the record."""
+    coordinate, the start point read from the record and the odd points
+    formed from its even points."""
     point = r.point
     return {
         "signs": r.label(),
@@ -1398,7 +1435,7 @@ def record_to_obj(r) -> dict:
         "x0": frac_str(point[0]) if point else None,
         "y0": frac_str(point[1]) if point else None,
         "even_points": [[frac_str(x), frac_str(y)] for x, y in r.even_points],
-        "odd_points": [[frac_str(x), frac_str(y)] for x, y in r.odd_points],
+        "odd_points": [[frac_str(x), frac_str(y)] for x, y in odd_points(r.even_points)],
         "action_exact": _frac_or_none(r.action),
         "action_leading": frac_str(r.action_leading),
         "det": frac_str(r.det),

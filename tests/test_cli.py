@@ -887,6 +887,16 @@ class TestIntegerFields:
         assert json.loads(out) == {"bottleneck": "0"}
 
 
+    def test_negative_dims_exit_one_naming_dims(self, tmp_path):
+        """A negative dimension is refused by name before any matrix of
+        that shape is read."""
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({**TestMalformedMatrices.MODULE, "dims": [0, -1]}))
+        proc = run_subprocess("barcode", "mu", str(f))
+        assert_clean_error(proc)
+        assert proc.stderr == "error: dims must be nonnegative, got [0, -1]\n"
+
+
 class TestMalformedMatrices:
     """A matrix must be an array of row arrays, and a module must carry one
     transition per spectrum point and one action matrix per interval; any

@@ -49,6 +49,7 @@ from conftest import (
     h0,
     leading_sum,
     min_leading_gap,
+    odd_points,
     phi_block,
     records_to_csv,
     u0,
@@ -63,7 +64,7 @@ def exposed(r: FixedPointRecord) -> tuple:
     """Every value a record exposes, the Fraction views of its points
     included: what the oracle comparisons compare, whatever denominator the
     record keeps its numerators over."""
-    return (r.signs, r.valid, r.reason, r.point, r.even_points, r.odd_points,
+    return (r.signs, r.valid, r.reason, r.point, r.even_points,
             r.action, r.action_leading, r.det, r.kink_distance)
 
 
@@ -71,11 +72,11 @@ def reference_solve(p, lam, mu, nu, signs) -> tuple:
     """`exposed` of the solver on `Matrix`: products of the block matrices,
     the O(p^2) sum of transported block vectors, `Matrix.solve` and
     `phi_block`.  The oracle the shared-prefix solver is pinned to; the start
-    point and odd points the record derives must be the ones the oracle
-    computed."""
+    point the record derives, and the odd points formed from its even
+    points, must be the ones the oracle computed."""
     record, point, odd = reference_orbit(p, lam, mu, nu, signs)
     assert record.point == point
-    assert record.odd_points == odd
+    assert odd_points(record.even_points) == odd
     return exposed(record)
 
 
@@ -498,7 +499,7 @@ class TestDerivedFields:
                     assert values[0] is None and values[3] is None
                     assert type(values[1]) is F and type(values[2]) is F
                 assert rec.point == point
-                assert rec.odd_points == odd
+                assert odd_points(rec.even_points) == odd
                 if rec.valid:  # the denominator D = lcm(den x0, den y0) K^{2p}
                     assert rec.den == math.lcm(*(v.denominator for v in point)) * k ** (2 * p)
                 else:

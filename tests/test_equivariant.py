@@ -26,7 +26,7 @@ from egb.equivariant import (
     w_hat_from_quotient,
     w_spread,
 )
-from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
+from egb.field import CyclotomicField, Matrix, QQ_FIELD, _null_vectors, cyclo_zeta
 from egb.persistence import (
     Bar,
     Barcode,
@@ -41,9 +41,11 @@ from egb.serialize import complex_to_obj, matrix_to_obj
 from conftest import (
     count_calls,
     complex_checks_oracle,
+    conjugate_module,
     construct_full_power,
     cyclo_one,
     eigenspace_module_oracle,
+    fix_vectors,
     full_power_verdict_oracle,
     kernel_oracle,
     mu_from_barcode_oracle,
@@ -58,6 +60,7 @@ from conftest import (
     scan_w_spread,
     shift_diagonal,
     shift_module,
+    shrink,
     sparse_oracle,
     w_hat_scan_oracle,
     zp_direct_sum,
@@ -132,10 +135,19 @@ class TestQuotientFix:
                 for i in range(len(q.dims)):
                     assert q.dims[i] == sum(e.dims[i] for e in m.parts[1:])
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_quotient_equals_the_dense_oracle(self, rng, p):
-        for _ in range(12):
-            m = random_zp_module(rng, p, max_blocks=4 if p < 5 else 3)
+        """On random modules, and on a fixed class on (0, 4], a class of
+        eigenvalue zeta on (2, 6] and a cyclic tuple on (7, 9] in a random
+        basis: Fix = V on (0, 2], Fix = 0 on (4, 6]."""
+        modules = [random_zp_module(rng, p, max_blocks=(4, 4, 3, 2)[(2, 3, 5, 7).index(p)])
+                   for _ in range(12 if p < 7 else 4)]
+        planted = conjugate_module(rng, functools.reduce(zp_direct_sum, (
+            scalar_interval_module(p, 0, 4, 0), scalar_interval_module(p, 2, 6, 1),
+            cyclic_tuple_module(7, p, death=9))))
+        assert [(len(fix), n) for fix, n in zip(planted.fixed, planted.base.dims)] \
+            == [(0, 0), (1, 1), (1, 2), (0, 1), (0, 0), (1, p), (0, 0)]
+        for m in [*modules, planted]:
             assert quotient_fix_module(m) == quotient_fix_oracle(m)
 
 
@@ -257,7 +269,20 @@ class TestDecomposition:
                 assert m.parts[k] == oracle
                 if k:
                     assert m.barcodes[k - 1] == barcode_of_module(oracle)
-            assert m.fixed == tuple(tuple(kernel_oracle(shift_diagonal(a, 1))) for a in m.action)
+            assert fix_vectors(m) == [kernel_oracle(shift_diagonal(a, 1)) for a in m.action]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_fixed_is_the_null_vector_pairs_of_a_minus_one(self, rng, p):
+        """``fixed[i]`` holds the (free position, sparse vector) pairs of
+        `_null_vectors` for A_i - 1, with no zero stored: the rows moved to
+        the pivot order change neither the kernel nor its free columns."""
+        for _ in range(4 if p < 7 else 2):
+            m = random_zp_module(rng, p, max_blocks=3 if p < 7 else 2)
+            for fix, a in zip(m.fixed, m.action):
+                pairs = _null_vectors(m.field, list(shift_diagonal(a, 1).columns))
+                assert type(fix) is tuple and fix == tuple(pairs)
+                assert all(type(f) is int and type(v) is dict and v[f] == m.field.one()
+                           and all(v.values()) for f, v in fix)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_checks_equal_the_dense_oracle(self, rng, p):
@@ -378,7 +403,7 @@ class TestMuP:
                         continue
                     c = (y - x) / 4
                     while c > best:
-                        if (y - x) > 4 * c and multiplicity(bc, interval.shrink(2 * c)) == l:
+                        if (y - x) > 4 * c and multiplicity(bc, shrink(interval, 2 * c)) == l:
                             if c > best:
                                 best = c
                             break
@@ -425,13 +450,26 @@ class TestSpreadSweep:
             assert (got, type(got)) == (want, type(want)), bc
             assert full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p), bc
 
-    def test_rays_never_scan_bars(self, rng, monkeypatch):
-        contains = count_calls(monkeypatch, Bar, "contains")
+    def test_rays_never_scan_bars(self, rng):
+        """The spread and the verdict read the bars of a ray-only barcode in
+        two passes, whatever the number of candidates: no candidate scans
+        them again."""
+
+        class CountedReads:
+            def __init__(self, barcode):
+                self.barcode, self.reads = barcode, 0
+
+            @property
+            def items(self):
+                self.reads += 1
+                return self.barcode.items
+
         for p in (2, 3, 5):
             for bc in spread_barcodes(rng, "infinite", 20):
-                mu_from_barcode(bc, p)
-                full_power_verdict(bc, p)
-        assert contains == []
+                for read in (mu_from_barcode, full_power_verdict):
+                    counted = CountedReads(bc)
+                    assert read(counted, p) == read(bc, p)
+                    assert counted.reads == 2
 
     def test_ray_horizon_is_half_the_next_birth(self):
         # (0, inf] alone has multiplicity 1 until the ray born at 6 enters

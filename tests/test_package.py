@@ -3,6 +3,7 @@ module, and importing one module loads only what that module needs.  Every
 public name of the library has a caller outside the tests."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -43,20 +44,53 @@ def test_package_defines_only_its_version():
     assert egb.__version__ == "0.1.0"
 
 
+def attributes(text: str) -> list[tuple[str, int]]:
+    """(name, line) of each attribute ``x.name`` read in a Python source."""
+    return [(node.attr, node.lineno) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)]
+
+
+def traced_methods() -> set[tuple[str, str, str]]:
+    """The (module, class, method) names that the benchmark's tracer wraps
+    by name, `bench/spans.py` `METHODS`."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return set(spans.METHODS)
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Each public module-level function or class of `src/egb` is named in the
     library outside its own definition, in `bench/`, in `scripts/` or in the
-    README: a construction only the tests use belongs in `tests/conftest.py`."""
+    README, and each public method or property of its classes is read as an
+    attribute there (or named in the README): a construction only the tests
+    use belongs in `tests/conftest.py`.  The methods that the tracer wraps by
+    name are the exceptions: its wrappers read them."""
     library = {path: path.read_text() for path in sorted((ROOT / "src" / "egb").glob("*.py"))}
+    read = {path: attributes(text) for path, text in library.items()}
     callers = [path.read_text() for d in ("bench", "scripts") for path in (ROOT / d).glob("*.py")]
-    callers.append((ROOT / "README.md").read_text())
+    readme = (ROOT / "README.md").read_text()
+    outside = {name for text in callers for name, _ in attributes(text)}
+    traced = traced_methods()
     orphans = []
     for path, text in library.items():
         lines = text.splitlines()
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
-                haystack = "\n".join([*rest, *callers, *(t for q, t in library.items() if q != path)])
+                haystack = "\n".join([*rest, *callers, readme,
+                                      *(t for q, t in library.items() if q != path)])
                 if not re.search(rf"\b{node.name}\b", haystack):
                     orphans.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if (not isinstance(method, ast.FunctionDef) or method.name.startswith("_")
+                        or (path.stem, node.name, method.name) in traced):
+                    continue
+                own = range(method.lineno, method.end_lineno + 1)
+                reads = outside.union(name for q, names in read.items() for name, line in names
+                                      if q != path or line not in own)
+                if method.name not in reads and not re.search(rf"\b{method.name}\b", readme):
+                    orphans.append(f"{path.stem}.{node.name}.{method.name}")
     assert orphans == []

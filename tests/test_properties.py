@@ -71,6 +71,7 @@ from conftest import (
     eigenspace_family_oracle,
     eigenspace_module_oracle,
     extend_basis_oracle,
+    fix_vectors,
     gap_cuts,
     kernel_oracle,
     full_power_verdict_oracle,
@@ -489,8 +490,9 @@ def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
         assert part == eigenspace_module_oracle(m, cyclo_zeta(p, k))
     field = m.field
     units = [list(Matrix.identity(field, n).entries) for n in m.base.dims]
-    complements = [extend_basis_oracle(field, list(w), e, len(e)) for w, e in zip(m.fixed, units)]
-    oracle = induced_module_oracle(m, [list(w) for w in m.fixed], complements)
+    fix = fix_vectors(m)
+    complements = [extend_basis_oracle(field, list(w), e, len(e)) for w, e in zip(fix, units)]
+    oracle = induced_module_oracle(m, fix, complements)
     assert quotient_fix_module(m) == oracle
 
 
@@ -595,7 +597,8 @@ def columns_of(*matrices) -> list:
 def test_readers_never_change_a_matrix(case):
     """A `Matrix` holds its columns as dicts that matrices share, and the
     column reduction works in place: every reader, from the eliminations to
-    the spread, leaves the columns of each matrix it reads as they were."""
+    the spread, leaves the columns of each matrix it reads as they were, and
+    the Fix pairs a module stores, which V/Fix reduces against, too."""
     a, b, rhs, seed = case
     field, n, rng = a.field, a.rows, random.Random(seed)
     module = random_zp_module(rng, 3, max_blocks=2)
@@ -620,13 +623,17 @@ def test_readers_never_change_a_matrix(case):
     matrices = [a, b, rhs, *module.base.transitions, *module.action, cx.boundary,
                 eq.complex.boundary, eq.chain_map,
                 *(t for part in module.parts for t in part.transitions)]
-    before = columns_of(*matrices)
+
+    def stored():
+        return columns_of(*matrices), [[(f, dict(v)) for f, v in fix] for fix in module.fixed]
+
+    before = stored()
     for name, read in readers.items():
         try:
             read()
         except ValueError as e:
             assert (name, str(e)) == ("inverse", "matrix is singular")
-        assert columns_of(*matrices) == before, name
+        assert stored() == before, name
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -653,7 +660,7 @@ def test_oracles_never_reach_the_column_reduction(monkeypatch, seed):
         "les": [les_check(cx, *t) for t in triples],
     }
     complements = [extend_basis_oracle(m.field, list(w), e, len(e))
-                   for w, e in zip(m.fixed, units)]
+                   for w, e in zip(fix_vectors(m), units)]
 
     def refuse(*args):
         raise AssertionError("an oracle reached the column reduction")
@@ -666,7 +673,7 @@ def test_oracles_never_reach_the_column_reduction(monkeypatch, seed):
         == expected["parts"]
     assert barcode_of_module_oracle(m.base) == expected["barcode"]
     assert quotient_fix_oracle(m) == expected["quotient"]
-    assert induced_module_oracle(m, [list(w) for w in m.fixed], complements) \
+    assert induced_module_oracle(m, fix_vectors(m), complements) \
         == expected["quotient"]
     assert [window_homology_oracle(cx, *w)[::2] for w in windows] == expected["windows"]
     assert [les_check_oracle(cx, *t) for t in triples] == expected["les"]
