@@ -8,10 +8,11 @@ V_j of each zero column R_j of R = DV (`_null_vectors`, which
 dimensions, k = 0..p-1, sum to dim V.  A kernel basis vector is 1 at its
 free position and 0 at the others, so an image's coordinates in a part are
 its entries there, with no elimination, and the commutation check is that
-subtracting them leaves nothing.  The parts are the eigenspace modules;
-mu_p, the full-power verdict and w_hat (the longest bar of the union of the
-parts 1..p-1) read them; V/Fix, read off part 0's free positions, is the
-independent route to w_hat.  Also the two-window spread of an equivariant
+subtracting them leaves nothing.  The module stores what is read off the
+parts, not the parts: the barcodes of the parts 1..p-1, which mu_p, the
+full-power verdict and w_hat (the longest bar of their union) read, and the
+Fix basis of part 0, off whose free positions V/Fix, the independent route
+to w_hat, is read.  Also the two-window spread of an equivariant
 filtered complex, whose T^p = id and TD = DT checks are `Matrix` products
 on sparse columns, the full-power obstruction and the cyclic tuple module.
 The dense echelon and products of the tests are the oracles."""
@@ -52,18 +53,18 @@ class ZpPersistenceModule:
     """Finite persistence module over Q(zeta_p) with an order-p automorphism.
 
     ``action[i]`` acts on the i-th constancy interval; it has order p and
-    commutes with the transition maps.  Set when the module is built:
-    ``parts[k]`` is the zeta^k-eigenspace module (k = 0..p-1), ``fixed[i]``
-    the basis of Fix(A_i) that part 0 spans on interval i, as the (free
-    position f, sparse vector B_f) pairs of `_null_vectors` with B_f 1 at f
-    and 0 at the other free positions, and ``barcodes[k - 1]`` the barcode
-    of part k (k = 1..p-1).
+    commutes with the transition maps.  The build splits V into the
+    zeta^k-eigenspaces (the parts, k = 0..p-1) and stores what is read off
+    them: ``fixed[i]``, the basis of Fix(A_i) (part 0) on interval i, as the
+    (free position f, sparse vector B_f) pairs of `_null_vectors` with B_f 1
+    at f and 0 at the other free positions, and ``barcodes[k - 1]``, the
+    barcode of part k (k = 1..p-1).  The part modules themselves are built
+    only to be swept and are not kept.
     """
 
     p: int
     base: FinitePersistenceModule
     action: tuple[Matrix, ...]
-    parts: tuple[FinitePersistenceModule, ...] = dataclass_field(init=False, compare=False)
     fixed: tuple[tuple[tuple[int, dict], ...], ...] = dataclass_field(init=False, compare=False)
     barcodes: tuple[Barcode, ...] = dataclass_field(init=False, compare=False)
 
@@ -90,24 +91,23 @@ class ZpPersistenceModule:
             if sum(map(len, spaces)) != n:
                 raise ValueError(f"automorphism {i} does not have order dividing p")
             kernels.append(spaces)
-        # an image's coordinates in the next interval's part are its entries
-        # at the free positions, and it lies in that part (the action
-        # commutes) iff subtracting them leaves nothing
-        maps = [[] for _ in range(self.p)]
+        # an image's coordinates in the next interval's part are its entries at the
+        # free positions, and it lies there (A commutes) iff peeling them leaves nothing
+        maps = [[] for _ in range(self.p)]  # maps[k]: part k's transitions; part 0 is only checked
         for i, t in enumerate(self.base.transitions):
-            for src, dst, out in zip(kernels[i], kernels[i + 1], maps):
+            for k, (src, dst) in enumerate(zip(kernels[i], kernels[i + 1])):
                 coords = []
                 for _, b in src:
                     w = _apply(field, t.columns, b)
                     coords.append(_peel(field, w, dst))
                     if w:
                         raise ValueError(f"automorphism does not commute with transition {i}")
-                out.append(Matrix(field, len(dst), len(coords), coords))
-        parts = [FinitePersistenceModule(field, self.base.spectrum, tuple(map(len, spaces)),
-                                         tuple(out)) for spaces, out in zip(zip(*kernels), maps)]
-        object.__setattr__(self, "parts", tuple(parts))
+                if k:
+                    maps[k].append(Matrix(field, len(dst), len(coords), coords))
         object.__setattr__(self, "fixed", tuple(tuple(spaces[0]) for spaces in kernels))
-        object.__setattr__(self, "barcodes", tuple(barcode_of_module(m) for m in parts[1:]))
+        object.__setattr__(self, "barcodes", tuple(barcode_of_module(FinitePersistenceModule(
+            field, self.base.spectrum, tuple(len(s[k]) for s in kernels), tuple(maps[k])))
+            for k in range(1, self.p)))
 
     @property
     def field(self) -> CyclotomicField:
@@ -204,8 +204,8 @@ def _peel(field, w: dict, basis) -> dict:
 
 def quotient_fix_module(module: ZpPersistenceModule) -> FinitePersistenceModule:
     """The quotient L = V / Fix(A) with the induced persistence maps; Fix(A)
-    is the kernel of part 0, stored when the module was built as the (f, B_f)
-    pairs ``fixed[i]``.  B_f is 1 at its free position f and 0 at the other
+    is part 0, stored when the module was built as the (f, B_f) pairs
+    ``fixed[i]``.  B_f is 1 at its free position f and 0 at the other
     free positions, so L_i has the basis e_c, c in the kept positions P_i
     (the others), and column c of the transition is column c of T_i less its
     entry at each f of ``fixed[i + 1]`` times that B_f, read at P_(i+1): no
@@ -442,16 +442,32 @@ class _SpreadWindow:
 
 
 def spread_lower_bound_from_gaps(generators) -> Fraction | float:
-    """D = min |action difference| over generator pairs of index difference 1;
-    +inf when no such pair exists (the gap bound is vacuous then)."""
-    gens = [(Fraction(a), int(d)) for a, d in generators]
-    best: Fraction | float = INF
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if abs(gens[i][1] - gens[j][1]) == 1:
-                gap = abs(gens[i][0] - gens[j][0])
-                if gap < best:
-                    best = gap
+    """D = min |a - b| over generator pairs (a, d), (b, d + 1) of adjacent
+    degrees; +inf when no two degrees are adjacent (the gap bound is vacuous
+    then).  Each degree's actions are sorted once, and each pair of adjacent
+    degrees is one merge of their two sorted lists."""
+    actions: dict[int, list[Fraction]] = {}
+    for a, d in generators:
+        actions.setdefault(int(d), []).append(Fraction(a))
+    for acts in actions.values():
+        acts.sort()
+    return min((_least_distance(acts, actions[d + 1])
+                for d, acts in actions.items() if d + 1 in actions), default=INF)
+
+
+def _least_distance(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
+    """min |x - y| over the nonempty sorted lists xs and ys, by one merge:
+    the smaller current value is no farther from the other list's current
+    value than from any later one, so it moves on."""
+    best, i, j = INF, 0, 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x < y:
+            gap, i = y - x, i + 1
+        else:
+            gap, j = x - y, j + 1
+        if gap < best:
+            best = gap
     return best
 
 

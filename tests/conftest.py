@@ -8,9 +8,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from egb import equivariant
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
@@ -596,6 +598,20 @@ def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
     return best
 
 
+def spread_lower_bound_from_gaps_oracle(generators) -> Fraction | float:
+    """`spread_lower_bound_from_gaps` over every pair of generators: the least
+    |a - b| of the pairs whose degrees differ by 1, +inf for none."""
+    gens = [(Fraction(a), int(d)) for a, d in generators]
+    best: Fraction | float = INF
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if abs(gens[i][1] - gens[j][1]) == 1:
+                gap = abs(gens[i][0] - gens[j][0])
+                if gap < best:
+                    best = gap
+    return best
+
+
 def gap_cuts(complex_: FilteredComplex) -> list[Fraction]:
     """One cut inside every gap of the action spectrum, the unbounded gaps included."""
     return [rep for _, _, rep in _gaps(complex_.spectrum())]
@@ -930,6 +946,16 @@ def eigenspace_module_oracle(module: ZpPersistenceModule, zeta) -> FinitePersist
     and the induced transitions."""
     kernels = [kernel_oracle(shift_diagonal(a, zeta)) for a in module.action]
     return induced_module_oracle(module, [[] for _ in kernels], kernels)
+
+
+def part_modules(module: ZpPersistenceModule) -> list[FinitePersistenceModule]:
+    """The modules of the parts 1..p-1 that building ``module`` sweeps for its
+    barcodes, in order, recorded from `equivariant.barcode_of_module` as the
+    module is built again: the library keeps their barcodes, not them."""
+    with mock.patch.object(equivariant, "barcode_of_module",
+                           side_effect=equivariant.barcode_of_module) as sweep:
+        ZpPersistenceModule(module.p, module.base, module.action)
+    return [call.args[0] for call in sweep.call_args_list]
 
 
 def fix_vectors(module: ZpPersistenceModule) -> list[list[tuple]]:

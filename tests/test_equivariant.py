@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -49,6 +50,7 @@ from conftest import (
     full_power_verdict_oracle,
     kernel_oracle,
     mu_from_barcode_oracle,
+    part_modules,
     perturb_and_check_lipschitz,
     primitive_roots,
     quotient_fix_oracle,
@@ -92,15 +94,15 @@ def swap_module(birth=F(0), death=INF):
 class TestEigenspace:
     def test_trivial_action_zeta_one(self):
         m = trivial_action_module(3, F(0), F(5))
-        assert m.parts[0].dims == m.base.dims
+        assert tuple(map(len, m.fixed)) == m.base.dims
 
     def test_trivial_action_primitive_zeta(self):
         m = trivial_action_module(3, F(0), F(5))
-        assert all(d == 0 for d in m.parts[1].dims)
+        assert all(d == 0 for part in part_modules(m) for d in part.dims)
 
     def test_swap_eigenspace(self):
         m = swap_module()
-        assert m.parts[1].dims == (0, 1)
+        assert [part.dims for part in part_modules(m)] == [(0, 1)]
 
     def test_non_root_rejected(self):
         m = swap_module()
@@ -112,8 +114,9 @@ class TestEigenspace:
         for p in (2, 3):
             for _ in range(12):
                 m = random_zp_module(rng, p)
+                parts = part_modules(m)
                 for i, d in enumerate(m.base.dims):
-                    assert d == sum(e.dims[i] for e in m.parts)
+                    assert d == len(m.fixed[i]) + sum(e.dims[i] for e in parts)
 
 
 class TestQuotientFix:
@@ -131,9 +134,9 @@ class TestQuotientFix:
         for p in (2, 3, 5):
             for _ in range(8):
                 m = random_zp_module(rng, p, max_blocks=3 if p < 5 else 2)
-                q = quotient_fix_module(m)
+                q, parts = quotient_fix_module(m), part_modules(m)
                 for i in range(len(q.dims)):
-                    assert q.dims[i] == sum(e.dims[i] for e in m.parts[1:])
+                    assert q.dims[i] == sum(e.dims[i] for e in parts)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_quotient_equals_the_dense_oracle(self, rng, p):
@@ -264,11 +267,10 @@ class TestDecomposition:
     def test_parts_equal_the_kernel_oracle(self, rng, p):
         for _ in range(6):
             m = random_zp_module(rng, p, max_blocks=3)
-            for k in range(p):
+            for k, part in enumerate(part_modules(m), 1):
                 oracle = eigenspace_module_oracle(m, cyclo_zeta(p, k))
-                assert m.parts[k] == oracle
-                if k:
-                    assert m.barcodes[k - 1] == barcode_of_module(oracle)
+                assert part == oracle
+                assert m.barcodes[k - 1] == barcode_of_module(oracle)
             assert fix_vectors(m) == [kernel_oracle(shift_diagonal(a, 1)) for a in m.action]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -643,6 +645,17 @@ class TestSpreadLowerBound:
         gens = [(F(0), 0), (F(5), 1), (F(7), 2), (F(11), 1)]
         assert spread_lower_bound_from_gaps(gens) == 2
 
+    def test_ten_thousand_generators(self, rng):
+        """Degrees 0 and 1 interleave at distance 1 but for one planted pair
+        at 1/7, and degree 3 repeats degree 1's actions, 2 degrees apart: one
+        sorted merge per pair of adjacent degrees, not 10^8 differences."""
+        gens = [(F(3 * k), 0) for k in range(4000)] + [(F(3 * k + 2), 1) for k in range(4000)]
+        gens += [(F(3 * k + 2), 3) for k in range(1999)] + [(F(3 * 2000) + F(1, 7), 1)]
+        rng.shuffle(gens)
+        t0 = time.monotonic()
+        assert spread_lower_bound_from_gaps(gens) == F(1, 7)
+        assert time.monotonic() - t0 < 1.0
+
 
 class TestFullPower:
     @pytest.mark.parametrize("p", [2, 3])
@@ -706,12 +719,12 @@ class TestFullPower:
 class TestCyclicTuple:
     def test_p3_infinite(self):
         m = cyclic_tuple_module(F(0), 3)
-        bc = barcode_of_module(m.parts[1])
+        bc = m.barcodes[0]
         assert bc == Barcode.of([(Bar(0, INF), 1)])
 
     def test_p2_finite(self):
         m = cyclic_tuple_module(F(1), 2, death=F(4))
-        bc = barcode_of_module(m.parts[1])
+        bc = m.barcodes[0]
         assert bc == Barcode.of([(Bar(1, 4), 1)])
 
     def test_tuple_count_equals_eigen_dimension(self, rng):
@@ -722,7 +735,7 @@ class TestCyclicTuple:
             total = mods[0]
             for m in mods[1:]:
                 total = zp_direct_sum(total, m)
-            assert total.parts[1].dims[-1] == n_tuples
+            assert part_modules(total)[0].dims[-1] == n_tuples
 
 
 class TestKunneth:

@@ -14,6 +14,7 @@ from egb.eggbeater import (
     validation_threshold,
 )
 from egb.equivariant import mu_p_of_family
+from egb.field import cyclo_zeta
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -23,7 +24,7 @@ from egb.model import (
 )
 from egb.persistence import Bar, Barcode, INF, barcode_of_module, is_inf
 
-from conftest import births, build_model, count_calls
+from conftest import births, build_model, count_calls, eigenspace_module_oracle, part_modules
 
 
 def fixture_model(lam=None):
@@ -36,13 +37,13 @@ def fixture_model(lam=None):
 class TestBuildModel:
     def test_single_tuple_barcode(self):
         model = build_model(ModelInput(3, ((F(0), 0),)))
-        bc = barcode_of_module(model.parts[1])
+        bc = model.barcodes[0]
         assert bc == Barcode.of([(Bar(0, INF), 1)])
 
     def test_sixteen_tuples(self):
         model_input, _ = fixture_model()
         model = build_model(model_input)
-        bc = barcode_of_module(model.parts[1])
+        bc = model.barcodes[0]
         assert len(bc.bars()) == 16
         assert bc.infinite_count() == 16
         assert births(bc) == [a for a, _ in model_input.tuples]
@@ -50,7 +51,8 @@ class TestBuildModel:
     def test_eigen_dimension_counts_tuples(self):
         model_input, _ = fixture_model()
         model = build_model(model_input)
-        assert model.parts[1].dims[-1] == 16  # contrapositive of divisibility: count = #tuples
+        # contrapositive of divisibility: count = #tuples
+        assert part_modules(model)[0].dims[-1] == 16
 
     def test_closed_form_family_matches_dense_oracle(self, rng):
         for p in (2, 3, 5):
@@ -62,8 +64,9 @@ class TestBuildModel:
                 assert list(family) == sorted({d for _, d in tuples})
                 for r, barcode in family.items():
                     model = build_model(ModelInput(p, tuple(t for t in tuples if t[1] == r)))
-                    for part in model.parts:
-                        assert barcode_of_module(part) == barcode
+                    assert model.barcodes == (barcode,) * (p - 1)
+                    fixed = eigenspace_module_oracle(model, cyclo_zeta(p, 0))
+                    assert barcode_of_module(fixed) == barcode
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one tuple"):

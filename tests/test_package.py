@@ -1,6 +1,6 @@
 """The package `egb` re-exports nothing: each name is imported from its own
 module, and importing one module loads only what that module needs.  Every
-public name of the library has a caller outside the tests."""
+public name and derived field of the library has a reader outside the tests."""
 
 import ast
 import importlib.util
@@ -47,7 +47,22 @@ def test_package_defines_only_its_version():
 def attributes(text: str) -> list[tuple[str, int]]:
     """(name, line) of each attribute ``x.name`` read in a Python source."""
     return [(node.attr, node.lineno) for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.Attribute)]
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def code_spans(markdown: str) -> str:
+    """The code of a Markdown source, its fenced blocks and its backtick
+    spans, one a line: a name that only the prose mentions is not in it."""
+    return "\n".join(re.findall(r"```.*?```|`[^`]+`", markdown, flags=re.S))
+
+
+def derived_fields(cls: ast.ClassDef) -> list[str]:
+    """The dataclass fields of a class that are set when it is built, not
+    passed in: those declared with ``init=False``."""
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.value, ast.Call)
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in stmt.value.keywords)]
 
 
 def traced_methods() -> set[tuple[str, str, str]]:
@@ -62,16 +77,26 @@ def traced_methods() -> set[tuple[str, str, str]]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Each public module-level function or class of `src/egb` is named in the
     library outside its own definition, in `bench/`, in `scripts/` or in the
-    README, and each public method or property of its classes is read as an
-    attribute there (or named in the README): a construction only the tests
-    use belongs in `tests/conftest.py`.  The methods that the tracer wraps by
-    name are the exceptions: its wrappers read them."""
+    README's code, and each public method or property of its classes is read
+    as an attribute there (or named in the README's code): a construction
+    only the tests use belongs in `tests/conftest.py`.  The methods that the
+    tracer wraps by name are the exceptions: its wrappers read them.  Each
+    derived (``init=False``) dataclass field is read as an attribute outside
+    its class, in `src/egb`, `bench/` or `scripts/`: a field only the tests
+    read is not stored."""
     library = {path: path.read_text() for path in sorted((ROOT / "src" / "egb").glob("*.py"))}
     read = {path: attributes(text) for path, text in library.items()}
     callers = [path.read_text() for d in ("bench", "scripts") for path in (ROOT / d).glob("*.py")]
-    readme = (ROOT / "README.md").read_text()
+    readme = code_spans((ROOT / "README.md").read_text())
     outside = {name for text in callers for name, _ in attributes(text)}
     traced = traced_methods()
+
+    def reads_outside(path, node) -> set[str]:
+        """The attributes read outside the lines of ``node`` in ``path``."""
+        own = range(node.lineno, node.end_lineno + 1)
+        return outside.union(name for q, names in read.items() for name, line in names
+                             if q != path or line not in own)
+
     orphans = []
     for path, text in library.items():
         lines = text.splitlines()
@@ -88,9 +113,9 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if (not isinstance(method, ast.FunctionDef) or method.name.startswith("_")
                         or (path.stem, node.name, method.name) in traced):
                     continue
-                own = range(method.lineno, method.end_lineno + 1)
-                reads = outside.union(name for q, names in read.items() for name, line in names
-                                      if q != path or line not in own)
-                if method.name not in reads and not re.search(rf"\b{method.name}\b", readme):
+                if (method.name not in reads_outside(path, method)
+                        and not re.search(rf"\b{method.name}\b", readme)):
                     orphans.append(f"{path.stem}.{node.name}.{method.name}")
+            orphans += [f"{path.stem}.{node.name}.{name}" for name in derived_fields(node)
+                        if name not in reads_outside(path, node)]
     assert orphans == []

@@ -31,6 +31,7 @@ from conftest import (
     gap_cuts,
     les_check_oracle,
     module_from_barcode,
+    part_modules,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
@@ -267,7 +268,7 @@ class TestModuleDecomposition:
         for _ in range(8):
             zm = random_zp_module(rng, p)
             modules = [zm.base, quotient_fix_module(zm)]
-            modules += zm.parts[1:]
+            modules += part_modules(zm)
             for m in modules:
                 assert barcode_of_module(m) == barcode_of_module_oracle(m)
 

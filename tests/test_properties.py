@@ -8,7 +8,8 @@ agree with the dense oracle, a kernel basis is the identity at its free
 columns, the Z_p module's parts, V/Fix and checks agree with the solve and
 dense oracles, the integer spread candidates give the grid oracle's mu, and
 the bounds report's family, stabilization, graded spread, witness and
-multiplicity equal their Fraction and sorting-constructor oracles.
+multiplicity equal their Fraction and sorting-constructor oracles, and the
+degree-gap bound of `egb spread` is the pairwise one.
 Derandomized, so every run draws the same examples."""
 
 import json
@@ -28,6 +29,7 @@ from egb.equivariant import (
     mu_from_barcode,
     mu_p_of_family,
     quotient_fix_module,
+    spread_lower_bound_from_gaps,
     w_spread,
 )
 from egb.bottleneck import _ranks, bottleneck
@@ -83,14 +85,17 @@ from conftest import (
     mu_p_of_family_oracle,
     multiplicity_oracle,
     paper_mu_lower_bound_oracle,
+    part_modules,
     quotient_fix_oracle,
     random_equivariant_complex,
     random_filtered_complex,
     random_zp_module,
     rank_oracle,
     ranks_oracle,
+    shift_diagonal,
     solve_matrix_oracle,
     sparse_oracle,
+    spread_lower_bound_from_gaps_oracle,
     window_homology,
     window_homology_oracle,
     zp_module_checks_oracle,
@@ -334,6 +339,27 @@ def test_model_input_order_and_duplicates(values, p, rnd):
         assert ModelInput(p, tuples).tuples == expected
 
 
+@st.composite
+def graded_generators(draw):
+    """(action, degree) generators whose actions come from `exact_values`,
+    so that they tie within a degree and across degrees, in one degree only,
+    in adjacent degrees, or in degrees 2 apart."""
+    values = draw(exact_values())
+    degrees = draw(st.sampled_from(((0,), (0, 1), (0, 2), (-1, 0, 1), (0, 2, 3))))
+    return draw(st.lists(st.tuples(st.sampled_from(values), st.sampled_from(degrees)),
+                         max_size=12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(graded_generators())
+@example([(BIG, 0), (BIG, 1), (-BIG, 2)])  # a shared ~600-bit action
+@example([(BIG, 0), (BIG, 2), (Fraction(-1, 3), 0)])  # degrees 2 apart only
+def test_gap_bound_equals_the_pairwise_oracle(generators):
+    got = spread_lower_bound_from_gaps(generators)
+    want = spread_lower_bound_from_gaps_oracle(generators)
+    assert (got, type(got)) == (want, type(want))
+
+
 # -- the complex checks ---------------------------------------------------------
 
 CORRUPTIONS = (None, "degree", "action", "square", "order", "commute", "mix")
@@ -486,7 +512,7 @@ def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
     the parts in the kernel bases, V/Fix in the standard vectors that extend
     Fix(A) to a basis."""
     m = random_zp_module(random.Random(seed), p, max_blocks=3)
-    for k, part in enumerate(m.parts):
+    for k, part in enumerate(part_modules(m), 1):
         assert part == eigenspace_module_oracle(m, cyclo_zeta(p, k))
     field = m.field
     units = [list(Matrix.identity(field, n).entries) for n in m.base.dims]
@@ -621,8 +647,7 @@ def test_readers_never_change_a_matrix(case):
         "w_spread": lambda: w_spread(eq, 3),
     }
     matrices = [a, b, rhs, *module.base.transitions, *module.action, cx.boundary,
-                eq.complex.boundary, eq.chain_map,
-                *(t for part in module.parts for t in part.transitions)]
+                eq.complex.boundary, eq.chain_map]
 
     def stored():
         return columns_of(*matrices), [[(f, dict(v)) for f, v in fix] for fix in module.fixed]
@@ -653,7 +678,8 @@ def test_oracles_never_reach_the_column_reduction(monkeypatch, seed):
     triples = [(a, b, c) for i, a in enumerate(cuts) for j, b in enumerate(cuts[i + 1:], i + 1)
                for c in cuts[j + 1:]]
     expected = {
-        "parts": m.parts,
+        "parts": part_modules(m),
+        "fixed": fix_vectors(m),
         "barcode": barcode_of_module(m.base),
         "quotient": quotient_fix_module(m),
         "windows": [window_homology(cx, *w)[::2] for w in windows],
@@ -669,8 +695,9 @@ def test_oracles_never_reach_the_column_reduction(monkeypatch, seed):
         monkeypatch.setattr(module, "_reduce_columns", refuse)
     with pytest.raises(AssertionError, match="column reduction"):
         Matrix.identity(m.field, 1).rank()
-    assert tuple(eigenspace_module_oracle(m, cyclo_zeta(p, k)) for k in range(p)) \
+    assert [eigenspace_module_oracle(m, cyclo_zeta(p, k)) for k in range(1, p)] \
         == expected["parts"]
+    assert [kernel_oracle(shift_diagonal(a, 1)) for a in m.action] == expected["fixed"]
     assert barcode_of_module_oracle(m.base) == expected["barcode"]
     assert quotient_fix_oracle(m) == expected["quotient"]
     assert induced_module_oracle(m, fix_vectors(m), complements) \
