@@ -12,10 +12,11 @@ Conventions (fixed once, used everywhere):
 
 Every barcode, kernel and rank here comes from the one sparse column
 reduction of `egb.field`, `_reduce_columns`: of the images of a module's
-basis at each transition of its elder-rule sweep, of a complex's boundary
-for R = DV, and of the induced maps of `les_check`.  It reads the sparse
-columns that every `Matrix` holds.  Each update of a sparse column is the
-field's `sub_mul` x - f*a.
+basis at each transition of its elder-rule sweep, of a complex's boundary,
+whose lows alone give its barcode, while the normal form that `w_spread`
+and `les_check` read takes R = DV, and of the induced maps of `les_check`.
+It reads the sparse columns that every `Matrix` holds.  Each update of a
+sparse column is the field's `sub_mul` x - f*a.
 """
 
 from __future__ import annotations
@@ -344,27 +345,23 @@ class FilteredComplex:
         return sorted({a for a, _ in self.generators})
 
 
-def _reduce(complex_: FilteredComplex):
-    """The standard column reduction R = DV in the filtration order.
-
-    Returns ``(order, R, V, pairs)``: ``order`` lists the generators by
-    (action, index); ``R[j]`` and ``V[j]`` are sparse columns (position ->
-    entry, positions in ``order``) with R = DV, V upper unitriangular and
-    the lowest nonzero rows of the nonzero R columns distinct; ``pairs``
-    holds each (low R_j, j).  Since the boundary strictly lowers action,
-    ``low R_j`` always has a smaller action than ``j``.
-    """
-    order = sorted(range(len(complex_.generators)), key=lambda k: (complex_.generators[k][0], k))
+def _filtration(complex_: FilteredComplex):
+    """``(order, pos, columns)``: the generators in the filtration order, by
+    (action, index), each generator's position in it, and fresh sparse
+    columns of the boundary moved to positions.  Since the boundary strictly
+    lowers action, each column's rows lie at earlier positions."""
+    gens = complex_.generators
+    order = sorted(range(len(gens)), key=lambda k: (gens[k][0], k))
     pos = {g: i for i, g in enumerate(order)}
-    R = [{pos[i]: v for i, v in complex_.boundary.columns[g].items()} for g in order]
-    lows, V = _reduce_with_v(complex_.field, R)
-    return order, R, V, list(lows.items())
+    return order, pos, [{pos[i]: v for i, v in complex_.boundary.columns[g].items()}
+                        for g in order]
 
 
 class _NormalForm:
     """The Barannikov normal form of a filtered complex, read off R = DV.
 
-    Positions are the generators in the filtration order of `_reduce`.  The
+    Positions are the generators in the filtration order of `_filtration`,
+    and R = DV is `_reduce_with_v` of its columns, V upper unitriangular.  The
     basis is b_i = R_j and b_j = V_j for each pair (i = low R_j, j), and
     b_g = V_g for every other generator g, so the boundary is the partial
     matching D b_j = b_i.  Each b_g has g as its leading term: the basis is
@@ -376,15 +373,14 @@ class _NormalForm:
     """
 
     def __init__(self, complex_: FilteredComplex):
-        order, R, V, pairs = _reduce(complex_)
+        order, self.pos, R = _filtration(complex_)
+        lows, self.basis = _reduce_with_v(complex_.field, R)
         self.field = complex_.field
         self.order = order
-        self.pos = {g: i for i, g in enumerate(order)}
         self.act = [complex_.generators[g][0] for g in order]
         self.deg = [complex_.generators[g][1] for g in order]
-        self.basis = list(V)
         self.kill: list[Fraction | float] = [INF] * len(order)
-        for i, j in pairs:
+        for i, j in lows.items():
             self.basis[i] = R[j]
             self.kill[i] = self.act[j]
         self.lp = [self.act[max(col)] if col else -INF for col in R]
@@ -431,11 +427,13 @@ class _NormalForm:
 
 
 def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
-    """Graded barcode of sublevel homology: each cycle b_x of the normal form
-    is a bar (act(x), kill(x)]."""
-    nf = _NormalForm(complex_)
-    return Barcode.of([(Bar(nf.act[x], nf.kill[x]), 1, nf.deg[x])
-                       for x in range(len(nf.order)) if nf.lp[x] == -INF])
+    """Graded barcode of sublevel homology, read off the lows alone of the
+    boundary reduced in the filtration order: a column x that reduces to zero
+    is the bar (act(x), act(j)] for the j whose low is x, else (act(x), +inf]."""
+    order, _, R = _filtration(complex_)
+    gens, lows = complex_.generators, _reduce_columns(complex_.field, R)[0]
+    return Barcode.of([(Bar(gens[g][0], gens[order[lows[x]]][0] if x in lows else INF), 1,
+                        gens[g][1]) for x, g in enumerate(order) if not R[x]])
 
 
 def _check_window(complex_: FilteredComplex, *cuts) -> None:

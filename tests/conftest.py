@@ -8,6 +8,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -425,6 +426,39 @@ def random_filtered_complex(rng, field=QQ_FIELD, max_pieces: int = 4,
     s = Matrix.from_rows(field, s_ent)
     new_boundary = s @ cx.boundary @ s.inverse()
     return FilteredComplex(field, tuple(gens), new_boundary)
+
+
+def rips_complex(rng, points: int, field=QQ_FIELD) -> FilteredComplex:
+    """Rips-style 2-skeleton of ``points`` random integer points in the
+    plane: every vertex, edge and triangle, listed in a random order, with
+    action 3 (largest squared edge length) + dimension, so that each face has
+    a strictly smaller action, and boundary entries +-1.  30 points give
+    30 + 435 + 4,060 = 4,525 generators."""
+    xy = [(rng.randint(0, 1000), rng.randint(0, 1000)) for _ in range(points)]
+
+    def length(a, b):
+        return (xy[a][0] - xy[b][0]) ** 2 + (xy[a][1] - xy[b][1]) ** 2
+
+    simplices = [(v,) for v in range(points)]
+    simplices += list(combinations(range(points), 2)) + list(combinations(range(points), 3))
+    rng.shuffle(simplices)
+    index = {s: k for k, s in enumerate(simplices)}
+    one = field.one()
+    gens, cols = [], []
+    for s in simplices:
+        gens.append((3 * max((length(a, b) for a, b in combinations(s, 2)), default=0)
+                     + len(s) - 1, len(s) - 1))
+        cols.append({index[s[:k] + s[k + 1:]]: one if k % 2 == 0 else -one
+                     for k in range(len(s))} if len(s) > 1 else {})
+    return FilteredComplex(field, tuple(gens), Matrix(field, len(gens), len(gens), tuple(cols)))
+
+
+def normal_form_barcode(complex_: FilteredComplex) -> Barcode:
+    """Oracle of `barcode_of_complex`: the bars (act(x), kill(x)] of the
+    cycles b_x of `_NormalForm`, those with lp(x) = -inf."""
+    nf = _NormalForm(complex_)
+    return Barcode.of([(Bar(nf.act[x], nf.kill[x]), 1, nf.deg[x])
+                       for x in range(len(nf.order)) if nf.lp[x] == -INF])
 
 
 def random_equivariant_complex(rng, p: int, field=QQ_FIELD, max_blocks: int = 3) -> EquivariantComplex:

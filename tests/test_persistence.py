@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -31,12 +32,14 @@ from conftest import (
     gap_cuts,
     les_check_oracle,
     module_from_barcode,
+    normal_form_barcode,
     part_modules,
     rand_barcode,
     rand_frac,
     random_filtered_complex,
     random_zp_module,
     rank_oracle,
+    rips_complex,
     shrink,
     window_homology,
     window_homology_oracle,
@@ -303,6 +306,40 @@ class TestFilteredComplex:
         )
         assert barcode_of_complex(cx) == Barcode.of([(Bar(2, 5), 1, 0)])
 
+    def test_barcode_equals_the_normal_form_barcode(self, rng):
+        """The bars read off the lows alone are those of the normal form, on
+        random filtered and small Rips-style complexes over Q and Q(zeta_3)."""
+        for field in (QQ_FIELD, CyclotomicField(3)):
+            for _ in range(20):
+                cx = random_filtered_complex(rng, field)
+                assert barcode_of_complex(cx) == normal_form_barcode(cx)
+            for points in (3, 5, 8):
+                cx = rips_complex(rng, points, field)
+                assert barcode_of_complex(cx) == normal_form_barcode(cx)
+
+    def test_barcode_builds_no_normal_form(self, rng, monkeypatch):
+        """A barcode reads the lows alone: no normal form, no step on V."""
+        complexes = [random_filtered_complex(rng, field)
+                     for field in (QQ_FIELD, CyclotomicField(3)) for _ in range(5)]
+        complexes += [pair_complex(), rips_complex(rng, 6)]
+        expected = [normal_form_barcode(cx) for cx in complexes]
+
+        def refuse(*args):
+            raise AssertionError("barcode_of_complex built V")
+
+        monkeypatch.setattr(persistence, "_reduce_with_v", refuse)
+        monkeypatch.setattr(persistence, "_NormalForm", refuse)
+        assert [barcode_of_complex(cx) for cx in complexes] == expected
+
+    def test_rips_barcode_at_size(self, rng):
+        """The 30-point Rips-style complex, 4,525 generators, in under 5 s."""
+        cx = rips_complex(rng, 30)
+        assert len(cx.generators) == 4525
+        t0 = time.monotonic()
+        bc = barcode_of_complex(cx)
+        assert time.monotonic() - t0 < 5
+        assert bc == normal_form_barcode(cx)
+
     def test_boundary_square_violation_rejected(self):
         # c -> b -> a with nonzero composite
         with pytest.raises(ValueError):
@@ -402,25 +439,26 @@ class TestWindowHomology:
                     assert les_check_oracle(cx, a, b, c) is True
 
     def test_les_detects_a_dropped_pair(self, rng, monkeypatch):
-        """With one pair dropped from the reduction, the normal form is wrong
-        and les_check fails at some triple of spectrum gaps."""
-        reduce = persistence._reduce
+        """With one (low, j) pair dropped from the reduction, the normal form
+        is wrong and les_check fails at some triple of spectrum gaps."""
+        reduce_with_v = persistence._reduce_with_v
 
-        def drop_one_pair(complex_):
-            order, R, V, pairs = reduce(complex_)
-            return order, R, V, pairs[1:]
+        def drop_one_pair(field, columns):
+            lows, V = reduce_with_v(field, columns)
+            del lows[next(iter(lows))]
+            return lows, V
 
         tried = 0
         for field in (QQ_FIELD, CyclotomicField(3)):
             for _ in range(10):
                 cx = random_filtered_complex(rng, field)
-                if not reduce(cx)[3]:
+                if cx.boundary.is_zero():  # no pair to drop
                     continue
                 tried += 1
                 triples = list(combinations(gap_cuts(cx), 3))
                 assert all(les_check(cx, *t) for t in triples)
                 with monkeypatch.context() as m:
-                    m.setattr(persistence, "_reduce", drop_one_pair)
+                    m.setattr(persistence, "_reduce_with_v", drop_one_pair)
                     assert not all(les_check(cx, *t) for t in triples)
         assert tried
 
