@@ -13,10 +13,12 @@ side (their input digests must agree), runs both warm-ups, then ROUNDS
 rounds (default 10) of the operations: the two sides alternate op by op,
 which side goes first alternates by op and by round, and every result is
 checked.  Prints, per seed, each kind's least per-round total on each side
-and the ratio change / parent, then each round's op p50 and tail
-(bench/run.py's `tail`, on raw times) for both sides.  Exits 1 on a failed
-operation or differing digests.  Standard library only; bench/ is read,
-never changed.
+and the ratio change / parent, beside the least and greatest per-round
+ratio (round r's change total over its parent total), between which that
+ratio always lies: their spread is the run's own noise.  Then each round's
+op p50 and tail (bench/run.py's `tail`, on raw times) for both sides.
+Exits 1 on a failed operation or differing digests.  Standard library
+only; bench/ is read, never changed.
 """
 
 from __future__ import annotations
@@ -87,15 +89,20 @@ def paired_rounds(ops: dict, rounds: int) -> list[dict]:
 
 
 def report(kinds: list[str], rounds: list[dict]) -> list[str]:
-    """Each kind's least per-round total on each side and their ratio, then
-    each round's op p50 and tail in milliseconds."""
-    lines = [f"{'kind':<28} {'ops':>4} {'parent_ms':>10} {'change_ms':>10} {'ratio':>7}"]
+    """Each kind's least per-round total on each side, their ratio and the
+    least and greatest per-round ratio, then each round's op p50 and tail in
+    milliseconds."""
+    lines = [f"{'kind':<28} {'ops':>4} {'parent_ms':>10} {'change_ms':>10} {'ratio':>7} "
+             f"{'round_lo':>8} {'round_hi':>8}"]
     for kind in sorted(set(kinds)) + ["all"]:
         picked = [i for i, k in enumerate(kinds) if kind in (k, "all")]
-        least = {side: min(sum(t[side][i] for i in picked) for t in rounds) * 1000
-                 for side in SIDES}
+        totals = [{side: sum(t[side][i] for i in picked) * 1000 for side in SIDES}
+                  for t in rounds]
+        least = {side: min(t[side] for t in totals) for side in SIDES}
+        ratios = [t["change"] / t["parent"] for t in totals]
         lines.append(f"{kind:<28} {len(picked):>4} {least['parent']:>10.3f} "
-                     f"{least['change']:>10.3f} {least['change'] / least['parent']:>7.3f}")
+                     f"{least['change']:>10.3f} {least['change'] / least['parent']:>7.3f} "
+                     f"{min(ratios):>8.3f} {max(ratios):>8.3f}")
     for r, t in enumerate(rounds):
         ms = {side: [x * 1000 for x in t[side]] for side in SIDES}
         lines.append(f"round {r}: " + "  ".join(

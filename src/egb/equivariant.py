@@ -307,10 +307,10 @@ def mu_p(module: ZpPersistenceModule) -> Fraction | float:
 def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
     """Graded spread: maximum of mu over the degrees of a barcode family,
     taken on the candidate pairs of every degree at once (0 for no degree)."""
-    if not family:
-        return Fraction(0)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if not family:
+        return Fraction(0)
     return _supremum(pair for bc in family.values() for pair in _spread_candidates(bc, p))
 
 

@@ -16,7 +16,8 @@ and Carlsson, "Computing persistent homology", 2005).  The barcodes of
 `persistence` and the eigenspace kernels of `equivariant` read it, and so do
 the `Matrix` methods: rank is the number of lows, a kernel the V_j of each
 zero R_j, a solve the V of the columns of [A | B], and the determinant the
-product of the low entries signed by the permutation j -> low_j.
+product of the low entries signed by the permutation j -> low_j.  V is
+carried only for a caller that reads it, as the ``basis`` it passes.
 A `Matrix` holds its sparse columns in that same form, so a product is
 `_apply` per column and a sum `_axpy`; its dense rows are built only when
 read.  There is no floating point anywhere in this module.
@@ -439,18 +440,20 @@ def _apply(field: Field, cols, chain: dict) -> dict:
     return image
 
 
-def _reduce_columns(field: Field, columns):
+def _reduce_columns(field: Field, columns, basis=None) -> dict[int, int]:
     """The standard column reduction, in place, left to right: while column
     j has the lowest nonzero row of an earlier column k, subtract f times
-    column k.  Returns ``(lows, steps)``: ``lows`` maps the lowest row of
-    each nonzero reduced column to it, in column order, and ``steps`` lists
-    each (j, k, f) in order, for a caller to repeat on other columns.  A
-    column is nonzero after the reduction iff it is independent of the
-    columns before it.  The pivot of column k is inverted once, at its first
-    use, and each factor is one product with that inverse."""
+    column k.  Returns ``lows``, which maps the lowest row of each nonzero
+    reduced column to it, in column order.  A column is nonzero after the
+    reduction iff it is independent of the columns before it.  The pivot of
+    column k is inverted once, at its first use, and each factor is one
+    product with that inverse.  A caller that reads V passes ``basis``, one
+    sparse column per column, and each step is repeated on it: from the
+    unit columns e_j, V ends with R = DV for D the columns as given, V upper
+    unitriangular.  A step only subtracts a column k < j with R_k != 0, and
+    V_k is final then, so V_j lives on j and on such columns."""
     lows: dict[int, int] = {}
     inverses: dict[int, object] = {}
-    steps = []
     one = field.one()
     for j, col in enumerate(columns):
         while col:
@@ -463,28 +466,18 @@ def _reduce_columns(field: Field, columns):
                 inverse = inverses[k] = one / columns[k][low]
             factor = col[low] * inverse
             _axpy(field, col, factor, columns[k])
-            steps.append((j, k, factor))
-    return lows, steps
-
-
-def _reduce_with_v(field: Field, columns):
-    """`_reduce_columns` of ``columns``, in place, with every step (j, k, f)
-    repeated on the unit columns e_j: returns ``(lows, V)`` with R = DV for
-    D the columns as given and R as left, V upper unitriangular.  A step
-    only subtracts a column k with R_k != 0, so V_j lives on j and on the
-    columns k < j with R_k != 0."""
-    lows, steps = _reduce_columns(field, columns)
-    V = [{j: field.one()} for j in range(len(columns))]
-    for j, k, factor in steps:
-        _axpy(field, V[j], factor, V[k])
-    return lows, V
+            if basis is not None:
+                _axpy(field, basis[j], factor, basis[k])
+    return lows
 
 
 def _null_vectors(field: Field, columns) -> list[tuple[int, dict]]:
-    """(j, V_j) for each column j that `_reduce_with_v` reduces to zero, in
-    place: a basis of the kernel of the matrix with these columns, V_j 1 at
-    j, 0 at every other such j, and ending at j."""
-    V = _reduce_with_v(field, columns)[1]
+    """(j, V_j) for each column j that `_reduce_columns` reduces to zero, in
+    place, with V carried from the unit columns: a basis of the kernel of the
+    matrix with these columns, V_j 1 at j, 0 at every other such j, and
+    ending at j."""
+    V = [{j: field.one()} for j in range(len(columns))]
+    _reduce_columns(field, columns, V)
     return [(j, V[j]) for j, col in enumerate(columns) if not col]
 
 
@@ -546,6 +539,8 @@ class Matrix:
         i, j = ij
         if not 0 <= i < self.rows:
             raise IndexError("matrix row index out of range")
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix column index out of range")
         return self.columns[j].get(i, self.field.zero())
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -651,7 +646,7 @@ class Matrix:
 
     def rank(self) -> int:
         """The number of lows of the reduced columns."""
-        return len(_reduce_columns(self.field, self._copy())[0])
+        return len(_reduce_columns(self.field, self._copy()))
 
     def det(self) -> Element:
         """Determinant of a square matrix.  R = AV with V unitriangular, so
@@ -662,7 +657,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         cols = self._copy()
-        lows = _reduce_columns(self.field, cols)[0]
+        lows = _reduce_columns(self.field, cols)
         if len(lows) < self.rows:
             return self.field.zero()
         det, perm, odd = self.field.one(), [0] * self.rows, False
@@ -706,7 +701,8 @@ class Matrix:
             raise ValueError("solve_matrix shape mismatch")
         field, n, coerce = self.field, self.cols, self.field.coerce
         cols = self._copy() + [{i: coerce(x) for i, x in col.items()} for col in rhs.columns]
-        V = _reduce_with_v(field, cols)[1]
+        V = [{j: field.one()} for j in range(len(cols))]
+        _reduce_columns(field, cols, V)
         if any(cols[n:]):
             return None
         return Matrix(field, n, rhs.cols,

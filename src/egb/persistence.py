@@ -14,7 +14,8 @@ Every barcode, kernel and rank here comes from the one sparse column
 reduction of `egb.field`, `_reduce_columns`: of the images of a module's
 basis at each transition of its elder-rule sweep, of a complex's boundary,
 whose lows alone give its barcode, while the normal form that `w_spread`
-and `les_check` read takes R = DV, and of the induced maps of `les_check`.
+and `les_check` read passes the unit columns as the ``basis`` that carries
+V of R = DV, and of the induced maps of `les_check`.
 It reads the sparse columns that every `Matrix` holds.  Each update of a
 sparse column is the field's `sub_mul` x - f*a.
 """
@@ -25,7 +26,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Field, Matrix, _apply, _axpy, _reduce_columns, _reduce_with_v
+from .field import Field, Matrix, _apply, _axpy, _reduce_columns
 
 INF = float("inf")
 
@@ -305,7 +306,7 @@ def barcode_of_module(module: FinitePersistenceModule) -> Barcode:
     field, live, bars = module.field, [], []  # live: (birth, basis vector)
     for s, t in zip(module.spectrum, module.transitions):
         images = [_apply(field, t.columns, v) for _, v in live]
-        owned = _reduce_columns(field, images)[0]
+        owned = _reduce_columns(field, images)
         bars += [Bar(b, s) for (b, _), image in zip(live, images) if not image]
         live = [(b, image) for (b, _), image in zip(live, images) if image]
         live += [(s, {r: field.one()}) for r in range(t.rows) if r not in owned]
@@ -361,21 +362,23 @@ class _NormalForm:
     """The Barannikov normal form of a filtered complex, read off R = DV.
 
     Positions are the generators in the filtration order of `_filtration`,
-    and R = DV is `_reduce_with_v` of its columns, V upper unitriangular.  The
-    basis is b_i = R_j and b_j = V_j for each pair (i = low R_j, j), and
-    b_g = V_g for every other generator g, so the boundary is the partial
-    matching D b_j = b_i.  Each b_g has g as its leading term: the basis is
-    upper triangular in the filtration order, and the b_g with action below
-    t span the sublevel complex C^{<t}.  ``lp[x]`` is the action of low R_x
-    (-inf when R_x = 0) and ``kill[x]`` that of the j with x = low R_j (+inf
-    when there is none); b_x is a cycle modulo C^{<a} iff lp(x) < a, and a
-    boundary in C^{<b} iff kill(x) < b.
+    and R = DV is `_reduce_columns` of its columns, V upper unitriangular and
+    carried from the unit columns as its ``basis``.  The basis is b_i = R_j
+    and b_j = V_j for each pair (i = low R_j, j), and b_g = V_g for every
+    other generator g, so the boundary is the partial matching D b_j = b_i.
+    Each b_g has g as its leading term: the basis is upper triangular in the
+    filtration order, and the b_g with action below t span the sublevel
+    complex C^{<t}.  ``lp[x]`` is the action of low R_x (-inf when R_x = 0)
+    and ``kill[x]`` that of the j with x = low R_j (+inf when there is none);
+    b_x is a cycle modulo C^{<a} iff lp(x) < a, and a boundary in C^{<b} iff
+    kill(x) < b.
     """
 
     def __init__(self, complex_: FilteredComplex):
         order, self.pos, R = _filtration(complex_)
-        lows, self.basis = _reduce_with_v(complex_.field, R)
         self.field = complex_.field
+        self.basis = [{j: self.field.one()} for j in range(len(R))]
+        lows = _reduce_columns(self.field, R, self.basis)
         self.order = order
         self.act = [complex_.generators[g][0] for g in order]
         self.deg = [complex_.generators[g][1] for g in order]
@@ -431,7 +434,7 @@ def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
     boundary reduced in the filtration order: a column x that reduces to zero
     is the bar (act(x), act(j)] for the j whose low is x, else (act(x), +inf]."""
     order, _, R = _filtration(complex_)
-    gens, lows = complex_.generators, _reduce_columns(complex_.field, R)[0]
+    gens, lows = complex_.generators, _reduce_columns(complex_.field, R)
     return Barcode.of([(Bar(gens[g][0], gens[order[lows[x]]][0] if x in lows else INF), 1,
                         gens[g][1]) for x, g in enumerate(order) if not R[x]])
 
@@ -503,7 +506,7 @@ def induced_homology_rank(
     coerce = field.coerce
     columns = [dict(col) for col in dst_boundary.columns]
     columns += [{i: y for i, x in enumerate(v) if (y := coerce(x))} for v in images]
-    return sum(j >= dst_boundary.cols for j in _reduce_columns(field, columns)[0].values())
+    return sum(j >= dst_boundary.cols for j in _reduce_columns(field, columns).values())
 
 
 def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
@@ -551,7 +554,7 @@ def les_check(complex_: FilteredComplex, a, b, c) -> bool:
         cols = [nf.window_class(chain, lo, hi, target) for chain in chains]
         if None in cols:
             return None
-        return cols, len(target), len(_reduce_columns(field, [dict(col) for col in cols])[0])
+        return cols, len(target), len(_reduce_columns(field, [dict(col) for col in cols]))
 
     # maps[r] = (j1, j2, delta) with delta from degree r to degree r - 1
     maps = {}

@@ -1188,11 +1188,11 @@ def kunneth_stabilize_oracle(family: dict[int, Barcode], betti: list[int]) -> di
 
 def mu_p_of_family_oracle(family: dict[int, Barcode], p: int) -> Fraction | float:
     """`mu_p_of_family` as the largest grid-oracle mu over the degrees; 0 for
-    no degree."""
-    if not family:
-        return Fraction(0)
+    no degree at a prime p."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if not family:
+        return Fraction(0)
     return max(mu_from_barcode_oracle(bc, p) for bc in family.values())
 
 

@@ -61,14 +61,21 @@ def run_script(*argv):
 
 
 def test_one_cycle_of_a_workload():
-    proc = run_script(ROOT, ROOT, "invariants", 1, 1)
+    """Two rounds of one cycle: each kind's ratio of least totals lies
+    between its least and greatest per-round ratio."""
+    proc = run_script(ROOT, ROOT, "invariants", 1, 2)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("workload invariants seed 1 ops ")
-    kinds = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    assert lines[1].split() == ["kind", "ops", "parent_ms", "change_ms", "ratio",
+                                "round_lo", "round_hi"]
+    kinds = {line.split()[0]: line.split()[1:] for line in lines[2:-2]}
     assert "zp_module.p3" in kinds and "cli.spread" in kinds
     assert int(kinds["all"][0]) == sum(int(v[0]) for k, v in kinds.items() if k != "all")
-    assert lines[-1].startswith("round 0: parent p50 ")
+    for _, _, _, ratio, lo, hi in kinds.values():
+        assert float(lo) <= float(ratio) <= float(hi)
+    assert lines[-2].startswith("round 0: parent p50 ")
+    assert lines[-1].startswith("round 1: parent p50 ")
 
 
 def test_each_side_runs_its_own_package(tmp_path):

@@ -167,7 +167,7 @@ def square_and_multiply_products(p: int) -> int:
 
 class TestInducedModuleSolves:
     """Building a module takes one sparse column reduction per root and
-    interval (`_null_vectors`, the steps replayed on V for the kernel), and
+    interval (`_null_vectors`, with V carried in the loop for the kernel), and
     no `Matrix` elimination, product or power: each part's transition is read
     off the images at the free positions of the next interval's kernel.
     The readers of the stored parts and the quotient V/Fix reduce nothing

@@ -334,12 +334,16 @@ def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
 
     def pivots_used(*matrices):
         """The pivot entries, in order of first use, that reduce a later
-        column in the reduction of the columns of [matrices]."""
+        column in the reduction of the columns of [matrices]: each step is
+        one `_axpy` whose source is the reducing column."""
         cols = [dict(col) for m in matrices for col in m.columns]
-        lows, steps = _reduce_columns(field, cols)
+        with monkeypatch.context() as patch:
+            sources = count_calls(patch, field_module, "_axpy")
+            lows = _reduce_columns(field, cols)
         low_of = {j: low for low, j in lows.items()}
+        index = {id(col): k for k, col in enumerate(cols)}
         calls.clear()
-        return [cols[k][low_of[k]] for k in dict.fromkeys(k for _, k, _ in steps)]
+        return [cols[k][low_of[k]] for k in dict.fromkeys(index[id(args[3])] for args in sources)]
 
     for rows, cols, rank in ((4, 4, None), (3, 5, 2), (5, 3, None), (4, 4, 2)):
         m = rand_matrix(rng, field, rows, cols, rank)
@@ -457,3 +461,15 @@ class TestSparseColumns:
         with pytest.raises(ValueError, match="^ragged matrix$"):
             Matrix.from_rows(field, [[1, 2], [3]])
         assert Matrix(field, 2, 1, [{1: one}]) == Matrix.from_rows(field, [[0], [1]])
+
+    def test_indexing_refuses_a_row_or_column_outside(self, field):
+        """m[i, j] reads an entry only for 0 <= i < rows and 0 <= j < cols:
+        a negative or too large index is an IndexError, never a wrapped one."""
+        m = Matrix.from_rows(field, [[1, 2], [3, 4]])
+        assert [m[i, j] for i in (0, 1) for j in (0, 1)] == list(map(field.coerce, (1, 2, 3, 4)))
+        for i, j in ((-1, 0), (2, 0)):
+            with pytest.raises(IndexError, match="^matrix row index out of range$"):
+                m[i, j]
+        for i, j in ((0, -1), (0, 2), (1, -2)):
+            with pytest.raises(IndexError, match="^matrix column index out of range$"):
+                m[i, j]

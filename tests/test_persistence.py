@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -318,18 +319,25 @@ class TestFilteredComplex:
                 assert barcode_of_complex(cx) == normal_form_barcode(cx)
 
     def test_barcode_builds_no_normal_form(self, rng, monkeypatch):
-        """A barcode reads the lows alone: no normal form, no step on V."""
+        """A barcode reads the lows alone: no normal form, and one column
+        reduction per complex that carries no V."""
         complexes = [random_filtered_complex(rng, field)
                      for field in (QQ_FIELD, CyclotomicField(3)) for _ in range(5)]
         complexes += [pair_complex(), rips_complex(rng, 6)]
         expected = [normal_form_barcode(cx) for cx in complexes]
+        reduce_columns, bases = persistence._reduce_columns, []
+
+        def lows_only(field, columns, basis=None):
+            bases.append(basis)
+            return reduce_columns(field, columns, basis)
 
         def refuse(*args):
-            raise AssertionError("barcode_of_complex built V")
+            raise AssertionError("barcode_of_complex built a normal form")
 
-        monkeypatch.setattr(persistence, "_reduce_with_v", refuse)
+        monkeypatch.setattr(persistence, "_reduce_columns", lows_only)
         monkeypatch.setattr(persistence, "_NormalForm", refuse)
         assert [barcode_of_complex(cx) for cx in complexes] == expected
+        assert bases == [None] * len(complexes)
 
     def test_rips_barcode_at_size(self, rng):
         """The 30-point Rips-style complex, 4,525 generators, in under 5 s."""
@@ -339,6 +347,18 @@ class TestFilteredComplex:
         bc = barcode_of_complex(cx)
         assert time.monotonic() - t0 < 5
         assert bc == normal_form_barcode(cx)
+
+    def test_rips_barcode_peak_memory(self, rng):
+        """The barcode of the 30-point Rips-style complex allocates under
+        9 MB at its peak: the reduction keeps no record of its steps."""
+        cx = rips_complex(rng, 30)
+        tracemalloc.start()
+        try:
+            barcode_of_complex(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9_000_000
 
     def test_boundary_square_violation_rejected(self):
         # c -> b -> a with nonzero composite
@@ -441,12 +461,13 @@ class TestWindowHomology:
     def test_les_detects_a_dropped_pair(self, rng, monkeypatch):
         """With one (low, j) pair dropped from the reduction, the normal form
         is wrong and les_check fails at some triple of spectrum gaps."""
-        reduce_with_v = persistence._reduce_with_v
+        reduce_columns = persistence._reduce_columns
 
-        def drop_one_pair(field, columns):
-            lows, V = reduce_with_v(field, columns)
-            del lows[next(iter(lows))]
-            return lows, V
+        def drop_one_pair(field, columns, basis=None):
+            lows = reduce_columns(field, columns, basis)
+            if basis is not None:  # the normal form's reduction
+                del lows[next(iter(lows))]
+            return lows
 
         tried = 0
         for field in (QQ_FIELD, CyclotomicField(3)):
@@ -458,7 +479,7 @@ class TestWindowHomology:
                 triples = list(combinations(gap_cuts(cx), 3))
                 assert all(les_check(cx, *t) for t in triples)
                 with monkeypatch.context() as m:
-                    m.setattr(persistence, "_reduce_with_v", drop_one_pair)
+                    m.setattr(persistence, "_reduce_columns", drop_one_pair)
                     assert not all(les_check(cx, *t) for t in triples)
         assert tried
 

@@ -5,7 +5,8 @@ update x - f*a of Q and of Q(zeta_p) is the two-step one, the integer keys
 order and merge exact values as Fractions do, the integer bottleneck
 candidates are the Fraction ones, the complex constructors' sparse checks
 agree with the dense oracle, a kernel basis is the identity at its free
-columns, the Z_p module's parts, V/Fix and checks agree with the solve and
+columns, the column reduction that carries V leaves its lows and R = DV
+with V upper unitriangular, the Z_p module's parts, V/Fix and checks agree with the solve and
 dense oracles, the integer spread candidates give the grid oracle's mu, and
 the bounds report's family, stabilization, graded spread, witness and
 multiplicity equal their Fraction and sorting-constructor oracles, and the
@@ -504,6 +505,21 @@ def test_kernel_basis_is_the_identity_at_its_free_columns(m):
         assert not any(m.apply(v))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rank_deficient_matrices())
+def test_reduction_carries_v_in_its_loop(m):
+    """Given the unit columns as ``basis``, the column reduction leaves the
+    lows it leaves without one, in the same order, each reduced column R_j
+    is D V_j for D the columns as given, and V is upper unitriangular."""
+    field, one = m.field, m.field.one()
+    R, V = [dict(col) for col in m.columns], [{j: one} for j in range(m.cols)]
+    lows = field_module._reduce_columns(field, R, V)
+    plain = field_module._reduce_columns(field, [dict(col) for col in m.columns])
+    assert list(lows.items()) == list(plain.items())
+    assert all(r == field_module._apply(field, m.columns, v) for r, v in zip(R, V))
+    assert all(max(v) == j and v[j] == one for j, v in enumerate(V))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(st.sampled_from((2, 3, 5)), st.integers(0, 2 ** 32))
 def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
@@ -827,10 +843,14 @@ def test_kunneth_and_graded_mu_equal_the_union_chain(family, tail, p):
         assert (mu, type(mu)) == (mu_want, type(mu_want))
 
 
-def test_graded_mu_of_no_degree_is_zero_at_any_p():
-    assert mu_p_of_family({}, 4) == 0
-    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
-        mu_p_of_family({0: Barcode.empty()}, 4)
+def test_graded_mu_checks_p_before_the_empty_family():
+    """No degree gives 0 at a prime, and a composite p is refused whether or
+    not the family has a degree, by the library and its oracle alike."""
+    for mu in (mu_p_of_family, mu_p_of_family_oracle):
+        assert mu({}, 3) == 0
+        for family in ({}, {0: Barcode.empty()}):
+            with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+                mu(family, 4)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
