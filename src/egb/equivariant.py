@@ -376,16 +376,28 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
         raise ValueError(f"chain map does not satisfy T^{k} = id")
     nf = _NormalForm(equivariant.complex)
     t_cols = nf.columns(t.columns)
-    best: Fraction | float = Fraction(0)
+    # the values are unreduced pairs (n, d) ranked as in `_supremum`; with
+    # lp = -inf as (-1, 0) and kill = +inf as (1, 0), an infinite value has d = 0
+    act, lp, kill = ([_ratio(v) for v in values] for values in (nf.act, nf.lp, nf.kill))
+    best = (0, 1)
     for x, b_x in enumerate(nf.basis):
         s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
         _axpy(nf.field, s_x, one, b_x)
+        (xn, xd), (ln, ld) = act[x], lp[x]
         for y, _ in nf.coordinates(s_x):
-            value = min(nf.act[y] - nf.lp[x], nf.kill[y] - nf.act[x])
-            if is_inf(value):
+            (yn, yd), (kn, kd) = act[y], kill[y]
+            u, v = (yn * ld - ln * yd, yd * ld), (kn * xd - xn * kd, kd * xd)
+            value = u if u[0] * v[1] <= v[0] * u[1] else v
+            if not value[1]:
                 return INF
-            best = max(best, value)
-    return best
+            if value[0] * best[1] > best[0] * value[1]:
+                best = value
+    return Fraction(*best)
+
+
+def _ratio(v) -> tuple[int, int]:
+    """A Fraction as its pair (n, d), and -inf or +inf as (-1, 0) or (1, 0)."""
+    return (1 if v > 0 else -1, 0) if isinstance(v, float) else v.as_integer_ratio()
 
 
 class _SpreadWindow:

@@ -6,13 +6,14 @@ denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
 Its arithmetic runs on integers: a product is one integer convolution, and
 the inverse is the product of the other Galois conjugates over the norm.
 Each field supplies the update x - f*a as `sub_mul`, normalized once: over Q
-one Fraction of integer numerators, over Q(zeta_p) one gcd (none over the
-denominator 1), whose sums and differences are that update too.  Every loop of
-elimination and products calls it, with no element type test.  Both element
-types test zero by truthiness and invert by ``1 / x``.  All exact linear
-algebra reads one elimination, `_reduce_columns`: the standard column
-reduction R = DV of sparse columns, dicts row -> nonzero entry (Zomorodian
-and Carlsson, "Computing persistent homology", 2005).  The barcodes of
+one Fraction of integer numerators (no gcd when all three are integers), over
+Q(zeta_p) one gcd (none over the denominator 1), whose sums and differences
+are that update too.  Every loop of elimination and products calls it, with
+no element type test.  Both element types test zero by truthiness and invert
+by ``1 / x``.  All exact linear algebra reads one elimination,
+`_reduce_columns`: the standard column reduction R = DV of sparse columns,
+dicts row -> nonzero entry (Zomorodian and Carlsson, "Computing persistent
+homology", 2005).  The barcodes of
 `persistence` and the eigenspace kernels of `equivariant` read it, and so do
 the `Matrix` methods: rank is the number of lows, a kernel the V_j of each
 zero R_j, a solve the V of the columns of [A | B], and the determinant the
@@ -313,7 +314,7 @@ _TAIL = {p: (0,) * (p - 2) for p in _SUPPORTED_PRIMES}
 _ZERO = {p: _cyclo(p, (0,) * (p - 1), 1) for p in _SUPPORTED_PRIMES}
 _ONE = {p: _cyclo(p, (1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
 _MINUS_ONE = {p: _cyclo(p, (-1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
-_Q_ZERO = Fraction(0)
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
@@ -350,15 +351,20 @@ class RationalField:
 
     @staticmethod
     def sub_mul(x, f, a) -> Fraction:
-        """x - f*a as one Fraction built from the integer numerators."""
-        xd, fd, ad = x.denominator, f.denominator, a.denominator
-        return Fraction(x.numerator * fd * ad - f.numerator * a.numerator * xd, xd * fd * ad)
+        """x - f*a as one Fraction built from the integer numerators, with no
+        gcd when all three are integers."""
+        xn, xd = x.as_integer_ratio()
+        fn, fd = f.as_integer_ratio()
+        an, ad = a.as_integer_ratio()
+        if xd == fd == ad == 1:
+            return Fraction(xn - fn * an)
+        return Fraction(xn * fd * ad - fn * an * xd, xd * fd * ad)
 
     def zero(self) -> Fraction:
         return _Q_ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q_ONE
 
     def coerce(self, x) -> Fraction:
         if type(x) is Fraction:

@@ -80,12 +80,16 @@ class Bar:
     death: Fraction | float
 
     def __post_init__(self):
-        if not isinstance(self.birth, Fraction):
-            object.__setattr__(self, "birth", Fraction(self.birth))
-        if not (isinstance(self.death, Fraction) or is_inf(self.death)):
-            object.__setattr__(self, "death", Fraction(self.death))
-        if not (is_inf(self.death) or self.birth < self.death):
-            raise ValueError(f"empty bar ({self.birth}, {self.death}]")
+        birth, death = self.birth, self.death
+        if not isinstance(birth, Fraction):
+            object.__setattr__(self, "birth", birth := Fraction(birth))
+        if is_inf(death):
+            return
+        if not isinstance(death, Fraction):
+            object.__setattr__(self, "death", death := Fraction(death))
+        (bn, bd), (dn, dd) = birth.as_integer_ratio(), death.as_integer_ratio()
+        if bn * dd >= dn * bd:
+            raise ValueError(f"empty bar ({birth}, {death}]")
 
     @property
     def finite(self) -> bool:
@@ -104,8 +108,11 @@ def _degree_key(d):
     return (0, d) if d is not None else (1, 0)
 
 
-def _death_key(d):
-    return (1, 0) if is_inf(d) else (0, d)
+def _canonical_key(item):
+    """The sort key of a merged (key, entry) item of `Barcode`: birth, death
+    (+inf, the key's None, after every finite one), degree (None last)."""
+    (_, death, degree), (bar, _, _) = item
+    return _order_key(bar.birth), (1, 0) if death is None else (0, bar.death), _degree_key(degree)
 
 
 @dataclass(frozen=True)
@@ -119,23 +126,21 @@ class Barcode:
     items: tuple[tuple[Bar, int, int | None], ...]
 
     def __post_init__(self):
-        # merged on integer pairs, exact as a Fraction is kept in lowest terms
+        # merged on integer pairs, exact as a Fraction is kept in lowest terms;
+        # each bar's death is tested for +inf once, for its key, which the sort reads
         merged: dict = {}
         for bar, mult, degree in self.items:
             if type(mult) is not int:  # a bool, float or Fraction is refused too
                 raise ValueError(f"multiplicity must be an int, got {mult!r}")
             if mult < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {mult}")
-            b, d = bar.birth, bar.death
-            key = (b.numerator, b.denominator,
-                   None if is_inf(d) else (d.numerator, d.denominator), degree)
+            d = bar.death
+            key = (bar.birth.as_integer_ratio(),
+                   None if is_inf(d) else d.as_integer_ratio(), degree)
             entry = merged.setdefault(key, [bar, 0, degree])
             entry[1] += mult
-        canon = sorted(
-            map(tuple, merged.values()),
-            key=lambda e: (_order_key(e[0].birth), _death_key(e[0].death), _degree_key(e[2])),
-        )
-        object.__setattr__(self, "items", tuple(canon))
+        canon = sorted(merged.items(), key=_canonical_key)
+        object.__setattr__(self, "items", tuple(tuple(entry) for _, entry in canon))
 
     @classmethod
     def of(cls, entries) -> "Barcode":
@@ -326,8 +331,10 @@ class FilteredComplex:
     boundary: Matrix
 
     def __post_init__(self):
-        gens = tuple((Fraction(a), int(d)) for a, d in self.generators)
+        gens = tuple((a if type(a) is Fraction else Fraction(a), int(d))
+                     for a, d in self.generators)
         object.__setattr__(self, "generators", gens)
+        keys = [_order_key(a) for a, _ in gens]
         n = len(gens)
         if (self.boundary.rows, self.boundary.cols) != (n, n):
             raise ValueError("boundary must be square on the generators")
@@ -337,7 +344,7 @@ class FilteredComplex:
             for i in col:
                 if gens[i][1] != gens[j][1] - 1:
                     raise ValueError(f"boundary entry {i},{j} does not drop degree by 1")
-                if gens[i][0] >= gens[j][0]:
+                if keys[i] >= keys[j]:
                     raise ValueError(f"boundary entry {i},{j} does not decrease action")
         if not (self.boundary @ self.boundary).is_zero():
             raise ValueError("boundary squared is nonzero")
@@ -350,9 +357,10 @@ def _filtration(complex_: FilteredComplex):
     """``(order, pos, columns)``: the generators in the filtration order, by
     (action, index), each generator's position in it, and fresh sparse
     columns of the boundary moved to positions.  Since the boundary strictly
-    lowers action, each column's rows lie at earlier positions."""
+    lowers action, each column's rows lie at earlier positions.  The sort
+    compares the integer keys of `_order_key`."""
     gens = complex_.generators
-    order = sorted(range(len(gens)), key=lambda k: (gens[k][0], k))
+    order = sorted(range(len(gens)), key=lambda k: (_order_key(gens[k][0]), k))
     pos = {g: i for i, g in enumerate(order)}
     return order, pos, [{pos[i]: v for i, v in complex_.boundary.columns[g].items()}
                         for g in order]

@@ -51,12 +51,17 @@ def frac_str(x) -> str:
 def parse_frac(s: str, allow_inf: bool = False):
     """An exact rational of a JSON field or a command-line option; "inf" only
     when `allow_inf`.  Text that `Fraction` refuses, a zero denominator
-    included, is a `bad rational`."""
+    included, is a `bad rational`.  ASCII text "n" or "n/d" of decimal digits,
+    n optionally signed "-", is read with `int`, without `Fraction`'s regex;
+    every other spelling goes to `Fraction`."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} must be an exact string such as \"3/2\"")
     if allow_inf and s.strip() in ("inf", "+inf", "Infinity"):
         return INF
     try:
+        n, slash, d = s.partition("/")
+        if s.isascii() and n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
+            return Fraction(int(n), int(d)) if slash else Fraction(int(n))
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {s!r}") from None
@@ -66,6 +71,8 @@ def parse_int(x, what: str) -> int:
     """An integer field of a JSON input: a JSON integer (an integral number
     such as 2.0 included) or a decimal integer string.  Booleans and
     non-integral numbers are rejected rather than truncated."""
+    if type(x) is int:
+        return x
     if isinstance(x, float) and x.is_integer():
         return int(x)
     if isinstance(x, (int, str)) and not isinstance(x, bool):
@@ -111,7 +118,7 @@ def barcode_from_obj(obj) -> Barcode:
         if degree is not None:
             degree = parse_int(degree, "degree")
         entries.append((Bar(birth, death), mult, degree))
-    return Barcode.of(entries)
+    return Barcode(tuple(entries))
 
 
 def barcode_to_json(barcode: Barcode) -> str:

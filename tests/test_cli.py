@@ -529,6 +529,70 @@ class TestBarcodeMuOutputBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestConsoleScriptDigests:
+    """The six sha256 pins of the console-script step of
+    `.github/workflows/tier1.yml` that no other test checked, on the inputs
+    of that step copied verbatim (each file ends in the newline `echo`
+    writes): `egb spread` on degrees 0 and 1 only (gap bound 1/3),
+    `egb barcode decompose` on the Q(zeta_3) complex whose third degree-1
+    column reduces to zero and on the two columns sharing a boundary, and
+    `egb barcode mu` on a class that dies at 2 and on the cyclic p = 3 and
+    p = 5 modules."""
+
+    @pytest.mark.parametrize("name, argv, text, digest", [
+        ('adjacent', ['spread'],
+         '{"p": 2, "complex": {"field": "Q", "generators": [{"action": "0", "degree": 0}, '
+         '{"action": "0", "degree": 0}, {"action": "5/2", "degree": 1}, '
+         '{"action": "-1/3", "degree": 1}], "boundary": [["0", "0", "0", "0"], ["0", "0", '
+         '"0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]}, "chain_map": [["0", '
+         '"1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", '
+         '"1"]]}',
+         'de056480c52e1ce4b709e4e1fa0beb21bf7f776d7340ea36e98de7a78ca8e0c2'),
+        ('cycled3_complex', ['barcode', 'decompose'],
+         '{"field": {"cyclotomic": 3}, "generators": [{"action": "0", "degree": 0}, '
+         '{"action": "0", "degree": 0}, {"action": "0", "degree": 0}, {"action": "5/2", '
+         '"degree": 1}, {"action": "5/2", "degree": 1}, {"action": "5/2", "degree": 1}], '
+         '"boundary": [["0", "0", "0", "-1", "0", "1"], ["0", "0", "0", "1", "-1", "0"], '
+         '["0", "0", "0", "0", "1", "-1"], ["0", "0", "0", "0", "0", "0"], ["0", "0", '
+         '"0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"]]}',
+         'db2e1606291e2d828762401723f26558385a3d8208d2aa4a14033572b5517423'),
+        ('shared', ['barcode', 'decompose'],
+         '{"field": "Q", "generators": [{"action": "4", "degree": 2}, {"action": "3", '
+         '"degree": 1}, {"action": "2", "degree": 1}, {"action": "1", "degree": 0}, '
+         '{"action": "0", "degree": 0}], "boundary": [["0", "0", "0", "0", "0"], ["1", '
+         '"0", "0", "0", "0"], ["-1", "0", "0", "0", "0"], ["0", "1", "1", "0", "0"], '
+         '["0", "-1", "-1", "0", "0"]]}',
+         '2b952415ddbb0a5068a345487d01fe32f099fabef6da08ecaf858b8304672c36'),
+        ('dies_module', ['barcode', 'mu'],
+         '{"p": 2, "field": {"cyclotomic": 2}, "spectrum": ["0", "1", "2"], "dims": [0, '
+         '2, 2, 1], "transitions": [[[], []], [["1", "0"], ["0", "1"]], [["1", "1"]]], '
+         '"action": [[], [["0", "1"], ["1", "0"]], [["0", "1"], ["1", "0"]], [["1"]]]}',
+         '8267f4729b8efe4303590a9fe3ce78d7f357fddd60a0043b5d6684ab0365269a'),
+        ('cyclic3', ['barcode', 'mu'],
+         '{"p": 3, "field": {"cyclotomic": 3}, "spectrum": ["0", "4"], "dims": [0, 3, 0], '
+         '"transitions": [[[], [], []], []], "action": [[], [["0", "0", "1"], ["1", "0", '
+         '"0"], ["0", "1", "0"]], []]}',
+         'faaba00c7c72e8236ef81dc1b6d4ad96f3a583c42f6f442e676f36df49f22ea5'),
+        ('cyclic5', ['barcode', 'mu'],
+         '{"p": 5, "field": {"cyclotomic": 5}, "spectrum": ["0", "1", "3"], "dims": [0, '
+         '5, 6, 1], "transitions": [[[], [], [], [], []], [["1", "0", "0", "0", "0"], '
+         '["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", '
+         '"0"], ["0", "0", "0", "0", "1"], ["0", "0", "0", "0", "0"]], [["0", "0", "0", '
+         '"0", "0", "1"]]], "action": [[], [["0", "0", "0", "0", "1"], ["1", "0", "0", '
+         '"0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "0", '
+         '"0", "1", "0"]], [["0", "0", "0", "0", "1", "0"], ["1", "0", "0", "0", "0", '
+         '"0"], ["0", "1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"], ["0", '
+         '"0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "1"]], [["1"]]]}',
+         'dc99ee72bdb75b6ec487c558a4331d14ec90bb8056dc6c0518cfbca88f5fb052'),
+    ])
+    def test_output_bytes(self, tmp_path, capsys, name, argv, text, digest):
+        f = tmp_path / f"{name}.json"
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, *argv, str(f))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEggbeater2d:
     def test_run(self, capsys):
         code, out, _ = run(

@@ -572,6 +572,40 @@ class TestWSpread:
                 kinds.add("inf" if is_inf(expected) else "zero" if expected == 0 else "positive")
         assert kinds == {"inf", "zero", "positive"}
 
+    def test_matches_window_scan_at_large_denominators(self, rng):
+        """The same on the random complexes with the i-th least action a
+        moved to s a + t + 1/(3^60 + i), s and t of ~100-bit denominators:
+        the map is increasing, so the complexes stay valid, and the integer
+        pairs of the closed form are large, unreduced and over different
+        denominators."""
+        s = F(3 ** 70 + 2, 2 ** 100 + 7)
+        t = F(-(5 ** 50), 2 ** 99 + 3)
+        kinds = set()
+        for p, field in [(2, QQ_FIELD), (3, QQ_FIELD), (3, CyclotomicField(3))]:
+            for _ in range(8):
+                eq = random_equivariant_complex(rng, p, field)
+                rank = {a: i for i, a in enumerate(eq.complex.spectrum())}
+                gens = tuple((s * a + t + F(1, 3 ** 60 + rank[a]), d)
+                             for a, d in eq.complex.generators)
+                moved = EquivariantComplex(p, FilteredComplex(field, gens, eq.complex.boundary),
+                                           eq.chain_map)
+                got = w_spread(moved, p)
+                assert got == scan_w_spread(moved)
+                kinds.add("inf" if is_inf(got) else "zero" if got == 0 else "positive")
+        assert kinds == {"inf", "zero", "positive"}
+
+    def test_ranks_unreduced_pairs_by_value(self):
+        """Two swapped pairs of classes born at 0, killed at 5/2 and at
+        1 + 3^-60, in both orders: the spread is the longer life, 5/2,
+        although the other's unreduced pair has the larger numerator."""
+        for kills in ((F(5, 2), 1 + F(1, 3 ** 60)), (1 + F(1, 3 ** 60), F(5, 2))):
+            gens = ((F(0), 0),) * 4 + tuple((k, 1) for k in kills for _ in range(2))
+            d = [[1 if j == i + 4 else 0 for j in range(8)] for i in range(8)]
+            swap = [[1 if j == i ^ 1 else 0 for j in range(8)] for i in range(8)]
+            cx = FilteredComplex(QQ_FIELD, gens, Matrix.from_rows(QQ_FIELD, d))
+            eq = EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, swap))
+            assert w_spread(eq, 2) == scan_w_spread(eq) == F(5, 2)
+
     def test_entries_across_actions(self):
         """S has entries S(y, x) with act(y) < act(x) when the reduction mixes
         actions; the closed form must read act(y) and kill(y) - act(x) there."""

@@ -1,8 +1,9 @@
 """Property tests: the JSON codecs round-trip field elements, matrices and
 Z_p modules, a formatted rational needs no JSON escaping and reads the same
 from its integers as from its Fraction, Q(zeta_p) is a field, the fused
-update x - f*a of Q and of Q(zeta_p) is the two-step one, the integer keys
-order and merge exact values as Fractions do, the integer bottleneck
+update x - f*a of Q and of Q(zeta_p) is the two-step one, `parse_frac` is
+`Fraction` of its text, the integer keys order and merge exact values and
+the filtration and check a complex's actions as Fractions do, the integer bottleneck
 candidates are the Fraction ones, the complex constructors' sparse checks
 agree with the dense oracle, a kernel basis is the identity at its free
 columns, the column reduction that carries V leaves its lows and R = DV
@@ -59,6 +60,7 @@ from egb.serialize import (
     frac_str,
     matrix_from_obj,
     matrix_to_obj,
+    parse_frac,
     zp_module_from_obj,
 )
 
@@ -199,13 +201,15 @@ def test_field_axioms(abc):
 @st.composite
 def sub_mul_operands(draw):
     """A field, Q or Q(zeta_p) with p = 2, 3 or 5, and (x, f, a) in it, each
-    0, 1, -1, a rational or, over Q, a ~600-bit-denominator rational and
-    over Q(zeta_p) a general element, so that denominators differ or agree."""
+    0, 1, -1, a rational or, over Q, a ~600-bit-denominator rational or a
+    ~600-bit integer and over Q(zeta_p) a general element, so that
+    denominators differ or agree and all three may be integers."""
     p = draw(st.sampled_from((None, 2, 3, 5)))
     units = st.sampled_from((0, 1, -1)).map(Fraction)
     if p is None:
         huge = st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620), st.integers(1, 2 ** 600))
-        element = st.one_of(units, rationals, huge)
+        integral = st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620))
+        element = st.one_of(units, rationals, huge, integral)
         return QQ_FIELD, (draw(element), draw(element), draw(element))
     element = st.one_of(units.map(lambda q: cyclo_from_rational(p, q)),
                         rationals.map(lambda q: cyclo_from_rational(p, q)),
@@ -238,6 +242,12 @@ BIG = Fraction(3 ** 380 + 1, 2 ** 600 + 3)  # a ~600-bit denominator
 @example(_q("5/6", "7/15", "9/14"))  # unequal denominators, the result reduces
 @example(_q(BIG, "1/3", BIG))  # ~600-bit denominators
 @example(_q(BIG, 1, BIG))  # cancels to 0
+@example(_q(7, -3, 5))  # all integers: the update builds no gcd
+@example(_q(2 ** 600 + 1, -(3 ** 380), 2 ** 599))  # ~600-bit integers
+@example(_q(7, -3, "5/2"))  # one denominator that is not 1, in each place
+@example(_q(7, "-3/2", 5))
+@example(_q("7/2", -3, 5))
+@example(_q(6, 3, 2))  # integers that cancel to 0
 def test_fused_update_is_x_minus_f_times_a(case):
     """The field's one-normalization update equals, hashes like and has the
     type of x - f*a, over Q a Fraction."""
@@ -280,6 +290,77 @@ def test_order_key_breaks_a_tie_of_its_integer_part():
     (hi, hi_x), (lo, lo_x) = map(_order_key, CLOSE)
     assert hi == lo and lo_x < hi_x
     assert sorted(CLOSE, key=_order_key) == CLOSE[::-1]
+
+
+def _filtration_oracle(gens) -> list[int]:
+    """The filtration order sorted on the Fractions: by (action, index)."""
+    return sorted(range(len(gens)), key=lambda k: (gens[k][0], k))
+
+
+@PROPERTY
+@given(exact_values(), st.lists(st.integers(0, 2), min_size=12, max_size=12))
+@example(CLOSE, [0, 0])
+@example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 2), CLOSE[0], CLOSE[1]], [1, 0, 0, 1, 0])
+def test_filtration_order_is_the_fraction_one(values, degrees):
+    """The filtration sorts on `_order_key` as the Fractions sort, tied
+    actions by index; the complex has zero boundary."""
+    gens = tuple(zip(values, degrees))
+    n = len(gens)
+    cx = FilteredComplex(QQ_FIELD, gens, Matrix.zeros(QQ_FIELD, n, n))
+    assert persistence._filtration(cx)[0] == _filtration_oracle(gens)
+
+
+def test_complex_check_compares_actions_closer_than_the_key_step():
+    """The "decreases action" check reads the integer keys of `_order_key`
+    and their Fraction tie-break: actions 2^-70 apart, one key step, pass
+    in one order and fail in the other, and equal actions fail."""
+    hi, lo = CLOSE
+    d = Matrix.from_rows(QQ_FIELD, [[0, 1], [0, 0]])
+    cx = FilteredComplex(QQ_FIELD, ((lo, 0), (hi, 1)), d)
+    assert cx.generators[0][0] is lo  # a Fraction action is kept, not re-wrapped
+    assert persistence._filtration(cx)[0] == [0, 1]
+    for gens in (((hi, 0), (lo, 1)), ((lo, 0), (Fraction(lo.numerator, lo.denominator), 1))):
+        with pytest.raises(ValueError, match="does not decrease action"):
+            FilteredComplex(QQ_FIELD, gens, d)
+
+
+# The text table of `parse_frac`: spellings that only `Fraction` reads (or
+# refuses), by Python version; "1_0" is read from 3.11 on and "3 / 4" from
+# 3.12 on, so each is compared with `Fraction` on the running interpreter.
+RATIONAL_TEXTS = ["1_0", " 3 ", "+3", "\u0663", "3/\u0664", "1e3", "1.5", "-0", "0/007", "1/0",
+                  "3 / 4", "3/-4", "3/+4", "--3", "-", "3/", "/3", "3/4/5", "", "-12/18",
+                  "007", "-0/5", "0/0", "1" * 5000, "-" + "7" * 5000 + "/3", "2/" + "9" * 5000,
+                  "\u00b2", "3/\u00b2"]
+
+
+def assert_parses_as_fraction(text):
+    """`parse_frac(text)` is `Fraction(text)`, in lowest terms, or, where
+    `Fraction` refuses the text, the `bad rational` error."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as error:
+            parse_frac(text)
+        assert str(error.value) == f"bad rational {text!r}"
+        return
+    got = parse_frac(text)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS,
+                         ids=lambda t: repr(t) if len(t) < 20 else f"{len(t)}-chars")
+def test_parse_frac_table_is_fraction_of_the_text(text):
+    assert_parses_as_fraction(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.one_of(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+                 st.text(alphabet="0123456789-+/ _.eE\u0663\u00b2", max_size=10)))
+def test_parse_frac_is_fraction_of_the_text(text):
+    """Digits, signs, slashes, blanks, underscores, exponents and non-ASCII
+    digits in any order, and the ASCII form that is read with `int`."""
+    assert_parses_as_fraction(text)
 
 
 @st.composite
