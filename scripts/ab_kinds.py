@@ -30,7 +30,6 @@ import shutil
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from seed_sweep import seed_range
@@ -39,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 from run import tail  # noqa: E402
+from worker import run_ops  # noqa: E402
 
 SIDES = ("parent", "change")
 _EGB_IMPORT = re.compile(r"^from egb\b", re.MULTILINE)
@@ -55,21 +55,6 @@ def stage(checkouts: dict, tmp: Path) -> dict:
     return {side: importlib.import_module(f"workloads_{side}") for side in checkouts}
 
 
-def run_op(op) -> tuple[float, str | None]:
-    """(seconds of op.run, None or the reason it failed its check)."""
-    start = time.perf_counter()
-    try:
-        result = op.run()
-    except Exception as e:  # an operation that raises counts as failed
-        return time.perf_counter() - start, f"raised {type(e).__name__}: {e}"
-    elapsed = time.perf_counter() - start
-    try:
-        op.check(result)
-    except Exception as e:  # CheckFailed, or a check tripping on a malformed result
-        return elapsed, f"{type(e).__name__}: {e}"
-    return elapsed, None
-
-
 def paired_rounds(ops: dict, rounds: int) -> list[dict]:
     """Per round, {side: [op seconds]} of the op lists {side: ops}, the
     sides alternating op by op; ValueError at the first failed operation."""
@@ -79,10 +64,10 @@ def paired_rounds(ops: dict, rounds: int) -> list[dict]:
         for i, pair in enumerate(zip(*(ops[side] for side in SIDES))):
             order = SIDES if (i + r) % 2 == 0 else SIDES[::-1]
             for side in order:
-                op = pair[SIDES.index(side)]
-                elapsed, error = run_op(op)
-                if error is not None:
-                    raise ValueError(f"{side} {op.kind}: {error[:300]}")
+                (elapsed,), failures = run_ops([pair[SIDES.index(side)]])
+                if failures:
+                    (kind, reason), = failures
+                    raise ValueError(f"{side} {kind}: {reason}")
                 times[side].append(elapsed)
         out.append(times)
     return out

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import json
 import os
@@ -13,7 +12,6 @@ import pytest
 import egb
 from egb import equivariant, serialize
 from egb.cli import build_parser, main
-from egb.eggbeater import param_search, validation_threshold
 from egb.field import CyclotomicField, Matrix, QQ_FIELD, cyclo_zeta
 from egb.persistence import (
     Bar,
@@ -405,48 +403,6 @@ class TestSpreadCommand:
         assert proc.stderr == "error: k must be >= 1\n"
 
 
-def zero_boundary_obj() -> dict:
-    """`egb spread` input: two fixed generators in degrees 0 and 1 with zero
-    boundary, the complex of `test_decompose_zero_boundary`."""
-    cx = FilteredComplex(QQ_FIELD, ((F(1), 0), (F(3), 1)), Matrix.zeros(QQ_FIELD, 2, 2))
-    return {"p": 2, "complex": complex_to_obj(cx), "chain_map": [["1", "0"], ["0", "1"]]}
-
-
-class TestComplexOutputBytes:
-    """sha256 of stdout of `egb spread` and of `egb barcode decompose` on
-    each fixture (the complex of the spread input), pinned before the
-    complexes kept their maps as sparse columns."""
-
-    FIXTURES = {"killed-swap": killed_swap_obj, "degenerate-swap": degenerate_swap_obj,
-                "zeta3-mixed": zeta3_obj, "zero-boundary": zero_boundary_obj}
-
-    @pytest.mark.parametrize("fixture, digest", [
-        ("killed-swap", "ed81a689552a1ada43ac5613fcf693654c287931708440ffaee5f9e76ab724e3"),
-        ("degenerate-swap", "241046df6a7588beb8b662a70bbcd755d255d4d1e5b9505253670ed618ab6b1d"),
-        ("zeta3-mixed", "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
-        ("zero-boundary", "5bd3df132af7711718544c242a3660677141b166b97ea231a5d6c3f62c1f5578"),
-    ])
-    def test_spread(self, tmp_path, capsys, fixture, digest):
-        f = tmp_path / "eq.json"
-        f.write_text(json.dumps(self.FIXTURES[fixture]()))
-        code, out, err = run(capsys, "spread", str(f))
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("fixture, digest", [
-        ("killed-swap", "9868f46a120dc96f9ffc18a8465abd16f112f27a6be6e17754f121e52e510948"),
-        ("degenerate-swap", "86495faf022b692f1984e17894d8016be2b023109ca91cc53c4db027dcfef22a"),
-        ("zeta3-mixed", "be2257691e90b792c4194c4be71aee92784c850be73d432f891cc68554442272"),
-        ("zero-boundary", "d0947bad392d4865bde4b4078e1874059b3ca6ccdd564294eb9c6af67286147f"),
-    ])
-    def test_decompose(self, tmp_path, capsys, fixture, digest):
-        f = tmp_path / "cx.json"
-        f.write_text(json.dumps(self.FIXTURES[fixture]()["complex"]))
-        code, out, err = run(capsys, "barcode", "decompose", str(f))
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def respell_zeros(matrix: list, spellings) -> list:
     """The JSON rows of a matrix with each "0" entry written as the next of
     ``spellings``, in turn."""
@@ -470,9 +426,10 @@ class TestZeroSpellings:
             out.append(run(capsys, *argv, str(f)))
         return out
 
-    @pytest.mark.parametrize("fixture", ["killed-swap", "zeta3-mixed"])
-    def test_spread_and_decompose(self, tmp_path, capsys, fixture):
-        obj = TestComplexOutputBytes.FIXTURES[fixture]()
+    @pytest.mark.parametrize("build", [killed_swap_obj, zeta3_obj],
+                             ids=["killed-swap", "zeta3-mixed"])
+    def test_spread_and_decompose(self, tmp_path, capsys, build):
+        obj = build()
         cx = obj["complex"]
         spellings = self.SPELLINGS[cx["field"] if cx["field"] == "Q" else obj["p"]]
         respelled_cx = {**cx, "boundary": respell_zeros(cx["boundary"], spellings)}
@@ -496,101 +453,6 @@ class TestZeroSpellings:
             original, again = self.outputs(tmp_path, capsys, ["barcode", "mu", "--zeta-index", k],
                                            [obj, respelled])
             assert original[0] == 0 and again == original
-
-
-class TestBarcodeMuOutputBytes:
-    """sha256 of stdout of `egb barcode mu` at every zeta index, on random
-    conjugated Z_p modules drawn from a fixed seed (only finite bars, or
-    rays allowed), pinned before the parts were read off the kernels' free
-    columns."""
-
-    @pytest.mark.parametrize("p, rays, k, digest", [
-        (2, False, 1, "63f24aa4cd76d48a57ab9d287e4a9fcecd2d2d3152ff759c5461fd9d0f4ad59a"),
-        (2, True, 1, "40b35829d4ab70f352e61b3999fef9cf92d5b6313644574821ad94337e3ac127"),
-        (3, False, 1, "9e1e9576fda35ea423c810566f88132426a159a57c9746ab1418e4960c141567"),
-        (3, False, 2, "3fe6eb2fb03d6f0bf225ab275815fdd6115c9eb6be0586501a3e9b9ec651c886"),
-        (3, True, 1, "61104695883c82f5b3bd11a5df873c8c2de3380bbc8bd8bcd0a066bc4d10f312"),
-        (3, True, 2, "6d4aa86a97cab178e124e1975b470263f3e373170de6d99f0fa326358ab1934e"),
-        (5, False, 1, "71206b00ddeab4dcfa1a3b36784ef7e9ceaead3cbba0628cc8b725914cb1b92c"),
-        (5, False, 2, "605eb49ca03f733a956db862faeeb0c4fb2e2e01977569857e640b6fc3941764"),
-        (5, False, 3, "af888d4e8dc1f46ebdc393656ac7023a320932a010537bb07c1a0cad95906007"),
-        (5, False, 4, "2498fc49596dd7558c13917a931314d3adab05b7577d3e72a29dc216658a7fb5"),
-        (5, True, 1, "9a1336e3360e1507cdfbb34010073f2222ea248ad27d8c6d7e81111d56d26a1a"),
-        (5, True, 2, "b9128dd0251712091afde28d050032e371f9fcab2dd7accb65b47d99934f814a"),
-        (5, True, 3, "793d50fa5950dbdb1ef1d8da66a5e98de342dd88e0336f778b51c56cc965c051"),
-        (5, True, 4, "93141370f206a4a5ed3105a2715f56054b68404a1fab53bce4c05199eab3198d"),
-    ])
-    def test_mu(self, tmp_path, capsys, p, rays, k, digest):
-        m = random_zp_module(random.Random(2500 + p), p, max_blocks=5, allow_infinite=rays)
-        f = tmp_path / "m.json"
-        f.write_text(json.dumps(zp_module_to_obj(m)))
-        code, out, err = run(capsys, "barcode", "mu", str(f), "--zeta-index", str(k))
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-class TestConsoleScriptDigests:
-    """The six sha256 pins of the console-script step of
-    `.github/workflows/tier1.yml` that no other test checked, on the inputs
-    of that step copied verbatim (each file ends in the newline `echo`
-    writes): `egb spread` on degrees 0 and 1 only (gap bound 1/3),
-    `egb barcode decompose` on the Q(zeta_3) complex whose third degree-1
-    column reduces to zero and on the two columns sharing a boundary, and
-    `egb barcode mu` on a class that dies at 2 and on the cyclic p = 3 and
-    p = 5 modules."""
-
-    @pytest.mark.parametrize("name, argv, text, digest", [
-        ('adjacent', ['spread'],
-         '{"p": 2, "complex": {"field": "Q", "generators": [{"action": "0", "degree": 0}, '
-         '{"action": "0", "degree": 0}, {"action": "5/2", "degree": 1}, '
-         '{"action": "-1/3", "degree": 1}], "boundary": [["0", "0", "0", "0"], ["0", "0", '
-         '"0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]}, "chain_map": [["0", '
-         '"1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", '
-         '"1"]]}',
-         'de056480c52e1ce4b709e4e1fa0beb21bf7f776d7340ea36e98de7a78ca8e0c2'),
-        ('cycled3_complex', ['barcode', 'decompose'],
-         '{"field": {"cyclotomic": 3}, "generators": [{"action": "0", "degree": 0}, '
-         '{"action": "0", "degree": 0}, {"action": "0", "degree": 0}, {"action": "5/2", '
-         '"degree": 1}, {"action": "5/2", "degree": 1}, {"action": "5/2", "degree": 1}], '
-         '"boundary": [["0", "0", "0", "-1", "0", "1"], ["0", "0", "0", "1", "-1", "0"], '
-         '["0", "0", "0", "0", "1", "-1"], ["0", "0", "0", "0", "0", "0"], ["0", "0", '
-         '"0", "0", "0", "0"], ["0", "0", "0", "0", "0", "0"]]}',
-         'db2e1606291e2d828762401723f26558385a3d8208d2aa4a14033572b5517423'),
-        ('shared', ['barcode', 'decompose'],
-         '{"field": "Q", "generators": [{"action": "4", "degree": 2}, {"action": "3", '
-         '"degree": 1}, {"action": "2", "degree": 1}, {"action": "1", "degree": 0}, '
-         '{"action": "0", "degree": 0}], "boundary": [["0", "0", "0", "0", "0"], ["1", '
-         '"0", "0", "0", "0"], ["-1", "0", "0", "0", "0"], ["0", "1", "1", "0", "0"], '
-         '["0", "-1", "-1", "0", "0"]]}',
-         '2b952415ddbb0a5068a345487d01fe32f099fabef6da08ecaf858b8304672c36'),
-        ('dies_module', ['barcode', 'mu'],
-         '{"p": 2, "field": {"cyclotomic": 2}, "spectrum": ["0", "1", "2"], "dims": [0, '
-         '2, 2, 1], "transitions": [[[], []], [["1", "0"], ["0", "1"]], [["1", "1"]]], '
-         '"action": [[], [["0", "1"], ["1", "0"]], [["0", "1"], ["1", "0"]], [["1"]]]}',
-         '8267f4729b8efe4303590a9fe3ce78d7f357fddd60a0043b5d6684ab0365269a'),
-        ('cyclic3', ['barcode', 'mu'],
-         '{"p": 3, "field": {"cyclotomic": 3}, "spectrum": ["0", "4"], "dims": [0, 3, 0], '
-         '"transitions": [[[], [], []], []], "action": [[], [["0", "0", "1"], ["1", "0", '
-         '"0"], ["0", "1", "0"]], []]}',
-         'faaba00c7c72e8236ef81dc1b6d4ad96f3a583c42f6f442e676f36df49f22ea5'),
-        ('cyclic5', ['barcode', 'mu'],
-         '{"p": 5, "field": {"cyclotomic": 5}, "spectrum": ["0", "1", "3"], "dims": [0, '
-         '5, 6, 1], "transitions": [[[], [], [], [], []], [["1", "0", "0", "0", "0"], '
-         '["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", '
-         '"0"], ["0", "0", "0", "0", "1"], ["0", "0", "0", "0", "0"]], [["0", "0", "0", '
-         '"0", "0", "1"]]], "action": [[], [["0", "0", "0", "0", "1"], ["1", "0", "0", '
-         '"0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"], ["0", "0", '
-         '"0", "1", "0"]], [["0", "0", "0", "0", "1", "0"], ["1", "0", "0", "0", "0", '
-         '"0"], ["0", "1", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "0"], ["0", '
-         '"0", "0", "1", "0", "0"], ["0", "0", "0", "0", "0", "1"]], [["1"]]]}',
-         'dc99ee72bdb75b6ec487c558a4331d14ec90bb8056dc6c0518cfbca88f5fb052'),
-    ])
-    def test_output_bytes(self, tmp_path, capsys, name, argv, text, digest):
-        f = tmp_path / f"{name}.json"
-        f.write_text(text + "\n")
-        code, out, err = run(capsys, *argv, str(f))
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEggbeater2d:
@@ -695,36 +557,6 @@ class TestBoundsCommand:
         stab = json.loads(out2)
         assert stab["pow_bound"] == plain["pow_bound"]
         assert stab["mu_p_model"] == plain["mu_p_model"]
-
-    # sha256 of stdout and of the --svg file, pinned before bars were merged
-    # and sorted on integer keys.  The SVG draws the bars in canonical order.
-    # A --file input is the first n solver actions at the validation threshold
-    # of param_search(p, 4), the i-th in degree i % degrees.
-    @pytest.mark.parametrize("file_input, argv, stdout_digest, svg_digest", [
-        (None, ["--p", "2", "--stabilize", "1,2,1"],
-         "b61c531b80ddc9dd7d3b7eef7fb441e32da4e6aaf75bd2aadf5513cafa02eb2d",
-         "724f3297b1424cc3fe1f8f3c75cab581b4432cbf3517f9cac079c5e5264f4963"),
-        ((3, 63, 3), ["--p", "3", "--stabilize", "1,2"],
-         "9dd44317ed29c6c95ac2501d5cb91ba0cc4ec41c7ea20c26394c802b69eed20a",
-         "16542d06cb5cb8ea20b606e13e51e7b71c5d3e018fb8f9f85d92828cd0fbcc6f"),
-        ((5, 1020, 4), ["--p", "5", "--stabilize", "1,1,1"],
-         "6cd47b26aedafc3e9f545f9557a45870026116b4e40126f0aee348f8abf173b6",
-         "5fa8598bee9dc37848340b91dbecc06ee625c84cd257928cf013432b79bdd1b9"),
-    ], ids=["p2-fixture", "p3-file-mixed", "p5-file-mixed"])
-    def test_output_bytes(self, tmp_path, monkeypatch, capsys, file_input, argv,
-                          stdout_digest, svg_digest):
-        monkeypatch.chdir(tmp_path)  # the provenance names the --file path as given
-        if file_input is not None:
-            p, n, degrees = file_input
-            _, records = validation_threshold(p, 4, *param_search(p, 4))
-            tuples = [{"action": frac_str(r.action), "degree": i % degrees}
-                      for i, r in enumerate(records[:n])]
-            Path("tuples.json").write_text(json.dumps({"tuples": tuples}))
-            argv = [*argv, "--file", "tuples.json"]
-        code, out, err = run(capsys, "bounds", *argv, "--svg", "bars.svg")
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
-        assert hashlib.sha256(Path("bars.svg").read_bytes()).hexdigest() == svg_digest
 
     def test_tuples_file(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import itertools
 import json
@@ -33,8 +32,8 @@ from egb.eggbeater import (
     solve_signed,
     validation_threshold,
 )
-from egb.cli import main
 from egb.field import Matrix, QQ_FIELD
+from egb.freegroup import canonical_itinerary, cyclic_reduce, itinerary_to_word
 from egb.persistence import is_inf, min_gap
 from egb.serialize import frac_str, write_records
 
@@ -531,74 +530,6 @@ class TestDerivedFields:
         assert len(records) == 64 and all(r.valid for r in records)
 
 
-class TestGoldenOutput:
-    """sha256 of the CSV and JSON files `egb eggbeater --out` writes, pinned
-    to the output of the solver on `Matrix`, of what `egb eggbeater` writes
-    to stdout, pinned before the records were streamed, and of `egb eggbeater-2d` on
-    stdout and in its --out file, pinned before the start point and the odd
-    points were derived from the even points."""
-
-    @pytest.mark.parametrize("argv, digests", [
-        (["--fixture", "--lambda", "840"], {
-            "eggbeater_lam_840_1.csv": "e803db3020f664db77ddebb0452d94d533ae04963f6fd0564a6481de5d53b911",
-            "eggbeater_lam_840_1.json": "df1f806daa482436f8bface1a6769ca8c3f7ad4a4141958fcfdf838edeee9d4a",
-        }),
-        (["--p", "3", "--mu", "1/2,1/3,1/5", "--nu", "1/7,1/11,1/13", "--lambda", "auto",
-          "--count", "2"], {
-            "eggbeater_lam_120120_1.csv": "15b1d7b6d2e035f5541a8d202072df02a48a13cedb69f2c58a752904e3fba168",
-            "eggbeater_lam_120120_1.json": "5b3855aff44c43f2a38737687d940ae95162d494086a7e9b68306007e8f9eea9",
-            "eggbeater_lam_240240_1.csv": "9740e950febeb6ef0e14833de11440bedbd68e4fe6b01ed87daf89d9be593628",
-            "eggbeater_lam_240240_1.json": "5973f2c10fc37596943931e44a40a143767b1f40bd5e96e2058e8d27718fb18d",
-        }),
-        (["--p", "5", "--mu", "1/3,1/7,1/13,1/19,1/29", "--nu", "1/2,1/5,1/11,1/17,1/23",
-          "--lambda", "auto", "--count", "1"], {
-            "eggbeater_lam_25878772920_1.csv": "7ae23573861cc03da532e9503bfe17e3af9ee853ffcac09715264bb2a324f121",
-            "eggbeater_lam_25878772920_1.json": "d0c45ffb732e55a63540d5d1c307cc2f800c11854d790e7f1aedf5e5349c614b",
-        }),
-    ], ids=["p2-fixture", "p3-count2", "p5"])
-    def test_output_bytes(self, tmp_path, capsys, argv, digests):
-        assert main(["eggbeater", *argv, "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == ""
-        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
-        assert written == digests
-
-    @pytest.mark.parametrize("argv, digest", [
-        (["--fixture", "--lambda", "840"],
-         "f1abd86ddbc3859eb5d1f4c07717a4e61494bde7f35593d7bf25d6cdc568606a"),
-        (["--p", "3", "--mu", "1/2,1/3,1/5", "--nu", "1/7,1/11,1/13", "--lambda", "auto",
-          "--count", "2"],
-         "e7774571891fee80d3ae9ff34708a0c5a3efdcabbb7cc4c649f006e371879500"),
-    ], ids=["p2-fixture", "p3-count2"])
-    def test_stdout_bytes(self, capsys, argv, digest):
-        """Without --out, each lattice point's CSV table and then its JSON
-        go to stdout."""
-        assert main(["eggbeater", *argv]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("argv, fmt, stdout_digest, file_digest", [
-        (["--mu", "1/2", "--nu", "1/4", "--lambda", "160"], "json",
-         "2afd82c153020add2ff52b77f63b4f8f5bf78530d46eeb3d2de57e70b7d1154e",
-         "8bc6533315e5a0eddf5e8d5a7932e7b834850963556fe96b1c76d6d9af12c07c"),
-        (["--mu", "1/2", "--nu", "1/4", "--lambda", "160"], "csv",
-         "51b8cf59f4c899b58841488844df289ec9930f63d9b323353003f654abdfe176",
-         "51b8cf59f4c899b58841488844df289ec9930f63d9b323353003f654abdfe176"),
-        (["--mu", "1/3", "--nu", "2/3", "--lambda", "36", "--L", "4"], "json",
-         "6280c9179258b4ce09f8d6c7043cb98619545dcab0d38b01f71c41774502bcc1",
-         "26b552cc473c5c49e578a047be6feab5984ff2e1baa8b644e0cf930907831c53"),
-        (["--mu", "1/3", "--nu", "2/3", "--lambda", "36", "--L", "4"], "csv",
-         "ba018b066ea41c829ba1db763ae20d6baaa2e67c04e455e5462345d0754c3e41",
-         "ba018b066ea41c829ba1db763ae20d6baaa2e67c04e455e5462345d0754c3e41"),
-    ], ids=["2d-json", "2d-csv", "2d-thirds-json", "2d-thirds-csv"])
-    def test_2d_output_bytes(self, tmp_path, capsys, argv, fmt, stdout_digest, file_digest):
-        argv = ["eggbeater-2d", *argv, "--format", fmt]
-        assert main(argv) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
-        out = tmp_path / f"records.{fmt}"
-        assert main([*argv, "--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_digest
-
-
 class TestGaps:
     def test_min_gap_scales_linearly(self):
         lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
@@ -877,6 +808,37 @@ class TestLattice:
         for j in range(2):
             assert params.winding_m(j) >= 1
             assert params.winding_n(j) >= 1
+
+
+class TestOrbitClass:
+    """The word a^{m_1} b^{n_1} ... a^{m_p} b^{n_p} of the solver's windings,
+    the free homotopy class `egb eggbeater` solves in, is cyclically reduced
+    and not a proper power: distinct (mu_i, nu_i) pairs give distinct
+    winding pairs, so for prime p the class is primitive."""
+
+    @staticmethod
+    def is_proper_power(letters: tuple) -> bool:
+        """A cyclically reduced word w is a proper power exactly when it
+        occurs in w w at an offset other than 0 and |w|."""
+        n = len(letters)
+        return [i for i in range(n + 1) if (letters + letters)[i:i + n] == letters] != [0, n]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_primitive(self, p):
+        if p == 2:
+            params = fixture_params(840)
+        else:
+            mu, nu = param_search(p, 4)
+            lam, _ = validation_threshold(p, 4, mu, nu)
+            params = EggBeaterParams(p, 4, lam, mu, nu)
+        word = itinerary_to_word(canonical_itinerary(
+            [params.winding_m(j) for j in range(p)], [params.winding_n(j) for j in range(p)]))
+        assert cyclic_reduce(word) == word
+        assert not self.is_proper_power(word.letters)
+
+    def test_equal_pairs_are_a_power(self):
+        word = itinerary_to_word(canonical_itinerary([2, 2], [3, 3]))
+        assert self.is_proper_power(word.letters)
 
 
 class TestParamsValidation:

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 
 from egb import equivariant
-from egb.cli import main
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
@@ -630,34 +629,23 @@ class TestWSpread:
         assert w_spread(eq, 2) == scan_w_spread(eq) == 2
 
     # (p, cyclotomic field or None for Q, random.Random seed) -> sha256 of the
-    # input JSON and of the `egb spread` stdout, the latter taken from the
-    # window scan that preceded the closed form
-    GOLDEN = [
-        (2, None, 1, "0b4f68caa02c47797194dd761efc115bb2141de445204fdc72e285beb63f55b9",
-         "eed460bf04113a8e981768735522b6ef6b894cc4aeadefeab40d70d8c6feaf60"),
-        (3, None, 1, "40cbfc4cd9845c6277147caae6bb5712b4397727574043c776a59c6a427d00f5",
-         "eed460bf04113a8e981768735522b6ef6b894cc4aeadefeab40d70d8c6feaf60"),
-        (3, 3, 9, "934347768cc6b8eee15be175c6f35ad08a47a366f1bc38c0de323bef90c59d99",
-         "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
-        (5, 5, 13, "ea4db0823d9bb1b45f29c4d642ac3f86d550a8bbea246738b6d03f679df544f6",
-         "eb4757a6ab323f678fa36558a26e6b2c511633e086d9df7e49e64a3e0604d4df"),
-        (2, 2, 0, "271d02590fbf4c337dadee64892920894f3320e938422863b7b7736f1b6c0b6d",
-         "70a8683a166f5a059dbe802ec948b48d37bf7cf454c5949ea455d4bf41dcd6d6"),
-        (3, None, 0, "c6428cb078f6de375d36304f74f4cd4113822595bf4dff63e4bca0573c81222e",
-         "5bd3df132af7711718544c242a3660677141b166b97ea231a5d6c3f62c1f5578"),
+    # input JSON; the `egb spread` output on each is a case of tests/golden/
+    GENERATED = [
+        (2, None, 1, "0b4f68caa02c47797194dd761efc115bb2141de445204fdc72e285beb63f55b9"),
+        (3, None, 1, "40cbfc4cd9845c6277147caae6bb5712b4397727574043c776a59c6a427d00f5"),
+        (3, 3, 9, "934347768cc6b8eee15be175c6f35ad08a47a366f1bc38c0de323bef90c59d99"),
+        (5, 5, 13, "ea4db0823d9bb1b45f29c4d642ac3f86d550a8bbea246738b6d03f679df544f6"),
+        (2, 2, 0, "271d02590fbf4c337dadee64892920894f3320e938422863b7b7736f1b6c0b6d"),
+        (3, None, 0, "c6428cb078f6de375d36304f74f4cd4113822595bf4dff63e4bca0573c81222e"),
     ]
 
-    @pytest.mark.parametrize("p,cyclotomic,seed,input_sha,stdout_sha", GOLDEN)
-    def test_golden_cli_output(self, tmp_path, capsys, p, cyclotomic, seed, input_sha, stdout_sha):
+    @pytest.mark.parametrize("p,cyclotomic,seed,input_sha", GENERATED)
+    def test_generator_pins(self, p, cyclotomic, seed, input_sha):
         field = CyclotomicField(cyclotomic) if cyclotomic else QQ_FIELD
         eq = random_equivariant_complex(random.Random(seed), p, field, max_blocks=4)
         text = json.dumps({"p": p, "complex": complex_to_obj(eq.complex),
                            "chain_map": matrix_to_obj(eq.chain_map)}, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == input_sha, "generator changed"
-        f = tmp_path / "eq.json"
-        f.write_text(text)
-        assert main(["spread", str(f)]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(text.encode()).hexdigest() == input_sha
 
     def test_action_preserving_validation(self):
         cx = FilteredComplex(
