@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 
-from .persistence import Bar, Barcode, INF
+from .persistence import Barcode, INF
 
 
 def hopcroft_karp(adjacency: dict, left_order: list) -> dict:
@@ -125,27 +125,28 @@ def _feasible(adjacency, b_ranks: list[int], c_ranks: list[int], k: int) -> bool
     return True
 
 
-def _denominator(bars: list[Bar]) -> int:
-    """Twice the lcm of the denominators of the finite endpoints: over it
-    every endpoint, pair cost and half-length is an integer numerator."""
-    return 2 * math.lcm(*(x.birth.denominator for x in bars),
-                        *(x.death.denominator for x in bars if x.finite))
+def _denominator(ends: list[tuple]) -> int:
+    """Twice the lcm of the denominators of the finite ends of the (birth,
+    death) pairs, death None for +inf: over it every end, pair cost and
+    half-length is an integer numerator."""
+    return 2 * math.lcm(*(b.denominator for b, _ in ends),
+                        *(d.denominator for _, d in ends if d is not None))
 
 
-def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
-    """`_denominator` of all the bars, the finite candidates {0, pair costs,
-    half-lengths} over it as integer numerators in increasing order, and
-    the ranks of the pair costs and half-lengths among them that `_feasible`
-    reads.  A pair costs max(|birth diff|, |death diff|), or |birth diff|
-    for two rays, and +inf across finiteness; each is computed once."""
-    den = _denominator(bars_b + bars_c)
+def _ranks(ends_b: list[tuple], ends_c: list[tuple]):
+    """`_denominator` of the (birth, death) pairs of the bars, the finite
+    candidates {0, pair costs, half-lengths} over it as integer numerators
+    in increasing order, and the ranks of the pair costs and half-lengths
+    among them that `_feasible` reads.  A pair costs max(|birth diff|,
+    |death diff|), or |birth diff| for two rays, and +inf across finiteness;
+    each is computed once."""
+    den = _denominator(ends_b + ends_c)
 
-    def ends(bars) -> list[tuple]:
-        return [(x.birth.numerator * (den // x.birth.denominator),
-                 x.death.numerator * (den // x.death.denominator) if x.finite else None)
-                for x in bars]
+    def over(ends) -> list[tuple]:
+        return [(b.numerator * (den // b.denominator),
+                 None if d is None else d.numerator * (den // d.denominator)) for b, d in ends]
 
-    ends_b, ends_c = ends(bars_b), ends(bars_c)
+    ends_b, ends_c = over(ends_b), over(ends_c)
     half_b = [INF if d is None else (d - b) // 2 for b, d in ends_b]
     half_c = [INF if d is None else (d - b) // 2 for b, d in ends_c]
     costs = [[max(abs(b1 - b2), abs(d1 - d2)) if d1 is not None and d2 is not None
@@ -162,14 +163,14 @@ def _ranks(bars_b: list[Bar], bars_c: list[Bar]):
     return den, ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
 
 
-def _distance(bars_b: list[Bar], bars_c: list[Bar]):
-    """Bottleneck distance between the bars of one degree, +inf iff the ray
-    counts differ: feasibility is monotone in delta and changes only at a
-    candidate, so a binary search finds the least feasible one, the one
-    Fraction built."""
-    if sum(1 for x in bars_b if not x.finite) != sum(1 for x in bars_c if not x.finite):
+def _distance(ends_b: list[tuple], ends_c: list[tuple]):
+    """Bottleneck distance between the (birth, death) pairs of one degree,
+    death None for +inf, and +inf iff the ray counts differ: feasibility is
+    monotone in delta and changes only at a candidate, so a binary search
+    finds the least feasible one, the one Fraction built."""
+    if sum(d is None for _, d in ends_b) != sum(d is None for _, d in ends_c):
         return INF
-    den, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+    den, ordered, cost_ranks, b_ranks, c_ranks = _ranks(ends_b, ends_c)
     adjacency = _adjacency(cost_ranks, len(c_ranks))
     # the top candidate is feasible: no finite bar is long, equal ray counts match
     lo, hi = 0, len(ordered) - 1
@@ -186,9 +187,11 @@ def bottleneck(b: Barcode, c: Barcode):
     """Bottleneck distance: the maximum over the degrees of either barcode
     (``None`` is a degree of its own) of the distance between the bars of
     that degree; 0 when both are empty, +inf iff some degree's infinite-ray
-    counts differ."""
+    counts differ.  Each bar's finiteness is read once, into its (birth,
+    death or None for +inf) pair, one per unit of multiplicity."""
     by_degree: dict = {}
     for side, barcode in enumerate((b, c)):
-        for bar, d in barcode.expand():
-            by_degree.setdefault(d, ([], []))[side].append(bar)
+        for bar, m, d in barcode.items:
+            pair = (bar.birth, bar.death if bar.finite else None)
+            by_degree.setdefault(d, ([], []))[side].extend([pair] * m)
     return max((_distance(x, y) for x, y in by_degree.values()), default=Fraction(0))

@@ -13,8 +13,8 @@ and must come back exactly.  The solver composes the blocks and runs that
 same piecewise map on integer numerators over one shared positive
 denominator, and a valid record keeps the orbit as those integers.  Its
 action, leading action, det(A_bar - id) and kink distance are kept as
-integer numerators and denominators too: all of them become Fractions only
-when something reads them.
+integer numerators and denominators too: the writer formats them from the
+integers, and only the action and the points become Fractions, when read.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ class FixedPointRecord:
 
     The action, the leading action and det(A_bar - id) are kept as the
     integer (numerator, positive denominator) pairs the solver computes, not
-    reduced, and the kink distance as its numerator over `den`; `action`,
-    `action_leading`, `det` and `kink_distance` are the Fractions built from
-    them when read.  A rejected record has no action or kink distance: its
-    `action_ratio` and `kink_numerator` are None."""
+    reduced, and the kink distance as its numerator over `den`; the writer
+    formats them from those integers, and `action` is the Fraction built
+    from its pair when read.  A rejected record has no action or kink
+    distance: its `action_ratio` and `kink_numerator` are None."""
 
     signs: tuple[int, ...]
     valid: bool
@@ -111,18 +111,6 @@ class FixedPointRecord:
     @property
     def action(self) -> Fraction | None:
         return None if self.action_ratio is None else Fraction(*self.action_ratio)
-
-    @property
-    def action_leading(self) -> Fraction:
-        return Fraction(*self.leading_ratio)
-
-    @property
-    def det(self) -> Fraction:
-        return Fraction(*self.det_ratio)
-
-    @property
-    def kink_distance(self) -> Fraction | None:
-        return None if self.kink_numerator is None else Fraction(self.kink_numerator, self.den)
 
     @property
     def even_points(self) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -39,6 +39,7 @@ from .persistence import (
     FinitePersistenceModule,
     INF,
     _NormalForm,
+    _multiplicity,
     _reindex,
     homology_basis,
     induced_homology_rank,
@@ -245,13 +246,17 @@ def mu_from_barcode(barcode: Barcode, p: int) -> Fraction | float:
 
 
 def _supremum(pairs) -> Fraction | float:
-    """The largest of the unreduced pairs (n, d) of `_spread_candidates`, and 0
-    for none: one Fraction, or +inf for (1, 0)."""
+    """The largest n / d of the integer pairs (n, d), d >= 0, ranked by cross
+    products, (n, d) < (n', d') iff n d' < n' d, and 0 for no positive pair:
+    the first pair (n, 0), n > 0, is +inf and ends the read, else one
+    Fraction is built, for the answer."""
     best = (0, 1)
     for n, d in pairs:
+        if not d:
+            return INF
         if n * best[1] > best[0] * d:
             best = (n, d)
-    return Fraction(*best) if best[1] else INF
+    return Fraction(*best)
 
 
 def _spread_candidates(barcode: Barcode, p: int):
@@ -259,14 +264,16 @@ def _spread_candidates(barcode: Barcode, p: int):
     x a birth and y > x a finite death or +inf, whose multiplicity is not
     divisible by p; the horizon is the least c at which an excluded bar
     contains the 2c-shrink (x + 2c, y - 2c].  Each value is an unreduced
-    pair (n, d) of integers, d >= 0, for n / d, and +inf is (1, 0), so that
-    (n, d) < (n', d') iff n d' < n' d and no Fraction is built per candidate.
+    pair (n, d) of integers for n / d, ranked by `_supremum`, and +inf is
+    (1, 0).  Every value is positive: y > x, and the next ray birth and
+    each excluded bar lie beyond x or y.
 
     One pass over the births in the canonical order of `barcode.items`.  The
     infinite bars (rays) enter only through the multiplicity of those born
     at or before x and the next ray birth after x, so a candidate (x, +inf]
-    costs O(1) and the all-infinite barcodes of the model cost O(n).  Only a
-    candidate with a finite right end scans, and it scans the finite bars.
+    costs O(1) and the all-infinite barcodes of the model cost O(n).  A
+    candidate (x, y], y finite, is counted by `_multiplicity` on integer
+    ends, and only its horizon scans the finite bars, on Fractions.
     """
     births, rays, last = [], [], None  # the distinct births; the rays born at each
     for bar, m, _ in barcode.items:
@@ -277,8 +284,8 @@ def _spread_candidates(barcode: Barcode, p: int):
         if not bar.finite:
             rays[-1] += m
     ranks = [g for g, r in enumerate(rays) if r]  # the ranks of the ray births
-    finite = [(bar.birth, bar.death, m) for bar, m, _ in barcode.items if bar.finite]
-    deaths = sorted({d for _, d, _ in finite})
+    finite = [(bar.birth, bar.death) for bar, _, _ in barcode.items if bar.finite]
+    deaths = sorted({d for _, d in finite})
     below = i = 0
     for g, x in enumerate(births):
         below += rays[g]
@@ -286,14 +293,14 @@ def _spread_candidates(barcode: Barcode, p: int):
             i += 1
         # the next ray birth r after x sets the horizon (r - x) / 2
         r = births[ranks[i]] if i < len(ranks) else None
+        xn, xd = x.as_integer_ratio()
         if below % p:
             yield (1, 0) if r is None else (
-                r.numerator * x.denominator - x.numerator * r.denominator,
-                2 * r.denominator * x.denominator)
+                r.numerator * xd - xn * r.denominator, 2 * r.denominator * xd)
         for y in deaths[bisect_right(deaths, x):]:
-            m = below + sum(k for b, d, k in finite if b <= x and d >= y)
-            if m % p:
-                h = min((max(b - x, y - d) for b, d, _ in finite if b > x or d < y),
+            yn, yd = y.as_integer_ratio()
+            if _multiplicity(barcode, xn * yd, yn * xd, xd * yd) % p:
+                h = min((max(b - x, y - d) for b, d in finite if b > x or d < y),
                         default=INF)
                 c = min((y - x) / 4, min(INF if r is None else r - x, h) / 2)
                 yield c.numerator, c.denominator
@@ -359,12 +366,13 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
       the shifts 0 <= d < min(act(y) - lp(x), kill(y) - act(x)).
 
     So w_spread = max(0, max over nonzero S(y, x) of
-    min(act(y) - lp(x), kill(y) - act(x))).  S is written in the basis by
-    back substitution, exactly and without an inverse.  Returns +inf when no
+    min(act(y) - lp(x), kill(y) - act(x))), the `_supremum` of those values
+    as unreduced integer pairs.  S is written in the basis by back
+    substitution, exactly and without an inverse.  Returns +inf when no
     shift kills the class (e.g. zero-boundary complexes with a nontrivial
-    action, where finiteness needs analytic input the algebra cannot see).
+    action, where finiteness needs analytic input the algebra cannot see):
+    a value is +inf only when lp(x) = -inf and kill(y) = +inf.
     """
-    one = equivariant.complex.field.one()
     # T^p = id was checked when the complex was built and p is prime, so
     # T^k = id iff T = id or p divides k
     if k < 0:
@@ -375,24 +383,21 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     if k % equivariant.p:
         raise ValueError(f"chain map does not satisfy T^{k} = id")
     nf = _NormalForm(equivariant.complex)
-    t_cols = nf.columns(t.columns)
-    # the values are unreduced pairs (n, d) ranked as in `_supremum`; with
-    # lp = -inf as (-1, 0) and kill = +inf as (1, 0), an infinite value has d = 0
+    t_cols, one = nf.columns(t.columns), nf.field.one()
+    # with lp = -inf as (-1, 0) and kill = +inf as (1, 0), an infinite value has d = 0
     act, lp, kill = ([_ratio(v) for v in values] for values in (nf.act, nf.lp, nf.kill))
-    best = (0, 1)
-    for x, b_x in enumerate(nf.basis):
-        s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
-        _axpy(nf.field, s_x, one, b_x)
-        (xn, xd), (ln, ld) = act[x], lp[x]
-        for y, _ in nf.coordinates(s_x):
-            (yn, yd), (kn, kd) = act[y], kill[y]
-            u, v = (yn * ld - ln * yd, yd * ld), (kn * xd - xn * kd, kd * xd)
-            value = u if u[0] * v[1] <= v[0] * u[1] else v
-            if not value[1]:
-                return INF
-            if value[0] * best[1] > best[0] * value[1]:
-                best = value
-    return Fraction(*best)
+
+    def shifts():
+        for x, b_x in enumerate(nf.basis):
+            s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
+            _axpy(nf.field, s_x, one, b_x)
+            (xn, xd), (ln, ld) = act[x], lp[x]
+            for y, _ in nf.coordinates(s_x):
+                (yn, yd), (kn, kd) = act[y], kill[y]
+                u, v = (yn * ld - ln * yd, yd * ld), (kn * xd - xn * kd, kd * xd)
+                yield u if u[0] * v[1] <= v[0] * u[1] else v
+
+    return _supremum(shifts())
 
 
 def _ratio(v) -> tuple[int, int]:
@@ -496,7 +501,8 @@ def full_power_check(module: ZpPersistenceModule, zeta: CyclotomicNumber) -> str
 def full_power_verdict(barcode: Barcode, p: int) -> str:
     """FAIL iff some candidate-interval multiplicity of the eigenspace
     barcode is not divisible by p: the first candidate that
-    `_spread_candidates` yields decides it."""
+    `_spread_candidates` yields decides it.  Every candidate is positive,
+    so this is FAIL iff `mu_from_barcode` > 0, as `egb barcode mu` reads it."""
     return "FAIL" if next(_spread_candidates(barcode, p), None) is not None else "PASS"
 
 

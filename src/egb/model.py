@@ -58,16 +58,17 @@ def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
 def paper_mu_lower_bound(
     model_input: ModelInput,
     eps_frac=Fraction(1, 100),
-    family: dict[int, Barcode] | None = None,
+    *,
+    family: dict[int, Barcode],
 ) -> Fraction:
     """Differential-independent bound c = g(1 - 2 eps)/4 from the minimal
     inter-tuple gap g, for eps in (0, 1/2] so that c >= 0.  The witness
     (a + eps g/2, a + g - eps g/2], a the least action, and its 2c-shrink
     (a + (1 - eps) g/2, a + (1 + eps) g/2] must each have model multiplicity
-    1 (a count not divisible by p), summed over the degrees of the family:
-    multiplicity is additive over a multiset union.  The four ends are
-    integer numerators over one denominator, and c is the one Fraction
-    built."""
+    1 (a count not divisible by p), summed over the degrees of ``family``
+    (the model's `eigenspace_family`): multiplicity is additive over a
+    multiset union.  The four ends are integer numerators over one
+    denominator, and c is the one Fraction built."""
     en, ed = Fraction(eps_frac).as_integer_ratio()
     if not 0 < 2 * en <= ed:
         raise ValueError("eps_frac must lie in (0, 1/2]")
@@ -76,8 +77,6 @@ def paper_mu_lower_bound(
         return Fraction(0)  # fewer than 2 tuples: the gap bound is vacuous
     (an, ad), (gn, gd) = model_input.tuples[0][0].as_integer_ratio(), gap.as_integer_ratio()
     c = Fraction(gn * (ed - 2 * en), 4 * gd * ed)
-    if family is None:
-        family = eigenspace_family(model_input)
     # a = base / den and g/2 = ed u / den, so eps g/2 = en u / den
     base, u, den = 2 * an * ed * gd, ad * gn, 2 * ad * ed * gd
     witness = base + en * u, base + (2 * ed - en) * u

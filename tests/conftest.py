@@ -701,6 +701,12 @@ def ranks_oracle(bars_b: list[Bar], bars_c: list[Bar]):
     return ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
 
 
+def bar_ends(bars: list[Bar]) -> list[tuple]:
+    """The (birth, death) pair of each bar, death None for +inf: the form in
+    which `bottleneck._ranks` reads the bars."""
+    return [(x.birth, x.death if x.finite else None) for x in bars]
+
+
 def bars_by_degree(b: Barcode, c: Barcode) -> list[tuple[list[Bar], list[Bar]]]:
     """(bars of b, bars of c) in each degree of either barcode, one bar per
     unit of multiplicity."""
@@ -1196,8 +1202,8 @@ def mu_p_of_family_oracle(family: dict[int, Barcode], p: int) -> Fraction | floa
     return max(mu_from_barcode_oracle(bc, p) for bc in family.values())
 
 
-def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 100),
-                                family: dict[int, Barcode] | None = None) -> Fraction:
+def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac: Fraction,
+                                family: dict[int, Barcode]) -> Fraction:
     """`paper_mu_lower_bound` on Fractions: the witness is a `Bar` of reduced
     Fraction ends, its 2c-shrink is `shrink` (which refuses c < 0), and
     both are counted by `multiplicity_oracle`."""
@@ -1210,8 +1216,6 @@ def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac=Fraction(1, 10
     a_min = model_input.tuples[0][0]
     witness = Bar(a_min + eps_frac * gap / 2, a_min + gap - eps_frac * gap / 2)
     c = gap * (1 - 2 * eps_frac) / 4
-    if family is None:
-        family = eigenspace_family_oracle(model_input)
     shrunk = shrink(witness, 2 * c)
     m_full = sum(multiplicity_oracle(bc, witness) for bc in family.values())
     m_shrunk = sum(multiplicity_oracle(bc, shrunk) for bc in family.values())
@@ -1474,6 +1478,21 @@ def _frac_or_none(x):
     return None if x is None else frac_str(x)
 
 
+def action_leading(r) -> Fraction:
+    """A record's leading action lam/2 (leading sum), built from its pair."""
+    return Fraction(*r.leading_ratio)
+
+
+def record_det(r) -> Fraction:
+    """A record's det(A_bar - id), built from its pair."""
+    return Fraction(*r.det_ratio)
+
+
+def kink_distance(r) -> Fraction | None:
+    """A record's kink distance, its numerator over `den`; None when rejected."""
+    return None if r.kink_numerator is None else Fraction(r.kink_numerator, r.den)
+
+
 def odd_points(even) -> tuple:
     """(x_{2j+1}, y_{2j+1}) = (-y_{2j+2}, x_{2j}), indices mod 2p, from the
     p even points of an orbit: the intermediate point (x_{2j}, y_{2j+2}) of
@@ -1497,9 +1516,9 @@ def record_to_obj(r) -> dict:
         "even_points": [[frac_str(x), frac_str(y)] for x, y in r.even_points],
         "odd_points": [[frac_str(x), frac_str(y)] for x, y in odd_points(r.even_points)],
         "action_exact": _frac_or_none(r.action),
-        "action_leading": frac_str(r.action_leading),
-        "det": frac_str(r.det),
-        "kink_distance": _frac_or_none(r.kink_distance),
+        "action_leading": frac_str(action_leading(r)),
+        "det": frac_str(record_det(r)),
+        "kink_distance": _frac_or_none(kink_distance(r)),
     }
 
 

@@ -47,6 +47,7 @@ from conftest import (
     phi_block,
     primitive_roots,
     rand_barcode,
+    record_det,
     random_zp_module,
     shrink,
     w_hat_scan_oracle,
@@ -96,11 +97,11 @@ def test_criterion_02_nondegeneracy_and_asymptotics():
     mu, nu = FIXTURE_P2_MU, FIXTURE_P2_NU
     for lam in doubling:
         for r in fixture_records(lam):
-            assert r.det != 0
+            assert record_det(r) != 0
     largest = doubling[-1]
     for r in fixture_records(largest):
         target = F(-eps_bar(r.signs))
-        ratio = r.det / largest ** 4
+        ratio = record_det(r) / largest ** 4
         assert abs(ratio - target) <= F(1, 20) * abs(target)
     from egb.eggbeater import sign_vectors
 

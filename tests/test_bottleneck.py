@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from egb.bottleneck import _adjacency, _feasible, _ranks, bottleneck, hopcroft_karp
 from egb.persistence import Bar, Barcode, INF, is_inf
 
-from conftest import feasible_slot_oracle, rand_barcode, rand_frac
+from conftest import bar_ends, feasible_slot_oracle, rand_barcode, rand_frac
 
 
 def brute_force_bottleneck(b: Barcode, c: Barcode):
@@ -166,7 +166,7 @@ class TestFeasibility:
             if n % 6 == 0:  # a side of short bars: half-length 1/8, below every B-bar's
                 c = Barcode.of(Bar(x, x + F(1, 4)) for x in (rand_frac(rng) for _ in range(3)))
             bars_b, bars_c = b.bars(), c.bars()
-            _, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bars_b, bars_c)
+            _, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bar_ends(bars_b), bar_ends(bars_c))
             adjacency = _adjacency(cost_ranks, len(c_ranks))
             for k in range(len(ordered)):
                 got = _feasible(adjacency, b_ranks, c_ranks, k)

@@ -43,8 +43,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_error(capsys, *argv) -> str:
+    """The stderr of an in-process run that must exit 1 with nothing on
+    stdout and one `error:` line; an exception escaping `main` fails the
+    test as a traceback would."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1, err
+    return err
+
+
 def run_subprocess(*argv, timeout=None):
-    """Run egb in a fresh interpreter, so an escaping exception shows as a traceback."""
+    """Run egb in a fresh interpreter, so an escaping exception shows as a
+    traceback and a hang or a crash cannot take the test session down."""
     src = str(Path(egb.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "egb.cli", *argv],
@@ -118,10 +129,8 @@ class TestFreegroupCommands:
         code, _, err = run(capsys, "freegroup", "si", "0", "3")
         assert code == 1
 
-    def test_itinerary_bad_winding_names_segment(self):
-        proc = run_subprocess("freegroup", "itinerary", "V:A-A:3 V:A-A:x")
-        assert_clean_error(proc)
-        assert proc.stderr == (
+    def test_itinerary_bad_winding_names_segment(self, capsys):
+        assert run_error(capsys, "freegroup", "itinerary", "V:A-A:3 V:A-A:x") == (
             "error: bad winding 'x' in segment 'V:A-A:x'; expected an integer\n")
 
     @pytest.mark.parametrize("argv, what, count", [
@@ -257,10 +266,10 @@ class TestBarcodeCommands:
         code, _, err = run(capsys, "barcode", "decompose", "/nonexistent.json")
         assert code == 1
 
-    def test_numeric_birth_exits_one_without_traceback(self, tmp_path):
+    def test_numeric_birth_exits_one_without_traceback(self, tmp_path, capsys):
         f = tmp_path / "b.json"
         f.write_text(json.dumps([{"birth": 1, "death": "2"}]))
-        assert_clean_error(run_subprocess("barcode", "bottleneck", str(f), str(f)))
+        run_error(capsys, "barcode", "bottleneck", str(f), str(f))
 
     def test_mu_at_second_root_of_p3(self, tmp_path, capsys):
         m = mixed_p3_module()
@@ -395,12 +404,10 @@ class TestSpreadCommand:
         assert "T^3" in err
 
     @pytest.mark.parametrize("k", ["0", "-2"])
-    def test_k_below_one_exits_one(self, tmp_path, k):
+    def test_k_below_one_exits_one(self, tmp_path, capsys, k):
         f = tmp_path / "eq.json"
         f.write_text(json.dumps(killed_swap_obj()))
-        proc = run_subprocess("spread", str(f), "--k", k)
-        assert_clean_error(proc)
-        assert proc.stderr == "error: k must be >= 1\n"
+        assert run_error(capsys, "spread", str(f), "--k", k) == "error: k must be >= 1\n"
 
 
 def respell_zeros(matrix: list, spellings) -> list:
@@ -497,11 +504,9 @@ class TestEggbeaterCommand:
         assert code == 1
 
     @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_count_below_one_exits_one(self, count):
-        proc = run_subprocess("eggbeater", "--fixture", "--lambda", "auto", "--count", count)
-        assert_clean_error(proc)
-        assert proc.stdout == ""
-        assert proc.stderr == "error: count must be >= 1\n"
+    def test_count_below_one_exits_one(self, capsys, count):
+        assert run_error(capsys, "eggbeater", "--fixture", "--lambda", "auto", "--count", count) \
+            == "error: count must be >= 1\n"
 
     def test_off_lattice_exits_one(self, capsys):
         code, _, err = run(capsys, "eggbeater", "--fixture", "--lambda", "841")
@@ -574,22 +579,21 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--p", "2", "--file", str(f))
         assert code == 1
 
-    def test_zero_denominator_exits_one_without_traceback(self, tmp_path):
+    def test_zero_denominator_exits_one_without_traceback(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": "1/0"}]}))
-        assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
+        run_error(capsys, "bounds", "--p", "2", "--file", str(f))
 
-    def test_numeric_action_exits_one_without_traceback(self, tmp_path):
+    def test_numeric_action_exits_one_without_traceback(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": 5}]}))
-        assert_clean_error(run_subprocess("bounds", "--p", "2", "--file", str(f)))
+        run_error(capsys, "bounds", "--p", "2", "--file", str(f))
 
-    def test_p_not_prime_is_named(self, tmp_path):
+    def test_p_not_prime_is_named(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))
-        proc = run_subprocess("bounds", "--p", "4", "--file", str(f))
-        assert_clean_error(proc)
-        assert proc.stderr == "error: p must be prime, got 4\n"
+        assert run_error(capsys, "bounds", "--p", "4", "--file", str(f)) \
+            == "error: p must be prime, got 4\n"
 
     def test_duplicate_actions_exit_one(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
@@ -607,10 +611,8 @@ class TestBoundsCommand:
             assert json.loads(out)["k"] == expected
 
     @pytest.mark.parametrize("k", ["0", "-2"])
-    def test_k_below_one_exits_one(self, k):
-        proc = run_subprocess("bounds", "--p", "2", "--k", k)
-        assert_clean_error(proc)
-        assert proc.stderr == "error: k must be >= 1\n"
+    def test_k_below_one_exits_one(self, capsys, k):
+        assert run_error(capsys, "bounds", "--p", "2", "--k", k) == "error: k must be >= 1\n"
 
     def test_k_one_bounds_by_the_whole_gap(self, capsys):
         code, out, _ = run(capsys, "bounds", "--p", "2", "--k", "1")
@@ -763,11 +765,11 @@ class TestIntegerFields:
         }[command]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_non_integer_exits_one(self, tmp_path, case):
+    def test_non_integer_exits_one(self, tmp_path, capsys, case):
         command, build = self.CASES[case]
         f = tmp_path / "in.json"
         f.write_text(json.dumps(build()))
-        assert_clean_error(run_subprocess(*self.argv(command, str(f))))
+        run_error(capsys, *self.argv(command, str(f)))
 
     def test_integer_strings_and_integral_numbers_accepted(self, tmp_path, capsys):
         obj = self.spread_with(lambda o: o.update(p="2"))
@@ -785,14 +787,13 @@ class TestIntegerFields:
         assert json.loads(out) == {"bottleneck": "0"}
 
 
-    def test_negative_dims_exit_one_naming_dims(self, tmp_path):
+    def test_negative_dims_exit_one_naming_dims(self, tmp_path, capsys):
         """A negative dimension is refused by name before any matrix of
         that shape is read."""
         f = tmp_path / "in.json"
         f.write_text(json.dumps({**TestMalformedMatrices.MODULE, "dims": [0, -1]}))
-        proc = run_subprocess("barcode", "mu", str(f))
-        assert_clean_error(proc)
-        assert proc.stderr == "error: dims must be nonnegative, got [0, -1]\n"
+        assert run_error(capsys, "barcode", "mu", str(f)) \
+            == "error: dims must be nonnegative, got [0, -1]\n"
 
 
 class TestMalformedMatrices:
@@ -827,11 +828,11 @@ class TestMalformedMatrices:
             assert run(capsys, "barcode", command, str(f))[0] == 0
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_one(self, tmp_path, case):
+    def test_exits_one(self, tmp_path, capsys, case):
         command, obj = self.CASES[case]
         f = tmp_path / "in.json"
         f.write_text(json.dumps(obj))
-        assert_clean_error(run_subprocess("barcode", command, str(f)))
+        run_error(capsys, "barcode", command, str(f))
 
 
 class TestMalformedArrays:
@@ -867,13 +868,11 @@ class TestMalformedArrays:
         }[command]
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_one(self, tmp_path, case):
+    def test_exits_one(self, tmp_path, capsys, case):
         command, obj, message = self.CASES[case]
         f = tmp_path / "in.json"
         f.write_text(json.dumps(obj))
-        proc = run_subprocess(*self.argv(command, str(f)))
-        assert_clean_error(proc)
-        assert message in proc.stderr
+        assert message in run_error(capsys, *self.argv(command, str(f)))
 
 
 class TestMissingFields:
@@ -911,13 +910,11 @@ class TestMissingFields:
         assert run(capsys, "spread", str(f))[0] == 0
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exits_one(self, tmp_path, case):
+    def test_exits_one(self, tmp_path, capsys, case):
         argv, obj, message = self.CASES[case]
         f = tmp_path / "in.json"
         f.write_text(json.dumps(obj))
-        proc = run_subprocess(*argv, str(f))
-        assert_clean_error(proc)
-        assert message in proc.stderr
+        assert message in run_error(capsys, *argv, str(f))
 
 
 class TestUnwritableOutput:

@@ -12,6 +12,7 @@ from egb import equivariant
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
+    _supremum,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
     full_power_check,
@@ -472,6 +473,17 @@ class TestSpreadSweep:
                     assert read(counted, p) == read(bc, p)
                     assert counted.reads == 2
 
+    def test_supremum_stops_at_the_first_infinite_pair(self):
+        """+inf is read off the first pair (n, 0): no later pair is drawn."""
+        def pairs():
+            yield 3, 2
+            yield 1, 0
+            raise AssertionError("a pair after +inf was read")
+
+        assert _supremum(pairs()) == INF
+        assert _supremum(iter([(5, 4), (-1, 3), (10, 8)])) == F(5, 4)
+        assert _supremum(iter([(-1, 3)])) == _supremum(iter([])) == 0
+
     def test_ray_horizon_is_half_the_next_birth(self):
         # (0, inf] alone has multiplicity 1 until the ray born at 6 enters
         bc = Barcode.of([(Bar(0, INF), 1), (Bar(6, INF), 1)])
@@ -534,7 +546,37 @@ class TestWSpread:
         )
         t = Matrix.from_rows(QQ_FIELD, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
         eq = EquivariantComplex(2, cx, t)
-        assert w_spread(eq, 2) == d_gap
+        assert w_spread(eq, 2) == scan_w_spread(eq) == d_gap
+
+    @staticmethod
+    def swaps(pairs, killed):
+        """Pairs of generators at each (action, degree) of ``pairs``, swapped
+        by T; ``killed[i] = j`` makes pair j the boundary of pair i, each
+        generator of one killing the same one of the other."""
+        gens = tuple((F(a), d) for a, d in pairs for _ in range(2))
+        n = len(gens)
+        d = [[0] * n for _ in range(n)]
+        for i, j in killed.items():
+            d[2 * j][2 * i] = d[2 * j + 1][2 * i + 1] = 1
+        t = [[1 if r == c ^ 1 else 0 for c in range(n)] for r in range(n)]
+        cx = FilteredComplex(QQ_FIELD, gens, Matrix.from_rows(QQ_FIELD, d))
+        return EquivariantComplex(2, cx, Matrix.from_rows(QQ_FIELD, t))
+
+    @pytest.mark.parametrize("pairs, killed, expected", [
+        # S(b, a) of the pair at 0 has lp(a) = -inf, S(f, e) of its killers
+        # at 1 has kill(f) = +inf, each against a finite other end: 1
+        (((0, 0), (1, 1)), {1: 0}, F(1)),
+        # and a pair at 2 that nothing kills: lp = -inf and kill = +inf on
+        # one entry, read after the finite ones
+        (((0, 0), (1, 1), (2, 0)), {1: 0}, INF),
+        (((2, 0), (0, 0), (1, 1)), {2: 1}, INF),
+        (((0, 0),), {}, INF),
+    ])
+    def test_infinite_ends_match_window_scan(self, pairs, killed, expected):
+        eq = self.swaps(pairs, killed)
+        got = w_spread(eq, 2)
+        assert (got, type(got)) == (expected, type(expected))
+        assert scan_w_spread(eq) == expected
 
     def test_wrong_order_rejected(self):
         cx = FilteredComplex(QQ_FIELD, ((F(0), 0),), Matrix.zeros(QQ_FIELD, 1, 1))

@@ -80,23 +80,25 @@ class TestBuildModel:
 class TestPaperBound:
     def test_substitution_example(self):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        assert paper_mu_lower_bound(model_input, F(1, 8)) == F(3, 2)
+        assert paper_mu_lower_bound(model_input, F(1, 8), family=eigenspace_family(model_input)) \
+            == F(3, 2)
 
     def test_single_tuple_gives_zero(self):
-        assert paper_mu_lower_bound(ModelInput(2, ((F(0), 0),))) == 0
+        model_input = ModelInput(2, ((F(0), 0),))
+        assert paper_mu_lower_bound(model_input, family=eigenspace_family(model_input)) == 0
 
     @pytest.mark.parametrize("eps", [F(0), F(1)])
     def test_eps_endpoints_rejected(self, eps):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
         with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
-            paper_mu_lower_bound(model_input, eps)
+            paper_mu_lower_bound(model_input, eps, family=eigenspace_family(model_input))
 
     def test_grows_linearly_in_lambda(self):
         lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         bounds = []
         for lam in lams:
             model_input, _ = fixture_model(lam)
-            bounds.append(paper_mu_lower_bound(model_input))
+            bounds.append(paper_mu_lower_bound(model_input, family=eigenspace_family(model_input)))
         slope1 = bounds[0] / lams[0]
         slope2 = bounds[1] / lams[1]
         assert bounds[0] > 0
@@ -109,7 +111,7 @@ class TestPaperBound:
             model_input = ModelInput(2, tuple((F(a), 0) for a in actions))
             family = eigenspace_family(model_input)
             model_mu = mu_p_of_family(family, 2)
-            bound = paper_mu_lower_bound(model_input)
+            bound = paper_mu_lower_bound(model_input, family=family)
             assert is_inf(model_mu) or model_mu >= bound
 
 
@@ -235,7 +237,8 @@ class TestWitnessEnds:
     def test_an_extra_bar_on_the_witness_is_refused(self, eps, shrunk):
         model_input = ModelInput(3, ((F(3), 0), (F(5), 1), (F(9), 0)))
         a, g = F(3), F(2)
-        assert paper_mu_lower_bound(model_input, eps) == g * (1 - 2 * eps) / 4
+        assert paper_mu_lower_bound(model_input, eps, family=eigenspace_family(model_input)) \
+            == g * (1 - 2 * eps) / 4
         half = (1 - eps) * g / 2 if shrunk else eps * g / 2
         family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a + half, a + g - half)])}
         with pytest.raises(AssertionError, match="does not have model multiplicity 1"):
@@ -252,9 +255,10 @@ class TestWitnessEnds:
 
     def test_eps_above_one_half_is_a_negative_shrink(self):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        assert paper_mu_lower_bound(model_input, F(1, 2)) == 0
+        family = eigenspace_family(model_input)
+        assert paper_mu_lower_bound(model_input, F(1, 2), family=family) == 0
         with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
-            paper_mu_lower_bound(model_input, F(999999, 10 ** 6))
+            paper_mu_lower_bound(model_input, F(999999, 10 ** 6), family=family)
 
 
 class TestNoResort:

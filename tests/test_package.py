@@ -56,6 +56,11 @@ def code_spans(markdown: str) -> str:
     return "\n".join(re.findall(r"```.*?```|`[^`]+`", markdown, flags=re.S))
 
 
+def fenced_python(markdown: str) -> str:
+    """The code of the fenced python blocks of a Markdown source."""
+    return "\n".join(re.findall(r"```python\n(.*?)```", markdown, flags=re.S))
+
+
 def derived_fields(cls: ast.ClassDef) -> list[str]:
     """The dataclass fields of a class that are set when it is built, not
     passed in: those declared with ``init=False``."""
@@ -78,16 +83,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     """Each public module-level function or class of `src/egb` is named in the
     library outside its own definition, in `bench/`, in `scripts/` or in the
     README's code, and each public method or property of its classes is read
-    as an attribute there (or named in the README's code): a construction
-    only the tests use belongs in `tests/conftest.py`.  The methods that the
-    tracer wraps by name are the exceptions: its wrappers read them.  Each
-    derived (``init=False``) dataclass field is read as an attribute outside
-    its class, in `src/egb`, `bench/` or `scripts/`: a field only the tests
-    read is not stored."""
+    as an attribute in the library outside its own definition, in `bench/`,
+    in `scripts/` or in the README's fenced python code: a construction only
+    the tests use belongs in `tests/conftest.py`, and a backtick word of the
+    README's prose reads nothing.  The methods that the tracer wraps by name
+    are the exceptions: its wrappers read them.  Each derived
+    (``init=False``) dataclass field is read as an attribute outside its
+    class, in `src/egb`, `bench/` or `scripts/`: a field only the tests read
+    is not stored."""
     library = {path: path.read_text() for path in sorted((ROOT / "src" / "egb").glob("*.py"))}
     read = {path: attributes(text) for path, text in library.items()}
     callers = [path.read_text() for d in ("bench", "scripts") for path in (ROOT / d).glob("*.py")]
-    readme = code_spans((ROOT / "README.md").read_text())
+    markdown = (ROOT / "README.md").read_text()
+    readme = code_spans(markdown)
+    tour = {name for name, _ in attributes(fenced_python(markdown))}
     outside = {name for text in callers for name, _ in attributes(text)}
     traced = traced_methods()
 
@@ -113,8 +122,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if (not isinstance(method, ast.FunctionDef) or method.name.startswith("_")
                         or (path.stem, node.name, method.name) in traced):
                     continue
-                if (method.name not in reads_outside(path, method)
-                        and not re.search(rf"\b{method.name}\b", readme)):
+                if method.name not in tour | reads_outside(path, method):
                     orphans.append(f"{path.stem}.{node.name}.{method.name}")
             orphans += [f"{path.stem}.{node.name}.{name}" for name in derived_fields(node)
                         if name not in reads_outside(path, node)]

@@ -65,6 +65,7 @@ from egb.serialize import (
 )
 
 from conftest import (
+    bar_ends,
     bars_by_degree,
     barcode_of_module_oracle,
     bottleneck_oracle,
@@ -401,7 +402,7 @@ def test_integer_ranks_give_the_fraction_candidates(items_b, items_c):
     the oracle's, on small and ~600-bit values, rays and multiplicities."""
     b, c = Barcode(tuple(items_b)), Barcode(tuple(items_c))
     for bars_b, bars_c in bars_by_degree(b, c):
-        den, ordered, *ranks = _ranks(bars_b, bars_c)
+        den, ordered, *ranks = _ranks(bar_ends(bars_b), bar_ends(bars_c))
         want_ordered, *want_ranks = ranks_oracle(bars_b, bars_c)
         assert ranks == want_ranks
         assert [Fraction(v, den) for v in ordered] == want_ordered
@@ -843,6 +844,35 @@ def test_spread_candidates_on_integers_give_the_grid_oracle(items, p):
     assert full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p)
 
 
+@st.composite
+def shared_end_barcodes(draw, p: int):
+    """A barcode over a few ends, so that bars share a birth or a death:
+    rays and multiplicities 1 to 4, every multiplicity times p in about half
+    of the draws (a full p-th power); the empty barcode is an example."""
+    ends = sorted(draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                                min_size=1, max_size=4, unique=True)))
+    items = []
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(ends) - 1))
+        death = draw(st.sampled_from([*ends[i + 1:], INF]))
+        items.append((Bar(ends[i], death), draw(st.integers(1, 4)), None))
+    return Barcode(tuple(items)).repeat(p if draw(st.booleans()) else 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from((2, 3, 5)).flatmap(
+    lambda p: st.tuples(shared_end_barcodes(p), st.just(p))))
+@example((Barcode.empty(), 2))
+@example((Barcode.of([(Bar(0, INF), 2), (Bar(0, 3), 4), (Bar(1, 3), 2)]), 2))
+@example((Barcode.of([(Bar(0, INF), 2), (Bar(0, 3), 3)]), 3))
+def test_verdict_is_fail_iff_mu_is_positive(case):
+    """Every spread candidate is positive, so the verdict that `egb barcode
+    mu` reads off mu is the first-candidate verdict and the grid oracle's."""
+    bc, p = case
+    by_mu = "FAIL" if mu_from_barcode(bc, p) > 0 else "PASS"
+    assert by_mu == full_power_verdict(bc, p) == full_power_verdict_oracle(bc, p)
+
+
 # -- the bounds report on the order ModelInput sorted ---------------------------
 
 EPS = st.one_of(st.sampled_from((Fraction(1, 10 ** 6), Fraction(999999, 10 ** 6),
@@ -871,9 +901,9 @@ def families(draw):
             for r in draw(st.permutations(range(4)))}
 
 
-def outcome(f, *args):
+def outcome(f, *args, **kwargs):
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except (ValueError, AssertionError) as e:
         return type(e), str(e)
 
@@ -950,6 +980,9 @@ def test_paper_bound_equals_the_fraction_witness(model_input, eps, data):
             death = data.draw(st.sampled_from([m for m in marks if m > birth] + [INF]))
             bars = extra.get(r, Barcode.empty()).items + ((Bar(birth, death), 1, None),)
             extra[r] = Barcode(bars)
-    for family in (None, {**eigenspace_family(model_input), **extra}):
-        assert (outcome(paper_mu_lower_bound, model_input, eps, family)
-                == outcome(paper_mu_lower_bound_oracle, model_input, eps, family))
+    assert (outcome(paper_mu_lower_bound, model_input, eps, family=eigenspace_family(model_input))
+            == outcome(paper_mu_lower_bound_oracle, model_input, eps,
+                       eigenspace_family_oracle(model_input)))
+    family = {**eigenspace_family(model_input), **extra}
+    assert (outcome(paper_mu_lower_bound, model_input, eps, family=family)
+            == outcome(paper_mu_lower_bound_oracle, model_input, eps, family))
