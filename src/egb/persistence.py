@@ -211,14 +211,15 @@ def _multiplicity(barcode: Barcode, lo: int, hi: int | None, den: int) -> int:
     """Number of bars containing (lo/den, hi/den], hi None for +inf, on
     integers: each end is compared by cross products with den > 0, and the
     count stops at the first bar born after lo/den, since the items are
-    sorted by birth."""
+    sorted by birth.  A death is a Fraction or the +inf float, so a float
+    death is +inf."""
     total = 0
     for bar, m, _ in barcode.items:
         b = bar.birth
         if b.numerator * den > lo * b.denominator:
             break
         e = bar.death
-        if is_inf(e) or hi is not None and e.numerator * den >= hi * e.denominator:
+        if type(e) is float or hi is not None and e.numerator * den >= hi * e.denominator:
             total += m
     return total
 

@@ -22,7 +22,7 @@ from egb.equivariant import (
     cyclic_tuple_module,
     mu_p,
 )
-from egb.bottleneck import _adjacency, _feasible, hopcroft_karp
+from egb.bottleneck import hopcroft_karp
 from egb.eggbeater import _eps, sign_vectors
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Field, Matrix, RationalField, cyclo_zeta, is_prime,
@@ -654,31 +654,35 @@ def gap_cuts(complex_: FilteredComplex) -> list[Fraction]:
 # -- bottleneck oracle -------------------------------------------------------
 
 
-def feasible_slot_oracle(cost_ranks: list[list[int]], b_ranks: list[int],
-                         c_ranks: list[int], k: int) -> bool:
+def feasible_slot_oracle(costs: list[list], half_b: list, half_c: list, delta) -> bool:
     """Oracle of `bottleneck._feasible` by one matching on the augmented
-    graph: B-bars and one deletion slot per C-bar on the left, C-bars and one
-    deletion slot per B-bar on the right, slots joined to every slot of the
-    other side; a delta-matching exists iff the left side is matched."""
-    nb, nc = len(b_ranks), len(c_ranks)
+    graph at the value ``delta``: B-bars and one deletion slot per C-bar on
+    the left, C-bars and one deletion slot per B-bar on the right, slots
+    joined to every slot of the other side, a pair joined iff its cost is
+    <= delta and a bar to its own slot iff its half-length is; a
+    delta-matching exists iff the left side is matched.  Costs and
+    half-lengths are Fractions or +inf."""
+    nb, nc = len(half_b), len(half_c)
     adjacency: dict = {}
-    for i, row in enumerate(cost_ranks):
-        edges = [("c", j) for j, r in enumerate(row) if r <= k]
-        if b_ranks[i] <= k:
+    for i, row in enumerate(costs):
+        edges = [("c", j) for j, cost in enumerate(row) if cost <= delta]
+        if half_b[i] <= delta:
             edges.append(("bslot", i))
         adjacency[("b", i)] = edges
-    for j, r in enumerate(c_ranks):
-        edges = [("c", j)] if r <= k else []
+    for j, h in enumerate(half_c):
+        edges = [("c", j)] if h <= delta else []
         edges.extend(("bslot", i) for i in range(nb))
         adjacency[("cslot", j)] = edges
     left_order = [("b", i) for i in range(nb)] + [("cslot", j) for j in range(nc)]
     return len(hopcroft_karp(adjacency, left_order)) == nb + nc
 
 
-def ranks_oracle(bars_b: list[Bar], bars_c: list[Bar]):
-    """`bottleneck._ranks` on Fractions: the finite candidates {0, pair
-    costs, half-lengths} as a sorted list of Fractions, and the ranks of the
-    pair costs and half-lengths among them, +inf ranking past them all."""
+def costs_oracle(bars_b: list[Bar], bars_c: list[Bar]):
+    """The full matching graph of two lists of bars, on Fractions: the
+    finite candidates {0, pair costs, half-lengths} in increasing order, the
+    cost of each pair of a B-bar and a C-bar, and each bar's half-length.  A
+    pair costs max(|birth diff|, |death diff|), |birth diff| for two rays,
+    and +inf across finiteness; a ray's half-length is +inf."""
 
     def pair_cost(b1: Bar, b2: Bar):
         if b1.finite != b2.finite:
@@ -692,19 +696,7 @@ def ranks_oracle(bars_b: list[Bar], bars_c: list[Bar]):
     half_c = [y.length / 2 if y.finite else INF for y in bars_c]
     costs = [[pair_cost(x, y) for y in bars_c] for x in bars_b]
     candidates = {Fraction(0), *half_b, *half_c, *(cost for row in costs for cost in row)}
-    ordered = sorted(v for v in candidates if not is_inf(v))
-    rank = {v: k for k, v in enumerate(ordered)}
-
-    def ranks(values) -> list[int]:
-        return [rank.get(v, len(ordered)) for v in values]
-
-    return ordered, [ranks(row) for row in costs], ranks(half_b), ranks(half_c)
-
-
-def bar_ends(bars: list[Bar]) -> list[tuple]:
-    """The (birth, death) pair of each bar, death None for +inf: the form in
-    which `bottleneck._ranks` reads the bars."""
-    return [(x.birth, x.death if x.finite else None) for x in bars]
+    return sorted(v for v in candidates if not is_inf(v)), costs, half_b, half_c
 
 
 def bars_by_degree(b: Barcode, c: Barcode) -> list[tuple[list[Bar], list[Bar]]]:
@@ -718,19 +710,16 @@ def bars_by_degree(b: Barcode, c: Barcode) -> list[tuple[list[Bar], list[Bar]]]:
 
 
 def bottleneck_oracle(b: Barcode, c: Barcode):
-    """`bottleneck` on the Fraction candidates of `ranks_oracle`: per degree,
-    +inf if the ray counts differ, else the least candidate that
-    `_feasible` accepts; the maximum over the degrees, 0 for none."""
+    """`bottleneck` by `feasible_slot_oracle` on the full graph of each
+    degree, rays included: the least candidate of `costs_oracle` at which a
+    delta-matching exists, +inf if none does (the ray counts differ); the
+    maximum over the degrees, 0 for none."""
     distances = []
     for bars_b, bars_c in bars_by_degree(b, c):
-        if sum(not x.finite for x in bars_b) != sum(not x.finite for x in bars_c):
-            distances.append(INF)
-            continue
-        ordered, cost_ranks, b_ranks, c_ranks = ranks_oracle(bars_b, bars_c)
-        adjacency = _adjacency(cost_ranks, len(c_ranks))
-        k = bisect.bisect_left(range(len(ordered)), True,
-                               key=lambda k: _feasible(adjacency, b_ranks, c_ranks, k))
-        distances.append(ordered[k])
+        ordered, costs, half_b, half_c = costs_oracle(bars_b, bars_c)
+        k = bisect.bisect_left(ordered, True,
+                               key=lambda delta: feasible_slot_oracle(costs, half_b, half_c, delta))
+        distances.append(ordered[k] if k < len(ordered) else INF)
     return max(distances, default=Fraction(0))
 
 

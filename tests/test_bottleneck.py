@@ -1,10 +1,13 @@
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
 from fractions import Fraction as F
 
-from egb.bottleneck import _adjacency, _feasible, _ranks, bottleneck, hopcroft_karp
+from egb.bottleneck import _adjacency, _costs, _feasible, bottleneck, hopcroft_karp
 from egb.persistence import Bar, Barcode, INF, is_inf
 
-from conftest import bar_ends, feasible_slot_oracle, rand_barcode, rand_frac
+from conftest import (
+    bottleneck_oracle, costs_oracle, feasible_slot_oracle, rand_barcode, rand_frac,
+)
 
 
 def brute_force_bottleneck(b: Barcode, c: Barcode):
@@ -155,10 +158,92 @@ class TestDegrees:
         assert mixed > 20
 
 
+class TestRays:
+    """A ray matches only a ray, the i-th smallest birth of one side to the
+    i-th of the other."""
+
+    def test_crossing_pairs_are_uncrossed(self):
+        b = Barcode.of([(Bar(0, INF), 1), (Bar(10, INF), 1)])
+        c = Barcode.of([(Bar(1, INF), 1), (Bar(11, INF), 1)])
+        assert bottleneck(b, c) == 1  # 0-1 and 10-11, not 0-11 and 10-1
+        assert bottleneck(b, c) == bottleneck_oracle(b, c)
+
+    def test_rays_in_several_degrees_against_the_oracle(self, rng):
+        """Rays only, in degrees None, 0 and 1, with multiplicities, small and
+        ~600-bit births; in 9 pairs of 10 each degree has as many rays on
+        both sides, and the distance is +inf exactly when it does not."""
+        def births(n, count):
+            return [F(rng.getrandbits(620) - 2 ** 619, rng.getrandbits(600) | 1)
+                    if n % 3 == 0 else rand_frac(rng) for _ in range(count)]
+
+        def degrees():
+            return [(rng.randint(1, 2), rng.choice((None, 0, 1))) for _ in range(rng.randint(0, 6))]
+
+        def rays(n, degrees):
+            return Barcode.of((Bar(x, INF), m, d)
+                              for (m, d), x in zip(degrees, births(n, len(degrees))))
+
+        seen = set()
+        for n in range(150):
+            b_degrees = degrees()
+            b, c = rays(n, b_degrees), rays(n, b_degrees if n % 10 else degrees())
+            got, want = bottleneck(b, c), bottleneck_oracle(b, c)
+            assert (got, type(got)) == (want, type(want))
+            differ = Counter(d for _, d in b.expand()) != Counter(d for _, d in c.expand())
+            assert is_inf(got) == differ
+            seen.add(differ)
+        assert seen == {True, False}
+
+    def test_the_larger_part_wins(self, rng):
+        """The distance is the larger of the ray part and the finite part,
+        and each of them is the larger one on some pairs."""
+        assert bottleneck(Barcode.of([(Bar(0, INF), 1), (Bar(0, 2), 1)]),
+                          Barcode.of([(Bar(5, INF), 1), (Bar(0, 2), 1)])) == 5
+        assert bottleneck(Barcode.of([(Bar(0, INF), 1), (Bar(0, 10), 1)]),
+                          Barcode.of([(Bar(1, INF), 1)])) == 5
+        wins = set()
+        for _ in range(200):
+            b, c = (rand_barcode(rng, max_bars=3, max_mult=2, allow_infinite=False)
+                    for _ in range(2))
+            births = [rand_frac(rng) for _ in range(rng.randint(1, 3))]
+            rays_b = [(Bar(x, INF), 1) for x in births]
+            rays_c = [(Bar(x + rand_frac(rng), INF), 1) for x in births]
+            b, c = Barcode.of(list(b.items) + rays_b), Barcode.of(list(c.items) + rays_c)
+            ray_part = bottleneck(Barcode.of(rays_b), Barcode.of(rays_c))
+            finite_part = bottleneck(Barcode.of(bar for bar in b.bars() if bar.finite),
+                                     Barcode.of(bar for bar in c.bars() if bar.finite))
+            if len(b.bars()) + len(c.bars()) <= 8:
+                assert bottleneck(b, c) == brute_force_bottleneck(b, c)
+            assert bottleneck(b, c) == max(ray_part, finite_part) == bottleneck_oracle(b, c)
+            if ray_part != finite_part:
+                wins.add("rays" if ray_part > finite_part else "finite")
+        assert wins == {"rays", "finite"}
+
+    def test_many_rays_of_300_bits_take_little_memory(self, rng):
+        """100 rays a side with ~300-bit births, beside a few small finite
+        bars: no ray birth enters the finite bars' denominator and no ray
+        pair is costed, so the peak stays under 1 MB."""
+        def side():
+            rays = [(Bar(F(rng.getrandbits(300), rng.getrandbits(300) | 1), INF), 1)
+                    for _ in range(100)]
+            return Barcode.of(rays + [(Bar(k, k + rng.randint(1, 9)), 1) for k in range(10)])
+
+        b, c = side(), side()
+        tracemalloc.start()
+        try:
+            got = bottleneck(b, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert got == bottleneck_oracle(b, c)
+
+
 class TestFeasibility:
     def test_against_slot_oracle(self, rng):
         """Two one-sided matchings decide a delta-matching like one matching
-        on the graph with deletion slots, at every candidate."""
+        on the graph with deletion slots, at every candidate value, on the
+        full graph: rays included, +inf costs across finiteness."""
         seen = set()
         for n in range(240):
             b = rand_barcode(rng, max_bars=4, max_mult=2)
@@ -166,18 +251,38 @@ class TestFeasibility:
             if n % 6 == 0:  # a side of short bars: half-length 1/8, below every B-bar's
                 c = Barcode.of(Bar(x, x + F(1, 4)) for x in (rand_frac(rng) for _ in range(3)))
             bars_b, bars_c = b.bars(), c.bars()
-            _, ordered, cost_ranks, b_ranks, c_ranks = _ranks(bar_ends(bars_b), bar_ends(bars_c))
-            adjacency = _adjacency(cost_ranks, len(c_ranks))
-            for k in range(len(ordered)):
-                got = _feasible(adjacency, b_ranks, c_ranks, k)
-                assert got == feasible_slot_oracle(cost_ranks, b_ranks, c_ranks, k)
+            ordered, costs, half_b, half_c = costs_oracle(bars_b, bars_c)
+            adjacency = _adjacency(costs, len(bars_c))
+            for delta in ordered:
+                got = _feasible(adjacency, half_b, half_c, delta)
+                assert got == feasible_slot_oracle(costs, half_b, half_c, delta)
                 seen.add(got)
-                if any(r > k for r in b_ranks) and not any(r > k for r in c_ranks):
+                if any(h > delta for h in half_b) and not any(h > delta for h in half_c):
                     seen.add("one side short")
             seen.update(("empty" for side in (bars_b, bars_c) if not side),
                         ("ray" for x in bars_b + bars_c if not x.finite),
                         ("mult" for bc in (b, c) for _, m, _ in bc.items if m > 1))
         assert seen == {True, False, "one side short", "empty", "ray", "mult"}
+
+    def test_between_two_candidates_as_at_the_lower(self, rng):
+        """On the integer costs of finite bars, a delta strictly between two
+        consecutive candidates decides as the lower one does, since no cost
+        or half-length lies between them."""
+        seen = set()
+        for _ in range(120):
+            b, c = (rand_barcode(rng, max_bars=4, max_mult=2, allow_infinite=False)
+                    for _ in range(2))
+            ends_b, ends_c = ([(x.birth, x.death) for x in bc.bars()] for bc in (b, c))
+            _, costs, half_b, half_c = _costs(ends_b, ends_c)
+            ordered = sorted({0, *half_b, *half_c, *(x for row in costs for x in row)})
+            adjacency = _adjacency(costs, len(ends_c))
+            for lower, upper in zip(ordered, ordered[1:]):
+                got = _feasible(adjacency, half_b, half_c, lower)
+                for delta in (F(lower + upper, 2), F(lower * 999 + upper, 1000)):
+                    assert _feasible(adjacency, half_b, half_c, delta) == got
+                    assert feasible_slot_oracle(costs, half_b, half_c, delta) == got
+                seen.add(got)
+        assert seen == {True, False}
 
 
 def recursive_hopcroft_karp(adjacency: dict, left_order: list) -> dict:

@@ -1,6 +1,7 @@
 """The package `egb` re-exports nothing: each name is imported from its own
 module, and importing one module loads only what that module needs.  Every
-public name and derived field of the library has a reader outside the tests."""
+public name and derived field of the library has a reader outside the tests,
+and every private helper a reader in the library."""
 
 import ast
 import importlib.util
@@ -77,6 +78,45 @@ def traced_methods() -> set[tuple[str, str, str]]:
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return set(spans.METHODS)
+
+
+def names_read(text: str) -> list[tuple[str, int]]:
+    """(name, line) of each name ``name`` and attribute ``x.name`` read in a
+    Python source."""
+    return [(node.id, node.lineno) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)] + attributes(text)
+
+
+def test_every_private_helper_is_read_in_the_library():
+    """Each private (one leading underscore) module-level function or class
+    of `src/egb`, and each private method of its classes, is read as a name
+    or an attribute in `src/egb` outside its own definition: a helper only
+    the tests call is not kept.  The names that the tracer wraps by name,
+    `bench/spans.py` `METHODS`, are the exceptions."""
+    library = {path: path.read_text() for path in sorted((ROOT / "src" / "egb").glob("*.py"))}
+    read = {path: names_read(text) for path, text in library.items()}
+    traced = {name for triple in traced_methods() for name in triple[1:]}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__") and name not in traced
+
+    def unread(path, node) -> bool:
+        own = range(node.lineno, node.end_lineno + 1)
+        return not any(name == node.name and (q != path or line not in own)
+                       for q, names in read.items() for name, line in names)
+
+    orphans = []
+    for path, text in library.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if private(node.name) and unread(path, node):
+                orphans.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                orphans += [f"{path.stem}.{node.name}.{method.name}" for method in node.body
+                            if isinstance(method, ast.FunctionDef) and private(method.name)
+                            and unread(path, method)]
+    assert orphans == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

@@ -34,7 +34,7 @@ from egb.equivariant import (
     spread_lower_bound_from_gaps,
     w_spread,
 )
-from egb.bottleneck import _ranks, bottleneck
+from egb.bottleneck import _costs, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
@@ -65,12 +65,12 @@ from egb.serialize import (
 )
 
 from conftest import (
-    bar_ends,
     bars_by_degree,
     barcode_of_module_oracle,
     bottleneck_oracle,
     canonical_items_oracle,
     complex_checks_oracle,
+    costs_oracle,
     dense_matrix,
     det_oracle,
     echelon_oracle,
@@ -95,7 +95,6 @@ from conftest import (
     random_filtered_complex,
     random_zp_module,
     rank_oracle,
-    ranks_oracle,
     shift_diagonal,
     solve_matrix_oracle,
     sparse_oracle,
@@ -396,18 +395,56 @@ def test_barcode_canonical_form_is_the_fraction_one(items):
 @given(bar_items(), bar_items())
 @example([(Bar(0, 4), 1, None)], [])
 @example([(Bar(Fraction(1, 3), INF), 2, 0)], [(Bar(Fraction(1, 2), INF), 2, 0)])
-def test_integer_ranks_give_the_fraction_candidates(items_b, items_c):
-    """The integer candidates over the denominator that `_ranks` returns are
-    the Fraction ones of the oracle, with the same ranks, and the distance is
-    the oracle's, on small and ~600-bit values, rays and multiplicities."""
+def test_integer_costs_give_the_fraction_ones(items_b, items_c):
+    """Over the denominator that `_costs` returns, its integer pair costs
+    and half-lengths of the finite bars are the oracle's Fractions, and the
+    distance is the oracle's, on small and ~600-bit values, rays and
+    multiplicities."""
     b, c = Barcode(tuple(items_b)), Barcode(tuple(items_c))
     for bars_b, bars_c in bars_by_degree(b, c):
-        den, ordered, *ranks = _ranks(bar_ends(bars_b), bar_ends(bars_c))
-        want_ordered, *want_ranks = ranks_oracle(bars_b, bars_c)
-        assert ranks == want_ranks
-        assert [Fraction(v, den) for v in ordered] == want_ordered
+        finite_b, finite_c = ([x for x in bars if x.finite] for bars in (bars_b, bars_c))
+        den, costs, *halves = _costs(*([(x.birth, x.death) for x in bars]
+                                       for bars in (finite_b, finite_c)))
+        _, want_costs, *want_halves = costs_oracle(finite_b, finite_c)
+        assert [[Fraction(v, den) for v in row] for row in costs] == want_costs
+        assert [[Fraction(v, den) for v in half] for half in halves] == want_halves
     got, want = bottleneck(b, c), bottleneck_oracle(b, c)
     assert (got, type(got)) == (want, type(want))
+
+
+@st.composite
+def ray_pairs(draw):
+    """Two barcodes of rays only, over `exact_values` births, in degrees
+    None, 0 and 1 with multiplicities up to 3; the second has the first's
+    count in each degree unless the draw says otherwise."""
+    values = draw(exact_values())
+
+    def rays(degrees):
+        return Barcode.of((Bar(draw(st.sampled_from(values)), INF), m, d) for m, d in degrees)
+
+    degree_lists = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((None, 0, 1))),
+                            max_size=8)
+    degrees = draw(degree_lists)
+    return rays(degrees), rays(degrees if draw(st.booleans()) else draw(degree_lists))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ray_pairs())
+@example((Barcode.of([(Bar(0, INF), 2, 0), (Bar(10, INF), 1, 1)]),
+          Barcode.of([(Bar(1, INF), 1, 0), (Bar(1, INF), 1, 0), (Bar(11, INF), 1, 1)])))
+def test_rays_match_rays_by_sorting(pair):
+    """On rays alone the distance is the oracle's, the largest birth
+    difference of the sorted births in some degree, +inf iff a degree's ray
+    counts differ."""
+    b, c = pair
+    got, want = bottleneck(b, c), bottleneck_oracle(b, c)
+    assert (got, type(got)) == (want, type(want))
+    births = [[sorted(x.birth for x in bars) for bars in pair] for pair in bars_by_degree(b, c)]
+    if any(len(xs) != len(ys) for xs, ys in births):
+        assert got == INF
+    else:
+        assert got == max((abs(x - y) for xs, ys in births for x, y in zip(xs, ys)),
+                          default=Fraction(0))
 
 
 @PROPERTY
