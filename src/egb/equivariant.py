@@ -543,12 +543,7 @@ def cyclic_tuple_module(action_value, p: int, death=INF) -> ZpPersistenceModule:
 def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int, Barcode]:
     """F'(r) = union over i of betti[i] copies of F(r - i); betti[0] must be 1
     (connected stabilizing factor)."""
-    if not betti or betti[0] != 1:
-        raise ValueError("betti[0] must be 1 (connected factor)")
-    if any(type(b) is not int for b in betti):
-        raise ValueError(f"betti numbers must be ints, got {betti!r}")
-    if any(b < 0 for b in betti):
-        raise ValueError("betti numbers must be nonnegative")
+    _check_betti(betti)
     pieces: dict[int, list[Barcode]] = {}
     for r, barcode in family.items():
         for i, b in enumerate(betti):
@@ -558,3 +553,14 @@ def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int,
     # a lone piece is canonical already; several are merged and sorted once
     return {t: ps[0] if len(ps) == 1 else Barcode(tuple(e for bc in ps for e in bc.items))
             for t, ps in pieces.items()}
+
+
+def _check_betti(betti: list[int]) -> None:
+    """Refuse a betti vector of a stabilizing factor: betti[0] = 1
+    (connected), every entry a nonnegative int."""
+    if not betti or betti[0] != 1:
+        raise ValueError("betti[0] must be 1 (connected factor)")
+    if any(type(b) is not int for b in betti):
+        raise ValueError(f"betti numbers must be ints, got {betti!r}")
+    if any(b < 0 for b in betti):
+        raise ValueError("betti numbers must be nonnegative")

@@ -4,17 +4,20 @@ Every p-tuple of fixed points contributes p generators born at its action
 with the cyclic rotation action; the zero-differential model makes all bars
 infinite.  Two bounds are always reported side by side: the exact spread of
 that model (model-dependent) and the window bound from the action gap,
-which is valid no matter what the unknown differential does.
+which is valid no matter what the unknown differential does.  The report
+reads both in closed form off the sorted actions; `eigenspace_family`
+builds the model's barcodes for the SVG and the general graded route.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .equivariant import kunneth_stabilize, mu_p_of_family
+from .equivariant import _check_betti, _supremum
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, _canonical, _multiplicity, _order_key, is_inf, min_gap
+from .persistence import Bar, Barcode, INF, _canonical, _least_gap, is_inf
 
 
 @dataclass(frozen=True)
@@ -30,10 +33,14 @@ class ModelInput:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        keyed = sorted((_order_key(a if isinstance(a, Fraction) else Fraction(a)), int(d))
-                       for a, d in self.tuples)
-        object.__setattr__(self, "tuples", tuple((a, d) for (_, a), d in keyed))
-        gap = min_gap(a.as_integer_ratio() for a, _ in self.tuples)
+        keyed = []
+        for a, d in self.tuples:
+            a = a if isinstance(a, Fraction) else Fraction(a)
+            n, den = a.as_integer_ratio()
+            keyed.append(((n << 64) // den, n, den, a, int(d)))
+        keyed.sort()
+        gap = _least_gap(keyed)  # which leaves `keyed` in exact order
+        object.__setattr__(self, "tuples", tuple((a, d) for *_, a, d in keyed))
         if gap == 0:
             raise ValueError("tuple actions must be pairwise distinct")
         object.__setattr__(self, "gap", gap)
@@ -45,30 +52,63 @@ def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
     Every p-th root of unity is a simple eigenvalue of the cyclic
     permutation, so each tuple (action, degree) adds exactly one bar
     (action, +inf] to ``family[degree]``, whichever root is chosen."""
-    if not model_input.tuples:
-        raise ValueError("model needs at least one tuple")
-    # the tuples are sorted on `_order_key` with distinct actions, so each
-    # degree's rays are already merged and in canonical order
+    # the tuples are sorted by action, which is distinct, so each degree's
+    # rays are already merged and in canonical order
     rays: dict[int, list] = {}
-    for a, d in model_input.tuples:
+    for a, d in _tuples(model_input):
         rays.setdefault(d, []).append((Bar(a, INF), 1, None))
     return {r: _canonical(rays[r]) for r in sorted(rays)}
 
 
-def paper_mu_lower_bound(
-    model_input: ModelInput,
-    eps_frac=Fraction(1, 100),
-    *,
-    family: dict[int, Barcode],
-) -> Fraction:
+def _tuples(model_input: ModelInput) -> tuple[tuple[Fraction, int], ...]:
+    """The sorted tuples of a model, which needs at least one."""
+    if not model_input.tuples:
+        raise ValueError("model needs at least one tuple")
+    return model_input.tuples
+
+
+def _model_spread_pairs(tuples, betti: list[int], p: int):
+    """The spread candidates of the model stabilized by ``betti``, as the
+    unreduced integer pairs that `equivariant._supremum` ranks.
+
+    In degree t the tuple (a, d) adds betti[t - d] rays (a, +inf], so each
+    degree's barcode is rays alone, born at the sorted actions.  Its
+    candidates are the births x whose running count is not divisible by p,
+    each worth (r - x)/2, r the next birth in that degree, or +inf, (1, 0),
+    when there is none: the last birth's count is the degree's total.  So a
+    total not divisible by p gives +inf, read off the count of tuples per
+    degree, before any pair; else one pass over ``tuples``, sorted with
+    distinct actions, yields the finite pairs.  No bar is built."""
+    weights = [(i, b) for i, b in enumerate(betti) if b]
+    totals: dict[int, int] = {}
+    for d, n in Counter(d for _, d in tuples).items():
+        for i, b in weights:
+            totals[d + i] = totals.get(d + i, 0) + b * n
+    if any(c % p for c in totals.values()):
+        yield 1, 0
+        return
+    count, open_birth = dict.fromkeys(totals, 0), {}  # the birth awaiting its r
+    for a, d in tuples:
+        an, ad = a.as_integer_ratio()
+        for i, b in weights:
+            t = d + i
+            if x := open_birth.get(t):
+                yield an * x[1] - x[0] * ad, 2 * ad * x[1]
+            count[t] = c = count[t] + b
+            open_birth[t] = (an, ad) if c % p else None
+
+
+def paper_mu_lower_bound(model_input: ModelInput, eps_frac=Fraction(1, 100)) -> Fraction:
     """Differential-independent bound c = g(1 - 2 eps)/4 from the minimal
     inter-tuple gap g, for eps in (0, 1/2] so that c >= 0.  The witness
     (a + eps g/2, a + g - eps g/2], a the least action, and its 2c-shrink
     (a + (1 - eps) g/2, a + (1 + eps) g/2] must each have model multiplicity
-    1 (a count not divisible by p), summed over the degrees of ``family``
-    (the model's `eigenspace_family`): multiplicity is additive over a
-    multiset union.  The four ends are integer numerators over one
-    denominator, and c is the one Fraction built."""
+    1.  A ray of the model contains (lo, hi] iff it is born by lo, so each
+    witness end must lie at or after a and before the second least action:
+    the witness then lies in the window between the two, where only the ray
+    born at a counts, and so does its shrink, which lies inside it.  The
+    ends are integer numerators over one denominator, and c is the one
+    Fraction built."""
     en, ed = Fraction(eps_frac).as_integer_ratio()
     if not 0 < 2 * en <= ed:
         raise ValueError("eps_frac must lie in (0, 1/2]")
@@ -79,11 +119,9 @@ def paper_mu_lower_bound(
     c = Fraction(gn * (ed - 2 * en), 4 * gd * ed)
     # a = base / den and g/2 = ed u / den, so eps g/2 = en u / den
     base, u, den = 2 * an * ed * gd, ad * gn, 2 * ad * ed * gd
-    witness = base + en * u, base + (2 * ed - en) * u
-    shrunk = base + (ed - en) * u, base + (ed + en) * u
-    m_full = sum(_multiplicity(bc, *witness, den) for bc in family.values())
-    m_shrunk = sum(_multiplicity(bc, *shrunk, den) for bc in family.values())
-    if not (m_full == m_shrunk == 1):
+    lo, hi = base + en * u, base + (2 * ed - en) * u
+    nn, nd = model_input.tuples[1][0].as_integer_ratio()
+    if not (base <= lo and hi * nd < nn * den):
         raise AssertionError("witness interval does not have model multiplicity 1")
     return c
 
@@ -120,17 +158,17 @@ def bounds_report(
 
     ``stabilize`` applies a Kunneth stabilization (betti vector, betti[0]=1)
     to the graded eigenspace family before the model mu is taken; the
-    reported bounds are invariant under it."""
+    reported bounds are invariant under it.  The model mu is the graded
+    spread of `equivariant.mu_p_of_family` in closed form."""
     if k is None:
         k = model_input.p
     if k < 1:
         raise ValueError("k must be >= 1")
-    family = eigenspace_family(model_input)
-    stabilized = family
-    if stabilize is not None:
-        stabilized = kunneth_stabilize(family, list(stabilize))
-    mu_model = mu_p_of_family(stabilized, model_input.p)
-    paper_bound = paper_mu_lower_bound(model_input, eps_frac, family=family)
+    tuples = _tuples(model_input)
+    betti = [1] if stabilize is None else list(stabilize)
+    _check_betti(betti)
+    mu_model = _supremum(_model_spread_pairs(tuples, betti, model_input.p))
+    paper_bound = paper_mu_lower_bound(model_input, eps_frac)
     gap = model_input.gap
     aut_bound = Fraction(0) if is_inf(gap) else gap / k
     return BoundsReport(

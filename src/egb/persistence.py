@@ -49,7 +49,12 @@ def min_gap(pairs) -> Fraction | float:
     leave the order open, so the pairs are re-sorted by key, then exact
     value; the same cut holds, since in exact order keys 2 or more apart
     mean a gap above 2^-64, and the least gap is below it."""
-    keyed = sorted(((n << 64) // d, n, d) for n, d in pairs)
+    return _least_gap(sorted(((n << 64) // d, n, d) for n, d in pairs))
+
+
+def _least_gap(keyed: list) -> Fraction | float:
+    """`min_gap` of the sorted list of tuples (floor(n 2^64 / d), n, d, ...),
+    which on tied keys is re-sorted in place into exact order."""
     if len(keyed) < 2:
         return INF
     steps = [b[0] - a[0] for a, b in zip(keyed, keyed[1:])]
@@ -57,9 +62,9 @@ def min_gap(pairs) -> Fraction | float:
     if least == 0:  # the re-sort keeps the keys, so the steps too
         keyed.sort(key=lambda t: (t[0], Fraction(t[1], t[2])))
     best = None
-    for step, (_, n0, d0), (_, n1, d1) in zip(steps, keyed, keyed[1:]):
+    for step, lo, hi in zip(steps, keyed, keyed[1:]):
         if step <= least + 1:
-            gap = n1 * d0 - n0 * d1, d0 * d1
+            gap = hi[1] * lo[2] - lo[1] * hi[2], lo[2] * hi[2]
             if best is None or gap[0] * best[1] < best[0] * gap[1]:
                 best = gap
     return Fraction(*best)

@@ -1194,8 +1194,9 @@ def mu_p_of_family_oracle(family: dict[int, Barcode], p: int) -> Fraction | floa
 def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac: Fraction,
                                 family: dict[int, Barcode]) -> Fraction:
     """`paper_mu_lower_bound` on Fractions: the witness is a `Bar` of reduced
-    Fraction ends, its 2c-shrink is `shrink` (which refuses c < 0), and
-    both are counted by `multiplicity_oracle`."""
+    Fraction ends, its 2c-shrink is `shrink` (which refuses c < 0), both
+    are counted by `multiplicity_oracle`, and both must end before the
+    second least action, so that they lie in the first gap."""
     eps_frac = Fraction(eps_frac)
     if not 0 < eps_frac <= Fraction(1, 2):
         raise ValueError("eps_frac must lie in (0, 1/2]")
@@ -1208,7 +1209,8 @@ def paper_mu_lower_bound_oracle(model_input: ModelInput, eps_frac: Fraction,
     shrunk = shrink(witness, 2 * c)
     m_full = sum(multiplicity_oracle(bc, witness) for bc in family.values())
     m_shrunk = sum(multiplicity_oracle(bc, shrunk) for bc in family.values())
-    if not (m_full == m_shrunk == 1):
+    second = model_input.tuples[1][0]
+    if not (m_full == m_shrunk == 1 and witness.death < second and shrunk.death < second):
         raise AssertionError("witness interval does not have model multiplicity 1")
     return c
 

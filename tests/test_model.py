@@ -1,3 +1,6 @@
+import random
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +16,9 @@ from egb.eggbeater import (
     param_search,
     validation_threshold,
 )
-from egb.equivariant import mu_p_of_family
+from egb.equivariant import kunneth_stabilize, mu_p_of_family
 from egb.field import cyclo_zeta
+from egb import model
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -80,25 +84,24 @@ class TestBuildModel:
 class TestPaperBound:
     def test_substitution_example(self):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        assert paper_mu_lower_bound(model_input, F(1, 8), family=eigenspace_family(model_input)) \
-            == F(3, 2)
+        assert paper_mu_lower_bound(model_input, F(1, 8)) == F(3, 2)
 
     def test_single_tuple_gives_zero(self):
         model_input = ModelInput(2, ((F(0), 0),))
-        assert paper_mu_lower_bound(model_input, family=eigenspace_family(model_input)) == 0
+        assert paper_mu_lower_bound(model_input) == 0
 
     @pytest.mark.parametrize("eps", [F(0), F(1)])
     def test_eps_endpoints_rejected(self, eps):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
         with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
-            paper_mu_lower_bound(model_input, eps, family=eigenspace_family(model_input))
+            paper_mu_lower_bound(model_input, eps)
 
     def test_grows_linearly_in_lambda(self):
         lams = list(lambda_lattice(FIXTURE_L, FIXTURE_P2_MU, FIXTURE_P2_NU, 2))
         bounds = []
         for lam in lams:
             model_input, _ = fixture_model(lam)
-            bounds.append(paper_mu_lower_bound(model_input, family=eigenspace_family(model_input)))
+            bounds.append(paper_mu_lower_bound(model_input))
         slope1 = bounds[0] / lams[0]
         slope2 = bounds[1] / lams[1]
         assert bounds[0] > 0
@@ -109,19 +112,18 @@ class TestPaperBound:
             n = rng.randint(2, 6)
             actions = rng.sample(range(-40, 40), n)
             model_input = ModelInput(2, tuple((F(a), 0) for a in actions))
-            family = eigenspace_family(model_input)
-            model_mu = mu_p_of_family(family, 2)
-            bound = paper_mu_lower_bound(model_input, family=family)
+            model_mu = mu_p_of_family(eigenspace_family(model_input), 2)
+            bound = paper_mu_lower_bound(model_input)
             assert is_inf(model_mu) or model_mu >= bound
 
-
     def test_witness_multiplicity_adds_over_degrees(self):
-        # the same bar in two degrees gives the witness multiplicity 2
-        model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        ray = Barcode.of([(Bar(0, INF), 1)])
-        assert paper_mu_lower_bound(model_input, family={0: ray, 1: Barcode.empty()}) == F(49, 25)
+        # at a stored gap of 17 the shrunk witness starts at 99 * 17 / 200 > 8,
+        # so the ray born at 8 in degree 1 adds to the one born at 0 in degree 0
+        model_input = ModelInput(2, ((F(0), 0), (F(8), 1)))
+        assert paper_mu_lower_bound(model_input) == F(49, 25)
+        object.__setattr__(model_input, "gap", F(17))
         with pytest.raises(AssertionError, match="multiplicity 1"):
-            paper_mu_lower_bound(model_input, family={0: ray, 1: ray})
+            paper_mu_lower_bound(model_input)
 
 
 class TestBoundsReport:
@@ -210,6 +212,58 @@ class TestBoundsReport:
         assert report.mu_p_paper_bound == report.gap * F(49, 50) / 4  # the witness check passed
 
 
+class TestClosedForm:
+    """The report's model spread against the graded route of
+    `mu_p_of_family` over the stabilized `eigenspace_family`."""
+
+    @staticmethod
+    def graded(model_input, betti):
+        family = kunneth_stabilize(eigenspace_family(model_input), betti)
+        return family, mu_p_of_family(family, model_input.p)
+
+    def test_the_maximum_from_a_degree_above_the_lowest(self):
+        # degree 0: (1 - 0)/2 and (2 - 1)/2; degree 1: (5 - 3)/2 and (20 - 5)/2
+        model_input = ModelInput(3, tuple((F(a), 0) for a in (0, 1, 2))
+                                 + tuple((F(a), 1) for a in (3, 5, 20)))
+        for betti in ([1], [1, 0, 4]):
+            report = bounds_report(model_input, stabilize=betti)
+            assert report.mu_p_model == self.graded(model_input, betti)[1] == F(15, 2)
+
+    def test_a_zero_betti_entry_empties_a_degree(self):
+        # degree 0: (4 - 0)/2; degree 2 counts 2, 3, 5, 6 at 0, 1, 4, 7:
+        # (4 - 1)/2 and (7 - 4)/2; degree 4 counts 2, 4; degrees 1 and 3 empty
+        model_input = ModelInput(2, ((F(0), 0), (F(4), 0), (F(1), 2), (F(7), 2)))
+        family, mu = self.graded(model_input, [1, 0, 2])
+        assert sorted(family) == [0, 2, 4]
+        assert bounds_report(model_input, stabilize=[1, 0, 2]).mu_p_model == mu == 2
+
+    @pytest.mark.parametrize("betti", [[], [2, 1], [0], [1, -1], [1, 2.0], [1, True], [1, 0, -3]])
+    def test_bad_betti_vectors_raise_the_stabilization_errors(self, betti):
+        model_input = ModelInput(3, ((F(0), 0), (F(4), 1)))
+        with pytest.raises(ValueError) as stabilized:
+            kunneth_stabilize(eigenspace_family(model_input), betti)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stabilized.value))}$"):
+            bounds_report(model_input, stabilize=betti)
+
+    @pytest.mark.parametrize("n, finite", [(4 ** 7, False), (7 * 2340, True)],
+                             ids=["16384", "16380"])
+    def test_p7_at_the_solver_size(self, n, finite):
+        # 16,384 tuples give a +inf spread whatever the degrees: every degree
+        # total divisible by 7 needs every degree's count divisible by 7; a
+        # multiple of 7 in each of the three degrees gives a finite one
+        rng = random.Random(f"p7:{n}")
+        actions = rng.sample(range(-10 ** 12, 10 ** 12), n)
+        tuples = tuple((F(a, 10 ** 6 + i % 97), i % 3) for i, a in enumerate(actions))
+        start = time.perf_counter()
+        model_input = ModelInput(7, tuples)
+        report = bounds_report(model_input, stabilize=[1, 2, 1])
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        mu = self.graded(model_input, [1, 2, 1])[1]
+        assert (report.mu_p_model, type(report.mu_p_model)) == (mu, type(mu))
+        assert is_inf(mu) != finite
+
+
 class TestNoFractionHashing:
     """The bounds path merges and sorts actions on integer keys: building the
     input and its report hashes no Fraction."""
@@ -226,49 +280,42 @@ class TestNoFractionHashing:
 
 
 class TestWitnessEnds:
-    """`paper_mu_lower_bound` checks the witness (a + eps g/2, a + g - eps g/2]
-    and its 2c-shrink (a + (1 - eps) g/2, a + (1 + eps) g/2], a the least
-    action and g the gap.  An extra finite bar equal to either interval
-    contains it, so the check must refuse; a witness with an end moved
-    outwards would escape that bar."""
+    """`paper_mu_lower_bound` checks that the witness (a + eps g/2,
+    a + g - eps g/2], a the least action and g the stored gap, and so its
+    2c-shrink inside it, lie at or after a and before the second action,
+    where the model's multiplicity is 1."""
 
-    @pytest.mark.parametrize("eps", [F(1, 100), F(1, 5)])
-    @pytest.mark.parametrize("shrunk", [False, True], ids=["witness", "shrunk"])
-    def test_an_extra_bar_on_the_witness_is_refused(self, eps, shrunk):
+    @pytest.mark.parametrize("eps", [F(1, 100), F(1, 5), F(1, 2)])
+    def test_a_gap_twice_the_least_is_refused(self, eps):
         model_input = ModelInput(3, ((F(3), 0), (F(5), 1), (F(9), 0)))
-        a, g = F(3), F(2)
-        assert paper_mu_lower_bound(model_input, eps, family=eigenspace_family(model_input)) \
-            == g * (1 - 2 * eps) / 4
-        half = (1 - eps) * g / 2 if shrunk else eps * g / 2
-        family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a + half, a + g - half)])}
+        assert model_input.gap == 2
+        assert paper_mu_lower_bound(model_input, eps) == 2 * (1 - 2 * eps) / 4
+        object.__setattr__(model_input, "gap", F(4))
+        with pytest.raises(AssertionError, match="^witness interval does not have model "
+                                                 "multiplicity 1$"):
+            paper_mu_lower_bound(model_input, eps)
         with pytest.raises(AssertionError, match="does not have model multiplicity 1"):
-            paper_mu_lower_bound(model_input, eps, family=family)
-
-    @pytest.mark.parametrize("eps", [F(1, 100), F(1, 5)])
-    def test_a_bar_ending_inside_the_shrunk_witness_is_not_counted(self, eps):
-        # (a, a + g/2] contains neither interval: it ends before the shrunk
-        # end a + (1 + eps) g/2, and contains the point a + (1 - eps) g/2
-        model_input = ModelInput(3, ((F(3), 0), (F(5), 1), (F(9), 0)))
-        a, g = F(3), F(2)
-        family = {**eigenspace_family(model_input), 2: Barcode.of([Bar(a, a + g / 2)])}
-        assert paper_mu_lower_bound(model_input, eps, family=family) == g * (1 - 2 * eps) / 4
+            bounds_report(model_input, eps_frac=eps)
 
     def test_eps_above_one_half_is_a_negative_shrink(self):
         model_input = ModelInput(2, ((F(0), 0), (F(8), 0)))
-        family = eigenspace_family(model_input)
-        assert paper_mu_lower_bound(model_input, F(1, 2), family=family) == 0
+        assert paper_mu_lower_bound(model_input, F(1, 2)) == 0
         with pytest.raises(ValueError, match=r"^eps_frac must lie in \(0, 1/2\]$"):
-            paper_mu_lower_bound(model_input, F(999999, 10 ** 6), family=family)
+            paper_mu_lower_bound(model_input, F(999999, 10 ** 6))
 
 
 class TestNoResort:
-    """`eigenspace_family` keeps the order `ModelInput` sorted, and the
-    stabilization scales it, so a report on one degree sorts no barcode."""
+    """The report reads the model off the actions `ModelInput` sorted: it
+    sorts no barcode, as it builds no `Bar` and no `Barcode`."""
 
     def test_report_builds_no_barcode_through_the_constructor(self, monkeypatch):
         _, records = validation_threshold(5, 4, *param_search(5, 4))
-        tuples = tuple((r.action, 0) for r in records[:8])
-        calls = count_calls(monkeypatch, Barcode, "__post_init__")
-        for stabilize in (None, [1, 2, 1]):
-            bounds_report(ModelInput(5, tuples), stabilize=stabilize)
-        assert calls == []
+        tuples = tuple((r.action, i % 2) for i, r in enumerate(records[:10]))
+        model_input = ModelInput(5, tuples)
+        calls = [count_calls(monkeypatch, cls, "__init__") for cls in (Bar, Barcode)]
+        calls.append(count_calls(monkeypatch, model, "_canonical"))
+        for stabilize in (None, [1, 2, 1], [1, 0, 5]):
+            bounds_report(model_input, stabilize=stabilize)
+        assert calls == [[], [], []]
+        eigenspace_family(model_input)
+        assert calls[0] and calls[2]

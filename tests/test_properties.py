@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from egb import field as field_module, persistence
 from egb.equivariant import (
@@ -38,13 +38,14 @@ from egb.bottleneck import _costs, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
-from egb.model import ModelInput, eigenspace_family, paper_mu_lower_bound
+from egb.model import ModelInput, bounds_report, eigenspace_family, paper_mu_lower_bound
 from egb.persistence import (
     Bar,
     Barcode,
     FilteredComplex,
     FinitePersistenceModule,
     INF,
+    _multiplicity,
     _order_key,
     barcode_of_complex,
     barcode_of_module,
@@ -391,15 +392,28 @@ def test_barcode_canonical_form_is_the_fraction_one(items):
     assert Barcode(tuple(items)).items == canonical_items_oracle(items)
 
 
+@st.composite
+def ray_matched_items(draw):
+    """Two `bar_items` lists, the second's rays replaced by rays of the
+    first's multiplicities and degrees, born at `exact_values`, so that the
+    ray counts agree in each degree, as `ray_pairs` draws them, and the
+    distance is finite."""
+    items_b, items_c, births = draw(bar_items()), draw(bar_items()), draw(exact_values())
+    rays = [(Bar(draw(st.sampled_from(births)), INF), m, d)
+            for bar, m, d in items_b if not bar.finite]
+    return items_b, [e for e in items_c if e[0].finite] + rays
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(bar_items(), bar_items())
-@example([(Bar(0, 4), 1, None)], [])
-@example([(Bar(Fraction(1, 3), INF), 2, 0)], [(Bar(Fraction(1, 2), INF), 2, 0)])
-def test_integer_costs_give_the_fraction_ones(items_b, items_c):
+@given(st.one_of(st.tuples(bar_items(), bar_items()), ray_matched_items()))
+@example(([(Bar(0, 4), 1, None)], []))
+@example(([(Bar(Fraction(1, 3), INF), 2, 0)], [(Bar(Fraction(1, 2), INF), 2, 0)]))
+def test_integer_costs_give_the_fraction_ones(items):
     """Over the denominator that `_costs` returns, its integer pair costs
     and half-lengths of the finite bars are the oracle's Fractions, and the
     distance is the oracle's, on small and ~600-bit values, rays and
     multiplicities."""
+    items_b, items_c = items
     b, c = Barcode(tuple(items_b)), Barcode(tuple(items_c))
     for bars_b, bars_c in bars_by_degree(b, c):
         finite_b, finite_c = ([x for x in bars if x.finite] for bars in (bars_b, bars_c))
@@ -1005,21 +1019,106 @@ def test_graded_mu_checks_p_before_the_empty_family():
 @given(model_inputs(), EPS, st.data())
 def test_paper_bound_equals_the_fraction_witness(model_input, eps, data):
     """The witness compared on integer ends gives the Fraction witness's c or
-    its error, with the model family and with extra bars whose ends sit at
-    the witness's ends, the shrunk ends, the least action, a + g/2 and a + g."""
-    extra = {}
-    if len(model_input.tuples) > 1:
-        a, g = model_input.tuples[0][0], model_input.gap
-        marks = [a + t * g for t in (0, eps / 2, (1 - eps) / 2, Fraction(1, 2),
-                                     (1 + eps) / 2, 1 - eps / 2, 1)]
-        for r in data.draw(st.lists(st.integers(0, 3), max_size=3)):
-            birth = data.draw(st.sampled_from(marks))
-            death = data.draw(st.sampled_from([m for m in marks if m > birth] + [INF]))
-            bars = extra.get(r, Barcode.empty()).items + ((Bar(birth, death), 1, None),)
-            extra[r] = Barcode(bars)
-    assert (outcome(paper_mu_lower_bound, model_input, eps, family=eigenspace_family(model_input))
+    its error, at the true gap and at stored gaps of half and twice it, and
+    at, just past and just short of each multiple that puts an end of the
+    witness or of its shrink on the second action."""
+    assert (outcome(paper_mu_lower_bound, model_input, eps)
             == outcome(paper_mu_lower_bound_oracle, model_input, eps,
                        eigenspace_family_oracle(model_input)))
-    family = {**eigenspace_family(model_input), **extra}
-    assert (outcome(paper_mu_lower_bound, model_input, eps, family=family)
-            == outcome(paper_mu_lower_bound_oracle, model_input, eps, family))
+    if len(model_input.tuples) > 1:
+        # the witness's right end a + g(1 - eps/2) and the shrunk left end
+        # a + g(1 - eps)/2 reach the second action at these multiples of g
+        edges = (1 / (1 - eps / 2), 2 / (1 - eps))
+        scale = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2), *edges,
+                                           *(e * (1 + t) for e in edges
+                                             for t in (Fraction(1, 10 ** 9), -Fraction(1, 10 ** 9)))]))
+        object.__setattr__(model_input, "gap", model_input.gap * scale)
+        assert (outcome(paper_mu_lower_bound, model_input, eps)
+                == outcome(paper_mu_lower_bound_oracle, model_input, eps,
+                           eigenspace_family_oracle(model_input)))
+
+
+# -- the model spread and witness in closed form -------------------------------
+
+MODEL_ACTIONS = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620), st.integers(1, 2 ** 600)),
+    # neighbours closer than 2^-64, whose integer keys tie
+    st.builds(lambda k: Fraction(1, 3) + Fraction(k, 2 ** 70), st.integers(-3, 3)))
+
+
+@st.composite
+def stabilized_models(draw):
+    """(ModelInput, betti vector) at p in {2, 3, 5, 7}, in degrees -1..2, over
+    small, close and ~600-bit actions, with betti entries of 0, below p and
+    at least p.  Either any count of tuples per degree, or, planted, a
+    multiple of p in each: then every stabilized degree's total is divisible
+    by p and the spread is finite."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        degs = [d for d in degrees for _ in range(p * draw(st.integers(1, 2)))]
+    else:
+        degs = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=12))
+    actions = draw(st.lists(MODEL_ACTIONS, min_size=len(degs), max_size=len(degs), unique=True))
+    betti = [1] + draw(st.lists(st.sampled_from((0, 1, p - 1, p, p + 1, 2 * p)), max_size=3))
+    return ModelInput(p, tuple(zip(actions, degs))), betti
+
+
+def witness_count_bound(model_input: ModelInput, eps_frac, family) -> Fraction:
+    """The window bound with its witness counted by `_multiplicity` on integer
+    ends over ``family``, summed over the degrees: c, or the AssertionError
+    when either interval's count is not 1."""
+    en, ed = Fraction(eps_frac).as_integer_ratio()
+    gap = model_input.gap
+    if gap == INF:
+        return Fraction(0)
+    (an, ad), (gn, gd) = model_input.tuples[0][0].as_integer_ratio(), gap.as_integer_ratio()
+    base, u, den = 2 * an * ed * gd, ad * gn, 2 * ad * ed * gd
+    for lo, hi in ((base + en * u, base + (2 * ed - en) * u),
+                   (base + (ed - en) * u, base + (ed + en) * u)):
+        if sum(_multiplicity(bc, lo, hi, den) for bc in family.values()) != 1:
+            raise AssertionError("witness interval does not have model multiplicity 1")
+    return Fraction(gn * (ed - 2 * en), 4 * gd * ed)
+
+
+def spread_class(mu) -> str:
+    # mu = 0 cannot occur: the first birth of the lowest degree has weight
+    # betti[0] = 1, a count not divisible by p, so some candidate is positive
+    return "+inf" if mu == INF else "finite"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(stabilized_models(),
+       st.one_of(st.sampled_from((Fraction(1, 10 ** 6), Fraction(1, 100), Fraction(1, 2))),
+                 st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10 ** 6)
+                 .filter(lambda e: e > 0)))
+def test_model_spread_and_witness_equal_the_graded_route(case, eps):
+    """The report's model spread is the graded spread of the stabilized
+    eigenspace family, and its window bound the witness count over the
+    family, value and type."""
+    model_input, betti = case
+    report = bounds_report(model_input, eps_frac=eps, stabilize=betti)
+    family = eigenspace_family(model_input)
+    want = mu_p_of_family(kunneth_stabilize(family, betti), model_input.p)
+    event(spread_class(want))
+    assert (report.mu_p_model, type(report.mu_p_model)) == (want, type(want))
+    bound = witness_count_bound(model_input, eps, family)
+    assert (report.mu_p_paper_bound, type(report.mu_p_paper_bound)) == (bound, type(bound))
+
+
+def test_model_spread_examples_reach_both_classes():
+    """Of the derandomized examples of `stabilized_models`, at the property
+    test's count, at least a quarter read a +inf spread and a quarter a
+    finite one, so that both the ray count and the pair ranking are
+    compared with the graded route."""
+    classes = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stabilized_models())
+    def record(case):
+        model_input, betti = case
+        classes.append(spread_class(bounds_report(model_input, stabilize=betti).mu_p_model))
+
+    record()
+    assert min(classes.count("+inf"), classes.count("finite")) >= len(classes) / 4
