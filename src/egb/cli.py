@@ -26,7 +26,7 @@ from .equivariant import (
     w_hat,
     w_spread,
 )
-from .persistence import Barcode, barcode_of_complex, is_inf, min_gap
+from .persistence import Bar, Barcode, INF, barcode_of_complex, is_inf, min_gap
 
 
 def _parse_frac_list(s: str) -> tuple[Fraction, ...]:
@@ -259,9 +259,9 @@ def cmd_bounds(args) -> int:
     report = mdl.bounds_report(model_input, k=k, eps_frac=eps, lam=lam, stabilize=stabilize)
     _emit(_dump(ser.bounds_report_to_obj(report, provenance)), args.out)
     if args.svg:
-        family = mdl.eigenspace_family(model_input)
-        merged = Barcode(tuple(e for bc in family.values() for e in bc.items))
-        Path(args.svg).write_text(ser.barcode_svg(merged))
+        # every tuple is one ray (action, +inf] of the model, whichever root
+        rays = Barcode.of(Bar(a, INF) for a, _ in model_input.tuples)
+        Path(args.svg).write_text(ser.barcode_svg(rays))
     return 0
 
 

@@ -40,13 +40,9 @@ from .persistence import (
     INF,
     _NormalForm,
     _multiplicity,
-    _reindex,
-    homology_basis,
-    induced_homology_rank,
     is_inf,
     longest_finite_bar,
     barcode_of_module,
-    window_complex,
 )
 
 @dataclass(frozen=True)
@@ -406,55 +402,33 @@ def _ratio(v) -> tuple[int, int]:
 
 
 class _SpreadWindow:
-    """Window homology data for one window of an equivariant complex, cached
-    per degree; the window-scan oracle of the w_spread tests is built from it."""
+    """The homology of one window C^{<b}/C^{<a} of an equivariant complex in
+    the basis of its `persistence._NormalForm` ``nf``: per degree r, the
+    classes of the b_x of ``nf.window_basis(a, b, r)``.  The window-scan
+    oracle of the w_spread tests is built from it."""
 
-    def __init__(self, cx: FilteredComplex, a, b):
-        self.cx = cx
-        self.keep, self.wc = window_complex(cx, a, b)
-        self._cache: dict[int, tuple[list[int], list[tuple], Matrix]] = {}
+    def __init__(self, nf: _NormalForm, a, b):
+        self.nf, self.a, self.b = nf, a, b
+        self.basis = {r: nf.window_basis(a, b, r) for r in sorted(set(nf.deg))}
 
-    def at(self, r: int):
-        """(global generator indices, cycle basis, boundary matrix) in degree r."""
-        if r not in self._cache:
-            idx_r, cycles, d_rp1 = homology_basis(self.wc, r)
-            self._cache[r] = ([self.keep[i] for i in idx_r], cycles, d_rp1)
-        return self._cache[r]
+    def apply_chain_map(self, s_cols) -> dict[int, list[dict]]:
+        """The images S b_x of the window's basis cycles, by degree, under
+        the action-preserving chain map S with sparse columns on positions."""
+        nf = self.nf
+        return {r: [_apply(nf.field, s_cols, nf.basis[x]) for x in xs]
+                for r, xs in self.basis.items()}
 
-    def apply_chain_map(self, s_mat: Matrix) -> dict[int, list[tuple]]:
-        """Images of the cycle bases under the (action-preserving) chain map,
-        in window coordinates, keyed by degree."""
-        field = self.cx.field
-        out: dict[int, list[tuple]] = {}
-        degrees = sorted({self.cx.generators[g][1] for g in self.keep})
-        for r in degrees:
-            glob, cycles, _ = self.at(r)
-            index = {h: row for row, h in enumerate(glob)}
-            images = []
-            for z in cycles:
-                image = [field.zero()] * len(glob)
-                for v, g in zip(z, glob):
-                    if v:
-                        for h, e in s_mat.columns[g].items():
-                            if h in index:
-                                image[index[h]] += e * v
-                images.append(tuple(image))
-            out[r] = images
-        return out
-
-    def induced_nonzero(self, s_images: dict[int, list[tuple]], dst: "_SpreadWindow") -> bool:
-        """Is (comparison to dst) . S nonzero on homology in some degree?"""
-        field = self.cx.field
+    def induced_nonzero(self, s_images: dict[int, list[dict]], dst: "_SpreadWindow") -> bool:
+        """Is (comparison to dst) . S nonzero on homology in some degree?  An
+        image that is not a cycle of dst (dst must not lie below this window)
+        raises, so it never reads as zero."""
         for r, images in s_images.items():
-            if not images:
-                continue
-            glob_src, cycles_src, _ = self.at(r)
-            glob_dst, _, bnd_dst = dst.at(r)
-            if not glob_dst:
-                continue
-            moved = _reindex(field, images, glob_src, glob_dst)
-            if induced_homology_rank(field, cycles_src, moved, bnd_dst, len(glob_dst)) > 0:
-                return True
+            for image in images:
+                cls = self.nf.window_class(image, dst.a, dst.b, dst.basis[r])
+                if cls is None:
+                    raise ValueError(f"an image is not a cycle of the window ({dst.a}, {dst.b})")
+                if cls:
+                    return True
         return False
 
 

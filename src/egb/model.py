@@ -5,8 +5,7 @@ with the cyclic rotation action; the zero-differential model makes all bars
 infinite.  Two bounds are always reported side by side: the exact spread of
 that model (model-dependent) and the window bound from the action gap,
 which is valid no matter what the unknown differential does.  The report
-reads both in closed form off the sorted actions; `eigenspace_family`
-builds the model's barcodes for the SVG and the general graded route.
+reads both in closed form off the sorted actions.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 from .equivariant import _check_betti, _supremum
 from .field import is_prime
-from .persistence import Bar, Barcode, INF, _canonical, _least_gap, is_inf
+from .persistence import _least_gap, is_inf
 
 
 @dataclass(frozen=True)
@@ -44,27 +43,6 @@ class ModelInput:
         if gap == 0:
             raise ValueError("tuple actions must be pairwise distinct")
         object.__setattr__(self, "gap", gap)
-
-
-def eigenspace_family(model_input: ModelInput) -> dict[int, Barcode]:
-    """Per-degree barcodes of every eigenspace of the model, in closed form.
-
-    Every p-th root of unity is a simple eigenvalue of the cyclic
-    permutation, so each tuple (action, degree) adds exactly one bar
-    (action, +inf] to ``family[degree]``, whichever root is chosen."""
-    # the tuples are sorted by action, which is distinct, so each degree's
-    # rays are already merged and in canonical order
-    rays: dict[int, list] = {}
-    for a, d in _tuples(model_input):
-        rays.setdefault(d, []).append((Bar(a, INF), 1, None))
-    return {r: _canonical(rays[r]) for r in sorted(rays)}
-
-
-def _tuples(model_input: ModelInput) -> tuple[tuple[Fraction, int], ...]:
-    """The sorted tuples of a model, which needs at least one."""
-    if not model_input.tuples:
-        raise ValueError("model needs at least one tuple")
-    return model_input.tuples
 
 
 def _model_spread_pairs(tuples, betti: list[int], p: int):
@@ -135,16 +113,23 @@ class BoundsReport:
     k: int
     mu_p_model: Fraction | float
     mu_p_paper_bound: Fraction
-    pow_bound: Fraction
-    aut_bound: Fraction | float
     gap: Fraction | float
 
     def __post_init__(self):
-        if self.pow_bound != self.mu_p_paper_bound / self.p:
-            raise ValueError("pow_bound must equal mu_p_paper_bound / p")
-        for v in (self.mu_p_model, self.mu_p_paper_bound, self.pow_bound, self.aut_bound):
+        for v in (self.mu_p_model, self.mu_p_paper_bound, self.gap):
             if not is_inf(v) and v < 0:
                 raise ValueError("bounds must be nonnegative")
+
+    @property
+    def pow_bound(self) -> Fraction:
+        """The distance bound to full p-th powers, mu_p_paper_bound / p."""
+        return self.mu_p_paper_bound / self.p
+
+    @property
+    def aut_bound(self) -> Fraction:
+        """The distance bound to autonomous maps, gap / k; 0 for an
+        infinite gap (fewer than two tuples)."""
+        return Fraction(0) if is_inf(self.gap) else self.gap / self.k
 
 
 def bounds_report(
@@ -164,22 +149,19 @@ def bounds_report(
         k = model_input.p
     if k < 1:
         raise ValueError("k must be >= 1")
-    tuples = _tuples(model_input)
+    tuples = model_input.tuples
+    if not tuples:
+        raise ValueError("model needs at least one tuple")
     betti = [1] if stabilize is None else list(stabilize)
     _check_betti(betti)
     mu_model = _supremum(_model_spread_pairs(tuples, betti, model_input.p))
-    paper_bound = paper_mu_lower_bound(model_input, eps_frac)
-    gap = model_input.gap
-    aut_bound = Fraction(0) if is_inf(gap) else gap / k
     return BoundsReport(
         p=model_input.p,
         lam=Fraction(lam) if lam is not None else None,
         k=k,
         mu_p_model=mu_model,
-        mu_p_paper_bound=paper_bound,
-        pow_bound=paper_bound / model_input.p,
-        aut_bound=aut_bound,
-        gap=gap,
+        mu_p_paper_bound=paper_mu_lower_bound(model_input, eps_frac),
+        gap=model_input.gap,
     )
 
 

@@ -460,84 +460,6 @@ def _check_window(complex_: FilteredComplex, *cuts) -> None:
             raise ValueError(f"window endpoint {c} collides with the action spectrum")
 
 
-def window_complex(complex_: FilteredComplex, a, b) -> tuple[list[int], FilteredComplex]:
-    """Quotient complex spanned by generators with action in (a, b).
-
-    Returns the kept generator indices and the induced complex (the induced
-    differential drops components of action below a; closure under the
-    boundary holds because the boundary strictly decreases action).
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError("window requires a < b")
-    _check_window(complex_, a, b)
-    keep = [i for i, (act, _) in enumerate(complex_.generators) if a < act < b]
-    gens = tuple(complex_.generators[i] for i in keep)
-    return keep, FilteredComplex(complex_.field, gens, _boundary_block(complex_, keep, keep))
-
-
-def _boundary_block(complex_: FilteredComplex, rows: list[int], cols: list[int]) -> Matrix:
-    """The boundary restricted to the given generator rows and columns."""
-    index, d = {g: k for k, g in enumerate(rows)}, complex_.boundary.columns
-    return Matrix(complex_.field, len(rows), len(cols),
-                  tuple({index[i]: x for i, x in d[j].items() if i in index} for j in cols))
-
-
-def homology_basis(complex_: FilteredComplex, r: int):
-    """Cycle representatives of a homology basis in degree r, plus the data
-    needed to test membership in the boundary space.
-
-    Returns (chain_indices, cycle_basis, boundary_matrix) where chain_indices
-    are the generator indices of degree r, cycle_basis is a list of
-    coordinate vectors over those indices, and boundary_matrix has the
-    degree-(r+1) boundaries as columns.
-    """
-    idx_rm1, idx_r, idx_rp1 = (
-        [i for i, (_, d) in enumerate(complex_.generators) if d == deg]
-        for deg in (r - 1, r, r + 1)
-    )
-    cycles = _boundary_block(complex_, idx_rm1, idx_r).kernel_basis() if idx_r else []
-    return idx_r, cycles, _boundary_block(complex_, idx_r, idx_rp1)
-
-
-def induced_homology_rank(
-    field: Field,
-    src_cycles: list[tuple],
-    images: list[tuple],
-    dst_boundary: Matrix,
-    dst_dim: int,
-) -> int:
-    """Rank of an induced map on homology, without choosing homology bases.
-
-    ``images`` are the chain-level images of a cycle basis of the source; the
-    rank is rank[images | B_dst] - rank[B_dst] (well-defined because the chain
-    map sends boundaries to boundaries): the number of images that keep a low
-    in one column reduction of [B_dst | images], since a column keeps one
-    exactly when it is independent of the columns before it.
-    """
-    if not src_cycles or dst_dim == 0:
-        return 0
-    coerce = field.coerce
-    columns = [dict(col) for col in dst_boundary.columns]
-    columns += [{i: y for i, x in enumerate(v) if (y := coerce(x))} for v in images]
-    return sum(j >= dst_boundary.cols for j in _reduce_columns(field, columns).values())
-
-
-def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
-             dst_glob: list[int]) -> list[tuple]:
-    """Move chains between windows: keep shared generators, drop the rest."""
-    look = {g: i for i, g in enumerate(dst_glob)}
-    moves = [(i, look[g]) for i, g in enumerate(src_glob) if g in look]
-    z = field.zero()
-    out = []
-    for vec in vecs:
-        moved = [z] * len(dst_glob)
-        for i, j in moves:
-            moved[j] = vec[i]
-        out.append(tuple(moved))
-    return out
-
-
 def les_check(complex_: FilteredComplex, a, b, c) -> bool:
     """Exactness of the prescribed sequence V^{(a,b)} -> V^{(a,c)} -> V^{(b,c)}
     -> V^{(a,b)}[1] in window homology.

@@ -36,11 +36,8 @@ from egb.persistence import (
     FinitePersistenceModule,
     INF,
     _NormalForm,
-    _boundary_block,
     _check_window,
-    _reindex,
     is_inf,
-    window_complex,
 )
 from egb.field import QQ_FIELD
 from egb.serialize import frac_str, matrix_to_obj, module_to_obj
@@ -224,10 +221,48 @@ def extend_basis_oracle(field: Field, basis: list[tuple], candidates: list[tuple
     return [candidates[c - len(basis)] for c in pivots if c >= len(basis)]
 
 
+def window_complex(complex_: FilteredComplex, a, b) -> tuple[list[int], FilteredComplex]:
+    """Quotient complex spanned by generators with action in (a, b).
+
+    Returns the kept generator indices and the induced complex (the induced
+    differential drops components of action below a; closure under the
+    boundary holds because the boundary strictly decreases action).
+    """
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("window requires a < b")
+    _check_window(complex_, a, b)
+    keep = [i for i, (act, _) in enumerate(complex_.generators) if a < act < b]
+    gens = tuple(complex_.generators[i] for i in keep)
+    return keep, FilteredComplex(complex_.field, gens, _boundary_block(complex_, keep, keep))
+
+
+def _boundary_block(complex_: FilteredComplex, rows: list[int], cols: list[int]) -> Matrix:
+    """The boundary restricted to the given generator rows and columns."""
+    index, d = {g: k for k, g in enumerate(rows)}, complex_.boundary.columns
+    return Matrix(complex_.field, len(rows), len(cols),
+                  tuple({index[i]: x for i, x in d[j].items() if i in index} for j in cols))
+
+
+def _reindex(field: Field, vecs: list[tuple], src_glob: list[int],
+             dst_glob: list[int]) -> list[tuple]:
+    """Move chains between windows: keep shared generators, drop the rest."""
+    look = {g: i for i, g in enumerate(dst_glob)}
+    moves = [(i, look[g]) for i, g in enumerate(src_glob) if g in look]
+    z = field.zero()
+    out = []
+    for vec in vecs:
+        moved = [z] * len(dst_glob)
+        for i, j in moves:
+            moved[j] = vec[i]
+        out.append(tuple(moved))
+    return out
+
+
 def homology_basis_oracle(complex_: FilteredComplex, r: int):
-    """`homology_basis` with the kernel of `kernel_oracle`: the degree-r
-    generator indices, a cycle basis over them and the degree-(r+1)
-    boundary matrix."""
+    """A homology basis in degree r by the kernel of `kernel_oracle`: the
+    degree-r generator indices, a cycle basis over them and the degree-(r+1)
+    boundary matrix, whose columns span the boundaries."""
     idx_rm1, idx_r, idx_rp1 = ([i for i, (_, d) in enumerate(complex_.generators) if d == deg]
                                for deg in (r - 1, r, r + 1))
     cycles = kernel_oracle(_boundary_block(complex_, idx_rm1, idx_r)) if idx_r else []
@@ -581,35 +616,35 @@ def _sub(x, y):
 
 
 def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
-    """Window-scan oracle for `w_spread`: rank tests over pairs of windows.
+    """Window-scan oracle for `w_spread`: tests over pairs of windows.
 
     Windows are scanned up to the gaps their endpoints lie in; for a fixed
     gap assignment (a in G_i1, b in G_j1, a+d in G_i2, b+d in G_j2) the map
     is constant and the feasible d form an interval whose supremum is
     min(sup G_i2 - inf G_i1, sup G_j2 - inf G_j1).  O(g^4) window pairs,
-    each tested by a fresh rank computation.
+    each tested by `_SpreadWindow.induced_nonzero` on one normal form.
     """
     cx = equivariant.complex
     s_mat = equivariant.chain_map - Matrix.identity(cx.field, len(cx.generators))
     if s_mat.is_zero():
         return Fraction(0)
+    nf = _NormalForm(cx)
+    s_cols = nf.columns(s_mat.columns)
     gaps = _gaps(cx.spectrum())
     g = len(gaps)
     windows: dict[tuple[int, int], _SpreadWindow] = {}
 
     def window(i: int, j: int) -> _SpreadWindow:
         if (i, j) not in windows:
-            windows[(i, j)] = _SpreadWindow(cx, gaps[i][2], gaps[j][2])
+            windows[(i, j)] = _SpreadWindow(nf, gaps[i][2], gaps[j][2])
         return windows[(i, j)]
 
     best: Fraction | float = Fraction(0)
     for i1 in range(g):
         for j1 in range(i1 + 1, g):
             src = window(i1, j1)
-            if not src.keep:
-                continue
-            s_images = src.apply_chain_map(s_mat)
-            if not any(x for images in s_images.values() for v in images for x in v):
+            s_images = src.apply_chain_map(s_cols)
+            if not any(image for images in s_images.values() for image in images):
                 continue
             for i2 in range(i1, g):
                 for j2 in range(j1, g):
@@ -630,6 +665,37 @@ def scan_w_spread(equivariant: EquivariantComplex) -> Fraction | float:
                             return INF
                         best = max(best, hi)
     return best
+
+
+def window_pair_nonzero_oracle(equivariant: EquivariantComplex, src, dst) -> bool:
+    """Dense evaluation of (comparison to the window dst) . (T - id) on the
+    homology of the window src = (a, b), dst = (a', b') with a <= a' and
+    b <= b': is it nonzero in some degree?  Each window is a `window_complex`
+    with a cycle basis of `homology_basis_oracle`; S = T - id preserves
+    action and degree, so the images of src's cycles stay on src's
+    generators, `_reindex` moves them to dst's, and their rank modulo dst's
+    boundaries is `induced_homology_rank_oracle`."""
+    cx = equivariant.complex
+    field = cx.field
+    s_cols = (equivariant.chain_map - Matrix.identity(field, len(cx.generators))).columns
+    keep1, w1 = window_complex(cx, *src)
+    keep2, w2 = window_complex(cx, *dst)
+    for r in sorted({deg for _, deg in cx.generators}):
+        idx1, cycles, _ = homology_basis_oracle(w1, r)
+        idx2, _, bnd2 = homology_basis_oracle(w2, r)
+        glob1, glob2 = [keep1[i] for i in idx1], [keep2[i] for i in idx2]
+        look = {g: i for i, g in enumerate(glob1)}
+        images = []
+        for z in cycles:
+            image = [field.zero()] * len(glob1)
+            for v, g in zip(z, glob1):
+                for h, e in s_cols[g].items():
+                    image[look[h]] += e * v
+            images.append(tuple(image))
+        moved = _reindex(field, images, glob1, glob2)
+        if induced_homology_rank_oracle(field, cycles, moved, bnd2, len(glob2)):
+            return True
+    return False
 
 
 def spread_lower_bound_from_gaps_oracle(generators) -> Fraction | float:
@@ -1155,8 +1221,10 @@ def multiplicity_oracle(barcode: Barcode, query: Bar) -> int:
 
 
 def eigenspace_family_oracle(model_input: ModelInput) -> dict[int, Barcode]:
-    """`eigenspace_family` through the sorting constructor: one ray
-    (action, +inf] per tuple, merged and sorted per degree."""
+    """The per-degree barcodes of every eigenspace of the model through the
+    sorting constructor: each p-th root of unity is a simple eigenvalue of
+    the cyclic permutation, so one ray (action, +inf] per tuple, merged and
+    sorted per degree."""
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
     return {r: Barcode.of((Bar(a, INF), 1, None) for a, d in model_input.tuples if d == r)
@@ -1546,9 +1614,9 @@ def alpha_word(windings_v, windings_h) -> Word:
 
 
 def build_model(model_input: ModelInput) -> ZpPersistenceModule:
-    """Dense oracle of `eigenspace_family`: the direct sum of one cyclic tuple
-    module per tuple, deaths at +inf, assembled in one pass (p new generators
-    appear at each action value)."""
+    """Dense oracle of `eigenspace_family_oracle`: the direct sum of one
+    cyclic tuple module per tuple, deaths at +inf, assembled in one pass (p
+    new generators appear at each action value)."""
     if not model_input.tuples:
         raise ValueError("model needs at least one tuple")
     p = model_input.p

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -12,6 +13,7 @@ from egb import equivariant
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
+    _SpreadWindow,
     _supremum,
     cyclic_permutation_matrix,
     cyclic_tuple_module,
@@ -34,6 +36,7 @@ from egb.persistence import (
     FilteredComplex,
     FinitePersistenceModule,
     INF,
+    _NormalForm,
     barcode_of_module,
     is_inf,
 )
@@ -48,6 +51,7 @@ from conftest import (
     eigenspace_module_oracle,
     fix_vectors,
     full_power_verdict_oracle,
+    gap_cuts,
     kernel_oracle,
     mu_from_barcode_oracle,
     part_modules,
@@ -65,6 +69,7 @@ from conftest import (
     shrink,
     sparse_oracle,
     w_hat_scan_oracle,
+    window_pair_nonzero_oracle,
     zp_direct_sum,
     zp_module_checks_oracle,
 )
@@ -634,6 +639,33 @@ class TestWSpread:
                 assert got == scan_w_spread(moved)
                 kinds.add("inf" if is_inf(got) else "zero" if got == 0 else "positive")
         assert kinds == {"inf", "zero", "positive"}
+
+    def test_spread_window_matches_the_dense_evaluation(self, rng):
+        """At every window pair (a, b) <= (a', b') of `gap_cuts`, the
+        oracle's `_SpreadWindow.induced_nonzero`, read off one normal form,
+        equals the dense evaluation of `window_pair_nonzero_oracle`, on
+        random equivariant complexes over Q, Q(zeta_3) and Q(zeta_5); at
+        least 15% of the pairs are nonzero and 15% zero."""
+        outcomes = collections.Counter()
+        for p, field in [(2, QQ_FIELD), (3, CyclotomicField(3)), (5, CyclotomicField(5))]:
+            for _ in range(8):
+                eq = random_equivariant_complex(rng, p, field)
+                cx = eq.complex
+                nf = _NormalForm(cx)
+                s_cols = nf.columns((eq.chain_map
+                                     - Matrix.identity(field, len(cx.generators))).columns)
+                windows = list(itertools.combinations(gap_cuts(cx), 2))
+                for src in windows:
+                    source = _SpreadWindow(nf, *src)
+                    images = source.apply_chain_map(s_cols)
+                    for dst in windows:
+                        if dst[0] < src[0] or dst[1] < src[1]:
+                            continue
+                        got = source.induced_nonzero(images, _SpreadWindow(nf, *dst))
+                        assert got == window_pair_nonzero_oracle(eq, src, dst), (src, dst)
+                        outcomes[got] += 1
+        total = sum(outcomes.values())
+        assert min(outcomes[True], outcomes[False]) >= 0.15 * total, outcomes
 
     def test_ranks_unreduced_pairs_by_value(self):
         """Two swapped pairs of classes born at 0, killed at 5/2 and at

@@ -15,7 +15,9 @@ from egb.freegroup import canonical_itinerary, itinerary_to_word
 from egb.model import bounds_report, model_input_from_records
 from egb.persistence import FilteredComplex, is_inf
 
-from conftest import alpha_word, coefficient_sums_distinct, min_leading_gap
+from conftest import (
+    alpha_word, coefficient_sums_distinct, min_leading_gap, window_pair_nonzero_oracle,
+)
 
 # six winding fractions whose squared complements have disjoint prime
 # denominators, so all 4^3 coefficient sums are automatically distinct
@@ -113,40 +115,7 @@ def _random_equivariant(rng):
 
 def _chain_comparison_nonzero(eq, a, b, d):
     """Direct evaluation of j_d . (T - id) on the (a, b) window homology."""
-    from egb.persistence import homology_basis, induced_homology_rank, window_complex
-
-    cx = eq.complex
-    field = cx.field
-    n = len(cx.generators)
-    s_rows = (eq.chain_map - Matrix.identity(field, n)).entries
-    keep1, w1 = window_complex(cx, a, b)
-    keep2, w2 = window_complex(cx, a + d, b + d)
-    degrees = {deg for _, deg in cx.generators}
-    for r in degrees:
-        idx1, cycles, _ = homology_basis(w1, r)
-        if not cycles:
-            continue
-        glob1 = [keep1[i] for i in idx1]
-        idx2, _, bnd2 = homology_basis(w2, r)
-        glob2 = [keep2[i] for i in idx2]
-        if not glob2:
-            continue
-        look = {g: i for i, g in enumerate(glob2)}
-        images = []
-        for zvec in cycles:
-            out = [field.zero()] * len(glob2)
-            for col, g in enumerate(glob1):
-                v = zvec[col]
-                if v == 0:
-                    continue
-                for row_g in glob1:
-                    e = s_rows[row_g][g]
-                    if e != 0 and row_g in look:
-                        out[look[row_g]] = out[look[row_g]] + e * v
-            images.append(tuple(out))
-        if induced_homology_rank(field, cycles, images, bnd2, len(glob2)) > 0:
-            return True
-    return False
+    return window_pair_nonzero_oracle(eq, (a, b), (a + d, b + d))
 
 
 def _window_candidates(spectrum, eta, shift):

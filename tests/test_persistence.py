@@ -16,21 +16,19 @@ from egb.persistence import (
     INF,
     barcode_of_complex,
     barcode_of_module,
-    homology_basis,
-    induced_homology_rank,
     les_check,
     longest_finite_bar,
     multiplicity,
-    window_complex,
 )
 
 from conftest import (
     bar_contains,
     barcode_of_module_oracle,
     count_calls,
-    dense_matrix,
     direct_sum,
     gap_cuts,
+    homology_basis_oracle,
+    induced_homology_rank_oracle,
     les_check_oracle,
     module_from_barcode,
     normal_form_barcode,
@@ -39,9 +37,9 @@ from conftest import (
     rand_frac,
     random_filtered_complex,
     random_zp_module,
-    rank_oracle,
     rips_complex,
     shrink,
+    window_complex,
     window_homology,
     window_homology_oracle,
 )
@@ -411,8 +409,9 @@ class TestFilteredComplex:
                             for k, v in zip(local, vec):
                                 chain[k] = v
                             assert not any(wc.boundary.apply(tuple(chain)))
-                        _, _, boundaries = homology_basis(wc, r)
-                        assert induced_homology_rank(field, vecs, vecs, boundaries, len(idx)) == dim
+                        _, _, boundaries = homology_basis_oracle(wc, r)
+                        assert induced_homology_rank_oracle(
+                            field, vecs, vecs, boundaries, len(idx)) == dim
 
 
 class TestWindowHomology:
@@ -492,32 +491,3 @@ class TestBarcodeContainers:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             Barcode(((Bar(0, 1), 0, None),))
-
-
-class TestInducedHomologyRank:
-    """One column reduction of [B | images] against rank[images | B] - rank[B]
-    by the dense echelon."""
-
-    @pytest.mark.parametrize("field", [QQ_FIELD, CyclotomicField(3)], ids=repr)
-    def test_equals_rank_difference(self, rng, monkeypatch, field):
-        reductions = count_calls(monkeypatch, persistence, "_reduce_columns")
-        for _ in range(60):
-            dim = rng.randint(1, 5)
-            # boundary columns of rank at most r; images mix new vectors and boundaries
-            r = rng.randint(0, dim)
-            basis = [tuple(field.coerce(rand_frac(rng, -2, 2, 2)) for _ in range(dim))
-                     for _ in range(r)]
-            boundary_cols = [
-                tuple(sum((field.coerce(rng.randint(-1, 1)) * v[i] for v in basis), field.zero())
-                      for i in range(dim))
-                for _ in range(rng.randint(0, 4))]
-            boundary = dense_matrix(field, dim, len(boundary_cols),
-                                    [[col[i] for col in boundary_cols] for i in range(dim)])
-            images = [rng.choice(boundary_cols) if boundary_cols and rng.random() < 0.3
-                      else tuple(field.coerce(rand_frac(rng, -2, 2, 2)) for _ in range(dim))
-                      for _ in range(rng.randint(1, 4))]
-            expected = (rank_oracle(Matrix.from_columns(field, images + boundary_cols, dim))
-                        - rank_oracle(boundary))
-            del reductions[:]
-            assert induced_homology_rank(field, images, images, boundary, dim) == expected
-            assert len(reductions) == 1

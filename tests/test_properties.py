@@ -38,7 +38,7 @@ from egb.bottleneck import _costs, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
 )
-from egb.model import ModelInput, bounds_report, eigenspace_family, paper_mu_lower_bound
+from egb.model import ModelInput, bounds_report, paper_mu_lower_bound
 from egb.persistence import (
     Bar,
     Barcode,
@@ -977,13 +977,6 @@ def test_multiplicity_equals_the_full_scan(items):
             assert multiplicity(bc, query) == multiplicity_oracle(bc, query)
 
 
-@PROPERTY
-@given(model_inputs())
-def test_eigenspace_family_is_the_sorted_one(model_input):
-    got, want = eigenspace_family(model_input), eigenspace_family_oracle(model_input)
-    assert list(got) == list(want) and got == want
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(bar_items(), st.integers(0, 4))
 def test_repeat_is_the_sorted_one(items, n):
@@ -992,7 +985,7 @@ def test_repeat_is_the_sorted_one(items, n):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(st.one_of(families(), model_inputs().map(eigenspace_family)),
+@given(st.one_of(families(), model_inputs().map(eigenspace_family_oracle)),
        st.lists(st.integers(0, 3), max_size=3), st.sampled_from((2, 3, 5)))
 def test_kunneth_and_graded_mu_equal_the_union_chain(family, tail, p):
     """Each target degree is one construction of the union chain's multiset,
@@ -1099,7 +1092,7 @@ def test_model_spread_and_witness_equal_the_graded_route(case, eps):
     family, value and type."""
     model_input, betti = case
     report = bounds_report(model_input, eps_frac=eps, stabilize=betti)
-    family = eigenspace_family(model_input)
+    family = eigenspace_family_oracle(model_input)
     want = mu_p_of_family(kunneth_stabilize(family, betti), model_input.p)
     event(spread_class(want))
     assert (report.mu_p_model, type(report.mu_p_model)) == (want, type(want))
