@@ -1,19 +1,21 @@
 """Exact arithmetic over Q and the cyclotomic fields Q(zeta_p), p prime.
 
-Rationals are `fractions.Fraction`.  A cyclotomic number holds p-1 integer
-numerators of the basis 1, zeta, ..., zeta^{p-2} over one positive common
-denominator, in lowest terms, with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).
-Its arithmetic runs on integers: a product is one integer convolution, and
-the inverse is the product of the other Galois conjugates over the norm.
-Each field supplies the update x - f*a as `sub_mul`, normalized once: over Q
-one Fraction of integer numerators (no gcd when all three are integers), over
-Q(zeta_p) one gcd (none over the denominator 1), whose sums and differences
-are that update too.  Every loop of elimination and products calls it, with
-no element type test.  Both element types test zero by truthiness and invert
-by ``1 / x``.  All exact linear algebra reads one elimination,
-`_reduce_columns`: the standard column reduction R = DV of sparse columns,
-dicts row -> nonzero entry (Zomorodian and Carlsson, "Computing persistent
-homology", 2005).  The barcodes of
+A rational is an `int` when it is integral and a `fractions.Fraction`
+otherwise.  A cyclotomic number holds p-1 integer numerators of the basis 1,
+zeta, ..., zeta^{p-2} over one positive common denominator, in lowest terms,
+with zeta^{p-1} = -(1 + zeta + ... + zeta^{p-2}).  Its arithmetic runs on
+integers: a product is one integer convolution, and the inverse is the
+product of the other Galois conjugates over the norm.  Each field supplies
+the update x - f*a as `sub_mul`, normalized once: over Q native when all
+three are ints, else one Fraction of integer numerators (an int when
+integral), over Q(zeta_p) one gcd (none over the denominator 1), whose sums
+and differences are that update too.  Every loop of elimination and
+products calls it, with no element type test.  Both element types test zero
+by truthiness, and every division reads the field's `inverse`, under which
+1/(+-1) over Q stays an int: no two ints are divided by ``/``.  All exact
+linear algebra reads one elimination, `_reduce_columns`: the standard column
+reduction R = DV of sparse columns, dicts row -> nonzero entry (Zomorodian
+and Carlsson, "Computing persistent homology", 2005).  The barcodes of
 `persistence` and the eigenspace kernels of `equivariant` read it, and so do
 the `Matrix` methods: rank is the number of lows, a kernel the V_j of each
 zero R_j, a solve the V of the columns of [A | B], and the determinant the
@@ -314,7 +316,6 @@ _TAIL = {p: (0,) * (p - 2) for p in _SUPPORTED_PRIMES}
 _ZERO = {p: _cyclo(p, (0,) * (p - 1), 1) for p in _SUPPORTED_PRIMES}
 _ONE = {p: _cyclo(p, (1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
 _MINUS_ONE = {p: _cyclo(p, (-1,) + _TAIL[p], 1) for p in _SUPPORTED_PRIMES}
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 def cyclo_from_rational(p: int, q) -> CyclotomicNumber:
@@ -338,42 +339,52 @@ def cyclo_zeta(p: int, k: int = 1) -> CyclotomicNumber:
     return _cyclo(p, num, 1)
 
 
-Element = Union[Fraction, CyclotomicNumber]
+Element = Union[int, Fraction, CyclotomicNumber]
 
 
 # -- fields ----------------------------------------------------------------
 
 
 class RationalField:
-    """Marker for Q; supplies zero, one and sub_mul so matrix code is field-generic."""
+    """Marker for Q; supplies zero, one, inverse and sub_mul so matrix code is
+    field-generic.  An element is an int when integral, else a Fraction."""
 
     name = "Q"
 
     @staticmethod
-    def sub_mul(x, f, a) -> Fraction:
-        """x - f*a as one Fraction built from the integer numerators, with no
-        gcd when all three are integers."""
+    def sub_mul(x, f, a):
+        """x - f*a: native when all three are ints, else one Fraction built
+        from the integer numerators, or its int when it is integral."""
+        if type(x) is type(f) is type(a) is int:
+            return x - f * a
         xn, xd = x.as_integer_ratio()
         fn, fd = f.as_integer_ratio()
         an, ad = a.as_integer_ratio()
-        if xd == fd == ad == 1:
-            return Fraction(xn - fn * an)
-        return Fraction(xn * fd * ad - fn * an * xd, xd * fd * ad)
+        n, d = xn * fd * ad - fn * an * xd, xd * fd * ad
+        return Fraction(n, d) if n % d else n // d
 
-    def zero(self) -> Fraction:
-        return _Q_ZERO
+    @staticmethod
+    def inverse(x):
+        """1/x from the lowest terms n/d of x: d/n, an int when n = +-1."""
+        n, d = x.as_integer_ratio()
+        return n * d if n == 1 or n == -1 else Fraction(d, n)
 
-    def one(self) -> Fraction:
-        return _Q_ONE
+    def zero(self) -> int:
+        return 0
 
-    def coerce(self, x) -> Fraction:
-        if type(x) is Fraction:
+    def one(self) -> int:
+        return 1
+
+    def coerce(self, x):
+        if type(x) is int:
             return x
         if isinstance(x, CyclotomicNumber):
             if not x.is_rational():
                 raise ValueError(f"{x} is not rational")
-            return x.rational_part()
-        return Fraction(x)
+            x = x.rational_part()
+        elif type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -389,6 +400,10 @@ class CyclotomicField:
     """Marker for Q(zeta_p)."""
 
     sub_mul = staticmethod(_sub_mul)
+
+    @staticmethod
+    def inverse(x: CyclotomicNumber) -> CyclotomicNumber:
+        return x.inverse()
 
     def __init__(self, p: int):
         _check_supported_prime(p)
@@ -460,7 +475,6 @@ def _reduce_columns(field: Field, columns, basis=None) -> dict[int, int]:
     V_k is final then, so V_j lives on j and on such columns."""
     lows: dict[int, int] = {}
     inverses: dict[int, object] = {}
-    one = field.one()
     for j, col in enumerate(columns):
         while col:
             low = max(col)
@@ -469,7 +483,7 @@ def _reduce_columns(field: Field, columns, basis=None) -> dict[int, int]:
                 break
             inverse = inverses.get(k)
             if inverse is None:
-                inverse = inverses[k] = one / columns[k][low]
+                inverse = inverses[k] = field.inverse(columns[k][low])
             factor = col[low] * inverse
             _axpy(field, col, factor, columns[k])
             if basis is not None:
@@ -512,6 +526,14 @@ class Matrix:
         if any(col and (min(col) < 0 or max(col) >= self.rows) for col in columns):
             raise ValueError("row index outside the matrix")
         object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, columns: tuple) -> "Matrix":
+        """The matrix of a tuple of columns that already fit the shape, built
+        without the row scan of `__post_init__`."""
+        m = _new(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, columns=columns)
+        return m
 
     @property
     def entries(self) -> tuple[tuple[Element, ...], ...]:
@@ -581,8 +603,8 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix(self.field, self.rows, other.cols,
-                      tuple(_apply(self.field, self.columns, col) for col in other.columns))
+        return Matrix._of(self.field, self.rows, other.cols,
+                          tuple(_apply(self.field, self.columns, col) for col in other.columns))
 
     def apply(self, vec: tuple) -> tuple:
         """Matrix times column vector."""
@@ -591,11 +613,11 @@ class Matrix:
         return (self @ Matrix.from_columns(self.field, [vec], self.cols)).column(0)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        if not c:
+        coerce = self.field.coerce
+        if not (c := coerce(c)):
             return Matrix.zeros(self.field, self.rows, self.cols)
         return Matrix(self.field, self.rows, self.cols,
-                      tuple({i: c * x for i, x in col.items()} for col in self.columns))
+                      tuple({i: coerce(c * x) for i, x in col.items()} for col in self.columns))
 
     def transpose(self) -> "Matrix":
         columns = tuple({} for _ in range(self.rows))
@@ -675,7 +697,7 @@ class Matrix:
                 k = perm[i]
                 perm[i], perm[k] = perm[k], k
                 odd = not odd
-        return -det if odd else det
+        return self.field.coerce(-det if odd else det)  # a product of Fractions may be integral
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the null space; empty iff the matrix is injective.

@@ -419,11 +419,12 @@ class _NormalForm:
         least ``floor``, peel off that basis vector and yield its
         (position, coefficient).  ``chain`` is consumed; what is left of it
         lies below ``floor``."""
+        field = self.field
         while chain:
             y = max(chain)
             if y < floor:
                 return
-            factor = chain[y] / self.basis[y][y]
+            factor = field.coerce(chain[y] * field.inverse(self.basis[y][y]))
             _axpy(self.field, chain, factor, self.basis[y])
             yield y, factor
 

@@ -41,7 +41,7 @@ def _field(obj: dict, key: str, what: str):
 
 
 def frac_str(x) -> str:
-    if type(x) is Fraction:
+    if type(x) is Fraction or type(x) is int:
         return str(x)
     if is_inf(x):
         return "inf"
@@ -54,6 +54,12 @@ def parse_frac(s: str, allow_inf: bool = False):
     included, is a `bad rational`.  ASCII text "n" or "n/d" of decimal digits,
     n optionally signed "-", is read with `int`, without `Fraction`'s regex;
     every other spelling goes to `Fraction`."""
+    x = _rational(s, allow_inf)
+    return Fraction(x) if type(x) is int else x
+
+
+def _rational(s: str, allow_inf: bool = False):
+    """`parse_frac`, except that a plain "n" is read as its int."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} must be an exact string such as \"3/2\"")
     if allow_inf and s.strip() in ("inf", "+inf", "Infinity"):
@@ -61,7 +67,7 @@ def parse_frac(s: str, allow_inf: bool = False):
     try:
         n, slash, d = s.partition("/")
         if s.isascii() and n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
-            return Fraction(int(n), int(d)) if slash else Fraction(int(n))
+            return Fraction(int(n), int(d)) if slash else int(n)
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {s!r}") from None
@@ -156,7 +162,7 @@ def element_from_obj(field: Field, obj):
             raise ValueError("coordinate-list element in a rational matrix")
         coords = [parse_frac(c) for c in obj]
         return CyclotomicNumber(field.p, tuple(coords))
-    return field.coerce(parse_frac(obj))
+    return field.coerce(_rational(obj))
 
 
 def matrix_to_obj(m: Matrix) -> list[list]:

@@ -68,6 +68,15 @@ def rand_frac(rng, lo=-8, hi=8, max_den=4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
+def element_type(x) -> type:
+    """The type a field element of value x has: a CyclotomicNumber in
+    Q(zeta_p), and in Q an int exactly when x is integral, else a Fraction.
+    A float of any value differs from it."""
+    if isinstance(x, CyclotomicNumber):
+        return CyclotomicNumber
+    return int if Fraction(x).denominator == 1 else Fraction
+
+
 def dense_matrix(field: Field, rows: int, cols: int, entries) -> Matrix:
     """The matrix of the given dense rows, of any shape: `Matrix.from_rows`
     cannot tell the width of a matrix with no rows."""
@@ -128,7 +137,7 @@ def echelon_oracle(m: Matrix, aug=()):
     for row, extra in zip(rows, aug):
         row.extend(extra)
     width = len(rows[0]) if rows else m.cols
-    z, one, sub_mul = m.field.zero(), m.field.one(), m.field.sub_mul
+    z, one_q, sub_mul = m.field.zero(), Fraction(1), m.field.sub_mul
     pivots, inverses, odd, piv_r = [], [], False, 0
     for piv_c in range(m.cols):
         sel = next((r for r in range(piv_r, m.rows) if rows[r][piv_c]), None)
@@ -138,7 +147,7 @@ def echelon_oracle(m: Matrix, aug=()):
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
             odd = not odd
         prow = rows[piv_r]
-        fp_inv = one / prow[piv_c]
+        fp_inv = one_q / prow[piv_c]  # exact: 1 / x of two ints would be a float
         rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
         for row in rows[piv_r + 1:]:
             fr = row[piv_c]

@@ -8,7 +8,10 @@ candidates are the Fraction ones, the complex constructors' sparse checks
 agree with the dense oracle, a kernel basis is the identity at its free
 columns, the column reduction that carries V leaves its lows and R = DV
 with V upper unitriangular, the Z_p module's parts, V/Fix and checks agree with the solve and
-dense oracles, the integer spread candidates give the grid oracle's mu, and
+dense oracles, every Q value the eliminations, the normal form, the
+barcode, the spread and the `egb spread` parse make is an int iff it is
+integral and never a float, the integer spread candidates give the grid
+oracle's mu, and
 the bounds report's family, stabilization, graded spread, witness and
 multiplicity equal their Fraction and sorting-constructor oracles, and the
 degree-gap bound of `egb spread` is the pairwise one.
@@ -16,6 +19,7 @@ Derandomized, so every run draws the same examples."""
 
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -36,7 +40,8 @@ from egb.equivariant import (
 )
 from egb.bottleneck import _costs, bottleneck
 from egb.field import (
-    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, cyclo_from_rational, cyclo_zeta,
+    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, RationalField, cyclo_from_rational,
+    cyclo_zeta,
 )
 from egb.model import ModelInput, bounds_report, paper_mu_lower_bound
 from egb.persistence import (
@@ -58,6 +63,7 @@ from egb.serialize import (
     complex_to_obj,
     element_from_obj,
     element_to_obj,
+    equivariant_from_obj,
     frac_str,
     matrix_from_obj,
     matrix_to_obj,
@@ -77,6 +83,7 @@ from conftest import (
     echelon_oracle,
     eigenspace_family_oracle,
     eigenspace_module_oracle,
+    element_type,
     extend_basis_oracle,
     fix_vectors,
     gap_cuts,
@@ -210,7 +217,7 @@ def sub_mul_operands(draw):
     if p is None:
         huge = st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620), st.integers(1, 2 ** 600))
         integral = st.builds(Fraction, st.integers(-2 ** 620, 2 ** 620))
-        element = st.one_of(units, rationals, huge, integral)
+        element = st.one_of(units, rationals, huge, integral).map(QQ_FIELD.coerce)
         return QQ_FIELD, (draw(element), draw(element), draw(element))
     element = st.one_of(units.map(lambda q: cyclo_from_rational(p, q)),
                         rationals.map(lambda q: cyclo_from_rational(p, q)),
@@ -219,7 +226,7 @@ def sub_mul_operands(draw):
 
 
 def _q(*values):
-    return QQ_FIELD, tuple(Fraction(v) for v in values)
+    return QQ_FIELD, tuple(QQ_FIELD.coerce(Fraction(v)) for v in values)
 
 
 def _cys(p, *elements):
@@ -250,11 +257,12 @@ BIG = Fraction(3 ** 380 + 1, 2 ** 600 + 3)  # a ~600-bit denominator
 @example(_q("7/2", -3, 5))
 @example(_q(6, 3, 2))  # integers that cancel to 0
 def test_fused_update_is_x_minus_f_times_a(case):
-    """The field's one-normalization update equals, hashes like and has the
-    type of x - f*a, over Q a Fraction."""
+    """The field's one-normalization update equals and hashes like x - f*a,
+    and has the element type of its value: over Q an int iff it is integral,
+    else a Fraction."""
     field, (x, f, a) = case
     got, want = field.sub_mul(x, f, a), x - f * a
-    assert type(got) is type(want) is (Fraction if field == QQ_FIELD else CyclotomicNumber)
+    assert type(got) is element_type(want)
     assert (got, hash(got)) == (want, hash(want))
 
 
@@ -591,6 +599,8 @@ def test_complex_checks_equal_the_dense_oracle(kind, data):
     keeps the nonzero entries of D and T as its columns, also after a JSON
     round trip."""
     field, gens, boundary, p, chain_map = data.draw(corrupted_complexes(kind))
+    if field == QQ_FIELD:
+        event(pivot_class(boundary))
     expected = complex_checks_oracle(field, gens, boundary, p, chain_map)
     assert expected is None and None in EXPECTED[kind] or any(
         expected is not None and expected.endswith(m) for m in EXPECTED[kind] if m)
@@ -680,7 +690,9 @@ def elimination_cases(draw):
     p = draw(st.sampled_from((None, 3, 5)))
     if p is None:
         field = QQ_FIELD
-        values = [Fraction(v) for v in (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7))]
+        fractions = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7))
+        values = [Fraction(v) for v in draw(st.sampled_from(
+            (fractions, fractions, (0, 0, 1, -1), (0, 0, 1, -1), (0, 1, 2, -3), (0, 2, -3))))]
     else:
         field, z = CyclotomicField(p), cyclo_zeta(p, 1)
         values = [field.zero()] * 3 + [field.one(), -field.one(), z, z * z + Fraction(1, 3),
@@ -697,8 +709,9 @@ def elimination_cases(draw):
 
 
 def same_entries(a, b) -> bool:
-    """Equal, and of the same element type entry for entry."""
-    return a == b and [type(x) for x in a] == [type(x) for x in b]
+    """Equal, and each entry of ``a`` of the element type of the value in
+    ``b``: over Q an int iff it is integral, else a Fraction."""
+    return a == b and [type(x) for x in a] == [element_type(x) for x in b]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -711,6 +724,8 @@ def test_matrix_eliminations_equal_the_echelon_oracle(case):
     substitution entry for entry; the singular and non-square messages stay."""
     m, rhs = case
     field = m.field
+    if field == QQ_FIELD:
+        event(pivot_class(m))
     assert m.rank() == rank_oracle(m)
     basis, oracle_basis = m.kernel_basis(), kernel_oracle(m)
     assert len(basis) == len(oracle_basis)
@@ -742,6 +757,192 @@ def test_matrix_eliminations_equal_the_echelon_oracle(case):
     else:
         assert all(same_entries(r, s) for r, s in zip(m.inverse().entries, inverse.entries))
         assert m.inverse() == inverse
+
+
+# -- integral rationals stay ints -----------------------------------------------
+
+PIVOT_CLASSES = ("unit pivots only", "non-unit integer pivot", "Fraction entries")
+
+# the factors that put an integer input with pivots +-1 in each class: +-1
+# keeps its pivots, an integer other than +-1, small or ~600-bit, makes every
+# pivot non-unit, and a Fraction makes the entries Fractions
+SCALES = dict(zip(PIVOT_CLASSES, ((1, -1), (2, -3, 3 ** 380 + 1, -(2 ** 600 + 1)),
+                                  (Fraction(3, 7), Fraction(-5, 11)))))
+
+
+def pivot_class(m: Matrix) -> str:
+    """The class of a Q matrix: "zero" when it has no nonzero entry, so
+    no pivot; "Fraction entries" when an entry is not an int, else
+    "non-unit integer pivot" when its column reduction meets a pivot other
+    than +-1, so that Fractions appear mid-reduction, else "unit pivots
+    only"."""
+    if m.is_zero():
+        return "zero"
+    if any(type(x) is not int for col in m.columns for x in col.values()):
+        return "Fraction entries"
+    cols = [dict(col) for col in m.columns]
+    lows = field_module._reduce_columns(QQ_FIELD, cols)
+    if any(cols[j][low] not in (1, -1) for low, j in lows.items()):
+        return "non-unit integer pivot"
+    return "unit pivots only"
+
+
+def assert_q_element(x):
+    """x is a rational as the library keeps it: an int iff it is integral,
+    else a Fraction, and never a float, which `is_inf` would read as a
+    candidate +inf."""
+    assert type(x) in (int, Fraction) and type(x) is element_type(x), (type(x), x)
+
+
+def assert_q_columns(columns):
+    for col in columns:
+        for x in col.values():
+            assert_q_element(x)
+
+
+@contextmanager
+def q_arithmetic_checked():
+    """Inside it, every update x - f*a and every inverse over Q checks its
+    operands and its result.  The factor f of a reduction step is the
+    product of an entry and a pivot inverse, so it may be an integral
+    Fraction; it must still be exact."""
+    sub_mul, inverse = RationalField.sub_mul, RationalField.inverse
+
+    def checked_sub_mul(x, f, a):
+        assert type(f) in (int, Fraction), (type(f), f)
+        assert_q_element(x)
+        assert_q_element(a)
+        out = sub_mul(x, f, a)
+        assert_q_element(out)
+        return out
+
+    def checked_inverse(x):
+        assert_q_element(x)
+        out = inverse(x)
+        assert_q_element(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RationalField, "sub_mul", staticmethod(checked_sub_mul))
+        patch.setattr(RationalField, "inverse", staticmethod(checked_inverse))
+        yield
+
+
+@st.composite
+def q_matrix_cases(draw):
+    """A Q matrix of each class of `SCALES`, an integer matrix to multiply it by
+    and a right-hand side.  The matrix is the kind's factor times an integer
+    matrix of 1-5 rows and columns whose columns are unit columns e_r with
+    small integer entries above r, for distinct r in a random order, the
+    first among them, and integer combinations of earlier columns: its
+    column reduction meets only the pivots 1, each dependent column reducing
+    to zero.  The right-hand side
+    is its image of an integer matrix or a random integer matrix."""
+    c, small = draw(st.sampled_from(SCALES[draw(st.sampled_from(PIVOT_CLASSES))])), st.integers(-2, 2)
+    rows = draw(st.integers(1, 5))
+    order, columns = list(draw(st.permutations(range(rows)))), []
+    for _ in range(draw(st.integers(1, 5))):
+        if order and (not columns or draw(st.booleans())):
+            r = order.pop()
+            col = {r: 1, **{i: v for i in range(r) if (v := draw(small))}}
+        else:
+            col = {}
+            for k in draw(st.lists(st.integers(0, len(columns) - 1), max_size=3)):
+                a = draw(small)
+                for i, v in columns[k].items():
+                    col[i] = col.get(i, 0) + a * v
+        columns.append(col)
+    m = dense_matrix(QQ_FIELD, rows, len(columns),
+                     [[c * col.get(i, 0) for col in columns] for i in range(rows)])
+
+    def integers(rows, cols):
+        return dense_matrix(QQ_FIELD, rows, cols,
+                            [[draw(small) for _ in range(cols)] for _ in range(rows)])
+
+    k = draw(st.integers(0, 3))
+    rhs = m @ integers(m.cols, k) if draw(st.booleans()) else integers(rows, k)
+    return m, integers(m.cols, draw(st.integers(0, 3))), rhs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(q_matrix_cases())
+def test_q_eliminations_keep_integral_entries_ints(case):
+    """Over Q every entry a product, a reduction with and without V, a
+    kernel, a solve, an inverse or a determinant makes, and every operand of
+    their updates, is an int iff it is integral, else a Fraction."""
+    m, x, rhs = case
+    event(pivot_class(m))
+    with q_arithmetic_checked():
+        assert_q_columns(m.columns + x.columns + rhs.columns)
+        assert_q_columns((m @ x).columns)
+        for basis in (None, [{j: 1} for j in range(m.cols)]):
+            cols = [dict(col) for col in m.columns]
+            field_module._reduce_columns(QQ_FIELD, cols, basis)
+            assert_q_columns(cols + (basis or []))
+        for v in m.kernel_basis():
+            assert_q_columns([dict(enumerate(v))])
+        if (solved := m.solve_matrix(rhs)) is not None:
+            assert_q_columns(solved.columns)
+        for j in range(rhs.cols):
+            if (column := m.solve(rhs.column(j))) is not None:
+                assert_q_columns([dict(enumerate(column))])
+        if m.rows == m.cols:
+            assert_q_element(m.det())
+            if m.det():
+                assert_q_columns(m.inverse().columns)
+
+
+@st.composite
+def q_complex_cases(draw):
+    """A random equivariant complex over Q at p = 2 or 3 with a nonzero
+    boundary, and the complex with its boundary times a factor of a class
+    of `SCALES`, which the same chain map commutes with and which has the
+    same lows.  The unit factors are drawn most often, since the random
+    boundary itself meets a non-unit pivot in about 2 of 5 draws."""
+    unit, non_unit, fraction = PIVOT_CLASSES
+    c = draw(st.sampled_from(SCALES[draw(st.sampled_from((unit, unit, non_unit, fraction)))]))
+    p, rng = draw(st.sampled_from((2, 3))), random.Random(draw(st.integers(0, 2 ** 32)))
+    eq = random_equivariant_complex(rng, p)
+    while eq.complex.boundary.is_zero():
+        eq = random_equivariant_complex(rng, p)
+    cx = eq.complex
+    scaled = FilteredComplex(QQ_FIELD, cx.generators, cx.boundary.scale(c))
+    return eq, EquivariantComplex(p, scaled, eq.chain_map)
+
+
+def complex_pivot_class(cx: FilteredComplex) -> str:
+    """`pivot_class` of the boundary in the filtration order, as
+    `barcode_of_complex` reduces it."""
+    n = len(cx.generators)
+    return pivot_class(Matrix(QQ_FIELD, n, n, tuple(persistence._filtration(cx)[2])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(q_complex_cases())
+def test_q_complexes_keep_integral_entries_ints(case):
+    """Over Q the parse of an `egb spread` input, the normal form, the
+    barcode, the long exact sequence check and the spread keep every entry
+    and every operand of their updates an int iff it is integral, else a
+    Fraction; the scaled boundary gives the barcode, the checks and the
+    spread of the complex it scales."""
+    base, eq = case
+    cx = eq.complex
+    event(complex_pivot_class(cx))
+    text = json.dumps({"p": eq.p, "complex": complex_to_obj(cx),
+                       "chain_map": matrix_to_obj(eq.chain_map)})
+    cuts = gap_cuts(cx)
+    with q_arithmetic_checked():
+        parsed = equivariant_from_obj(json.loads(text))
+        assert_q_columns(parsed.complex.boundary.columns + parsed.chain_map.columns)
+        assert parsed == eq
+        nf = persistence._NormalForm(cx)
+        assert_q_columns(nf.basis)
+        barcode = barcode_of_complex(cx)
+        les = [les_check(cx, *cuts[i:i + 3]) for i in range(len(cuts) - 2)]
+        spread = w_spread(eq, eq.p)
+    assert barcode == barcode_of_complex(base.complex)
+    assert les == [les_check(base.complex, *cuts[i:i + 3]) for i in range(len(cuts) - 2)]
+    assert (spread, type(spread)) == (w_spread(base, base.p), type(w_spread(base, base.p)))
 
 
 @st.composite
@@ -1115,3 +1316,38 @@ def test_model_spread_examples_reach_both_classes():
 
     record()
     assert min(classes.count("+inf"), classes.count("finite")) >= len(classes) / 4
+
+
+def test_q_examples_reach_each_pivot_class():
+    """Of the derandomized Q examples of the elimination and complex
+    property tests, at each test's own count, at least a quarter reach each
+    pivot class: unit pivots only, where every update stays on ints; a
+    non-unit integer pivot, where Fractions appear mid-reduction; and
+    Fraction entries.  A zero matrix, which meets no pivot, is not counted.
+    `corrupted_complexes` records its classes too but
+    has no floor: its integer complexes meet Fractions only through the
+    corruption value 1/3, and what it compares is the checks' messages."""
+
+    def classes(strategy, max_examples, classify) -> list[str]:
+        seen = []
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+        @given(strategy)
+        def record(case):
+            if (c := classify(case)) is not None:
+                seen.append(c)
+
+        record()
+        return seen
+
+    reached = {
+        "elimination_cases": classes(elimination_cases(), 300, lambda case: pivot_class(
+            case[0]) if case[0].field == QQ_FIELD else None),
+        "q_matrix_cases": classes(q_matrix_cases(), 200, lambda case: pivot_class(case[0])),
+        "q_complex_cases": classes(q_complex_cases(), 100,
+                                   lambda case: complex_pivot_class(case[1].complex)),
+    }
+    for name, seen in reached.items():
+        seen = [c for c in seen if c != "zero"]
+        for c in PIVOT_CLASSES:
+            assert seen.count(c) >= len(seen) / 4, (name, c, seen.count(c), len(seen))
