@@ -81,10 +81,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 # -- eggbeater -----------------------------------------------------------------
 
 
@@ -180,7 +176,7 @@ def cmd_barcode(args) -> int:
         return 0
     if args.subcommand == "bottleneck":
         b, c = (ser.barcode_from_obj(_load_json(f)) for f in args.files)
-        _emit(_dump({"bottleneck": ser.frac_str(bottleneck(b, c))}), args.out)
+        _emit(ser.dumps({"bottleneck": ser.frac_str(bottleneck(b, c))}), args.out)
         return 0
     if args.subcommand == "mu":
         module = ser.zp_module_from_obj(_load_json(args.files[0]))
@@ -197,7 +193,7 @@ def cmd_barcode(args) -> int:
             "w_hat": ser.frac_str(w_hat(module)),
             "verdict": "FAIL" if mus[zi - 1] > 0 else "PASS",
         }
-        _emit(_dump(report), args.out)
+        _emit(ser.dumps(report), args.out)
         return 0
 
 
@@ -214,7 +210,7 @@ def cmd_spread(args) -> int:
         out["spread_lower_bound_from_gaps"] = ser.frac_str(
             spread_lower_bound_from_gaps(eq.complex.generators)
         )
-    _emit(_dump(out), args.out)
+    _emit(ser.dumps(out), args.out)
     return 0
 
 
@@ -257,7 +253,7 @@ def cmd_bounds(args) -> int:
             "lambda": ser.frac_str(lam),
         }
     report = mdl.bounds_report(model_input, k=k, eps_frac=eps, lam=lam, stabilize=stabilize)
-    _emit(_dump(ser.bounds_report_to_obj(report, provenance)), args.out)
+    _emit(ser.dumps(ser.bounds_report_to_obj(report, provenance)), args.out)
     if args.svg:
         # every tuple is one ray (action, +inf] of the model, whichever root
         rays = Barcode.of(Bar(a, INF) for a, _ in model_input.tuples)

@@ -1,8 +1,13 @@
 """Machine-readable interfaces: rational-string JSON, CSV tables, SVG bars.
 
 Rationals are serialized as exact strings ("3/4", "-2", "inf"), never
-floats; floats appear only inside the SVG rendering coordinates, which are
-a human-facing drawing.
+floats, and read back by the one parser `parse_frac`.  Every JSON text is
+`dumps`, json.dumps with indent 2 and sorted keys, except the egg-beater
+records: their CSV rows and their JSON objects are hand-written templates,
+filled from strings formatted once per record, since that is the hot path
+of `egb eggbeater`; `write_records` streams them inside a frame that
+`dumps` lays out.  The SVG drawing is the one place floats appear: each
+coordinate is one correctly rounded division of exact integers.
 """
 
 from __future__ import annotations
@@ -49,17 +54,12 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s: str, allow_inf: bool = False):
-    """An exact rational of a JSON field or a command-line option; "inf" only
-    when `allow_inf`.  Text that `Fraction` refuses, a zero denominator
-    included, is a `bad rational`.  ASCII text "n" or "n/d" of decimal digits,
-    n optionally signed "-", is read with `int`, without `Fraction`'s regex;
-    every other spelling goes to `Fraction`."""
-    x = _rational(s, allow_inf)
-    return Fraction(x) if type(x) is int else x
-
-
-def _rational(s: str, allow_inf: bool = False):
-    """`parse_frac`, except that a plain "n" is read as its int."""
+    """An exact rational of a JSON field or a command-line option, as an
+    element of Q: an `int` when it is integral, else a `Fraction`; "inf"
+    only when `allow_inf`.  Text that `Fraction` refuses, a zero
+    denominator included, is a `bad rational`.  ASCII text "n" or "n/d" of
+    decimal digits, n optionally signed "-", is read with `int`, without
+    `Fraction`'s regex; every other spelling goes to `Fraction`."""
     if not isinstance(s, str):
         raise ValueError(f"rational {s!r} must be an exact string such as \"3/2\"")
     if allow_inf and s.strip() in ("inf", "+inf", "Infinity"):
@@ -67,10 +67,14 @@ def _rational(s: str, allow_inf: bool = False):
     try:
         n, slash, d = s.partition("/")
         if s.isascii() and n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
-            return Fraction(int(n), int(d)) if slash else int(n)
-        return Fraction(s)
+            if not slash:
+                return int(n)
+            x = Fraction(int(n), int(d))
+        else:
+            x = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {s!r}") from None
+    return x.numerator if x.denominator == 1 else x
 
 
 def parse_int(x, what: str) -> int:
@@ -97,6 +101,11 @@ def parse_array(x, what: str, objects: bool = False) -> list:
     if objects and not all(isinstance(item, dict) for item in x):
         raise ValueError(f"every entry of {what} must be a JSON object")
     return x
+
+
+def dumps(obj) -> str:
+    """The JSON text of every egb output: indent 2, sorted keys, ASCII."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 # -- barcodes -------------------------------------------------------------------
@@ -128,7 +137,7 @@ def barcode_from_obj(obj) -> Barcode:
 
 
 def barcode_to_json(barcode: Barcode) -> str:
-    return json.dumps(barcode_to_obj(barcode), indent=2, sort_keys=True)
+    return dumps(barcode_to_obj(barcode))
 
 
 # -- fields and matrices --------------------------------------------------------
@@ -162,7 +171,7 @@ def element_from_obj(field: Field, obj):
             raise ValueError("coordinate-list element in a rational matrix")
         coords = [parse_frac(c) for c in obj]
         return CyclotomicNumber(field.p, tuple(coords))
-    return field.coerce(_rational(obj))
+    return field.coerce(parse_frac(obj))
 
 
 def matrix_to_obj(m: Matrix) -> list[list]:
@@ -376,31 +385,24 @@ def _record_texts(r: FixedPointRecord, label: str, det: str) -> tuple[str, str]:
 def write_records(records, csv_out=None, json_out=None, header: dict | None = None,
                   det_values: bool = False) -> None:
     """Write the CSV table of `records` to `csv_out`, and to `json_out` the
-    text `json.dumps(obj, indent=2, sort_keys=True)` gives for the object
-    `header` plus "records" (and "det_values", sign label -> det, when
-    asked), without a trailing newline.  Either output may be None.
+    `dumps` text of the object `header` plus "records" (and "det_values",
+    sign label -> det, when asked), without a trailing newline.  Either
+    output may be None.
 
     Each record is formatted once, and its text is written as soon as it is
-    made; only the header values go through `json.dumps`."""
+    made, between the two halves of the `dumps` text of the object with no
+    records."""
     labels = [r.label() for r in records]
     dets = [_ratio_str(*r.det_ratio) for r in records]
-    members = {
-        k: json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in (header or {}).items()
-    }
-    if det_values:
-        by_label = dict(zip(labels, dets))
-        members["det_values"] = ("{\n" + ",\n".join(
-            f'    {encode_basestring_ascii(k)}: "{by_label[k]}"' for k in sorted(by_label)
-        ) + "\n  }") if by_label else "{}"
-    keys = sorted([*members, "records"])
-    i = keys.index("records")
     if csv_out is not None:
         csv_out.write(CSV_HEADER)
     if json_out is not None:
-        json_out.write("{\n" + "".join(
-            f"  {encode_basestring_ascii(k)}: {members[k]},\n" for k in keys[:i]
-        ) + '  "records": ')
-    sep = "[\n"
+        frame = {**(header or {}), "records": []}
+        if det_values:
+            frame["det_values"] = dict(zip(labels, dets))
+        head, _, tail = dumps(frame).partition('"records": []')
+        json_out.write(head + '"records": [')
+    sep = "\n"
     for r, label, det in zip(records, labels, dets):
         csv_row, json_text = _record_texts(r, label, det)
         if csv_out is not None:
@@ -409,9 +411,7 @@ def write_records(records, csv_out=None, json_out=None, header: dict | None = No
             json_out.write(sep + json_text)
         sep = ",\n"
     if json_out is not None:
-        json_out.write(("[]" if not records else "\n  ]") + "".join(
-            f",\n  {encode_basestring_ascii(k)}: {members[k]}" for k in keys[i + 1:]
-        ) + "\n}")
+        json_out.write(("\n  ]" if records else "]") + tail)
 
 
 def bounds_report_to_obj(report: BoundsReport, provenance: dict | None = None) -> dict:
@@ -444,18 +444,19 @@ def barcode_svg(barcode: Barcode) -> str:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="20">'
             "<text x='4' y='14' font-size='10'>empty barcode</text></svg>"
         )
-    births = [float(b.birth) for b, _ in bars]
-    finite_deaths = [float(b.death) for b, _ in bars if b.finite]
-    lo = min(births)
-    hi = max(finite_deaths + births)
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    margin = 40.0
-    scale = (width - 2 * margin) / span
+    # lo = ln/ld, the first birth, and span = sn/sd, the exact width (1 when 0)
+    ln, ld = bars[0][0].birth.as_integer_ratio()
+    hn, hd = max([b.death for b, _ in bars if b.finite] + [bars[-1][0].birth]).as_integer_ratio()
+    sn, sd = hn * ld - ln * hd, hd * ld
+    if not sn:
+        sn = sd = 1
+    margin = 40
 
-    def sx(v: float) -> float:
-        return margin + (v - lo) * scale
+    def sx(v: Fraction) -> float:
+        """margin + (v - lo) (width - 2 margin) / span, rounded once."""
+        vn, vd = v.as_integer_ratio()
+        den = vd * ld * sn
+        return (margin * den + (width - 2 * margin) * sd * (vn * ld - ln * vd)) / den
 
     height = row_height * (len(bars) + 1)
     parts = [
@@ -463,9 +464,9 @@ def barcode_svg(barcode: Barcode) -> str:
     ]
     for i, (bar, degree) in enumerate(bars):
         y = row_height * (i + 1) - row_height / 2
-        x1 = sx(float(bar.birth))
+        x1 = sx(bar.birth)
         if bar.finite:
-            x2 = sx(float(bar.death))
+            x2 = sx(bar.death)
             dash = ""
         else:
             x2 = width - margin / 2

@@ -563,6 +563,21 @@ class TestBoundsCommand:
         assert stab["pow_bound"] == plain["pow_bound"]
         assert stab["mu_p_model"] == plain["mu_p_model"]
 
+    @pytest.mark.parametrize("actions", [
+        ["1" + "0" * 30, "1" + "0" * 29 + "1"],  # as floats lo + 1.0 == lo
+        ["0", "1" + "0" * 400],  # too large for a float
+    ], ids=["31-digit-neighbours", "401-digit"])
+    def test_svg_places_actions_that_floats_cannot(self, tmp_path, capsys, actions):
+        """The SVG positions are exact: the least action is drawn at x = 40
+        and the greatest at x = 600, also where floats cannot tell the
+        actions apart or hold them."""
+        f, svg = tmp_path / "tuples.json", tmp_path / "bars.svg"
+        f.write_text(json.dumps({"tuples": [{"action": a} for a in actions]}))
+        code, _, err = run(capsys, "bounds", "--p", "2", "--file", str(f), "--svg", str(svg))
+        assert (code, err) == (0, "")
+        text = svg.read_text()
+        assert 'x1="40.00"' in text and 'x1="600.00"' in text
+
     def test_tuples_file(self, tmp_path, capsys):
         f = tmp_path / "tuples.json"
         f.write_text(json.dumps({"tuples": [{"action": "0"}, {"action": "8"}]}))

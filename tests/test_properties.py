@@ -337,14 +337,15 @@ def test_complex_check_compares_actions_closer_than_the_key_step():
 # refuses), by Python version; "1_0" is read from 3.11 on and "3 / 4" from
 # 3.12 on, so each is compared with `Fraction` on the running interpreter.
 RATIONAL_TEXTS = ["1_0", " 3 ", "+3", "\u0663", "3/\u0664", "1e3", "1.5", "-0", "0/007", "1/0",
-                  "3 / 4", "3/-4", "3/+4", "--3", "-", "3/", "/3", "3/4/5", "", "-12/18",
+                  "4/2", "3 / 4", "3/-4", "3/+4", "--3", "-", "3/", "/3", "3/4/5", "", "-12/18",
                   "007", "-0/5", "0/0", "1" * 5000, "-" + "7" * 5000 + "/3", "2/" + "9" * 5000,
                   "\u00b2", "3/\u00b2"]
 
 
 def assert_parses_as_fraction(text):
-    """`parse_frac(text)` is `Fraction(text)`, in lowest terms, or, where
-    `Fraction` refuses the text, the `bad rational` error."""
+    """`parse_frac(text)` is `Fraction(text)`, in lowest terms, as an element
+    of Q: an int iff it is integral, else a Fraction; or, where `Fraction`
+    refuses the text, the `bad rational` error."""
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -353,7 +354,7 @@ def assert_parses_as_fraction(text):
         assert str(error.value) == f"bad rational {text!r}"
         return
     got = parse_frac(text)
-    assert type(got) is Fraction
+    assert got == want and type(got) is element_type(want)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
@@ -683,16 +684,17 @@ def test_parts_and_quotient_equal_the_solve_oracle(p, seed):
 
 @st.composite
 def elimination_cases(draw):
-    """A matrix over Q, Q(zeta_3) or Q(zeta_5) of 0-5 rows and columns with
-    entries from a few values, so that it is often rank-deficient, and a
-    right-hand side of 0-3 columns that is its image of another matrix
-    (consistent) or drawn freely (often inconsistent)."""
-    p = draw(st.sampled_from((None, 3, 5)))
+    """A matrix over Q (in half the draws), Q(zeta_3) or Q(zeta_5) of 0-5
+    rows and columns with entries from a few values, so that it is often
+    rank-deficient, and a right-hand side of 0-3 columns that is its image
+    of another matrix (consistent) or drawn freely (often inconsistent)."""
+    p = draw(st.sampled_from((None, 3, 5, None)))
     if p is None:
         field = QQ_FIELD
         fractions = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7))
         values = [Fraction(v) for v in draw(st.sampled_from(
-            (fractions, fractions, (0, 0, 1, -1), (0, 0, 1, -1), (0, 1, 2, -3), (0, 2, -3))))]
+            (fractions, fractions, (0, 0, 1, -1), (0, 0, 1, -1), (0, 1, 2, -3), (0, 2, -3),
+             (0, 0, 2, -3), (0, Fraction(1, 2), Fraction(-3, 7)))))]
     else:
         field, z = CyclotomicField(p), cyclo_zeta(p, 1)
         values = [field.zero()] * 3 + [field.one(), -field.one(), z, z * z + Fraction(1, 3),
@@ -838,7 +840,9 @@ def q_matrix_cases(draw):
     column reduction meets only the pivots 1, each dependent column reducing
     to zero.  The right-hand side
     is its image of an integer matrix or a random integer matrix."""
-    c, small = draw(st.sampled_from(SCALES[draw(st.sampled_from(PIVOT_CLASSES))])), st.integers(-2, 2)
+    unit, non_unit, fraction = PIVOT_CLASSES
+    kind = draw(st.sampled_from((unit, non_unit, fraction, non_unit, fraction, unit)))
+    c, small = draw(st.sampled_from(SCALES[kind])), st.integers(-2, 2)
     rows = draw(st.integers(1, 5))
     order, columns = list(draw(st.permutations(range(rows)))), []
     for _ in range(draw(st.integers(1, 5))):
@@ -900,7 +904,8 @@ def q_complex_cases(draw):
     same lows.  The unit factors are drawn most often, since the random
     boundary itself meets a non-unit pivot in about 2 of 5 draws."""
     unit, non_unit, fraction = PIVOT_CLASSES
-    c = draw(st.sampled_from(SCALES[draw(st.sampled_from((unit, unit, non_unit, fraction)))]))
+    kind = draw(st.sampled_from((unit, unit, non_unit, fraction, fraction, unit)))
+    c = draw(st.sampled_from(SCALES[kind]))
     p, rng = draw(st.sampled_from((2, 3))), random.Random(draw(st.integers(0, 2 ** 32)))
     eq = random_equivariant_complex(rng, p)
     while eq.complex.boundary.is_zero():
@@ -1301,53 +1306,37 @@ def test_model_spread_and_witness_equal_the_graded_route(case, eps):
     assert (report.mu_p_paper_bound, type(report.mu_p_paper_bound)) == (bound, type(bound))
 
 
-def test_model_spread_examples_reach_both_classes():
-    """Of the derandomized examples of `stabilized_models`, at the property
-    test's count, at least a quarter read a +inf spread and a quarter a
-    finite one, so that both the ray count and the pair ranking are
-    compared with the graded route."""
-    classes = []
+def replayed_events(test, monkeypatch) -> list[str]:
+    """The events a derandomized property test of this module records, in
+    order: the test is run again, under its own `@given` and `@settings`, so
+    on its own examples, with `event` recording."""
+    seen = []
+    monkeypatch.setitem(globals(), "event", seen.append)
+    test()
+    return seen
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @given(stabilized_models())
-    def record(case):
-        model_input, betti = case
-        classes.append(spread_class(bounds_report(model_input, stabilize=betti).mu_p_model))
 
-    record()
+def test_model_spread_examples_reach_both_classes(monkeypatch):
+    """Of the examples of `test_model_spread_and_witness_equal_the_graded_route`,
+    at least a quarter read a +inf spread and a quarter a finite one, so
+    that both the ray count and the pair ranking are compared with the
+    graded route."""
+    classes = replayed_events(test_model_spread_and_witness_equal_the_graded_route, monkeypatch)
     assert min(classes.count("+inf"), classes.count("finite")) >= len(classes) / 4
 
 
-def test_q_examples_reach_each_pivot_class():
-    """Of the derandomized Q examples of the elimination and complex
-    property tests, at each test's own count, at least a quarter reach each
-    pivot class: unit pivots only, where every update stays on ints; a
-    non-unit integer pivot, where Fractions appear mid-reduction; and
-    Fraction entries.  A zero matrix, which meets no pivot, is not counted.
-    `corrupted_complexes` records its classes too but
-    has no floor: its integer complexes meet Fractions only through the
-    corruption value 1/3, and what it compares is the checks' messages."""
-
-    def classes(strategy, max_examples, classify) -> list[str]:
-        seen = []
-
-        @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
-        @given(strategy)
-        def record(case):
-            if (c := classify(case)) is not None:
-                seen.append(c)
-
-        record()
-        return seen
-
-    reached = {
-        "elimination_cases": classes(elimination_cases(), 300, lambda case: pivot_class(
-            case[0]) if case[0].field == QQ_FIELD else None),
-        "q_matrix_cases": classes(q_matrix_cases(), 200, lambda case: pivot_class(case[0])),
-        "q_complex_cases": classes(q_complex_cases(), 100,
-                                   lambda case: complex_pivot_class(case[1].complex)),
-    }
-    for name, seen in reached.items():
-        seen = [c for c in seen if c != "zero"]
+def test_q_examples_reach_each_pivot_class(monkeypatch):
+    """Of the Q examples of the elimination and complex property tests, at
+    least a quarter reach each pivot class: unit pivots only, where every
+    update stays on ints; a non-unit integer pivot, where Fractions appear
+    mid-reduction; and Fraction entries.  A zero matrix, which meets no
+    pivot, is not counted.  `test_complex_checks_equal_the_dense_oracle`
+    records its classes too but has no floor: its integer complexes meet
+    Fractions only through the corruption value 1/3, and what it compares
+    is the checks' messages."""
+    for test in (test_matrix_eliminations_equal_the_echelon_oracle,
+                 test_q_eliminations_keep_integral_entries_ints,
+                 test_q_complexes_keep_integral_entries_ints):
+        seen = [c for c in replayed_events(test, monkeypatch) if c != "zero"]
         for c in PIVOT_CLASSES:
-            assert seen.count(c) >= len(seen) / 4, (name, c, seen.count(c), len(seen))
+            assert seen.count(c) >= len(seen) / 4, (test.__name__, c, seen.count(c), len(seen))
