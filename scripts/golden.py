@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -70,8 +71,18 @@ def check(case: dict, invoke, workdir: Path) -> list[str]:
 
 
 def subprocess_invoker(command: list[str]):
+    """Runs ``command`` in a case's directory, with each relative PYTHONPATH
+    entry made absolute against the caller's working directory, so that
+    ``PYTHONPATH=src`` still finds the package there."""
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(entry) if entry else entry
+            for entry in env["PYTHONPATH"].split(os.pathsep))
+
     def invoke(argv, cwd):
-        proc = subprocess.run([*command, *argv], cwd=cwd, capture_output=True, timeout=TIMEOUT_S)
+        proc = subprocess.run([*command, *argv], cwd=cwd, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
         return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
     return invoke
 

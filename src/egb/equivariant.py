@@ -12,16 +12,21 @@ subtracting them leaves nothing.  The module stores what is read off the
 parts, not the parts: the barcodes of the parts 1..p-1, which mu_p, the
 full-power verdict and w_hat (the longest bar of their union) read, and the
 Fix basis of part 0, off whose free positions V/Fix, the independent route
-to w_hat, is read.  Also the two-window spread of an equivariant
-filtered complex, whose T^p = id and TD = DT checks are `Matrix` products
-on sparse columns, the full-power obstruction and the cyclic tuple module.
-The dense echelon and products of the tests are the oracles."""
+to w_hat, is read.  Also the two-window spread of an equivariant filtered
+complex, the longest bar of im(T - 1): Fix = ker(T - 1) is built by the same
+`_kernel` and `_peel`, and the bars are the lows-only barcodes of the
+complex and of Fix.  The normal form of `persistence` serves only
+`les_check` and the window oracle's `_SpreadWindow`.  The complex's T^p = id
+and TD = DT checks are `Matrix` products on sparse columns.  Also the
+full-power obstruction and the cyclic tuple module.  The dense echelon and
+products of the tests are the oracles."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .field import (
     CyclotomicField,
@@ -39,6 +44,7 @@ from .persistence import (
     FinitePersistenceModule,
     INF,
     _NormalForm,
+    _bars,
     _multiplicity,
     is_inf,
     longest_finite_bar,
@@ -347,58 +353,50 @@ def w_hat_from_quotient(module: ZpPersistenceModule) -> Fraction | float:
 
 def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     """sup of d with (comparison to the d-shifted window) . (T - id) != 0 on
-    window homology, over all windows (a, b), read off one normal form.
+    window homology, over all windows (a, b): the longest bar of
+    N = im(T - id), +inf on a ray and 0 when N = 0.
 
-    In the normal-form basis b_x of `persistence._NormalForm` (one R = DV
-    reduction), the homology of the window C^{<b}/C^{<a} has as its basis
-    the classes of the b_x with a < act(x) < b, lp(x) < a and kill(x) > b.
+    Over a field of characteristic 0, T of order p splits C as Fix (+) N with
+    Fix = ker(T - id).  Both are filtered subcomplexes, since T preserves
+    action and degree and commutes with D.  S = T - id is 0 on Fix and
+    invertible on N, and its inverse there is a polynomial in T, since x - 1
+    is a unit modulo Phi_p(x) (Phi_p(1) = p != 0); so S and its inverse keep
+    the filtration, and S induces 0 on the window homology of Fix and an
+    isomorphism on that of N.  The comparison to the d-shifted window after
+    S is then nonzero for some window iff it is nonzero on some window
+    homology of N, iff N has a bar longer than d.  The barcode of a direct
+    sum is the union, so barcode(N) is barcode(C) less barcode(Fix).
 
-    * The comparison to the window (a + d, b + d) sends b_x to itself, so the
-      class of a cycle sum_y c_y b_y there is its part on that window's basis.
-      Hence (comparison) . S, with S = T - id, is nonzero iff S has a nonzero
-      entry S(y, x) with x in the source basis and y in the target basis.
-    * T preserves action, so S(y, x) != 0 forces act(y) <= act(x).  Solving
-      the window inequalities for a and b, the pair (x, y) works for exactly
-      the shifts 0 <= d < min(act(y) - lp(x), kill(y) - act(x)).
-
-    So w_spread = max(0, max over nonzero S(y, x) of
-    min(act(y) - lp(x), kill(y) - act(x))), the `_supremum` of those values
-    as unreduced integer pairs.  S is written in the basis by back
-    substitution, exactly and without an inverse.  Returns +inf when no
-    shift kills the class (e.g. zero-boundary complexes with a nontrivial
-    action, where finiteness needs analytic input the algebra cannot see):
-    a value is +inf only when lp(x) = -inf and kill(y) = +inf.
+    Fix is read as in the module build: the (f, B_f) of `_kernel` at 1, B_f
+    1 at its free position f and 0 at the others.  T - id is block diagonal
+    on the (action, degree) classes, so each B_f lies in the class of f, and
+    `_peel` writes D B_f in the basis.  Both barcodes are the lows of
+    `persistence._bars`, as lengths sorted longest first: every length of C
+    above N's longest bar is one of Fix, so the first place where the two
+    lists differ holds that bar.  Returns +inf when no shift kills the class
+    (e.g. zero-boundary complexes with a nontrivial action, where finiteness
+    needs analytic input the algebra cannot see).
     """
     # T^p = id was checked when the complex was built and p is prime, so
-    # T^k = id iff T = id or p divides k
+    # T^k = id iff p divides k or T = id (then Fix = C, and the spread is 0)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     t = equivariant.chain_map
-    if t == Matrix.identity(t.field, t.rows):
-        return Fraction(0)
-    if k % equivariant.p:
+    if k % equivariant.p and t != Matrix.identity(t.field, t.rows):
         raise ValueError(f"chain map does not satisfy T^{k} = id")
-    nf = _NormalForm(equivariant.complex)
-    t_cols, one = nf.columns(t.columns), nf.field.one()
-    # with lp = -inf as (-1, 0) and kill = +inf as (1, 0), an infinite value has d = 0
-    act, lp, kill = ([_ratio(v) for v in values] for values in (nf.act, nf.lp, nf.kill))
-
-    def shifts():
-        for x, b_x in enumerate(nf.basis):
-            s_x = _apply(nf.field, t_cols, b_x)  # (T - id) b_x
-            _axpy(nf.field, s_x, one, b_x)
-            (xn, xd), (ln, ld) = act[x], lp[x]
-            for y, _ in nf.coordinates(s_x):
-                (yn, yd), (kn, kd) = act[y], kill[y]
-                u, v = (yn * ld - ln * yd, yd * ld), (kn * xd - xn * kd, kd * xd)
-                yield u if u[0] * v[1] <= v[0] * u[1] else v
-
-    return _supremum(shifts())
+    field, gens = t.field, equivariant.complex.generators
+    d_cols = equivariant.complex.boundary.columns
+    fix = _kernel(field, t.columns, field.one(), _pivot_order(t.columns))
+    fix_cols = [_peel(field, _apply(field, d_cols, b), fix) for _, b in fix]
+    lengths = _lengths(field, gens, d_cols), _lengths(field, [gens[f] for f, _ in fix], fix_cols)
+    return next((c for c, f in zip_longest(*lengths) if c != f), Fraction(0))
 
 
-def _ratio(v) -> tuple[int, int]:
-    """A Fraction as its pair (n, d), and -inf or +inf as (-1, 0) or (1, 0)."""
-    return (1 if v > 0 else -1, 0) if isinstance(v, float) else v.as_integer_ratio()
+def _lengths(field, gens, cols) -> list:
+    """The bar lengths of `persistence._bars` on ``gens`` and ``cols``,
+    longest first, +inf for a ray."""
+    return sorted((INF if h is None else gens[h][0] - gens[g][0]
+                   for g, h in _bars(field, gens, cols)), reverse=True)
 
 
 class _SpreadWindow:

@@ -13,9 +13,10 @@ Conventions (fixed once, used everywhere):
 Every barcode, kernel and rank here comes from the one sparse column
 reduction of `egb.field`, `_reduce_columns`: of the images of a module's
 basis at each transition of its elder-rule sweep, of a complex's boundary,
-whose lows alone give its barcode, while the normal form that `w_spread`
-and `les_check` read passes the unit columns as the ``basis`` that carries
-V of R = DV, and of the induced maps of `les_check`.
+whose lows alone give its barcode (`_bars`, which `w_spread` reads too),
+while the normal form, which serves only `les_check` and the window oracle
+of `w_spread`, passes the unit columns as the ``basis`` that carries V of
+R = DV, and of the induced maps of `les_check`.
 It reads the sparse columns that every `Matrix` holds.  Each update of a
 sparse column is the field's `sub_mul` x - f*a.
 """
@@ -359,17 +360,26 @@ class FilteredComplex:
         return sorted({a for a, _ in self.generators})
 
 
-def _filtration(complex_: FilteredComplex):
-    """``(order, pos, columns)``: the generators in the filtration order, by
-    (action, index), each generator's position in it, and fresh sparse
-    columns of the boundary moved to positions.  Since the boundary strictly
-    lowers action, each column's rows lie at earlier positions.  The sort
-    compares the integer keys of `_order_key`."""
-    gens = complex_.generators
+def _filtration(gens, cols):
+    """``(order, pos, columns)``: the generators ``gens`` in the filtration
+    order, by (action, index), each generator's position in it, and fresh
+    copies of the boundary columns ``cols`` moved to positions.  Since the
+    boundary strictly lowers action, each column's rows lie at earlier
+    positions.  The sort compares the integer keys of `_order_key`."""
     order = sorted(range(len(gens)), key=lambda k: (_order_key(gens[k][0]), k))
     pos = {g: i for i, g in enumerate(order)}
-    return order, pos, [{pos[i]: v for i, v in complex_.boundary.columns[g].items()}
-                        for g in order]
+    return order, pos, [{pos[i]: v for i, v in cols[g].items()} for g in order]
+
+
+def _bars(field, gens, cols) -> list[tuple[int, int | None]]:
+    """The bars of the filtered complex on the generators ``gens`` with the
+    boundary columns ``cols``, read off the lows alone of the columns reduced
+    in the filtration order: (g, h) for each generator g whose column
+    reduces to zero, the bar (act(g), act(h)] for the h whose reduced column
+    has g as its low, and h None, the ray (act(g), +inf], when there is none."""
+    order, _, R = _filtration(gens, cols)
+    lows = _reduce_columns(field, R)
+    return [(g, order[lows[x]] if x in lows else None) for x, g in enumerate(order) if not R[x]]
 
 
 class _NormalForm:
@@ -389,7 +399,7 @@ class _NormalForm:
     """
 
     def __init__(self, complex_: FilteredComplex):
-        order, self.pos, R = _filtration(complex_)
+        order, self.pos, R = _filtration(complex_.generators, complex_.boundary.columns)
         self.field = complex_.field
         self.basis = [{j: self.field.one()} for j in range(len(R))]
         lows = _reduce_columns(self.field, R, self.basis)
@@ -414,29 +424,20 @@ class _NormalForm:
                 if self.deg[x] == r and lo < self.act[x] < hi
                 and self.lp[x] < lo and self.kill[x] > hi]
 
-    def coordinates(self, chain: dict, floor: int = 0):
-        """Back substitution: while the leading position of ``chain`` is at
-        least ``floor``, peel off that basis vector and yield its
-        (position, coefficient).  ``chain`` is consumed; what is left of it
-        lies below ``floor``."""
-        field = self.field
-        while chain:
-            y = max(chain)
-            if y < floor:
-                return
-            factor = field.coerce(chain[y] * field.inverse(self.basis[y][y]))
-            _axpy(self.field, chain, factor, self.basis[y])
-            yield y, factor
-
     def window_class(self, chain: dict, lo, hi, target: list[int]) -> dict | None:
         """The class of a cycle of C^{<hi}/C^{<lo} as a sparse column on
         ``target`` = ``window_basis(lo, hi, r)``, index in the target ->
         nonzero coordinate; None when the chain is not a window cycle, i.e. it
         has a coordinate off the target on a b_y that is not a boundary in
-        the window."""
+        the window.  The coordinates come by back substitution: while the
+        leading position y of the chain lies above lo, that multiple of b_y
+        is peeled off, and what is left lies in C^{<lo}."""
+        field, chain, floor = self.field, dict(chain), bisect.bisect_right(self.act, lo)
         index = {x: k for k, x in enumerate(target)}
         out = {}
-        for y, c in self.coordinates(dict(chain), bisect.bisect_right(self.act, lo)):
+        while chain and (y := max(chain)) >= floor:
+            c = field.coerce(chain[y] * field.inverse(self.basis[y][y]))
+            _axpy(field, chain, c, self.basis[y])
             if y in index:
                 out[index[y]] = c
             elif not (self.lp[y] < lo and self.kill[y] < hi):
@@ -445,13 +446,11 @@ class _NormalForm:
 
 
 def barcode_of_complex(complex_: FilteredComplex) -> Barcode:
-    """Graded barcode of sublevel homology, read off the lows alone of the
-    boundary reduced in the filtration order: a column x that reduces to zero
-    is the bar (act(x), act(j)] for the j whose low is x, else (act(x), +inf]."""
-    order, _, R = _filtration(complex_)
-    gens, lows = complex_.generators, _reduce_columns(complex_.field, R)
-    return Barcode.of([(Bar(gens[g][0], gens[order[lows[x]]][0] if x in lows else INF), 1,
-                        gens[g][1]) for x, g in enumerate(order) if not R[x]])
+    """Graded barcode of sublevel homology: the bars of `_bars`, each in the
+    degree of the generator born with it."""
+    gens = complex_.generators
+    return Barcode.of([(Bar(gens[g][0], INF if h is None else gens[h][0]), 1, gens[g][1])
+                       for g, h in _bars(complex_.field, gens, complex_.boundary.columns)])
 
 
 def _check_window(complex_: FilteredComplex, *cuts) -> None:

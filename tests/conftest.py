@@ -485,6 +485,14 @@ def rips_complex(rng, points: int, field=QQ_FIELD) -> FilteredComplex:
 
     simplices = [(v,) for v in range(points)]
     simplices += list(combinations(range(points), 2)) + list(combinations(range(points), 3))
+    return _rips_filtration(rng, simplices, length, field)[1]
+
+
+def _rips_filtration(rng, simplices: list, length, field=QQ_FIELD):
+    """(index, complex): the simplices, sorted vertex tuples closed under
+    faces, shuffled in place, each simplex's index in that order, and their
+    complex, with action 3 (largest ``length`` of an edge) + dimension and
+    boundary entries +-1."""
     rng.shuffle(simplices)
     index = {s: k for k, s in enumerate(simplices)}
     one = field.one()
@@ -494,7 +502,47 @@ def rips_complex(rng, points: int, field=QQ_FIELD) -> FilteredComplex:
                      + len(s) - 1, len(s) - 1))
         cols.append({index[s[:k] + s[k + 1:]]: one if k % 2 == 0 else -one
                      for k in range(len(s))} if len(s) > 1 else {})
-    return FilteredComplex(field, tuple(gens), Matrix(field, len(gens), len(gens), tuple(cols)))
+    n = len(gens)
+    return index, FilteredComplex(field, tuple(gens), Matrix(field, n, n, tuple(cols)))
+
+
+def symmetric_rips_complex(rng, p: int, orbits: int, cone: bool = True) -> EquivariantComplex:
+    """The Rips-style 2-skeleton of `rips_complex` on ``orbits`` orbits of p
+    points, u = o p + i for i in Z_p, under the cyclic shift T: (o, i) ->
+    (o, i + 1).  The length of an edge (o, i)(o', j) is a random integer of
+    o, o' and j - i mod p alone, so T preserves it, and T sends a simplex to
+    its image, signed by the parity of the permutation that sorts it.
+    ``cone`` adds a T-fixed apex, whose edges to an orbit's points share
+    one length, longer than every other edge, and its joins with every
+    vertex, edge and triangle: then all homology dies but one H_0 ray, which
+    T fixes, and the spread is finite.  Without it the 2-cycles that T moves
+    are never killed.  The simplices are listed in a random order.  p = 3
+    with 7 orbits gives 3,123 generators; p = 5 with 5 orbits, 5,251."""
+    n = orbits * p
+    shift_length: dict[tuple[int, int, int], int] = {}
+    for o in range(orbits):
+        for q in range(orbits):
+            for k in range(p):
+                if (o, q, k) not in shift_length:
+                    shift_length[o, q, k] = shift_length[q, o, -k % p] = rng.randint(1, 1000)
+    apex = [rng.randint(1001, 2000) for _ in range(orbits)]
+
+    def length(u, v):  # u < v, and the apex n is the largest vertex
+        return apex[u // p] if v == n else shift_length[u // p, v // p, (v - u) % p]
+
+    def shift(u):
+        return u if u == n else u - u % p + (u + 1) % p
+
+    simplices = [s for k in (1, 2, 3) for s in combinations(range(n), k)]
+    if cone:
+        simplices += [(n,)] + [s + (n,) for s in simplices]
+    index, cx = _rips_filtration(rng, simplices, length)
+    one, t_cols = QQ_FIELD.one(), []
+    for s in simplices:
+        image = [shift(u) for u in s]
+        odd = sum(a > b for a, b in combinations(image, 2)) % 2
+        t_cols.append({index[tuple(sorted(image))]: -one if odd else one})
+    return EquivariantComplex(p, cx, Matrix(QQ_FIELD, len(index), len(index), tuple(t_cols)))
 
 
 def normal_form_barcode(complex_: FilteredComplex) -> Barcode:

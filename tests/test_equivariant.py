@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from egb import equivariant
+from egb import equivariant, persistence
 from egb.equivariant import (
     EquivariantComplex,
     ZpPersistenceModule,
@@ -68,6 +68,7 @@ from conftest import (
     shift_module,
     shrink,
     sparse_oracle,
+    symmetric_rips_complex,
     w_hat_scan_oracle,
     window_pair_nonzero_oracle,
     zp_direct_sum,
@@ -606,8 +607,9 @@ class TestWSpread:
         assert powers == []
 
     def test_matches_window_scan(self, rng):
-        """The normal-form closed form equals the O(g^4) window scan on
-        random conjugated complexes over Q and Q(zeta_p)."""
+        """The longest bar of im(T - 1), read off the barcodes of C and Fix,
+        equals the O(g^4) window scan on random conjugated complexes over Q
+        and Q(zeta_p)."""
         kinds = set()
         for p, field in [(2, QQ_FIELD), (3, QQ_FIELD), (2, CyclotomicField(2)),
                          (3, CyclotomicField(3)), (5, CyclotomicField(5))]:
@@ -621,9 +623,8 @@ class TestWSpread:
     def test_matches_window_scan_at_large_denominators(self, rng):
         """The same on the random complexes with the i-th least action a
         moved to s a + t + 1/(3^60 + i), s and t of ~100-bit denominators:
-        the map is increasing, so the complexes stay valid, and the integer
-        pairs of the closed form are large, unreduced and over different
-        denominators."""
+        the map is increasing, so the complexes stay valid, and the bar
+        lengths compared are Fractions over large, different denominators."""
         s = F(3 ** 70 + 2, 2 ** 100 + 7)
         t = F(-(5 ** 50), 2 ** 99 + 3)
         kinds = set()
@@ -639,6 +640,53 @@ class TestWSpread:
                 assert got == scan_w_spread(moved)
                 kinds.add("inf" if is_inf(got) else "zero" if got == 0 else "positive")
         assert kinds == {"inf", "zero", "positive"}
+
+    def test_builds_no_normal_form(self, rng, monkeypatch):
+        """w_spread reads the lows of C and Fix alone: with the normal form
+        and the integer-pair supremum refused, it still gives the window
+        scan's values."""
+        complexes = [random_equivariant_complex(rng, p, field)
+                     for p, field in [(2, QQ_FIELD), (3, CyclotomicField(3)),
+                                      (5, CyclotomicField(5))] for _ in range(5)]
+        complexes.append(symmetric_rips_complex(rng, 2, 2))
+        expected = [scan_w_spread(eq) for eq in complexes]
+
+        def refuse(*args):
+            raise AssertionError("w_spread reached the normal-form route")
+
+        for module, name in ((persistence, "_NormalForm"), (equivariant, "_NormalForm"),
+                             (equivariant, "_supremum")):
+            monkeypatch.setattr(module, name, refuse)
+        assert [w_spread(eq, eq.p) for eq in complexes] == expected
+
+    def test_relabelled_affine_symmetric_complex_at_size(self, rng):
+        """A coned symmetric Rips complex of 597 generators, relabelled at
+        random and with every action mapped by a -> (3/7) a + 5/3, has
+        exactly 3/7 times the spread, finite and positive: a check at a size
+        that no oracle reaches, in under 1 s."""
+        t0 = time.monotonic()
+        eq = symmetric_rips_complex(rng, 3, 4)
+        gens, n = eq.complex.generators, len(eq.complex.generators)
+        assert n == 597
+        new = list(range(n))  # generator g becomes generator new[g]
+        rng.shuffle(new)
+        moved_gens = [None] * n
+        for g, (a, d) in enumerate(gens):
+            moved_gens[new[g]] = (F(3, 7) * a + F(5, 3), d)
+
+        def move(m):
+            cols = [None] * n
+            for g, col in enumerate(m.columns):
+                cols[new[g]] = {new[r]: x for r, x in col.items()}
+            return Matrix(QQ_FIELD, n, n, tuple(cols))
+
+        moved = EquivariantComplex(3, FilteredComplex(QQ_FIELD, tuple(moved_gens),
+                                                      move(eq.complex.boundary)),
+                                   move(eq.chain_map))
+        spread = w_spread(eq, 3)
+        assert 0 < spread < INF
+        assert w_spread(moved, 3) == F(3, 7) * spread
+        assert time.monotonic() - t0 < 1.0
 
     def test_spread_window_matches_the_dense_evaluation(self, rng):
         """At every window pair (a, b) <= (a', b') of `gap_cuts`, the
@@ -670,7 +718,7 @@ class TestWSpread:
     def test_ranks_unreduced_pairs_by_value(self):
         """Two swapped pairs of classes born at 0, killed at 5/2 and at
         1 + 3^-60, in both orders: the spread is the longer life, 5/2,
-        although the other's unreduced pair has the larger numerator."""
+        although the other life has the larger numerator."""
         for kills in ((F(5, 2), 1 + F(1, 3 ** 60)), (1 + F(1, 3 ** 60), F(5, 2))):
             gens = ((F(0), 0),) * 4 + tuple((k, 1) for k in kills for _ in range(2))
             d = [[1 if j == i + 4 else 0 for j in range(8)] for i in range(8)]
@@ -680,10 +728,11 @@ class TestWSpread:
             assert w_spread(eq, 2) == scan_w_spread(eq) == F(5, 2)
 
     def test_entries_across_actions(self):
-        """S has entries S(y, x) with act(y) < act(x) when the reduction mixes
-        actions; the closed form must read act(y) and kill(y) - act(x) there."""
+        """Complexes whose longest bar is a bar of Fix and whose reduction
+        mixes generators of different actions: the spread is the longest bar
+        of N = im(T - 1), so the bars of Fix must be taken out of C's."""
         # w (anti-fixed) killed at 1 by K, e = x1 - x2 (fixed) killed at 4 by
-        # L; the reduction gives b_L = L + K, so S(K, L) != 0 with lp(L) = 0
+        # L: N has the bar (0, 1] and Fix the bar (0, 4]
         cx = FilteredComplex(
             QQ_FIELD, ((F(0), 0), (F(0), 0), (F(1), 1), (F(4), 1)),
             Matrix.from_rows(QQ_FIELD, [[0, 0, 0, 1], [0, 0, 1, -1], [0, 0, 0, 0], [0, 0, 0, 0]]),
@@ -692,8 +741,8 @@ class TestWSpread:
         eq = EquivariantComplex(2, cx, t)
         assert w_spread(eq, 2) == scan_w_spread(eq) == 1
         # a (fixed) killed at 3 by F1, u (anti-fixed) at 1 killed at 3 by the
-        # anti-fixed F2 - F1; with d F2 = u + a the reduction gives
-        # b_u = u + a, so S(a, u) != 0: kill(a) - act(u) = 2, kill(a) - act(a) = 3
+        # anti-fixed F2 - F1, with d F2 = u + a: N has the bar (1, 3] and Fix
+        # the bar (0, 3]
         cx = FilteredComplex(
             QQ_FIELD, ((F(0), 0), (F(1), 0), (F(3), 1), (F(3), 1)),
             Matrix.from_rows(QQ_FIELD, [[0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]),

@@ -41,6 +41,17 @@ def test_subprocess_runner(monkeypatch, capsys):
     assert capsys.readouterr().out == "FAIL freegroup-si: stdout '8\\n'\n0 of 1 cases passed\n"
 
 
+def test_subprocess_runner_resolves_a_relative_pythonpath(monkeypatch, capsys):
+    """``PYTHONPATH=src``, relative to the caller's working directory, still
+    finds the package although each case runs in a fresh directory."""
+    src = Path(egb.__file__).resolve().parents[1]
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", src.name)
+    picked = [case for case in CASES if case["name"] == "spread-unipotent"]
+    assert golden.run([sys.executable, "-m", "egb.cli"], picked) == 0
+    assert capsys.readouterr().out == "1 of 1 cases passed\n"
+
+
 def test_corpus_hygiene():
     """Case names are unique, every case gives every field, and the files
     under tests/golden/ are exactly the manifest and the cases' inputs."""

@@ -103,10 +103,12 @@ from conftest import (
     random_filtered_complex,
     random_zp_module,
     rank_oracle,
+    scan_w_spread,
     shift_diagonal,
     solve_matrix_oracle,
     sparse_oracle,
     spread_lower_bound_from_gaps_oracle,
+    symmetric_rips_complex,
     window_homology,
     window_homology_oracle,
     zp_module_checks_oracle,
@@ -316,7 +318,8 @@ def test_filtration_order_is_the_fraction_one(values, degrees):
     gens = tuple(zip(values, degrees))
     n = len(gens)
     cx = FilteredComplex(QQ_FIELD, gens, Matrix.zeros(QQ_FIELD, n, n))
-    assert persistence._filtration(cx)[0] == _filtration_oracle(gens)
+    order = persistence._filtration(cx.generators, cx.boundary.columns)[0]
+    assert order == _filtration_oracle(gens)
 
 
 def test_complex_check_compares_actions_closer_than_the_key_step():
@@ -327,7 +330,7 @@ def test_complex_check_compares_actions_closer_than_the_key_step():
     d = Matrix.from_rows(QQ_FIELD, [[0, 1], [0, 0]])
     cx = FilteredComplex(QQ_FIELD, ((lo, 0), (hi, 1)), d)
     assert cx.generators[0][0] is lo  # a Fraction action is kept, not re-wrapped
-    assert persistence._filtration(cx)[0] == [0, 1]
+    assert persistence._filtration(cx.generators, cx.boundary.columns)[0] == [0, 1]
     for gens in (((hi, 0), (lo, 1)), ((lo, 0), (Fraction(lo.numerator, lo.denominator), 1))):
         with pytest.raises(ValueError, match="does not decrease action"):
             FilteredComplex(QQ_FIELD, gens, d)
@@ -919,7 +922,8 @@ def complex_pivot_class(cx: FilteredComplex) -> str:
     """`pivot_class` of the boundary in the filtration order, as
     `barcode_of_complex` reduces it."""
     n = len(cx.generators)
-    return pivot_class(Matrix(QQ_FIELD, n, n, tuple(persistence._filtration(cx)[2])))
+    columns = persistence._filtration(cx.generators, cx.boundary.columns)[2]
+    return pivot_class(Matrix(QQ_FIELD, n, n, tuple(columns)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -1237,6 +1241,47 @@ def test_paper_bound_equals_the_fraction_witness(model_input, eps, data):
                            eigenspace_family_oracle(model_input)))
 
 
+# -- the two-window spread -----------------------------------------------------
+
+# (p, field) of the random sums; None draws a small `symmetric_rips_complex`
+SPREAD_KINDS = ((2, QQ_FIELD), (3, QQ_FIELD), (5, QQ_FIELD), (3, CyclotomicField(3)),
+                (5, CyclotomicField(5)), None)
+# (p, orbits, cone) of the symmetric complexes, 7 to 51 generators: coned,
+# with a finite positive spread; without the cone, +inf on 5 or 6 points,
+# where 2-cycles that T moves are never killed, and finite on 4 points,
+# where T fixes the one 2-cycle
+SYMMETRIC_SHAPES = ((2, 1, True), (2, 2, True), (3, 1, True), (5, 1, True),
+                    (5, 1, False), (3, 2, False), (2, 3, False), (2, 2, False))
+
+
+@st.composite
+def spread_complexes(draw):
+    """`random_equivariant_complex` over Q at p = 2, 3 and 5, over Q(zeta_3)
+    and over Q(zeta_5), or, one draw in six, one of the smallest
+    `symmetric_rips_complex`es of `SYMMETRIC_SHAPES`."""
+    kind = draw(st.sampled_from(SPREAD_KINDS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind is None:
+        p, orbits, cone = draw(st.sampled_from(SYMMETRIC_SHAPES))
+        return symmetric_rips_complex(rng, p, orbits, cone)
+    return random_equivariant_complex(rng, *kind)
+
+
+def w_spread_class(value) -> str:
+    return "+inf" if value == INF else "0" if value == 0 else "finite positive"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(spread_complexes())
+def test_w_spread_equals_the_window_scan(eq):
+    """The longest bar of im(T - 1) is the window scan's spread, value and
+    type."""
+    want = scan_w_spread(eq)
+    event(w_spread_class(want))
+    got = w_spread(eq, eq.p)
+    assert (got, type(got)) == (want, type(want))
+
+
 # -- the model spread and witness in closed form -------------------------------
 
 MODEL_ACTIONS = st.one_of(
@@ -1340,3 +1385,13 @@ def test_q_examples_reach_each_pivot_class(monkeypatch):
         seen = [c for c in replayed_events(test, monkeypatch) if c != "zero"]
         for c in PIVOT_CLASSES:
             assert seen.count(c) >= len(seen) / 4, (test.__name__, c, seen.count(c), len(seen))
+
+
+def test_w_spread_examples_reach_each_class(monkeypatch):
+    """Of the examples of `test_w_spread_equals_the_window_scan`, at least a
+    quarter read each spread class: +inf, where C has more rays than Fix; 0,
+    where every bar of C is one of Fix; and a finite positive spread, where
+    the lists of bar lengths first differ at a finite bar."""
+    classes = replayed_events(test_w_spread_equals_the_window_scan, monkeypatch)
+    for c in ("+inf", "0", "finite positive"):
+        assert classes.count(c) >= len(classes) / 4, (c, classes.count(c), len(classes))
