@@ -14,9 +14,9 @@ full-power verdict and w_hat (the longest bar of their union) read, and the
 Fix basis of part 0, off whose free positions V/Fix, the independent route
 to w_hat, is read.  Also the two-window spread of an equivariant filtered
 complex, the longest bar of im(T - 1): Fix = ker(T - 1) is built by the same
-`_kernel` and `_peel`, and the bars are the lows-only barcodes of the
-complex and of Fix.  The normal form of `persistence` serves only
-`les_check` and the window oracle's `_SpreadWindow`.  The complex's T^p = id
+`_kernel`, D on Fix is read at its free positions, and the bars are the
+lows-only barcodes of the complex and of Fix.  The normal form of
+`persistence` serves only `les_check` and the window oracle's `_SpreadWindow`.  The complex's T^p = id
 and TD = DT checks are `Matrix` products on sparse columns.  Also the
 full-power obstruction and the cyclic tuple module.  The dense echelon and
 products of the tests are the oracles."""
@@ -27,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import zip_longest
+from operator import itemgetter
 
 from .field import (
     CyclotomicField,
@@ -196,7 +197,9 @@ def _peel(field, w: dict, basis) -> dict:
     sparse column, index k of a basis vector -> w's nonzero entry at its
     free position.  w, in place, loses each of those multiples of B_f, which
     leaves it zero iff it lies in the span of the basis; a multiple of B_f
-    leaves w unchanged at every other free position."""
+    leaves w unchanged at every other free position.  The module build reads
+    the residual as its commutation check, and `quotient_fix_module` as the
+    projection onto the kept positions."""
     coords = {}
     for k, (f, b_f) in enumerate(basis):
         if x := w.get(f):
@@ -318,8 +321,6 @@ def mu_p_of_family(family: dict[int, Barcode], p: int) -> Fraction | float:
     taken on the candidate pairs of every degree at once (0 for no degree)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not family:
-        return Fraction(0)
     return _supremum(pair for bc in family.values() for pair in _spread_candidates(bc, p))
 
 
@@ -369,11 +370,12 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
 
     Fix is read as in the module build: the (f, B_f) of `_kernel` at 1, B_f
     1 at its free position f and 0 at the others.  T - id is block diagonal
-    on the (action, degree) classes, so each B_f lies in the class of f, and
-    `_peel` writes D B_f in the basis.  Both barcodes are the lows of
-    `persistence._bars`, as lengths sorted longest first: every length of C
-    above N's longest bar is one of Fix, so the first place where the two
-    lists differ holds that bar.  Returns +inf when no shift kills the class
+    on the (action, degree) classes, so each B_f lies in the class of f.
+    D B_f lies in Fix, so its coordinates are its entries at the free
+    positions.  Both barcodes are the lows of `persistence._bars`, as
+    lengths sorted longest first: every length of C above N's longest bar is
+    one of Fix, so the first place where the two lists differ holds that
+    bar.  Returns +inf when no shift kills the class
     (e.g. zero-boundary complexes with a nontrivial action, where finiteness
     needs analytic input the algebra cannot see).
     """
@@ -387,7 +389,9 @@ def w_spread(equivariant: EquivariantComplex, k: int) -> Fraction | float:
     field, gens = t.field, equivariant.complex.generators
     d_cols = equivariant.complex.boundary.columns
     fix = _kernel(field, t.columns, field.one(), _pivot_order(t.columns))
-    fix_cols = [_peel(field, _apply(field, d_cols, b), fix) for _, b in fix]
+    index = {f: k for k, (f, _) in enumerate(fix)}
+    fix_cols = [{index[r]: x for r, x in _apply(field, d_cols, b).items() if r in index}
+                for _, b in fix]
     lengths = _lengths(field, gens, d_cols), _lengths(field, [gens[f] for f, _ in fix], fix_cols)
     return next((c for c, f in zip_longest(*lengths) if c != f), Fraction(0))
 
@@ -433,30 +437,16 @@ class _SpreadWindow:
 def spread_lower_bound_from_gaps(generators) -> Fraction | float:
     """D = min |a - b| over generator pairs (a, d), (b, d + 1) of adjacent
     degrees; +inf when no two degrees are adjacent (the gap bound is vacuous
-    then).  Each degree's actions are sorted once, and each pair of adjacent
-    degrees is one merge of their two sorted lists."""
-    actions: dict[int, list[Fraction]] = {}
-    for a, d in generators:
-        actions.setdefault(int(d), []).append(Fraction(a))
-    for acts in actions.values():
-        acts.sort()
-    return min((_least_distance(acts, actions[d + 1])
-                for d, acts in actions.items() if d + 1 in actions), default=INF)
-
-
-def _least_distance(xs: list[Fraction], ys: list[Fraction]) -> Fraction:
-    """min |x - y| over the nonempty sorted lists xs and ys, by one merge:
-    the smaller current value is no farther from the other list's current
-    value than from any later one, so it moves on."""
-    best, i, j = INF, 0, 0
-    while i < len(xs) and j < len(ys):
-        x, y = xs[i], ys[j]
-        if x < y:
-            gap, i = y - x, i + 1
-        else:
-            gap, j = x - y, j + 1
-        if gap < best:
-            best = gap
+    then).  One sweep of the generators sorted by action: of the actions of
+    a degree met so far, the last is the nearest, so each action is compared
+    with the last one met in each of the two adjacent degrees, and the later
+    of a closest pair meets the other."""
+    best, last = INF, {}
+    for a, d in sorted(((Fraction(a), int(d)) for a, d in generators), key=itemgetter(0)):
+        for e in (d - 1, d + 1):
+            if e in last and (gap := a - last[e]) < best:
+                best = gap
+        last[d] = a
     return best
 
 
@@ -486,25 +476,14 @@ def cyclic_permutation_matrix(field, n: int) -> Matrix:
 def cyclic_tuple_module(action_value, p: int, death=INF) -> ZpPersistenceModule:
     """p generators born together with the cyclic Z_p action; the eigenspace
     at any primitive root has exactly one bar (action_value, death]."""
-    field = CyclotomicField(p)
-    birth = Fraction(action_value)
-    if is_inf(death):
-        spectrum = (birth,)
-        dims = (0, p)
-        transitions = (Matrix.zeros(field, p, 0),)
-        action = (Matrix.zeros(field, 0, 0), cyclic_permutation_matrix(field, p))
-    else:
-        death = Fraction(death)
-        if not birth < death:
+    field, spectrum = CyclotomicField(p), (Fraction(action_value),)
+    if not is_inf(death):
+        spectrum += (Fraction(death),)
+        if not spectrum[0] < spectrum[1]:
             raise ValueError("death must exceed the birth action")
-        spectrum = (birth, death)
-        dims = (0, p, 0)
-        transitions = (Matrix.zeros(field, p, 0), Matrix.zeros(field, 0, p))
-        action = (
-            Matrix.zeros(field, 0, 0),
-            cyclic_permutation_matrix(field, p),
-            Matrix.zeros(field, 0, 0),
-        )
+    dims = (0, p, 0)[:len(spectrum) + 1]
+    transitions = tuple(Matrix.zeros(field, n, m) for m, n in zip(dims, dims[1:]))
+    action = tuple(cyclic_permutation_matrix(field, n) for n in dims)  # n = 0: the 0 x 0
     base = FinitePersistenceModule(field, spectrum, dims, transitions)
     return ZpPersistenceModule(p, base, action)
 
@@ -516,15 +495,12 @@ def kunneth_stabilize(family: dict[int, Barcode], betti: list[int]) -> dict[int,
     """F'(r) = union over i of betti[i] copies of F(r - i); betti[0] must be 1
     (connected stabilizing factor)."""
     _check_betti(betti)
-    pieces: dict[int, list[Barcode]] = {}
+    items: dict[int, list] = {}
     for r, barcode in family.items():
         for i, b in enumerate(betti):
-            if b == 0 or barcode.is_empty():
-                continue
-            pieces.setdefault(r + i, []).append(barcode.repeat(b))
-    # a lone piece is canonical already; several are merged and sorted once
-    return {t: ps[0] if len(ps) == 1 else Barcode(tuple(e for bc in ps for e in bc.items))
-            for t, ps in pieces.items()}
+            if b and not barcode.is_empty():
+                items.setdefault(r + i, []).extend(barcode.repeat(b).items)
+    return {t: Barcode(tuple(its)) for t, its in items.items()}
 
 
 def _check_betti(betti: list[int]) -> None:

@@ -128,12 +128,7 @@ class CyclotomicNumber:
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        x, y = self.num, other.num
-        if self.den == 1 and (x[0] == 1 or x[0] == -1) and not any(x[1:]):  # +-1 is common
-            return other if x[0] == 1 else -other
-        if other.den == 1 and (y[0] == 1 or y[0] == -1) and not any(y[1:]):
-            return self if y[0] == 1 else -self
-        return _cyclo(self.p, _product(self.p, x, y), self.den * other.den)
+        return _cyclo(self.p, _product(self.p, self.num, other.num), self.den * other.den)
 
     __radd__, __rmul__ = __add__, __mul__
 

@@ -182,26 +182,15 @@ class Barcode:
         return Barcode(self.items + other.items)
 
     def repeat(self, n: int) -> "Barcode":
-        """n copies of every bar: the multiplicities scale and the canonical
-        order stays, so nothing is merged or sorted again."""
-        if type(n) is not int:  # the items skip the constructor's check
+        """n copies of every bar: the multiplicities scale."""
+        if type(n) is not int:  # named here, not as a multiplicity m * n
             raise ValueError(f"repeat count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("negative repeat")
-        if n == 0:
-            return Barcode.empty()
-        return _canonical((bar, m * n, deg) for bar, m, deg in self.items)
+        return Barcode(tuple((bar, m * n, deg) for bar, m, deg in self.items if n))
 
     def is_empty(self) -> bool:
         return not self.items
-
-
-def _canonical(items) -> Barcode:
-    """A barcode of items already merged and in canonical order, which are
-    stored as given: the caller's order is the one the constructor would sort."""
-    barcode = object.__new__(Barcode)
-    object.__setattr__(barcode, "items", tuple(items))
-    return barcode
 
 
 def multiplicity(barcode: Barcode, query: Bar) -> int:

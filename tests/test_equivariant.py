@@ -793,7 +793,7 @@ class TestSpreadLowerBound:
     def test_ten_thousand_generators(self, rng):
         """Degrees 0 and 1 interleave at distance 1 but for one planted pair
         at 1/7, and degree 3 repeats degree 1's actions, 2 degrees apart: one
-        sorted merge per pair of adjacent degrees, not 10^8 differences."""
+        sweep of the generators sorted by action, not 10^8 differences."""
         gens = [(F(3 * k), 0) for k in range(4000)] + [(F(3 * k + 2), 1) for k in range(4000)]
         gens += [(F(3 * k + 2), 3) for k in range(1999)] + [(F(3 * 2000) + F(1, 7), 1)]
         rng.shuffle(gens)
@@ -871,6 +871,29 @@ class TestCyclicTuple:
         m = cyclic_tuple_module(F(1), 2, death=F(4))
         bc = m.barcodes[0]
         assert bc == Barcode.of([(Bar(1, 4), 1)])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("death", [INF, F(7, 2)])
+    def test_equals_the_hand_built_module(self, p, death):
+        field, birth = CyclotomicField(p), F(1, 3)
+        shift = Matrix.from_rows(field, [[int(r == (c + 1) % p) for c in range(p)]
+                                         for r in range(p)])
+        empty = Matrix.zeros(field, 0, 0)
+        if is_inf(death):
+            base = FinitePersistenceModule(field, (birth,), (0, p), (Matrix.zeros(field, p, 0),))
+            action = (empty, shift)
+        else:
+            base = FinitePersistenceModule(field, (birth, death), (0, p, 0),
+                                           (Matrix.zeros(field, p, 0), Matrix.zeros(field, 0, p)))
+            action = (empty, shift, empty)
+        module = cyclic_tuple_module(birth, p, death)
+        assert module == ZpPersistenceModule(p, base, action)
+        assert module.barcodes == (Barcode.of([(Bar(birth, death), 1)]),) * (p - 1)
+
+    @pytest.mark.parametrize("death", [F(1, 3), F(-2)])
+    def test_death_not_above_the_birth_rejected(self, death):
+        with pytest.raises(ValueError, match="^death must exceed the birth action$"):
+            cyclic_tuple_module(F(1, 3), 3, death)
 
     def test_tuple_count_equals_eigen_dimension(self, rng):
         for p in (2, 3):

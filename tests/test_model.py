@@ -18,7 +18,6 @@ from egb.eggbeater import (
 )
 from egb.equivariant import kunneth_stabilize, mu_p_of_family
 from egb.field import cyclo_zeta
-from egb import persistence
 from egb.model import (
     ModelInput,
     bounds_report,
@@ -315,9 +314,8 @@ class TestNoResort:
         tuples = tuple((r.action, i % 2) for i, r in enumerate(records[:10]))
         model_input = ModelInput(5, tuples)
         calls = [count_calls(monkeypatch, cls, "__init__") for cls in (Bar, Barcode)]
-        calls.append(count_calls(monkeypatch, persistence, "_canonical"))
         for stabilize in (None, [1, 2, 1], [1, 0, 5]):
             bounds_report(model_input, stabilize=stabilize)
-        assert calls == [[], [], []]
+        assert calls == [[], []]
         kunneth_stabilize(eigenspace_family_oracle(model_input), [1, 2, 1])
         assert all(calls)

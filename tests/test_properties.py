@@ -500,6 +500,11 @@ def graded_generators(draw):
 @given(graded_generators())
 @example([(BIG, 0), (BIG, 1), (-BIG, 2)])  # a shared ~600-bit action
 @example([(BIG, 0), (BIG, 2), (Fraction(-1, 3), 0)])  # degrees 2 apart only
+# the closest pair (0 and 1/2) has degree-3 actions between it in action order
+@example([(0, 0), (Fraction(1, 10), 3), (Fraction(1, 5), 3), (Fraction(1, 2), 1), (5, 0)])
+@example([(0, 1), (Fraction(1, 3), 0), (2, 0)])  # the higher degree's action first
+@example([(Fraction(5, 2), 1), (9, 1), (Fraction(5, 2), 0)])  # equal actions: bound 0
+@example([(-1, -2), (3, -1), (4, -3), (Fraction(7, 2), -5)])  # negative degrees
 def test_gap_bound_equals_the_pairwise_oracle(generators):
     got = spread_lower_bound_from_gaps(generators)
     want = spread_lower_bound_from_gaps_oracle(generators)
