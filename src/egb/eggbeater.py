@@ -229,12 +229,14 @@ def _validate(p: int, scale: tuple, signs: tuple[int, ...], composed: tuple) -> 
     # block j adds its input X_{2j} and, as the horizontal segment flows
     # x_{2j+1} = -y_{2j+2}, minus its height Y_{2j+2}: all even points once closed
     linear = squares = 0
+    # the start point is checked here; every later block input is the
+    # previous block's window-checked heights
+    if not (-den < x < den and -den < y < den):
+        return reject(
+            f"forward map: input ({Fraction(x, den)}, {Fraction(y, den)}) "
+            "outside the open square"
+        )
     for j in range(p):
-        if not (-den < x < den and -den < y < den):
-            return reject(
-                f"forward map: input ({Fraction(x, den)}, {Fraction(y, den)}) "
-                "outside the open square"
-            )
         even.append((x, y))
         ax = abs(x)
         y += (big_rm[j] * den - big_lam * ax) // k

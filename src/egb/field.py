@@ -12,7 +12,9 @@ integral), over Q(zeta_p) one gcd (none over the denominator 1), whose sums
 and differences are that update too.  Every loop of elimination and
 products calls it, with no element type test.  Both element types test zero
 by truthiness, and every division reads the field's `inverse`, under which
-1/(+-1) over Q stays an int: no two ints are divided by ``/``.  All exact
+1/(+-1) over Q stays an int: no two ints are divided by ``/``.  So a
+cyclotomic number has no ``/``, ``**`` or reflected operator, and a
+rational operand comes on its right.  All exact
 linear algebra reads one elimination, `_reduce_columns`: the standard column
 reduction R = DV of sparse columns, dicts row -> nonzero entry (Zomorodian
 and Carlsson, "Computing persistent homology", 2005).  The barcodes of
@@ -130,35 +132,6 @@ class CyclotomicNumber:
             return NotImplemented
         return _cyclo(self.p, _product(self.p, self.num, other.num), self.den * other.den)
 
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __truediv__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = _ONE[self.p]
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def _operand(self, other) -> "CyclotomicNumber":
         """`other` as an element of this field, or NotImplemented."""
         if type(other) is CyclotomicNumber:
@@ -179,9 +152,6 @@ class CyclotomicNumber:
 
     def __bool__(self):
         return any(self.num)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -212,21 +182,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber(p={self.p!r}, coords={self.coords!r})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{i}")
-        return " + ".join(parts)
 
 
 _new = object.__new__
@@ -557,14 +512,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one = field.one()
         return cls(field, n, n, tuple({j: one} for j in range(n)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not 0 <= i < self.rows:
-            raise IndexError("matrix row index out of range")
-        if not 0 <= j < self.cols:
-            raise IndexError("matrix column index out of range")
-        return self.columns[j].get(i, self.field.zero())
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._minus(-self.field.one(), other)

@@ -1,7 +1,8 @@
 """Words in Free<a,b,c>, the two-square groupoid alphabet, and itineraries.
 
 Letters are signed integers (1=a, 2=b, 3=c; negatives are inverses), words
-are stored fully reduced.  Conjugacy of cyclically reduced words is tested
+are stored fully reduced: a `Word` is its tuple of letters, which
+`format_word` writes out.  Conjugacy of cyclically reduced words is tested
 with the doubling trick.  Itineraries of alternating vertical/horizontal
 segments between the two intersection squares translate to groupoid words
 over q1..q4 and then, after contracting the tree edge q2 (so q1 -> a,
@@ -33,18 +34,6 @@ class Word:
             bad = next(x for x in self.letters if x not in _LETTERS)
             raise ValueError(f"invalid letter {bad}")
         object.__setattr__(self, "letters", _reduce(self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
-
-    def __str__(self):
-        return format_word(self)
 
 
 def _check_length(count: int, what: str) -> None:

@@ -80,7 +80,7 @@ def _order_key(x: Fraction) -> tuple:
 @dataclass(frozen=True)
 class Bar:
     """Half-open interval (birth, death], death possibly +inf: a bar of a
-    barcode, or a query interval of `multiplicity`."""
+    barcode, or a query interval such as a spread's witness."""
 
     birth: Fraction
     death: Fraction | float
@@ -191,15 +191,6 @@ class Barcode:
 
     def is_empty(self) -> bool:
         return not self.items
-
-
-def multiplicity(barcode: Barcode, query: Bar) -> int:
-    """Number of bars (with multiplicities) containing the query interval."""
-    b, d = query.birth, query.death
-    if is_inf(d):
-        return _multiplicity(barcode, b.numerator, None, b.denominator)
-    return _multiplicity(barcode, b.numerator * d.denominator, d.numerator * b.denominator,
-                         b.denominator * d.denominator)
 
 
 def _multiplicity(barcode: Barcode, lo: int, hi: int | None, den: int) -> int:

@@ -77,6 +77,25 @@ def element_type(x) -> type:
     return int if Fraction(x).denominator == 1 else Fraction
 
 
+def entry(m: Matrix, i: int, j: int):
+    """The entry of m in row i and column j, read off its sparse column."""
+    return m.columns[j].get(i, m.field.zero())
+
+
+def power(x, n: int):
+    """x^n for n >= 1 by n - 1 products: a field element has no ``**``."""
+    result = x
+    for _ in range(n - 1):
+        result = result * x
+    return result
+
+
+def reciprocal(x):
+    """1/x of a nonzero field element: the closed-form inverse over
+    Q(zeta_p), a Fraction over Q (1 / x of two ints would be a float)."""
+    return x.inverse() if isinstance(x, CyclotomicNumber) else Fraction(1) / x
+
+
 def dense_matrix(field: Field, rows: int, cols: int, entries) -> Matrix:
     """The matrix of the given dense rows, of any shape: `Matrix.from_rows`
     cannot tell the width of a matrix with no rows."""
@@ -137,7 +156,7 @@ def echelon_oracle(m: Matrix, aug=()):
     for row, extra in zip(rows, aug):
         row.extend(extra)
     width = len(rows[0]) if rows else m.cols
-    z, one_q, sub_mul = m.field.zero(), Fraction(1), m.field.sub_mul
+    z, sub_mul = m.field.zero(), m.field.sub_mul
     pivots, inverses, odd, piv_r = [], [], False, 0
     for piv_c in range(m.cols):
         sel = next((r for r in range(piv_r, m.rows) if rows[r][piv_c]), None)
@@ -147,7 +166,7 @@ def echelon_oracle(m: Matrix, aug=()):
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
             odd = not odd
         prow = rows[piv_r]
-        fp_inv = one_q / prow[piv_c]  # exact: 1 / x of two ints would be a float
+        fp_inv = reciprocal(prow[piv_c])
         rest = [(c, prow[c]) for c in range(piv_c + 1, width) if prow[c]]
         for row in rows[piv_r + 1:]:
             fr = row[piv_c]
@@ -1273,7 +1292,8 @@ def full_power_verdict_oracle(barcode: Barcode, p: int) -> str:
 
 
 def multiplicity_oracle(barcode: Barcode, query: Bar) -> int:
-    """`multiplicity` as a full scan: every bar is tested by `bar_contains`."""
+    """The number of bars (with multiplicities) containing the query
+    interval, as a full scan: every bar is tested by `bar_contains`."""
     return sum(m for bar, m, _ in barcode.items if bar_contains(bar, query))
 
 
@@ -1653,6 +1673,11 @@ def records_to_csv(objs) -> str:
 # -- free-group oracles --------------------------------------------------------
 
 
+def inverse_letters(word: Word) -> tuple[int, ...]:
+    """The letters of the inverse word: reversed, each inverted."""
+    return tuple(-x for x in reversed(word.letters))
+
+
 def rotations(word: Word) -> list[Word]:
     w = word.letters
     return [Word(w[i:] + w[:i]) for i in range(max(len(w), 1))]
@@ -1793,32 +1818,11 @@ class FracCyclotomicNumber:
                 conv[base + t] -= c
         return FracCyclotomicNumber(self.p, tuple(conv[:n]))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = frac_cyclo_one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def _coerce(self, other) -> "FracCyclotomicNumber":
         if isinstance(other, FracCyclotomicNumber):
@@ -1856,21 +1860,6 @@ class FracCyclotomicNumber:
         if sol is None:  # impossible in a field; guards logic errors
             raise ZeroDivisionError("no inverse found")
         return FracCyclotomicNumber(self.p, tuple(sol))
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{i}")
-        return " + ".join(parts)
 
 
 def frac_cyclo_from_rational(p: int, q) -> FracCyclotomicNumber:

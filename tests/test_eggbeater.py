@@ -45,6 +45,7 @@ from conftest import (
     block_parabolic_factors,
     block_vector,
     coefficient_sums_distinct,
+    entry,
     eps_bar,
     h0,
     kink_distance,
@@ -100,7 +101,7 @@ def reference_orbit(p, lam, mu, nu, signs):
         a_bar = a @ a_bar
     m = a_bar - Matrix.identity(QQ_FIELD, 2)
     det = m.det()
-    assert det == 2 - (a_bar[0, 0] + a_bar[1, 1])
+    assert det == 2 - (entry(a_bar, 0, 0) + entry(a_bar, 1, 1))
 
     def reject(reason):
         return FixedPointRecord(signs, False, reason, (), 1, None, lead.as_integer_ratio(),

@@ -1,14 +1,16 @@
 """The golden CLI corpus of tests/golden/manifest.json: every case run
 in-process through `egb.cli.main`, two run by `scripts/golden.py` as
-subprocesses of `python -m egb.cli`, and the corpus's own hygiene."""
+subprocesses of `python -m egb.cli`, a passing case for every command, and
+the corpus's own hygiene."""
 
+import argparse
 import sys
 from pathlib import Path
 
 import pytest
 
 import egb
-from egb.cli import main
+from egb.cli import build_parser, main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
@@ -50,6 +52,19 @@ def test_subprocess_runner_resolves_a_relative_pythonpath(monkeypatch, capsys):
     picked = [case for case in CASES if case["name"] == "spread-unipotent"]
     assert golden.run([sys.executable, "-m", "egb.cli"], picked) == 0
     assert capsys.readouterr().out == "1 of 1 cases passed\n"
+
+
+def test_every_subcommand_has_a_passing_case():
+    """Every command of `build_parser()`, and every choice of a command's
+    positional ``subcommand`` (those of `barcode` and `freegroup`), begins
+    the argv of a case that exits 0."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    wanted = {(name,) for name in commands}
+    wanted |= {(name, choice) for name, parser in commands.items() for action in parser._actions
+               if action.dest == "subcommand" for choice in action.choices}
+    passing = {tuple(case["argv"][:k]) for case in CASES if case["exit"] == 0 for k in (1, 2)}
+    assert sorted(wanted - passing) == []
 
 
 def test_corpus_hygiene():

@@ -192,4 +192,4 @@ class TestOrbitClasses:
         assert all(m >= 1 for m in ms) and all(n >= 1 for n in ns)
         word = itinerary_to_word(canonical_itinerary(ms, ns))
         assert word == alpha_word(ms, ns)
-        assert len(word) == sum(ms) + sum(ns)
+        assert len(word.letters) == sum(ms) + sum(ns)
