@@ -9,7 +9,10 @@ process.  Before each operation it times bench/worker.py's `calibrate()`
 probe; the times are scaled to the reference machine by
 bench/run.py's REFERENCE_PROBE_S over the median probe, as the benchmark
 scales them.  Prints one line per operation kind: count, total seconds and
-mean milliseconds at reference speed, costliest kind first.  With --sort KEY
+mean milliseconds at reference speed, costliest kind first, then the median
+operation time, the statistic bench/run.py reports as op_p50_ms, with the
+kind at the median rank (the two kinds at the middle ranks of an even
+count), so that the kind which sets the workload's p50 shows.  With --sort KEY
 (a `pstats` sort key such as cumulative or tottime) the operations run a
 second time with cProfile on around each `op.run` only, as the operation
 timer times them, so no check shows in the table; its 30 top rows follow.
@@ -51,6 +54,15 @@ def profile_table(ops, sort: str, rows: int = 30) -> str:
     return text.getvalue()
 
 
+def median_line(timed: list[tuple[float, str]]) -> str:
+    """The median of the (seconds, kind) operation times and the kind or
+    kinds at its rank or ranks."""
+    ranked = sorted(timed)
+    middle = ranked[(len(ranked) - 1) // 2:len(ranked) // 2 + 1]
+    return (f"median op {1000 * statistics.median(t for t, _ in ranked):.3f} ms (op_p50_ms) "
+            f"at {' | '.join(kind for _, kind in middle)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.BUILDERS))
@@ -78,6 +90,7 @@ def main(argv=None) -> int:
             print(f"{kind:<28} {len(ts):>5} {sum(ts):>9.4f} {1000 * sum(ts) / len(ts):>9.3f}")
         total = sum(t * speed for t in times)
         print(f"{'all':<28} {len(times):>5} {total:>9.4f} {1000 * total / len(times):>9.3f}")
+        print(median_line([(t * speed, op.kind) for op, t in zip(plan.ops, times)]))
         if args.sort:
             print(profile_table(plan.ops, args.sort))
     for kind, reason in failures:

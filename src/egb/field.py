@@ -13,9 +13,9 @@ and differences are that update too.  Every loop of elimination and
 products calls it, with no element type test.  Both element types test zero
 by truthiness, and every division reads the field's `inverse`, under which
 1/(+-1) over Q stays an int: no two ints are divided by ``/``.  So a
-cyclotomic number has no ``/``, ``**`` or reflected operator, and a
-rational operand comes on its right.  All exact
-linear algebra reads one elimination, `_reduce_columns`: the standard column
+cyclotomic number has no ``/``, ``**`` or reflected operator, and its
+operands are numbers of its own field (`CyclotomicField.coerce` brings a
+rational in).  All exact linear algebra reads one elimination, `_reduce_columns`: the standard column
 reduction R = DV of sparse columns, dicts row -> nonzero entry (Zomorodian
 and Carlsson, "Computing persistent homology", 2005).  The barcodes of
 `persistence` and the eigenspace kernels of `equivariant` read it, and so do
@@ -138,8 +138,6 @@ class CyclotomicNumber:
             if other.p != self.p:
                 raise ValueError(f"mismatched cyclotomic fields: p={self.p} vs p={other.p}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return _cyclo(self.p, (other.numerator,) + _TAIL[self.p], other.denominator)
         return NotImplemented
 
     def __eq__(self, other):

@@ -1,9 +1,11 @@
 """Words in Free<a,b,c>, the two-square groupoid alphabet, and itineraries.
 
-Letters are signed integers (1=a, 2=b, 3=c; negatives are inverses), words
-are stored fully reduced: a `Word` is its tuple of letters, which
-`format_word` writes out.  Conjugacy of cyclically reduced words is tested
-with the doubling trick.  Itineraries of alternating vertical/horizontal
+Letters are signed integers (1=a, 2=b, 3=c; negatives are inverses).  A
+`Word` holds its fully reduced signed-byte image, one byte x mod 256 per
+letter x, and decodes its `letters` when they are read.  Reduction, cyclic
+reduction, conjugacy (by the doubling trick), itinerary expansion and
+`format_word` run as `bytes` operations, with a per-letter loop only to
+cancel inverse pairs.  Itineraries of alternating vertical/horizontal
 segments between the two intersection squares translate to groupoid words
 over q1..q4 and then, after contracting the tree edge q2 (so q1 -> a,
 q2 -> 1, q3 -> c, q4 -> c^{-1} b), to reduced words in a, b, c.
@@ -11,6 +13,7 @@ q2 -> 1, q3 -> c, q4 -> c^{-1} b), to reduced words in a, b, c.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -18,22 +21,41 @@ A_, B_, C_ = 1, 2, 3
 _NAMES = {1: "a", 2: "b", 3: "c"}
 _VALUES = {v: k for k, v in _NAMES.items()}
 _LETTERS = frozenset((1, -1, 2, -2, 3, -3))
-# a word is reduced iff its `_image` contains none of these
+_VALID = bytes(x % 256 for x in _LETTERS)  # the image bytes of the six letters
+_NEGATE = bytes.maketrans(_VALID, bytes(-x % 256 for x in _LETTERS))  # x -> x^-1 byte-wise
+# a word is reduced iff its image contains none of these
 _INVERSE_PAIRS = tuple(bytes((x % 256, -x % 256)) for x in _LETTERS)
+_RUNS = re.compile(rb"\x01+|\x02+|\x03+|\xfd+|\xfe+|\xff+")  # the runs of one letter
+_RUN_NAMES = {x % 256: (_NAMES[abs(x)], 1 if x > 0 else -1) for x in _LETTERS}  # name, sign
 MAX_LETTERS = 10 ** 7  # the longest word a text or an itinerary may expand to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """Reduced word in Free<a,b,c> as a tuple of signed letters."""
+    """Reduced word in Free<a,b,c> as its signed-byte image."""
 
-    letters: tuple[int, ...]
+    image: bytes
 
-    def __post_init__(self):
-        if not _LETTERS.issuperset(self.letters):
-            bad = next(x for x in self.letters if x not in _LETTERS)
+    def __init__(self, letters: tuple[int, ...]):
+        if not _LETTERS.issuperset(letters):
+            bad = next(x for x in letters if x not in _LETTERS)
             raise ValueError(f"invalid letter {bad}")
-        object.__setattr__(self, "letters", _reduce(self.letters))
+        object.__setattr__(self, "image", _reduce(_image(letters)))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The signed letters, decoded from the image."""
+        return tuple(array("b", self.image))
+
+
+def _word(image: bytes) -> Word:
+    """The reduced word of an image built here, checked to hold only letter bytes."""
+    bad = image.translate(None, _VALID)
+    if bad:
+        raise ValueError(f"invalid letter {array('b', bad)[0]}")
+    word = object.__new__(Word)
+    object.__setattr__(word, "image", _reduce(image))
+    return word
 
 
 def _check_length(count: int, what: str) -> None:
@@ -48,38 +70,44 @@ def _image(letters) -> bytes:
     return array("b", letters).tobytes()
 
 
-def _reduce(letters) -> tuple[int, ...]:
-    """The freely reduced word; a word that is already reduced, as most words
-    built from reduced words are, comes back as it is after six substring
-    searches of its byte image."""
-    image = _image(letters)
-    if not any(pair in image for pair in _INVERSE_PAIRS):
-        return tuple(letters)
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
+def _inverse(image: bytes) -> bytes:
+    """The image of the inverse word: reversed, each letter inverted."""
+    return image[::-1].translate(_NEGATE)
+
+
+def _reduce(image: bytes) -> bytes:
+    """The freely reduced image; an image that is already reduced, as most
+    words built from reduced words are, comes back as it is after the six
+    pair searches (each skipped unless both its bytes occur)."""
+    if not any(p[0] in image and p[1] in image and p in image for p in _INVERSE_PAIRS):
+        return image
+    out = bytearray()
+    for x in image:
+        if out and out[-1] == -x % 256:
             out.pop()
         else:
             out.append(x)
-    return tuple(out)
+    return bytes(out)
 
 
 def cyclic_reduce(word: Word) -> Word:
     """Strip inverse pairs from the two ends until the word is cyclically
-    reduced: count the cancelling pairs first, then slice once."""
-    w = word.letters
-    depth = 0
-    while 2 * depth + 2 <= len(w) and w[depth] == -w[-1 - depth]:
-        depth += 1
-    return Word(w[depth:len(w) - depth])
+    reduced.  Their count, at most half the length, is the common prefix of
+    the first halves of the image and of the inverse image: the bytes before
+    the first nonzero byte of the halves' XOR as big-endian integers."""
+    image = word.image
+    half = len(image) // 2
+    diff = (int.from_bytes(image[:half], "big")
+            ^ int.from_bytes(_inverse(image[len(image) - half:]), "big"))
+    depth = half - (diff.bit_length() + 7) // 8
+    return _word(image[depth:len(image) - depth]) if depth else word
 
 
 def conjugate_eq(w1: Word, w2: Word) -> bool:
     """Conjugacy in the free group: cyclic reductions are rotations of each
     other, tested via the doubling trick (u is a rotation of v iff |u| = |v|
-    and u occurs in v.v).  Each letter becomes one byte of `_image`, so the
-    occurrence test is one substring search."""
-    u, v = (_image(cyclic_reduce(w).letters) for w in (w1, w2))
+    and u occurs in v.v), one substring search of the images."""
+    u, v = (cyclic_reduce(w).image for w in (w1, w2))
     return len(u) == len(v) and u in v + v
 
 
@@ -108,64 +136,51 @@ def _split_caret(tok: str) -> tuple[str, int]:
 # groupoid edges: q1, q3 go A -> B; q2, q4 go B -> A.
 _EDGE_ENDS = {"q1": ("A", "B"), "q2": ("B", "A"), "q3": ("A", "B"), "q4": ("B", "A")}
 # contracting the tree edge q2: q1 -> a, q2 -> 1, q3 -> c, q4 -> c^-1 b
-_EDGE_IMAGE = {
-    "q1": (A_,),
-    "q2": (),
-    "q3": (C_,),
-    "q4": (-C_, B_),
-}
+_EDGE_IMAGE = {"q1": _image((A_,)), "q2": b"", "q3": _image((C_,)), "q4": _image((-C_, B_))}
 
 
 def _parse_groupoid(tokens: list[str]) -> Word:
     """The image in Free<a,b,c> of a groupoid word based at A; a word over
     a, b, c alone is a loop at A."""
     at = "A"
-    letters: list[int] = []
+    chunks: list[bytes] = []
+    size = 0
     for tok in tokens:
         name, exp = _split_caret(tok)
         if name in _VALUES:  # a, b are loops at A; c = q3 q2 is a loop at A
             if at != "A":
                 raise ValueError(f"loop letter {name!r} used away from the square A")
             base = _VALUES[name]
-            _check_length(len(letters) + abs(exp), "word")
-            letters.extend([base if exp > 0 else -base] * abs(exp))
+            size += abs(exp)
+            _check_length(size, "word")
+            chunks.append(_image((base if exp > 0 else -base,)) * abs(exp))
             continue
         if name not in _EDGE_ENDS:
             raise ValueError(f"unknown letter {name!r}")
         src, dst = _EDGE_ENDS[name]
-        image = _EDGE_IMAGE[name]
+        image, label = _EDGE_IMAGE[name], name
+        if exp < 0:
+            src, dst, image, label = dst, src, _inverse(image), f"{name}^-1"
         for _ in range(abs(exp)):
-            if exp > 0:
-                if at != src:
-                    raise ValueError(f"edge {name} not composable at {at}")
-                letters.extend(image)
-                at = dst
-            else:
-                if at != dst:
-                    raise ValueError(f"edge {name}^-1 not composable at {at}")
-                letters.extend(-x for x in reversed(image))
-                at = src
+            if at != src:
+                raise ValueError(f"edge {label} not composable at {at}")
+            chunks.append(image)
+            size += len(image)
+            at = dst
     if at != "A":
         raise ValueError("groupoid word is not a loop at A")
-    return Word(tuple(letters))
+    return _word(b"".join(chunks))
 
 
 def format_word(word: Word) -> str:
-    if not word.letters:
-        return "1"
-    parts = []
-    i = 0
-    letters = word.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        run = j - i
-        name = _NAMES[abs(letters[i])]
-        exp = run if letters[i] > 0 else -run
+    """The word as `a^3 b^-2 c` text, one power per run of the image, "1"
+    for the identity."""
+    image, parts = word.image, []
+    for run in _RUNS.finditer(image):
+        name, sign = _RUN_NAMES[image[run.start()]]
+        exp = sign * (run.end() - run.start())
         parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
-    return " ".join(parts)
+    return " ".join(parts) or "1"
 
 
 # -- itineraries ---------------------------------------------------------------
@@ -233,17 +248,17 @@ def parse_itinerary(text: str) -> Itinerary:
     return Itinerary(tuple(segments))
 
 
-def _segment_parts(segment: Segment) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+def _segment_parts(segment: Segment) -> tuple[bytes, bytes, int, bytes]:
     """(head, loop, n, tail): the image in Free<a,b,c> of one flow segment is
     head, n loop letters and tail, from the trajectory-type table: the edge
     back to A when it starts at B, winding - 1 loops (winding loops for
     A -> A), and the edge into B when it ends there."""
-    loop = A_ if segment.flow == "V" else B_
+    loop = _image((A_ if segment.flow == "V" else B_,))
     into, back = ("q1", "q2") if segment.flow == "V" else ("q3", "q4")
     if (segment.src, segment.dst) == ("A", "A"):
-        return (), loop, segment.winding, ()
-    head = _EDGE_IMAGE[back] if segment.src == "B" else ()
-    tail = _EDGE_IMAGE[into] if segment.dst == "B" else ()
+        return b"", loop, segment.winding, b""
+    head = _EDGE_IMAGE[back] if segment.src == "B" else b""
+    tail = _EDGE_IMAGE[into] if segment.dst == "B" else b""
     return head, loop, segment.winding - 1, tail
 
 
@@ -254,7 +269,7 @@ def itinerary_to_word(itinerary: Itinerary) -> Word:
         raise ValueError("itinerary must be a loop based at A")
     parts = [_segment_parts(seg) for seg in itinerary.segments]
     _check_length(sum(len(head) + n + len(tail) for head, _, n, tail in parts), "itinerary")
-    return Word(tuple(x for head, loop, n, tail in parts for x in head + (loop,) * n + tail))
+    return _word(b"".join(head + loop * n + tail for head, loop, n, tail in parts))
 
 
 def canonical_itinerary(windings_v, windings_h) -> Itinerary:

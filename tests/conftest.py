@@ -1673,6 +1673,80 @@ def records_to_csv(objs) -> str:
 # -- free-group oracles --------------------------------------------------------
 
 
+def reduce_oracle(letters) -> tuple[int, ...]:
+    """The freely reduced letters, by the pairwise loop over a stack: each
+    letter cancels the last kept one if it is its inverse, else is kept."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def cyclic_reduce_oracle(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction of reduced letters: count the inverse pairs at the
+    two ends letter by letter, while 2 depth + 2 <= len, then slice once."""
+    depth = 0
+    while 2 * depth + 2 <= len(letters) and letters[depth] == -letters[-1 - depth]:
+        depth += 1
+    return letters[depth:len(letters) - depth]
+
+
+def format_oracle(letters: tuple[int, ...]) -> str:
+    """`a^3 b^-2 c` text of reduced letters, walked letter by letter: one
+    power per run of equal letters, "1" for the empty word."""
+    if not letters:
+        return "1"
+    parts = []
+    i = 0
+    while i < len(letters):
+        j = i
+        while j < len(letters) and letters[j] == letters[i]:
+            j += 1
+        name = "abc"[abs(letters[i]) - 1]
+        exp = j - i if letters[i] > 0 else i - j
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts)
+
+
+def is_rotation(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether v is a rotation u[i:] + u[:i] of u, by the definition.  Turn v
+    to start where a letter differs from the one before it (cyclically); a
+    rotation of u equal to that starts at such a place of u too, so only
+    those are compared.  A power of one letter has none and is compared whole."""
+    if len(u) != len(v):
+        return False
+    j = next((j for j in range(len(v)) if v[j] != v[j - 1]), 0)
+    turned = v[j:] + v[:j]
+    starts = [i for i in range(len(u)) if u[i] != u[i - 1]] or [0]
+    return any(u[i:] + u[:i] == turned for i in starts)
+
+
+# the image of each groupoid edge after contracting q2: q1 -> a, q2 -> 1,
+# q3 -> c, q4 -> c^-1 b; V segments loop with a, H segments with b
+EDGE_LETTERS = {"q1": (1,), "q2": (), "q3": (3,), "q4": (-3, 2)}
+
+
+def itinerary_oracle(segments) -> tuple[int, ...]:
+    """The reduced letters of a loop itinerary at A, segment by segment from
+    the trajectory-type table: the edge back to A when a segment starts at B,
+    winding - 1 loop letters (winding for A -> A), the edge into B when it
+    ends there."""
+    letters: list[int] = []
+    for s in segments:
+        loop, into, back = (1, "q1", "q2") if s.flow == "V" else (2, "q3", "q4")
+        if (s.src, s.dst) == ("A", "A"):
+            letters += [loop] * s.winding
+            continue
+        letters += EDGE_LETTERS[back] if s.src == "B" else ()
+        letters += [loop] * (s.winding - 1)
+        letters += EDGE_LETTERS[into] if s.dst == "B" else ()
+    return reduce_oracle(letters)
+
+
 def inverse_letters(word: Word) -> tuple[int, ...]:
     """The letters of the inverse word: reversed, each inverted."""
     return tuple(-x for x in reversed(word.letters))

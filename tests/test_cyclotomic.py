@@ -9,7 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from egb.field import CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, _constant, _convolve
+from egb.field import (
+    CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, _constant, _convolve, cyclo_from_rational,
+)
 from egb.serialize import element_to_obj
 
 from conftest import SEED, FracCyclotomicNumber, cyclo_one
@@ -68,9 +70,10 @@ class TestAgainstFractionOracle:
                 assert_same(a - b, oa - ob)
                 assert_same(a * b, oa * ob)
             k = rand_scalar(rng)
-            assert_same(a + k, oa + k)
-            assert_same(a - k, oa - k)
-            assert_same(a * k, oa * k)
+            ck = cyclo_from_rational(p, k)
+            assert_same(a + ck, oa + k)
+            assert_same(a - ck, oa - k)
+            assert_same(a * ck, oa * k)
             prev = a, oa
 
     @pytest.mark.parametrize("u, v", [(F(1, 7), F(2, 7)), (F(1, 6), F(5, 6)),

@@ -362,7 +362,7 @@ def test_back_substitution_reuses_the_pivot_inverses(rng, monkeypatch, field):
         method()
         assert [args[0] for args in calls] == expected
         assert len(expected) <= 4
-    z = cyclo_zeta(field.p) + 2  # nonzero, and irrational for p > 2
+    z = cyclo_zeta(field.p) + field.coerce(2)  # nonzero, and irrational for p > 2
     upper = dense_matrix(field, 4, 4, [[z if i == j else rand_entry(rng, field) if i < j
                                         else field.zero() for j in range(4)] for i in range(4)])
     calls.clear()
@@ -429,7 +429,7 @@ class TestZeroSkipping:
                 power = dense_matmul(power, a)
 
     def test_scale_and_diagonal_shift(self, rng, field, zeros):
-        c = F(-2, 3) if field == QQ_FIELD else cyclo_zeta(field.p) + F(1, 2)
+        c = F(-2, 3) if field == QQ_FIELD else cyclo_zeta(field.p) + field.coerce(F(1, 2))
         for n in (0, 1, 4):
             a = sparse_matrix(rng, field, n, n, zeros)
             assert a.scale(c).entries == tuple(tuple(c * x for x in row) for row in a.entries)

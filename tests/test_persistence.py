@@ -65,9 +65,9 @@ def random_transition_module(rng, field) -> FinitePersistenceModule:
     powers = [cyclo_zeta(field.p, k) for k in range(field.p - 1)] if field != QQ_FIELD else [F(1)]
 
     def rand(rows, cols):
-        return Matrix.from_rows(field, [[sum((z * rand_frac(rng, -2, 2, 2) for z in powers),
-                                             field.zero()) for _ in range(cols)]
-                                        for _ in range(rows)])
+        return Matrix.from_rows(field, [[sum((z * field.coerce(rand_frac(rng, -2, 2, 2))
+                                              for z in powers), field.zero())
+                                         for _ in range(cols)] for _ in range(rows)])
 
     spectrum = sorted(rng.sample(range(-9, 9), rng.randint(1, 5)))
     dims = [0] + [rng.randint(0, 3) for _ in spectrum]

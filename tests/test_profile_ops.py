@@ -1,6 +1,7 @@
 """`scripts/profile_ops.py --sort`: the cProfile table covers what the
 operation timer times, each `op.run`, and none of the checks."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +45,20 @@ def test_profile_table_leaves_checks_out():
     table = profile_ops.profile_table(plan.ops, "cumulative")
     assert "marker_in_run" in table
     assert "marker_in_check" not in table
+
+
+def test_median_line_names_the_kinds_at_the_median_ranks():
+    """The median is bench/run.py's op_p50_ms statistic; an even count names
+    the kinds at both middle ranks, an odd count the one at the middle."""
+    timed = [(0.004, "slow"), (0.001, "fast"), (0.002, "mid_a"), (0.003, "mid_b")]
+    assert profile_ops.median_line(timed) == "median op 2.500 ms (op_p50_ms) at mid_a | mid_b"
+    assert profile_ops.median_line(timed[:3]) == "median op 2.000 ms (op_p50_ms) at mid_a"
+
+
+def test_table_ends_with_the_median_line(monkeypatch, capsys):
+    monkeypatch.setattr(profile_ops.workloads, "build", lambda name, *args: stand_in_plan(*args))
+    profile_ops.main(["orbits", "1", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("all ")
+    kind = "(stand_in|stand_in_raising)"
+    assert re.fullmatch(rf"median op \d+\.\d{{3}} ms \(op_p50_ms\) at {kind} \| {kind}", lines[-1])

@@ -13,8 +13,10 @@ barcode, the spread and the `egb spread` parse make is an int iff it is
 integral and never a float, the integer spread candidates give the grid
 oracle's mu, and
 the bounds report's family, stabilization, graded spread, witness and
-multiplicity equal their Fraction and sorting-constructor oracles, and the
-degree-gap bound of `egb spread` is the pairwise one.
+multiplicity equal their Fraction and sorting-constructor oracles, the
+degree-gap bound of `egb spread` is the pairwise one, and the free-group
+words, their text, cyclic reduction, conjugacy and itineraries equal the
+letter-tuple oracles.
 Derandomized, so every run draws the same examples."""
 
 import json
@@ -43,6 +45,10 @@ from egb.bottleneck import _costs, bottleneck
 from egb.field import (
     CyclotomicField, CyclotomicNumber, Matrix, QQ_FIELD, RationalField, cyclo_from_rational,
     cyclo_zeta,
+)
+from egb.freegroup import (
+    Itinerary, Segment, Word, conjugate_eq, cyclic_reduce, format_word, itinerary_to_word,
+    parse_word,
 )
 from egb.model import ModelInput, bounds_report, paper_mu_lower_bound
 from egb.persistence import (
@@ -79,6 +85,7 @@ from conftest import (
     canonical_items_oracle,
     complex_checks_oracle,
     costs_oracle,
+    cyclic_reduce_oracle,
     dense_matrix,
     det_oracle,
     echelon_oracle,
@@ -87,10 +94,13 @@ from conftest import (
     element_type,
     extend_basis_oracle,
     fix_vectors,
+    format_oracle,
     gap_cuts,
     kernel_oracle,
     full_power_verdict_oracle,
     induced_module_oracle,
+    is_rotation,
+    itinerary_oracle,
     kunneth_stabilize_oracle,
     les_check_oracle,
     model_input_oracle,
@@ -104,6 +114,7 @@ from conftest import (
     random_filtered_complex,
     random_zp_module,
     rank_oracle,
+    reduce_oracle,
     scan_w_spread,
     shift_diagonal,
     solve_matrix_oracle,
@@ -512,6 +523,94 @@ def test_gap_bound_equals_the_pairwise_oracle(generators):
     assert (got, type(got)) == (want, type(want))
 
 
+# -- free-group words -------------------------------------------------------------
+
+LETTERS = (1, -1, 2, -2, 3, -3)
+RUN_LENGTHS = st.one_of(st.integers(1, 3), st.integers(1, 10 ** 4))
+
+
+def inverse(letters) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(letters))
+
+
+@st.composite
+def letter_runs(draw, max_runs: int) -> tuple[int, ...]:
+    """Up to `max_runs` runs of one letter each, of 1 to 10^4 letters, over
+    a, b, c and their inverses."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(LETTERS), RUN_LENGTHS), max_size=max_runs))
+    return tuple(x for x, n in runs for _ in range(n))
+
+
+@st.composite
+def free_words(draw) -> tuple[int, ...]:
+    """Letters with a word and its inverse at the two ends, so that cyclic
+    reduction strips them, and a word and its inverse around the middle, so
+    that free reduction cancels them; or the empty word."""
+    if draw(st.integers(0, 9)) == 0:
+        return ()
+    core, ends, middle = draw(letter_runs(4)), draw(letter_runs(2)), draw(letter_runs(2))
+    k = len(core) // 2
+    return ends + core[:k] + middle + inverse(middle) + core[k:] + inverse(ends)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(free_words(), free_words(), letter_runs(2), st.integers(0, 10 ** 5), st.integers(1, 5))
+def test_words_equal_the_letter_tuple_oracles(letters, other, g, r, k):
+    """`Word`, `format_word`, the `parse_word` round trip and `cyclic_reduce`
+    give what the letter-tuple oracles give.  `conjugate_eq` holds for a
+    rotation of the cyclic reduction conjugated by g; for another word, and
+    for that rotation with its first letter changed, it agrees with the
+    rotation definition."""
+    word = Word(letters)
+    reduced = reduce_oracle(letters)
+    assert word.letters == reduced
+    assert format_word(word) == format_oracle(reduced)
+    assert parse_word(format_word(word)) == word
+    core = cyclic_reduce_oracle(reduced)
+    assert cyclic_reduce(word).letters == core
+    r %= max(len(core), 1)
+    rotated = core[r:] + core[:r]
+    conjugate = Word(g + rotated + inverse(g))
+    assert conjugate_eq(word, conjugate) and conjugate_eq(conjugate, word)
+    changed = rotated[:1] and (LETTERS[(LETTERS.index(rotated[0]) + k) % 6],) + rotated[1:]
+    for v in (other, changed):
+        v_core = cyclic_reduce_oracle(reduce_oracle(v))
+        expected = is_rotation(core, v_core)
+        assert conjugate_eq(word, Word(v)) == conjugate_eq(Word(v), word) == expected
+    event("same length" if core and len(v_core) == len(core) else "other")  # v is `changed`
+
+
+def test_word_examples_reach_equal_lengths(monkeypatch):
+    """Of the examples of `test_words_equal_the_letter_tuple_oracles`, at
+    least a quarter compare with a changed rotation of the same nonzero
+    cyclic length, so that the substring search, not the length test,
+    decides that it is no conjugate."""
+    outcomes = replayed_events(test_words_equal_the_letter_tuple_oracles, monkeypatch)
+    assert outcomes.count("same length") >= len(outcomes) / 4
+
+
+@st.composite
+def loop_itineraries(draw) -> Itinerary:
+    """A chained itinerary from A back to A, with up to 6 segments of
+    alternating flows and windings up to 10^4."""
+    n = draw(st.integers(0, 6))
+    squares = ["A", *(draw(st.sampled_from("AB")) for _ in range(n - 1)), "A"] if n else []
+    flows = draw(st.sampled_from(("VH", "HV")))
+    return Itinerary(tuple(
+        Segment(flows[i % 2], src, dst,
+                draw(st.integers(0, 0) | RUN_LENGTHS) if (src, dst) == ("A", "A")
+                else draw(RUN_LENGTHS))
+        for i, (src, dst) in enumerate(zip(squares, squares[1:]))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(loop_itineraries())
+def test_itinerary_words_equal_the_table_oracle(itinerary):
+    word = itinerary_to_word(itinerary)
+    assert word.letters == itinerary_oracle(itinerary.segments)
+    assert format_word(word) == format_oracle(word.letters)
+
+
 # -- the complex checks ---------------------------------------------------------
 
 CORRUPTIONS = (None, "degree", "action", "square", "order", "commute", "mix")
@@ -569,7 +668,7 @@ def corrupted_complexes(draw, kind):
         d[i][n], t[n][n] = value, one
     elif kind == "order":
         if eq.chain_map == Matrix.identity(field, n) or draw(st.booleans()):
-            t = [[x * 2 for x in row] for row in t]
+            t = [[x * field.coerce(2) for x in row] for row in t]
         else:  # T^q = id for primes q != p only if T = id
             p = 5 if p == 3 else 3
     elif kind == "commute" and classes and draw(st.booleans()):
@@ -636,7 +735,7 @@ def rank_deficient_matrices(draw):
     else:
         field = CyclotomicField(3)
         z = cyclo_zeta(3, 1)
-        values = [field.zero(), field.zero(), field.one(), -field.one(), z, z * z, z + 1]
+        values = [field.zero(), field.zero(), field.one(), -field.one(), z, z * z, z + field.one()]
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
     entries = draw(st.lists(st.lists(st.sampled_from(values), min_size=cols, max_size=cols),
                             min_size=rows, max_size=rows))
@@ -706,8 +805,9 @@ def elimination_cases(draw):
              (0, 0, 2, -3), (0, Fraction(1, 2), Fraction(-3, 7)))))]
     else:
         field, z = CyclotomicField(p), cyclo_zeta(p, 1)
-        values = [field.zero()] * 3 + [field.one(), -field.one(), z, z * z + Fraction(1, 3),
-                                       z - 2, field.coerce(Fraction(1, 2))]
+        values = [field.zero()] * 3 + [field.one(), -field.one(), z,
+                                       z * z + field.coerce(Fraction(1, 3)), z - field.coerce(2),
+                                       field.coerce(Fraction(1, 2))]
 
     def matrix(rows, cols):
         return dense_matrix(field, rows, cols, [[draw(st.sampled_from(values)) for _ in range(cols)]
